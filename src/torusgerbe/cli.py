@@ -109,8 +109,13 @@ class UnknownCommand(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    """An integer in the JSON sense: true and false are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(text, field: str) -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise MalformedRational(f"not a rational string: {text!r}", field)
@@ -158,7 +163,7 @@ def parse_problem(text: str) -> ProblemFile:
         raise ProblemError("problem document must be a JSON object")
 
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise BadDimensions("n must be a positive integer", "n")
     dim = 2 * n
 
@@ -184,7 +189,7 @@ def parse_problem(text: str) -> ProblemFile:
         if (
             not isinstance(idx, list)
             or len(idx) != 3
-            or not all(isinstance(i, int) for i in idx)
+            or not all(_is_int(i) for i in idx)
         ):
             raise ProblemError("indices must be three integers", f"{field}.indices")
         if not (1 <= idx[0] < idx[1] < idx[2] <= dim):
@@ -197,6 +202,8 @@ def parse_problem(text: str) -> ProblemFile:
             item["coeff"], f"{field}.coeff"
         )
     e3 = AltForm3.from_coeffs(dim, e_coeffs)
+    if not e3.is_integral:
+        raise ProblemError("the 3-form coefficients must be integers", "E")
 
     b_items = doc.get("B", [])
     if not isinstance(b_items, list):
@@ -210,7 +217,7 @@ def parse_problem(text: str) -> ProblemFile:
         if (
             not isinstance(idx, list)
             or len(idx) != 2
-            or not all(isinstance(i, int) for i in idx)
+            or not all(_is_int(i) for i in idx)
         ):
             raise ProblemError("indices must be two integers", f"{field}.indices")
         if not (1 <= idx[0] < idx[1] <= dim):
@@ -403,10 +410,11 @@ def run_command(cmd: str, problem: ProblemFile | None, args: dict) -> tuple[dict
     elif cmd == "tau-verify":
         case = _resolve_case(problem, args)
         w = _resolve_vector(problem, args["w"], "--w")
+        samples = args.get("samples", 10)
+        if samples < 0:
+            raise ProblemError("must be a non-negative integer", "--samples")
         ctx = TranslationContext.create(gerbe, w, case, check=False)
-        pairs = default_verification_pairs(
-            torus.dim, args.get("samples", 10), args.get("seed", 0)
-        )
+        pairs = default_verification_pairs(torus.dim, samples, args.get("seed", 0))
         first_failure = None
         for l1, l2 in pairs:
             if not residual_is_trivial(trivialization_residual(ctx, l1, l2)):
@@ -710,7 +718,8 @@ def main(argv=None) -> int:
         NotAComplexStructure,
         TypeConditionFailed,
         NotInSubgroup,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         report = {
             "command": cmd,

@@ -304,47 +304,67 @@ def hermite_normal_form(m: Sequence[Sequence[int]]):
     return h, ut
 
 
+class ReducedLattice:
+    """The integer span of rational generators in Q^dim, reduced once.
+
+    Denominators are cleared by the lcm of the generators' denominators and
+    the Hermite normal form H = U*G of the scaled generator matrix G is
+    computed once; every membership query is then back-substitution
+    against H.  Scaling G by a positive integer leaves U unchanged, so the
+    coefficients returned do not depend on the scale.
+    """
+
+    def __init__(self, generators: Sequence[Sequence], dim: int):
+        gens = [to_vec(g) for g in generators]
+        if any(len(g) != dim for g in gens):
+            raise ValueError("generator/target dimension mismatch")
+        self.dim = dim
+        self.scale = lcm(*(x.denominator for g in gens for x in g))
+        self.g_int = tuple(tuple(int(x * self.scale) for x in g) for g in gens)
+        self.h, self.u = hermite_normal_form(self.g_int)
+        # (pivot column, row) for the nonzero rows of H, top to bottom
+        self.pivot_rows = tuple(
+            (next(c for c, x in enumerate(row) if x), row)
+            for row in self.h
+            if any(row)
+        )
+
+    def member(self, target) -> tuple[int, ...] | None:
+        """Integer coefficients c with sum(c_i * generators_i) == target, or None."""
+        tgt = to_vec(target)
+        if len(tgt) != self.dim:
+            raise ValueError("generator/target dimension mismatch")
+        scaled = [x * self.scale for x in tgt]
+        if not vec_is_integral(scaled):
+            return None
+        t_int = [int(x) for x in scaled]
+        residual = list(t_int)
+        y = []
+        for pivot, row in self.pivot_rows:
+            q, rem = divmod(residual[pivot], row[pivot])
+            if rem:
+                return None
+            y.append(q)
+            if q:
+                for k in range(pivot, self.dim):
+                    residual[k] -= q * row[k]
+        if any(residual):
+            return None
+        coeffs = tuple(
+            sum(yr * ur[i] for yr, ur in zip(y, self.u)) for i in range(len(self.g_int))
+        )
+        # paranoia: witnesses must reconstruct the target exactly
+        for k in range(self.dim):
+            if sum(c * g[k] for c, g in zip(coeffs, self.g_int)) != t_int[k]:
+                raise AssertionError("lattice_membership produced a bad witness")
+        return coeffs
+
+
 def lattice_membership(generators: Sequence[Sequence], target) -> tuple[int, ...] | None:
     """Integer coefficients c with sum(c_i * generators_i) == target, or None.
 
-    Generators and target may be rational; denominators are cleared before
-    solving over the integers via the Hermite normal form.
+    Generators and target may be rational; see `ReducedLattice`, which
+    answers repeated queries against the same generators.
     """
-    gens = [to_vec(g) for g in generators]
     tgt = to_vec(target)
-    dim = len(tgt)
-    if any(len(g) != dim for g in gens):
-        raise ValueError("generator/target dimension mismatch")
-    if not gens:
-        return () if vec_is_zero(tgt) else None
-
-    denoms = [x.denominator for g in gens for x in g] + [x.denominator for x in tgt]
-    d = lcm(*denoms) if denoms else 1
-    g_int = [[int(x * d) for x in g] for g in gens]
-    t_int = [int(x * d) for x in tgt]
-
-    h, u = hermite_normal_form(g_int)
-    residual = list(t_int)
-    y = [0] * len(gens)
-    for r, row in enumerate(h):
-        pivot_col = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot_col is None:
-            break
-        if residual[pivot_col] % row[pivot_col] != 0:
-            return None
-        q = residual[pivot_col] // row[pivot_col]
-        y[r] = q
-        for k in range(dim):
-            residual[k] -= q * row[k]
-    if any(residual):
-        return None
-    coeffs = tuple(
-        sum(y[r] * u[r][i] for r in range(len(gens))) for i in range(len(gens))
-    )
-    # paranoia: witnesses must reconstruct the target exactly
-    acc = zero_vec(dim)
-    for c, g in zip(coeffs, gens):
-        acc = vec_add(acc, vec_scale(c, g))
-    if acc != tgt:
-        raise AssertionError("lattice_membership produced a bad witness")
-    return coeffs
+    return ReducedLattice(generators, len(tgt)).member(tgt)

@@ -9,17 +9,20 @@ satisfy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .exact import (
     Mat,
+    ReducedLattice,
     Vec,
     basis_vec,
     dot,
     identity_mat,
-    lattice_membership,
+    lattice_membership,  # noqa: F401  (still importable from this module)
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -66,6 +69,18 @@ class TorusData:
 
     def basis(self) -> tuple[Vec, ...]:
         return tuple(basis_vec(self.dim, k) for k in range(self.dim))
+
+    @functools.cached_property
+    def anti_invariant_lattice(self) -> ReducedLattice:
+        """The lattice spanned by the anti-invariant parts of the integer
+        basis 2-forms, in upper-triangle coordinates; it depends only on J,
+        so it is reduced once per torus."""
+        d = self.dim
+        gens = [
+            anti_invariant_part(self, AltForm2.from_pairs(d, {(a, b): 1})).upper_coeffs()
+            for a, b in itertools.combinations(range(d), 2)
+        ]
+        return ReducedLattice(gens, d * (d - 1) // 2)
 
 
 def check_complex_structure(j_rows) -> TorusData:
@@ -287,20 +302,43 @@ def type_condition_check(torus: TorusData, e3: AltForm3) -> bool:
     """Whether E(x,y,z) = E(ix,iy,z) + E(x,iy,iz) + E(ix,y,iz) on the lattice.
 
     Both sides are alternating and trilinear, so strictly increasing basis
-    triples suffice.  In complex dimension 2 this holds for every E.
+    triples suffice.  In complex dimension 2 this holds for every E.  The
+    check runs in integers: J and E are scaled by the lcm of their
+    denominators (dj and de), so the left side picks up dj**2, and each of
+    the three sums walks only the nonzero entries of two columns of J.
     """
     if e3.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
-    basis = torus.basis()
-    jbasis = tuple(torus.mul_i(b) for b in basis)
-    for a, b, c in itertools.combinations(range(torus.dim), 3):
-        lhs = e3.evaluate(basis[a], basis[b], basis[c])
-        rhs = (
-            e3.evaluate(jbasis[a], jbasis[b], basis[c])
-            + e3.evaluate(basis[a], jbasis[b], jbasis[c])
-            + e3.evaluate(jbasis[a], basis[b], jbasis[c])
-        )
-        if lhs != rhs:
+    d = torus.dim
+    dj = lcm(*(x.denominator for row in torus.j for x in row))
+    # cols[a]: the nonzero entries (p, dj * J[p][a]) of J e_a
+    cols = [
+        [(p, int(row[a] * dj)) for p, row in enumerate(torus.j) if row[a]]
+        for a in range(d)
+    ]
+    de = lcm(*(v.denominator for _, v in e3.entries))
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]  # de * E(e_a, e_b, e_c)
+    for (a, b, c), v in e3.entries:
+        k = int(v * de)
+        t[a][b][c] = t[b][c][a] = t[c][a][b] = k
+        t[b][a][c] = t[a][c][b] = t[c][b][a] = -k
+    lhs_scale = dj * dj
+    for a, b, c in itertools.combinations(range(d), 3):
+        cb, cc = cols[b], cols[c]
+        rhs = 0
+        for p, x in cols[a]:
+            tp = t[p]
+            for q, y in cb:  # E(ie_a, ie_b, e_c)
+                rhs += x * y * tp[q][c]
+            tpb = tp[b]
+            for r, z in cc:  # E(ie_a, e_b, ie_c)
+                rhs += x * z * tpb[r]
+        ta = t[a]
+        for q, y in cb:  # E(e_a, ie_b, ie_c)
+            taq = ta[q]
+            for r, z in cc:
+                rhs += y * z * taq[r]
+        if rhs != lhs_scale * t[a][b][c]:
             return False
     return True
 
@@ -323,15 +361,10 @@ def integral_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
     """Whether omega lies in Alt^2(Z) + {type (1,1) forms}.
 
     Decided exactly: the anti-invariant part of omega must be an integer
-    combination of the anti-invariant parts of the integer basis 2-forms.
+    combination of the anti-invariant parts of the integer basis 2-forms,
+    whose lattice the torus reduces once.
     """
     if omega.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
-    d = torus.dim
     target = anti_invariant_part(torus, omega).upper_coeffs()
-    gens = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            basis_form = AltForm2.from_pairs(d, {(a, b): 1})
-            gens.append(anti_invariant_part(torus, basis_form).upper_coeffs())
-    return lattice_membership(gens, target) is not None
+    return torus.anti_invariant_lattice.member(target) is not None

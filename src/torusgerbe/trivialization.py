@@ -181,10 +181,12 @@ def verify_trivialization(
 ) -> bool:
     """Whether the trivialization identity holds on all sampled lattice pairs.
 
-    Bilinearity makes basis pairs decisive for the linear part; the random
-    pairs guard the constant part, which is quadratic in the lattice
-    arguments.  Failure for some pair witnesses that w is not a symmetry of
-    the gerbe for the chosen case.
+    Each factor of the trivializer is at most quadratic in the lattice
+    vector, so the residual is bilinear in (l1, l2), its constant part
+    included: the basis pairs among the default pairs already decide the
+    identity on the whole lattice, and the random pairs are an independent
+    extra check.  Failure for some pair witnesses that w is not a symmetry
+    of the gerbe for the chosen case.
     """
     if pairs is None:
         pairs = default_verification_pairs(ctx.gerbe.torus.dim, extra_random, seed)

@@ -20,8 +20,9 @@ from torusgerbe import (
     TorusData,
     check_complex_structure,
     in_case_subgroup,
+    j_pullback2,
 )
-from torusgerbe.exact import Vec, basis_vec, to_vec
+from torusgerbe.exact import Vec, basis_vec, hermite_normal_form, to_vec
 
 F = Fraction
 
@@ -40,6 +41,49 @@ J6_ROWS = [
     [0, 1, 0, 0, 0, 0],
     [0, 0, 1, 0, 0, 0],
 ]
+
+
+def standard_j_rows(n: int) -> list[list[int]]:
+    """J e_k = e_{n+k}, J e_{n+k} = -e_k."""
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for k in range(n):
+        rows[n + k][k] = 1
+        rows[k][n + k] = -1
+    return rows
+
+
+def twisted_torus(n: int, seed: int) -> TorusData:
+    """J = P*J0*P^-1 for the standard J0 and a seeded rational P that is a
+    product of 2n elementary matrices I + t*e_ab (a < b)."""
+    rng = random.Random(f"twisted:{n}:{seed}")
+    dim = 2 * n
+    j = [[F(x) for x in row] for row in standard_j_rows(n)]
+    for _ in range(dim):
+        a, b = sorted(rng.sample(range(dim), 2))
+        t = F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+        # conjugate by I + t*e_ab: add t*(row b) to row a, then subtract
+        # t*(column a) from column b
+        j[a] = [x + t * y for x, y in zip(j[a], j[b])]
+        for row in j:
+            row[b] -= t * row[a]
+    return check_complex_structure(j)
+
+
+def compatible_altform3(rng: random.Random, torus: TorusData, terms: int = 2) -> AltForm3:
+    """A random rational 3-form passing the type condition: a sum of
+    alpha ^ omega with alpha a 1-form and omega a J-invariant 2-form.  Such
+    a form has types (2,1) + (1,2) only, which is what the condition asks."""
+    dim = torus.dim
+    coeffs = {}
+    for _ in range(terms):
+        alpha = rand_rational_vec(rng, dim)
+        f = rand_altform2(rng, dim)
+        omega = (f + j_pullback2(torus, f)).entries
+        for a, b, c in itertools.combinations(range(dim), 3):
+            coeffs[(a, b, c)] = coeffs.get((a, b, c), F(0)) + (
+                alpha[a] * omega[b][c] - alpha[b] * omega[a][c] + alpha[c] * omega[a][b]
+            )
+    return AltForm3.from_coeffs(dim, coeffs)
 
 
 def torus4() -> TorusData:
@@ -220,3 +264,47 @@ def oracle_membership_search(
         if tuple(acc) == target_i:
             return coeffs
     return None
+
+
+def reference_type_condition(torus: TorusData, e3: AltForm3) -> bool:
+    """The type condition by its definition: for every increasing basis
+    triple, the trilinear E(x,y,z) against E(ix,iy,z) + E(x,iy,iz) +
+    E(ix,y,iz), each side evaluated in dense rational arithmetic."""
+    basis = torus.basis()
+    jbasis = tuple(torus.mul_i(b) for b in basis)
+    for a, b, c in itertools.combinations(range(torus.dim), 3):
+        lhs = e3.evaluate(basis[a], basis[b], basis[c])
+        rhs = (
+            e3.evaluate(jbasis[a], jbasis[b], basis[c])
+            + e3.evaluate(basis[a], jbasis[b], jbasis[c])
+            + e3.evaluate(jbasis[a], basis[b], jbasis[c])
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
+def reference_membership(generators: list[Vec], target: Vec) -> tuple[int, ...] | None:
+    """Lattice membership reduced afresh for one target: clear the
+    denominators of generators and target together, take the Hermite normal
+    form, back-substitute, and map the solution back through U."""
+    from math import lcm
+
+    d = lcm(*(x.denominator for g in generators for x in g), *(x.denominator for x in target))
+    g_int = [[int(x * d) for x in g] for g in generators]
+    residual = [int(x * d) for x in target]
+    if not g_int:
+        return None if any(residual) else ()
+    h, u = hermite_normal_form(g_int)
+    y = [0] * len(g_int)
+    for r, row in enumerate(h):
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            break
+        if residual[pivot] % row[pivot]:
+            return None
+        y[r] = residual[pivot] // row[pivot]
+        residual = [x - y[r] * z for x, z in zip(residual, row)]
+    if any(residual):
+        return None
+    return tuple(sum(y[r] * u[r][i] for r in range(len(y))) for i in range(len(y)))

@@ -101,6 +101,37 @@ class TestParseProblem:
         with pytest.raises(TypeConditionFailed):
             parse_problem(json.dumps(doc))
 
+    def test_non_integral_e_coefficient(self, tmp_path, capsys):
+        text = fixture_text(E=[{"indices": [1, 2, 3], "coeff": "1/2"}])
+        with pytest.raises(ProblemError) as info:
+            parse_problem(text)
+        assert info.value.field == "E"
+        bad = tmp_path / "half.json"
+        bad.write_text(text)
+        assert main(["check-type", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().out)["result"]["error"] == "ProblemError"
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n": True, "J": [["0", "-1"], ["1", "0"]], "E": [], "B": [], "vectors": {}}, "n"),
+            ({"E": [{"indices": [True, 2, 3], "coeff": "1"}]}, "E[0].indices"),
+            ({"B": [{"indices": [True, 2], "coeff": "1"}]}, "B[0].indices"),
+            ({"E": [{"indices": [1, 2, 3], "coeff": True}]}, "E[0].coeff"),
+            ({"B": [{"indices": [1, 2], "coeff": False}]}, "B[0].coeff"),
+        ],
+        ids=["n", "E-indices", "B-indices", "E-coeff", "B-coeff"],
+    )
+    def test_booleans_are_not_integers(self, overrides, field, tmp_path, capsys):
+        text = fixture_text(**overrides)
+        with pytest.raises(ProblemError) as info:
+            parse_problem(text)
+        assert info.value.field == field
+        bad = tmp_path / "bool.json"
+        bad.write_text(text)
+        assert main(["check-torus", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().out)["result"]["message"].startswith(field + ":")
+
     def test_invalid_json(self):
         with pytest.raises(ProblemError):
             parse_problem("{not json")
@@ -251,6 +282,28 @@ class TestMainEntry:
         main(["obstruction1", problem_path, "--generators", "u,v"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_directory_path_exit_2(self, tmp_path, capsys):
+        assert main(["check-torus", str(tmp_path)]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["result"]["error"] == "IsADirectoryError"
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"n": 2, "case": "int\xe9gral"}')  # Latin-1, not UTF-8
+        assert main(["check-torus", str(bad)]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["result"]["error"] == "UnicodeDecodeError"
+
+    def test_negative_samples_exit_2(self, problem_path, capsys):
+        assert main(["tau-verify", problem_path, "--w", "u", "--samples", "-1"]) == 2
+        out = capsys.readouterr()
+        assert "--samples" in json.loads(out.out)["result"]["message"]
+
+    def test_zero_samples_accepted(self, problem_path, capsys):
+        assert main(["tau-verify", problem_path, "--w", "u", "--samples", "0"]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["result"]["pairs_checked"] == 16
 
     def test_example_runs_without_problem_file(self, capsys):
         assert main(["example", "--name", "k-group"]) == 0

@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgerbe import (
+    AltForm2,
     GaussianRational,
     hermite_normal_form,
     lattice_membership,
     unit_reduce,
 )
-from torusgerbe.exact import det, to_mat, to_vec, vec_add, vec_scale, zero_vec
+import torusgerbe.exact
+from torusgerbe.exact import ReducedLattice, det, to_mat, to_vec, vec_add, vec_scale, zero_vec
+from torusgerbe.symmetry import fixes_gerbe
+from torusgerbe.gerbe import gerbes_isomorphic, translate_gerbe
+from torusgerbe.torus import integral_anti_invariant_member
 
-from helpers import oracle_membership_search
+from helpers import gerbe4, oracle_membership_search, reference_membership, twisted_torus
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=24)
 
@@ -136,6 +141,44 @@ class TestHermiteNormalForm:
             hermite_normal_form([[F(1, 2), 0], [0, 1]])
 
 
+def reconstruct_cases():
+    """Seeded (generators, target) pairs whose target is in the lattice."""
+    rng = random.Random(3)
+    for _ in range(25):
+        dim = rng.randint(2, 4)
+        gens = [
+            tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(dim))
+            for _ in range(rng.randint(1, 4))
+        ]
+        coeffs = [rng.randint(-4, 4) for _ in gens]
+        target = zero_vec(dim)
+        for c, g in zip(coeffs, gens):
+            target = vec_add(target, vec_scale(c, g))
+        yield gens, target
+
+
+def brute_force_cases():
+    """Seeded 2-dimensional (generators, target) pairs, members or not."""
+    rng = random.Random(7)
+    for _ in range(40):
+        dim = 2
+        gens = [
+            tuple(F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(dim))
+            for _ in range(2)
+        ]
+        target = tuple(F(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(dim))
+        yield gens, target
+
+
+FIXED_CASES = [
+    ([(1, 0), (0, 1)], (3, -5)),
+    ([(F(1, 2), F(1, 2)), (0, 1)], (F(1, 2), F(3, 2))),
+    ([(2, 0)], (1, 0)),
+    ([], (0, 0)),
+    ([], (1, 0)),
+]
+
+
 class TestLatticeMembership:
     def test_standard_basis(self):
         assert lattice_membership([(1, 0), (0, 1)], (3, -5)) == (3, -5)
@@ -156,17 +199,8 @@ class TestLatticeMembership:
         assert lattice_membership([], (1, 0)) is None
 
     def test_witnesses_reconstruct(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            dim = rng.randint(2, 4)
-            gens = [
-                tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(dim))
-                for _ in range(rng.randint(1, 4))
-            ]
-            coeffs = [rng.randint(-4, 4) for _ in gens]
-            target = zero_vec(dim)
-            for c, g in zip(coeffs, gens):
-                target = vec_add(target, vec_scale(c, g))
+        for gens, target in reconstruct_cases():
+            dim = len(target)
             got = lattice_membership(gens, target)
             assert got is not None
             acc = zero_vec(dim)
@@ -175,15 +209,8 @@ class TestLatticeMembership:
             assert acc == target
 
     def test_negatives_match_brute_force(self):
-        rng = random.Random(7)
         hits = 0
-        for _ in range(40):
-            dim = 2
-            gens = [
-                tuple(F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(dim))
-                for _ in range(2)
-            ]
-            target = tuple(F(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(dim))
+        for gens, target in brute_force_cases():
             got = lattice_membership(gens, target)
             brute = oracle_membership_search([to_vec(g) for g in gens], to_vec(target), 12)
             if got is None:
@@ -193,3 +220,99 @@ class TestLatticeMembership:
                 # positive answers are certified by reconstruction already
                 assert brute is not None or any(abs(c) > 12 for c in got)
         assert hits > 0
+
+
+class TestReducedLattice:
+    def test_same_coefficients_as_per_target_reduction(self):
+        # the denominators of the target no longer enter the scale; H scales
+        # with it but U, and so every coefficient, stays the same
+        cases = FIXED_CASES + list(reconstruct_cases()) + list(brute_force_cases())
+        members = 0
+        for gens, target in cases:
+            gens = [to_vec(g) for g in gens]
+            target = to_vec(target)
+            got = lattice_membership(gens, target)
+            assert got == reference_membership(gens, target)
+            members += got is not None
+        assert 0 < members < len(cases)
+
+    def test_one_reduction_answers_many_targets(self):
+        rng = random.Random(13)
+        gens = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(3)) for _ in range(4)]
+        lat = ReducedLattice(gens, 3)
+        for _ in range(30):
+            target = tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3, 6])) for _ in range(3))
+            assert lat.member(target) == lattice_membership(gens, target)
+
+    def test_dimension_checks(self):
+        with pytest.raises(ValueError):
+            ReducedLattice([(1, 0), (1, 0, 0)], 2)
+        with pytest.raises(ValueError):
+            ReducedLattice([(1, 0)], 2).member((1, 0, 0))
+
+    def test_sympy_hnf_oracle(self):
+        # sympy reduces the generators as columns; its column lattice must
+        # decide membership exactly as the reduced lattice does
+        from sympy import Matrix
+        from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+        from math import lcm
+
+        rng = random.Random(17)
+        decided = {True: 0, False: 0}
+        for _ in range(30):
+            dim = rng.randint(2, 4)
+            gens = [
+                tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(dim))
+                for _ in range(rng.randint(1, 5))
+            ]
+            lat = ReducedLattice(gens, dim)
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    target = zero_vec(dim)
+                    for g in gens:
+                        target = vec_add(target, vec_scale(rng.randint(-3, 3), to_vec(g)))
+                else:
+                    target = tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(dim))
+                d = lcm(*(x.denominator for g in gens for x in g), *(x.denominator for x in target))
+                cols = sympy_hnf(Matrix([[int(x * d) for x in g] for g in gens]).T)
+                if cols.shape[1] == 0:
+                    expected = not any(target)
+                else:
+                    try:
+                        sol, params = cols.gauss_jordan_solve(Matrix([int(x * d) for x in target]))
+                        assert params.shape[0] == 0  # the columns are independent
+                        expected = all(x.is_integer for x in sol)
+                    except ValueError:  # not even in the rational span
+                        expected = False
+                assert (lat.member(target) is not None) is expected
+                decided[expected] += 1
+        assert decided[True] and decided[False]
+
+    def test_hnf_runs_once_per_torus(self, monkeypatch):
+        calls = []
+        real = torusgerbe.exact.hermite_normal_form
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(torusgerbe.exact, "hermite_normal_form", counting)
+        g = gerbe4(2)
+        for k in range(6):
+            w = (F(k, 4), F(1, 2), F(k, 3), F(0))
+            fixes_gerbe(g.torus, g.e, w)
+            gerbes_isomorphic(g, translate_gerbe(g, w))
+        assert calls == [6]
+        t = twisted_torus(3, 0)
+        integral_anti_invariant_member(t, AltForm2.from_pairs(6, {(0, 1): 1}))
+        integral_anti_invariant_member(t, AltForm2.from_pairs(6, {(1, 4): F(1, 2)}))
+        assert calls == [6, 15]
+
+    def test_corrupt_transform_trips_the_witness_check(self, monkeypatch):
+        t = twisted_torus(2, 0)
+        omega = AltForm2.from_pairs(4, {(1, 2): 1})  # integral, so a member
+        assert integral_anti_invariant_member(t, omega)
+        lat = t.anti_invariant_lattice
+        monkeypatch.setattr(lat, "u", tuple(tuple(2 * x for x in row) for row in lat.u))
+        with pytest.raises(AssertionError):
+            integral_anti_invariant_member(t, omega)

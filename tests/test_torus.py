@@ -3,7 +3,11 @@
 import random
 from fractions import Fraction as F
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgerbe import (
     AltForm2,
@@ -18,7 +22,19 @@ from torusgerbe import (
     type_condition_check,
 )
 
-from helpers import e, rand_altform2, rand_altform3_int, rand_rational_vec, torus4, torus6, vec
+from helpers import (
+    compatible_altform3,
+    e,
+    rand_altform2,
+    rand_altform3_int,
+    rand_rational_vec,
+    reference_type_condition,
+    standard_j_rows,
+    torus4,
+    torus6,
+    twisted_torus,
+    vec,
+)
 
 
 class TestComplexStructure:
@@ -170,6 +186,60 @@ class TestTypeCondition:
 
         val = skew_symmetrize(residual, (e(6, 1), e(6, 2), e(6, 3)))
         assert val == 6 * residual(e(6, 1), e(6, 2), e(6, 3)) != 0
+
+
+class TestTypeConditionAgainstReference:
+    """The sparse integer check against the dense trilinear definition."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["standard", "twisted"])
+    def test_agrees_on_seeded_forms(self, n, twisted):
+        t = twisted_torus(n, 0) if twisted else check_complex_structure(standard_j_rows(n))
+        rng = random.Random(f"type:{n}:{twisted}")
+        compatible = 2 if n < 5 else 1  # the dense reference is slow at n = 5
+        forms = [compatible_altform3(rng, t) for _ in range(compatible)]
+        forms += [rand_altform3_int(rng, 2 * n, -3, 3) for _ in range(3)]
+        got = [type_condition_check(t, f) for f in forms]
+        assert got == [reference_type_condition(t, f) for f in forms]
+        assert all(got[:compatible])
+        if n >= 3:
+            # dense random integral forms fail the condition
+            assert not any(got[compatible:])
+
+    def test_rational_form_accepted(self):
+        t = twisted_torus(3, 1)
+        f = compatible_altform3(random.Random(8), t)
+        assert not f.is_integral
+        assert type_condition_check(t, f)
+        bumped = dict(f.entries)
+        bumped[(0, 1, 2)] = bumped.get((0, 1, 2), 0) + F(1, 2)
+        assert not type_condition_check(t, AltForm3.from_coeffs(6, bumped))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            type_condition_check(torus6(), AltForm3.zero(4))
+
+    @given(
+        twisted=st.booleans(),
+        scale=st.integers(-2, 2),
+        coeffs=st.dictionaries(
+            st.sampled_from(list(itertools.combinations(range(6), 3))),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_small_forms(self, twisted, scale, coeffs):
+        t = twisted_torus(3, 2) if twisted else torus6()
+        base = compatible_altform3(random.Random(3), t).scale(scale)
+        f = AltForm3.from_coeffs(
+            6,
+            {
+                k: base.coeff(*k) + coeffs.get(k, 0)
+                for k in itertools.combinations(range(6), 3)
+            },
+        )
+        assert type_condition_check(t, f) == reference_type_condition(t, f)
 
 
 class TestSkewSymmetrize:
