@@ -29,6 +29,7 @@ from .gerbe import (
     ExponentFn,
     GerbeData,
     TypeConditionFailed,
+    VectorForms,
     cocycle_exponent,
     exponent_im,
     exponent_re,
@@ -67,6 +68,7 @@ from .obstruction import (
     SubgroupSpec,
     ThetaGroupElement,
     VanishingResult,
+    defect_character,
     defect_correction_value,
     first_obstruction_alternating,
     first_obstruction_character,

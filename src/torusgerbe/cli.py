@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-from .exact import GaussianRational, UnitValue, Vec, basis_vec
+from .exact import GaussianRational, UnitValue, Vec
 from .gerbe import Character, GerbeData, TypeConditionFailed, gerbes_isomorphic, translate_gerbe
 from .obstruction import (
     FirstObstructionNonzero,
@@ -38,17 +38,16 @@ from .obstruction import (
     ObstructionKind,
     SubgroupSpec,
     VanishingResult,
+    defect_character,
     first_obstruction_alternating,
     gerbal_class,
     lift_defect_character,
-    lift_defect_exponent,
     obstruction_vanishes,
     second_obstruction_alternating,
 )
 from .symmetry import (
     NotInSubgroup,
     SubgroupCase,
-    fixes_gerbe,
     in_case_subgroup,
     invariance_class,
 )
@@ -485,12 +484,7 @@ def run_command(cmd: str, problem: ProblemFile | None, args: dict) -> tuple[dict
         products = []
         for i, w1 in enumerate(gens):
             for j, w2 in enumerate(gens):
-                char = Character(
-                    tuple(
-                        lift_defect_exponent(ctx, w1, w2, basis_vec(torus.dim, k))
-                        for k in range(torus.dim)
-                    )
-                )
+                char = defect_character(ctx, w1, w2)
                 products.append(
                     {"i": i + 1, "j": j + 1, "defect_character": ser_character(char)}
                 )

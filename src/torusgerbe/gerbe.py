@@ -14,9 +14,11 @@ from fractions import Fraction
 
 from .exact import (
     GaussianRational,
+    Mat,
     Vec,
     ZERO_G,
     dot,
+    mat_mul,
     mat_vec,
     to_vec,
     vec_is_integral,
@@ -27,7 +29,6 @@ from .torus import (
     AltForm2,
     AltForm3,
     TorusData,
-    anti_invariant_part,
     contract3,
     integral_anti_invariant_member,
     j_pullback2,
@@ -201,6 +202,37 @@ def exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
         + e3.evaluate(a, b, torus.mul_i(c)) / 2
         - e3.evaluate(torus.mul_i(a), b, c)
     ) / 8
+
+
+@dataclass(frozen=True)
+class VectorForms:
+    """The canonical exponent with its first argument fixed at w.
+
+    omega = E(w,.,.) and omega_i = E(iw,.,.) are the two contractions, and
+    l = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form with
+    exponent_im(w, x, y) = x^T * l * y.  Built once per vector by the
+    contexts that evaluate the exponent at many points.
+    """
+
+    w: Vec
+    iw: Vec
+    omega: AltForm2
+    omega_i: AltForm2
+    l: Mat
+
+    @staticmethod
+    def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
+        w = to_vec(w)
+        iw = torus.mul_i(w)
+        omega = contract3(e3, w)
+        omega_i = contract3(e3, iw)
+        jt_m = mat_mul(torus.jt, omega.entries)
+        m_j = mat_mul(omega.entries, torus.j)
+        l = tuple(
+            tuple((a + b - 2 * c) / 16 for a, b, c in zip(ra, rb, rc))
+            for ra, rb, rc in zip(jt_m, m_j, omega_i.entries)
+        )
+        return VectorForms(w=w, iw=iw, omega=omega, omega_i=omega_i, l=l)
 
 
 def pair_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
@@ -23,18 +23,21 @@ from .exact import (
     UnitValue,
     Vec,
     basis_vec,
+    dot,
+    mat_vec,
     to_vec,
     unit_reduce,
     vec_add,
-    vec_is_integral,
+    vec_mat,
 )
-from .gerbe import Character, ExponentFn, GerbeData, exponent_im
+from .gerbe import Character, ExponentFn, GerbeData, VectorForms, exponent_im
 from .symmetry import (
     NotInSubgroup,
     SubgroupCase,
     case_decomposition,
     in_case_subgroup,
 )
+from .torus import AltForm2
 from .trivialization import TranslationContext, trivializing_exponent
 
 
@@ -51,23 +54,57 @@ class FirstObstructionNonzero(ValueError):
 
 
 @dataclass(frozen=True)
+class VectorData:
+    """What the obstruction formulas read about one vector w: its exponent
+    forms, its case membership and its (1,1) decomposition piece F_w (given
+    by the case formulas whether or not w is a member)."""
+
+    forms: VectorForms
+    member: bool
+    invariant: AltForm2
+
+
+@dataclass(frozen=True)
 class ObstructionContext:
-    """A gerbe together with the decomposition case all formulas use."""
+    """A gerbe together with the decomposition case all formulas use.
+
+    The per-vector data is computed once per distinct vector and kept for
+    the life of the context; it takes no part in equality or hashing.
+    """
 
     gerbe: GerbeData
     case: SubgroupCase
+    _vectors: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def vector(self, w) -> VectorData:
+        """The data of w, computed on first use."""
+        w = to_vec(w)
+        data = self._vectors.get(w)
+        if data is None:
+            t, e3 = self.gerbe.torus, self.gerbe.e
+            data = VectorData(
+                forms=VectorForms.create(t, e3, w),
+                member=in_case_subgroup(t, e3, w, self.case),
+                invariant=case_decomposition(
+                    t, e3, w, self.case, check=False
+                ).invariant_part,
+            )
+            self._vectors[w] = data
+        return data
 
     def member(self, w) -> bool:
-        return in_case_subgroup(self.gerbe.torus, self.gerbe.e, w, self.case)
+        return self.vector(w).member
 
-    def require_member(self, w, what: str = "vector"):
-        if not self.member(w):
+    def require_member(self, w, what: str = "vector") -> VectorData:
+        data = self.vector(w)
+        if not data.member:
             raise NotInSubgroup(f"{what} is not in the chosen subgroup")
+        return data
 
-    def invariant_part(self, w):
-        return case_decomposition(
-            self.gerbe.torus, self.gerbe.e, w, self.case, check=False
-        ).invariant_part
+    def invariant_part(self, w) -> AltForm2:
+        return self.vector(w).invariant
 
     def translation(self, w, check: bool = True) -> TranslationContext:
         return TranslationContext.create(self.gerbe, w, self.case, check=check)
@@ -103,7 +140,6 @@ def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     t2 = ctx.translation(w2)
     t12 = ctx.translation(vec_add(w1, w2))
     composed = []
-    direct = []
     for k in range(t.dim):
         lam = basis_vec(t.dim, k)
         fn = (
@@ -114,12 +150,33 @@ def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
         if not fn.linear_part_is_zero:
             raise InternalMismatch("composition defect depends on the base point")
         composed.append(fn.const)
-        direct.append(lift_defect_exponent(ctx, w1, w2, lam))
-    if composed != direct:
+    char = Character(tuple(composed))
+    if char != defect_character(ctx, w1, w2):
         raise InternalMismatch(
             "trivializer composition disagrees with the closed defect exponent"
         )
-    return Character(tuple(composed))
+    return char
+
+
+def defect_character(ctx: ObstructionContext, w1, w2) -> Character:
+    """The defect character of (w1, w2) from the closed exponent, on the
+    lattice basis."""
+    dim = ctx.gerbe.torus.dim
+    return Character(
+        tuple(
+            lift_defect_exponent(ctx, w1, w2, basis_vec(dim, k)) for k in range(dim)
+        )
+    )
+
+
+def _correction_covector(ctx: ObstructionContext, w1, w2) -> Vec:
+    """The covector r = w1^T*L_w2 - (J*w1)^T*F2/2, where L_w2 is the form of
+    l(w2,.,.); the correction exponent of (w1, w2) is i*r.v + r.(Jv)."""
+    d1 = ctx.require_member(w1, "w1")
+    d2 = ctx.require_member(w2, "w2")
+    a = vec_mat(d1.forms.w, d2.forms.l)
+    b = vec_mat(d1.forms.iw, d2.invariant.entries)
+    return tuple(x - y / 2 for x, y in zip(a, b))
 
 
 def defect_correction_fn(ctx: ObstructionContext, w1, w2) -> ExponentFn:
@@ -128,22 +185,8 @@ def defect_correction_fn(ctx: ObstructionContext, w1, w2) -> ExponentFn:
 
         i*l(w2,w1,v) + l(w2,w1,iv) - i/2*F2(iw1,v) - 1/2*F2(iw1,iv)
     """
-    t = ctx.gerbe.torus
-    w1, w2 = to_vec(w1), to_vec(w2)
-    ctx.require_member(w1, "w1")
-    ctx.require_member(w2, "w2")
-    f2 = ctx.invariant_part(w2)
-    iw1 = t.mul_i(w1)
-    e3 = ctx.gerbe.e
-    basis = t.basis()
-    lin_im = tuple(
-        exponent_im(t, e3, w2, w1, ek) - f2.evaluate(iw1, ek) / 2 for ek in basis
-    )
-    lin_re = tuple(
-        exponent_im(t, e3, w2, w1, t.mul_i(ek)) - f2.evaluate(iw1, t.mul_i(ek)) / 2
-        for ek in basis
-    )
-    return ExponentFn(GaussianRational.real(0), lin_re, lin_im)
+    r = _correction_covector(ctx, w1, w2)
+    return ExponentFn(GaussianRational.real(0), mat_vec(ctx.gerbe.torus.jt, r), r)
 
 
 def defect_correction_value(ctx: ObstructionContext, w1, w2, v) -> GaussianRational:
@@ -159,35 +202,27 @@ def first_obstruction_character(ctx: ObstructionContext, w1, w2) -> Character:
     Equals the defect character times the lattice coboundary of the
     correction factor, exactly.
     """
-    t = ctx.gerbe.torus
-    w1, w2 = to_vec(w1), to_vec(w2)
-    ctx.require_member(w1, "w1")
-    ctx.require_member(w2, "w2")
-    e3 = ctx.gerbe.e
-    f2 = ctx.invariant_part(w2)
-    iw1, iw2 = t.mul_i(w1), t.mul_i(w2)
-    exps = []
-    for ek in t.basis():
-        val = (
-            e3.evaluate(iw2, iw1, ek) - e3.evaluate(iw2, w1, t.mul_i(ek))
-        ) / 8 - f2.evaluate(w1, ek)
-        exps.append(GaussianRational.real(val))
-    return Character(tuple(exps))
+    d1 = ctx.require_member(w1, "w1")
+    d2 = ctx.require_member(w2, "w2")
+    w1 = d1.forms.w
+    omega_i2 = d2.forms.omega_i.entries  # E(iw2,.,.)
+    a = vec_mat(d1.forms.iw, omega_i2)  # E(iw2, iw1, e_k)
+    b = mat_vec(ctx.gerbe.torus.jt, vec_mat(w1, omega_i2))  # E(iw2, w1, i*e_k)
+    f = vec_mat(w1, d2.invariant.entries)  # F2(w1, e_k)
+    return Character(
+        tuple(GaussianRational.real((x - y) / 8 - z) for x, y, z in zip(a, b, f))
+    )
 
 
 def _closed_form_first(ctx: ObstructionContext, w1: Vec, w2: Vec) -> Character:
-    t = ctx.gerbe.torus
-    e3 = ctx.gerbe.e
+    """exp(E(w2,w1,lam)) in the integral case, exp(E(w1,w2,lam)) in the
+    type (1,1) case, read off the contraction E(w,.,.) alone."""
     if ctx.case is SubgroupCase.INTEGRAL:
-        args = (w2, w1)
+        x, w = w1, w2
     else:
-        args = (w1, w2)
-    return Character(
-        tuple(
-            GaussianRational.real(e3.evaluate(args[0], args[1], ek))
-            for ek in t.basis()
-        )
-    )
+        x, w = w2, w1
+    row = vec_mat(x, ctx.vector(w).forms.omega.entries)
+    return Character(tuple(GaussianRational.real(v) for v in row))
 
 
 def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
@@ -251,26 +286,32 @@ class SecondObstructionValues:
 def second_obstruction_alternating(
     ctx: ObstructionContext, w1, w2, w3
 ) -> SecondObstructionValues:
-    w1, w2, w3 = to_vec(w1), to_vec(w2), to_vec(w3)
-    for w, name in ((w1, "w1"), (w2, "w2"), (w3, "w3")):
-        ctx.require_member(w, name)
+    """The second obstruction on a triple, computed three ways.
+
+    The skew alternates the degree-3 cocycle over the six permutations,
+    each term being the correction covector of (b, c) evaluated at a; the
+    bilinear expression reads the (1,1) pieces F_w; the closed form reads E
+    alone.  Disagreements are reported in the returned flags, not raised.
+    """
+    d1 = ctx.require_member(w1, "w1")
+    d2 = ctx.require_member(w2, "w2")
+    d3 = ctx.require_member(w3, "w3")
+    w1, w2, w3 = d1.forms.w, d2.forms.w, d3.forms.w
 
     skew_exp = GaussianRational.real(0)
-    for perm, sign in (
-        ((w1, w2, w3), 1),
-        ((w1, w3, w2), -1),
-        ((w2, w3, w1), 1),
-        ((w2, w1, w3), -1),
-        ((w3, w1, w2), 1),
-        ((w3, w2, w1), -1),
+    for a, b, c, sign in (
+        (d1, w2, w3, 1),
+        (d1, w3, w2, -1),
+        (d2, w3, w1, 1),
+        (d2, w1, w3, -1),
+        (d3, w1, w2, 1),
+        (d3, w2, w1, -1),
     ):
-        a, b, c = perm
-        term = defect_correction_fn(ctx, b, c).evaluate(a)
+        r = _correction_covector(ctx, b, c)
+        term = GaussianRational(dot(r, a.forms.iw), dot(r, a.forms.w))
         skew_exp = skew_exp + (term if sign > 0 else -term)
 
-    f1 = ctx.invariant_part(w1)
-    f2 = ctx.invariant_part(w2)
-    f3 = ctx.invariant_part(w3)
+    f1, f2, f3 = d1.invariant, d2.invariant, d3.invariant
     general_exp = 3 * (
         f3.evaluate(w1, w2) + f1.evaluate(w2, w3) - f2.evaluate(w1, w3)
     )
@@ -308,13 +349,7 @@ def theta_group_multiply(
     """(a1, w1) * (a2, w2) = (a1 * a2 * defect(w1, w2), w1 + w2)."""
     w = vec_add(to_vec(a.w), to_vec(b.w))
     ctx.require_member(w, "product vector")
-    t = ctx.gerbe.torus
-    defect = Character(
-        tuple(
-            lift_defect_exponent(ctx, a.w, b.w, basis_vec(t.dim, k))
-            for k in range(t.dim)
-        )
-    )
+    defect = defect_character(ctx, a.w, b.w)
     return ThetaGroupElement(character=a.character * b.character * defect, w=w)
 
 
@@ -354,17 +389,16 @@ class VanishingResult:
         return self.vanishes
 
 
-def _candidate_vectors(gerbe: GerbeData, spec: SubgroupSpec) -> list[Vec]:
+def _candidate_vectors(ctx: ObstructionContext, spec: SubgroupSpec) -> list[Vec]:
     seen = []
     for g in spec.generators:
-        ctx_ok = in_case_subgroup(gerbe.torus, gerbe.e, g, spec.case)
-        if not ctx_ok:
-            raise NotInSubgroup("generator is not in the chosen subgroup")
+        ctx.require_member(g, "generator")
         if g not in seen:
             seen.append(g)
-    for k in range(gerbe.torus.dim):
-        ek = basis_vec(gerbe.torus.dim, k)
-        if ek not in seen and in_case_subgroup(gerbe.torus, gerbe.e, ek, spec.case):
+    dim = ctx.gerbe.torus.dim
+    for k in range(dim):
+        ek = basis_vec(dim, k)
+        if ek not in seen and ctx.member(ek):
             seen.append(ek)
     return seen
 
@@ -382,7 +416,7 @@ def obstruction_vanishes(
     disagrees with it are surfaced, never silently resolved.
     """
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)
-    vectors = _candidate_vectors(gerbe, spec)
+    vectors = _candidate_vectors(ctx, spec)
     t = gerbe.torus
     checked = 0
 

@@ -17,9 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import GaussianRational, Vec, mat_vec, to_vec, vec_add, vec_is_integral
-from .gerbe import ExponentFn, GerbeData, translation_factor
+from .gerbe import ExponentFn, GerbeData, VectorForms, translation_factor
 from .symmetry import Decomposition, SubgroupCase, case_decomposition
-from .torus import AltForm2, contract3
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,7 @@ class TranslationContext:
     w: Vec
     case: SubgroupCase
     dec: Decomposition
-    omega: AltForm2
-    omega_j: AltForm2
+    forms: VectorForms
 
     @staticmethod
     def create(
@@ -46,39 +44,21 @@ class TranslationContext:
             w=w,
             case=case,
             dec=dec,
-            omega=contract3(gerbe.e, w),
-            omega_j=contract3(gerbe.e, gerbe.torus.mul_i(w)),
+            forms=VectorForms.create(gerbe.torus, gerbe.e, w),
         )
 
 
-def _im_covector(ctx: TranslationContext, lam: Vec) -> Vec:
-    """Entries l(w, e_k, lam) of the imaginary exponent part, via the
-    contractions omega = E(w,.,.) and omega_j = E(iw,.,.):
-
-    l(w, v, lam) = (omega(iv, lam)/2 + omega(v, i*lam)/2 - omega_j(v, lam)) / 8
-    """
-    t = ctx.gerbe.torus
-    a = mat_vec(t.jt, ctx.omega.apply(lam))  # omega(J e_k, lam)
-    b = ctx.omega.apply(t.mul_i(lam))  # omega(e_k, J lam)
-    c = ctx.omega_j.apply(lam)  # omega_j(e_k, lam)
-    return tuple((x / 2 + y / 2 - z) / 8 for x, y, z in zip(a, b, c))
-
-
-def _im_covector_j(ctx: TranslationContext, lam: Vec) -> Vec:
-    """Entries l(w, J e_k, lam)."""
-    t = ctx.gerbe.torus
-    a = ctx.omega.apply(lam)  # omega(e_k, lam); omega(JJ e_k, lam) = -a_k
-    b = mat_vec(t.jt, ctx.omega.apply(t.mul_i(lam)))  # omega(J e_k, J lam)
-    c = mat_vec(t.jt, ctx.omega_j.apply(lam))  # omega_j(J e_k, lam)
-    return tuple((-x / 2 + y / 2 - z) / 8 for x, y, z in zip(a, b, c))
-
-
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:
-    """Exponent of the holomorphic factor -i*l(w,v,lam) - l(w,iv,lam)."""
-    lam = to_vec(lam)
-    lin_im = tuple(-x for x in _im_covector(ctx, lam))
-    lin_re = tuple(-x for x in _im_covector_j(ctx, lam))
-    return ExponentFn(GaussianRational.real(0), lin_re, lin_im)
+    """Exponent of the holomorphic factor -i*l(w,v,lam) - l(w,iv,lam).
+
+    With L the bilinear form of l(w,.,.), the covectors of v -> l(w,v,lam)
+    and v -> l(w,iv,lam) are L*lam and J^T*L*lam.
+    """
+    im = mat_vec(ctx.forms.l, to_vec(lam))
+    re = mat_vec(ctx.gerbe.torus.jt, im)
+    return ExponentFn(
+        GaussianRational.real(0), tuple(-x for x in re), tuple(-x for x in im)
+    )
 
 
 def symmetric_part_exponent(ctx: TranslationContext, lam) -> Fraction:
@@ -88,7 +68,7 @@ def symmetric_part_exponent(ctx: TranslationContext, lam) -> Fraction:
     unitarizing, which is what the trivialization identity requires.
     """
     lam = to_vec(lam)
-    return ctx.omega_j.evaluate(ctx.gerbe.torus.mul_i(lam), lam) / 16
+    return ctx.forms.omega_i.evaluate(ctx.gerbe.torus.mul_i(lam), lam) / 16
 
 
 def integral_part_exponent(ctx: TranslationContext, lam) -> Fraction:

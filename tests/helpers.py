@@ -10,19 +10,34 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from torusgerbe import (
     AltForm2,
     AltForm3,
+    Character,
+    ExponentFn,
     GaussianRational,
     GerbeData,
+    NotInSubgroup,
     SubgroupCase,
     TorusData,
+    case_decomposition,
     check_complex_structure,
+    contract3,
+    exponent_im,
     in_case_subgroup,
     j_pullback2,
 )
-from torusgerbe.exact import Vec, basis_vec, hermite_normal_form, to_vec
+from torusgerbe.exact import (
+    Vec,
+    basis_vec,
+    hermite_normal_form,
+    identity_mat,
+    mat_mul,
+    mat_vec,
+    to_vec,
+)
 
 F = Fraction
 
@@ -84,6 +99,71 @@ def compatible_altform3(rng: random.Random, torus: TorusData, terms: int = 2) ->
                 alpha[a] * omega[b][c] - alpha[b] * omega[a][c] + alpha[c] * omega[a][b]
             )
     return AltForm3.from_coeffs(dim, coeffs)
+
+
+def conjugated_instance(
+    n: int, seed: int, case: SubgroupCase, twisted: bool, count: int = 4
+) -> tuple[GerbeData, list[Vec]]:
+    """A gerbe on J = P*J0*P^-1 with `count` nonzero vectors of the case
+    subgroup.
+
+    J0 is J4_ROWS (n = 2) or J6_ROWS (n = 3).  P is the identity, or, when
+    twisted, a seeded product of 2n elementary matrices I + t*e_ab.  The
+    3-form is E = c * E0(P^-1 ., P^-1 ., P^-1 .) for a base form E0 on J0
+    and an even integer c that makes it integral; the contraction of E by
+    P*w0 is the pullback of the contraction of c*E0 by w0, so it keeps its
+    type.  Type (1,1) case: E0 is the n = 2 family {(0,2,3), (1,2,3)} with
+    w0 in span(e1, e2), or `oneone_e6` with w0 in span(e1, e2, e4, e5).
+    Integral case: E0 is a random compatible form and the vectors lie in
+    (1/2)*Z^2n, whose contractions are integral because c/2 clears E0.
+    """
+    rng = random.Random(f"conjugated:{n}:{seed}:{case.value}:{twisted}")
+    dim = 2 * n
+    j0 = check_complex_structure(J4_ROWS if n == 2 else J6_ROWS)
+    p = [list(r) for r in identity_mat(dim)]
+    q = [list(r) for r in identity_mat(dim)]  # P^-1
+    for _ in range(dim if twisted else 0):
+        a, b = rng.sample(range(dim), 2)
+        t = F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+        # P <- P*(I + t*e_ab), P^-1 <- (I - t*e_ab)*P^-1
+        for row in p:
+            row[b] += t * row[a]
+        q[a] = [x - t * y for x, y in zip(q[a], q[b])]
+    j = mat_mul(p, mat_mul(j0.j, q))
+    if case is SubgroupCase.TYPE_ONE_ONE:
+        if n == 2:
+            e0 = AltForm3.from_coeffs(
+                4, {(0, 2, 3): rng.choice((-2, -1, 1, 2)), (1, 2, 3): rng.randint(-2, 2)}
+            )
+            support = (0, 1)
+        else:
+            e0 = oneone_e6()
+            support = (0, 1, 3, 4)
+    else:
+        e0 = compatible_altform3(rng, j0)
+        support = tuple(range(dim))
+    cols = [tuple(row[a] for row in q) for a in range(dim)]
+    pulled = {
+        (a, b, c): e0.evaluate(cols[a], cols[b], cols[c])
+        for a, b, c in itertools.combinations(range(dim), 3)
+    }
+    c = 2 * lcm(*(v.denominator for v in pulled.values()))
+    g = GerbeData(
+        check_complex_structure(j),
+        AltForm2.zero(dim),
+        AltForm3.from_coeffs(dim, {k: c * v for k, v in pulled.items()}),
+    )
+    vectors = []
+    while len(vectors) < count:
+        w0 = tuple(
+            F(rng.randint(-2, 2), rng.choice((1, 2))) if k in support else F(0)
+            for k in range(dim)
+        )
+        w = mat_vec(p, w0) if case is SubgroupCase.TYPE_ONE_ONE else w0
+        if any(w) and w not in vectors:
+            assert in_case_subgroup(g.torus, g.e, w, case)
+            vectors.append(w)
+    return g, vectors
 
 
 def torus4() -> TorusData:
@@ -308,3 +388,90 @@ def reference_membership(generators: list[Vec], target: Vec) -> tuple[int, ...] 
     if any(residual):
         return None
     return tuple(sum(y[r] * u[r][i] for r in range(len(y))) for i in range(len(y)))
+
+
+# The per-basis forms of the canonical exponent that the package evaluated
+# before it built one bilinear form per vector; each reads E, the case
+# decomposition and the trilinear exponent_im directly.
+
+def _reference_member_invariant(g: GerbeData, case: SubgroupCase, w: Vec) -> AltForm2:
+    if not in_case_subgroup(g.torus, g.e, w, case):
+        raise NotInSubgroup("vector is not in the chosen subgroup")
+    return case_decomposition(g.torus, g.e, w, case, check=False).invariant_part
+
+
+def reference_im_covector(ctx, lam: Vec) -> Vec:
+    """Entries l(w, e_k, lam) of a TranslationContext's imaginary exponent
+    part, via the contractions omega = E(w,.,.) and omega_j = E(iw,.,.)."""
+    t, w = ctx.gerbe.torus, ctx.w
+    omega, omega_j = contract3(ctx.gerbe.e, w), contract3(ctx.gerbe.e, t.mul_i(w))
+    a = mat_vec(t.jt, omega.apply(lam))  # omega(J e_k, lam)
+    b = omega.apply(t.mul_i(lam))  # omega(e_k, J lam)
+    c = omega_j.apply(lam)  # omega_j(e_k, lam)
+    return tuple((x / 2 + y / 2 - z) / 8 for x, y, z in zip(a, b, c))
+
+
+def reference_im_covector_j(ctx, lam: Vec) -> Vec:
+    """Entries l(w, J e_k, lam)."""
+    t, w = ctx.gerbe.torus, ctx.w
+    omega, omega_j = contract3(ctx.gerbe.e, w), contract3(ctx.gerbe.e, t.mul_i(w))
+    a = omega.apply(lam)  # omega(e_k, lam); omega(JJ e_k, lam) = -a_k
+    b = mat_vec(t.jt, omega.apply(t.mul_i(lam)))  # omega(J e_k, J lam)
+    c = mat_vec(t.jt, omega_j.apply(lam))  # omega_j(J e_k, lam)
+    return tuple((-x / 2 + y / 2 - z) / 8 for x, y, z in zip(a, b, c))
+
+
+def reference_defect_correction_fn(ctx, w1: Vec, w2: Vec) -> ExponentFn:
+    """i*l(w2,w1,v) + l(w2,w1,iv) - i/2*F2(iw1,v) - 1/2*F2(iw1,iv), one
+    trilinear exponent_im per basis vector and slot."""
+    g, t = ctx.gerbe, ctx.gerbe.torus
+    w1, w2 = to_vec(w1), to_vec(w2)
+    _reference_member_invariant(g, ctx.case, w1)
+    f2 = _reference_member_invariant(g, ctx.case, w2)
+    iw1 = t.mul_i(w1)
+    basis = t.basis()
+    lin_im = tuple(
+        exponent_im(t, g.e, w2, w1, ek) - f2.evaluate(iw1, ek) / 2 for ek in basis
+    )
+    lin_re = tuple(
+        exponent_im(t, g.e, w2, w1, t.mul_i(ek)) - f2.evaluate(iw1, t.mul_i(ek)) / 2
+        for ek in basis
+    )
+    return ExponentFn(GaussianRational.real(0), lin_re, lin_im)
+
+
+def reference_first_obstruction_character(ctx, w1: Vec, w2: Vec) -> Character:
+    """lam -> exp((E(iw2,iw1,lam) - E(iw2,w1,i*lam))/8 - F2(w1,lam)) with E
+    evaluated on each basis vector."""
+    g, t = ctx.gerbe, ctx.gerbe.torus
+    w1, w2 = to_vec(w1), to_vec(w2)
+    _reference_member_invariant(g, ctx.case, w1)
+    f2 = _reference_member_invariant(g, ctx.case, w2)
+    iw1, iw2 = t.mul_i(w1), t.mul_i(w2)
+    return Character(
+        tuple(
+            GaussianRational.real(
+                (g.e.evaluate(iw2, iw1, ek) - g.e.evaluate(iw2, w1, t.mul_i(ek))) / 8
+                - f2.evaluate(w1, ek)
+            )
+            for ek in t.basis()
+        )
+    )
+
+
+def reference_second_skew(ctx, w1: Vec, w2: Vec, w3: Vec) -> GaussianRational:
+    """The degree-3 cocycle alternated over the six permutations, each term
+    a full correction exponent built per basis vector and evaluated at a."""
+    w1, w2, w3 = to_vec(w1), to_vec(w2), to_vec(w3)
+    total = GaussianRational.real(0)
+    for (a, b, c), sign in (
+        ((w1, w2, w3), 1),
+        ((w1, w3, w2), -1),
+        ((w2, w3, w1), 1),
+        ((w2, w1, w3), -1),
+        ((w3, w1, w2), 1),
+        ((w3, w2, w1), -1),
+    ):
+        term = reference_defect_correction_fn(ctx, b, c).evaluate(a)
+        total = total + (term if sign > 0 else -term)
+    return total

@@ -1,0 +1,232 @@
+"""The per-vector contraction core of the canonical exponent.
+
+`VectorForms` holds, for one vector w, the contractions E(w,.,.) and
+E(iw,.,.) and the bilinear form L_w of exponent_im(w,.,.); the obstruction
+and trivialization formulas evaluate it as row-vector products.  Every
+result is checked for exact equality against the per-basis reference
+oracles in `helpers`, on standard and twisted rational J at n = 2 and 3, in
+both decomposition cases.
+"""
+
+import dataclasses
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from torusgerbe import (
+    ClosedFormMismatch,
+    NotInSubgroup,
+    ObstructionContext,
+    ObstructionKind,
+    SubgroupCase,
+    SubgroupSpec,
+    ThetaGroupElement,
+    TranslationContext,
+    VectorForms,
+    case_decomposition,
+    contract3,
+    defect_character,
+    defect_correction_value,
+    exponent_im,
+    first_obstruction_alternating,
+    first_obstruction_character,
+    gerbal_class,
+    in_case_subgroup,
+    lift_defect_character,
+    lift_defect_exponent,
+    obstruction_vanishes,
+    second_obstruction_alternating,
+    second_obstruction_cocycle,
+    theta_group_multiply,
+    unitarize_exponent,
+)
+from torusgerbe.obstruction import defect_correction_fn
+
+from helpers import (
+    conjugated_instance,
+    gerbe4,
+    rand_rational_vec,
+    rand_vec,
+    reference_defect_correction_fn,
+    reference_first_obstruction_character,
+    reference_im_covector,
+    reference_im_covector_j,
+    reference_second_skew,
+)
+
+INSTANCES = [
+    (n, twisted, case)
+    for n in (2, 3)
+    for twisted in (False, True)
+    for case in (SubgroupCase.INTEGRAL, SubgroupCase.TYPE_ONE_ONE)
+]
+IDS = [f"n{n}-{'twisted' if tw else 'standard'}-{case.value}" for n, tw, case in INSTANCES]
+
+
+@pytest.fixture(scope="module", params=INSTANCES, ids=IDS)
+def instance(request):
+    n, twisted, case = request.param
+    g, vectors = conjugated_instance(n, 0, case, twisted)
+    return g, case, vectors
+
+
+class TestVectorForms:
+    def test_bilinear_form_matches_trilinear_exponent_on_basis(self, instance):
+        g, _, vectors = instance
+        t = g.torus
+        rng = random.Random(5)
+        basis = t.basis()
+        for w in vectors + [rand_rational_vec(rng, t.dim)]:
+            forms = VectorForms.create(t, g.e, w)
+            assert forms.iw == t.mul_i(w)
+            assert forms.omega == contract3(g.e, w)
+            assert forms.omega_i == contract3(g.e, t.mul_i(w))
+            for a, b in itertools.product(range(t.dim), repeat=2):
+                assert forms.l[a][b] == exponent_im(t, g.e, w, basis[a], basis[b])
+
+    def test_covectors_match_reference(self, instance):
+        g, case, vectors = instance
+        rng = random.Random(6)
+        for w in vectors[:2]:
+            ctx = TranslationContext.create(g, w, case)
+            for _ in range(3):
+                lam = rand_vec(rng, g.torus.dim)
+                fn = unitarize_exponent(ctx, lam)
+                assert fn.lin_im == tuple(-x for x in reference_im_covector(ctx, lam))
+                assert fn.lin_re == tuple(-x for x in reference_im_covector_j(ctx, lam))
+
+
+class TestObstructionCoreAgainstReference:
+    def test_defect_correction_and_first_character(self, instance):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        for w1, w2 in itertools.permutations(vectors, 2):
+            assert defect_correction_fn(ctx, w1, w2) == reference_defect_correction_fn(
+                ctx, w1, w2
+            )
+            assert first_obstruction_character(
+                ctx, w1, w2
+            ) == reference_first_obstruction_character(ctx, w1, w2)
+
+    def test_second_skew(self, instance):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        for triple in itertools.combinations(vectors, 3):
+            values = second_obstruction_alternating(ctx, *triple)
+            assert values.skew_exponent == reference_second_skew(ctx, *triple)
+
+    def test_cached_data_is_the_case_data(self, instance):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        for w in vectors:
+            data = ctx.vector(w)
+            assert data.member is in_case_subgroup(g.torus, g.e, w, case)
+            assert data.invariant == case_decomposition(g.torus, g.e, w, case).invariant_part
+            assert ctx.vector(w) is data
+
+
+def _warm(ctx, vectors):
+    for w1, w2 in itertools.combinations(vectors, 2):
+        first_obstruction_character(ctx, w1, w2)
+        defect_correction_fn(ctx, w1, w2)
+
+
+class TestContextCache:
+    def test_equality_and_hash_ignore_the_cache(self, instance):
+        g, case, vectors = instance
+        warm, cold = ObstructionContext(g, case), ObstructionContext(g, case)
+        before = hash(warm)
+        _warm(warm, vectors)
+        assert warm._vectors
+        assert warm == cold and hash(warm) == before == hash(cold)
+        assert repr(warm) == repr(cold)
+        other = next(c for c in SubgroupCase if c is not case)
+        assert warm != ObstructionContext(g, other)
+
+    def test_non_member_raises_everywhere_after_caching(self):
+        g = gerbe4(2)
+        ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
+        half = F(1, 2)
+        m1, m2, m3 = (half, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0)
+        bad = (F(1, 3), 0, 0, 0)
+        _warm(ctx, [m1, m2, m3])
+        assert not ctx.member(bad)
+        lam = (1, 0, 0, 0)
+        calls = [
+            lambda: ctx.require_member(bad),
+            lambda: lift_defect_exponent(ctx, bad, m2, lam),
+            lambda: lift_defect_exponent(ctx, m1, bad, lam),
+            lambda: lift_defect_character(ctx, m1, bad),
+            lambda: defect_character(ctx, bad, m2),
+            lambda: defect_correction_fn(ctx, bad, m2),
+            lambda: defect_correction_fn(ctx, m1, bad),
+            lambda: defect_correction_value(ctx, m1, bad, lam),
+            lambda: first_obstruction_character(ctx, bad, m2),
+            lambda: first_obstruction_character(ctx, m1, bad),
+            lambda: first_obstruction_alternating(ctx, m1, bad),
+            lambda: second_obstruction_cocycle(ctx, bad, m2, m3),
+            lambda: second_obstruction_cocycle(ctx, m1, m2, bad),
+            lambda: second_obstruction_alternating(ctx, m1, m2, bad),
+            lambda: second_obstruction_alternating(ctx, bad, m2, m3),
+            lambda: gerbal_class(ctx, m1, m2, bad),
+            lambda: theta_group_multiply(
+                ThetaGroupElement(defect_character(ctx, m1, m1), m1),
+                ThetaGroupElement(defect_character(ctx, m1, m1), bad),
+                ctx,
+            ),
+            lambda: obstruction_vanishes(
+                g, SubgroupSpec.create([m1, bad], SubgroupCase.INTEGRAL), ObstructionKind.FIRST
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(NotInSubgroup):
+                call()
+        # members still answer after the failures
+        assert second_obstruction_alternating(ctx, m1, m2, m3).agree_skew_closed
+
+
+class TestCorruptedFormIsCaught:
+    """A wrong cached L_w must surface in a cross-check: the closed forms
+    read E or E(w,.,.) and never L_w."""
+
+    @staticmethod
+    def _corrupt(ctx, w, p, q, delta):
+        data = ctx.vector(w)
+        l = [list(row) for row in data.forms.l]
+        l[p][q] += delta
+        forms = dataclasses.replace(data.forms, l=tuple(tuple(r) for r in l))
+        ctx._vectors[data.forms.w] = dataclasses.replace(data, forms=forms)
+
+    @staticmethod
+    def _caught(ctx, w1, w2, w3):
+        try:
+            for a, b in itertools.combinations((w1, w2, w3), 2):
+                first_obstruction_alternating(ctx, a, b)
+        except ClosedFormMismatch:
+            return True
+        return not second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
+
+    def test_half_lattice_example(self):
+        g = gerbe4(4)
+        half = F(1, 2)
+        w1, w2, w3 = (half, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0)
+        ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
+        assert not self._caught(ctx, w1, w2, w3)
+        # entry (1, 0) of L_w3 enters the skew as delta*(w2_1*w1_0 - w1_1*w2_0)
+        self._corrupt(ctx, w3, 1, 0, F(1, 3))
+        assert self._caught(ctx, w1, w2, w3)
+
+    def test_every_instance(self, instance):
+        g, case, vectors = instance
+        w1, w2, w3 = vectors[:3]
+        ctx = ObstructionContext(g, case)
+        assert not self._caught(ctx, w1, w2, w3)
+        p, q = next(
+            (p, q)
+            for p, q in itertools.product(range(g.torus.dim), repeat=2)
+            if w2[p] * w1[q] != w1[p] * w2[q]
+        )
+        self._corrupt(ctx, w3, p, q, F(1, 7))
+        assert self._caught(ctx, w1, w2, w3)

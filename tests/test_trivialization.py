@@ -6,10 +6,13 @@ defining formulas, and the full verifier is exercised both on symmetries
 decidable content of the symmetry criterion.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgerbe import (
     AltForm2,
@@ -20,6 +23,7 @@ from torusgerbe import (
     TranslationContext,
     exponent_im,
     exponent_re,
+    in_case_subgroup,
     integral_part_exponent,
     invariant_part_exponent,
     symmetric_part_exponent,
@@ -33,6 +37,7 @@ from torusgerbe.exact import basis_vec, vec_add
 from torusgerbe.trivialization import residual_is_trivial
 
 from helpers import (
+    conjugated_instance,
     e,
     gerbe4,
     gerbe6,
@@ -379,3 +384,85 @@ class TestVerifyTrivialization:
         w = vec(F(1, 2), 0, 0, 0, 0, 0)
         bad = TranslationContext.create(g, w, INT, check=False)
         assert not verify_trivialization(bad)
+
+
+def _residual_context(label: str) -> TranslationContext:
+    """Contexts in ("in") and out of ("out") the case subgroup; an "out"
+    context applies the case formulas to a non-member (check=False)."""
+    third = F(1, 3)
+    if label.startswith("twisted"):
+        case = INT if "integral" in label else ONEONE
+        g, vectors = conjugated_instance(2, 1, case, twisted=True)
+        w = vectors[0]
+        if label.endswith("out"):
+            w = tuple(third * x for x in w) if case is INT else vec(0, 0, third, 0)
+    elif label.startswith("integral"):
+        case, g = INT, gerbe4(2)
+        w = vec(F(1, 2), 0, 0, 0) if label.endswith("in") else vec(third, 0, 0, 0)
+    else:
+        case, g = ONEONE, gerbe6()
+        w = (
+            vec(F(1, 2), 0, 0, F(1, 2), 0, 0)
+            if label.endswith("in")
+            else vec(0, 0, third, 0, 0, 0)
+        )
+    assert in_case_subgroup(g.torus, g.e, w, case) is label.endswith("in")
+    return TranslationContext.create(g, w, case, check=False)
+
+
+RESIDUAL_LABELS = [
+    f"{kind}-{side}"
+    for kind in ("integral", "oneone", "twisted-integral", "twisted-oneone")
+    for side in ("in", "out")
+]
+
+
+class TestResidualBilinearity:
+    """The residual is bilinear in (l1, l2), constant and linear part alike,
+    so the basis pairs decide the trivialization identity on the lattice."""
+
+    @pytest.mark.parametrize("label", RESIDUAL_LABELS)
+    def test_out_of_subgroup_fails_at_a_basis_pair(self, label):
+        ctx = _residual_context(label)
+        d = ctx.gerbe.torus.dim
+        trivial = [
+            residual_is_trivial(
+                trivialization_residual(ctx, basis_vec(d, a), basis_vec(d, b))
+            )
+            for a in range(d)
+            for b in range(d)
+        ]
+        assert all(trivial) is label.endswith("in")
+
+    @pytest.mark.parametrize("label", RESIDUAL_LABELS)
+    @given(
+        l1=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+        l2=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_residual_is_bilinear(self, label, l1, l2):
+        ctx, basis = _basis_residuals(label)
+        d = ctx.gerbe.torus.dim
+        l1, l2 = vec(*l1[:d]), vec(*l2[:d])
+        const = GaussianRational.real(0)
+        lin_re = [F(0)] * d
+        lin_im = [F(0)] * d
+        for (a, b), r in basis.items():
+            c = l1[a] * l2[b]
+            const = const + r.const * c
+            lin_re = [x + c * y for x, y in zip(lin_re, r.lin_re)]
+            lin_im = [x + c * y for x, y in zip(lin_im, r.lin_im)]
+        got = trivialization_residual(ctx, l1, l2)
+        assert got.const == const
+        assert got.lin_re == tuple(lin_re) and got.lin_im == tuple(lin_im)
+
+
+@functools.cache
+def _basis_residuals(label: str):
+    ctx = _residual_context(label)
+    d = ctx.gerbe.torus.dim
+    return ctx, {
+        (a, b): trivialization_residual(ctx, basis_vec(d, a), basis_vec(d, b))
+        for a in range(d)
+        for b in range(d)
+    }
