@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import (
     GaussianRational,
@@ -18,7 +19,6 @@ from .exact import (
     Vec,
     ZERO_G,
     dot,
-    mat_mul,
     mat_vec,
     to_vec,
     vec_is_integral,
@@ -31,7 +31,7 @@ from .torus import (
     TorusData,
     contract3,
     integral_anti_invariant_member,
-    j_pullback2,
+    pullback_combination,
     type_condition_check,
 )
 
@@ -223,15 +223,35 @@ class VectorForms:
     @staticmethod
     def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
         w = to_vec(w)
+        return VectorForms.of_contraction(torus, e3, w, contract3(e3, w))
+
+    @staticmethod
+    def of_contraction(
+        torus: TorusData, e3: AltForm3, w: Vec, omega: AltForm2
+    ) -> "VectorForms":
+        """The record of w given its contraction omega = E(w,.,.).
+
+        Since omega is alternating, J^T*omega = -(omega*J)^T, so with
+        X = omega*J the form is l = (X - X^T - 2*omega_i) / 16.  It is
+        computed in integers: omega and omega_i are scaled by the lcm of
+        their denominators (dw and dwi) and X is taken from the nonzero
+        entries of J's columns, which carries the factor dj.
+        """
         iw = torus.mul_i(w)
-        omega = contract3(e3, w)
         omega_i = contract3(e3, iw)
-        jt_m = mat_mul(torus.jt, omega.entries)
-        m_j = mat_mul(omega.entries, torus.j)
-        l = tuple(
-            tuple((a + b - 2 * c) / 16 for a, b, c in zip(ra, rb, rc))
-            for ra, rb, rc in zip(jt_m, m_j, omega_i.entries)
-        )
+        dj, cols = torus.j_columns
+        dw = lcm(*(y.denominator for row in omega.entries for y in row))
+        dwi = lcm(*(y.denominator for row in omega_i.entries for y in row))
+        m = [[y.numerator * (dw // y.denominator) for y in row] for row in omega.entries]
+        x = [[sum(row[p] * y for p, y in col) for col in cols] for row in m]
+        k = 2 * dw * dj
+        d = torus.dim
+        u = [[0] * d for _ in range(d)]
+        for a, row in enumerate(omega_i.entries):
+            for b in range(a + 1, d):
+                y = row[b]
+                u[a][b] = (x[a][b] - x[b][a]) * dwi - k * y.numerator * (dwi // y.denominator)
+        l = AltForm2.from_upper(u, 16 * dw * dj * dwi).entries
         return VectorForms(w=w, iw=iw, omega=omega, omega_i=omega_i, l=l)
 
 
@@ -271,8 +291,12 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
 
 def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:
     """The 2-form (5*E(w,.,.) - 3*E(w,i.,i.)) / 8 added to B by translation."""
-    omega = contract3(e3, w)
-    return (omega.scale(5) - j_pullback2(torus, omega).scale(3)).scale(Fraction(1, 8))
+    return shift_of_contraction(torus, contract3(e3, w))
+
+
+def shift_of_contraction(torus: TorusData, omega: AltForm2) -> AltForm2:
+    """The translation shift (5*omega - 3*J^T*omega*J) / 8 of omega = E(w,.,.)."""
+    return pullback_combination(torus, omega, Fraction(5, 8), Fraction(-3, 8))
 
 
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:

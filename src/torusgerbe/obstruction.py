@@ -34,10 +34,10 @@ from .gerbe import Character, ExponentFn, GerbeData, VectorForms, exponent_im
 from .symmetry import (
     NotInSubgroup,
     SubgroupCase,
-    case_decomposition,
-    in_case_subgroup,
+    contraction_decomposition,
+    contraction_member,
 )
-from .torus import AltForm2
+from .torus import AltForm2, contract3
 from .trivialization import TranslationContext, trivializing_exponent
 
 
@@ -84,11 +84,12 @@ class ObstructionContext:
         data = self._vectors.get(w)
         if data is None:
             t, e3 = self.gerbe.torus, self.gerbe.e
+            omega = contract3(e3, w)
             data = VectorData(
-                forms=VectorForms.create(t, e3, w),
-                member=in_case_subgroup(t, e3, w, self.case),
-                invariant=case_decomposition(
-                    t, e3, w, self.case, check=False
+                forms=VectorForms.of_contraction(t, e3, w, omega),
+                member=contraction_member(t, omega, self.case),
+                invariant=contraction_decomposition(
+                    t, omega, self.case, check=False
                 ).invariant_part,
             )
             self._vectors[w] = data

@@ -18,12 +18,12 @@ from .torus import (
     AltForm2,
     AltForm3,
     TorusData,
-    anti_invariant_part,
     contract3,
     integral_anti_invariant_member,
-    j_pullback2,
+    is_type_one_one,
+    pullback_combination,
 )
-from .gerbe import translation_shift_form
+from .gerbe import shift_of_contraction
 
 
 class NotInSubgroup(ValueError):
@@ -71,10 +71,7 @@ def fixes_gerbe(torus: TorusData, e3: AltForm3, w) -> bool:
 
 def in_case_subgroup(torus: TorusData, e3: AltForm3, w, case: SubgroupCase) -> bool:
     """Membership of w in the chosen decomposition subgroup."""
-    omega = contract3(e3, to_vec(w))
-    if case is SubgroupCase.INTEGRAL:
-        return omega.is_integral
-    return anti_invariant_part(torus, omega).is_zero
+    return contraction_member(torus, contract3(e3, to_vec(w)), case)
 
 
 def case_decomposition(
@@ -89,16 +86,27 @@ def case_decomposition(
     data then fails its defining property exactly when w is outside the
     subgroup, which is what the trivialization verifier witnesses.
     """
-    w = to_vec(w)
-    omega = contract3(e3, w)
+    return contraction_decomposition(torus, contract3(e3, to_vec(w)), case, check)
+
+
+def contraction_member(torus: TorusData, omega: AltForm2, case: SubgroupCase) -> bool:
+    """`in_case_subgroup` for the vector w with contraction omega = E(w,.,.)."""
     if case is SubgroupCase.INTEGRAL:
-        if check and not omega.is_integral:
-            raise NotInSubgroup("contraction with the 3-form is not integral")
-        invariant = (omega + j_pullback2(torus, omega)).scale(Fraction(-3, 8))
+        return omega.is_integral
+    return is_type_one_one(torus, omega)
+
+
+def contraction_decomposition(
+    torus: TorusData, omega: AltForm2, case: SubgroupCase, check: bool = True
+) -> Decomposition:
+    """`case_decomposition` for the vector w with contraction omega = E(w,.,.)."""
+    if check and not contraction_member(torus, omega, case):
+        what = "integral" if case is SubgroupCase.INTEGRAL else "of type (1,1)"
+        raise NotInSubgroup(f"contraction with the 3-form is not {what}")
+    if case is SubgroupCase.INTEGRAL:
+        invariant = pullback_combination(torus, omega, Fraction(-3, 8), Fraction(-3, 8))
         return Decomposition(invariant_part=invariant, integral_part=omega)
-    if check and not anti_invariant_part(torus, omega).is_zero:
-        raise NotInSubgroup("contraction with the 3-form is not of type (1,1)")
     return Decomposition(
-        invariant_part=translation_shift_form(torus, e3, w),
+        invariant_part=shift_of_contraction(torus, omega),
         integral_part=AltForm2.zero(torus.dim),
     )

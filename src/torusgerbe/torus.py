@@ -71,6 +71,39 @@ class TorusData:
         return tuple(basis_vec(self.dim, k) for k in range(self.dim))
 
     @functools.cached_property
+    def j_columns(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(dj, cols): dj is the lcm of J's denominators and cols[a] holds
+        the nonzero entries (p, dj * J[p][a]) of J e_a."""
+        dj = lcm(*(x.denominator for row in self.j for x in row))
+        cols = tuple(
+            tuple((p, int(row[a] * dj)) for p, row in enumerate(self.j) if row[a])
+            for a in range(self.dim)
+        )
+        return dj, cols
+
+    @functools.cached_property
+    def pullback_map(self) -> tuple[int, tuple]:
+        """(dj**2, cols): the integer map omega -> dj**2 * J^T*omega*J on
+        upper-triangle coordinates.  cols lists, for each pair p < q in
+        lexicographic order, (p, q, image) where image holds the nonzero
+        entries (a, b, c), a < b, of dj**2 * J^T*(e_p ^ e_q)*J."""
+        dj = self.j_columns[0]
+        # rows[p]: the nonzero entries (a, dj * J[p][a]) of row p of J
+        rows = [[(a, int(x * dj)) for a, x in enumerate(row) if x] for row in self.j]
+        out = []
+        for p, q in itertools.combinations(range(self.dim), 2):
+            # (J^T*(e_p ^ e_q)*J)[a][b] = J[p][a]*J[q][b] - J[q][a]*J[p][b]
+            image = {}
+            for a, x in rows[p]:
+                for b, y in rows[q]:
+                    if a < b:
+                        image[a, b] = image.get((a, b), 0) + x * y
+                    elif b < a:
+                        image[b, a] = image.get((b, a), 0) - x * y
+            out.append((p, q, tuple((a, b, c) for (a, b), c in sorted(image.items()) if c)))
+        return dj * dj, tuple(out)
+
+    @functools.cached_property
     def anti_invariant_lattice(self) -> ReducedLattice:
         """The lattice spanned by the anti-invariant parts of the integer
         basis 2-forms, in upper-triangle coordinates; it depends only on J,
@@ -102,15 +135,33 @@ class AltForm2:
         dim = len(m)
         if any(len(r) != dim for r in m):
             raise ValueError("AltForm2 matrix must be square")
-        for a in range(dim):
+        # entries are Fractions in lowest terms with positive denominators,
+        # so x == -y exactly when numerators are opposite and denominators equal
+        for a, row in enumerate(m):
             for b in range(a, dim):
-                if m[a][b] != -m[b][a]:
+                x, y = row[b], m[b][a]
+                if x.numerator != -y.numerator or x.denominator != y.denominator:
                     raise ValueError("AltForm2 matrix must be antisymmetric")
         object.__setattr__(self, "entries", m)
 
     @staticmethod
     def zero(dim: int) -> "AltForm2":
         return AltForm2(tuple(zero_vec(dim) for _ in range(dim)))
+
+    @staticmethod
+    def from_upper(upper, den: int) -> "AltForm2":
+        """The form with entries upper[a][b] / den above the diagonal, for a
+        square integer matrix `upper` (its other entries are ignored)."""
+        d = len(upper)
+        zero = Fraction(0)
+        m = [[zero] * d for _ in range(d)]
+        for a, row in enumerate(upper):
+            for b in range(a + 1, d):
+                if row[b]:
+                    x = Fraction(row[b], den)
+                    m[a][b] = x
+                    m[b][a] = -x
+        return AltForm2(tuple(tuple(r) for r in m))
 
     @staticmethod
     def from_pairs(dim: int, coeffs: dict) -> "AltForm2":
@@ -153,10 +204,17 @@ class AltForm2:
         )
 
     def __sub__(self, other: "AltForm2") -> "AltForm2":
-        return self + other.scale(-1)
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return AltForm2(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
+                for ra, rb in zip(self.entries, other.entries)
+            )
+        )
 
     def __neg__(self) -> "AltForm2":
-        return self.scale(-1)
+        return AltForm2(tuple(tuple(-x for x in row) for row in self.entries))
 
     @property
     def is_zero(self) -> bool:
@@ -218,19 +276,19 @@ class AltForm3:
         return total
 
     def contract(self, w: Vec) -> AltForm2:
-        """The 2-form (x, y) -> E(w, x, y)."""
+        """The 2-form (x, y) -> E(w, x, y), accumulated in integers: w and
+        E are scaled by the lcm of their denominators (dw and de)."""
         d = self.dim
-        m = [[Fraction(0)] * d for _ in range(d)]
-
-        def bump(a, b, v):
-            m[a][b] += v
-            m[b][a] -= v
-
+        dw = lcm(*(x.denominator for x in w))
+        de = lcm(*(v.denominator for _, v in self.entries))
+        wi = [x.numerator * (dw // x.denominator) for x in w]
+        m = [[0] * d for _ in range(d)]  # upper triangle of de * dw * E(w,.,.)
         for (p, q, r), coef in self.entries:
-            bump(q, r, coef * w[p])
-            bump(p, r, -coef * w[q])
-            bump(p, q, coef * w[r])
-        return AltForm2(tuple(tuple(row) for row in m))
+            k = coef.numerator * (de // coef.denominator)
+            m[q][r] += k * wi[p]
+            m[p][r] -= k * wi[q]
+            m[p][q] += k * wi[r]
+        return AltForm2.from_upper(m, de * dw)
 
     def scale(self, c) -> "AltForm3":
         c = to_fraction(c)
@@ -262,11 +320,44 @@ def contract3(e3: AltForm3, w) -> AltForm2:
     return e3.contract(to_vec(w))
 
 
-def j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
-    """Pullback (x, y) -> omega(Jx, Jy)."""
+def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):
+    """c0*omega + c1*J^T*omega*J as (m, den): m is a d x d integer matrix
+    whose upper triangle, over the positive integer den, holds the result.
+
+    omega is scaled by the lcm dw of its denominators and c0, c1 by the lcm
+    dc of theirs; the torus's pullback map then does the rest in integers.
+    """
     if omega.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
-    return AltForm2(mat_mul(torus.jt, mat_mul(omega.entries, torus.j)))
+    dj2, cols = torus.pullback_map
+    c0, c1 = to_fraction(c0), to_fraction(c1)
+    dc = lcm(c0.denominator, c1.denominator)
+    k0 = c0.numerator * (dc // c0.denominator) * dj2
+    k1 = c1.numerator * (dc // c1.denominator)
+    entries = omega.entries
+    dw = lcm(*(x.denominator for row in entries for x in row))
+    d = torus.dim
+    m = [[0] * d for _ in range(d)]
+    for p, q, image in cols:
+        x = entries[p][q]
+        if x:
+            x = x.numerator * (dw // x.denominator)
+            m[p][q] += k0 * x
+            if k1:
+                x *= k1
+                for a, b, c in image:
+                    m[a][b] += c * x
+    return m, dc * dj2 * dw
+
+
+def pullback_combination(torus: TorusData, omega: AltForm2, c0, c1) -> AltForm2:
+    """The form c0*omega + c1*J^T*omega*J."""
+    return AltForm2.from_upper(*_pullback_combination(torus, omega, c0, c1))
+
+
+def j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
+    """Pullback (x, y) -> omega(Jx, Jy)."""
+    return pullback_combination(torus, omega, 0, 1)
 
 
 def anti_invariant_part(torus: TorusData, omega: AltForm2) -> AltForm2:
@@ -274,7 +365,13 @@ def anti_invariant_part(torus: TorusData, omega: AltForm2) -> AltForm2:
 
     The kernel is exactly the J-invariant forms, i.e. those of type (1,1).
     """
-    return (omega - j_pullback2(torus, omega)).scale(Fraction(1, 2))
+    return pullback_combination(torus, omega, Fraction(1, 2), Fraction(-1, 2))
+
+
+def is_type_one_one(torus: TorusData, omega: AltForm2) -> bool:
+    """Whether omega is J-invariant, i.e. of type (1,1)."""
+    m, _ = _pullback_combination(torus, omega, 1, -1)
+    return not any(map(any, m))
 
 
 def hodge_projection(torus: TorusData, omega: AltForm2) -> HodgeImage:
@@ -282,20 +379,20 @@ def hodge_projection(torus: TorusData, omega: AltForm2) -> HodgeImage:
 
     omega^H(w1, w2) = (omega(w1,w2) - omega(Jw1,Jw2)
                        + i*omega(Jw1,w2) + i*omega(w1,Jw2)) / 4
+
+    With A = omega - J^T*omega*J the real part is A/4, and since J*J = -I
+    the imaginary part (J^T*omega + omega*J)/4 is A*J/4.
     """
-    if omega.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
-    m = omega.entries
-    re = (omega - j_pullback2(torus, omega)).scale(Fraction(1, 4))
-    jt_m = mat_mul(torus.jt, m)
-    m_j = mat_mul(m, torus.j)
-    im = AltForm2(
-        tuple(
-            tuple((a + b) / 4 for a, b in zip(ra, rb))
-            for ra, rb in zip(jt_m, m_j)
-        )
+    m, den = _pullback_combination(torus, omega, 1, -1)
+    d = torus.dim
+    for a in range(d):  # fill in the lower triangle of A
+        for b in range(a + 1, d):
+            m[b][a] = -m[a][b]
+    dj, cols = torus.j_columns
+    a_j = [[sum(row[p] * x for p, x in col) for col in cols] for row in m]
+    return HodgeImage(
+        re=AltForm2.from_upper(m, 4 * den), im=AltForm2.from_upper(a_j, 4 * den * dj)
     )
-    return HodgeImage(re=re, im=im)
 
 
 def type_condition_check(torus: TorusData, e3: AltForm3) -> bool:
@@ -310,12 +407,7 @@ def type_condition_check(torus: TorusData, e3: AltForm3) -> bool:
     if e3.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
     d = torus.dim
-    dj = lcm(*(x.denominator for row in torus.j for x in row))
-    # cols[a]: the nonzero entries (p, dj * J[p][a]) of J e_a
-    cols = [
-        [(p, int(row[a] * dj)) for p, row in enumerate(torus.j) if row[a]]
-        for a in range(d)
-    ]
+    dj, cols = torus.j_columns
     de = lcm(*(v.denominator for _, v in e3.entries))
     t = [[[0] * d for _ in range(d)] for _ in range(d)]  # de * E(e_a, e_b, e_c)
     for (a, b, c), v in e3.entries:

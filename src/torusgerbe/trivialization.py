@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 from .exact import GaussianRational, Vec, mat_vec, to_vec, vec_add, vec_is_integral
 from .gerbe import ExponentFn, GerbeData, VectorForms, translation_factor
-from .symmetry import Decomposition, SubgroupCase, case_decomposition
+from .symmetry import Decomposition, SubgroupCase, contraction_decomposition
+from .torus import contract3
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,13 @@ class TranslationContext:
         w = to_vec(w)
         if len(w) != gerbe.torus.dim:
             raise ValueError("vector/torus dimension mismatch")
-        dec = case_decomposition(gerbe.torus, gerbe.e, w, case, check=check)
+        omega = contract3(gerbe.e, w)
         return TranslationContext(
             gerbe=gerbe,
             w=w,
             case=case,
-            dec=dec,
-            forms=VectorForms.create(gerbe.torus, gerbe.e, w),
+            dec=contraction_decomposition(gerbe.torus, omega, case, check),
+            forms=VectorForms.of_contraction(gerbe.torus, gerbe.e, w, omega),
         )
 
 

@@ -475,3 +475,24 @@ def reference_second_skew(ctx, w1: Vec, w2: Vec, w3: Vec) -> GaussianRational:
         term = reference_defect_correction_fn(ctx, b, c).evaluate(a)
         total = total + (term if sign > 0 else -term)
     return total
+
+
+def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
+    """J^T*omega*J by two dense Fraction matrix products."""
+    return AltForm2(mat_mul(torus.jt, mat_mul(omega.entries, torus.j)))
+
+
+def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:
+    """E(w,.,.) accumulated entry by entry in Fractions."""
+    d = e3.dim
+    m = [[F(0)] * d for _ in range(d)]
+
+    def bump(a, b, v):
+        m[a][b] += v
+        m[b][a] -= v
+
+    for (p, q, r), coef in e3.entries:
+        bump(q, r, coef * w[p])
+        bump(p, r, -coef * w[q])
+        bump(p, q, coef * w[r])
+    return AltForm2(tuple(tuple(row) for row in m))
