@@ -58,12 +58,7 @@ from .torus import (
     check_complex_structure,
     type_condition_check,
 )
-from .trivialization import (
-    TranslationContext,
-    default_verification_pairs,
-    residual_is_trivial,
-    trivialization_residual,
-)
+from .trivialization import TranslationContext, first_failing_pair
 
 COMMANDS = (
     "check-torus",
@@ -80,6 +75,9 @@ COMMANDS = (
 )
 
 EXAMPLE_NAMES = ("k-group", "first-obstruction", "second-obstruction")
+
+# tau-verify checks dim**2 basis pairs plus --samples random pairs
+MAX_SAMPLES = 100_000
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -118,7 +116,12 @@ def parse_rational(text, field: str) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise MalformedRational(f"not a rational string: {text!r}", field)
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:  # beyond Python's int-string digit limit
+        raise MalformedRational(
+            f"numeral of {len(text.strip())} characters is too long", field
+        ) from exc
 
 
 def render_rational(x: Fraction) -> str:
@@ -156,7 +159,9 @@ def parse_problem(text: str) -> ProblemFile:
     """Parse and fully validate a problem document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ProblemError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ProblemError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemError("problem document must be a JSON object")
@@ -410,22 +415,19 @@ def run_command(cmd: str, problem: ProblemFile | None, args: dict) -> tuple[dict
         case = _resolve_case(problem, args)
         w = _resolve_vector(problem, args["w"], "--w")
         samples = args.get("samples", 10)
-        if samples < 0:
-            raise ProblemError("must be a non-negative integer", "--samples")
+        if not 0 <= samples <= MAX_SAMPLES:
+            raise ProblemError(
+                f"must be an integer from 0 to {MAX_SAMPLES}", "--samples"
+            )
         ctx = TranslationContext.create(gerbe, w, case, check=False)
-        pairs = default_verification_pairs(torus.dim, samples, args.get("seed", 0))
-        first_failure = None
-        for l1, l2 in pairs:
-            if not residual_is_trivial(trivialization_residual(ctx, l1, l2)):
-                first_failure = [ser_vec(l1), ser_vec(l2)]
-                break
-        ok = first_failure is None
+        failure = first_failing_pair(ctx, None, samples, args.get("seed", 0))
+        ok = failure is None
         report["result"] = {
             "w": ser_vec(w),
             "case": case.value,
-            "pairs_checked": len(pairs),
+            "pairs_checked": torus.dim**2 + samples,
             "ok": ok,
-            "first_failure": first_failure,
+            "first_failure": None if ok else [ser_vec(v) for v in failure],
         }
         status = 0 if ok else 1
 
@@ -675,7 +677,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated vector names from the problem file",
             )
         if samples:
-            p.add_argument("--samples", type=int, default=10)
+            p.add_argument(
+                "--samples",
+                type=int,
+                default=10,
+                help=f"random lattice pairs checked after the basis pairs "
+                f"(0 to {MAX_SAMPLES}, default 10)",
+            )
             p.add_argument("--seed", type=int, default=0)
         return p
 

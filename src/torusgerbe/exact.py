@@ -6,6 +6,12 @@ Every scalar is a `fractions.Fraction`; nothing here touches floats.
 
 Throughout the package ``exp(z)`` denotes ``e^{2*pi*i*z}``, so two exponents
 describe the same unit value exactly when they differ by a real integer.
+
+Per-call code passes lists, not generators, to ``lcm(*...)`` and to
+``tuple`` for short tuples whose length varies: CPython builds a tuple from
+a generator by resizing one, and each such tuple of fewer than 20 items,
+once freed, stays on the interpreter's free list for its size (up to 2000)
+without one having been taken from it, so process memory creeps up.
 """
 
 from __future__ import annotations
@@ -345,12 +351,21 @@ class ReducedLattice:
     def member(self, target) -> tuple[int, ...] | None:
         """Integer coefficients c with sum(c_i * generators_i) == target, or None."""
         tgt = to_vec(target)
-        if len(tgt) != self.dim:
+        den = lcm(*[x.denominator for x in tgt])
+        nums = [x.numerator * (den // x.denominator) for x in tgt]
+        return self.member_over(nums, den)
+
+    def member_over(self, nums: Sequence[int], den: int) -> tuple[int, ...] | None:
+        """`member` for the target nums / den: integers over one positive
+        denominator."""
+        if len(nums) != self.dim:
             raise ValueError("generator/target dimension mismatch")
-        scaled = [x * self.scale for x in tgt]
-        if not vec_is_integral(scaled):
-            return None
-        t_int = [int(x) for x in scaled]
+        t_int = []
+        for x in nums:
+            q, rem = divmod(x * self.scale, den)
+            if rem:
+                return None
+            t_int.append(q)
         residual = list(t_int)
         y = []
         for pivot, row in self.pivot_rows:

@@ -177,18 +177,73 @@ def _require_lattice(v: Vec, what: str):
         raise ValueError(f"{what} must be a lattice (integer) vector")
 
 
+def _scaled(v: Vec) -> tuple[int, list[int]]:
+    """(dv, dv*v) for the lcm dv of the denominators of v."""
+    dv = lcm(*[x.denominator for x in v])
+    return dv, [x.numerator * (dv // x.denominator) for x in v]
+
+
+def _canonical_exponent(
+    torus: TorusData, e3: AltForm3, a, b, c
+) -> tuple[Fraction, Fraction]:
+    """(exponent_re, exponent_im) at (a, b, c), accumulated in integers.
+
+    a, b, c and E are scaled by the lcm of their denominators (da, db, dc
+    and de), and ia, ib, ic are taken from J's integer columns, which carry
+    the factor dj.  With s1..s6 the scaled E(a,b,c), E(ia,ib,c),
+    E(ia,b,ic), E(a,ib,c), E(a,b,ic) and E(ia,b,c), and D = da*db*dc*de:
+
+        re = (2*dj**2*s1 + s2 + s3) / (16*dj**2*D)
+        im = (s4 + s5 - 2*s6) / (16*dj*D)
+
+    Each determinant is expanded along its first argument, so s2 + s3 and
+    s4 + s5 share the minors of (ib, c) plus those of (b, ic).
+    """
+    d = torus.dim
+    vecs = (to_vec(a), to_vec(b), to_vec(c))
+    if any(len(v) != d for v in vecs):
+        raise ValueError("vector/torus dimension mismatch")
+    (da, a), (db, b), (dc, c) = (_scaled(v) for v in vecs)
+    dj, cols = torus.j_columns
+    ia, ib, ic = ([0] * d for _ in range(3))
+    for v, iv in ((a, ia), (b, ib), (c, ic)):
+        for x, col in zip(v, cols):
+            if x:
+                for p, y in col:
+                    iv[p] += x * y
+    de = lcm(*[v.denominator for _, v in e3.entries])
+    k2 = 2 * dj * dj
+    re = im = 0
+    for (p, q, r), coef in e3.entries:
+        bp, bq, br = b[p], b[q], b[r]
+        cp, cq, cr = c[p], c[q], c[r]
+        jbp, jbq, jbr = ib[p], ib[q], ib[r]
+        jcp, jcq, jcr = ic[p], ic[q], ic[r]
+        # minors on the pairs (q, r), (p, r), (p, q): m of (b, c), n of
+        # (ib, c) plus (b, ic)
+        m0, m1, m2 = bq * cr - br * cq, bp * cr - br * cp, bp * cq - bq * cp
+        n0 = jbq * cr - jbr * cq + bq * jcr - br * jcq
+        n1 = jbp * cr - jbr * cp + bp * jcr - br * jcp
+        n2 = jbp * cq - jbq * cp + bp * jcq - bq * jcp
+        ap, aq, ar = a[p], a[q], a[r]
+        jap, jaq, jar = ia[p], ia[q], ia[r]
+        k = coef.numerator * (de // coef.denominator)
+        re += k * (
+            k2 * (ap * m0 - aq * m1 + ar * m2) + jap * n0 - jaq * n1 + jar * n2
+        )
+        im += k * (
+            ap * n0 - aq * n1 + ar * n2 - 2 * (jap * m0 - jaq * m1 + jar * m2)
+        )
+    den = 16 * dj * da * db * dc * de
+    return Fraction(re, den * dj), Fraction(im, den)
+
+
 def exponent_re(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
     """Real part of the canonical exponent, trilinear in rational arguments:
 
     (E(a,b,c) + E(ia,ib,c)/2 + E(ia,b,ic)/2) / 8
     """
-    a, b, c = to_vec(a), to_vec(b), to_vec(c)
-    ia = torus.mul_i(a)
-    return (
-        e3.evaluate(a, b, c)
-        + e3.evaluate(ia, torus.mul_i(b), c) / 2
-        + e3.evaluate(ia, b, torus.mul_i(c)) / 2
-    ) / 8
+    return _canonical_exponent(torus, e3, a, b, c)[0]
 
 
 def exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
@@ -196,12 +251,7 @@ def exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
 
     (E(a,ib,c)/2 + E(a,b,ic)/2 - E(ia,b,c)) / 8
     """
-    a, b, c = to_vec(a), to_vec(b), to_vec(c)
-    return (
-        e3.evaluate(a, torus.mul_i(b), c) / 2
-        + e3.evaluate(a, b, torus.mul_i(c)) / 2
-        - e3.evaluate(torus.mul_i(a), b, c)
-    ) / 8
+    return _canonical_exponent(torus, e3, a, b, c)[1]
 
 
 @dataclass(frozen=True)
@@ -240,8 +290,8 @@ class VectorForms:
         iw = torus.mul_i(w)
         omega_i = contract3(e3, iw)
         dj, cols = torus.j_columns
-        dw = lcm(*(y.denominator for row in omega.entries for y in row))
-        dwi = lcm(*(y.denominator for row in omega_i.entries for y in row))
+        dw = lcm(*[y.denominator for row in omega.entries for y in row])
+        dwi = lcm(*[y.denominator for row in omega_i.entries for y in row])
         m = [[y.numerator * (dw // y.denominator) for y in row] for row in omega.entries]
         x = [[sum(row[p] * y for p, y in col) for col in cols] for row in m]
         k = 2 * dw * dj
@@ -261,9 +311,8 @@ def pair_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:
     l1, l2 = to_vec(l1), to_vec(l2)
     _require_lattice(l1, "l1")
     _require_lattice(l2, "l2")
-    basis = t.basis()
-    lin_re = tuple(exponent_re(t, gerbe.e, ek, l1, l2) for ek in basis)
-    lin_im = tuple(exponent_im(t, gerbe.e, ek, l1, l2) for ek in basis)
+    parts = [_canonical_exponent(t, gerbe.e, ek, l1, l2) for ek in t.basis()]
+    lin_re, lin_im = zip(*parts)
     return ExponentFn(ZERO_G, lin_re, lin_im)
 
 
@@ -279,14 +328,15 @@ def cocycle_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:
 
 
 def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
-    """Exponent of the factor a translation by w multiplies the cocycle by."""
-    t = gerbe.torus
-    w, l1, l2 = to_vec(w), to_vec(l1), to_vec(l2)
+    """Exponent of the factor a translation by w multiplies the cocycle by.
+
+    It reads only E and J, never the per-vector forms of w, so it is the
+    independent side of the trivialization residual.
+    """
+    l1, l2 = to_vec(l1), to_vec(l2)
     _require_lattice(l1, "l1")
     _require_lattice(l2, "l2")
-    return GaussianRational(
-        exponent_re(t, gerbe.e, w, l1, l2), exponent_im(t, gerbe.e, w, l1, l2)
-    )
+    return GaussianRational(*_canonical_exponent(gerbe.torus, gerbe.e, w, l1, l2))
 
 
 def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:

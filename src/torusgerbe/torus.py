@@ -279,8 +279,8 @@ class AltForm3:
         """The 2-form (x, y) -> E(w, x, y), accumulated in integers: w and
         E are scaled by the lcm of their denominators (dw and de)."""
         d = self.dim
-        dw = lcm(*(x.denominator for x in w))
-        de = lcm(*(v.denominator for _, v in self.entries))
+        dw = lcm(*[x.denominator for x in w])
+        de = lcm(*[v.denominator for _, v in self.entries])
         wi = [x.numerator * (dw // x.denominator) for x in w]
         m = [[0] * d for _ in range(d)]  # upper triangle of de * dw * E(w,.,.)
         for (p, q, r), coef in self.entries:
@@ -335,7 +335,7 @@ def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):
     k0 = c0.numerator * (dc // c0.denominator) * dj2
     k1 = c1.numerator * (dc // c1.denominator)
     entries = omega.entries
-    dw = lcm(*(x.denominator for row in entries for x in row))
+    dw = lcm(*[x.denominator for row in entries for x in row])
     d = torus.dim
     m = [[0] * d for _ in range(d)]
     for p, q, image in cols:
@@ -408,7 +408,7 @@ def type_condition_check(torus: TorusData, e3: AltForm3) -> bool:
         raise ValueError("form/torus dimension mismatch")
     d = torus.dim
     dj, cols = torus.j_columns
-    de = lcm(*(v.denominator for _, v in e3.entries))
+    de = lcm(*[v.denominator for _, v in e3.entries])
     t = [[[0] * d for _ in range(d)] for _ in range(d)]  # de * E(e_a, e_b, e_c)
     for (a, b, c), v in e3.entries:
         k = int(v * de)
@@ -452,11 +452,12 @@ def skew_symmetrize(f, args):
 def integral_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
     """Whether omega lies in Alt^2(Z) + {type (1,1) forms}.
 
-    Decided exactly: the anti-invariant part of omega must be an integer
-    combination of the anti-invariant parts of the integer basis 2-forms,
-    whose lattice the torus reduces once.
+    Decided exactly: the anti-invariant part (omega - J^T*omega*J)/2 of
+    omega must be an integer combination of the anti-invariant parts of the
+    integer basis 2-forms, whose lattice the torus reduces once.  The
+    target goes to the lattice as integers over one denominator.
     """
-    if omega.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
-    target = anti_invariant_part(torus, omega).upper_coeffs()
-    return torus.anti_invariant_lattice.member(target) is not None
+    m, den = _pullback_combination(torus, omega, 1, -1)
+    d = torus.dim
+    nums = [m[a][b] for a in range(d) for b in range(a + 1, d)]
+    return torus.anti_invariant_lattice.member_over(nums, 2 * den) is not None

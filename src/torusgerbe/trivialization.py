@@ -11,12 +11,23 @@ the translation factor up to an integer constant.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
-from .exact import GaussianRational, Vec, mat_vec, to_vec, vec_add, vec_is_integral
+from .exact import (
+    GaussianRational,
+    Mat,
+    Vec,
+    basis_vec,
+    mat_vec,
+    to_vec,
+    vec_add,
+    vec_is_integral,
+)
 from .gerbe import ExponentFn, GerbeData, VectorForms, translation_factor
 from .symmetry import Decomposition, SubgroupCase, contraction_decomposition
 from .torus import contract3
@@ -47,6 +58,60 @@ class TranslationContext:
             dec=contraction_decomposition(gerbe.torus, omega, case, check),
             forms=VectorForms.of_contraction(gerbe.torus, gerbe.e, w, omega),
         )
+
+    @functools.cached_property
+    def kernel(self) -> tuple[int, tuple, tuple, tuple, tuple]:
+        """(den, re, im, qre, qim): the trivializer as integer matrices over
+        one denominator.  At a lattice vector lam its linear part is
+        (re + i*im)*lam / den and its constant lam^T*(qre + i*qim)*lam / den,
+        where, with F and eps the (1,1) and integral pieces, L the bilinear
+        form of the vector record and omega_i = E(iw,.,.),
+
+            re  = -J^T*L - F/2           im  = -L + J^T*F/2
+            qre = J^T*omega_i/16 - (strict upper triangle of eps)/2
+            qim = J^T*F/4
+
+        Each matrix is a tuple of sparse rows ((column, entry), ...).
+        """
+        d = self.gerbe.torus.dim
+        dj, cols = self.gerbe.torus.j_columns
+        (dl, l), (df, f), (do, om), (de, eps) = (
+            _scaled_matrix(m)
+            for m in (
+                self.forms.l,
+                self.dec.invariant_part.entries,
+                self.forms.omega_i.entries,
+                self.dec.integral_part.entries,
+            )
+        )
+
+        def jt(m):  # dj * J^T * m for an integer matrix m
+            return [
+                [sum(x * m[p][b] for p, x in col) for b in range(d)] for col in cols
+            ]
+
+        jl, jf, jo = jt(l), jt(f), jt(om)
+        g = lcm(dl, df, do, de)
+        # each term's factor is den = 16*dj*g over that term's denominator
+        kl, kf, kq = 16 * g // dl, 8 * g // df, 4 * g // df
+        ko, ke = g // do, 8 * dj * g // de
+        r = range(d)
+        re = [[-kl * jl[a][b] - dj * kf * f[a][b] for b in r] for a in r]
+        im = [[-dj * kl * l[a][b] + kf * jf[a][b] for b in r] for a in r]
+        qre = [[ko * jo[a][b] - (ke * eps[a][b] if a < b else 0) for b in r] for a in r]
+        qim = [[kq * x for x in row] for row in jf]
+        return (16 * dj * g, *(_sparse_rows(m) for m in (re, im, qre, qim)))
+
+
+def _sparse_rows(m: list[list[int]]) -> tuple:
+    """The rows ((column, entry), ...) of the nonzero entries of m."""
+    return tuple([tuple([(b, x) for b, x in enumerate(row) if x]) for row in m])
+
+
+def _scaled_matrix(m: Mat) -> tuple[int, list[list[int]]]:
+    """(dm, dm*m) for the lcm dm of the denominators of m."""
+    dm = lcm(*[x.denominator for row in m for x in row])
+    return dm, [[x.numerator * (dm // x.denominator) for x in row] for row in m]
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:
@@ -103,30 +168,53 @@ def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     return ExponentFn(const, lin_re, lin_im)
 
 
+def _trivializer_numerators(ctx: TranslationContext, lam: Vec) -> list[int]:
+    """[const_re, const_im, *lin_re, *lin_im] of the trivializer at a lattice
+    vector, as numerators over the denominator of ctx.kernel."""
+    if len(lam) != ctx.gerbe.torus.dim:
+        raise ValueError("dimension mismatch")
+    if not vec_is_integral(lam):
+        raise ValueError("defined on lattice (integer) vectors only")
+    _, re, im, qre, qim = ctx.kernel
+    x = [v.numerator for v in lam]
+    return [
+        sum(xa * sum(c * x[b] for b, c in row) for xa, row in zip(x, q) if xa)
+        for q in (qre, qim)
+    ] + [sum(c * x[b] for b, c in row) for m in (re, im) for row in m]
+
+
+def _exponent_of(nums: list[int], den: int) -> ExponentFn:
+    """The ExponentFn whose [const_re, const_im, *lin_re, *lin_im] is nums / den."""
+    f = [Fraction(y, den) for y in nums]
+    d = (len(f) - 2) // 2
+    lin_re, lin_im = tuple(f[2 : 2 + d]), tuple(f[2 + d :])
+    return ExponentFn(GaussianRational(f[0], f[1]), lin_re, lin_im)
+
+
 def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
-    """Exponent of the full trivializing cochain at a lattice vector."""
-    lam = to_vec(lam)
-    fn = unitarize_exponent(ctx, lam) + invariant_part_exponent(ctx, lam)
-    const = GaussianRational.real(
-        symmetric_part_exponent(ctx, lam) + integral_part_exponent(ctx, lam)
-    )
-    return fn.add_const(const)
+    """Exponent of the full trivializing cochain at a lattice vector: the
+    sum of the four factors above, evaluated through ctx.kernel."""
+    return _exponent_of(_trivializer_numerators(ctx, to_vec(lam)), ctx.kernel[0])
 
 
 def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     """Exponent of exp(H_{l1,l2}(w)) times the coboundary of the trivializer.
 
     For w in the decomposition subgroup this is an integer constant; the
-    linear part vanishes and the constant is real.
+    linear part vanishes and the constant is real.  The coboundary
+    T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) of the trivializer T is
+    combined from its three evaluations in integers over ctx.kernel's den.
     """
     l1, l2 = to_vec(l1), to_vec(l2)
     h = translation_factor(ctx.gerbe, ctx.w, l1, l2)
-    r = (
-        trivializing_exponent(ctx, l2).shift(l1)
-        - trivializing_exponent(ctx, vec_add(l1, l2))
-        + trivializing_exponent(ctx, l1)
-    )
-    return r.add_const(h)
+    t2, t12, t1 = (_trivializer_numerators(ctx, v) for v in (l2, vec_add(l1, l2), l1))
+    r = [a - b + c for a, b, c in zip(t2, t12, t1)]
+    # evaluating T(l2) at v + l1 adds its linear part at l1 to the constant
+    d = len(l1)
+    x1 = [v.numerator for v in l1]
+    r[0] += sum(y * x for y, x in zip(t2[2 : 2 + d], x1))
+    r[1] += sum(y * x for y, x in zip(t2[2 + d :], x1))
+    return _exponent_of(r, ctx.kernel[0]).add_const(h)
 
 
 def residual_is_trivial(r: ExponentFn) -> bool:
@@ -139,19 +227,37 @@ def residual_is_trivial(r: ExponentFn) -> bool:
 
 def default_verification_pairs(
     dim: int, extra_random: int = 10, seed: int = 0
-) -> list[tuple[Vec, Vec]]:
-    """All ordered basis pairs plus seeded random integer pairs in [-3, 3]."""
-    from .exact import basis_vec
-
-    pairs = [
-        (basis_vec(dim, a), basis_vec(dim, b)) for a in range(dim) for b in range(dim)
-    ]
+) -> Iterator[tuple[Vec, Vec]]:
+    """All ordered basis pairs, then seeded random integer pairs in [-3, 3],
+    generated lazily: dim**2 + extra_random pairs in all."""
+    basis = [basis_vec(dim, a) for a in range(dim)]
+    for a in basis:
+        for b in basis:
+            yield a, b
     rng = random.Random(seed)
     for _ in range(extra_random):
         l1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
         l2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
-        pairs.append((l1, l2))
-    return pairs
+        yield l1, l2
+
+
+def first_failing_pair(
+    ctx: TranslationContext,
+    pairs: Iterable[Sequence] | None = None,
+    extra_random: int = 10,
+    seed: int = 0,
+) -> tuple[Vec, Vec] | None:
+    """The first pair whose residual is not an integer constant, or None.
+
+    Without explicit pairs the default pairs are checked in order, so the
+    basis pairs come first; the pairs are consumed one at a time.
+    """
+    if pairs is None:
+        pairs = default_verification_pairs(ctx.gerbe.torus.dim, extra_random, seed)
+    for l1, l2 in pairs:
+        if not residual_is_trivial(trivialization_residual(ctx, l1, l2)):
+            return to_vec(l1), to_vec(l2)
+    return None
 
 
 def verify_trivialization(
@@ -169,8 +275,4 @@ def verify_trivialization(
     extra check.  Failure for some pair witnesses that w is not a symmetry
     of the gerbe for the chosen case.
     """
-    if pairs is None:
-        pairs = default_verification_pairs(ctx.gerbe.torus.dim, extra_random, seed)
-    return all(
-        residual_is_trivial(trivialization_residual(ctx, l1, l2)) for l1, l2 in pairs
-    )
+    return first_failing_pair(ctx, pairs, extra_random, seed) is None

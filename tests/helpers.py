@@ -25,9 +25,12 @@ from torusgerbe import (
     case_decomposition,
     check_complex_structure,
     contract3,
-    exponent_im,
     in_case_subgroup,
+    integral_part_exponent,
+    invariant_part_exponent,
     j_pullback2,
+    symmetric_part_exponent,
+    unitarize_exponent,
 )
 from torusgerbe.exact import (
     Vec,
@@ -37,6 +40,7 @@ from torusgerbe.exact import (
     mat_mul,
     mat_vec,
     to_vec,
+    vec_add,
 )
 
 F = Fraction
@@ -303,20 +307,61 @@ def sample_oneone_instance(rng: random.Random) -> tuple[GerbeData, Vec]:
 
 # ---------------------------------------------------------------- oracles
 
+def reference_exponent_re(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
+    """(E(a,b,c) + E(ia,ib,c)/2 + E(ia,b,ic)/2) / 8, each term a trilinear
+    AltForm3.evaluate on dense Fraction J-images."""
+    a, b, c = to_vec(a), to_vec(b), to_vec(c)
+    ia = torus.mul_i(a)
+    return (
+        e3.evaluate(a, b, c)
+        + e3.evaluate(ia, torus.mul_i(b), c) / 2
+        + e3.evaluate(ia, b, torus.mul_i(c)) / 2
+    ) / 8
+
+
+def reference_exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
+    """(E(a,ib,c)/2 + E(a,b,ic)/2 - E(ia,b,c)) / 8, trilinear as above."""
+    a, b, c = to_vec(a), to_vec(b), to_vec(c)
+    return (
+        e3.evaluate(a, torus.mul_i(b), c) / 2
+        + e3.evaluate(a, b, torus.mul_i(c)) / 2
+        - e3.evaluate(torus.mul_i(a), b, c)
+    ) / 8
+
+
 def oracle_pair_exponent(
     torus: TorusData, e3: AltForm3, v: Vec, l1: Vec, l2: Vec
 ) -> GaussianRational:
     """Term-by-term expansion of the canonical exponent at v: the defining
     six-term formula evaluated wholesale, independent of covector caching."""
-    i = torus.mul_i
-    ev = e3.evaluate
-    re = (
-        ev(v, l1, l2) + ev(i(v), i(l1), l2) / 2 + ev(i(v), l1, i(l2)) / 2
-    ) / 8
-    im = (
-        ev(v, i(l1), l2) / 2 + ev(v, l1, i(l2)) / 2 - ev(i(v), l1, l2)
-    ) / 8
-    return GaussianRational(re, im)
+    return GaussianRational(
+        reference_exponent_re(torus, e3, v, l1, l2),
+        reference_exponent_im(torus, e3, v, l1, l2),
+    )
+
+
+def reference_trivializing_exponent(ctx, lam: Vec) -> ExponentFn:
+    """The trivializer at a lattice vector as the sum of its four public
+    factor functions."""
+    fn = unitarize_exponent(ctx, lam) + invariant_part_exponent(ctx, lam)
+    return fn.add_const(
+        GaussianRational.real(
+            symmetric_part_exponent(ctx, lam) + integral_part_exponent(ctx, lam)
+        )
+    )
+
+
+def reference_trivialization_residual(ctx, l1: Vec, l2: Vec) -> ExponentFn:
+    """The trilinear translation factor plus the coboundary of the
+    factor-sum trivializer, composed as ExponentFn operations."""
+    l1, l2 = to_vec(l1), to_vec(l2)
+    r = (
+        reference_trivializing_exponent(ctx, l2).shift(l1)
+        - reference_trivializing_exponent(ctx, vec_add(l1, l2))
+        + reference_trivializing_exponent(ctx, l1)
+    )
+    g, w = ctx.gerbe, ctx.w
+    return r.add_const(oracle_pair_exponent(g.torus, g.e, w, l1, l2))
 
 
 def oracle_membership_search(
@@ -392,7 +437,7 @@ def reference_membership(generators: list[Vec], target: Vec) -> tuple[int, ...] 
 
 # The per-basis forms of the canonical exponent that the package evaluated
 # before it built one bilinear form per vector; each reads E, the case
-# decomposition and the trilinear exponent_im directly.
+# decomposition and the trilinear reference_exponent_im directly.
 
 def _reference_member_invariant(g: GerbeData, case: SubgroupCase, w: Vec) -> AltForm2:
     if not in_case_subgroup(g.torus, g.e, w, case):
@@ -423,7 +468,7 @@ def reference_im_covector_j(ctx, lam: Vec) -> Vec:
 
 def reference_defect_correction_fn(ctx, w1: Vec, w2: Vec) -> ExponentFn:
     """i*l(w2,w1,v) + l(w2,w1,iv) - i/2*F2(iw1,v) - 1/2*F2(iw1,iv), one
-    trilinear exponent_im per basis vector and slot."""
+    trilinear reference_exponent_im per basis vector and slot."""
     g, t = ctx.gerbe, ctx.gerbe.torus
     w1, w2 = to_vec(w1), to_vec(w2)
     _reference_member_invariant(g, ctx.case, w1)
@@ -431,10 +476,12 @@ def reference_defect_correction_fn(ctx, w1: Vec, w2: Vec) -> ExponentFn:
     iw1 = t.mul_i(w1)
     basis = t.basis()
     lin_im = tuple(
-        exponent_im(t, g.e, w2, w1, ek) - f2.evaluate(iw1, ek) / 2 for ek in basis
+        reference_exponent_im(t, g.e, w2, w1, ek) - f2.evaluate(iw1, ek) / 2
+        for ek in basis
     )
     lin_re = tuple(
-        exponent_im(t, g.e, w2, w1, t.mul_i(ek)) - f2.evaluate(iw1, t.mul_i(ek)) / 2
+        reference_exponent_im(t, g.e, w2, w1, t.mul_i(ek))
+        - f2.evaluate(iw1, t.mul_i(ek)) / 2
         for ek in basis
     )
     return ExponentFn(GaussianRational.real(0), lin_re, lin_im)

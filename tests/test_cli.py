@@ -305,6 +305,46 @@ class TestMainEntry:
         out = capsys.readouterr()
         assert json.loads(out.out)["result"]["pairs_checked"] == 16
 
+    def test_long_numeral_exit_2_at_its_field(self, tmp_path, capsys):
+        # beyond Python's int-string digit limit (4,300 by default)
+        doc = json.loads(fixture_text())
+        doc["J"][0][1] = "1" + "0" * 5000
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check-torus", str(bad)]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["error"] == "MalformedRational"
+        assert result["message"].startswith("J[0][1]: ")
+
+    def test_deep_nesting_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        assert main(["check-torus", str(bad)]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["error"] == "ProblemError"
+        assert result["message"].startswith("invalid JSON")
+
+    def test_samples_above_cap_exit_2_before_any_pair(
+        self, problem_path, capsys, monkeypatch
+    ):
+        import torusgerbe.trivialization as triv
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("the identity was set up")
+
+        # the cap must stop the command before any context or pair exists
+        monkeypatch.setattr(triv.TranslationContext, "create", no_pair)
+        monkeypatch.setattr(triv, "trivialization_residual", no_pair)
+        argv = ["tau-verify", problem_path, "--w", "u", "--samples", str(10**20)]
+        assert main(argv) == 2
+        assert "--samples" in json.loads(capsys.readouterr().out)["result"]["message"]
+
+    def test_samples_cap_documented(self):
+        from torusgerbe.cli import MAX_SAMPLES, build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices["tau-verify"]
+        assert f"0 to {MAX_SAMPLES}" in " ".join(sub.format_help().split())
+
     def test_example_runs_without_problem_file(self, capsys):
         assert main(["example", "--name", "k-group"]) == 0
         capsys.readouterr()

@@ -18,7 +18,7 @@ import torusgerbe.exact
 from torusgerbe.exact import ReducedLattice, det, to_mat, to_vec, vec_add, vec_scale, zero_vec
 from torusgerbe.symmetry import fixes_gerbe
 from torusgerbe.gerbe import gerbes_isomorphic, translate_gerbe
-from torusgerbe.torus import integral_anti_invariant_member
+from torusgerbe.torus import anti_invariant_part, integral_anti_invariant_member
 
 from helpers import gerbe4, oracle_membership_search, reference_membership, twisted_torus
 
@@ -249,6 +249,51 @@ class TestReducedLattice:
             ReducedLattice([(1, 0), (1, 0, 0)], 2)
         with pytest.raises(ValueError):
             ReducedLattice([(1, 0)], 2).member((1, 0, 0))
+
+    def test_integer_targets_match_rational_targets(self):
+        # member_over(nums, den) is member(nums / den), whatever the scale of
+        # nums and den; non-integral scaled targets are rejected exactly
+        rng = random.Random(19)
+        gens = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 4])) for _ in range(3)) for _ in range(4)]
+        lat = ReducedLattice(gens, 3)
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            den = rng.choice([1, 2, 3, 4, 6, 8])
+            nums = [rng.randint(-12, 12) for _ in range(3)]
+            expected = lat.member(tuple(F(x, den) for x in nums))
+            k = rng.randint(1, 5)
+            assert lat.member_over(nums, den) == expected
+            assert lat.member_over([k * x for x in nums], k * den) == expected
+            seen[expected is not None] += 1
+        assert seen[True] and seen[False]
+        with pytest.raises(ValueError):
+            lat.member_over([1, 0], 1)
+
+    def test_lattice_target_in_integers_matches_projected_target(self):
+        # integral_anti_invariant_member hands the lattice (omega - J^T*omega*J)
+        # as integers over 2*den; the answer equals that for the projected
+        # anti_invariant_part of omega
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for n in (2, 3):
+            t = twisted_torus(n, 1)
+            d = t.dim
+            for k in range(12):
+                dens = [1] if k % 2 else [1, 2, 3, 4]  # integral forms are members
+                omega = AltForm2.from_pairs(
+                    d,
+                    {
+                        (a, b): F(rng.randint(-4, 4), rng.choice(dens))
+                        for a in range(d)
+                        for b in range(a + 1, d)
+                        if rng.random() < 0.4
+                    },
+                )
+                target = anti_invariant_part(t, omega).upper_coeffs()
+                expected = t.anti_invariant_lattice.member(target) is not None
+                assert integral_anti_invariant_member(t, omega) is expected
+                seen[expected] += 1
+        assert seen[True] and seen[False]
 
     def test_sympy_hnf_oracle(self):
         # sympy reduces the generators as columns; its column lattice must

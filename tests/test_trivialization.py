@@ -22,7 +22,6 @@ from torusgerbe import (
     SubgroupCase,
     TranslationContext,
     exponent_im,
-    exponent_re,
     in_case_subgroup,
     integral_part_exponent,
     invariant_part_exponent,
@@ -44,6 +43,8 @@ from helpers import (
     rand_altform3_int,
     rand_rational_vec,
     rand_vec,
+    reference_exponent_im,
+    reference_exponent_re,
     sample_integral_instance,
     sample_oneone_instance,
     torus4,
@@ -88,8 +89,10 @@ class TestUnitarizeExponent:
             t = g.torus
             for k in range(4):
                 ek = basis_vec(4, k)
-                assert fn.lin_im[k] == -exponent_im(t, g.e, w, ek, lam)
-                assert fn.lin_re[k] == -exponent_im(t, g.e, w, t.mul_i(ek), lam)
+                assert fn.lin_im[k] == -reference_exponent_im(t, g.e, w, ek, lam)
+                assert fn.lin_re[k] == -reference_exponent_im(
+                    t, g.e, w, t.mul_i(ek), lam
+                )
 
     def test_holomorphic(self):
         rng = random.Random(1)
@@ -229,8 +232,10 @@ class TestTrivializingExponent:
                 expected = (
                     const
                     + GaussianRational(
-                        -exponent_im(t, g.e, w, iv, lam) - fw.evaluate(v, lam) / 2,
-                        -exponent_im(t, g.e, w, v, lam) + fw.evaluate(iv, lam) / 2,
+                        -reference_exponent_im(t, g.e, w, iv, lam)
+                        - fw.evaluate(v, lam) / 2,
+                        -reference_exponent_im(t, g.e, w, v, lam)
+                        + fw.evaluate(iv, lam) / 2,
                     )
                 )
                 assert got.evaluate(v) == expected
@@ -269,9 +274,9 @@ class TestCancellationChain:
             )
             assert d_eta.linear_part_is_zero
             total = translation_factor(g, w, l1, l2) + d_eta.const
-            expected = exponent_re(t, g.e, w, l1, l2) - exponent_im(
-                t, g.e, w, t.mul_i(l1), l2
-            )
+            expected = reference_exponent_re(
+                t, g.e, w, l1, l2
+            ) - reference_exponent_im(t, g.e, w, t.mul_i(l1), l2)
             assert total == GaussianRational.real(expected)
 
     def test_symmetric_step(self):
@@ -283,9 +288,9 @@ class TestCancellationChain:
             t = g.torus
             ctx = TranslationContext.create(g, w, INT)
             l1, l2 = rand_vec(rng, 4, -2, 2), rand_vec(rng, 4, -2, 2)
-            residual = exponent_re(t, g.e, w, l1, l2) - exponent_im(
-                t, g.e, w, t.mul_i(l1), l2
-            )
+            residual = reference_exponent_re(
+                t, g.e, w, l1, l2
+            ) - reference_exponent_im(t, g.e, w, t.mul_i(l1), l2)
             residual += self._delta_const(
                 lambda lam: symmetric_part_exponent(ctx, lam), l1, l2
             )

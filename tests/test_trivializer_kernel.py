@@ -1,0 +1,298 @@
+"""The integer kernels of the trivialization identity.
+
+Both sides of the identity run in integers over one denominator: the
+canonical exponent (`exponent_re`, `exponent_im`, `translation_factor`,
+`pair_exponent`) in one pass over E, and the trivializer
+(`trivializing_exponent`, `trivialization_residual`) through per-context
+integer matrices.  Each is checked for exact equality against oracles that
+keep the old Fraction routes: the trilinear `reference_exponent_re` and
+`reference_exponent_im`, and the four public factor functions composed in
+`reference_trivializing_exponent` and `reference_trivialization_residual`.
+Instances: standard and twisted J at n = 2 and 3, both cases, vectors
+inside and outside the case subgroup.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import torusgerbe.trivialization as triv
+from torusgerbe import (
+    AltForm3,
+    GerbeData,
+    SubgroupCase,
+    TranslationContext,
+    exponent_im,
+    exponent_re,
+    pair_exponent,
+    translation_factor,
+    trivialization_residual,
+    trivializing_exponent,
+    verify_trivialization,
+)
+from torusgerbe.exact import basis_vec
+from torusgerbe.trivialization import default_verification_pairs, first_failing_pair
+
+from helpers import (
+    conjugated_instance,
+    oracle_pair_exponent,
+    rand_vec,
+    reference_exponent_im,
+    reference_exponent_re,
+    reference_trivialization_residual,
+    reference_trivializing_exponent,
+    twisted_torus,
+)
+
+INSTANCES = [
+    (n, twisted, case)
+    for n in (2, 3)
+    for twisted in (False, True)
+    for case in (SubgroupCase.INTEGRAL, SubgroupCase.TYPE_ONE_ONE)
+]
+IDS = [f"n{n}-{'twisted' if tw else 'standard'}-{case.value}" for n, tw, case in INSTANCES]
+
+
+@pytest.fixture(params=INSTANCES, ids=IDS)
+def instance(request):
+    n, twisted, case = request.param
+    g, vectors = conjugated_instance(n, 1, case, twisted)
+    return g, case, vectors
+
+
+def mixed_vec(rng: random.Random, dim: int) -> tuple:
+    """A rational vector whose entries have different denominators."""
+    return tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7))) for _ in range(dim))
+
+
+def rational_altform3(rng: random.Random, dim: int) -> AltForm3:
+    return AltForm3.from_coeffs(
+        dim,
+        {
+            t: F(rng.randint(-3, 3), rng.choice((1, 2, 4, 6)))
+            for t in itertools.combinations(range(dim), 3)
+            if rng.random() < 0.6
+        },
+    )
+
+
+def outside_vector(rng, g, case):
+    """A rational vector outside the case subgroup."""
+    while True:
+        w = mixed_vec(rng, g.torus.dim)
+        ctx = TranslationContext.create(g, w, case, check=False)
+        if not verify_trivialization(ctx, extra_random=0):
+            return w
+
+
+class TestCanonicalExponent:
+    def test_rational_triples_match_trilinear_oracle(self, instance):
+        g, _, vectors = instance
+        t = g.torus
+        rng = random.Random(11)
+        for e3 in (g.e, rational_altform3(rng, t.dim)):
+            for _ in range(10):
+                a, b, c = (mixed_vec(rng, t.dim) for _ in range(3))
+                assert exponent_re(t, e3, a, b, c) == reference_exponent_re(t, e3, a, b, c)
+                assert exponent_im(t, e3, a, b, c) == reference_exponent_im(t, e3, a, b, c)
+
+    def test_translation_factor_and_pair_exponent(self, instance):
+        g, _, vectors = instance
+        t = g.torus
+        rng = random.Random(12)
+        for w in vectors[:2] + [mixed_vec(rng, t.dim), (F(0),) * t.dim]:
+            l1, l2 = rand_vec(rng, t.dim), rand_vec(rng, t.dim)
+            expected = oracle_pair_exponent(t, g.e, w, l1, l2)
+            assert translation_factor(g, w, l1, l2) == expected
+            h = pair_exponent(g, l1, l2)
+            assert h.lin_re == tuple(
+                reference_exponent_re(t, g.e, ek, l1, l2) for ek in t.basis()
+            )
+            assert h.lin_im == tuple(
+                reference_exponent_im(t, g.e, ek, l1, l2) for ek in t.basis()
+            )
+            assert h.evaluate(w) == expected
+
+    def test_zero_form_and_zero_vector(self):
+        t = twisted_torus(3, 0)
+        rng = random.Random(13)
+        zero = (F(0),) * t.dim
+        a, b = mixed_vec(rng, t.dim), mixed_vec(rng, t.dim)
+        e3 = rational_altform3(rng, t.dim)
+        for args in ((a, b, zero), (zero, a, b), (a, zero, b)):
+            assert exponent_re(t, e3, *args) == 0
+            assert exponent_im(t, e3, *args) == 0
+        assert exponent_re(t, AltForm3.zero(t.dim), a, b, a) == 0
+        assert exponent_im(t, AltForm3.zero(t.dim), a, b, a) == 0
+
+    def test_lattice_arguments_required(self, instance):
+        g, _, vectors = instance
+        half = (F(1, 2),) + (F(0),) * (g.torus.dim - 1)
+        with pytest.raises(ValueError):
+            translation_factor(g, vectors[0], half, basis_vec(g.torus.dim, 0))
+        with pytest.raises(ValueError):
+            exponent_re(g.torus, g.e, vectors[0][:-1], half, half)
+
+    def test_translation_factor_reads_no_vector_forms(self, instance, monkeypatch):
+        # the independent side of the residual check must not go through L_w
+        import torusgerbe.gerbe as gerbe
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("translation_factor read the vector forms")
+
+        monkeypatch.setattr(gerbe.VectorForms, "of_contraction", forbidden)
+        monkeypatch.setattr(gerbe.VectorForms, "create", forbidden)
+        g, _, vectors = instance
+        d = g.torus.dim
+        translation_factor(g, vectors[0], basis_vec(d, 0), basis_vec(d, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_matches_oracle(self, data):
+        n = data.draw(st.sampled_from((2, 3)))
+        t = twisted_torus(n, data.draw(st.integers(0, 3)))
+        rat = st.builds(F, st.integers(-6, 6), st.integers(1, 12))
+        vec = st.tuples(*[rat] * t.dim)
+        e3 = AltForm3.from_coeffs(
+            t.dim,
+            {
+                k: data.draw(rat)
+                for k in itertools.combinations(range(t.dim), 3)
+                if data.draw(st.booleans())
+            },
+        )
+        a, b, c = data.draw(vec), data.draw(vec), data.draw(vec)
+        assert exponent_re(t, e3, a, b, c) == reference_exponent_re(t, e3, a, b, c)
+        assert exponent_im(t, e3, a, b, c) == reference_exponent_im(t, e3, a, b, c)
+
+
+class TestTrivializerKernel:
+    def test_inside_subgroup_matches_factor_oracle(self, instance):
+        g, case, vectors = instance
+        rng = random.Random(21)
+        d = g.torus.dim
+        for w in vectors[:2]:
+            ctx = TranslationContext.create(g, w, case)
+            for _ in range(6):
+                l1, l2 = rand_vec(rng, d), rand_vec(rng, d)
+                assert trivializing_exponent(ctx, l1) == reference_trivializing_exponent(
+                    ctx, l1
+                )
+                r = trivialization_residual(ctx, l1, l2)
+                assert r == reference_trivialization_residual(ctx, l1, l2)
+                assert r.linear_part_is_zero and r.const.im == 0
+                assert r.const.re.denominator == 1
+
+    def test_outside_subgroup_matches_factor_oracle(self, instance):
+        g, case, _ = instance
+        rng = random.Random(22)
+        d = g.torus.dim
+        w = outside_vector(rng, g, case)
+        ctx = TranslationContext.create(g, w, case, check=False)
+        nontrivial = False
+        for l1, l2 in itertools.product([basis_vec(d, k) for k in range(d)], repeat=2):
+            r = trivialization_residual(ctx, l1, l2)
+            assert r == reference_trivialization_residual(ctx, l1, l2)
+            nontrivial |= not triv.residual_is_trivial(r)
+        assert nontrivial
+        for _ in range(4):
+            lam = rand_vec(rng, d)
+            assert trivializing_exponent(ctx, lam) == reference_trivializing_exponent(
+                ctx, lam
+            )
+
+    def test_zero_vector_and_zero_form(self, instance):
+        g, case, _ = instance
+        t = g.torus
+        d = t.dim
+        rng = random.Random(23)
+        zero_w = TranslationContext.create(g, (0,) * d, case)
+        flat = GerbeData(t, g.b, AltForm3.zero(d))
+        zero_e = TranslationContext.create(flat, mixed_vec(rng, d), case)
+        for ctx in (zero_w, zero_e):
+            for _ in range(3):
+                l1, l2 = rand_vec(rng, d), rand_vec(rng, d)
+                assert trivializing_exponent(ctx, l1).is_zero
+                r = trivialization_residual(ctx, l1, l2)
+                assert r.is_zero
+                assert r == reference_trivialization_residual(ctx, l1, l2)
+
+    def test_non_lattice_vector_raises(self, instance):
+        g, case, vectors = instance
+        ctx = TranslationContext.create(g, vectors[0], case)
+        d = g.torus.dim
+        half = (F(1, 2),) + (F(0),) * (d - 1)
+        with pytest.raises(ValueError):
+            trivializing_exponent(ctx, half)
+        with pytest.raises(ValueError):
+            trivialization_residual(ctx, half, basis_vec(d, 0))
+        with pytest.raises(ValueError):
+            trivializing_exponent(ctx, basis_vec(d + 1, 0))
+
+    def test_kernel_built_once_per_context(self, instance, monkeypatch):
+        g, case, vectors = instance
+        builds = []
+        scaled = triv._scaled_matrix
+
+        def counting(m):
+            builds.append(m)
+            return scaled(m)
+
+        monkeypatch.setattr(triv, "_scaled_matrix", counting)
+        ctx = TranslationContext.create(g, vectors[0], case)
+        assert verify_trivialization(ctx)
+        for k in range(g.torus.dim):
+            trivializing_exponent(ctx, basis_vec(g.torus.dim, k))
+        assert len(builds) == 4  # the four input matrices, once
+        assert "kernel" in vars(ctx) and "kernel" not in vars(g)
+        verify_trivialization(TranslationContext.create(g, vectors[0], case))
+        assert len(builds) == 8  # a new context builds its own
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_residual_matches_oracle(self, data):
+        n = data.draw(st.sampled_from((2, 3)))
+        case = data.draw(st.sampled_from(list(SubgroupCase)))
+        twisted = data.draw(st.booleans())
+        g, vectors = conjugated_instance(n, data.draw(st.integers(0, 2)), case, twisted)
+        d = g.torus.dim
+        w = data.draw(st.sampled_from(vectors))
+        inside = data.draw(st.booleans())
+        if not inside:
+            w = tuple(x + F(1, 3) for x in w)
+        ctx = TranslationContext.create(g, w, case, check=False)
+        lat = st.tuples(*[st.integers(-3, 3)] * d)
+        l1, l2 = data.draw(lat), data.draw(lat)
+        assert trivialization_residual(ctx, l1, l2) == reference_trivialization_residual(
+            ctx, l1, l2
+        )
+
+
+class TestVerificationPairs:
+    def test_pairs_are_lazy_and_counted(self):
+        pairs = default_verification_pairs(4, 3, seed=5)
+        assert iter(pairs) is pairs
+        listed = list(pairs)
+        assert len(listed) == 16 + 3
+        basis = [basis_vec(4, k) for k in range(4)]
+        assert listed[:16] == [(a, b) for a in basis for b in basis]
+
+    def test_first_failure_is_first_failing_pair_in_order(self, instance):
+        g, case, vectors = instance
+        rng = random.Random(31)
+        d = g.torus.dim
+        assert first_failing_pair(TranslationContext.create(g, vectors[0], case)) is None
+        ctx = TranslationContext.create(g, outside_vector(rng, g, case), case, check=False)
+        expected = next(
+            (l1, l2)
+            for l1, l2 in default_verification_pairs(d, 10, 3)
+            if not triv.residual_is_trivial(reference_trivialization_residual(ctx, l1, l2))
+        )
+        assert first_failing_pair(ctx, seed=3) == expected
+        assert not verify_trivialization(ctx, seed=3)
+        explicit = [(basis_vec(d, 0), basis_vec(d, 0)), expected]
+        assert first_failing_pair(ctx, explicit) == expected
