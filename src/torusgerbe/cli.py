@@ -18,6 +18,10 @@ are 1-based and strictly increasing):
 
 Exit status: 0 = computed; 1 = a verified identity failed or an
 obstruction does not vanish (still a successful run); 2 = input error.
+
+Each command is one entry of ``COMMAND_TABLE``: its help text, its flags
+(keys of ``FLAGS``), its handler and its stderr summary.  A handler takes
+the parsed problem and the flag values and returns (result, status).
 """
 
 from __future__ import annotations
@@ -28,16 +32,15 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-
-from .exact import GaussianRational, UnitValue, Vec
+from .exact import UnitValue, Vec
 from .gerbe import Character, GerbeData, TypeConditionFailed, gerbes_isomorphic, translate_gerbe
 from .obstruction import (
     FirstObstructionNonzero,
     ObstructionContext,
     ObstructionKind,
     SubgroupSpec,
-    VanishingResult,
     defect_character,
     first_obstruction_alternating,
     gerbal_class,
@@ -45,12 +48,7 @@ from .obstruction import (
     obstruction_vanishes,
     second_obstruction_alternating,
 )
-from .symmetry import (
-    NotInSubgroup,
-    SubgroupCase,
-    in_case_subgroup,
-    invariance_class,
-)
+from .symmetry import NotInSubgroup, SubgroupCase, in_case_subgroup, invariance_class
 from .torus import (
     AltForm2,
     AltForm3,
@@ -59,22 +57,6 @@ from .torus import (
     type_condition_check,
 )
 from .trivialization import TranslationContext, first_failing_pair
-
-COMMANDS = (
-    "check-torus",
-    "check-type",
-    "translate",
-    "membership",
-    "tau-verify",
-    "xi",
-    "obstruction1",
-    "obstruction2",
-    "theta-table",
-    "gerbal-class",
-    "example",
-)
-
-EXAMPLE_NAMES = ("k-group", "first-obstruction", "second-obstruction")
 
 # tau-verify checks dim**2 basis pairs plus --samples random pairs
 MAX_SAMPLES = 100_000
@@ -125,7 +107,14 @@ def parse_rational(text, field: str) -> Fraction:
 
 
 def render_rational(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # beyond Python's int-string digit limit
+        raise ProblemError(
+            f"a number exceeds the {sys.get_int_max_str_digits()}-digit limit "
+            "of integer strings",
+            "result",
+        ) from exc
 
 
 def _parse_vector(entries, dim: int, field: str) -> Vec:
@@ -134,6 +123,32 @@ def _parse_vector(entries, dim: int, field: str) -> Vec:
     if len(entries) != dim:
         raise BadDimensions(f"vector must have {dim} entries, got {len(entries)}", field)
     return tuple(parse_rational(x, f"{field}[{k}]") for k, x in enumerate(entries))
+
+
+def _parse_forms(items, arity: int, dim: int, name: str) -> dict:
+    """The {indices, coeff} list of an alternating form as 0-based index
+    tuples -> summed coefficients."""
+    if not isinstance(items, list):
+        raise ProblemError(f"{name} must be a list of {{indices, coeff}} objects", name)
+    coeffs = {}
+    for k, item in enumerate(items):
+        field = f"{name}[{k}]"
+        if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
+            raise ProblemError("expected {indices, coeff}", field)
+        idx = item["indices"]
+        if not isinstance(idx, list) or len(idx) != arity or not all(_is_int(i) for i in idx):
+            count = {2: "two", 3: "three"}[arity]
+            raise ProblemError(f"indices must be {count} integers", f"{field}.indices")
+        if not (1 <= idx[0] and idx[-1] <= dim and all(a < b for a, b in zip(idx, idx[1:]))):
+            raise NonIncreasingIndices(
+                f"indices must be strictly increasing in 1..{dim}, got {idx}",
+                f"{field}.indices",
+            )
+        key = tuple(i - 1 for i in idx)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + parse_rational(
+            item["coeff"], f"{field}.coeff"
+        )
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -170,71 +185,25 @@ def parse_problem(text: str) -> ProblemFile:
     if not _is_int(n) or n < 1:
         raise BadDimensions("n must be a positive integer", "n")
     dim = 2 * n
+    try:
+        shape = f"J must be a {dim}x{dim} array"
+    except ValueError as exc:  # 2n beyond Python's int-string digit limit
+        raise BadDimensions("n is too large", "n") from exc
 
     j_rows = doc.get("J")
     if not isinstance(j_rows, list) or len(j_rows) != dim:
-        raise BadDimensions(f"J must be a {dim}x{dim} array", "J")
+        raise BadDimensions(shape, "J")
     j = []
     for r, row in enumerate(j_rows):
         if not isinstance(row, list) or len(row) != dim:
-            raise BadDimensions(f"J must be a {dim}x{dim} array", f"J[{r}]")
+            raise BadDimensions(shape, f"J[{r}]")
         j.append([parse_rational(x, f"J[{r}][{c}]") for c, x in enumerate(row)])
     torus = check_complex_structure(j)  # may raise NotAComplexStructure
 
-    e_items = doc.get("E", [])
-    if not isinstance(e_items, list):
-        raise ProblemError("E must be a list of {indices, coeff} objects", "E")
-    e_coeffs = {}
-    for k, item in enumerate(e_items):
-        field = f"E[{k}]"
-        if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
-            raise ProblemError("expected {indices, coeff}", field)
-        idx = item["indices"]
-        if (
-            not isinstance(idx, list)
-            or len(idx) != 3
-            or not all(_is_int(i) for i in idx)
-        ):
-            raise ProblemError("indices must be three integers", f"{field}.indices")
-        if not (1 <= idx[0] < idx[1] < idx[2] <= dim):
-            raise NonIncreasingIndices(
-                f"indices must be strictly increasing in 1..{dim}, got {idx}",
-                f"{field}.indices",
-            )
-        key = (idx[0] - 1, idx[1] - 1, idx[2] - 1)
-        e_coeffs[key] = e_coeffs.get(key, Fraction(0)) + parse_rational(
-            item["coeff"], f"{field}.coeff"
-        )
-    e3 = AltForm3.from_coeffs(dim, e_coeffs)
+    e3 = AltForm3.from_coeffs(dim, _parse_forms(doc.get("E", []), 3, dim, "E"))
     if not e3.is_integral:
         raise ProblemError("the 3-form coefficients must be integers", "E")
-
-    b_items = doc.get("B", [])
-    if not isinstance(b_items, list):
-        raise ProblemError("B must be a list of {indices, coeff} objects", "B")
-    b_coeffs = {}
-    for k, item in enumerate(b_items):
-        field = f"B[{k}]"
-        if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
-            raise ProblemError("expected {indices, coeff}", field)
-        idx = item["indices"]
-        if (
-            not isinstance(idx, list)
-            or len(idx) != 2
-            or not all(_is_int(i) for i in idx)
-        ):
-            raise ProblemError("indices must be two integers", f"{field}.indices")
-        if not (1 <= idx[0] < idx[1] <= dim):
-            raise NonIncreasingIndices(
-                f"indices must be strictly increasing in 1..{dim}, got {idx}",
-                f"{field}.indices",
-            )
-        key = (idx[0] - 1, idx[1] - 1)
-        b_coeffs[key] = b_coeffs.get(key, Fraction(0)) + parse_rational(
-            item["coeff"], f"{field}.coeff"
-        )
-    b2 = AltForm2.from_pairs(dim, b_coeffs)
-
+    b2 = AltForm2.from_pairs(dim, _parse_forms(doc.get("B", []), 2, dim, "B"))
     gerbe = GerbeData(torus=torus, b=b2, e=e3)  # may raise TypeConditionFailed
 
     raw_vectors = doc.get("vectors", {})
@@ -245,13 +214,7 @@ def parse_problem(text: str) -> ProblemFile:
         for name in sorted(raw_vectors)
     )
 
-    case = None
-    if "case" in doc and doc["case"] is not None:
-        raw_case = doc["case"]
-        if raw_case not in ("integral", "oneone"):
-            raise ProblemError("case must be 'integral' or 'oneone'", "case")
-        case = SubgroupCase(raw_case)
-
+    case = None if doc.get("case") is None else _parse_case(doc["case"], "case")
     return ProblemFile(gerbe=gerbe, vectors=vectors, case=case)
 
 
@@ -261,21 +224,15 @@ def render_problem(problem: ProblemFile) -> str:
 
 
 def problem_document(problem: ProblemFile) -> dict:
-    torus = problem.gerbe.torus
     doc = {
-        "n": torus.n,
-        "J": [[render_rational(x) for x in row] for row in torus.j],
+        "n": problem.n,
+        "J": [ser_vec(row) for row in problem.gerbe.torus.j],
         "E": [
             {"indices": [a + 1, b + 1, c + 1], "coeff": render_rational(v)}
             for (a, b, c), v in problem.gerbe.e.entries
         ],
-        "B": [
-            {"indices": [a + 1, b + 1], "coeff": render_rational(problem.gerbe.b.entry(a, b))}
-            for a in range(torus.dim)
-            for b in range(a + 1, torus.dim)
-            if problem.gerbe.b.entry(a, b) != 0
-        ],
-        "vectors": {name: [render_rational(x) for x in v] for name, v in problem.vectors},
+        "B": ser_form2(problem.gerbe.b),
+        "vectors": {name: ser_vec(v) for name, v in problem.vectors},
     }
     if problem.case is not None:
         doc["case"] = problem.case.value
@@ -286,10 +243,6 @@ def ser_vec(v: Vec) -> list[str]:
     return [render_rational(x) for x in v]
 
 
-def ser_gauss(z: GaussianRational) -> dict:
-    return {"re": render_rational(z.re), "im": render_rational(z.im)}
-
-
 def ser_unit(u: UnitValue) -> dict:
     out = {"exponent_mod1": render_rational(u.exponent.re)}
     if u.exponent.im != 0:
@@ -298,7 +251,8 @@ def ser_unit(u: UnitValue) -> dict:
 
 
 def ser_character(c: Character) -> dict:
-    return {"exponents": [ser_gauss(e) for e in c.exponents], "trivial": c.is_trivial}
+    exponents = [{"re": render_rational(e.re), "im": render_rational(e.im)} for e in c.exponents]
+    return {"exponents": exponents, "trivial": c.is_trivial}
 
 
 def ser_form2(f: AltForm2) -> list[dict]:
@@ -310,22 +264,35 @@ def ser_form2(f: AltForm2) -> list[dict]:
     ]
 
 
-def _resolve_vector(problem: ProblemFile, spec: str, flag: str) -> Vec:
-    named = problem.vector(spec)
-    if named is not None:
-        return named
-    if "," in spec:
-        parts = spec.split(",")
-        return _parse_vector(parts, problem.gerbe.torus.dim, flag)
-    raise ProblemError(f"unknown vector name {spec!r}", flag)
+def _parse_case(raw, field: str) -> SubgroupCase:
+    if raw not in ("integral", "oneone"):
+        raise ProblemError(f"{field} must be 'integral' or 'oneone'", field)
+    return SubgroupCase(raw)
+
+
+def _named(problem: ProblemFile, name: str, field: str) -> Vec:
+    v = problem.vector(name)
+    if v is None:
+        raise ProblemError(f"unknown vector name {name!r}", field)
+    return v
+
+
+def _vectors(problem: ProblemFile, args: dict, *flags: str) -> tuple[Vec, ...]:
+    """The vectors given by the flags: each a name from the problem file or
+    inline rationals 'a,b,...'."""
+    out = []
+    for flag in flags:
+        spec, field = args[flag], f"--{flag}"
+        if problem.vector(spec) is None and "," in spec:
+            out.append(_parse_vector(spec.split(","), problem.gerbe.torus.dim, field))
+        else:
+            out.append(_named(problem, spec, field))
+    return tuple(out)
 
 
 def _resolve_case(problem: ProblemFile, args: dict) -> SubgroupCase:
-    raw = args.get("case")
-    if raw:
-        if raw not in ("integral", "oneone"):
-            raise ProblemError("--case must be 'integral' or 'oneone'", "--case")
-        return SubgroupCase(raw)
+    if args.get("case"):
+        return _parse_case(args["case"], "--case")
     if problem.case is not None:
         return problem.case
     raise ProblemError("no case given: pass --case or set it in the problem file")
@@ -335,317 +302,308 @@ def _resolve_generators(problem: ProblemFile, args: dict) -> tuple[Vec, ...]:
     raw = args.get("generators")
     if not raw:
         raise ProblemError("--generators is required for this command")
-    names = [x for x in raw.split(",") if x]
-    gens = []
-    for name in names:
-        v = problem.vector(name)
-        if v is None:
-            raise ProblemError(f"unknown vector name {name!r}", "--generators")
-        gens.append(v)
-    return tuple(gens)
+    return tuple(_named(problem, name, "--generators") for name in raw.split(",") if name)
 
 
-def _vanishing_report(result: VanishingResult) -> dict:
-    return {
+def _obstruction_doc(gerbe: GerbeData, case: SubgroupCase, gens, kind: ObstructionKind) -> dict:
+    """The vanishing decision of one obstruction on the subgroup generated
+    by ``gens``, with the obstruction's value at the certificate if any."""
+    result = obstruction_vanishes(gerbe, SubgroupSpec.create(gens, case), kind)
+    doc = {
         "vanishes": result.vanishes,
         "tuples_checked": result.tuples_checked,
         "certificate": (
-            None
-            if result.certificate is None
-            else [ser_vec(v) for v in result.certificate]
+            None if result.certificate is None else [ser_vec(v) for v in result.certificate]
         ),
         "cross_check_disagreements": [
             [ser_vec(v) for v in triple] for triple in result.cross_check_disagreements
         ],
     }
-
-
-def run_command(cmd: str, problem: ProblemFile | None, args: dict) -> tuple[dict, int]:
-    """Execute one command; returns (report document, exit status)."""
-    if cmd not in COMMANDS:
-        raise UnknownCommand(f"unknown command {cmd!r}")
-    if cmd == "example":
-        return _run_example(args)
-    if problem is None:
-        raise ProblemError("this command needs a problem file")
-
-    gerbe = problem.gerbe
-    torus = gerbe.torus
-    report: dict = {
-        "command": cmd,
-        "problem": problem_document(problem),
-        "args": {
-            k: v for k, v in sorted(args.items()) if v is not None and k != "problem"
-        },
-    }
-    status = 0
-
-    if cmd == "check-torus":
-        report["result"] = {"n": torus.n, "complex_structure_ok": True}
-
-    elif cmd == "check-type":
-        # parse_problem already enforced this; recompute rather than assume
-        ok = type_condition_check(torus, gerbe.e)
-        report["result"] = {"type_condition": ok}
-        status = 0 if ok else 1
-
-    elif cmd == "translate":
-        w = _resolve_vector(problem, args["w"], "--w")
-        translated = translate_gerbe(gerbe, w)
-        report["result"] = {
-            "w": ser_vec(w),
-            "B_translated": ser_form2(translated.b),
-            "isomorphic_to_original": gerbes_isomorphic(gerbe, translated),
-        }
-
-    elif cmd == "membership":
-        w = _resolve_vector(problem, args["w"], "--w")
-        cls = invariance_class(torus, gerbe.e, w)
-        report["result"] = {
-            "w": ser_vec(w),
-            "fixes_gerbe": cls.is_zero,
-            "integral": in_case_subgroup(torus, gerbe.e, w, SubgroupCase.INTEGRAL),
-            "type_one_one": in_case_subgroup(
-                torus, gerbe.e, w, SubgroupCase.TYPE_ONE_ONE
-            ),
-            "contraction": ser_form2(cls.representative),
-        }
-
-    elif cmd == "tau-verify":
-        case = _resolve_case(problem, args)
-        w = _resolve_vector(problem, args["w"], "--w")
-        samples = args.get("samples", 10)
-        if not 0 <= samples <= MAX_SAMPLES:
-            raise ProblemError(
-                f"must be an integer from 0 to {MAX_SAMPLES}", "--samples"
-            )
-        ctx = TranslationContext.create(gerbe, w, case, check=False)
-        failure = first_failing_pair(ctx, None, samples, args.get("seed", 0))
-        ok = failure is None
-        report["result"] = {
-            "w": ser_vec(w),
-            "case": case.value,
-            "pairs_checked": torus.dim**2 + samples,
-            "ok": ok,
-            "first_failure": None if ok else [ser_vec(v) for v in failure],
-        }
-        status = 0 if ok else 1
-
-    elif cmd == "xi":
-        case = _resolve_case(problem, args)
-        ctx = ObstructionContext(gerbe, case)
-        w1 = _resolve_vector(problem, args["w1"], "--w1")
-        w2 = _resolve_vector(problem, args["w2"], "--w2")
-        char = lift_defect_character(ctx, w1, w2)
-        report["result"] = {
-            "w1": ser_vec(w1),
-            "w2": ser_vec(w2),
-            "case": case.value,
-            "character": ser_character(char),
-            "composition_matches_closed_exponent": True,
-        }
-
-    elif cmd == "obstruction1":
-        case = _resolve_case(problem, args)
-        gens = _resolve_generators(problem, args)
-        spec = SubgroupSpec.create(gens, case)
-        result = obstruction_vanishes(gerbe, spec, ObstructionKind.FIRST)
-        doc = _vanishing_report(result)
-        if result.certificate is not None:
-            ctx = ObstructionContext(gerbe, case)
-            w1, w2, lam = result.certificate
-            char = first_obstruction_alternating(ctx, w1, w2)
-            doc["value_at_certificate"] = ser_unit(
-                UnitValue(char.exponent_at(lam))
-            )
-        report["result"] = doc
-        status = 0 if result.vanishes else 1
-
-    elif cmd == "obstruction2":
-        case = _resolve_case(problem, args)
-        gens = _resolve_generators(problem, args)
-        spec = SubgroupSpec.create(gens, case)
-        result = obstruction_vanishes(gerbe, spec, ObstructionKind.SECOND)
-        doc = _vanishing_report(result)
-        if result.certificate is not None:
-            ctx = ObstructionContext(gerbe, case)
-            values = second_obstruction_alternating(ctx, *result.certificate)
-            doc["values_at_certificate"] = {
-                "skew": ser_unit(values.skew),
-                "general_factor": ser_unit(values.general_factor),
-                "closed_form": ser_unit(values.closed_form),
-                "skew_is_real": values.skew_is_real,
-            }
-        report["result"] = doc
-        status = 0 if result.vanishes else 1
-
-    elif cmd == "theta-table":
-        case = _resolve_case(problem, args)
-        gens = _resolve_generators(problem, args)
-        ctx = ObstructionContext(gerbe, case)
-        products = []
-        for i, w1 in enumerate(gens):
-            for j, w2 in enumerate(gens):
-                char = defect_character(ctx, w1, w2)
-                products.append(
-                    {"i": i + 1, "j": j + 1, "defect_character": ser_character(char)}
-                )
-        report["result"] = {
-            "case": case.value,
-            "generators": [ser_vec(g) for g in gens],
-            "products": products,
-        }
-
-    elif cmd == "gerbal-class":
-        case = _resolve_case(problem, args)
-        ctx = ObstructionContext(gerbe, case)
-        w1 = _resolve_vector(problem, args["w1"], "--w1")
-        w2 = _resolve_vector(problem, args["w2"], "--w2")
-        w3 = _resolve_vector(problem, args["w3"], "--w3")
-        try:
-            value = gerbal_class(ctx, w1, w2, w3)
-        except FirstObstructionNonzero as exc:
-            report["result"] = {"error": "FirstObstructionNonzero", "message": str(exc)}
-            return report, 1
-        report["result"] = {
-            "w1": ser_vec(w1),
-            "w2": ser_vec(w2),
-            "w3": ser_vec(w3),
-            "case": case.value,
-            "value": ser_unit(value),
-        }
-        status = 0 if value.is_trivial else 1
-
-    return report, status
-
-
-def _fixture_problem(e_coeff: int) -> ProblemFile:
-    """The standard 2-torus fixture with E = e_coeff * e1^e2^e3."""
-    doc = {
-        "n": 2,
-        "J": [
-            ["0", "-1", "0", "0"],
-            ["1", "0", "0", "0"],
-            ["0", "0", "0", "-1"],
-            ["0", "0", "1", "0"],
-        ],
-        "E": [{"indices": [1, 2, 3], "coeff": str(e_coeff)}],
-        "case": "integral",
-    }
-    return parse_problem(json.dumps(doc))
-
-
-def _run_example(args: dict) -> tuple[dict, int]:
-    name = args.get("name")
-    if name not in EXAMPLE_NAMES:
-        raise ProblemError(
-            f"--name must be one of {', '.join(EXAMPLE_NAMES)}", "--name"
-        )
-    report: dict = {"command": "example", "args": {"name": name}}
-
-    if name == "k-group":
-        problem = _fixture_problem(1)
-        gerbe = problem.gerbe
-        torus = gerbe.torus
-        grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
-        table = []
-        all_match = True
-        for w1 in grid:
-            for w2 in grid:
-                for w3 in grid:
-                    for w4 in grid:
-                        w = (w1, w2, w3, w4)
-                        got = in_case_subgroup(
-                            torus, gerbe.e, w, SubgroupCase.INTEGRAL
-                        )
-                        expected = all(x.denominator == 1 for x in (w1, w2, w3))
-                        all_match &= got == expected
-                        table.append(
-                            {"w": ser_vec(w), "integral": got, "expected": expected}
-                        )
-        doubled = _fixture_problem(2)
-        half = Fraction(1, 2)
-        half_lattice_ok = all(
-            in_case_subgroup(
-                doubled.gerbe.torus,
-                doubled.gerbe.e,
-                tuple(half * x for x in v),
-                SubgroupCase.INTEGRAL,
-            )
-            for v in (
-                (1, 0, 0, 0),
-                (0, 1, 0, 0),
-                (0, 0, 1, 0),
-                (0, 0, 0, 1),
-                (1, 1, 1, 1),
-                (1, 0, 1, 0),
-            )
-        )
-        report["result"] = {
-            "membership_matches_expected": all_match,
-            "half_lattice_in_doubled_symmetries": half_lattice_ok,
-            "table": table,
-        }
-        return report, 0 if (all_match and half_lattice_ok) else 1
-
-    if name == "first-obstruction":
-        problem = _fixture_problem(2)
-        gerbe = problem.gerbe
-        half = Fraction(1, 2)
-        gens = ((half, 0, 0, 0), (0, half, 0, 0))
-        spec = SubgroupSpec.create(gens, SubgroupCase.INTEGRAL)
-        result = obstruction_vanishes(gerbe, spec, ObstructionKind.FIRST)
-        ctx = ObstructionContext(gerbe, SubgroupCase.INTEGRAL)
-        doc = _vanishing_report(result)
-        if result.certificate is not None:
-            w1, w2, lam = result.certificate
-            char = first_obstruction_alternating(ctx, w1, w2)
-            doc["value_at_certificate"] = ser_unit(UnitValue(char.exponent_at(lam)))
-        report["result"] = doc
-        return report, 0 if result.vanishes else 1
-
-    # second-obstruction
-    problem = _fixture_problem(4)
-    gerbe = problem.gerbe
-    half = Fraction(1, 2)
-    gens = tuple(
-        tuple(half * x for x in v)
-        for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    )
-    spec = SubgroupSpec.create(gens, SubgroupCase.INTEGRAL)
-    first = obstruction_vanishes(gerbe, spec, ObstructionKind.FIRST)
-    second = obstruction_vanishes(gerbe, spec, ObstructionKind.SECOND)
-    doc = {
-        "first": _vanishing_report(first),
-        "second": _vanishing_report(second),
-    }
-    if second.certificate is not None:
-        ctx = ObstructionContext(gerbe, SubgroupCase.INTEGRAL)
-        values = second_obstruction_alternating(ctx, *second.certificate)
-        doc["second"]["values_at_certificate"] = {
+    if result.certificate is None:
+        return doc
+    ctx = ObstructionContext(gerbe, case)
+    if kind is ObstructionKind.FIRST:
+        w1, w2, lam = result.certificate
+        char = first_obstruction_alternating(ctx, w1, w2)
+        doc["value_at_certificate"] = ser_unit(UnitValue(char.exponent_at(lam)))
+    else:
+        values = second_obstruction_alternating(ctx, *result.certificate)
+        doc["values_at_certificate"] = {
             "skew": ser_unit(values.skew),
             "general_factor": ser_unit(values.general_factor),
             "closed_form": ser_unit(values.closed_form),
             "skew_is_real": values.skew_is_real,
         }
-    report["result"] = doc
-    return report, 0 if (first.vanishes and second.vanishes) else 1
+    return doc
 
 
-def _summary_line(report: dict, status: int) -> str:
-    cmd = report.get("command", "?")
-    result = report.get("result", {})
-    if status == 2 or "error" in result:
-        detail = result.get("message", "input error")
-        return f"{cmd}: ERROR ({detail})"
-    if cmd in ("obstruction1", "obstruction2"):
-        verdict = "vanishes" if result.get("vanishes") else "does not vanish"
-        return f"{cmd}: obstruction {verdict}"
-    if cmd == "tau-verify":
-        return f"{cmd}: {'identity holds' if result.get('ok') else 'identity FAILS'}"
-    if cmd == "example":
-        return f"example: computed (status {status})"
-    return f"{cmd}: status {status}"
+# ---------------------------------------------------------------- handlers
+
+
+def _check_torus(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    return {"n": problem.n, "complex_structure_ok": True}, 0
+
+
+def _check_type(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    # parse_problem already enforced this; recompute rather than assume
+    ok = type_condition_check(problem.gerbe.torus, problem.gerbe.e)
+    return {"type_condition": ok}, 0 if ok else 1
+
+
+def _translate(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    (w,) = _vectors(problem, args, "w")
+    translated = translate_gerbe(problem.gerbe, w)
+    return {
+        "w": ser_vec(w),
+        "B_translated": ser_form2(translated.b),
+        "isomorphic_to_original": gerbes_isomorphic(problem.gerbe, translated),
+    }, 0
+
+
+def _membership(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    torus, e = problem.gerbe.torus, problem.gerbe.e
+    (w,) = _vectors(problem, args, "w")
+    cls = invariance_class(torus, e, w)
+    return {
+        "w": ser_vec(w),
+        "fixes_gerbe": cls.is_zero,
+        "integral": in_case_subgroup(torus, e, w, SubgroupCase.INTEGRAL),
+        "type_one_one": in_case_subgroup(torus, e, w, SubgroupCase.TYPE_ONE_ONE),
+        "contraction": ser_form2(cls.representative),
+    }, 0
+
+
+def _tau_verify(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    case = _resolve_case(problem, args)
+    (w,) = _vectors(problem, args, "w")
+    samples = args.get("samples", 10)
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ProblemError(f"must be an integer from 0 to {MAX_SAMPLES}", "--samples")
+    ctx = TranslationContext.create(problem.gerbe, w, case, check=False)
+    failure = first_failing_pair(ctx, None, samples, args.get("seed", 0))
+    return {
+        "w": ser_vec(w),
+        "case": case.value,
+        "pairs_checked": problem.gerbe.torus.dim**2 + samples,
+        "ok": failure is None,
+        "first_failure": None if failure is None else [ser_vec(v) for v in failure],
+    }, 0 if failure is None else 1
+
+
+def _xi(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    case = _resolve_case(problem, args)
+    w1, w2 = _vectors(problem, args, "w1", "w2")
+    char = lift_defect_character(ObstructionContext(problem.gerbe, case), w1, w2)
+    return {
+        "w1": ser_vec(w1),
+        "w2": ser_vec(w2),
+        "case": case.value,
+        "character": ser_character(char),
+        "composition_matches_closed_exponent": True,
+    }, 0
+
+
+def _obstruction(kind: ObstructionKind) -> Callable[[ProblemFile, dict], tuple[dict, int]]:
+    def handler(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+        case = _resolve_case(problem, args)
+        gens = _resolve_generators(problem, args)
+        doc = _obstruction_doc(problem.gerbe, case, gens, kind)
+        return doc, 0 if doc["vanishes"] else 1
+
+    return handler
+
+
+def _theta_table(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    case = _resolve_case(problem, args)
+    gens = _resolve_generators(problem, args)
+    ctx = ObstructionContext(problem.gerbe, case)
+    products = [
+        {"i": i + 1, "j": j + 1, "defect_character": ser_character(defect_character(ctx, a, b))}
+        for i, a in enumerate(gens)
+        for j, b in enumerate(gens)
+    ]
+    return {"case": case.value, "generators": [ser_vec(g) for g in gens], "products": products}, 0
+
+
+def _gerbal_class(problem: ProblemFile, args: dict) -> tuple[dict, int]:
+    case = _resolve_case(problem, args)
+    w1, w2, w3 = _vectors(problem, args, "w1", "w2", "w3")
+    try:
+        value = gerbal_class(ObstructionContext(problem.gerbe, case), w1, w2, w3)
+    except FirstObstructionNonzero as exc:
+        return {"error": "FirstObstructionNonzero", "message": str(exc)}, 1
+    return {
+        "w1": ser_vec(w1),
+        "w2": ser_vec(w2),
+        "w3": ser_vec(w3),
+        "case": case.value,
+        "value": ser_unit(value),
+    }, 0 if value.is_trivial else 1
+
+
+_J2 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+
+# The worked examples' problems, on the standard 2-torus with E = c e123;
+# an example's generators are its vectors, in name order.
+EXAMPLES = {
+    "k-group": {"n": 2, "J": _J2, "E": [{"indices": [1, 2, 3], "coeff": "1"}], "case": "integral"},
+    # a non-split two-generator subgroup
+    "first-obstruction": {
+        "n": 2,
+        "J": _J2,
+        "E": [{"indices": [1, 2, 3], "coeff": "2"}],
+        "vectors": {"u": ["1/2", "0", "0", "0"], "v": ["0", "1/2", "0", "0"]},
+        "case": "integral",
+    },
+    # the half-lattice: the first obstruction vanishes, the second does not
+    "second-obstruction": {
+        "n": 2,
+        "J": _J2,
+        "E": [{"indices": [1, 2, 3], "coeff": "4"}],
+        "vectors": {
+            "h1": ["1/2", "0", "0", "0"],
+            "h2": ["0", "1/2", "0", "0"],
+            "h3": ["0", "0", "1/2", "0"],
+            "h4": ["0", "0", "0", "1/2"],
+        },
+        "case": "integral",
+    },
+}
+
+
+def _k_group(problem: ProblemFile) -> tuple[dict, int]:
+    """Integral membership over a grid for E = e123, and the half-lattice
+    inside the symmetries of the doubled gerbe E = 2 e123."""
+    gerbe, case = problem.gerbe, problem.case  # the integral case
+    grid = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    table = []
+    all_match = True
+    for w1 in grid:
+        for w2 in grid:
+            for w3 in grid:
+                for w4 in grid:
+                    w = (w1, w2, w3, w4)
+                    got = in_case_subgroup(gerbe.torus, gerbe.e, w, case)
+                    expected = all(x.denominator == 1 for x in (w1, w2, w3))
+                    all_match &= got == expected
+                    table.append({"w": ser_vec(w), "integral": got, "expected": expected})
+    doubled = parse_problem(json.dumps(EXAMPLES["first-obstruction"])).gerbe
+    half = Fraction(1, 2)
+    half_lattice_ok = all(
+        in_case_subgroup(doubled.torus, doubled.e, tuple(half * x for x in v), case)
+        for v in (
+            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0)
+        )
+    )
+    return {
+        "membership_matches_expected": all_match,
+        "half_lattice_in_doubled_symmetries": half_lattice_ok,
+        "table": table,
+    }, 0 if (all_match and half_lattice_ok) else 1
+
+
+def _example(problem: ProblemFile | None, args: dict) -> tuple[dict, int]:
+    name = args.get("name")
+    if name not in EXAMPLES:
+        raise ProblemError(f"--name must be one of {', '.join(EXAMPLES)}", "--name")
+    example = parse_problem(json.dumps(EXAMPLES[name]))
+    if name == "k-group":
+        return _k_group(example)
+    gens = tuple(v for _, v in example.vectors)
+    if name == "first-obstruction":
+        doc = _obstruction_doc(example.gerbe, example.case, gens, ObstructionKind.FIRST)
+        return doc, 0 if doc["vanishes"] else 1
+    doc = {
+        kind.value: _obstruction_doc(example.gerbe, example.case, gens, kind)
+        for kind in ObstructionKind
+    }
+    return doc, 0 if all(d["vanishes"] for d in doc.values()) else 1
+
+
+# ---------------------------------------------------------------- commands
+
+_VECTOR_FLAG = {
+    "required": True,
+    "help": "vector name from the problem file, or inline rationals 'a,b,...'",
+}
+
+# flag -> argparse keywords; "problem" is the positional problem file
+FLAGS = {
+    "problem": {"help": "path to a JSON problem file"},
+    "w": _VECTOR_FLAG,
+    "w1": _VECTOR_FLAG,
+    "w2": _VECTOR_FLAG,
+    "w3": _VECTOR_FLAG,
+    "case": {"choices": ["integral", "oneone"], "default": None},
+    "generators": {"required": True, "help": "comma-separated vector names from the problem file"},
+    "samples": {
+        "type": int,
+        "default": 10,
+        "help": f"random lattice pairs checked after the basis pairs "
+        f"(0 to {MAX_SAMPLES}, default 10)",
+    },
+    "seed": {"type": int, "default": 0},
+    "name": {"required": True, "choices": list(EXAMPLES)},
+}
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]
+    run: Callable[[ProblemFile | None, dict], tuple[dict, int]]
+    summary: tuple[str, str] = ("status 0", "status 1")  # stderr, by exit status
+
+
+_GENERATED = ("problem", "case", "generators")
+_OBSTRUCTION_SUMMARY = ("obstruction vanishes", "obstruction does not vanish")
+
+COMMAND_TABLE = {
+    "check-torus": Command("validate the complex structure", ("problem",), _check_torus),
+    "check-type": Command("check the 3-form type condition", ("problem",), _check_type),
+    "translate": Command("translate the gerbe data", ("problem", "w"), _translate),
+    "membership": Command("symmetry-group membership of a vector", ("problem", "w"), _membership),
+    "tau-verify": Command(
+        "verify the trivialization identity", ("problem", "w", "case", "samples", "seed"),
+        _tau_verify, ("identity holds", "identity FAILS"),
+    ),
+    "xi": Command(
+        "lifting-defect character of two translations", ("problem", "w1", "w2", "case"), _xi
+    ),
+    "obstruction1": Command(
+        "first obstruction on a generated subgroup", _GENERATED,
+        _obstruction(ObstructionKind.FIRST), _OBSTRUCTION_SUMMARY,
+    ),
+    "obstruction2": Command(
+        "second obstruction on a generated subgroup", _GENERATED,
+        _obstruction(ObstructionKind.SECOND), _OBSTRUCTION_SUMMARY,
+    ),
+    "theta-table": Command("defect characters for all generator pairs", _GENERATED, _theta_table),
+    "gerbal-class": Command(
+        "closed-form degree-3 class of a triple", ("problem", "w1", "w2", "w3", "case"),
+        _gerbal_class,
+    ),
+    "example": Command(
+        "run a built-in worked example", ("name",), _example,
+        ("computed (status 0)", "computed (status 1)"),
+    ),
+}
+
+
+def run_command(cmd: str, problem: ProblemFile | None, args: dict) -> tuple[dict, int]:
+    """Execute one command; returns (report document, exit status)."""
+    command = COMMAND_TABLE.get(cmd)
+    if command is None:
+        raise UnknownCommand(f"unknown command {cmd!r}")
+    report: dict = {
+        "command": cmd,
+        "args": {k: v for k, v in sorted(args.items()) if v is not None and k != "problem"},
+    }
+    if "problem" in command.flags:
+        if problem is None:
+            raise ProblemError("this command needs a problem file")
+        report["problem"] = problem_document(problem)
+    report["result"], status = command.run(problem, args)
+    return report, status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -657,55 +615,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, problem=True, vectors=(), case=False, gens=False, samples=False):
-        p = sub.add_parser(name, help=help_text)
-        if problem:
-            p.add_argument("problem", help="path to a JSON problem file")
-        for flag in vectors:
-            p.add_argument(
-                f"--{flag}",
-                required=True,
-                help="vector name from the problem file, or inline rationals 'a,b,...'",
-            )
-        if case:
-            p.add_argument("--case", choices=["integral", "oneone"], default=None)
-        if gens:
-            p.add_argument(
-                "--generators",
-                required=True,
-                help="comma-separated vector names from the problem file",
-            )
-        if samples:
-            p.add_argument(
-                "--samples",
-                type=int,
-                default=10,
-                help=f"random lattice pairs checked after the basis pairs "
-                f"(0 to {MAX_SAMPLES}, default 10)",
-            )
-            p.add_argument("--seed", type=int, default=0)
-        return p
-
-    add("check-torus", "validate the complex structure")
-    add("check-type", "check the 3-form type condition")
-    add("translate", "translate the gerbe data", vectors=("w",))
-    add("membership", "symmetry-group membership of a vector", vectors=("w",))
-    add("tau-verify", "verify the trivialization identity", vectors=("w",), case=True, samples=True)
-    add("xi", "lifting-defect character of two translations", vectors=("w1", "w2"), case=True)
-    add("obstruction1", "first obstruction on a generated subgroup", case=True, gens=True)
-    add("obstruction2", "second obstruction on a generated subgroup", case=True, gens=True)
-    add("theta-table", "defect characters for all generator pairs", case=True, gens=True)
-    add("gerbal-class", "closed-form degree-3 class of a triple", vectors=("w1", "w2", "w3"), case=True)
-    pex = sub.add_parser("example", help="run a built-in worked example")
-    pex.add_argument("--name", required=True, choices=list(EXAMPLE_NAMES))
+    for name, command in COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(flag if flag == "problem" else f"--{flag}", **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    args = vars(ns)
+    args = vars(build_parser().parse_args(argv))
     cmd = args.pop("command")
     problem_path = args.pop("problem", None)
 
@@ -723,16 +641,16 @@ def main(argv=None) -> int:
         OSError,
         UnicodeDecodeError,
     ) as exc:
-        report = {
-            "command": cmd,
-            "result": {"error": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        print(f"{cmd}: ERROR ({exc})", file=sys.stderr)
-        return 2
+        report = {"command": cmd, "result": {"error": type(exc).__name__, "message": str(exc)}}
+        status = 2
 
+    result = report["result"]
     print(json.dumps(report, sort_keys=True, indent=2))
-    print(_summary_line(report, status), file=sys.stderr)
+    if "error" in result:
+        summary = f"ERROR ({result['message']})"
+    else:
+        summary = COMMAND_TABLE[cmd].summary[status]
+    print(f"{cmd}: {summary}", file=sys.stderr)
     return status
 
 

@@ -23,7 +23,6 @@ from .exact import (
     to_vec,
     vec_is_integral,
     vec_is_zero,
-    zero_vec,
 )
 from .torus import (
     AltForm2,
@@ -52,14 +51,6 @@ class ExponentFn:
     const: GaussianRational
     lin_re: Vec
     lin_im: Vec
-
-    @staticmethod
-    def zero(dim: int) -> "ExponentFn":
-        return ExponentFn(ZERO_G, zero_vec(dim), zero_vec(dim))
-
-    @staticmethod
-    def constant(dim: int, c: GaussianRational) -> "ExponentFn":
-        return ExponentFn(c, zero_vec(dim), zero_vec(dim))
 
     @property
     def dim(self) -> int:

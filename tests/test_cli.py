@@ -1,6 +1,7 @@
 """Problem-file parsing, report generation, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +316,31 @@ class TestMainEntry:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["error"] == "MalformedRational"
         assert result["message"].startswith("J[0][1]: ")
+
+    def test_n_too_large_to_print_exit_2_at_n(self, tmp_path, capsys):
+        # 2n has more digits than Python's int-string limit allows to print
+        bad = tmp_path / "huge-n.json"
+        bad.write_text(fixture_text().replace('"n": 2', '"n": ' + "9" * 4300, 1))
+        assert main(["check-torus", str(bad)]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["error"] == "BadDimensions"
+        assert result["message"].startswith("n: ")
+
+    @pytest.mark.parametrize("command", ["membership", "translate"])
+    def test_over_long_result_exit_2_at_result(self, command, tmp_path, capsys):
+        # every input numeral is under the int-string digit limit (4,300 by
+        # default), but the contraction and the translated B are not
+        bench_doc = Path(__file__).resolve().parents[1] / "bench" / "cli" / "problem-n2.json"
+        doc = json.loads(bench_doc.read_text())
+        for item in doc["E"]:
+            item["coeff"] = str(7 * 10**300 + 1)
+        doc["vectors"]["big"] = [f"{10**4200 + 1}/3", "0", "0", "0"]
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        assert main([command, str(big), "--w", "big"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["error"] == "ProblemError"
+        assert result["message"].startswith("result: ")
 
     def test_deep_nesting_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "deep.json"
