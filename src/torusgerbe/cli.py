@@ -299,10 +299,10 @@ def _resolve_case(problem: ProblemFile, args: dict) -> SubgroupCase:
 
 
 def _resolve_generators(problem: ProblemFile, args: dict) -> tuple[Vec, ...]:
-    raw = args.get("generators")
-    if not raw:
+    names = [name for name in (args.get("generators") or "").split(",") if name]
+    if not names:
         raise ProblemError("--generators is required for this command")
-    return tuple(_named(problem, name, "--generators") for name in raw.split(",") if name)
+    return tuple(_named(problem, name, "--generators") for name in names)
 
 
 def _obstruction_doc(gerbe: GerbeData, case: SubgroupCase, gens, kind: ObstructionKind) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -53,6 +54,12 @@ def zero_vec(dim: int) -> Vec:
 
 def basis_vec(dim: int, k: int) -> Vec:
     return tuple(Fraction(1 if a == k else 0) for a in range(dim))
+
+
+def int_vec(v: Vec) -> tuple[int, list[int]]:
+    """(dv, dv*v) for the lcm dv of the denominators of v."""
+    dv = lcm(*[x.denominator for x in v])
+    return dv, [x.numerator * (dv // x.denominator) for x in v]
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -97,6 +104,25 @@ def vec_mat(v: Vec, m: Mat) -> Vec:
                 if x:
                     acc[k] += a * x
     return tuple(acc)
+
+
+def int_vec_mat(x, m) -> list[int]:
+    """The row vector x^T * m of integers, skipping the zero entries of x."""
+    acc = [0] * len(m)
+    for a, row in zip(x, m):
+        if a:
+            acc = [u + a * v for u, v in zip(acc, row)]
+    return acc
+
+
+def int_dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def alternating_full(m) -> list[list[int]]:
+    """The alternating matrix whose upper triangle is that of m, for a
+    square matrix m that is zero below the diagonal."""
+    return [[x - y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
 
 
 def mat_transpose(m: Mat) -> Mat:

@@ -18,7 +18,9 @@ from .exact import (
     Mat,
     Vec,
     ZERO_G,
+    alternating_full,
     dot,
+    int_vec,
     mat_vec,
     to_vec,
     vec_is_integral,
@@ -168,10 +170,15 @@ def _require_lattice(v: Vec, what: str):
         raise ValueError(f"{what} must be a lattice (integer) vector")
 
 
-def _scaled(v: Vec) -> tuple[int, list[int]]:
-    """(dv, dv*v) for the lcm dv of the denominators of v."""
-    dv = lcm(*[x.denominator for x in v])
-    return dv, [x.numerator * (dv // x.denominator) for x in v]
+def _mul_i_over(torus: TorusData, x) -> list[int]:
+    """dj*J*x for an integer vector x, from the nonzero entries of J's
+    columns."""
+    ix = [0] * torus.dim
+    for a, col in zip(x, torus.j_columns[1]):
+        if a:
+            for p, c in col:
+                ix[p] += a * c
+    return ix
 
 
 def _canonical_exponent(
@@ -194,14 +201,9 @@ def _canonical_exponent(
     vecs = (to_vec(a), to_vec(b), to_vec(c))
     if any(len(v) != d for v in vecs):
         raise ValueError("vector/torus dimension mismatch")
-    (da, a), (db, b), (dc, c) = (_scaled(v) for v in vecs)
-    dj, cols = torus.j_columns
-    ia, ib, ic = ([0] * d for _ in range(3))
-    for v, iv in ((a, ia), (b, ib), (c, ic)):
-        for x, col in zip(v, cols):
-            if x:
-                for p, y in col:
-                    iv[p] += x * y
+    (da, a), (db, b), (dc, c) = (int_vec(v) for v in vecs)
+    dj = torus.j_columns[0]
+    ia, ib, ic = (_mul_i_over(torus, v) for v in (a, b, c))
     de = lcm(*[v.denominator for _, v in e3.entries])
     k2 = 2 * dj * dj
     re = im = 0
@@ -245,6 +247,30 @@ def exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
     return _canonical_exponent(torus, e3, a, b, c)[1]
 
 
+def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
+    """The integer core of `VectorForms`: (dw, x, ix, do, omega, omega_i, l).
+
+    w = x/dw and iw = ix/(dj*dw) for the lcm dw of w's denominators, and
+    omega, omega_i and l are the full integer matrices of E(w,.,.) over
+    do = de*dw, E(iw,.,.) over dj*do and L_w over 16*dj*do.  Since omega is
+    alternating, J^T*omega = -(omega*J)^T, so with Y = dj*omega*J the
+    form is l = Y - Y^T - 2*omega_i.
+    """
+    d = torus.dim
+    if len(w) != d:
+        raise ValueError("vector/torus dimension mismatch")
+    dj = torus.j_columns[0]
+    dw, x = int_vec(w)
+    ix = _mul_i_over(torus, x)
+    up, do = e3.contract_over(x, dw)
+    omega = alternating_full(up)
+    omega_i = alternating_full(e3.contract_over(ix, dj * dw)[0])
+    y = torus.times_j(omega)
+    r = range(d)
+    l = [[y[a][b] - y[b][a] - 2 * omega_i[a][b] for b in r] for a in r]
+    return dw, x, ix, do, omega, omega_i, l
+
+
 @dataclass(frozen=True)
 class VectorForms:
     """The canonical exponent with its first argument fixed at w.
@@ -252,7 +278,7 @@ class VectorForms:
     omega = E(w,.,.) and omega_i = E(iw,.,.) are the two contractions, and
     l = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form with
     exponent_im(w, x, y) = x^T * l * y.  Built once per vector by the
-    contexts that evaluate the exponent at many points.
+    contexts that evaluate the exponent at many points, from `forms_over`.
     """
 
     w: Vec
@@ -264,36 +290,15 @@ class VectorForms:
     @staticmethod
     def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
         w = to_vec(w)
-        return VectorForms.of_contraction(torus, e3, w, contract3(e3, w))
-
-    @staticmethod
-    def of_contraction(
-        torus: TorusData, e3: AltForm3, w: Vec, omega: AltForm2
-    ) -> "VectorForms":
-        """The record of w given its contraction omega = E(w,.,.).
-
-        Since omega is alternating, J^T*omega = -(omega*J)^T, so with
-        X = omega*J the form is l = (X - X^T - 2*omega_i) / 16.  It is
-        computed in integers: omega and omega_i are scaled by the lcm of
-        their denominators (dw and dwi) and X is taken from the nonzero
-        entries of J's columns, which carries the factor dj.
-        """
-        iw = torus.mul_i(w)
-        omega_i = contract3(e3, iw)
-        dj, cols = torus.j_columns
-        dw = lcm(*[y.denominator for row in omega.entries for y in row])
-        dwi = lcm(*[y.denominator for row in omega_i.entries for y in row])
-        m = [[y.numerator * (dw // y.denominator) for y in row] for row in omega.entries]
-        x = [[sum(row[p] * y for p, y in col) for col in cols] for row in m]
-        k = 2 * dw * dj
-        d = torus.dim
-        u = [[0] * d for _ in range(d)]
-        for a, row in enumerate(omega_i.entries):
-            for b in range(a + 1, d):
-                y = row[b]
-                u[a][b] = (x[a][b] - x[b][a]) * dwi - k * y.numerator * (dwi // y.denominator)
-        l = AltForm2.from_upper(u, 16 * dw * dj * dwi).entries
-        return VectorForms(w=w, iw=iw, omega=omega, omega_i=omega_i, l=l)
+        dw, _, ix, do, omega, omega_i, l = forms_over(torus, e3, w)
+        dj = torus.j_columns[0]
+        return VectorForms(
+            w=w,
+            iw=tuple([Fraction(y, dj * dw) for y in ix]),
+            omega=AltForm2.from_upper(omega, do),
+            omega_i=AltForm2.from_upper(omega_i, dj * do),
+            l=AltForm2.from_upper(l, 16 * dj * do).entries,
+        )
 
 
 def pair_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:
@@ -335,9 +340,13 @@ def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:
     return shift_of_contraction(torus, contract3(e3, w))
 
 
+# (c0, c1) of the translation shift c0*omega + c1*J^T*omega*J
+SHIFT_COEFFICIENTS = (Fraction(5, 8), Fraction(-3, 8))
+
+
 def shift_of_contraction(torus: TorusData, omega: AltForm2) -> AltForm2:
     """The translation shift (5*omega - 3*J^T*omega*J) / 8 of omega = E(w,.,.)."""
-    return pullback_combination(torus, omega, Fraction(5, 8), Fraction(-3, 8))
+    return pullback_combination(torus, omega, *SHIFT_COEFFICIENTS)
 
 
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:

@@ -14,30 +14,17 @@ per-case closed form.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (
-    GaussianRational,
-    UnitValue,
-    Vec,
-    basis_vec,
-    dot,
-    mat_vec,
-    to_vec,
-    unit_reduce,
-    vec_add,
-    vec_mat,
-)
+from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
+from .exact import alternating_full, int_dot, int_vec_mat, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, VectorForms, exponent_im
-from .symmetry import (
-    NotInSubgroup,
-    SubgroupCase,
-    contraction_decomposition,
-    contraction_member,
-)
-from .torus import AltForm2, contract3
+from .gerbe import forms_over
+from .symmetry import NotInSubgroup, SubgroupCase, invariant_coefficients, member_over
+from .torus import AltForm2, pullback_over
 from .trivialization import TranslationContext, trivializing_exponent
 
 
@@ -55,13 +42,57 @@ class FirstObstructionNonzero(ValueError):
 
 @dataclass(frozen=True)
 class VectorData:
-    """What the obstruction formulas read about one vector w: its exponent
-    forms, its case membership and its (1,1) decomposition piece F_w (given
-    by the case formulas whether or not w is a member)."""
+    """What the obstruction formulas read about one vector w, in integers.
 
-    forms: VectorForms
+    x, ix and omega are as in `forms_over`; every matrix is over den =
+    16*dj**3*de*dw, whose factor before dw all vectors share, so products of
+    two records share a denominator.  f is the (1,1) piece F_w by the case
+    formulas (member or not), m = M_w = (J^T*omega_i - omega_i*J)/8 - F_w
+    for omega_i = E(iw,.,.), and r = R_w = L_w - J^T*F_w/2: the unitary
+    first character of (w1, w2) is lam -> w1^T*M_w2*lam and the correction
+    covector is w1^T*R_w2.
+    """
+
+    gerbe: GerbeData = field(repr=False, compare=False)
+    w: Vec
+    dw: int
+    x: list
+    ix: list
+    den: int
     member: bool
-    invariant: AltForm2
+    omega: list
+    f: list
+    m: list
+    r: list
+
+    @staticmethod
+    def create(gerbe: GerbeData, case: SubgroupCase, w: Vec) -> "VectorData":
+        t = gerbe.torus
+        dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
+        coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
+        f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
+        f = alternating_full(f)
+        # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
+        xj, zj = t.times_j(omega_i), t.times_j(f)
+        dj, r = t.j_columns[0], range(t.dim)
+        # the case coefficients have denominator 8, so df = 8*dj**2*do
+        den = 16 * dj**3 * do
+        kf, kz = den // df, den // (2 * dj * df)
+        return VectorData(
+            gerbe, w, dw, x, ix, den, member_over(t, coords, do, case),
+            [[den // do * y for y in row] for row in omega],
+            [[kf * y for y in row] for row in f],
+            [[-2 * dj * (xj[a][b] + xj[b][a]) - kf * f[a][b] for b in r] for a in r],
+            [[dj * dj * l[a][b] + kz * zj[b][a] for b in r] for a in r],
+        )
+
+    @functools.cached_property
+    def forms(self) -> VectorForms:
+        return VectorForms.create(self.gerbe.torus, self.gerbe.e, self.w)
+
+    @functools.cached_property
+    def invariant(self) -> AltForm2:
+        return AltForm2.from_upper(self.f, self.den)
 
 
 @dataclass(frozen=True)
@@ -83,16 +114,7 @@ class ObstructionContext:
         w = to_vec(w)
         data = self._vectors.get(w)
         if data is None:
-            t, e3 = self.gerbe.torus, self.gerbe.e
-            omega = contract3(e3, w)
-            data = VectorData(
-                forms=VectorForms.of_contraction(t, e3, w, omega),
-                member=contraction_member(t, omega, self.case),
-                invariant=contraction_decomposition(
-                    t, omega, self.case, check=False
-                ).invariant_part,
-            )
-            self._vectors[w] = data
+            data = self._vectors[w] = VectorData.create(self.gerbe, self.case, w)
         return data
 
     def member(self, w) -> bool:
@@ -170,24 +192,20 @@ def defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     )
 
 
-def _correction_covector(ctx: ObstructionContext, w1, w2) -> Vec:
-    """The covector r = w1^T*L_w2 - (J*w1)^T*F2/2, where L_w2 is the form of
-    l(w2,.,.); the correction exponent of (w1, w2) is i*r.v + r.(Jv)."""
-    d1 = ctx.require_member(w1, "w1")
-    d2 = ctx.require_member(w2, "w2")
-    a = vec_mat(d1.forms.w, d2.forms.l)
-    b = vec_mat(d1.forms.iw, d2.invariant.entries)
-    return tuple(x - y / 2 for x, y in zip(a, b))
-
-
 def defect_correction_fn(ctx: ObstructionContext, w1, w2) -> ExponentFn:
     """Exponent, linear in v, of the correction whose lattice coboundary
     unitarizes the defect character:
 
         i*l(w2,w1,v) + l(w2,w1,iv) - i/2*F2(iw1,v) - 1/2*F2(iw1,iv)
+
+    that is i*r.v + r.(Jv) for the covector r = w1^T*R_w2.
     """
-    r = _correction_covector(ctx, w1, w2)
-    return ExponentFn(GaussianRational.real(0), mat_vec(ctx.gerbe.torus.jt, r), r)
+    d1 = ctx.require_member(w1, "w1")
+    d2 = ctx.require_member(w2, "w2")
+    t, den, r = ctx.gerbe.torus, d1.dw * d2.den, int_vec_mat(d1.x, d2.r)
+    lin_re = [Fraction(y, t.j_columns[0] * den) for y in t.times_j([r])[0]]
+    lin_im = [Fraction(y, den) for y in r]
+    return ExponentFn(GaussianRational.real(0), tuple(lin_re), tuple(lin_im))
 
 
 def defect_correction_value(ctx: ObstructionContext, w1, w2, v) -> GaussianRational:
@@ -195,53 +213,47 @@ def defect_correction_value(ctx: ObstructionContext, w1, w2, v) -> GaussianRatio
     return defect_correction_fn(ctx, w1, w2).evaluate(to_vec(v))
 
 
+def _character(nums, den: int) -> Character:
+    return Character(tuple([GaussianRational.real(Fraction(y, den)) for y in nums]))
+
+
 def first_obstruction_character(ctx: ObstructionContext, w1, w2) -> Character:
     """Unitary representative of the defect class:
 
         lam -> exp((E(iw2,iw1,lam) - E(iw2,w1,i*lam))/8 - F2(w1,lam))
 
-    Equals the defect character times the lattice coboundary of the
-    correction factor, exactly.
+    that is lam -> exp(w1^T*M_w2*lam).  Equals the defect character times
+    the lattice coboundary of the correction factor, exactly.
     """
     d1 = ctx.require_member(w1, "w1")
     d2 = ctx.require_member(w2, "w2")
-    w1 = d1.forms.w
-    omega_i2 = d2.forms.omega_i.entries  # E(iw2,.,.)
-    a = vec_mat(d1.forms.iw, omega_i2)  # E(iw2, iw1, e_k)
-    b = mat_vec(ctx.gerbe.torus.jt, vec_mat(w1, omega_i2))  # E(iw2, w1, i*e_k)
-    f = vec_mat(w1, d2.invariant.entries)  # F2(w1, e_k)
-    return Character(
-        tuple(GaussianRational.real((x - y) / 8 - z) for x, y, z in zip(a, b, f))
-    )
+    return _character(int_vec_mat(d1.x, d2.m), d1.dw * d2.den)
 
 
-def _closed_form_first(ctx: ObstructionContext, w1: Vec, w2: Vec) -> Character:
-    """exp(E(w2,w1,lam)) in the integral case, exp(E(w1,w2,lam)) in the
-    type (1,1) case, read off the contraction E(w,.,.) alone."""
-    if ctx.case is SubgroupCase.INTEGRAL:
-        x, w = w1, w2
-    else:
-        x, w = w2, w1
-    row = vec_mat(x, ctx.vector(w).forms.omega.entries)
-    return Character(tuple(GaussianRational.real(v) for v in row))
+def _first_alternating(ctx: ObstructionContext, d1: VectorData, d2: VectorData):
+    """(den, skew): the alternating first character's exponents on the
+    lattice basis over one denominator, checked against the closed form."""
+    den = d1.dw * d2.den  # = d2.dw * d1.den: the records share their scale
+    skew = [a - b for a, b in zip(int_vec_mat(d1.x, d2.m), int_vec_mat(d2.x, d1.m))]
+    x, w = (d1, d2) if ctx.case is SubgroupCase.INTEGRAL else (d2, d1)
+    if any((s - c) % den for s, c in zip(skew, int_vec_mat(x.x, w.omega))):
+        raise ClosedFormMismatch(
+            "first obstruction: skew-symmetrization disagrees with the closed form"
+        )
+    return den, skew
 
 
 def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
     """Skew-symmetrization of the unitary representative in (w1, w2).
 
     Cross-checked against the per-case closed form: exp(E(w2,w1,lam)) in the
-    integral case, exp(E(w1,w2,lam)) in the type (1,1) case.
+    integral case, exp(E(w1,w2,lam)) in the type (1,1) case, which reads
+    the contraction E(w,.,.) alone.
     """
-    w1, w2 = to_vec(w1), to_vec(w2)
-    skew = first_obstruction_character(ctx, w1, w2) * first_obstruction_character(
-        ctx, w2, w1
-    ).inverse()
-    closed = _closed_form_first(ctx, w1, w2)
-    if not skew.equivalent(closed):
-        raise ClosedFormMismatch(
-            "first obstruction: skew-symmetrization disagrees with the closed form"
-        )
-    return skew
+    d1 = ctx.require_member(w1, "w1")
+    d2 = ctx.require_member(w2, "w2")
+    den, skew = _first_alternating(ctx, d1, d2)
+    return _character(skew, den)
 
 
 def second_obstruction_cocycle(ctx: ObstructionContext, w1, w2, w3) -> GaussianRational:
@@ -284,6 +296,36 @@ class SecondObstructionValues:
         )
 
 
+def _second_alternating(ctx: ObstructionContext, d1, d2, d3):
+    """((den, skew_re, skew_im, general, closed), flags): the three values
+    on a triple as numerators over one denominator, and whether skew and
+    general, skew and closed, and general and closed agree.  Each skew term
+    is the correction covector r = b^T*R_c at a: r.(ia) + i*r.a."""
+    skew_re = skew_im = 0
+    signs = (1, -1, -1, 1, 1, -1)  # of the permutations, in lexicographic order
+    for (a, b, c), sign in zip(itertools.permutations((d1, d2, d3)), signs):
+        r = int_vec_mat(b.x, c.r)
+        skew_re += sign * int_dot(r, a.ix)
+        skew_im += sign * int_dot(r, a.x)
+    x1, x2, x3 = d1.x, d2.x, d3.x
+    general = int_dot(int_vec_mat(x1, d3.f), x2) + int_dot(int_vec_mat(x2, d1.f), x3)
+    general -= int_dot(int_vec_mat(x1, d2.f), x3)
+    dj = ctx.gerbe.torus.j_columns[0]
+    dws = d1.dw * d2.dw * d3.dw
+    den = dj * d1.den * d2.dw * d3.dw  # dj*dws times the records' shared scale
+    e_num, de = ctx.gerbe.e.evaluate_over(x1, x2, x3)
+    coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
+    closed = coef * e_num * (den // (de * dws))
+    skew_im, general = dj * skew_im, 3 * dj * general
+    real = skew_im == 0
+    flags = (
+        real and (skew_re - general) % den == 0,
+        real and (skew_re - closed) % den == 0,
+        (general - closed) % den == 0,
+    )
+    return (den, skew_re, skew_im, general, closed), flags
+
+
 def second_obstruction_alternating(
     ctx: ObstructionContext, w1, w2, w3
 ) -> SecondObstructionValues:
@@ -294,45 +336,12 @@ def second_obstruction_alternating(
     bilinear expression reads the (1,1) pieces F_w; the closed form reads E
     alone.  Disagreements are reported in the returned flags, not raised.
     """
-    d1 = ctx.require_member(w1, "w1")
-    d2 = ctx.require_member(w2, "w2")
-    d3 = ctx.require_member(w3, "w3")
-    w1, w2, w3 = d1.forms.w, d2.forms.w, d3.forms.w
-
-    skew_exp = GaussianRational.real(0)
-    for a, b, c, sign in (
-        (d1, w2, w3, 1),
-        (d1, w3, w2, -1),
-        (d2, w3, w1, 1),
-        (d2, w1, w3, -1),
-        (d3, w1, w2, 1),
-        (d3, w2, w1, -1),
-    ):
-        r = _correction_covector(ctx, b, c)
-        term = GaussianRational(dot(r, a.forms.iw), dot(r, a.forms.w))
-        skew_exp = skew_exp + (term if sign > 0 else -term)
-
-    f1, f2, f3 = d1.invariant, d2.invariant, d3.invariant
-    general_exp = 3 * (
-        f3.evaluate(w1, w2) + f1.evaluate(w2, w3) - f2.evaluate(w1, w3)
-    )
-
-    e_val = ctx.gerbe.e.evaluate(w1, w2, w3)
-    coef = Fraction(-9) if ctx.case is SubgroupCase.INTEGRAL else Fraction(36)
-    closed_exp = coef * e_val
-
-    skew = unit_reduce(skew_exp)
-    general = unit_reduce(general_exp)
-    closed = unit_reduce(closed_exp)
+    ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
+    (den, skew_re, skew_im, general, closed), flags = _second_alternating(ctx, *ds)
+    skew = GaussianRational(Fraction(skew_re, den), Fraction(skew_im, den))
+    general, closed = (unit_reduce(Fraction(y, den)) for y in (general, closed))
     return SecondObstructionValues(
-        skew=skew,
-        general_factor=general,
-        closed_form=closed,
-        skew_exponent=skew_exp,
-        skew_is_real=skew_exp.is_real,
-        agree_skew_general=skew.exponent == general.exponent,
-        agree_skew_closed=skew.exponent == closed.exponent,
-        agree_general_closed=general.exponent == closed.exponent,
+        unit_reduce(skew), general, closed, skew, skew_im == 0, *flags
     )
 
 
@@ -390,20 +399,6 @@ class VanishingResult:
         return self.vanishes
 
 
-def _candidate_vectors(ctx: ObstructionContext, spec: SubgroupSpec) -> list[Vec]:
-    seen = []
-    for g in spec.generators:
-        ctx.require_member(g, "generator")
-        if g not in seen:
-            seen.append(g)
-    dim = ctx.gerbe.torus.dim
-    for k in range(dim):
-        ek = basis_vec(dim, k)
-        if ek not in seen and ctx.member(ek):
-            seen.append(ek)
-    return seen
-
-
 def obstruction_vanishes(
     gerbe: GerbeData, spec: SubgroupSpec, which: ObstructionKind
 ) -> VanishingResult:
@@ -417,33 +412,34 @@ def obstruction_vanishes(
     disagrees with it are surfaced, never silently resolved.
     """
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)
-    vectors = _candidate_vectors(ctx, spec)
-    t = gerbe.torus
+    dim = gerbe.torus.dim
+    records = {g: ctx.require_member(g, "generator") for g in spec.generators}
+    for ek in (basis_vec(dim, k) for k in range(dim)):
+        if ek not in records:
+            data = ctx.vector(ek)
+            if data.member:
+                records[ek] = data
     checked = 0
 
     if which is ObstructionKind.FIRST:
-        for w1, w2 in itertools.combinations(vectors, 2):
+        for (w1, d1), (w2, d2) in itertools.combinations(records.items(), 2):
             checked += 1
-            char = first_obstruction_alternating(ctx, w1, w2)
-            if not char.is_trivial:
-                for k, e in enumerate(char.exponents):
-                    if e.im != 0 or e.re.denominator != 1:
-                        lam = basis_vec(t.dim, k)
-                        return VanishingResult(False, (w1, w2, lam), checked)
+            den, skew = _first_alternating(ctx, d1, d2)
+            for k, s in enumerate(skew):
+                if s % den:
+                    return VanishingResult(False, (w1, w2, basis_vec(dim, k)), checked)
         return VanishingResult(True, None, checked)
 
     disagreements = []
     failure = None
-    for w1, w2, w3 in itertools.combinations(vectors, 3):
+    for (w1, d1), (w2, d2), (w3, d3) in itertools.combinations(records.items(), 3):
         checked += 1
-        values = second_obstruction_alternating(ctx, w1, w2, w3)
-        if not values.agree_skew_closed:
+        (den, *_, closed), flags = _second_alternating(ctx, d1, d2, d3)
+        if not flags[1]:
             disagreements.append((w1, w2, w3))
-        if failure is None and not values.closed_form.is_trivial:
+        if failure is None and closed % den:
             failure = (w1, w2, w3)
-    return VanishingResult(
-        failure is None, failure, checked, tuple(disagreements)
-    )
+    return VanishingResult(failure is None, failure, checked, tuple(disagreements))
 
 
 def gerbal_class(ctx: ObstructionContext, w1, w2, w3) -> UnitValue:

@@ -22,8 +22,9 @@ from .torus import (
     integral_anti_invariant_member,
     is_type_one_one,
     pullback_combination,
+    pullback_over,
 )
-from .gerbe import shift_of_contraction
+from .gerbe import SHIFT_COEFFICIENTS
 
 
 class NotInSubgroup(ValueError):
@@ -96,6 +97,24 @@ def contraction_member(torus: TorusData, omega: AltForm2, case: SubgroupCase) ->
     return is_type_one_one(torus, omega)
 
 
+def member_over(torus: TorusData, nums, den: int, case: SubgroupCase) -> bool:
+    """`contraction_member` for the contraction whose coordinates on the
+    pairs a < b, in lexicographic order, are the integers nums over the
+    positive integer den."""
+    if case is SubgroupCase.INTEGRAL:
+        return not any(x % den for x in nums)
+    return not any(map(any, pullback_over(torus, nums, den, 1, -1)[0]))
+
+
+def invariant_coefficients(case: SubgroupCase) -> tuple[Fraction, Fraction]:
+    """(c0, c1) with invariant part c0*omega + c1*J^T*omega*J of the case
+    decomposition of omega = E(w,.,.): -3/8*(omega + J^T*omega*J) in the
+    integral case, the full translation shift in the type (1,1) case."""
+    if case is SubgroupCase.INTEGRAL:
+        return Fraction(-3, 8), Fraction(-3, 8)
+    return SHIFT_COEFFICIENTS
+
+
 def contraction_decomposition(
     torus: TorusData, omega: AltForm2, case: SubgroupCase, check: bool = True
 ) -> Decomposition:
@@ -103,10 +122,8 @@ def contraction_decomposition(
     if check and not contraction_member(torus, omega, case):
         what = "integral" if case is SubgroupCase.INTEGRAL else "of type (1,1)"
         raise NotInSubgroup(f"contraction with the 3-form is not {what}")
+    invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
     if case is SubgroupCase.INTEGRAL:
-        invariant = pullback_combination(torus, omega, Fraction(-3, 8), Fraction(-3, 8))
         return Decomposition(invariant_part=invariant, integral_part=omega)
-    return Decomposition(
-        invariant_part=shift_of_contraction(torus, omega),
-        integral_part=AltForm2.zero(torus.dim),
-    )
+    zero = AltForm2.zero(torus.dim)
+    return Decomposition(invariant_part=invariant, integral_part=zero)

@@ -22,6 +22,7 @@ from .exact import (
     basis_vec,
     dot,
     identity_mat,
+    int_vec,
     lattice_membership,  # noqa: F401  (still importable from this module)
     mat_mul,
     mat_transpose,
@@ -80,6 +81,12 @@ class TorusData:
             for a in range(self.dim)
         )
         return dj, cols
+
+    def times_j(self, m) -> list[list[int]]:
+        """dj*m*J for an integer matrix m, from the nonzero entries of J's
+        columns."""
+        cols = self.j_columns[1]
+        return [[sum([row[p] * c for p, c in col]) for col in cols] for row in m]
 
     @functools.cached_property
     def pullback_map(self) -> tuple[int, tuple]:
@@ -263,32 +270,39 @@ class AltForm3:
         return Fraction(0)
 
     def evaluate(self, x: Vec, y: Vec, z: Vec) -> Fraction:
-        total = Fraction(0)
-        for (a, b, c), coef in self.entries:
-            xa, xb, xc = x[a], x[b], x[c]
-            ya, yb, yc = y[a], y[b], y[c]
-            za, zb, zc = z[a], z[b], z[c]
-            total += coef * (
-                xa * (yb * zc - yc * zb)
-                - ya * (xb * zc - xc * zb)
-                + za * (xb * yc - xc * yb)
-            )
-        return total
+        (dx, x), (dy, y), (dz, z) = (int_vec(v) for v in (x, y, z))
+        num, de = self.evaluate_over(x, y, z)
+        return Fraction(num, de * dx * dy * dz)
+
+    def evaluate_over(self, x, y, z) -> tuple[int, int]:
+        """(de*E(x, y, z), de) for integer vectors, de the lcm of E's
+        denominators: y^T*E(x,.,.)*z over the upper triangle."""
+        m, de = self.contract_over(x, 1)
+        total = 0
+        for a, row in enumerate(m):
+            for b in range(a + 1, self.dim):
+                if row[b]:
+                    total += row[b] * (y[a] * z[b] - y[b] * z[a])
+        return total, de
 
     def contract(self, w: Vec) -> AltForm2:
-        """The 2-form (x, y) -> E(w, x, y), accumulated in integers: w and
-        E are scaled by the lcm of their denominators (dw and de)."""
+        """The 2-form (x, y) -> E(w, x, y)."""
+        dw, wi = int_vec(w)
+        return AltForm2.from_upper(*self.contract_over(wi, dw))
+
+    def contract_over(self, nums, den: int) -> tuple[list[list[int]], int]:
+        """`contract` for w = nums / den, integers over one positive
+        denominator: (m, de*den), m the upper triangle of de*den*E(w,.,.)
+        for the lcm de of E's denominators."""
         d = self.dim
-        dw = lcm(*[x.denominator for x in w])
         de = lcm(*[v.denominator for _, v in self.entries])
-        wi = [x.numerator * (dw // x.denominator) for x in w]
-        m = [[0] * d for _ in range(d)]  # upper triangle of de * dw * E(w,.,.)
+        m = [[0] * d for _ in range(d)]
         for (p, q, r), coef in self.entries:
             k = coef.numerator * (de // coef.denominator)
-            m[q][r] += k * wi[p]
-            m[p][r] -= k * wi[q]
-            m[p][q] += k * wi[r]
-        return AltForm2.from_upper(m, de * dw)
+            m[q][r] += k * nums[p]
+            m[p][r] -= k * nums[q]
+            m[p][q] += k * nums[r]
+        return m, de * den
 
     def scale(self, c) -> "AltForm3":
         c = to_fraction(c)
@@ -321,33 +335,39 @@ def contract3(e3: AltForm3, w) -> AltForm2:
 
 
 def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):
-    """c0*omega + c1*J^T*omega*J as (m, den): m is a d x d integer matrix
-    whose upper triangle, over the positive integer den, holds the result.
-
-    omega is scaled by the lcm dw of its denominators and c0, c1 by the lcm
-    dc of theirs; the torus's pullback map then does the rest in integers.
-    """
+    """`pullback_over` for omega's upper-triangle coordinates, scaled by the
+    lcm of their denominators."""
     if omega.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
+    upper = [omega.entries[p][q] for p, q, _ in torus.pullback_map[1]]
+    dw = lcm(*[x.denominator for x in upper])
+    nums = [x.numerator * (dw // x.denominator) if x else 0 for x in upper]
+    return pullback_over(torus, nums, dw, c0, c1)
+
+
+def pullback_over(torus: TorusData, nums, den: int, c0, c1):
+    """c0*omega + c1*J^T*omega*J for the form omega whose coordinates on the
+    pairs a < b, in lexicographic order, are the integers nums over the
+    positive integer den, as (m, den'): m is a d x d integer matrix whose
+    upper triangle, over den', holds the result (its other entries are
+    zero).  c0 and c1 are scaled by the lcm dc of their denominators; the
+    torus's pullback map does the rest.
+    """
     dj2, cols = torus.pullback_map
     c0, c1 = to_fraction(c0), to_fraction(c1)
     dc = lcm(c0.denominator, c1.denominator)
     k0 = c0.numerator * (dc // c0.denominator) * dj2
     k1 = c1.numerator * (dc // c1.denominator)
-    entries = omega.entries
-    dw = lcm(*[x.denominator for row in entries for x in row])
     d = torus.dim
     m = [[0] * d for _ in range(d)]
-    for p, q, image in cols:
-        x = entries[p][q]
+    for (p, q, image), x in zip(cols, nums):
         if x:
-            x = x.numerator * (dw // x.denominator)
             m[p][q] += k0 * x
             if k1:
                 x *= k1
                 for a, b, c in image:
                     m[a][b] += c * x
-    return m, dc * dj2 * dw
+    return m, dc * dj2 * den
 
 
 def pullback_combination(torus: TorusData, omega: AltForm2, c0, c1) -> AltForm2:
@@ -388,10 +408,9 @@ def hodge_projection(torus: TorusData, omega: AltForm2) -> HodgeImage:
     for a in range(d):  # fill in the lower triangle of A
         for b in range(a + 1, d):
             m[b][a] = -m[a][b]
-    dj, cols = torus.j_columns
-    a_j = [[sum(row[p] * x for p, x in col) for col in cols] for row in m]
     return HodgeImage(
-        re=AltForm2.from_upper(m, 4 * den), im=AltForm2.from_upper(a_j, 4 * den * dj)
+        re=AltForm2.from_upper(m, 4 * den),
+        im=AltForm2.from_upper(torus.times_j(m), 4 * den * torus.j_columns[0]),
     )
 
 

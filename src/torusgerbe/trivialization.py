@@ -30,7 +30,6 @@ from .exact import (
 )
 from .gerbe import ExponentFn, GerbeData, VectorForms, translation_factor
 from .symmetry import Decomposition, SubgroupCase, contraction_decomposition
-from .torus import contract3
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,13 @@ class TranslationContext:
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
         w = to_vec(w)
-        if len(w) != gerbe.torus.dim:
-            raise ValueError("vector/torus dimension mismatch")
-        omega = contract3(gerbe.e, w)
+        forms = VectorForms.create(gerbe.torus, gerbe.e, w)
         return TranslationContext(
             gerbe=gerbe,
             w=w,
             case=case,
-            dec=contraction_decomposition(gerbe.torus, omega, case, check),
-            forms=VectorForms.of_contraction(gerbe.torus, gerbe.e, w, omega),
+            dec=contraction_decomposition(gerbe.torus, forms.omega, case, check),
+            forms=forms,
         )
 
     @functools.cached_property

@@ -296,6 +296,16 @@ class TestMainEntry:
         out = capsys.readouterr()
         assert json.loads(out.out)["result"]["error"] == "UnicodeDecodeError"
 
+    @pytest.mark.parametrize("command", ["obstruction1", "obstruction2", "theta-table"])
+    @pytest.mark.parametrize("raw", ["", ",", ",,"])
+    def test_generator_list_naming_no_vector_exit_2(self, command, raw, problem_path, capsys):
+        assert main([command, problem_path, "--generators", raw]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {
+            "error": "ProblemError",
+            "message": "--generators is required for this command",
+        }
+
     def test_negative_samples_exit_2(self, problem_path, capsys):
         assert main(["tau-verify", problem_path, "--w", "u", "--samples", "-1"]) == 2
         out = capsys.readouterr()

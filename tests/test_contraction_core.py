@@ -17,6 +17,7 @@ import pytest
 
 from torusgerbe import (
     ClosedFormMismatch,
+    GerbeData,
     NotInSubgroup,
     ObstructionContext,
     ObstructionKind,
@@ -189,17 +190,73 @@ class TestContextCache:
         assert second_obstruction_alternating(ctx, m1, m2, m3).agree_skew_closed
 
 
-class TestCorruptedFormIsCaught:
-    """A wrong cached L_w must surface in a cross-check: the closed forms
-    read E or E(w,.,.) and never L_w."""
+class TestIntegerRecords:
+    """The integer records against the per-basis oracles, on members with
+    denominators divisible by 2 and by 3.  In the integral case w/4 and w/3
+    are members for the 3-form 12E; type (1,1) membership is linear in w."""
 
     @staticmethod
-    def _corrupt(ctx, w, p, q, delta):
+    def _mixed(instance):
+        g, case, vectors = instance
+        if case is SubgroupCase.INTEGRAL:
+            g = GerbeData(g.torus, g.b, g.e.scale(12))
+        v0, v1 = vectors[:2]
+        mixed = [v0, v1, tuple(x / 4 for x in v0), tuple(x / 3 for x in v1)]
+        dens = {x.denominator for w in mixed for x in w}
+        assert any(d % 2 == 0 for d in dens) and any(d % 3 == 0 for d in dens)
+        return ObstructionContext(g, case), mixed
+
+    def test_first_character_and_correction(self, instance):
+        ctx, mixed = self._mixed(instance)
+        for w1, w2 in itertools.permutations(mixed, 2):
+            assert first_obstruction_character(
+                ctx, w1, w2
+            ) == reference_first_obstruction_character(ctx, w1, w2)
+            assert defect_correction_fn(ctx, w1, w2) == reference_defect_correction_fn(
+                ctx, w1, w2
+            )
+            skew = first_obstruction_alternating(ctx, w1, w2)
+            oracle = reference_first_obstruction_character(ctx, w1, w2)
+            assert skew == oracle * reference_first_obstruction_character(
+                ctx, w2, w1
+            ).inverse()
+
+    def test_second_skew(self, instance):
+        ctx, mixed = self._mixed(instance)
+        for triple in itertools.combinations(mixed, 3):
+            values = second_obstruction_alternating(ctx, *triple)
+            assert values.skew_exponent == reference_second_skew(ctx, *triple)
+            assert values.agree_skew_closed and values.agree_general_closed
+
+    def test_members_and_non_members(self, instance):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        rng = random.Random(7)
+        thirds = [tuple(x / 3 for x in w) for w in vectors]
+        candidates = vectors + thirds + [rand_rational_vec(rng, g.torus.dim) for _ in range(3)]
+        members = [ctx.member(w) for w in candidates]
+        assert any(members) and not all(members)
+        for w, member in zip(candidates, members):
+            assert member is in_case_subgroup(g.torus, g.e, w, case)
+            assert ctx.invariant_part(w) == case_decomposition(
+                g.torus, g.e, w, case, check=False
+            ).invariant_part
+            if not member:
+                with pytest.raises(NotInSubgroup):
+                    ctx.require_member(w)
+
+
+class TestCorruptedFormIsCaught:
+    """A wrong cached R_w or M_w must surface in a cross-check: the closed
+    forms read E or E(w,.,.) and never L_w, R_w or M_w."""
+
+    @staticmethod
+    def _corrupt(ctx, w, name, p, q, delta):
+        """Add delta / den to entry (p, q) of the record's matrix `name`."""
         data = ctx.vector(w)
-        l = [list(row) for row in data.forms.l]
-        l[p][q] += delta
-        forms = dataclasses.replace(data.forms, l=tuple(tuple(r) for r in l))
-        ctx._vectors[data.forms.w] = dataclasses.replace(data, forms=forms)
+        m = [list(row) for row in getattr(data, name)]
+        m[p][q] += delta
+        ctx._vectors[data.w] = dataclasses.replace(data, **{name: m})
 
     @staticmethod
     def _caught(ctx, w1, w2, w3):
@@ -216,19 +273,43 @@ class TestCorruptedFormIsCaught:
         w1, w2, w3 = (half, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0)
         ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
         assert not self._caught(ctx, w1, w2, w3)
-        # entry (1, 0) of L_w3 enters the skew as delta*(w2_1*w1_0 - w1_1*w2_0)
-        self._corrupt(ctx, w3, 1, 0, F(1, 3))
+        # entry (1, 0) of R_w3 enters the imaginary part of the skew as
+        # delta*(x2_1*x1_0 - x1_1*x2_0) for the numerators x of w1, w2
+        self._corrupt(ctx, w3, "r", 1, 0, 1)
         assert self._caught(ctx, w1, w2, w3)
+
+    def test_half_lattice_example_first(self):
+        g = gerbe4(4)
+        half = F(1, 2)
+        w1, w2 = (half, 0, 0, 0), (0, half, 0, 0)
+        ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
+        first_obstruction_alternating(ctx, w1, w2)
+        # entry (0, 1) of M_w2 moves coordinate 1 of w1^T*M_w2 by x1_0 / den
+        self._corrupt(ctx, w2, "m", 0, 1, 1)
+        with pytest.raises(ClosedFormMismatch):
+            first_obstruction_alternating(ctx, w1, w2)
 
     def test_every_instance(self, instance):
         g, case, vectors = instance
         w1, w2, w3 = vectors[:3]
         ctx = ObstructionContext(g, case)
         assert not self._caught(ctx, w1, w2, w3)
+        x1, x2 = ctx.vector(w1).x, ctx.vector(w2).x
         p, q = next(
             (p, q)
             for p, q in itertools.product(range(g.torus.dim), repeat=2)
-            if w2[p] * w1[q] != w1[p] * w2[q]
+            if x2[p] * x1[q] != x1[p] * x2[q]
         )
-        self._corrupt(ctx, w3, p, q, F(1, 7))
+        self._corrupt(ctx, w3, "r", p, q, 1)
         assert self._caught(ctx, w1, w2, w3)
+
+    def test_every_instance_first(self, instance):
+        g, case, vectors = instance
+        w1, w2 = vectors[:2]
+        ctx = ObstructionContext(g, case)
+        first_obstruction_alternating(ctx, w1, w2)
+        d1, d2 = ctx.vector(w1), ctx.vector(w2)
+        p = next(p for p, x in enumerate(d1.x) if x % (d1.dw * d2.den))
+        self._corrupt(ctx, w2, "m", p, 0, 1)
+        with pytest.raises(ClosedFormMismatch):
+            first_obstruction_alternating(ctx, w1, w2)

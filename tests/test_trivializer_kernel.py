@@ -144,7 +144,7 @@ class TestCanonicalExponent:
         def forbidden(*args, **kwargs):
             raise AssertionError("translation_factor read the vector forms")
 
-        monkeypatch.setattr(gerbe.VectorForms, "of_contraction", forbidden)
+        monkeypatch.setattr(gerbe, "forms_over", forbidden)
         monkeypatch.setattr(gerbe.VectorForms, "create", forbidden)
         g, _, vectors = instance
         d = g.torus.dim
