@@ -27,6 +27,7 @@ the parsed problem and the flag values and returns (result, status).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -256,11 +257,11 @@ def ser_character(c: Character) -> dict:
 
 
 def ser_form2(f: AltForm2) -> list[dict]:
+    pairs = itertools.combinations(range(f.dim), 2)
     return [
-        {"indices": [a + 1, b + 1], "coeff": render_rational(f.entry(a, b))}
-        for a in range(f.dim)
-        for b in range(a + 1, f.dim)
-        if f.entry(a, b) != 0
+        {"indices": [a + 1, b + 1], "coeff": render_rational(Fraction(x, f.den))}
+        for (a, b), x in zip(pairs, f.upper)
+        if x
     ]
 
 

@@ -93,19 +93,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def vec_mat(v: Vec, m: Mat) -> Vec:
-    """The row vector v^T * m, skipping the zero entries of v."""
-    if len(v) != len(m):
-        raise ValueError("dimension mismatch")
-    acc = [_ZERO] * (len(m[0]) if m else 0)
-    for a, row in zip(v, m):
-        if a:
-            for k, x in enumerate(row):
-                if x:
-                    acc[k] += a * x
-    return tuple(acc)
-
-
 def int_vec_mat(x, m) -> list[int]:
     """The row vector x^T * m of integers, skipping the zero entries of x."""
     acc = [0] * len(m)

@@ -1,0 +1,220 @@
+"""Alternating 2- and 3-forms on Q^{dim} with exact rational coefficients.
+
+An `AltForm2` stores the integers of its upper triangle over one positive
+denominator, reduced by their gcd, so that equal forms have equal storage
+(the common-denominator representation of Bareiss, Math. Comp. 22 (1968)).
+Its sums, scalings and membership tests run on those integers; the
+`Fraction` matrix `entries` is a view built on first read.  An `AltForm3`
+is stored on strictly increasing triples, and its contraction and
+evaluation are integer cores that the other modules share.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+
+from .exact import Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat
+
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, init=False)
+class AltForm2:
+    """Alternating bilinear form on Q^{dim}.  Its entries above the
+    diagonal, on the pairs a < b in lexicographic order, are upper / den
+    for integers upper and den > 0 with no common factor.  `AltForm2(m)`
+    builds it from a full antisymmetric matrix m."""
+
+    dim: int
+    upper: tuple[int, ...]
+    den: int
+
+    def __init__(self, entries: Mat):
+        m = to_mat(entries)
+        dim = len(m)
+        if any(len(r) != dim for r in m):
+            raise ValueError("AltForm2 matrix must be square")
+        if any(x != -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col)):
+            raise ValueError("AltForm2 matrix must be antisymmetric")
+        den, nums = int_vec([x for a, row in enumerate(m) for x in row[a + 1 :]])
+        self._set(dim, nums, den)
+
+    def _set(self, dim: int, nums: list[int], den: int):
+        if not den:
+            raise ZeroDivisionError("AltForm2 denominator is zero")
+        if den < 0:
+            den, nums = -den, [-x for x in nums]
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, [x // g for x in nums]
+        # frozen: the fields are set once, here, past the dataclass __setattr__
+        vars(self).update(dim=dim, upper=tuple(nums), den=den)
+
+    @staticmethod
+    def _of(dim: int, nums: list[int], den: int) -> "AltForm2":
+        """The form with upper-triangle coordinates nums / den, reduced."""
+        f = object.__new__(AltForm2)
+        f._set(dim, nums, den)
+        return f
+
+    @staticmethod
+    def zero(dim: int) -> "AltForm2":
+        return AltForm2._of(dim, [0] * (dim * (dim - 1) // 2), 1)
+
+    @staticmethod
+    def from_upper(upper, den: int) -> "AltForm2":
+        """The form with entries upper[a][b] / den above the diagonal, for a
+        square integer matrix `upper` (its other entries are ignored) and a
+        nonzero integer den."""
+        d = len(upper)
+        return AltForm2._of(d, [x for a, row in enumerate(upper) for x in row[a + 1 : d]], den)
+
+    @staticmethod
+    def from_pairs(dim: int, coeffs: dict) -> "AltForm2":
+        """Build from {(a, b): c} with 0 <= a < b < dim (zero elsewhere)."""
+        m = [[_ZERO] * dim for _ in range(dim)]
+        for (a, b), c in coeffs.items():
+            if not (0 <= a < b < dim):
+                raise ValueError(f"pair indices must satisfy 0 <= a < b < dim, got {(a, b)}")
+            c = to_fraction(c)
+            m[a][b] += c
+            m[b][a] -= c
+        return AltForm2(tuple(tuple(r) for r in m))
+
+    def int_matrix(self) -> list[list[int]]:
+        """den * omega as a full alternating integer matrix."""
+        d = self.dim
+        m = [[0] * d for _ in range(d)]
+        for (a, b), x in zip(itertools.combinations(range(d), 2), self.upper):
+            m[a][b], m[b][a] = x, -x
+        return m
+
+    @functools.cached_property
+    def entries(self) -> Mat:
+        """The full matrix of `Fraction`s, built on first read."""
+        den = self.den
+        return tuple(
+            [tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in self.int_matrix()]
+        )
+
+    def entry(self, a: int, b: int) -> Fraction:
+        return self.entries[a][b]
+
+    def apply(self, v: Vec) -> Vec:
+        """The vector (omega(e_k, v))_k."""
+        return mat_vec(self.entries, v)
+
+    def evaluate(self, x: Vec, y: Vec) -> Fraction:
+        return dot(x, self.apply(y))
+
+    def scale(self, c) -> "AltForm2":
+        c = to_fraction(c)
+        return AltForm2._of(
+            self.dim, [c.numerator * x for x in self.upper], c.denominator * self.den
+        )
+
+    def __add__(self, other: "AltForm2") -> "AltForm2":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        g = lcm(self.den, other.den)
+        p, q = g // self.den, g // other.den
+        return AltForm2._of(self.dim, [p * x + q * y for x, y in zip(self.upper, other.upper)], g)
+
+    def __sub__(self, other: "AltForm2") -> "AltForm2":
+        return self + -other
+
+    def __neg__(self) -> "AltForm2":
+        return AltForm2._of(self.dim, [-x for x in self.upper], self.den)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.upper)
+
+    @property
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    def upper_coeffs(self) -> Vec:
+        """Coefficients on pairs a < b in lexicographic order."""
+        return tuple([Fraction(x, self.den) for x in self.upper])
+
+
+@dataclass(frozen=True)
+class AltForm3:
+    """Alternating trilinear form, stored on strictly increasing triples."""
+
+    dim: int
+    entries: tuple[tuple[tuple[int, int, int], Fraction], ...]
+
+    @staticmethod
+    def zero(dim: int) -> "AltForm3":
+        return AltForm3(dim, ())
+
+    @staticmethod
+    def from_coeffs(dim: int, coeffs: dict) -> "AltForm3":
+        """Build from {(a, b, c): value} with 0 <= a < b < c < dim."""
+        items = []
+        for (a, b, c), v in coeffs.items():
+            if not (0 <= a < b < c < dim):
+                raise ValueError(
+                    f"triple indices must satisfy 0 <= a < b < c < dim, got {(a, b, c)}"
+                )
+            v = to_fraction(v)
+            if v != 0:
+                items.append(((a, b, c), v))
+        items.sort(key=lambda t: t[0])
+        return AltForm3(dim, tuple(items))
+
+    def coeff(self, a: int, b: int, c: int) -> Fraction:
+        return dict(self.entries).get((a, b, c), _ZERO)
+
+    def evaluate(self, x: Vec, y: Vec, z: Vec) -> Fraction:
+        (dx, x), (dy, y), (dz, z) = (int_vec(v) for v in (x, y, z))
+        num, de = self.evaluate_over(x, y, z)
+        return Fraction(num, de * dx * dy * dz)
+
+    def evaluate_over(self, x, y, z) -> tuple[int, int]:
+        """(de*E(x, y, z), de) for integer vectors, de the lcm of E's
+        denominators: y^T*E(x,.,.)*z over the upper triangle."""
+        if len(y) != self.dim or len(z) != self.dim:
+            raise ValueError("vector/form dimension mismatch")
+        m, de = self.contract_over(x, 1)
+        pairs = itertools.combinations(range(self.dim), 2)
+        return sum([m[a][b] * (y[a] * z[b] - y[b] * z[a]) for a, b in pairs if m[a][b]]), de
+
+    def contract(self, w: Vec) -> AltForm2:
+        """The 2-form (x, y) -> E(w, x, y)."""
+        dw, wi = int_vec(w)
+        return AltForm2.from_upper(*self.contract_over(wi, dw))
+
+    def contract_over(self, nums, den: int) -> tuple[list[list[int]], int]:
+        """`contract` for w = nums / den, integers over one positive
+        denominator: (m, de*den), m the upper triangle of de*den*E(w,.,.)
+        for the lcm de of E's denominators."""
+        d = self.dim
+        if len(nums) != d:
+            raise ValueError("vector/form dimension mismatch")
+        de = lcm(*[v.denominator for _, v in self.entries])
+        m = [[0] * d for _ in range(d)]
+        for (p, q, r), coef in self.entries:
+            k = coef.numerator * (de // coef.denominator)
+            m[q][r] += k * nums[p]
+            m[p][r] -= k * nums[q]
+            m[p][q] += k * nums[r]
+        return m, de * den
+
+    def scale(self, c) -> "AltForm3":
+        c = to_fraction(c)
+        return AltForm3.from_coeffs(self.dim, {t: c * v for t, v in self.entries})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    @property
+    def is_integral(self) -> bool:
+        return all(v.denominator == 1 for _, v in self.entries)

@@ -20,7 +20,6 @@ from .torus import (
     TorusData,
     contract3,
     integral_anti_invariant_member,
-    is_type_one_one,
     pullback_combination,
     pullback_over,
 )
@@ -91,10 +90,11 @@ def case_decomposition(
 
 
 def contraction_member(torus: TorusData, omega: AltForm2, case: SubgroupCase) -> bool:
-    """`in_case_subgroup` for the vector w with contraction omega = E(w,.,.)."""
-    if case is SubgroupCase.INTEGRAL:
-        return omega.is_integral
-    return is_type_one_one(torus, omega)
+    """`in_case_subgroup` for the vector w with contraction omega = E(w,.,.),
+    read from omega's integer storage."""
+    if omega.dim != torus.dim:
+        raise ValueError("form/torus dimension mismatch")
+    return member_over(torus, omega.upper, omega.den, case)
 
 
 def member_over(torus: TorusData, nums, den: int, case: SubgroupCase) -> bool:

@@ -2,9 +2,9 @@
 
 The lattice is always Z^{2n} in the standard basis; multiplication by i on
 the real torus V = R^{2n} is a rational matrix J with J*J = -I.  This module
-also houses integer/rational alternating 2- and 3-forms on the lattice, the
-(1,1) type projectors, and the trilinear type condition that gerbe data must
-satisfy.
+also houses the J-pullback of alternating 2-forms (the forms themselves live
+in `forms` and are re-exported here), the (1,1) type projectors, and the
+trilinear type condition that gerbe data must satisfy.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from .exact import (
     Mat,
     ReducedLattice,
     Vec,
+    alternating_full,
     basis_vec,
-    dot,
     identity_mat,
-    int_vec,
     lattice_membership,  # noqa: F401  (still importable from this module)
     mat_mul,
     mat_transpose,
@@ -30,9 +29,8 @@ from .exact import (
     to_fraction,
     to_mat,
     to_vec,
-    vec_is_zero,
-    zero_vec,
 )
+from .forms import AltForm2, AltForm3
 
 
 class NotAComplexStructure(ValueError):
@@ -132,192 +130,6 @@ def check_complex_structure(j_rows) -> TorusData:
 
 
 @dataclass(frozen=True)
-class AltForm2:
-    """Alternating bilinear form on Q^{dim}, stored as its full matrix."""
-
-    entries: Mat
-
-    def __post_init__(self):
-        m = to_mat(self.entries)
-        dim = len(m)
-        if any(len(r) != dim for r in m):
-            raise ValueError("AltForm2 matrix must be square")
-        # entries are Fractions in lowest terms with positive denominators,
-        # so x == -y exactly when numerators are opposite and denominators equal
-        for a, row in enumerate(m):
-            for b in range(a, dim):
-                x, y = row[b], m[b][a]
-                if x.numerator != -y.numerator or x.denominator != y.denominator:
-                    raise ValueError("AltForm2 matrix must be antisymmetric")
-        object.__setattr__(self, "entries", m)
-
-    @staticmethod
-    def zero(dim: int) -> "AltForm2":
-        return AltForm2(tuple(zero_vec(dim) for _ in range(dim)))
-
-    @staticmethod
-    def from_upper(upper, den: int) -> "AltForm2":
-        """The form with entries upper[a][b] / den above the diagonal, for a
-        square integer matrix `upper` (its other entries are ignored)."""
-        d = len(upper)
-        zero = Fraction(0)
-        m = [[zero] * d for _ in range(d)]
-        for a, row in enumerate(upper):
-            for b in range(a + 1, d):
-                if row[b]:
-                    x = Fraction(row[b], den)
-                    m[a][b] = x
-                    m[b][a] = -x
-        return AltForm2(tuple(tuple(r) for r in m))
-
-    @staticmethod
-    def from_pairs(dim: int, coeffs: dict) -> "AltForm2":
-        """Build from {(a, b): c} with 0 <= a < b < dim (zero elsewhere)."""
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for (a, b), c in coeffs.items():
-            if not (0 <= a < b < dim):
-                raise ValueError(f"pair indices must satisfy 0 <= a < b < dim, got {(a, b)}")
-            c = to_fraction(c)
-            m[a][b] += c
-            m[b][a] -= c
-        return AltForm2(tuple(tuple(r) for r in m))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def entry(self, a: int, b: int) -> Fraction:
-        return self.entries[a][b]
-
-    def apply(self, v: Vec) -> Vec:
-        """The vector (omega(e_k, v))_k."""
-        return mat_vec(self.entries, v)
-
-    def evaluate(self, x: Vec, y: Vec) -> Fraction:
-        return dot(x, self.apply(y))
-
-    def scale(self, c) -> "AltForm2":
-        c = to_fraction(c)
-        return AltForm2(tuple(tuple(c * x for x in row) for row in self.entries))
-
-    def __add__(self, other: "AltForm2") -> "AltForm2":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return AltForm2(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "AltForm2") -> "AltForm2":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return AltForm2(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __neg__(self) -> "AltForm2":
-        return AltForm2(tuple(tuple(-x for x in row) for row in self.entries))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self.entries)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def upper_coeffs(self) -> Vec:
-        """Coefficients on pairs a < b in lexicographic order."""
-        d = self.dim
-        return tuple(self.entries[a][b] for a in range(d) for b in range(a + 1, d))
-
-
-@dataclass(frozen=True)
-class AltForm3:
-    """Alternating trilinear form, stored on strictly increasing triples."""
-
-    dim: int
-    entries: tuple[tuple[tuple[int, int, int], Fraction], ...]
-
-    @staticmethod
-    def zero(dim: int) -> "AltForm3":
-        return AltForm3(dim, ())
-
-    @staticmethod
-    def from_coeffs(dim: int, coeffs: dict) -> "AltForm3":
-        """Build from {(a, b, c): value} with 0 <= a < b < c < dim."""
-        items = []
-        for (a, b, c), v in coeffs.items():
-            if not (0 <= a < b < c < dim):
-                raise ValueError(
-                    f"triple indices must satisfy 0 <= a < b < c < dim, got {(a, b, c)}"
-                )
-            v = to_fraction(v)
-            if v != 0:
-                items.append(((a, b, c), v))
-        items.sort(key=lambda t: t[0])
-        return AltForm3(dim, tuple(items))
-
-    def coeff(self, a: int, b: int, c: int) -> Fraction:
-        for triple, v in self.entries:
-            if triple == (a, b, c):
-                return v
-        return Fraction(0)
-
-    def evaluate(self, x: Vec, y: Vec, z: Vec) -> Fraction:
-        (dx, x), (dy, y), (dz, z) = (int_vec(v) for v in (x, y, z))
-        num, de = self.evaluate_over(x, y, z)
-        return Fraction(num, de * dx * dy * dz)
-
-    def evaluate_over(self, x, y, z) -> tuple[int, int]:
-        """(de*E(x, y, z), de) for integer vectors, de the lcm of E's
-        denominators: y^T*E(x,.,.)*z over the upper triangle."""
-        m, de = self.contract_over(x, 1)
-        total = 0
-        for a, row in enumerate(m):
-            for b in range(a + 1, self.dim):
-                if row[b]:
-                    total += row[b] * (y[a] * z[b] - y[b] * z[a])
-        return total, de
-
-    def contract(self, w: Vec) -> AltForm2:
-        """The 2-form (x, y) -> E(w, x, y)."""
-        dw, wi = int_vec(w)
-        return AltForm2.from_upper(*self.contract_over(wi, dw))
-
-    def contract_over(self, nums, den: int) -> tuple[list[list[int]], int]:
-        """`contract` for w = nums / den, integers over one positive
-        denominator: (m, de*den), m the upper triangle of de*den*E(w,.,.)
-        for the lcm de of E's denominators."""
-        d = self.dim
-        de = lcm(*[v.denominator for _, v in self.entries])
-        m = [[0] * d for _ in range(d)]
-        for (p, q, r), coef in self.entries:
-            k = coef.numerator * (de // coef.denominator)
-            m[q][r] += k * nums[p]
-            m[p][r] -= k * nums[q]
-            m[p][q] += k * nums[r]
-        return m, de * den
-
-    def scale(self, c) -> "AltForm3":
-        c = to_fraction(c)
-        return AltForm3.from_coeffs(self.dim, {t: c * v for t, v in self.entries})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    @property
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for _, v in self.entries)
-
-
-@dataclass(frozen=True)
 class HodgeImage:
     """Value of the Hodge projection: a complex-valued alternating 2-form."""
 
@@ -335,14 +147,10 @@ def contract3(e3: AltForm3, w) -> AltForm2:
 
 
 def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):
-    """`pullback_over` for omega's upper-triangle coordinates, scaled by the
-    lcm of their denominators."""
+    """`pullback_over` for omega's integer storage."""
     if omega.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
-    upper = [omega.entries[p][q] for p, q, _ in torus.pullback_map[1]]
-    dw = lcm(*[x.denominator for x in upper])
-    nums = [x.numerator * (dw // x.denominator) if x else 0 for x in upper]
-    return pullback_over(torus, nums, dw, c0, c1)
+    return pullback_over(torus, omega.upper, omega.den, c0, c1)
 
 
 def pullback_over(torus: TorusData, nums, den: int, c0, c1):
@@ -388,12 +196,6 @@ def anti_invariant_part(torus: TorusData, omega: AltForm2) -> AltForm2:
     return pullback_combination(torus, omega, Fraction(1, 2), Fraction(-1, 2))
 
 
-def is_type_one_one(torus: TorusData, omega: AltForm2) -> bool:
-    """Whether omega is J-invariant, i.e. of type (1,1)."""
-    m, _ = _pullback_combination(torus, omega, 1, -1)
-    return not any(map(any, m))
-
-
 def hodge_projection(torus: TorusData, omega: AltForm2) -> HodgeImage:
     """Complex-valued projection killing the (1,1) part:
 
@@ -404,10 +206,7 @@ def hodge_projection(torus: TorusData, omega: AltForm2) -> HodgeImage:
     the imaginary part (J^T*omega + omega*J)/4 is A*J/4.
     """
     m, den = _pullback_combination(torus, omega, 1, -1)
-    d = torus.dim
-    for a in range(d):  # fill in the lower triangle of A
-        for b in range(a + 1, d):
-            m[b][a] = -m[a][b]
+    m = alternating_full(m)
     return HodgeImage(
         re=AltForm2.from_upper(m, 4 * den),
         im=AltForm2.from_upper(torus.times_j(m), 4 * den * torus.j_columns[0]),

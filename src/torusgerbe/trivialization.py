@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import (
     GaussianRational,
-    Mat,
     Vec,
     basis_vec,
     mat_vec,
@@ -72,14 +71,11 @@ class TranslationContext:
         """
         d = self.gerbe.torus.dim
         dj, cols = self.gerbe.torus.j_columns
-        (dl, l), (df, f), (do, om), (de, eps) = (
-            _scaled_matrix(m)
-            for m in (
-                self.forms.l,
-                self.dec.invariant_part.entries,
-                self.forms.omega_i.entries,
-                self.dec.integral_part.entries,
-            )
+        dl = lcm(*[x.denominator for row in self.forms.l for x in row])
+        l = [[x.numerator * (dl // x.denominator) for x in row] for row in self.forms.l]
+        (df, f), (do, om), (de, eps) = (
+            (x.den, x.int_matrix())
+            for x in (self.dec.invariant_part, self.forms.omega_i, self.dec.integral_part)
         )
 
         def jt(m):  # dj * J^T * m for an integer matrix m
@@ -103,12 +99,6 @@ class TranslationContext:
 def _sparse_rows(m: list[list[int]]) -> tuple:
     """The rows ((column, entry), ...) of the nonzero entries of m."""
     return tuple([tuple([(b, x) for b, x in enumerate(row) if x]) for row in m])
-
-
-def _scaled_matrix(m: Mat) -> tuple[int, list[list[int]]]:
-    """(dm, dm*m) for the lcm dm of the denominators of m."""
-    dm = lcm(*[x.denominator for row in m for x in row])
-    return dm, [[x.numerator * (dm // x.denominator) for x in row] for row in m]
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -33,14 +34,20 @@ from torusgerbe import (
     unitarize_exponent,
 )
 from torusgerbe.exact import (
+    Mat,
     Vec,
     basis_vec,
+    dot,
     hermite_normal_form,
     identity_mat,
     mat_mul,
     mat_vec,
+    to_fraction,
+    to_mat,
     to_vec,
     vec_add,
+    vec_is_zero,
+    zero_vec,
 )
 
 F = Fraction
@@ -543,3 +550,90 @@ def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:
         bump(p, r, -coef * w[q])
         bump(p, q, coef * w[r])
     return AltForm2(tuple(tuple(row) for row in m))
+
+
+@dataclass(frozen=True)
+class FractionAltForm2:
+    """The alternating 2-form as the package stored it before its integer
+    storage: the full d x d matrix of `Fraction`s, validated entry by entry
+    and combined entry by entry.  The oracle for `AltForm2`."""
+
+    entries: Mat
+
+    def __post_init__(self):
+        m = to_mat(self.entries)
+        dim = len(m)
+        if any(len(r) != dim for r in m):
+            raise ValueError("AltForm2 matrix must be square")
+        for a, row in enumerate(m):
+            for b in range(a, dim):
+                if row[b] != -m[b][a]:
+                    raise ValueError("AltForm2 matrix must be antisymmetric")
+        object.__setattr__(self, "entries", m)
+
+    @staticmethod
+    def zero(dim: int) -> "FractionAltForm2":
+        return FractionAltForm2(tuple(zero_vec(dim) for _ in range(dim)))
+
+    @staticmethod
+    def from_upper(upper, den: int) -> "FractionAltForm2":
+        d = len(upper)
+        m = [[F(0)] * d for _ in range(d)]
+        for a, row in enumerate(upper):
+            for b in range(a + 1, d):
+                m[a][b] = F(row[b], den)
+                m[b][a] = -m[a][b]
+        return FractionAltForm2(tuple(tuple(r) for r in m))
+
+    @staticmethod
+    def from_pairs(dim: int, coeffs: dict) -> "FractionAltForm2":
+        m = [[F(0)] * dim for _ in range(dim)]
+        for (a, b), c in coeffs.items():
+            if not (0 <= a < b < dim):
+                raise ValueError(f"pair indices must satisfy 0 <= a < b < dim, got {(a, b)}")
+            m[a][b] += to_fraction(c)
+            m[b][a] -= to_fraction(c)
+        return FractionAltForm2(tuple(tuple(r) for r in m))
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    def entry(self, a: int, b: int) -> Fraction:
+        return self.entries[a][b]
+
+    def apply(self, v: Vec) -> Vec:
+        return mat_vec(self.entries, v)
+
+    def evaluate(self, x: Vec, y: Vec) -> Fraction:
+        return dot(x, self.apply(y))
+
+    def scale(self, c) -> "FractionAltForm2":
+        c = to_fraction(c)
+        return FractionAltForm2(tuple(tuple(c * x for x in row) for row in self.entries))
+
+    def __add__(self, other: "FractionAltForm2") -> "FractionAltForm2":
+        return FractionAltForm2(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb, strict=True))
+                for ra, rb in zip(self.entries, other.entries, strict=True)
+            )
+        )
+
+    def __sub__(self, other: "FractionAltForm2") -> "FractionAltForm2":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "FractionAltForm2":
+        return self.scale(-1)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(vec_is_zero(row) for row in self.entries)
+
+    @property
+    def is_integral(self) -> bool:
+        return all(x.denominator == 1 for row in self.entries for x in row)
+
+    def upper_coeffs(self) -> Vec:
+        d = self.dim
+        return tuple(self.entries[a][b] for a in range(d) for b in range(a + 1, d))

@@ -8,6 +8,7 @@ import pytest
 from torusgerbe import (
     AltForm2,
     AltForm3,
+    GerbeData,
     NotInSubgroup,
     SubgroupCase,
     anti_invariant_part,
@@ -17,6 +18,7 @@ from torusgerbe import (
     in_case_subgroup,
     invariance_class,
     j_pullback2,
+    translate_gerbe,
 )
 from torusgerbe.gerbe import translation_shift_form
 from torusgerbe.exact import vec_add
@@ -218,3 +220,34 @@ class TestDecomposition:
             + (omega + j_pullback2(t, omega)).scale(F(3, 8))
         )
         assert lhs.is_zero
+
+
+class TestVectorLength:
+    """A vector whose length is not the torus dimension is rejected on the
+    contraction path, as it is by `exponent_re` and the contexts."""
+
+    ENTRY_POINTS = {
+        "contract3": lambda t, e3, w: contract3(e3, w),
+        "invariance_class": invariance_class,
+        "fixes_gerbe": fixes_gerbe,
+        "in_case_subgroup": lambda t, e3, w: in_case_subgroup(t, e3, w, INT),
+        "case_decomposition": lambda t, e3, w: case_decomposition(t, e3, w, INT, check=False),
+        "translate_gerbe": lambda t, e3, w: translate_gerbe(GerbeData(t, AltForm2.zero(4), e3), w),
+        "AltForm3.evaluate": lambda t, e3, w: e3.evaluate(w, e(4, 1), e(4, 2)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    @pytest.mark.parametrize(
+        "w", (vec(F(1, 2), 0, 0, 0, 7), vec(F(1, 2), 0, 0)), ids=("long", "short")
+    )
+    def test_wrong_length_is_rejected(self, entry, w):
+        t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            entry(t, e3, w)
+
+    def test_evaluate_checks_every_argument(self):
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        x = vec(1, 0, 0, 0)
+        for args in ((x, x[:3], x), (x, x, x + (F(0),))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                e3.evaluate(*args)

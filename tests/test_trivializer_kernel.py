@@ -236,18 +236,18 @@ class TestTrivializerKernel:
     def test_kernel_built_once_per_context(self, instance, monkeypatch):
         g, case, vectors = instance
         builds = []
-        scaled = triv._scaled_matrix
+        sparse = triv._sparse_rows
 
         def counting(m):
             builds.append(m)
-            return scaled(m)
+            return sparse(m)
 
-        monkeypatch.setattr(triv, "_scaled_matrix", counting)
+        monkeypatch.setattr(triv, "_sparse_rows", counting)
         ctx = TranslationContext.create(g, vectors[0], case)
         assert verify_trivialization(ctx)
         for k in range(g.torus.dim):
             trivializing_exponent(ctx, basis_vec(g.torus.dim, k))
-        assert len(builds) == 4  # the four input matrices, once
+        assert len(builds) == 4  # the four kernel matrices, once
         assert "kernel" in vars(ctx) and "kernel" not in vars(g)
         verify_trivialization(TranslationContext.create(g, vectors[0], case))
         assert len(builds) == 8  # a new context builds its own
