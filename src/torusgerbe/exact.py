@@ -2,7 +2,10 @@
 
 Rational vectors and matrices, Gaussian rationals, canonical unit-circle
 values, and integer lattice routines (Hermite normal form and membership).
-Every scalar is a `fractions.Fraction`; nothing here touches floats.
+Public scalars are `fractions.Fraction`s, never floats; the integer cores
+(`int_vec`, `int_dot`, `int_vec_mat`, `ReducedLattice.member_over`) take
+`int` numerators over one positive denominator, and the package's other
+integer kernels build on them.
 
 Throughout the package ``exp(z)`` denotes ``e^{2*pi*i*z}``, so two exponents
 describe the same unit value exactly when they differ by a real integer.
@@ -27,6 +30,10 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 _ZERO = Fraction(0)
+
+
+class InternalMismatch(RuntimeError):
+    """Two computations that must agree exactly did not; an implementation bug."""
 
 
 def to_fraction(x) -> Fraction:
@@ -95,7 +102,7 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 def int_vec_mat(x, m) -> list[int]:
     """The row vector x^T * m of integers, skipping the zero entries of x."""
-    acc = [0] * len(m)
+    acc = [0] * len(m[0]) if m else []
     for a, row in zip(x, m):
         if a:
             acc = [u + a * v for u, v in zip(acc, row)]

@@ -169,6 +169,13 @@ class AltForm3:
         items.sort(key=lambda t: t[0])
         return AltForm3(dim, tuple(items))
 
+    @functools.cached_property
+    def int_entries(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(de, ((p, q, r, k), ...)): the coefficient on each stored triple
+        (p, q, r) is k / de, for the lcm de of the denominators."""
+        de = lcm(*[v.denominator for _, v in self.entries])
+        return de, tuple([(*t, v.numerator * (de // v.denominator)) for t, v in self.entries])
+
     def coeff(self, a: int, b: int, c: int) -> Fraction:
         return dict(self.entries).get((a, b, c), _ZERO)
 
@@ -198,10 +205,9 @@ class AltForm3:
         d = self.dim
         if len(nums) != d:
             raise ValueError("vector/form dimension mismatch")
-        de = lcm(*[v.denominator for _, v in self.entries])
+        de, ks = self.int_entries
         m = [[0] * d for _ in range(d)]
-        for (p, q, r), coef in self.entries:
-            k = coef.numerator * (de // coef.denominator)
+        for p, q, r, k in ks:
             m[q][r] += k * nums[p]
             m[p][r] -= k * nums[q]
             m[p][q] += k * nums[r]

@@ -9,32 +9,13 @@ translating the data, and the isomorphism test for two presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
-from .exact import (
-    GaussianRational,
-    Mat,
-    Vec,
-    ZERO_G,
-    alternating_full,
-    dot,
-    int_vec,
-    mat_vec,
-    to_vec,
-    vec_is_integral,
-    vec_is_zero,
-)
-from .torus import (
-    AltForm2,
-    AltForm3,
-    TorusData,
-    contract3,
-    integral_anti_invariant_member,
-    pullback_combination,
-    type_condition_check,
-)
+from .exact import GaussianRational, Mat, Vec, ZERO_G, alternating_full, dot, int_vec
+from .exact import mat_vec, to_vec, vec_is_integral, vec_is_zero
+from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
+from .torus import contract3, pullback_combination, type_condition_check
 
 
 class TypeConditionFailed(ValueError):
@@ -165,12 +146,12 @@ class GerbeData:
             )
 
 
-def _require_lattice(v: Vec, what: str):
+def require_lattice(v: Vec, what: str):
     if not vec_is_integral(v):
         raise ValueError(f"{what} must be a lattice (integer) vector")
 
 
-def _mul_i_over(torus: TorusData, x) -> list[int]:
+def mul_i_over(torus: TorusData, x) -> list[int]:
     """dj*J*x for an integer vector x, from the nonzero entries of J's
     columns."""
     ix = [0] * torus.dim
@@ -184,12 +165,22 @@ def _mul_i_over(torus: TorusData, x) -> list[int]:
 def _canonical_exponent(
     torus: TorusData, e3: AltForm3, a, b, c
 ) -> tuple[Fraction, Fraction]:
-    """(exponent_re, exponent_im) at (a, b, c), accumulated in integers.
+    """(exponent_re, exponent_im) at rational (a, b, c), by `exponent_over`."""
+    vecs = (to_vec(a), to_vec(b), to_vec(c))
+    if any(len(v) != torus.dim for v in vecs):
+        raise ValueError("vector/torus dimension mismatch")
+    args = [(dv, x, mul_i_over(torus, x)) for dv, x in map(int_vec, vecs)]
+    re, dre, im, dim = exponent_over(torus, e3, *args)
+    return Fraction(re, dre), Fraction(im, dim)
 
-    a, b, c and E are scaled by the lcm of their denominators (da, db, dc
-    and de), and ia, ib, ic are taken from J's integer columns, which carry
-    the factor dj.  With s1..s6 the scaled E(a,b,c), E(ia,ib,c),
-    E(ia,b,ic), E(a,ib,c), E(a,b,ic) and E(ia,b,c), and D = da*db*dc*de:
+
+def exponent_over(torus: TorusData, e3: AltForm3, a, b, c) -> tuple[int, int, int, int]:
+    """(re, dre, im, dim) with exponent_re = re/dre and exponent_im = im/dim,
+    for triples (da, x, ix) with a = x/da and ix = dj*J*x, likewise b, c.
+
+    With E scaled by the lcm de of its denominators (`AltForm3.int_entries`),
+    s1..s6 the scaled E(a,b,c), E(ia,ib,c), E(ia,b,ic), E(a,ib,c), E(a,b,ic)
+    and E(ia,b,c), and D = da*db*dc*de:
 
         re = (2*dj**2*s1 + s2 + s3) / (16*dj**2*D)
         im = (s4 + s5 - 2*s6) / (16*dj*D)
@@ -197,17 +188,12 @@ def _canonical_exponent(
     Each determinant is expanded along its first argument, so s2 + s3 and
     s4 + s5 share the minors of (ib, c) plus those of (b, ic).
     """
-    d = torus.dim
-    vecs = (to_vec(a), to_vec(b), to_vec(c))
-    if any(len(v) != d for v in vecs):
-        raise ValueError("vector/torus dimension mismatch")
-    (da, a), (db, b), (dc, c) = (int_vec(v) for v in vecs)
+    (da, a, ia), (db, b, ib), (dc, c, ic) = a, b, c
     dj = torus.j_columns[0]
-    ia, ib, ic = (_mul_i_over(torus, v) for v in (a, b, c))
-    de = lcm(*[v.denominator for _, v in e3.entries])
+    de, ks = e3.int_entries
     k2 = 2 * dj * dj
     re = im = 0
-    for (p, q, r), coef in e3.entries:
+    for p, q, r, k in ks:
         bp, bq, br = b[p], b[q], b[r]
         cp, cq, cr = c[p], c[q], c[r]
         jbp, jbq, jbr = ib[p], ib[q], ib[r]
@@ -220,7 +206,6 @@ def _canonical_exponent(
         n2 = jbp * cq - jbq * cp + bp * jcq - bq * jcp
         ap, aq, ar = a[p], a[q], a[r]
         jap, jaq, jar = ia[p], ia[q], ia[r]
-        k = coef.numerator * (de // coef.denominator)
         re += k * (
             k2 * (ap * m0 - aq * m1 + ar * m2) + jap * n0 - jaq * n1 + jar * n2
         )
@@ -228,7 +213,7 @@ def _canonical_exponent(
             ap * n0 - aq * n1 + ar * n2 - 2 * (jap * m0 - jaq * m1 + jar * m2)
         )
     den = 16 * dj * da * db * dc * de
-    return Fraction(re, den * dj), Fraction(im, den)
+    return re, den * dj, im, den
 
 
 def exponent_re(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
@@ -261,7 +246,7 @@ def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
         raise ValueError("vector/torus dimension mismatch")
     dj = torus.j_columns[0]
     dw, x = int_vec(w)
-    ix = _mul_i_over(torus, x)
+    ix = mul_i_over(torus, x)
     up, do = e3.contract_over(x, dw)
     omega = alternating_full(up)
     omega_i = alternating_full(e3.contract_over(ix, dj * dw)[0])
@@ -277,8 +262,9 @@ class VectorForms:
 
     omega = E(w,.,.) and omega_i = E(iw,.,.) are the two contractions, and
     l = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form with
-    exponent_im(w, x, y) = x^T * l * y.  Built once per vector by the
-    contexts that evaluate the exponent at many points, from `forms_over`.
+    exponent_im(w, x, y) = x^T * l * y, and l_over is (den, den*l) with the
+    integer matrix of `forms_over`.  Built once per vector by the contexts
+    that evaluate the exponent at many points.
     """
 
     w: Vec
@@ -286,6 +272,7 @@ class VectorForms:
     omega: AltForm2
     omega_i: AltForm2
     l: Mat
+    l_over: tuple = field(repr=False, compare=False)
 
     @staticmethod
     def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
@@ -298,6 +285,7 @@ class VectorForms:
             omega=AltForm2.from_upper(omega, do),
             omega_i=AltForm2.from_upper(omega_i, dj * do),
             l=AltForm2.from_upper(l, 16 * dj * do).entries,
+            l_over=(16 * dj * do, l),
         )
 
 
@@ -305,8 +293,8 @@ def pair_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:
     """The holomorphic exponent H attached to a lattice pair, linear in v."""
     t = gerbe.torus
     l1, l2 = to_vec(l1), to_vec(l2)
-    _require_lattice(l1, "l1")
-    _require_lattice(l2, "l2")
+    require_lattice(l1, "l1")
+    require_lattice(l2, "l2")
     parts = [_canonical_exponent(t, gerbe.e, ek, l1, l2) for ek in t.basis()]
     lin_re, lin_im = zip(*parts)
     return ExponentFn(ZERO_G, lin_re, lin_im)
@@ -330,8 +318,8 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
     independent side of the trivialization residual.
     """
     l1, l2 = to_vec(l1), to_vec(l2)
-    _require_lattice(l1, "l1")
-    _require_lattice(l2, "l2")
+    require_lattice(l1, "l1")
+    require_lattice(l2, "l2")
     return GaussianRational(*_canonical_exponent(gerbe.torus, gerbe.e, w, l1, l2))
 
 

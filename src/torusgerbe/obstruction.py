@@ -20,16 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
-from .exact import alternating_full, int_dot, int_vec_mat, unit_reduce
+from .exact import InternalMismatch, alternating_full, int_dot, int_vec_mat, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, VectorForms, exponent_im
 from .gerbe import forms_over
 from .symmetry import NotInSubgroup, SubgroupCase, invariant_coefficients, member_over
 from .torus import AltForm2, pullback_over
 from .trivialization import TranslationContext, trivializing_exponent
-
-
-class InternalMismatch(RuntimeError):
-    """Two computations that must agree exactly did not; an implementation bug."""
 
 
 class ClosedFormMismatch(RuntimeError):

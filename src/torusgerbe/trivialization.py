@@ -12,22 +12,17 @@ the translation factor up to an integer constant.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .exact import (
-    GaussianRational,
-    Vec,
-    basis_vec,
-    mat_vec,
-    to_vec,
-    vec_add,
-    vec_is_integral,
-)
-from .gerbe import ExponentFn, GerbeData, VectorForms, translation_factor
+from .exact import GaussianRational, InternalMismatch, Vec, int_dot, int_vec, int_vec_mat
+from .exact import mat_vec, to_vec, vec_is_integral
+from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, mul_i_over
+from .gerbe import require_lattice
 from .symmetry import Decomposition, SubgroupCase, contraction_decomposition
 
 
@@ -47,18 +42,20 @@ class TranslationContext:
     ) -> "TranslationContext":
         w = to_vec(w)
         forms = VectorForms.create(gerbe.torus, gerbe.e, w)
-        return TranslationContext(
-            gerbe=gerbe,
-            w=w,
-            case=case,
-            dec=contraction_decomposition(gerbe.torus, forms.omega, case, check),
-            forms=forms,
-        )
+        dec = contraction_decomposition(gerbe.torus, forms.omega, case, check)
+        return TranslationContext(gerbe=gerbe, w=w, case=case, dec=dec, forms=forms)
 
     @functools.cached_property
-    def kernel(self) -> tuple[int, tuple, tuple, tuple, tuple]:
-        """(den, re, im, qre, qim): the trivializer as integer matrices over
-        one denominator.  At a lattice vector lam its linear part is
+    def scaled_w(self) -> tuple[int, list[int], list[int]]:
+        """(dw, x, ix) with w = x/dw and ix = dj*J*x: the first argument of
+        the translation factor, scaled once from w and J alone."""
+        dw, x = int_vec(self.w)
+        return dw, x, mul_i_over(self.gerbe.torus, x)
+
+    @functools.cached_property
+    def kernel(self) -> tuple[int, tuple]:
+        """(den, rows): the trivializer as one integer matrix over one
+        denominator.  At a lattice vector lam its linear part is
         (re + i*im)*lam / den and its constant lam^T*(qre + i*qim)*lam / den,
         where, with F and eps the (1,1) and integral pieces, L the bilinear
         form of the vector record and omega_i = E(iw,.,.),
@@ -67,21 +64,19 @@ class TranslationContext:
             qre = J^T*omega_i/16 - (strict upper triangle of eps)/2
             qim = J^T*F/4
 
-        Each matrix is a tuple of sparse rows ((column, entry), ...).
+        Row a of rows is row a of qre and of qim followed by column a of re
+        and of im, so lam^T*rows is lam^T*qre, lam^T*qim, re*lam, im*lam.
         """
         d = self.gerbe.torus.dim
         dj, cols = self.gerbe.torus.j_columns
-        dl = lcm(*[x.denominator for row in self.forms.l for x in row])
-        l = [[x.numerator * (dl // x.denominator) for x in row] for row in self.forms.l]
+        dl, l = self.forms.l_over
         (df, f), (do, om), (de, eps) = (
             (x.den, x.int_matrix())
             for x in (self.dec.invariant_part, self.forms.omega_i, self.dec.integral_part)
         )
 
         def jt(m):  # dj * J^T * m for an integer matrix m
-            return [
-                [sum(x * m[p][b] for p, x in col) for b in range(d)] for col in cols
-            ]
+            return [[sum(x * m[p][b] for p, x in col) for b in range(d)] for col in cols]
 
         jl, jf, jo = jt(l), jt(f), jt(om)
         g = lcm(dl, df, do, de)
@@ -89,16 +84,11 @@ class TranslationContext:
         kl, kf, kq = 16 * g // dl, 8 * g // df, 4 * g // df
         ko, ke = g // do, 8 * dj * g // de
         r = range(d)
-        re = [[-kl * jl[a][b] - dj * kf * f[a][b] for b in r] for a in r]
-        im = [[-dj * kl * l[a][b] + kf * jf[a][b] for b in r] for a in r]
+        re_t = [[-kl * jl[b][a] - dj * kf * f[b][a] for b in r] for a in r]
+        im_t = [[-dj * kl * l[b][a] + kf * jf[b][a] for b in r] for a in r]
         qre = [[ko * jo[a][b] - (ke * eps[a][b] if a < b else 0) for b in r] for a in r]
         qim = [[kq * x for x in row] for row in jf]
-        return (16 * dj * g, *(_sparse_rows(m) for m in (re, im, qre, qim)))
-
-
-def _sparse_rows(m: list[list[int]]) -> tuple:
-    """The rows ((column, entry), ...) of the nonzero entries of m."""
-    return tuple([tuple([(b, x) for b, x in enumerate(row) if x]) for row in m])
+        return 16 * dj * g, tuple([(*qre[a], *qim[a], *re_t[a], *im_t[a]) for a in r])
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:
@@ -131,15 +121,8 @@ def integral_part_exponent(ctx: TranslationContext, lam) -> Fraction:
     if not vec_is_integral(lam):
         raise ValueError("defined on lattice (integer) vectors only")
     eps = ctx.dec.integral_part
-    total = Fraction(0)
-    d = len(lam)
-    for i in range(d):
-        if lam[i] == 0:
-            continue
-        for j in range(i + 1, d):
-            if lam[j] != 0:
-                total += lam[i] * lam[j] * eps.entry(i, j)
-    return -total / 2
+    pairs = itertools.combinations(range(len(lam)), 2)
+    return -sum([lam[i] * lam[j] * eps.entry(i, j) for i, j in pairs], Fraction(0)) / 2
 
 
 def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
@@ -155,77 +138,95 @@ def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     return ExponentFn(const, lin_re, lin_im)
 
 
-def _trivializer_numerators(ctx: TranslationContext, lam: Vec) -> list[int]:
-    """[const_re, const_im, *lin_re, *lin_im] of the trivializer at a lattice
-    vector, as numerators over the denominator of ctx.kernel."""
-    if len(lam) != ctx.gerbe.torus.dim:
-        raise ValueError("dimension mismatch")
-    if not vec_is_integral(lam):
-        raise ValueError("defined on lattice (integer) vectors only")
-    _, re, im, qre, qim = ctx.kernel
-    x = [v.numerator for v in lam]
-    return [
-        sum(xa * sum(c * x[b] for b, c in row) for xa, row in zip(x, q) if xa)
-        for q in (qre, qim)
-    ] + [sum(c * x[b] for b, c in row) for m in (re, im) for row in m]
+def _trivializer_numerators(ctx: TranslationContext, x: list[int]) -> list[int]:
+    """[const_re, const_im, *lin_re, *lin_im] of the trivializer at the
+    lattice vector x, as numerators over the denominator of ctx.kernel."""
+    z, d = int_vec_mat(x, ctx.kernel[1]), len(x)
+    return [int_dot(z[:d], x), int_dot(z[d : 2 * d], x), *z[2 * d :]]
 
 
 def _exponent_of(nums: list[int], den: int) -> ExponentFn:
     """The ExponentFn whose [const_re, const_im, *lin_re, *lin_im] is nums / den."""
     f = [Fraction(y, den) for y in nums]
     d = (len(f) - 2) // 2
-    lin_re, lin_im = tuple(f[2 : 2 + d]), tuple(f[2 + d :])
-    return ExponentFn(GaussianRational(f[0], f[1]), lin_re, lin_im)
+    return ExponentFn(GaussianRational(f[0], f[1]), tuple(f[2 : 2 + d]), tuple(f[2 + d :]))
 
 
 def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     """Exponent of the full trivializing cochain at a lattice vector: the
     sum of the four factors above, evaluated through ctx.kernel."""
-    return _exponent_of(_trivializer_numerators(ctx, to_vec(lam)), ctx.kernel[0])
+    lam = to_vec(lam)
+    if len(lam) != ctx.gerbe.torus.dim:
+        raise ValueError("dimension mismatch")
+    if not vec_is_integral(lam):
+        raise ValueError("defined on lattice (integer) vectors only")
+    return _exponent_of(_trivializer_numerators(ctx, [v.numerator for v in lam]), ctx.kernel[0])
+
+
+def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
+    """[l1, l2] as integer lists, checked as `translation_factor` checks them."""
+    pair = to_vec(l1), to_vec(l2)
+    require_lattice(pair[0], "l1")
+    require_lattice(pair[1], "l2")
+    if any(len(v) != ctx.gerbe.torus.dim for v in pair):
+        raise ValueError("vector/torus dimension mismatch")
+    return [[v.numerator for v in lam] for lam in pair]
+
+
+def _residual_over(ctx: TranslationContext, x1: list[int], x2: list[int]) -> tuple:
+    """(r, h): the residual at the lattice pair (x1, x2) in integers.
+
+    r is [const_re, const_im, *lin_re, *lin_im] of the coboundary
+    T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) of the trivializer T, as
+    numerators over ctx.kernel[0], and h = (re, dre, im, dim) is the
+    translation factor H_{l1,l2}(w) from E and J alone (`exponent_over`).
+    """
+    t = ctx.gerbe.torus
+    x12 = [a + b for a, b in zip(x1, x2)]
+    t2, t12, t1 = (_trivializer_numerators(ctx, x) for x in (x2, x12, x1))
+    r = [a - b + c for a, b, c in zip(t2, t12, t1)]
+    # evaluating T(l2) at v + l1 adds its linear part at l1 to the constant
+    d = len(x1)
+    r[0] += int_dot(t2[2 : 2 + d], x1)
+    r[1] += int_dot(t2[2 + d :], x1)
+    lattice = [(1, x, mul_i_over(t, x)) for x in (x1, x2)]
+    return r, exponent_over(t, ctx.gerbe.e, ctx.scaled_w, *lattice)
+
+
+def _pair_passes(ctx: TranslationContext, x1: list[int], x2: list[int]) -> bool:
+    """`residual_is_trivial` of the residual at (x1, x2), on its integers:
+    no linear part, the imaginary constant cancels, the real one is integral."""
+    r, (re, dre, im, dim) = _residual_over(ctx, x1, x2)
+    k = ctx.kernel[0]
+    return not any(r[2:]) and r[1] * dim + im * k == 0 and (r[0] * dre + re * k) % (k * dre) == 0
 
 
 def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     """Exponent of exp(H_{l1,l2}(w)) times the coboundary of the trivializer.
 
     For w in the decomposition subgroup this is an integer constant; the
-    linear part vanishes and the constant is real.  The coboundary
-    T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) of the trivializer T is
-    combined from its three evaluations in integers over ctx.kernel's den.
+    linear part vanishes and the constant is real.  Both parts come from
+    the integer residual that `first_failing_pair` decides on.
     """
-    l1, l2 = to_vec(l1), to_vec(l2)
-    h = translation_factor(ctx.gerbe, ctx.w, l1, l2)
-    t2, t12, t1 = (_trivializer_numerators(ctx, v) for v in (l2, vec_add(l1, l2), l1))
-    r = [a - b + c for a, b, c in zip(t2, t12, t1)]
-    # evaluating T(l2) at v + l1 adds its linear part at l1 to the constant
-    d = len(l1)
-    x1 = [v.numerator for v in l1]
-    r[0] += sum(y * x for y, x in zip(t2[2 : 2 + d], x1))
-    r[1] += sum(y * x for y, x in zip(t2[2 + d :], x1))
+    r, (re, dre, im, dim) = _residual_over(ctx, *_lattice_pair(ctx, l1, l2))
+    h = GaussianRational(Fraction(re, dre), Fraction(im, dim))
     return _exponent_of(r, ctx.kernel[0]).add_const(h)
 
 
 def residual_is_trivial(r: ExponentFn) -> bool:
-    return (
-        r.linear_part_is_zero
-        and r.const.im == 0
-        and r.const.re.denominator == 1
-    )
+    return r.linear_part_is_zero and r.const.im == 0 and r.const.re.denominator == 1
 
 
 def default_verification_pairs(
     dim: int, extra_random: int = 10, seed: int = 0
-) -> Iterator[tuple[Vec, Vec]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All ordered basis pairs, then seeded random integer pairs in [-3, 3],
-    generated lazily: dim**2 + extra_random pairs in all."""
-    basis = [basis_vec(dim, a) for a in range(dim)]
-    for a in basis:
-        for b in basis:
-            yield a, b
+    generated lazily as `int` tuples: dim**2 + extra_random pairs in all."""
+    basis = [tuple([int(a == k) for a in range(dim)]) for k in range(dim)]
+    yield from itertools.product(basis, repeat=2)
     rng = random.Random(seed)
     for _ in range(extra_random):
-        l1 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
-        l2 = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
-        yield l1, l2
+        yield tuple([tuple([rng.randint(-3, 3) for _ in range(dim)]) for _ in range(2)])
 
 
 def first_failing_pair(
@@ -236,14 +237,21 @@ def first_failing_pair(
 ) -> tuple[Vec, Vec] | None:
     """The first pair whose residual is not an integer constant, or None.
 
-    Without explicit pairs the default pairs are checked in order, so the
-    basis pairs come first; the pairs are consumed one at a time.
+    Explicit pairs are checked in order.  Without them the dim**2 basis
+    pairs come first and decide, since the residual is bilinear; a random
+    pair failing after them can only be a program fault and raises
+    InternalMismatch.  The pairs are consumed one at a time.
     """
+    d = ctx.gerbe.torus.dim
     if pairs is None:
-        pairs = default_verification_pairs(ctx.gerbe.torus.dim, extra_random, seed)
-    for l1, l2 in pairs:
-        if not residual_is_trivial(trivialization_residual(ctx, l1, l2)):
-            return to_vec(l1), to_vec(l2)
+        pairs, decided = default_verification_pairs(d, extra_random, seed), d * d
+    else:
+        pairs, decided = (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs), None
+    for k, (x1, x2) in enumerate(pairs):
+        if not _pair_passes(ctx, x1, x2):
+            if decided is not None and k >= decided:
+                raise InternalMismatch("a random pair failed where every basis pair passed")
+            return to_vec(x1), to_vec(x2)
     return None
 
 
@@ -253,13 +261,17 @@ def verify_trivialization(
     extra_random: int = 10,
     seed: int = 0,
 ) -> bool:
-    """Whether the trivialization identity holds on all sampled lattice pairs.
+    """Whether the trivialization identity holds on the lattice pairs.
 
     Each factor of the trivializer is at most quadratic in the lattice
     vector, so the residual is bilinear in (l1, l2), its constant part
-    included: the basis pairs among the default pairs already decide the
-    identity on the whole lattice, and the random pairs are an independent
-    extra check.  Failure for some pair witnesses that w is not a symmetry
-    of the gerbe for the chosen case.
+    included.  Without explicit pairs the dim**2 basis pairs decide the
+    identity on the whole lattice; the extra_random seeded pairs then run
+    as a self-check, and one failing there raises InternalMismatch.  Every
+    pair evaluates the trivializer three times and the translation factor
+    once, from E and J, in integers, and checks the linear part as well as
+    the constant.  With explicit pairs the answer is whether all of them
+    pass.  False witnesses that w is not a symmetry of the gerbe for the
+    chosen case.
     """
     return first_failing_pair(ctx, pairs, extra_random, seed) is None

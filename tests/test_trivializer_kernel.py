@@ -10,6 +10,13 @@ keep the old Fraction routes: the trilinear `reference_exponent_re` and
 `reference_trivializing_exponent` and `reference_trivialization_residual`.
 Instances: standard and twisted J at n = 2 and 3, both cases, vectors
 inside and outside the case subgroup.
+
+`first_failing_pair` decides each pair on the integers of one private
+residual core (`_residual_over`), without a `Fraction`; `TestIntegerDecision`
+checks its verdicts against the oracle, that it never reaches the
+`Fraction` wrappers, that a corrupted kernel is caught on a basis pair, and
+that with default pairs a random pair failing after a passing basis raises
+`InternalMismatch`.
 """
 
 import itertools
@@ -20,10 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusgerbe.gerbe as gerbe_module
 import torusgerbe.trivialization as triv
 from torusgerbe import (
     AltForm3,
     GerbeData,
+    InternalMismatch,
     SubgroupCase,
     TranslationContext,
     exponent_im,
@@ -34,7 +43,7 @@ from torusgerbe import (
     trivializing_exponent,
     verify_trivialization,
 )
-from torusgerbe.exact import basis_vec
+from torusgerbe.exact import basis_vec, to_vec
 from torusgerbe.trivialization import default_verification_pairs, first_failing_pair
 
 from helpers import (
@@ -236,21 +245,22 @@ class TestTrivializerKernel:
     def test_kernel_built_once_per_context(self, instance, monkeypatch):
         g, case, vectors = instance
         builds = []
-        sparse = triv._sparse_rows
+        prop = vars(TranslationContext)["kernel"]
+        build = prop.func
 
-        def counting(m):
-            builds.append(m)
-            return sparse(m)
+        def counting(ctx):
+            builds.append(ctx)
+            return build(ctx)
 
-        monkeypatch.setattr(triv, "_sparse_rows", counting)
+        monkeypatch.setattr(prop, "func", counting)
         ctx = TranslationContext.create(g, vectors[0], case)
         assert verify_trivialization(ctx)
         for k in range(g.torus.dim):
             trivializing_exponent(ctx, basis_vec(g.torus.dim, k))
-        assert len(builds) == 4  # the four kernel matrices, once
+        assert len(builds) == 1 and builds[0] is ctx  # the kernel, once
         assert "kernel" in vars(ctx) and "kernel" not in vars(g)
         verify_trivialization(TranslationContext.create(g, vectors[0], case))
-        assert len(builds) == 8  # a new context builds its own
+        assert len(builds) == 2  # a new context builds its own
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -296,3 +306,137 @@ class TestVerificationPairs:
         assert not verify_trivialization(ctx, seed=3)
         explicit = [(basis_vec(d, 0), basis_vec(d, 0)), expected]
         assert first_failing_pair(ctx, explicit) == expected
+
+
+def oracle_first_failure(ctx, pairs):
+    """The first of pairs whose oracle residual is not an integer constant."""
+    return next(
+        (
+            (to_vec(l1), to_vec(l2))
+            for l1, l2 in pairs
+            if not triv.residual_is_trivial(reference_trivialization_residual(ctx, l1, l2))
+        ),
+        None,
+    )
+
+
+def is_basis_pair(pair, d) -> bool:
+    basis = [basis_vec(d, k) for k in range(d)]
+    return pair[0] in basis and pair[1] in basis
+
+
+class TestIntegerDecision:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_decision_matches_oracle(self, data):
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
+        twisted = data.draw(st.booleans(), label="twisted")
+        g, vectors = conjugated_instance(n, data.draw(st.integers(0, 2)), case, twisted)
+        d = g.torus.dim
+        w = list(data.draw(st.sampled_from(vectors), label="w"))
+        # a shift by 1/2, 1/4 or 3/4 in one coordinate usually leaves the subgroup
+        shift = data.draw(st.sampled_from((F(0), F(1, 2), F(1, 4), F(3, 4))), label="shift")
+        w[data.draw(st.integers(0, d - 1))] += shift
+        ctx = TranslationContext.create(g, w, case, check=False)
+        if data.draw(st.booleans(), label="default pairs"):
+            extra, seed = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 99))
+            expected = oracle_first_failure(ctx, default_verification_pairs(d, extra, seed))
+            # bilinearity: a failure, if any, shows on a basis pair first
+            assert expected is None or is_basis_pair(expected, d)
+            assert first_failing_pair(ctx, extra_random=extra, seed=seed) == expected
+            assert verify_trivialization(ctx, extra_random=extra, seed=seed) is (expected is None)
+        else:
+            lat = st.tuples(*[st.integers(-3, 3)] * d)
+            pairs = data.draw(st.lists(st.tuples(lat, lat), min_size=1, max_size=4))
+            assert first_failing_pair(ctx, pairs) == oracle_first_failure(ctx, pairs)
+
+    def test_twisted_instances_have_rational_j(self):
+        # the property above covers dj > 1 through the twisted instances
+        for n in (2, 3):
+            for case in SubgroupCase:
+                g, _ = conjugated_instance(n, 1, case, True)
+                assert g.torus.j_columns[0] > 1
+
+    def test_decision_never_builds_a_fraction_residual(self, instance, monkeypatch):
+        g, case, vectors = instance
+        rng = random.Random(41)
+        outside = outside_vector(rng, g, case)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the decision went through a Fraction wrapper")
+
+        monkeypatch.setattr(triv, "trivialization_residual", forbidden)
+        monkeypatch.setattr(triv, "_exponent_of", forbidden)
+        monkeypatch.setattr(gerbe_module, "translation_factor", forbidden)
+        for w in vectors[:2]:
+            assert verify_trivialization(TranslationContext.create(g, w, case))
+        assert not verify_trivialization(
+            TranslationContext.create(g, outside, case, check=False)
+        )
+
+    def test_corrupted_kernel_fails_on_a_basis_pair(self, instance):
+        g, case, vectors = instance
+        d = g.torus.dim
+        for a, b in ((0, 0), (1, d - 1)):
+            ctx = TranslationContext.create(g, vectors[0], case)
+            assert first_failing_pair(ctx) is None
+            den, rows = ctx.kernel
+            rows = [list(row) for row in rows]
+            rows[a][d + b] += 1  # one entry of qim, the imaginary quadratic part
+            vars(ctx)["kernel"] = (den, tuple(map(tuple, rows)))
+            expected = (basis_vec(d, min(a, b)), basis_vec(d, max(a, b)))
+            assert first_failing_pair(ctx) == expected
+            assert not verify_trivialization(ctx)
+
+    def test_random_pair_failing_after_basis_raises(self, instance, monkeypatch):
+        g, case, vectors = instance
+        d = g.torus.dim
+        core = triv._residual_over
+
+        def broken_off_basis(ctx, x1, x2):
+            # bilinearity broken only where a vector is not a basis vector
+            r, h = core(ctx, x1, x2)
+            if sorted(x1) != [0] * (d - 1) + [1] or sorted(x2) != [0] * (d - 1) + [1]:
+                r = [r[0], r[1] + 1, *r[2:]]
+            return r, h
+
+        monkeypatch.setattr(triv, "_residual_over", broken_off_basis)
+        ctx = TranslationContext.create(g, vectors[0], case)
+        with pytest.raises(InternalMismatch):
+            verify_trivialization(ctx)
+        with pytest.raises(InternalMismatch):
+            first_failing_pair(ctx, seed=7)
+        # without random pairs the basis alone decides
+        assert verify_trivialization(ctx, extra_random=0)
+        # explicit pairs keep first-failure semantics
+        e0, off = basis_vec(d, 0), (F(1),) * d
+        assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) == (off, e0)
+
+    def test_internal_mismatch_lives_below_trivialization(self):
+        import torusgerbe
+        import torusgerbe.exact as exact
+        import torusgerbe.obstruction as obstruction
+
+        assert exact.InternalMismatch is obstruction.InternalMismatch
+        assert torusgerbe.InternalMismatch is exact.InternalMismatch
+        assert triv.InternalMismatch is exact.InternalMismatch
+
+    def test_explicit_pairs_raise_as_before(self, instance):
+        g, case, vectors = instance
+        ctx = TranslationContext.create(g, vectors[0], case)
+        d = g.torus.dim
+        e0, half = basis_vec(d, 0), (F(1, 2),) + (F(0),) * (d - 1)
+        with pytest.raises(ValueError, match="l1 must be a lattice"):
+            first_failing_pair(ctx, [(e0, e0), (half, e0)])
+        with pytest.raises(ValueError, match="l2 must be a lattice"):
+            verify_trivialization(ctx, [(e0, half)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            first_failing_pair(ctx, [(e0, basis_vec(d + 1, 0))])
+        # the same messages as translation_factor, which checked them before
+        for l1, l2 in ((half, e0), (e0, half), (e0, basis_vec(d + 1, 0))):
+            with pytest.raises(ValueError) as new:
+                first_failing_pair(ctx, [(l1, l2)])
+            with pytest.raises(ValueError) as old:
+                translation_factor(g, vectors[0], l1, l2)
+            assert str(new.value) == str(old.value)
