@@ -176,10 +176,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def times_i(self) -> "GaussianRational":
         return GaussianRational(-self.im, self.re)
 
@@ -366,9 +362,7 @@ class ReducedLattice:
 
     def member(self, target) -> tuple[int, ...] | None:
         """Integer coefficients c with sum(c_i * generators_i) == target, or None."""
-        tgt = to_vec(target)
-        den = lcm(*[x.denominator for x in tgt])
-        nums = [x.numerator * (den // x.denominator) for x in tgt]
+        den, nums = int_vec(to_vec(target))
         return self.member_over(nums, den)
 
     def member_over(self, nums: Sequence[int], den: int) -> tuple[int, ...] | None:

@@ -9,10 +9,10 @@ translating the data, and the isomorphism test for two presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, Mat, Vec, ZERO_G, alternating_full, dot, int_vec
+from .exact import GaussianRational, Mat, Vec, ZERO_G, alternating_full, dot
 from .exact import mat_vec, to_vec, vec_is_integral, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import contract3, pullback_combination, type_condition_check
@@ -151,32 +151,19 @@ def require_lattice(v: Vec, what: str):
         raise ValueError(f"{what} must be a lattice (integer) vector")
 
 
-def mul_i_over(torus: TorusData, x) -> list[int]:
-    """dj*J*x for an integer vector x, from the nonzero entries of J's
-    columns."""
-    ix = [0] * torus.dim
-    for a, col in zip(x, torus.j_columns[1]):
-        if a:
-            for p, c in col:
-                ix[p] += a * c
-    return ix
-
-
 def _canonical_exponent(
     torus: TorusData, e3: AltForm3, a, b, c
 ) -> tuple[Fraction, Fraction]:
     """(exponent_re, exponent_im) at rational (a, b, c), by `exponent_over`."""
     vecs = (to_vec(a), to_vec(b), to_vec(c))
-    if any(len(v) != torus.dim for v in vecs):
-        raise ValueError("vector/torus dimension mismatch")
-    args = [(dv, x, mul_i_over(torus, x)) for dv, x in map(int_vec, vecs)]
-    re, dre, im, dim = exponent_over(torus, e3, *args)
+    re, dre, im, dim = exponent_over(torus, e3, *map(torus.lift, vecs))
     return Fraction(re, dre), Fraction(im, dim)
 
 
 def exponent_over(torus: TorusData, e3: AltForm3, a, b, c) -> tuple[int, int, int, int]:
     """(re, dre, im, dim) with exponent_re = re/dre and exponent_im = im/dim,
-    for triples (da, x, ix) with a = x/da and ix = dj*J*x, likewise b, c.
+    for triples (da, x, ix) with a = x/da and ix = dj*J*x, likewise b, c,
+    as `TorusData.lift` builds them.
 
     With E scaled by the lcm de of its denominators (`AltForm3.int_entries`),
     s1..s6 the scaled E(a,b,c), E(ia,ib,c), E(ia,b,ic), E(a,ib,c), E(a,b,ic)
@@ -235,23 +222,19 @@ def exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
 def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
     """The integer core of `VectorForms`: (dw, x, ix, do, omega, omega_i, l).
 
-    w = x/dw and iw = ix/(dj*dw) for the lcm dw of w's denominators, and
-    omega, omega_i and l are the full integer matrices of E(w,.,.) over
-    do = de*dw, E(iw,.,.) over dj*do and L_w over 16*dj*do.  Since omega is
+    (dw, x, ix) is `TorusData.lift` of w, so iw = ix/(dj*dw), and omega,
+    omega_i and l are the full integer matrices of E(w,.,.) over do =
+    de*dw, E(iw,.,.) over dj*do and L_w over 16*dj*do.  Since omega is
     alternating, J^T*omega = -(omega*J)^T, so with Y = dj*omega*J the
     form is l = Y - Y^T - 2*omega_i.
     """
-    d = torus.dim
-    if len(w) != d:
-        raise ValueError("vector/torus dimension mismatch")
     dj = torus.j_columns[0]
-    dw, x = int_vec(w)
-    ix = mul_i_over(torus, x)
+    dw, x, ix = torus.lift(w)
     up, do = e3.contract_over(x, dw)
     omega = alternating_full(up)
     omega_i = alternating_full(e3.contract_over(ix, dj * dw)[0])
     y = torus.times_j(omega)
-    r = range(d)
+    r = range(torus.dim)
     l = [[y[a][b] - y[b][a] - 2 * omega_i[a][b] for b in r] for a in r]
     return dw, x, ix, do, omega, omega_i, l
 
@@ -262,9 +245,8 @@ class VectorForms:
 
     omega = E(w,.,.) and omega_i = E(iw,.,.) are the two contractions, and
     l = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form with
-    exponent_im(w, x, y) = x^T * l * y, and l_over is (den, den*l) with the
-    integer matrix of `forms_over`.  Built once per vector by the contexts
-    that evaluate the exponent at many points.
+    exponent_im(w, x, y) = x^T * l * y.  A `Fraction` view: the integer
+    kernels read `forms_over` instead.
     """
 
     w: Vec
@@ -272,7 +254,6 @@ class VectorForms:
     omega: AltForm2
     omega_i: AltForm2
     l: Mat
-    l_over: tuple = field(repr=False, compare=False)
 
     @staticmethod
     def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
@@ -285,7 +266,6 @@ class VectorForms:
             omega=AltForm2.from_upper(omega, do),
             omega_i=AltForm2.from_upper(omega_i, dj * do),
             l=AltForm2.from_upper(l, 16 * dj * do).entries,
-            l_over=(16 * dj * do, l),
         )
 
 
@@ -325,16 +305,11 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
 
 def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:
     """The 2-form (5*E(w,.,.) - 3*E(w,i.,i.)) / 8 added to B by translation."""
-    return shift_of_contraction(torus, contract3(e3, w))
+    return pullback_combination(torus, contract3(e3, w), *SHIFT_COEFFICIENTS)
 
 
 # (c0, c1) of the translation shift c0*omega + c1*J^T*omega*J
 SHIFT_COEFFICIENTS = (Fraction(5, 8), Fraction(-3, 8))
-
-
-def shift_of_contraction(torus: TorusData, omega: AltForm2) -> AltForm2:
-    """The translation shift (5*omega - 3*J^T*omega*J) / 8 of omega = E(w,.,.)."""
-    return pullback_combination(torus, omega, *SHIFT_COEFFICIENTS)
 
 
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:

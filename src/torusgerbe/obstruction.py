@@ -14,17 +14,15 @@ per-case closed form.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
-from .exact import InternalMismatch, alternating_full, int_dot, int_vec_mat, unit_reduce
-from .gerbe import Character, ExponentFn, GerbeData, VectorForms, exponent_im
-from .gerbe import forms_over
-from .symmetry import NotInSubgroup, SubgroupCase, invariant_coefficients, member_over
-from .torus import AltForm2, pullback_over
+from .exact import InternalMismatch, int_dot, int_vec_mat, unit_reduce
+from .gerbe import Character, ExponentFn, GerbeData, exponent_im
+from .symmetry import NotInSubgroup, SubgroupCase, require_case_member
+from .torus import AltForm2
 from .trivialization import TranslationContext, trivializing_exponent
 
 
@@ -37,66 +35,12 @@ class FirstObstructionNonzero(ValueError):
 
 
 @dataclass(frozen=True)
-class VectorData:
-    """What the obstruction formulas read about one vector w, in integers.
-
-    x, ix and omega are as in `forms_over`; every matrix is over den =
-    16*dj**3*de*dw, whose factor before dw all vectors share, so products of
-    two records share a denominator.  f is the (1,1) piece F_w by the case
-    formulas (member or not), m = M_w = (J^T*omega_i - omega_i*J)/8 - F_w
-    for omega_i = E(iw,.,.), and r = R_w = L_w - J^T*F_w/2: the unitary
-    first character of (w1, w2) is lam -> w1^T*M_w2*lam and the correction
-    covector is w1^T*R_w2.
-    """
-
-    gerbe: GerbeData = field(repr=False, compare=False)
-    w: Vec
-    dw: int
-    x: list
-    ix: list
-    den: int
-    member: bool
-    omega: list
-    f: list
-    m: list
-    r: list
-
-    @staticmethod
-    def create(gerbe: GerbeData, case: SubgroupCase, w: Vec) -> "VectorData":
-        t = gerbe.torus
-        dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
-        coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
-        f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
-        f = alternating_full(f)
-        # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
-        xj, zj = t.times_j(omega_i), t.times_j(f)
-        dj, r = t.j_columns[0], range(t.dim)
-        # the case coefficients have denominator 8, so df = 8*dj**2*do
-        den = 16 * dj**3 * do
-        kf, kz = den // df, den // (2 * dj * df)
-        return VectorData(
-            gerbe, w, dw, x, ix, den, member_over(t, coords, do, case),
-            [[den // do * y for y in row] for row in omega],
-            [[kf * y for y in row] for row in f],
-            [[-2 * dj * (xj[a][b] + xj[b][a]) - kf * f[a][b] for b in r] for a in r],
-            [[dj * dj * l[a][b] + kz * zj[b][a] for b in r] for a in r],
-        )
-
-    @functools.cached_property
-    def forms(self) -> VectorForms:
-        return VectorForms.create(self.gerbe.torus, self.gerbe.e, self.w)
-
-    @functools.cached_property
-    def invariant(self) -> AltForm2:
-        return AltForm2.from_upper(self.f, self.den)
-
-
-@dataclass(frozen=True)
 class ObstructionContext:
     """A gerbe together with the decomposition case all formulas use.
 
-    The per-vector data is computed once per distinct vector and kept for
-    the life of the context; it takes no part in equality or hashing.
+    The record of each distinct vector (a `TranslationContext`) is built
+    once and kept for the life of the context; the cache takes no part in
+    equality or hashing.
     """
 
     gerbe: GerbeData
@@ -105,18 +49,19 @@ class ObstructionContext:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def vector(self, w) -> VectorData:
-        """The data of w, computed on first use."""
+    def vector(self, w) -> TranslationContext:
+        """The record of w, built on first use without the membership check."""
         w = to_vec(w)
         data = self._vectors.get(w)
         if data is None:
-            data = self._vectors[w] = VectorData.create(self.gerbe, self.case, w)
+            data = TranslationContext.create(self.gerbe, w, self.case, check=False)
+            self._vectors[w] = data
         return data
 
     def member(self, w) -> bool:
         return self.vector(w).member
 
-    def require_member(self, w, what: str = "vector") -> VectorData:
+    def require_member(self, w, what: str = "vector") -> TranslationContext:
         data = self.vector(w)
         if not data.member:
             raise NotInSubgroup(f"{what} is not in the chosen subgroup")
@@ -126,7 +71,11 @@ class ObstructionContext:
         return self.vector(w).invariant
 
     def translation(self, w, check: bool = True) -> TranslationContext:
-        return TranslationContext.create(self.gerbe, w, self.case, check=check)
+        """The record of w, as `TranslationContext.create` checks it."""
+        data = self.vector(w)
+        if check:
+            require_case_member(data.member, self.case)
+        return data
 
 
 def lift_defect_exponent(ctx: ObstructionContext, w1, w2, lam) -> GaussianRational:
@@ -152,11 +101,9 @@ def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     """The defect character, computed both from the trivializer composition
     and from the closed exponent, and asserted identical."""
     w1, w2 = to_vec(w1), to_vec(w2)
-    ctx.require_member(w1, "w1")
-    ctx.require_member(w2, "w2")
+    t1 = ctx.require_member(w1, "w1")
+    t2 = ctx.require_member(w2, "w2")
     t = ctx.gerbe.torus
-    t1 = ctx.translation(w1)
-    t2 = ctx.translation(w2)
     t12 = ctx.translation(vec_add(w1, w2))
     composed = []
     for k in range(t.dim):
@@ -226,7 +173,7 @@ def first_obstruction_character(ctx: ObstructionContext, w1, w2) -> Character:
     return _character(int_vec_mat(d1.x, d2.m), d1.dw * d2.den)
 
 
-def _first_alternating(ctx: ObstructionContext, d1: VectorData, d2: VectorData):
+def _first_alternating(ctx: ObstructionContext, d1, d2):
     """(den, skew): the alternating first character's exponents on the
     lattice basis over one denominator, checked against the closed form."""
     den = d1.dw * d2.den  # = d2.dw * d1.den: the records share their scale

@@ -71,7 +71,10 @@ def fixes_gerbe(torus: TorusData, e3: AltForm3, w) -> bool:
 
 def in_case_subgroup(torus: TorusData, e3: AltForm3, w, case: SubgroupCase) -> bool:
     """Membership of w in the chosen decomposition subgroup."""
-    return contraction_member(torus, contract3(e3, to_vec(w)), case)
+    omega = contract3(e3, to_vec(w))
+    if omega.dim != torus.dim:
+        raise ValueError("form/torus dimension mismatch")
+    return member_over(torus, omega.upper, omega.den, case)
 
 
 def case_decomposition(
@@ -86,21 +89,27 @@ def case_decomposition(
     data then fails its defining property exactly when w is outside the
     subgroup, which is what the trivialization verifier witnesses.
     """
-    return contraction_decomposition(torus, contract3(e3, to_vec(w)), case, check)
+    omega = contract3(e3, to_vec(w))
+    invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
+    if check:
+        require_case_member(member_over(torus, omega.upper, omega.den, case), case)
+    if case is SubgroupCase.INTEGRAL:
+        return Decomposition(invariant_part=invariant, integral_part=omega)
+    zero = AltForm2.zero(torus.dim)
+    return Decomposition(invariant_part=invariant, integral_part=zero)
 
 
-def contraction_member(torus: TorusData, omega: AltForm2, case: SubgroupCase) -> bool:
-    """`in_case_subgroup` for the vector w with contraction omega = E(w,.,.),
-    read from omega's integer storage."""
-    if omega.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
-    return member_over(torus, omega.upper, omega.den, case)
+def require_case_member(member: bool, case: SubgroupCase):
+    """Raise NotInSubgroup for a vector whose case membership is False."""
+    if not member:
+        what = "integral" if case is SubgroupCase.INTEGRAL else "of type (1,1)"
+        raise NotInSubgroup(f"contraction with the 3-form is not {what}")
 
 
 def member_over(torus: TorusData, nums, den: int, case: SubgroupCase) -> bool:
-    """`contraction_member` for the contraction whose coordinates on the
-    pairs a < b, in lexicographic order, are the integers nums over the
-    positive integer den."""
+    """`in_case_subgroup` for the vector w whose contraction E(w,.,.) has the
+    coordinates nums / den on the pairs a < b, in lexicographic order, for
+    integers nums over the positive integer den."""
     if case is SubgroupCase.INTEGRAL:
         return not any(x % den for x in nums)
     return not any(map(any, pullback_over(torus, nums, den, 1, -1)[0]))
@@ -113,17 +122,3 @@ def invariant_coefficients(case: SubgroupCase) -> tuple[Fraction, Fraction]:
     if case is SubgroupCase.INTEGRAL:
         return Fraction(-3, 8), Fraction(-3, 8)
     return SHIFT_COEFFICIENTS
-
-
-def contraction_decomposition(
-    torus: TorusData, omega: AltForm2, case: SubgroupCase, check: bool = True
-) -> Decomposition:
-    """`case_decomposition` for the vector w with contraction omega = E(w,.,.)."""
-    if check and not contraction_member(torus, omega, case):
-        what = "integral" if case is SubgroupCase.INTEGRAL else "of type (1,1)"
-        raise NotInSubgroup(f"contraction with the 3-form is not {what}")
-    invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
-    if case is SubgroupCase.INTEGRAL:
-        return Decomposition(invariant_part=invariant, integral_part=omega)
-    zero = AltForm2.zero(torus.dim)
-    return Decomposition(invariant_part=invariant, integral_part=zero)

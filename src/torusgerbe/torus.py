@@ -22,6 +22,7 @@ from .exact import (
     alternating_full,
     basis_vec,
     identity_mat,
+    int_vec,
     lattice_membership,  # noqa: F401  (still importable from this module)
     mat_mul,
     mat_transpose,
@@ -85,6 +86,24 @@ class TorusData:
         columns."""
         cols = self.j_columns[1]
         return [[sum([row[p] * c for p, c in col]) for col in cols] for row in m]
+
+    def mul_i_over(self, x) -> list[int]:
+        """dj*J*x for an integer vector x, from the nonzero entries of J's
+        columns."""
+        ix = [0] * self.dim
+        for a, col in zip(x, self.j_columns[1]):
+            if a:
+                for p, c in col:
+                    ix[p] += a * c
+        return ix
+
+    def lift(self, v: Vec) -> tuple[int, list[int], list[int]]:
+        """(dv, x, ix) with v = x/dv for the lcm dv of v's denominators and
+        ix = dj*J*x: the integers in which the kernels take a vector."""
+        if len(v) != self.dim:
+            raise ValueError("vector/torus dimension mismatch")
+        dv, x = int_vec(v)
+        return dv, x, self.mul_i_over(x)
 
     @functools.cached_property
     def pullback_map(self) -> tuple[int, tuple]:
@@ -219,17 +238,16 @@ def type_condition_check(torus: TorusData, e3: AltForm3) -> bool:
     Both sides are alternating and trilinear, so strictly increasing basis
     triples suffice.  In complex dimension 2 this holds for every E.  The
     check runs in integers: J and E are scaled by the lcm of their
-    denominators (dj and de), so the left side picks up dj**2, and each of
-    the three sums walks only the nonzero entries of two columns of J.
+    denominators (dj, and de of `AltForm3.int_entries`), so the left side
+    picks up dj**2, and each of the three sums walks only the nonzero
+    entries of two columns of J.
     """
     if e3.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
     d = torus.dim
     dj, cols = torus.j_columns
-    de = lcm(*[v.denominator for _, v in e3.entries])
     t = [[[0] * d for _ in range(d)] for _ in range(d)]  # de * E(e_a, e_b, e_c)
-    for (a, b, c), v in e3.entries:
-        k = int(v * de)
+    for a, b, c, k in e3.int_entries[1]:
         t[a][b][c] = t[b][c][a] = t[c][a][b] = k
         t[b][a][c] = t[a][c][b] = t[c][b][a] = -k
     lhs_scale = dj * dj

@@ -14,81 +14,116 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GaussianRational, InternalMismatch, Vec, int_dot, int_vec, int_vec_mat
-from .exact import mat_vec, to_vec, vec_is_integral
-from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, mul_i_over
+from .exact import GaussianRational, InternalMismatch, Vec, alternating_full, int_dot
+from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
+from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, forms_over
 from .gerbe import require_lattice
-from .symmetry import Decomposition, SubgroupCase, contraction_decomposition
+from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
+from .symmetry import member_over, require_case_member
+from .torus import AltForm2, pullback_over
 
 
 @dataclass(frozen=True)
 class TranslationContext:
-    """Everything needed to trivialize translation by a fixed w."""
+    """Translation by w with its trivialization: the one per-vector record
+    that the trivializer and the obstruction formulas read, in integers.
+
+    Only gerbe, w and case are compared, hashed and shown.  (dw, x, ix) is
+    `TorusData.lift` of w.  The matrices are over den = 16*dj**3*de*dw,
+    whose factor before dw all records share: omega = E(w,.,.), f = F_w
+    (the (1,1) piece by the case formulas, member or not), m = M_w =
+    (J^T*omega_i - omega_i*J)/8 - F_w for omega_i = E(iw,.,.), and r = R_w
+    = L_w - J^T*F_w/2.  The unitary first character of (w1, w2) is lam ->
+    w1^T*M_w2*lam, the correction covector w1^T*R_w2; `kernel` reads R_w,
+    M_w and F_w.
+    """
 
     gerbe: GerbeData
     w: Vec
     case: SubgroupCase
-    dec: Decomposition
-    forms: VectorForms
+    dw: int = field(compare=False, repr=False)
+    x: list = field(compare=False, repr=False)
+    ix: list = field(compare=False, repr=False)
+    den: int = field(compare=False, repr=False)
+    member: bool = field(compare=False, repr=False)
+    omega: list = field(compare=False, repr=False)
+    f: list = field(compare=False, repr=False)
+    m: list = field(compare=False, repr=False)
+    r: list = field(compare=False, repr=False)
 
     @staticmethod
     def create(
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
-        w = to_vec(w)
-        forms = VectorForms.create(gerbe.torus, gerbe.e, w)
-        dec = contraction_decomposition(gerbe.torus, forms.omega, case, check)
-        return TranslationContext(gerbe=gerbe, w=w, case=case, dec=dec, forms=forms)
+        """The record of w; with check, NotInSubgroup outside the subgroup."""
+        t, w = gerbe.torus, to_vec(w)
+        dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
+        coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
+        member = member_over(t, coords, do, case)
+        if check:
+            require_case_member(member, case)
+        f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
+        f = alternating_full(f)
+        # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
+        xj, zj = t.times_j(omega_i), t.times_j(f)
+        dj, r = t.j_columns[0], range(t.dim)
+        # the case coefficients have denominator 8, so df = 8*dj**2*do
+        den = 16 * dj**3 * do
+        kf, kz = den // df, den // (2 * dj * df)
+        return TranslationContext(
+            gerbe, w, case, dw, x, ix, den, member,
+            [[den // do * y for y in row] for row in omega],
+            [[kf * y for y in row] for row in f],
+            [[-2 * dj * (xj[a][b] + xj[b][a]) - kf * f[a][b] for b in r] for a in r],
+            [[dj * dj * l[a][b] + kz * zj[b][a] for b in r] for a in r],
+        )
 
     @functools.cached_property
-    def scaled_w(self) -> tuple[int, list[int], list[int]]:
-        """(dw, x, ix) with w = x/dw and ix = dj*J*x: the first argument of
-        the translation factor, scaled once from w and J alone."""
-        dw, x = int_vec(self.w)
-        return dw, x, mul_i_over(self.gerbe.torus, x)
+    def forms(self) -> VectorForms:
+        return VectorForms.create(self.gerbe.torus, self.gerbe.e, self.w)
+
+    @functools.cached_property
+    def invariant(self) -> AltForm2:
+        """F_w, the (1,1) piece of the case decomposition."""
+        return AltForm2.from_upper(self.f, self.den)
+
+    @functools.cached_property
+    def dec(self) -> Decomposition:
+        g = self.gerbe
+        return case_decomposition(g.torus, g.e, self.w, self.case, check=False)
 
     @functools.cached_property
     def kernel(self) -> tuple[int, tuple]:
         """(den, rows): the trivializer as one integer matrix over one
-        denominator.  At a lattice vector lam its linear part is
-        (re + i*im)*lam / den and its constant lam^T*(qre + i*qim)*lam / den,
-        where, with F and eps the (1,1) and integral pieces, L the bilinear
-        form of the vector record and omega_i = E(iw,.,.),
+        denominator, read off the record and J's columns alone.  At a lattice
+        vector lam its linear part is (re + i*im)*lam / den and its constant
+        lam^T*(qre + i*qim)*lam / den, where, with eps the integral piece
+        (E(w,.,.) in the integral case, zero in the other),
 
-            re  = -J^T*L - F/2           im  = -L + J^T*F/2
-            qre = J^T*omega_i/16 - (strict upper triangle of eps)/2
-            qim = J^T*F/4
+            re  = -J^T*R_w                                  im  = -R_w
+            qre = M_w/4 - (strict upper triangle of eps)/2  qim = J^T*F_w/4
 
-        Row a of rows is row a of qre and of qim followed by column a of re
-        and of im, so lam^T*rows is lam^T*qre, lam^T*qim, re*lam, im*lam.
+        Only the symmetric part of qre enters the constant; that of M_w/4 is
+        the symmetric part of J^T*omega_i/16 for omega_i = E(iw,.,.).  Row a
+        of rows is row a of qre and of qim followed by column a of re and of
+        im, so lam^T*rows is lam^T*qre, lam^T*qim, re*lam, im*lam.
         """
-        d = self.gerbe.torus.dim
-        dj, cols = self.gerbe.torus.j_columns
-        dl, l = self.forms.l_over
-        (df, f), (do, om), (de, eps) = (
-            (x.den, x.int_matrix())
-            for x in (self.dec.invariant_part, self.forms.omega_i, self.dec.integral_part)
-        )
-
-        def jt(m):  # dj * J^T * m for an integer matrix m
-            return [[sum(x * m[p][b] for p, x in col) for b in range(d)] for col in cols]
-
-        jl, jf, jo = jt(l), jt(f), jt(om)
-        g = lcm(dl, df, do, de)
-        # each term's factor is den = 16*dj*g over that term's denominator
-        kl, kf, kq = 16 * g // dl, 8 * g // df, 4 * g // df
-        ko, ke = g // do, 8 * dj * g // de
-        r = range(d)
-        re_t = [[-kl * jl[b][a] - dj * kf * f[b][a] for b in r] for a in r]
-        im_t = [[-dj * kl * l[b][a] + kf * jf[b][a] for b in r] for a in r]
-        qre = [[ko * jo[a][b] - (ke * eps[a][b] if a < b else 0) for b in r] for a in r]
-        qim = [[kq * x for x in row] for row in jf]
-        return 16 * dj * g, tuple([(*qre[a], *qim[a], *re_t[a], *im_t[a]) for a in r])
+        t = self.gerbe.torus
+        dj, r = t.j_columns[0], range(t.dim)
+        # column a of re is row a of -R^T*J, and J^T*F = -(F*J)^T
+        rj, fj = t.times_j(list(zip(*self.r))), t.times_j(self.f)
+        ke = 2 * dj if self.case is SubgroupCase.INTEGRAL else 0  # eps = E(w,.,.) or 0
+        rows = []
+        for a in r:
+            qre = [dj * self.m[a][b] - (ke * self.omega[a][b] if a < b else 0) for b in r]
+            qim = [-fj[b][a] for b in r]
+            im = [-4 * dj * self.r[b][a] for b in r]
+            rows.append((*qre, *qim, *[-4 * y for y in rj[a]], *im))
+        return 4 * dj * self.den, tuple(rows)
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:
@@ -189,8 +224,8 @@ def _residual_over(ctx: TranslationContext, x1: list[int], x2: list[int]) -> tup
     d = len(x1)
     r[0] += int_dot(t2[2 : 2 + d], x1)
     r[1] += int_dot(t2[2 + d :], x1)
-    lattice = [(1, x, mul_i_over(t, x)) for x in (x1, x2)]
-    return r, exponent_over(t, ctx.gerbe.e, ctx.scaled_w, *lattice)
+    lattice = [(1, x, t.mul_i_over(x)) for x in (x1, x2)]
+    return r, exponent_over(t, ctx.gerbe.e, (ctx.dw, ctx.x, ctx.ix), *lattice)
 
 
 def _pair_passes(ctx: TranslationContext, x1: list[int], x2: list[int]) -> bool:

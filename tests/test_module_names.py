@@ -1,12 +1,17 @@
-"""Every global name a function reads is bound in its module.
+"""Every global name a function reads is bound in its module, and every
+module-level import of the package is read.
 
 A function body that reads a name its module never binds raises
 ``NameError`` only when the function runs, so a missing import hides until
-the one call that reaches it.  The project has no linter dependency, so the
-check reads the compiler's own symbol tables (stdlib ``symtable``) for every
-module of the package and of the test suite.
+the one call that reaches it.  An import that nothing reads stays behind
+when code moves between modules.  The project has no linter dependency, so
+the checks read the compiler's own symbol tables (stdlib ``symtable``) for
+every module of the package and of the test suite, and the syntax tree
+(stdlib ``ast``) of every package module but ``__init__.py``, whose imports
+are its re-exports.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -17,6 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [*(ROOT / "src" / "torusgerbe").glob("*.py"), *(ROOT / "tests").glob("*.py")]
 )
+PACKAGE_MODULES = sorted(
+    p for p in (ROOT / "src" / "torusgerbe").glob("*.py") if p.name != "__init__.py"
+)
+# (module, name) of the imports kept although their module never reads them
+UNREAD_IMPORTS_KEPT = {
+    # bench/test_bench.py checks that this binding of a traced function is wrapped
+    ("torus.py", "lattice_membership"),
+}
 # Builtins, plus the attributes the import system sets on every module.
 ALWAYS_BOUND = set(dir(builtins)) | {"__builtins__", "__cached__", "__file__", "__path__"}
 
@@ -85,3 +98,53 @@ def test_check_flags_a_missing_import():
         (8, "uses.lambda", "missing"),
         (8, "uses.listcomp", "fixes"),
     ]
+
+
+def unread_imports(source):
+    """Sorted (line, name) for each name a module-level import binds that
+    the module never reads (``from __future__`` imports excepted)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_module_imports_are_read(path):
+    unread = [
+        (line, name)
+        for line, name in unread_imports(path.read_text(encoding="utf-8"))
+        if (path.name, name) not in UNREAD_IMPORTS_KEPT
+    ]
+    assert not unread, "\n".join(
+        f"{path.relative_to(ROOT)}:{line}: {name!r} is imported but never read"
+        for line, name in unread
+    )
+
+
+def test_kept_unread_imports_are_still_unread():
+    # an exception that the module has come to read is no longer needed
+    for module, name in UNREAD_IMPORTS_KEPT:
+        source = (ROOT / "src" / "torusgerbe" / module).read_text(encoding="utf-8")
+        assert name in {n for _, n in unread_imports(source)}
+
+
+def test_check_flags_an_unread_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "import sys\n"
+        "def f(x: least) -> int:\n"
+        "    gcd = 2\n"
+        "    return os.sep\n"
+    )
+    assert unread_imports(source) == [(3, "gcd"), (4, "sys")]

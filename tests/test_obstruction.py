@@ -148,6 +148,32 @@ class TestLiftDefectCharacter:
         char = lift_defect_character(ctx6, w1, w2)
         assert char.dim == 6
 
+    def test_translation_is_the_cached_record(self):
+        ctx = ObstructionContext(gerbe4(2), INT)
+        assert ctx.member(W1)
+        assert ctx.translation(W1) is ctx.vector(W1)
+        bad = vec(F(1, 3), 0, 0, 0)
+        assert ctx.translation(bad, check=False) is ctx.vector(bad)
+        with pytest.raises(NotInSubgroup, match="contraction with the 3-form is not integral"):
+            ctx.translation(bad)
+
+    def test_one_record_per_distinct_vector(self, monkeypatch):
+        # the records of w1, w2 and w1 + w2 serve both the membership checks
+        # and the three trivializers composed
+        import torusgerbe.gerbe as gerbe
+        import torusgerbe.trivialization as triv
+
+        calls, forms_over = [], gerbe.forms_over
+
+        def counting(torus, e3, w):
+            calls.append(to_vec(w))
+            return forms_over(torus, e3, w)
+
+        for module in (gerbe, triv):
+            monkeypatch.setattr(module, "forms_over", counting)
+        lift_defect_character(ObstructionContext(gerbe4(2), INT), W1, W2)
+        assert sorted(calls) == sorted([W1, W2, vec_add(W1, W2)])
+
 
 class TestDefectCorrection:
     def test_no_constant_term(self, ctx4):

@@ -235,6 +235,18 @@ class TestContextRecords:
             tctx = TranslationContext.create(g, w, case, check=False)
             assert tctx.forms == forms
             assert (tctx.dec.invariant_part, tctx.dec.integral_part) == (invariant, integral)
+            twin = TranslationContext.create(g, w, case, check=False)
+            assert twin == tctx and hash(twin) == hash(tctx)
+            # the kernel's linear columns: im = -R and re = -J^T*R for
+            # R = L - J^T*F/2
+            r = tuple(
+                tuple(x - y / 2 for x, y in zip(rl, rf))
+                for rl, rf in zip(l, mat_mul(t.jt, invariant.entries))
+            )
+            jt_r, (den, rows), d = mat_mul(t.jt, r), tctx.kernel, t.dim
+            for a, row in enumerate(rows):
+                assert [F(y, den) for y in row[2 * d : 3 * d]] == [-x[a] for x in jt_r]
+                assert [F(y, den) for y in row[3 * d :]] == [-x[a] for x in r]
             if not member:
                 with pytest.raises(NotInSubgroup):
                     TranslationContext.create(g, w, case)

@@ -19,6 +19,7 @@ that with default pairs a random pair failing after a passing basis raises
 `InternalMismatch`.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -388,6 +389,16 @@ class TestIntegerDecision:
             expected = (basis_vec(d, min(a, b)), basis_vec(d, max(a, b)))
             assert first_failing_pair(ctx) == expected
             assert not verify_trivialization(ctx)
+
+    @pytest.mark.parametrize("name", ["m", "r"])
+    def test_corrupted_record_fails_the_identity(self, instance, name):
+        # the kernel reads M_w and R_w, the translation factor only E and J
+        g, case, vectors = instance
+        ctx = TranslationContext.create(g, vectors[0], case)
+        assert verify_trivialization(ctx)
+        m = [list(row) for row in getattr(ctx, name)]
+        m[0][1] += 1
+        assert not verify_trivialization(dataclasses.replace(ctx, **{name: m}))
 
     def test_random_pair_failing_after_basis_raises(self, instance, monkeypatch):
         g, case, vectors = instance
