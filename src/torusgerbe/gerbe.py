@@ -9,6 +9,7 @@ translating the data, and the isomorphism test for two presentations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,6 +145,14 @@ class GerbeData:
             raise TypeConditionFailed(
                 "3-form violates the type condition for this complex structure"
             )
+
+    @functools.cached_property
+    def basis_records(self) -> dict:
+        """Per case, the records of the lattice basis vectors that
+        `TranslationContext.create` combines every other record from; it
+        fills the dict on first use of a case.  Not compared, hashed or
+        shown."""
+        return {}
 
 
 def require_lattice(v: Vec, what: str):

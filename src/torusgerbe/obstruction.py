@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
-from .exact import InternalMismatch, int_dot, int_vec_mat, unit_reduce
+from .exact import InternalMismatch, int_dot, int_vec, int_vec_mat, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase, require_case_member
 from .torus import AltForm2
@@ -39,8 +39,8 @@ class ObstructionContext:
     """A gerbe together with the decomposition case all formulas use.
 
     The record of each distinct vector (a `TranslationContext`) is built
-    once and kept for the life of the context; the cache takes no part in
-    equality or hashing.
+    once and kept for the life of the context, keyed by the integers
+    (dw, *x) of w = x/dw; the cache takes no part in equality or hashing.
     """
 
     gerbe: GerbeData
@@ -52,10 +52,12 @@ class ObstructionContext:
     def vector(self, w) -> TranslationContext:
         """The record of w, built on first use without the membership check."""
         w = to_vec(w)
-        data = self._vectors.get(w)
+        dw, x = int_vec(w)
+        key = (dw, *x)
+        data = self._vectors.get(key)
         if data is None:
             data = TranslationContext.create(self.gerbe, w, self.case, check=False)
-            self._vectors[w] = data
+            self._vectors[key] = data
         return data
 
     def member(self, w) -> bool:
@@ -356,16 +358,18 @@ def obstruction_vanishes(
     """
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)
     dim = gerbe.torus.dim
-    records = {g: ctx.require_member(g, "generator") for g in spec.generators}
-    for ek in (basis_vec(dim, k) for k in range(dim)):
-        if ek not in records:
-            data = ctx.vector(ek)
-            if data.member:
-                records[ek] = data
+    candidates = {}  # (dw, *x) -> (w, record): one entry per distinct vector
+    for g in spec.generators:
+        data = ctx.require_member(g, "generator")
+        candidates.setdefault((data.dw, *data.x), (g, data))
+    for data in TranslationContext.basis(gerbe, spec.case):
+        if data.member:
+            candidates.setdefault((data.dw, *data.x), (data.w, data))
+    records = candidates.values()
     checked = 0
 
     if which is ObstructionKind.FIRST:
-        for (w1, d1), (w2, d2) in itertools.combinations(records.items(), 2):
+        for (w1, d1), (w2, d2) in itertools.combinations(records, 2):
             checked += 1
             den, skew = _first_alternating(ctx, d1, d2)
             for k, s in enumerate(skew):
@@ -375,7 +379,7 @@ def obstruction_vanishes(
 
     disagreements = []
     failure = None
-    for (w1, d1), (w2, d2), (w3, d3) in itertools.combinations(records.items(), 3):
+    for (w1, d1), (w2, d2), (w3, d3) in itertools.combinations(records, 3):
         checked += 1
         (den, *_, closed), flags = _second_alternating(ctx, d1, d2, d3)
         if not flags[1]:

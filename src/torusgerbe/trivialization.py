@@ -40,6 +40,13 @@ class TranslationContext:
     = L_w - J^T*F_w/2.  The unitary first character of (w1, w2) is lam ->
     w1^T*M_w2*lam, the correction covector w1^T*R_w2; `kernel` reads R_w,
     M_w and F_w.
+
+    Each matrix is linear in x, so only the records of the lattice basis
+    vectors are built from the contractions, once per (gerbe, case), and
+    kept on the gerbe (`GerbeData.basis_records`).  The record of any other
+    w = x/dw is sum_k x_k*(record of e_k) over dw times their den: the same
+    integers as built directly, since no step of the direct build reduces
+    its denominator.
     """
 
     gerbe: GerbeData
@@ -59,28 +66,34 @@ class TranslationContext:
     def create(
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
-        """The record of w; with check, NotInSubgroup outside the subgroup."""
-        t, w = gerbe.torus, to_vec(w)
-        dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
-        coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
-        member = member_over(t, coords, do, case)
+        """The record of w, combined from the gerbe's basis records (a basis
+        vector gets its cached record); with check, NotInSubgroup outside
+        the subgroup."""
+        w = to_vec(w)
+        dw, x, ix = gerbe.torus.lift(w)
+        records, rows = _basis_records(gerbe, case)
+        d = len(x)
+        if dw == 1 and x.count(0) == d - 1 and 1 in x:
+            data = records[x.index(1)]
+        else:
+            flat = int_vec_mat(x, rows)
+            omega, f, m, r = (
+                [flat[k : k + d] for k in range(s, s + d * d, d)]
+                for s in range(0, 4 * d * d, d * d)
+            )
+            t, den = gerbe.torus, dw * records[0].den
+            coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
+            member = member_over(t, coords, den, case)
+            data = TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
         if check:
-            require_case_member(member, case)
-        f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
-        f = alternating_full(f)
-        # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
-        xj, zj = t.times_j(omega_i), t.times_j(f)
-        dj, r = t.j_columns[0], range(t.dim)
-        # the case coefficients have denominator 8, so df = 8*dj**2*do
-        den = 16 * dj**3 * do
-        kf, kz = den // df, den // (2 * dj * df)
-        return TranslationContext(
-            gerbe, w, case, dw, x, ix, den, member,
-            [[den // do * y for y in row] for row in omega],
-            [[kf * y for y in row] for row in f],
-            [[-2 * dj * (xj[a][b] + xj[b][a]) - kf * f[a][b] for b in r] for a in r],
-            [[dj * dj * l[a][b] + kz * zj[b][a] for b in r] for a in r],
-        )
+            require_case_member(data.member, case)
+        return data
+
+    @staticmethod
+    def basis(gerbe: GerbeData, case: SubgroupCase) -> tuple["TranslationContext", ...]:
+        """The records of the lattice basis vectors e_1..e_d, built once per
+        (gerbe, case)."""
+        return _basis_records(gerbe, case)[0]
 
     @functools.cached_property
     def forms(self) -> VectorForms:
@@ -124,6 +137,47 @@ class TranslationContext:
             im = [-4 * dj * self.r[b][a] for b in r]
             rows.append((*qre, *qim, *[-4 * y for y in rj[a]], *im))
         return 4 * dj * self.den, tuple(rows)
+
+
+def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
+    """The record of w built from the contractions of E by w and iw; run
+    for the lattice basis vectors only, by `_basis_records`."""
+    t = gerbe.torus
+    dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
+    coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
+    member = member_over(t, coords, do, case)
+    f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
+    f = alternating_full(f)
+    # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
+    xj, zj = t.times_j(omega_i), t.times_j(f)
+    dj, r = t.j_columns[0], range(t.dim)
+    # the case coefficients have denominator 8, so df = 8*dj**2*do
+    den = 16 * dj**3 * do
+    kf, kz = den // df, den // (2 * dj * df)
+    return TranslationContext(
+        gerbe, w, case, dw, x, ix, den, member,
+        [[den // do * y for y in row] for row in omega],
+        [[kf * y for y in row] for row in f],
+        [[-2 * dj * (xj[a][b] + xj[b][a]) - kf * f[a][b] for b in r] for a in r],
+        [[dj * dj * l[a][b] + kz * zj[b][a] for b in r] for a in r],
+    )
+
+
+def _stacked(records) -> tuple[tuple, list]:
+    """(records, rows) for the basis records e_1..e_d: row k holds record
+    k's omega, f, m and r flattened, so x^T*rows is the four matrices of
+    x/dw flattened, over dw*records[0].den."""
+    rows = [[y for mat in (b.omega, b.f, b.m, b.r) for row in mat for y in row] for b in records]
+    return tuple(records), rows
+
+
+def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> tuple[tuple, list]:
+    """`_stacked` of the basis records of case, built once per gerbe."""
+    basis = gerbe.basis_records.get(case)
+    if basis is None:
+        records = [_direct_record(gerbe, ek, case) for ek in gerbe.torus.basis()]
+        basis = gerbe.basis_records[case] = _stacked(records)
+    return basis
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:

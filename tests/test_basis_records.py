@@ -1,0 +1,139 @@
+"""Per-gerbe basis records: every other translation record is combined.
+
+`TranslationContext.create` builds the records of the lattice basis
+vectors from the contractions once per (gerbe, case) and keeps them on the
+gerbe; the record of any other w = x/dw is sum_k x_k*(record of e_k) over
+dw times their denominator.  The combination is checked field by field
+against the direct build (`trivialization._direct_record`), on standard and
+twisted J at n = 2 and 3, in both cases, for w with denominators 1, 2 and
+4, inside and outside the subgroup, and for the zero vector.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import torusgerbe.gerbe as gerbe_module
+import torusgerbe.trivialization as triv
+from torusgerbe import (
+    GerbeData,
+    ObstructionKind,
+    SubgroupCase,
+    SubgroupSpec,
+    TranslationContext,
+    obstruction_vanishes,
+)
+from torusgerbe.exact import to_vec
+
+from helpers import conjugated_instance
+
+FIELDS = ("dw", "x", "ix", "den", "member", "omega", "f", "m", "r")
+INSTANCES = [
+    (n, twisted, case)
+    for n in (2, 3)
+    for twisted in (False, True)
+    for case in (SubgroupCase.INTEGRAL, SubgroupCase.TYPE_ONE_ONE)
+]
+IDS = [f"n{n}-{'twisted' if tw else 'standard'}-{case.value}" for n, tw, case in INSTANCES]
+
+
+@pytest.fixture(params=INSTANCES, ids=IDS)
+def instance(request):
+    """A fresh gerbe, so its basis records start empty."""
+    n, twisted, case = request.param
+    g, vectors = conjugated_instance(n, 0, case, twisted)
+    return g, case, vectors
+
+
+def assert_same_record(combined, direct):
+    for name in FIELDS:
+        assert getattr(combined, name) == getattr(direct, name), name
+    assert combined.kernel == direct.kernel
+    assert combined == direct
+
+
+def vector_over(rng, dim, den):
+    return tuple(F(rng.randint(-6, 6), den) for _ in range(dim))
+
+
+class TestCombinedRecords:
+    def test_match_the_direct_build(self, instance):
+        g, case, vectors = instance
+        d = g.torus.dim
+        rng = random.Random(41)
+        drawn = [vector_over(rng, d, den) for den in (1, 2, 4) for _ in range(3)]
+        shifted = [tuple(x + F(1, 4) for x in w) for w in vectors]
+        for w in [(0,) * d, *vectors, *shifted, *drawn]:
+            combined = TranslationContext.create(g, w, case, check=False)
+            assert_same_record(combined, triv._direct_record(g, to_vec(w), case))
+        assert all(TranslationContext.create(g, w, case).member for w in vectors)
+        assert not any(TranslationContext.create(g, w, case, check=False).member for w in shifted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_match_the_direct_build(self, data):
+        n = data.draw(st.sampled_from((2, 3)))
+        case = data.draw(st.sampled_from(list(SubgroupCase)))
+        twisted = data.draw(st.booleans())
+        g, vectors = conjugated_instance(n, data.draw(st.integers(0, 2)), case, twisted)
+        d = g.torus.dim
+        den = data.draw(st.sampled_from((1, 2, 4)))
+        nums = st.lists(st.integers(-8, 8), min_size=d, max_size=d)
+        w = data.draw(
+            st.one_of(
+                st.just((0,) * d),
+                st.sampled_from(vectors),
+                nums.map(lambda xs: tuple(F(x, den) for x in xs)),
+            )
+        )
+        combined = TranslationContext.create(g, w, case, check=False)
+        assert_same_record(combined, triv._direct_record(g, to_vec(w), case))
+
+    def test_basis_vector_returns_the_cached_record(self, instance):
+        g, case, _ = instance
+        d = g.torus.dim
+        basis = TranslationContext.basis(g, case)
+        assert len(basis) == d and list(g.basis_records) == [case]
+        for k, ek in enumerate(g.torus.basis()):
+            assert TranslationContext.create(g, ek, case, check=False) is basis[k]
+            as_ints = [int(a == k) for a in range(d)]
+            assert TranslationContext.create(g, as_ints, case, check=False) is basis[k]
+            assert_same_record(basis[k], triv._direct_record(g, ek, case))
+        # 2*e_k and e_k/2 are combined, not read off the cache
+        for w in ((2,) + (0,) * (d - 1), (F(1, 2),) + (0,) * (d - 1)):
+            assert TranslationContext.create(g, w, case, check=False) is not basis[0]
+
+    def test_cache_is_not_part_of_the_gerbe(self, instance):
+        g, case, vectors = instance
+        twin = GerbeData(g.torus, g.b, g.e)
+        before = hash(g), repr(g)
+        for other in SubgroupCase:
+            TranslationContext.create(g, vectors[0], other, check=False)
+        assert set(g.basis_records) == set(SubgroupCase) and not twin.basis_records
+        assert g == twin and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+
+
+class TestWarmGerbe:
+    def test_second_query_builds_no_record(self, instance, monkeypatch):
+        # a second obstruction_vanishes on the same gerbe and case combines
+        # every record from the cached basis: no contraction, no pullback of
+        # the record build (the (1,1) membership of a combined record still
+        # runs its own pullback, in symmetry.member_over)
+        g, case, vectors = instance
+        spec = SubgroupSpec.create(vectors[:3], case)
+        first = [obstruction_vanishes(g, spec, which) for which in ObstructionKind]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm gerbe rebuilt a record")
+
+        for module, name in (
+            (gerbe_module, "forms_over"),
+            (triv, "forms_over"),
+            (triv, "pullback_over"),
+            (triv, "_direct_record"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        assert [obstruction_vanishes(g, spec, which) for which in ObstructionKind] == first

@@ -42,7 +42,9 @@ from torusgerbe import (
     theta_group_multiply,
     unitarize_exponent,
 )
+import torusgerbe.trivialization as triv
 from torusgerbe.obstruction import defect_correction_fn
+from torusgerbe.trivialization import verify_trivialization
 
 from helpers import (
     conjugated_instance,
@@ -256,7 +258,7 @@ class TestCorruptedFormIsCaught:
         data = ctx.vector(w)
         m = [list(row) for row in getattr(data, name)]
         m[p][q] += delta
-        ctx._vectors[data.w] = dataclasses.replace(data, **{name: m})
+        ctx._vectors[data.dw, *data.x] = dataclasses.replace(data, **{name: m})
 
     @staticmethod
     def _caught(ctx, w1, w2, w3):
@@ -313,3 +315,95 @@ class TestCorruptedFormIsCaught:
         self._corrupt(ctx, w2, "m", p, 0, 1)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
+
+
+def _minor3(xs, cols) -> int:
+    """The determinant of the rows xs (three integer vectors) on cols."""
+    (a, b, c), (d, e, f), (g, h, i) = ([x[j] for j in cols] for x in xs)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+class TestCorruptedBasisRecordIsCaught:
+    """A wrong cached basis record reaches every record combined from it,
+    and must surface there: FIRST's closed form reads E(w,.,.), SECOND's
+    reads E alone, and the trivialization identity takes its translation
+    factor from E and J.  Each test corrupts a fresh gerbe's cache."""
+
+    @staticmethod
+    def _corrupt(monkeypatch, g, case, k, name, p, q):
+        """Add 1/den to entry (p, q) of the matrix `name` of the cached e_k."""
+        records = list(TranslationContext.basis(g, case))
+        m = [list(row) for row in getattr(records[k], name)]
+        m[p][q] += 1
+        records[k] = dataclasses.replace(records[k], **{name: m})
+        monkeypatch.setitem(g.basis_records, case, triv._stacked(records))
+
+    @staticmethod
+    def _fresh(instance):
+        g, case, vectors = instance
+        return GerbeData(g.torus, g.b, g.e), case, vectors
+
+    def test_m_caught_by_first_and_the_trivialization(self, instance, monkeypatch):
+        g, case, vectors = self._fresh(instance)
+        w1, w2 = vectors[:2]
+        x1, x2 = (TranslationContext.create(g, w, case).x for w in (w1, w2))
+        assert verify_trivialization(TranslationContext.create(g, w2, case))
+        # entry (p, 0) of M_{e_k} moves coordinate 0 of w1^T*M_w2 - w2^T*M_w1
+        # by x1_p*x2_k - x2_p*x1_k, over den
+        k, p = next(
+            (k, p)
+            for k, p in itertools.product(range(g.torus.dim), repeat=2)
+            if x1[p] * x2[k] != x2[p] * x1[k]
+        )
+        self._corrupt(monkeypatch, g, case, k, "m", p, 0)
+        with pytest.raises(ClosedFormMismatch):
+            first_obstruction_alternating(ObstructionContext(g, case), w1, w2)
+        w = w2 if x2[k] else w1
+        assert not verify_trivialization(TranslationContext.create(g, w, case))
+
+    def test_r_caught_by_second_and_the_trivialization(self, instance, monkeypatch):
+        g, case, vectors = self._fresh(instance)
+        xs = [TranslationContext.create(g, w, case).x for w in vectors]
+        # entry (p, q) of R_{e_k} moves the imaginary part of the skew of a
+        # triple by the minor of its numerators on the columns (q, p, k).
+        # In the n = 2 type (1,1) instances the vectors span a plane, so
+        # every such minor vanishes (as does E on every triple) and only the
+        # trivialization identity can see the change.
+        found = next(
+            (
+                (triple, cols)
+                for triple in itertools.combinations(range(len(xs)), 3)
+                for cols in itertools.permutations(range(g.torus.dim), 3)
+                if _minor3([xs[i] for i in triple], cols)
+            ),
+            None,
+        )
+        if found is None:
+            assert g.torus.n == 2 and case is SubgroupCase.TYPE_ONE_ONE
+            k = next(k for k, y in enumerate(xs[0]) if y)
+            q = p = 0
+            w = vectors[0]
+        else:
+            triple, (q, p, k) = found
+            w = next(vectors[i] for i in triple if xs[i][k])
+        assert verify_trivialization(TranslationContext.create(g, w, case))
+        self._corrupt(monkeypatch, g, case, k, "r", p, q)
+        if found is not None:
+            ctx = ObstructionContext(g, case)
+            values = second_obstruction_alternating(ctx, *[vectors[i] for i in triple])
+            assert not values.agree_skew_closed
+        assert not verify_trivialization(TranslationContext.create(g, w, case))
+
+    def test_half_lattice_example(self, monkeypatch):
+        g = gerbe4(4)
+        half = F(1, 2)
+        w1, w2, w3 = (half, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0)
+        ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
+        assert second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
+        # entry (1, 0) of R_{e_2}: the minor of (e_0, e_1, e_2) on (0, 1, 2)
+        self._corrupt(monkeypatch, g, SubgroupCase.INTEGRAL, 2, "r", 1, 0)
+        ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
+        assert not second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
+        assert not verify_trivialization(
+            TranslationContext.create(g, w3, SubgroupCase.INTEGRAL)
+        )

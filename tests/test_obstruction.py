@@ -27,6 +27,7 @@ from torusgerbe import (
     second_obstruction_cocycle,
     theta_group_multiply,
 )
+from torusgerbe.trivialization import TranslationContext
 from torusgerbe.exact import basis_vec, to_vec, vec_add
 from torusgerbe.obstruction import defect_correction_fn
 
@@ -158,21 +159,35 @@ class TestLiftDefectCharacter:
             ctx.translation(bad)
 
     def test_one_record_per_distinct_vector(self, monkeypatch):
-        # the records of w1, w2 and w1 + w2 serve both the membership checks
-        # and the three trivializers composed
+        # the contractions run once per basis vector per (gerbe, case); the
+        # records of w1, w2 and w1 + w2 are combined from those, once per
+        # context, and serve both the membership checks and the three
+        # trivializers composed
         import torusgerbe.gerbe as gerbe
         import torusgerbe.trivialization as triv
 
-        calls, forms_over = [], gerbe.forms_over
+        forms, creates = [], []
+        forms_over, create = gerbe.forms_over, TranslationContext.create
 
-        def counting(torus, e3, w):
-            calls.append(to_vec(w))
+        def counting_forms(torus, e3, w):
+            forms.append(to_vec(w))
             return forms_over(torus, e3, w)
 
+        def counting_create(g, w, case, check=True):
+            creates.append(to_vec(w))
+            return create(g, w, case, check)
+
         for module in (gerbe, triv):
-            monkeypatch.setattr(module, "forms_over", counting)
-        lift_defect_character(ObstructionContext(gerbe4(2), INT), W1, W2)
-        assert sorted(calls) == sorted([W1, W2, vec_add(W1, W2)])
+            monkeypatch.setattr(module, "forms_over", counting_forms)
+        monkeypatch.setattr(TranslationContext, "create", staticmethod(counting_create))
+        g, basis = gerbe4(2), [e(4, k) for k in range(1, 5)]
+        distinct = [W1, W2, vec_add(W1, W2)]
+        lift_defect_character(ObstructionContext(g, INT), W1, W2)
+        assert forms == basis and sorted(creates) == sorted(distinct)
+        lift_defect_character(ObstructionContext(g, INT), W1, W2)
+        assert forms == basis and sorted(creates) == sorted(2 * distinct)
+        ObstructionContext(g, ONEONE).vector(W1)
+        assert forms == 2 * basis
 
 
 class TestDefectCorrection:
