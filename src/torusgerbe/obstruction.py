@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
-from .exact import InternalMismatch, int_dot, int_vec, int_vec_mat, unit_reduce
+from .exact import InternalMismatch, int_dot, int_vec_mat, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase, require_case_member
 from .torus import AltForm2
-from .trivialization import TranslationContext, trivializing_exponent
+from .trivialization import TranslationContext, _lifted_record, trivializing_exponent
 
 
 class ClosedFormMismatch(RuntimeError):
@@ -39,8 +39,9 @@ class ObstructionContext:
     """A gerbe together with the decomposition case all formulas use.
 
     The record of each distinct vector (a `TranslationContext`) is built
-    once and kept for the life of the context, keyed by the integers
-    (dw, *x) of w = x/dw; the cache takes no part in equality or hashing.
+    once and kept for the life of the context, keyed by the numerators and
+    then the denominators of w, so a lookup lifts nothing and a miss lifts w
+    once; the cache takes no part in equality or hashing.
     """
 
     gerbe: GerbeData
@@ -52,12 +53,11 @@ class ObstructionContext:
     def vector(self, w) -> TranslationContext:
         """The record of w, built on first use without the membership check."""
         w = to_vec(w)
-        dw, x = int_vec(w)
-        key = (dw, *x)
+        key = (*[v.numerator for v in w], *[v.denominator for v in w])
         data = self._vectors.get(key)
         if data is None:
-            data = TranslationContext.create(self.gerbe, w, self.case, check=False)
-            self._vectors[key] = data
+            g = self.gerbe
+            data = self._vectors[key] = _lifted_record(g, w, self.case, g.torus.lift(w))
         return data
 
     def member(self, w) -> bool:

@@ -70,21 +70,7 @@ class TranslationContext:
         vector gets its cached record); with check, NotInSubgroup outside
         the subgroup."""
         w = to_vec(w)
-        dw, x, ix = gerbe.torus.lift(w)
-        records, rows = _basis_records(gerbe, case)
-        d = len(x)
-        if dw == 1 and x.count(0) == d - 1 and 1 in x:
-            data = records[x.index(1)]
-        else:
-            flat = int_vec_mat(x, rows)
-            omega, f, m, r = (
-                [flat[k : k + d] for k in range(s, s + d * d, d)]
-                for s in range(0, 4 * d * d, d * d)
-            )
-            t, den = gerbe.torus, dw * records[0].den
-            coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
-            member = member_over(t, coords, den, case)
-            data = TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
+        data = _lifted_record(gerbe, w, case, gerbe.torus.lift(w))
         if check:
             require_case_member(data.member, case)
         return data
@@ -137,6 +123,24 @@ class TranslationContext:
             im = [-4 * dj * self.r[b][a] for b in r]
             rows.append((*qre, *qim, *[-4 * y for y in rj[a]], *im))
         return 4 * dj * self.den, tuple(rows)
+
+
+def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase, lifted) -> TranslationContext:
+    """The record of w from its lift (dw, x, ix), unchecked: the cached
+    record of a basis vector, else the combination of the basis records."""
+    dw, x, ix = lifted
+    records, rows = _basis_records(gerbe, case)
+    d = len(x)
+    if dw == 1 and x.count(0) == d - 1 and 1 in x:
+        return records[x.index(1)]
+    flat = int_vec_mat(x, rows)
+    omega, f, m, r = (
+        [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
+    )
+    t, den = gerbe.torus, dw * records[0].den
+    coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
+    member = member_over(t, coords, den, case)
+    return TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
 
 
 def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
@@ -227,11 +231,24 @@ def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     return ExponentFn(const, lin_re, lin_im)
 
 
-def _trivializer_numerators(ctx: TranslationContext, x: list[int]) -> list[int]:
-    """[const_re, const_im, *lin_re, *lin_im] of the trivializer at the
-    lattice vector x, as numerators over the denominator of ctx.kernel."""
-    z, d = int_vec_mat(x, ctx.kernel[1]), len(x)
-    return [int_dot(z[:d], x), int_dot(z[d : 2 * d], x), *z[2 * d :]]
+def _evaluated(ctx: TranslationContext, x) -> tuple:
+    """(x, z, ix) for the lattice vector x: z = x^T*rows for the kernel's
+    rows and ix = dj*J*x, the integers the residual core takes."""
+    return x, int_vec_mat(x, ctx.kernel[1]), ctx.gerbe.torus.mul_i_over(x)
+
+
+def _basis_evaluated(ctx: TranslationContext) -> list[tuple]:
+    """`_evaluated` of the lattice basis vectors, read off without a product:
+    z of e_a is row a of the kernel and ix is dj times column a of J."""
+    t = ctx.gerbe.torus
+    d = t.dim
+    out = []
+    for a, (row, col) in enumerate(zip(ctx.kernel[1], t.j_columns[1])):
+        ix = [0] * d
+        for p, c in col:
+            ix[p] = c
+        out.append(([int(k == a) for k in range(d)], row, ix))
+    return out
 
 
 def _exponent_of(nums: list[int], den: int) -> ExponentFn:
@@ -249,7 +266,9 @@ def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
         raise ValueError("dimension mismatch")
     if not vec_is_integral(lam):
         raise ValueError("defined on lattice (integer) vectors only")
-    return _exponent_of(_trivializer_numerators(ctx, [v.numerator for v in lam]), ctx.kernel[0])
+    x = [v.numerator for v in lam]
+    z, d = int_vec_mat(x, ctx.kernel[1]), len(x)
+    return _exponent_of([int_dot(z, x), int_dot(z[d:], x), *z[2 * d :]], ctx.kernel[0])
 
 
 def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
@@ -262,30 +281,39 @@ def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
     return [[v.numerator for v in lam] for lam in pair]
 
 
-def _residual_over(ctx: TranslationContext, x1: list[int], x2: list[int]) -> tuple:
-    """(r, h): the residual at the lattice pair (x1, x2) in integers.
+def _residual_over(ctx: TranslationContext, v1: tuple, v2: tuple) -> tuple:
+    """(r, h): the residual at the lattice pair (l1, l2) in integers, from
+    their evaluations v1 and v2 (`_evaluated`, or `_basis_evaluated` for
+    basis vectors).
 
     r is [const_re, const_im, *lin_re, *lin_im] of the coboundary
     T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) of the trivializer T, as
-    numerators over ctx.kernel[0], and h = (re, dre, im, dim) is the
-    translation factor H_{l1,l2}(w) from E and J alone (`exponent_over`).
+    numerators over ctx.kernel[0].  T(l1 + l2) is evaluated from z1 + z2,
+    the integers a product with l1 + l2 gives, as x^T*rows is linear in x.
+    h = (re, dre, im, dim) is the translation factor H_{l1,l2}(w) from E
+    and J alone (`exponent_over`).
     """
-    t = ctx.gerbe.torus
-    x12 = [a + b for a, b in zip(x1, x2)]
-    t2, t12, t1 = (_trivializer_numerators(ctx, x) for x in (x2, x12, x1))
-    r = [a - b + c for a, b, c in zip(t2, t12, t1)]
-    # evaluating T(l2) at v + l1 adds its linear part at l1 to the constant
+    (x1, z1, ix1), (x2, z2, ix2) = v1, v2
     d = len(x1)
-    r[0] += int_dot(t2[2 : 2 + d], x1)
-    r[1] += int_dot(t2[2 + d :], x1)
-    lattice = [(1, x, t.mul_i_over(x)) for x in (x1, x2)]
-    return r, exponent_over(t, ctx.gerbe.e, (ctx.dw, ctx.x, ctx.ix), *lattice)
+    x12 = [a + b for a, b in zip(x1, x2)]
+    z12 = [a + b for a, b in zip(z1, z2)]
+    # T at x with z = x^T*rows: the constant z[:d].x + i*z[d:2d].x (int_dot
+    # stops at the end of x) and the linear part z[2d:]; evaluating T(l2) at
+    # v + l1 adds its linear part at l1 to the constant
+    lin = 2 * d
+    re = int_dot(z2, x2) - int_dot(z12, x12) + int_dot(z1, x1) + int_dot(z2[lin:], x1)
+    im = int_dot(z2[d:], x2) - int_dot(z12[d:], x12) + int_dot(z1[d:], x1)
+    im += int_dot(z2[lin + d :], x1)
+    r = [re, im, *[a - b + c for a, b, c in zip(z2[lin:], z12[lin:], z1[lin:])]]
+    lattice = (1, x1, ix1), (1, x2, ix2)
+    return r, exponent_over(ctx.gerbe.torus, ctx.gerbe.e, (ctx.dw, ctx.x, ctx.ix), *lattice)
 
 
-def _pair_passes(ctx: TranslationContext, x1: list[int], x2: list[int]) -> bool:
-    """`residual_is_trivial` of the residual at (x1, x2), on its integers:
-    no linear part, the imaginary constant cancels, the real one is integral."""
-    r, (re, dre, im, dim) = _residual_over(ctx, x1, x2)
+def _pair_passes(ctx: TranslationContext, v1: tuple, v2: tuple) -> bool:
+    """`residual_is_trivial` of the residual at the evaluated pair, on its
+    integers: no linear part, the imaginary constant cancels, the real one
+    is integral."""
+    r, (re, dre, im, dim) = _residual_over(ctx, v1, v2)
     k = ctx.kernel[0]
     return not any(r[2:]) and r[1] * dim + im * k == 0 and (r[0] * dre + re * k) % (k * dre) == 0
 
@@ -297,7 +325,8 @@ def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     linear part vanishes and the constant is real.  Both parts come from
     the integer residual that `first_failing_pair` decides on.
     """
-    r, (re, dre, im, dim) = _residual_over(ctx, *_lattice_pair(ctx, l1, l2))
+    v1, v2 = (_evaluated(ctx, x) for x in _lattice_pair(ctx, l1, l2))
+    r, (re, dre, im, dim) = _residual_over(ctx, v1, v2)
     h = GaussianRational(Fraction(re, dre), Fraction(im, dim))
     return _exponent_of(r, ctx.kernel[0]).add_const(h)
 
@@ -306,16 +335,30 @@ def residual_is_trivial(r: ExponentFn) -> bool:
     return r.linear_part_is_zero and r.const.im == 0 and r.const.re.denominator == 1
 
 
+def _random_pairs(dim: int, count: int, seed: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """count seeded pairs of integer vectors with entries in [-3, 3]: each
+    pair is one draw below 7**(2*dim), whose base-7 digits minus 3, lowest
+    first, are l1 and then l2."""
+    rng = random.Random(seed)
+    span = 7 ** (2 * dim)
+    for _ in range(count):
+        n = rng.randrange(span)
+        digits = []
+        for _ in range(2 * dim):
+            n, k = divmod(n, 7)
+            digits.append(k - 3)
+        yield tuple(digits[:dim]), tuple(digits[dim:])
+
+
 def default_verification_pairs(
     dim: int, extra_random: int = 10, seed: int = 0
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All ordered basis pairs, then seeded random integer pairs in [-3, 3],
-    generated lazily as `int` tuples: dim**2 + extra_random pairs in all."""
+    one draw each, generated lazily as `int` tuples: dim**2 + extra_random
+    pairs in all."""
     basis = [tuple([int(a == k) for a in range(dim)]) for k in range(dim)]
     yield from itertools.product(basis, repeat=2)
-    rng = random.Random(seed)
-    for _ in range(extra_random):
-        yield tuple([tuple([rng.randint(-3, 3) for _ in range(dim)]) for _ in range(2)])
+    yield from _random_pairs(dim, extra_random, seed)
 
 
 def first_failing_pair(
@@ -329,18 +372,27 @@ def first_failing_pair(
     Explicit pairs are checked in order.  Without them the dim**2 basis
     pairs come first and decide, since the residual is bilinear; a random
     pair failing after them can only be a program fault and raises
-    InternalMismatch.  The pairs are consumed one at a time.
+    InternalMismatch.  The basis vectors are evaluated once per call, off
+    the kernel's rows and J's columns; every other vector costs one product
+    with the kernel.  The pairs are consumed one at a time.
     """
     d = ctx.gerbe.torus.dim
     if pairs is None:
-        pairs, decided = default_verification_pairs(d, extra_random, seed), d * d
+        drawn = _random_pairs(d, extra_random, seed)
+        evaluated = itertools.chain(
+            itertools.product(_basis_evaluated(ctx), repeat=2),
+            ((_evaluated(ctx, x1), _evaluated(ctx, x2)) for x1, x2 in drawn),
+        )
+        decided = d * d
     else:
-        pairs, decided = (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs), None
-    for k, (x1, x2) in enumerate(pairs):
-        if not _pair_passes(ctx, x1, x2):
+        checked = (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs)
+        evaluated = ((_evaluated(ctx, x1), _evaluated(ctx, x2)) for x1, x2 in checked)
+        decided = None
+    for k, (v1, v2) in enumerate(evaluated):
+        if not _pair_passes(ctx, v1, v2):
             if decided is not None and k >= decided:
                 raise InternalMismatch("a random pair failed where every basis pair passed")
-            return to_vec(x1), to_vec(x2)
+            return to_vec(v1[0]), to_vec(v2[0])
     return None
 
 
@@ -355,12 +407,14 @@ def verify_trivialization(
     Each factor of the trivializer is at most quadratic in the lattice
     vector, so the residual is bilinear in (l1, l2), its constant part
     included.  Without explicit pairs the dim**2 basis pairs decide the
-    identity on the whole lattice; the extra_random seeded pairs then run
-    as a self-check, and one failing there raises InternalMismatch.  Every
-    pair evaluates the trivializer three times and the translation factor
-    once, from E and J, in integers, and checks the linear part as well as
-    the constant.  With explicit pairs the answer is whether all of them
-    pass.  False witnesses that w is not a symmetry of the gerbe for the
-    chosen case.
+    identity on the whole lattice; the extra_random seeded pairs, one draw
+    each, then run as a self-check, and one failing there raises
+    InternalMismatch.  Every pair evaluates the trivializer three times and
+    the translation factor once, from E and J, in integers, and checks the
+    linear part as well as the constant.  A basis vector's evaluation is a
+    row of the kernel, any other vector's one product with it, and the
+    evaluation at l1 + l2 is the sum of the two.  With explicit pairs the
+    answer is whether all of them pass.  False witnesses that w is not a
+    symmetry of the gerbe for the chosen case.
     """
     return first_failing_pair(ctx, pairs, extra_random, seed) is None

@@ -258,7 +258,8 @@ class TestCorruptedFormIsCaught:
         data = ctx.vector(w)
         m = [list(row) for row in getattr(data, name)]
         m[p][q] += delta
-        ctx._vectors[data.dw, *data.x] = dataclasses.replace(data, **{name: m})
+        key = next(k for k, v in ctx._vectors.items() if v is data)
+        ctx._vectors[key] = dataclasses.replace(data, **{name: m})
 
     @staticmethod
     def _caught(ctx, w1, w2, w3):

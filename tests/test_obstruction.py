@@ -164,22 +164,23 @@ class TestLiftDefectCharacter:
         # context, and serve both the membership checks and the three
         # trivializers composed
         import torusgerbe.gerbe as gerbe
+        import torusgerbe.obstruction as obstruction
         import torusgerbe.trivialization as triv
 
         forms, creates = [], []
-        forms_over, create = gerbe.forms_over, TranslationContext.create
+        forms_over, build = gerbe.forms_over, obstruction._lifted_record
 
         def counting_forms(torus, e3, w):
             forms.append(to_vec(w))
             return forms_over(torus, e3, w)
 
-        def counting_create(g, w, case, check=True):
+        def counting_build(g, w, case, lifted):
             creates.append(to_vec(w))
-            return create(g, w, case, check)
+            return build(g, w, case, lifted)
 
         for module in (gerbe, triv):
             monkeypatch.setattr(module, "forms_over", counting_forms)
-        monkeypatch.setattr(TranslationContext, "create", staticmethod(counting_create))
+        monkeypatch.setattr(obstruction, "_lifted_record", counting_build)
         g, basis = gerbe4(2), [e(4, k) for k in range(1, 5)]
         distinct = [W1, W2, vec_add(W1, W2)]
         lift_defect_character(ObstructionContext(g, INT), W1, W2)
@@ -188,6 +189,36 @@ class TestLiftDefectCharacter:
         assert forms == basis and sorted(creates) == sorted(2 * distinct)
         ObstructionContext(g, ONEONE).vector(W1)
         assert forms == 2 * basis
+
+    def test_a_miss_lifts_once_and_a_hit_never(self, monkeypatch):
+        from torusgerbe.torus import TorusData
+
+        g = gerbe4(2)
+        TranslationContext.basis(g, INT)  # the basis records lift their own vectors
+        lifts = []
+        lift = TorusData.lift
+
+        def counting(torus, v):
+            lifts.append(v)
+            return lift(torus, v)
+
+        monkeypatch.setattr(TorusData, "lift", counting)
+        ctx = ObstructionContext(g, INT)
+        data = ctx.vector(W1)
+        assert lifts == [W1]
+        assert (data.dw, data.x, data.ix) == lift(g.torus, W1)
+        # the same vector in any form is a hit
+        assert ctx.vector(W1) is data and ctx.vector(list(W1)) is data
+        assert ctx.vector([F(1, 2), 0, 0, 0]) is data
+        assert ctx.member(W1) is data.member and ctx.translation(W1) is data
+        assert lifts == [W1]
+        total = vec_add(W1, W2)
+        got, built = ctx.vector(total), TranslationContext.create(g, total, INT, check=False)
+        assert lifts == [W1, total, total]  # the miss, then `create` itself
+        for name in ("w", "dw", "x", "ix", "den", "member", "omega", "f", "m", "r"):
+            assert getattr(got, name) == getattr(built, name)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ctx.vector(W1[:3])
 
 
 class TestDefectCorrection:

@@ -12,11 +12,15 @@ Instances: standard and twisted J at n = 2 and 3, both cases, vectors
 inside and outside the case subgroup.
 
 `first_failing_pair` decides each pair on the integers of one private
-residual core (`_residual_over`), without a `Fraction`; `TestIntegerDecision`
-checks its verdicts against the oracle, that it never reaches the
-`Fraction` wrappers, that a corrupted kernel is caught on a basis pair, and
-that with default pairs a random pair failing after a passing basis raises
-`InternalMismatch`.
+residual core (`_residual_over`), without a `Fraction`.  The core takes
+lattice vectors already evaluated against the kernel: a basis vector's
+evaluation is a row of the kernel and a column of J, any other vector's one
+product.  `TestResidualCore` checks those evaluations and the core's
+residuals against the oracle, that a corrupted kernel row is caught on the
+expected basis pair, and that the basis pairs run no product at all;
+`TestIntegerDecision` checks the verdicts against the oracle, that they
+never reach the `Fraction` wrappers, and that with default pairs a random
+pair failing after a passing basis raises `InternalMismatch`.
 """
 
 import dataclasses
@@ -44,7 +48,8 @@ from torusgerbe import (
     trivializing_exponent,
     verify_trivialization,
 )
-from torusgerbe.exact import basis_vec, to_vec
+from torusgerbe.exact import GaussianRational, basis_vec, int_vec_mat, to_vec
+from torusgerbe.torus import TorusData
 from torusgerbe.trivialization import default_verification_pairs, first_failing_pair
 
 from helpers import (
@@ -285,12 +290,54 @@ class TestTrivializerKernel:
 
 class TestVerificationPairs:
     def test_pairs_are_lazy_and_counted(self):
-        pairs = default_verification_pairs(4, 3, seed=5)
-        assert iter(pairs) is pairs
-        listed = list(pairs)
-        assert len(listed) == 16 + 3
-        basis = [basis_vec(4, k) for k in range(4)]
-        assert listed[:16] == [(a, b) for a in basis for b in basis]
+        for dim, extra in itertools.product((4, 6), (0, 3, 7)):
+            pairs = default_verification_pairs(dim, extra, seed=5)
+            assert iter(pairs) is pairs
+            listed = list(pairs)
+            assert len(listed) == dim * dim + extra
+            basis = [basis_vec(dim, k) for k in range(dim)]
+            assert listed[: dim * dim] == [(a, b) for a in basis for b in basis]
+
+    def test_random_entries_cover_minus_three_to_three(self):
+        drawn = list(itertools.islice(default_verification_pairs(4, 200, seed=9), 16, None))
+        assert len(drawn) == 200
+        entries = [y for pair in drawn for v in pair for y in v]
+        assert all(type(y) is int for y in entries)
+        assert set(entries) == set(range(-3, 4))
+        assert all(len(v) == 4 for pair in drawn for v in pair)
+
+    def test_same_seed_same_sequence(self):
+        def pairs(seed):
+            return list(default_verification_pairs(6, 20, seed))
+
+        assert pairs(4) == pairs(4)
+        assert pairs(4)[36:] != pairs(5)[36:]
+
+    def test_one_draw_per_random_pair(self, monkeypatch):
+        draws = []
+        randrange = random.Random.randrange
+
+        def counting(rng, *args):
+            draws.append(args)
+            return randrange(rng, *args)
+
+        monkeypatch.setattr(random.Random, "randrange", counting)
+        for dim, extra in ((4, 5), (6, 3)):
+            draws.clear()
+            pairs = default_verification_pairs(dim, extra, seed=1)
+            list(itertools.islice(pairs, dim * dim))
+            assert draws == []  # the basis pairs draw nothing
+            assert sum(1 for _ in pairs) == extra
+            assert draws == [(7 ** (2 * dim),)] * extra
+
+    def test_first_random_pairs_pinned(self):
+        # one draw below 7**4 per pair, its base-7 digits minus 3, lowest first
+        drawn = list(itertools.islice(default_verification_pairs(2, 3, seed=0), 4, None))
+        assert drawn == [((-1, -2), (1, 1)), ((-3, -2), (-3, 2)), ((1, -1), (0, -3))]
+        rng = random.Random(0)
+        for l1, l2 in drawn:
+            n = rng.randrange(7**4)
+            assert [n // 7**k % 7 - 3 for k in range(4)] == [*l1, *l2]
 
     def test_first_failure_is_first_failing_pair_in_order(self, instance):
         g, case, vectors = instance
@@ -307,6 +354,121 @@ class TestVerificationPairs:
         assert not verify_trivialization(ctx, seed=3)
         explicit = [(basis_vec(d, 0), basis_vec(d, 0)), expected]
         assert first_failing_pair(ctx, explicit) == expected
+
+
+def core_residual(ctx, v1, v2):
+    """The residual of the private core at two evaluated vectors, as the
+    ExponentFn that `trivialization_residual` builds from it."""
+    r, (re, dre, im, dim) = triv._residual_over(ctx, v1, v2)
+    h = GaussianRational(F(re, dre), F(im, dim))
+    return triv._exponent_of(r, ctx.kernel[0]).add_const(h)
+
+
+def inside_and_shifted(g, case, w):
+    """The records of w and of w shifted by 1/3 in every coordinate, which
+    leaves the case subgroup on every instance."""
+    inside = TranslationContext.create(g, w, case)
+    shifted = TranslationContext.create(g, [x + F(1, 3) for x in w], case, check=False)
+    assert inside.member and not shifted.member
+    return inside, shifted
+
+
+class TestResidualCore:
+    def test_basis_evaluations_are_rows_and_columns(self, instance):
+        g, case, vectors = instance
+        t, d = g.torus, g.torus.dim
+        for ctx in inside_and_shifted(g, case, vectors[0]):
+            evaluated = triv._basis_evaluated(ctx)
+            assert len(evaluated) == d
+            for a, (x, z, ix) in enumerate(evaluated):
+                assert x == [int(k == a) for k in range(d)]
+                assert z == ctx.kernel[1][a]
+                assert list(z) == int_vec_mat(x, ctx.kernel[1])
+                assert ix == t.mul_i_over(x)
+                assert ix == [F(y) * t.j_columns[0] for y in t.mul_i(basis_vec(d, a))]
+
+    def test_basis_pair_residuals_match_oracle(self, instance):
+        g, case, vectors = instance
+        d = g.torus.dim
+        basis = [basis_vec(d, k) for k in range(d)]
+        for ctx in inside_and_shifted(g, case, vectors[0]):
+            evaluated = triv._basis_evaluated(ctx)
+            verdicts = []
+            for a, b in itertools.product(range(d), repeat=2):
+                r = core_residual(ctx, evaluated[a], evaluated[b])
+                assert r == reference_trivialization_residual(ctx, basis[a], basis[b])
+                # a product with the basis vector gives the same residual
+                plain = [triv._evaluated(ctx, [int(k == c) for k in range(d)]) for c in (a, b)]
+                assert core_residual(ctx, *plain) == r
+                verdicts.append(triv.residual_is_trivial(r))
+            assert all(verdicts) is ctx.member
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_core_matches_oracle(self, data):
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
+        twisted = data.draw(st.booleans(), label="twisted")
+        g, vectors = conjugated_instance(n, data.draw(st.integers(0, 2)), case, twisted)
+        d = g.torus.dim
+        w = data.draw(st.sampled_from(vectors), label="w")
+        ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
+        lat = st.tuples(*[st.integers(-3, 3)] * d)
+        l1, l2 = data.draw(lat, label="l1"), data.draw(lat, label="l2")
+        v1, v2 = triv._evaluated(ctx, list(l1)), triv._evaluated(ctx, list(l2))
+        assert core_residual(ctx, v1, v2) == reference_trivialization_residual(ctx, l1, l2)
+        # a basis evaluation mixes with a product on either side
+        a = data.draw(st.integers(0, d - 1), label="a")
+        ea, va = basis_vec(d, a), triv._basis_evaluated(ctx)[a]
+        assert core_residual(ctx, va, v2) == reference_trivialization_residual(ctx, ea, l2)
+        assert core_residual(ctx, v1, va) == reference_trivialization_residual(ctx, l1, ea)
+
+    @pytest.mark.parametrize("block", ["re", "im"])
+    def test_corrupted_linear_column_fails_on_its_basis_pair(self, instance, block):
+        # row a of the kernel holds column a of re and of im, so entry b of
+        # that column moves the constant of the residual at (e_b, e_a) only
+        g, case, vectors = instance
+        d = g.torus.dim
+        start = 2 * d if block == "re" else 3 * d
+        for a, b in ((0, 0), (1, d - 1), (d - 1, 2)):
+            ctx = TranslationContext.create(g, vectors[0], case)
+            assert first_failing_pair(ctx) is None
+            den, rows = ctx.kernel
+            rows = [list(row) for row in rows]
+            rows[a][start + b] += 1
+            vars(ctx)["kernel"] = (den, tuple(map(tuple, rows)))
+            assert first_failing_pair(ctx) == (basis_vec(d, b), basis_vec(d, a))
+            assert not verify_trivialization(ctx, extra_random=0)
+
+    def test_basis_pairs_run_no_product(self, instance, monkeypatch):
+        g, case, vectors = instance
+        inside, shifted = inside_and_shifted(g, case, vectors[0])
+        products, lifts = [], []
+
+        def counting_product(x, m):
+            products.append(x)
+            return int_vec_mat(x, m)
+
+        mul_i_over = TorusData.mul_i_over
+
+        def counting_mul_i(torus, x):
+            lifts.append(x)
+            return mul_i_over(torus, x)
+
+        monkeypatch.setattr(triv, "int_vec_mat", counting_product)
+        monkeypatch.setattr(TorusData, "mul_i_over", counting_mul_i)
+        assert first_failing_pair(inside, extra_random=0) is None
+        assert first_failing_pair(shifted, extra_random=0) is not None
+        assert products == [] and lifts == []
+        for k in (1, 4, 10):
+            products.clear()
+            lifts.clear()
+            assert first_failing_pair(inside, extra_random=k, seed=k) is None
+            assert len(products) == 2 * k and len(lifts) == 2 * k
+        # a failure on the basis stops before any random pair is evaluated
+        products.clear()
+        assert first_failing_pair(shifted, extra_random=10) is not None
+        assert products == []
 
 
 def oracle_first_failure(ctx, pairs):
@@ -405,9 +567,10 @@ class TestIntegerDecision:
         d = g.torus.dim
         core = triv._residual_over
 
-        def broken_off_basis(ctx, x1, x2):
+        def broken_off_basis(ctx, v1, v2):
             # bilinearity broken only where a vector is not a basis vector
-            r, h = core(ctx, x1, x2)
+            r, h = core(ctx, v1, v2)
+            (x1, *_), (x2, *_) = v1, v2
             if sorted(x1) != [0] * (d - 1) + [1] or sorted(x2) != [0] * (d - 1) + [1]:
                 r = [r[0], r[1] + 1, *r[2:]]
             return r, h
