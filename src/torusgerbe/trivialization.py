@@ -340,13 +340,10 @@ def _random_pairs(dim: int, count: int, seed: int) -> Iterator[tuple[tuple[int, 
     pair is one draw below 7**(2*dim), whose base-7 digits minus 3, lowest
     first, are l1 and then l2."""
     rng = random.Random(seed)
-    span = 7 ** (2 * dim)
+    span, powers = 7 ** (2 * dim), [7**k for k in range(2 * dim)]
     for _ in range(count):
         n = rng.randrange(span)
-        digits = []
-        for _ in range(2 * dim):
-            n, k = divmod(n, 7)
-            digits.append(k - 3)
+        digits = [n // p % 7 - 3 for p in powers]
         yield tuple(digits[:dim]), tuple(digits[dim:])
 
 
