@@ -23,7 +23,7 @@ from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
 from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, forms_over
 from .gerbe import require_lattice
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
-from .symmetry import member_over, require_case_member
+from .symmetry import require_case_member
 from .torus import AltForm2, pullback_over
 
 
@@ -97,32 +97,43 @@ class TranslationContext:
 
     @functools.cached_property
     def kernel(self) -> tuple[int, tuple]:
-        """(den, rows): the trivializer as one integer matrix over one
-        denominator, read off the record and J's columns alone.  At a lattice
-        vector lam its linear part is (re + i*im)*lam / den and its constant
-        lam^T*(qre + i*qim)*lam / den, where, with eps the integral piece
-        (E(w,.,.) in the integral case, zero in the other),
+        """(den, (qre, qim, re, im)): the trivializer as four d x d integer
+        matrices over one denominator, read off the record and J's columns
+        alone.  At a lattice vector lam its linear part is (re + i*im)*lam /
+        den and its constant lam^T*(qre + i*qim)*lam / den, where, with eps
+        the integral piece (E(w,.,.) in the integral case, zero in the other),
 
             re  = -J^T*R_w                                  im  = -R_w
             qre = M_w/4 - (strict upper triangle of eps)/2  qim = J^T*F_w/4
 
         Only the symmetric part of qre enters the constant; that of M_w/4 is
-        the symmetric part of J^T*omega_i/16 for omega_i = E(iw,.,.).  Row a
-        of rows is row a of qre and of qim followed by column a of re and of
-        im, so lam^T*rows is lam^T*qre, lam^T*qim, re*lam, im*lam.
+        the symmetric part of J^T*omega_i/16 for omega_i = E(iw,.,.).
         """
         t = self.gerbe.torus
-        dj, r = t.j_columns[0], range(t.dim)
-        # column a of re is row a of -R^T*J, and J^T*F = -(F*J)^T
+        dj = t.j_columns[0]
+        # J^T*R = (R^T*J)^T, and J^T*F = -(F*J)^T
         rj, fj = t.times_j(list(zip(*self.r))), t.times_j(self.f)
         ke = 2 * dj if self.case is SubgroupCase.INTEGRAL else 0  # eps = E(w,.,.) or 0
-        rows = []
-        for a in r:
-            qre = [dj * self.m[a][b] - (ke * self.omega[a][b] if a < b else 0) for b in r]
-            qim = [-fj[b][a] for b in r]
-            im = [-4 * dj * self.r[b][a] for b in r]
-            rows.append((*qre, *qim, *[-4 * y for y in rj[a]], *im))
-        return 4 * dj * self.den, tuple(rows)
+        qre = [
+            [dj * y - (ke * e if a < b else 0) for b, (y, e) in enumerate(zip(mr, er))]
+            for a, (mr, er) in enumerate(zip(self.m, self.omega))
+        ]
+        qim = [[-y for y in row] for row in zip(*fj)]
+        re = [[-4 * y for y in row] for row in zip(*rj)]
+        im = [[-4 * dj * y for y in row] for row in self.r]
+        return 4 * dj * self.den, (qre, qim, re, im)
+
+    @functools.cached_property
+    def coboundary(self) -> tuple[list, list]:
+        """(ar, ai) over kernel[0]: the lattice coboundary T(l2)(v + l1) -
+        T(l1 + l2)(v) + T(l1)(v) of the trivializer T is the constant
+        l1^T*(ar + i*ai)*l2, as T's linear part is linear in lam and its
+        constant quadratic, with ar = re - qre - qre^T, ai = im - qim - qim^T."""
+        qre, qim, re, im = self.kernel[1]
+        return tuple(
+            [[x - y - z for x, y, z in zip(*rows)] for rows in zip(lin, q, zip(*q))]
+            for lin, q in ((re, qre), (im, qim))
+        )
 
 
 def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase, lifted) -> TranslationContext:
@@ -137,9 +148,8 @@ def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase, lifted) -> Tran
     omega, f, m, r = (
         [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
     )
-    t, den = gerbe.torus, dw * records[0].den
-    coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
-    member = member_over(t, coords, den, case)
+    den = dw * records[0].den
+    member = _record_member(omega, f, den, case)
     return TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
 
 
@@ -149,22 +159,29 @@ def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationC
     t = gerbe.torus
     dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
     coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
-    member = member_over(t, coords, do, case)
     f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
     f = alternating_full(f)
     # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
     xj, zj = t.times_j(omega_i), t.times_j(f)
-    dj, r = t.j_columns[0], range(t.dim)
+    dj, ks = t.j_columns[0], range(t.dim)
     # the case coefficients have denominator 8, so df = 8*dj**2*do
     den = 16 * dj**3 * do
     kf, kz = den // df, den // (2 * dj * df)
-    return TranslationContext(
-        gerbe, w, case, dw, x, ix, den, member,
-        [[den // do * y for y in row] for row in omega],
-        [[kf * y for y in row] for row in f],
-        [[-2 * dj * (xj[a][b] + xj[b][a]) - kf * f[a][b] for b in r] for a in r],
-        [[dj * dj * l[a][b] + kz * zj[b][a] for b in r] for a in r],
-    )
+    omega, f = [[den // do * y for y in row] for row in omega], [[kf * y for y in row] for row in f]
+    m = [[-2 * dj * (xj[a][b] + xj[b][a]) - f[a][b] for b in ks] for a in ks]
+    r = [[dj * dj * l[a][b] + kz * zj[b][a] for b in ks] for a in ks]
+    member = _record_member(omega, f, den, case)
+    return TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
+
+
+def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
+    """The case membership of w from its record's E(w,.,.) and F_w over den:
+    E(w,.,.) integral, or J-invariant, which for the type (1,1) F_w =
+    5/8*omega - 3/8*J^T*omega*J is 4*F_w == omega, as 4*F_w - omega =
+    3/2*(omega - J^T*omega*J)."""
+    if case is SubgroupCase.INTEGRAL:
+        return not any(y % den for row in omega for y in row)
+    return all(4 * y == z for fr, row in zip(f, omega) for y, z in zip(fr, row))
 
 
 def _stacked(records) -> tuple[tuple, list]:
@@ -231,26 +248,6 @@ def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     return ExponentFn(const, lin_re, lin_im)
 
 
-def _evaluated(ctx: TranslationContext, x) -> tuple:
-    """(x, z, ix) for the lattice vector x: z = x^T*rows for the kernel's
-    rows and ix = dj*J*x, the integers the residual core takes."""
-    return x, int_vec_mat(x, ctx.kernel[1]), ctx.gerbe.torus.mul_i_over(x)
-
-
-def _basis_evaluated(ctx: TranslationContext) -> list[tuple]:
-    """`_evaluated` of the lattice basis vectors, read off without a product:
-    z of e_a is row a of the kernel and ix is dj times column a of J."""
-    t = ctx.gerbe.torus
-    d = t.dim
-    out = []
-    for a, (row, col) in enumerate(zip(ctx.kernel[1], t.j_columns[1])):
-        ix = [0] * d
-        for p, c in col:
-            ix[p] = c
-        out.append(([int(k == a) for k in range(d)], row, ix))
-    return out
-
-
 def _exponent_of(nums: list[int], den: int) -> ExponentFn:
     """The ExponentFn whose [const_re, const_im, *lin_re, *lin_im] is nums / den."""
     f = [Fraction(y, den) for y in nums]
@@ -260,15 +257,16 @@ def _exponent_of(nums: list[int], den: int) -> ExponentFn:
 
 def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     """Exponent of the full trivializing cochain at a lattice vector: the
-    sum of the four factors above, evaluated through ctx.kernel."""
+    sum of the four factors above, read off the blocks of ctx.kernel."""
     lam = to_vec(lam)
     if len(lam) != ctx.gerbe.torus.dim:
         raise ValueError("dimension mismatch")
     if not vec_is_integral(lam):
         raise ValueError("defined on lattice (integer) vectors only")
     x = [v.numerator for v in lam]
-    z, d = int_vec_mat(x, ctx.kernel[1]), len(x)
-    return _exponent_of([int_dot(z, x), int_dot(z[d:], x), *z[2 * d :]], ctx.kernel[0])
+    den, (qre, qim, re, im) = ctx.kernel
+    const = [int_dot(int_vec_mat(x, q), x) for q in (qre, qim)]
+    return _exponent_of([*const, *[int_dot(row, x) for m in (re, im) for row in m]], den)
 
 
 def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
@@ -281,81 +279,61 @@ def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
     return [[v.numerator for v in lam] for lam in pair]
 
 
-def _residual_over(ctx: TranslationContext, v1: tuple, v2: tuple) -> tuple:
-    """(r, h): the residual at the lattice pair (l1, l2) in integers, from
-    their evaluations v1 and v2 (`_evaluated`, or `_basis_evaluated` for
-    basis vectors).
+def _residual_over(ctx: TranslationContext, x1, x2) -> tuple:
+    """(c_re, c_im, h): the residual at the lattice pair (x1, x2) in integers.
 
-    r is [const_re, const_im, *lin_re, *lin_im] of the coboundary
-    T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) of the trivializer T, as
-    numerators over ctx.kernel[0].  T(l1 + l2) is evaluated from z1 + z2,
-    the integers a product with l1 + l2 gives, as x^T*rows is linear in x.
-    h = (re, dre, im, dim) is the translation factor H_{l1,l2}(w) from E
-    and J alone (`exponent_over`).
+    c_re + i*c_im over ctx.kernel[0] is the coboundary x1^T*(ar + i*ai)*x2 of
+    the trivializer (`TranslationContext.coboundary`), whose linear part is
+    zero.  h = (re, dre, im, dim) is the translation factor H_{x1,x2}(w)
+    from E and J alone (`exponent_over`).
     """
-    (x1, z1, ix1), (x2, z2, ix2) = v1, v2
-    d = len(x1)
-    x12 = [a + b for a, b in zip(x1, x2)]
-    z12 = [a + b for a, b in zip(z1, z2)]
-    # T at x with z = x^T*rows: the constant z[:d].x + i*z[d:2d].x (int_dot
-    # stops at the end of x) and the linear part z[2d:]; evaluating T(l2) at
-    # v + l1 adds its linear part at l1 to the constant
-    lin = 2 * d
-    re = int_dot(z2, x2) - int_dot(z12, x12) + int_dot(z1, x1) + int_dot(z2[lin:], x1)
-    im = int_dot(z2[d:], x2) - int_dot(z12[d:], x12) + int_dot(z1[d:], x1)
-    im += int_dot(z2[lin + d :], x1)
-    r = [re, im, *[a - b + c for a, b, c in zip(z2[lin:], z12[lin:], z1[lin:])]]
-    lattice = (1, x1, ix1), (1, x2, ix2)
-    return r, exponent_over(ctx.gerbe.torus, ctx.gerbe.e, (ctx.dw, ctx.x, ctx.ix), *lattice)
+    ar, ai = ctx.coboundary
+    t = ctx.gerbe.torus
+    lattice = (1, x1, t.mul_i_over(x1)), (1, x2, t.mul_i_over(x2))
+    h = exponent_over(t, ctx.gerbe.e, (ctx.dw, ctx.x, ctx.ix), *lattice)
+    return int_dot(int_vec_mat(x1, ar), x2), int_dot(int_vec_mat(x1, ai), x2), h
 
 
-def _pair_passes(ctx: TranslationContext, v1: tuple, v2: tuple) -> bool:
-    """`residual_is_trivial` of the residual at the evaluated pair, on its
-    integers: no linear part, the imaginary constant cancels, the real one
-    is integral."""
-    r, (re, dre, im, dim) = _residual_over(ctx, v1, v2)
+def _pair_passes(ctx: TranslationContext, x1, x2) -> bool:
+    """`residual_is_trivial` of the residual at the pair, on its integers:
+    the imaginary constant cancels and the real one is integral."""
+    c_re, c_im, (re, dre, im, dim) = _residual_over(ctx, x1, x2)
     k = ctx.kernel[0]
-    return not any(r[2:]) and r[1] * dim + im * k == 0 and (r[0] * dre + re * k) % (k * dre) == 0
+    return c_im * dim + im * k == 0 and (c_re * dre + re * k) % (k * dre) == 0
 
 
 def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     """Exponent of exp(H_{l1,l2}(w)) times the coboundary of the trivializer.
 
-    For w in the decomposition subgroup this is an integer constant; the
-    linear part vanishes and the constant is real.  Both parts come from
-    the integer residual that `first_failing_pair` decides on.
+    The coboundary is the constant l1^T*(ar + i*ai)*l2 over the kernel's
+    denominator, so the linear part is zero here by construction; for w in
+    the decomposition subgroup the constant is a real integer.  It comes
+    from the integer residual that `first_failing_pair` decides on.
     """
-    v1, v2 = (_evaluated(ctx, x) for x in _lattice_pair(ctx, l1, l2))
-    r, (re, dre, im, dim) = _residual_over(ctx, v1, v2)
+    c_re, c_im, (re, dre, im, dim) = _residual_over(ctx, *_lattice_pair(ctx, l1, l2))
     h = GaussianRational(Fraction(re, dre), Fraction(im, dim))
-    return _exponent_of(r, ctx.kernel[0]).add_const(h)
+    return _exponent_of([c_re, c_im, *[0] * (2 * ctx.gerbe.torus.dim)], ctx.kernel[0]).add_const(h)
 
 
 def residual_is_trivial(r: ExponentFn) -> bool:
     return r.linear_part_is_zero and r.const.im == 0 and r.const.re.denominator == 1
 
 
-def _random_pairs(dim: int, count: int, seed: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """count seeded pairs of integer vectors with entries in [-3, 3]: each
-    pair is one draw below 7**(2*dim), whose base-7 digits minus 3, lowest
-    first, are l1 and then l2."""
-    rng = random.Random(seed)
-    span, powers = 7 ** (2 * dim), [7**k for k in range(2 * dim)]
-    for _ in range(count):
-        n = rng.randrange(span)
-        digits = [n // p % 7 - 3 for p in powers]
-        yield tuple(digits[:dim]), tuple(digits[dim:])
-
-
 def default_verification_pairs(
     dim: int, extra_random: int = 10, seed: int = 0
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered basis pairs, then seeded random integer pairs in [-3, 3],
-    one draw each, generated lazily as `int` tuples: dim**2 + extra_random
-    pairs in all."""
+    """All ordered basis pairs, then extra_random seeded integer pairs in
+    [-3, 3], generated lazily as `int` tuples: each random pair is one draw
+    below 7**(2*dim), whose base-7 digits minus 3, lowest first, are l1 and
+    then l2."""
     basis = [tuple([int(a == k) for a in range(dim)]) for k in range(dim)]
     yield from itertools.product(basis, repeat=2)
-    yield from _random_pairs(dim, extra_random, seed)
+    rng = random.Random(seed)
+    span, powers = 7 ** (2 * dim), [7**k for k in range(2 * dim)]
+    for _ in range(extra_random):
+        n = rng.randrange(span)
+        digits = [n // p % 7 - 3 for p in powers]
+        yield tuple(digits[:dim]), tuple(digits[dim:])
 
 
 def first_failing_pair(
@@ -366,30 +344,24 @@ def first_failing_pair(
 ) -> tuple[Vec, Vec] | None:
     """The first pair whose residual is not an integer constant, or None.
 
-    Explicit pairs are checked in order.  Without them the dim**2 basis
-    pairs come first and decide, since the residual is bilinear; a random
-    pair failing after them can only be a program fault and raises
-    InternalMismatch.  The basis vectors are evaluated once per call, off
-    the kernel's rows and J's columns; every other vector costs one product
-    with the kernel.  The pairs are consumed one at a time.
+    Every pair is decided on the bilinear form of the record
+    (`TranslationContext.coboundary`) and the translation factor from E
+    and J, in integers.  Explicit pairs are checked in order.  Without them
+    the pairs are `default_verification_pairs`: the dim**2 basis pairs come
+    first and decide, since the residual is bilinear; a random pair failing
+    after them can only be a program fault and raises InternalMismatch.
+    The pairs are consumed one at a time.
     """
     d = ctx.gerbe.torus.dim
     if pairs is None:
-        drawn = _random_pairs(d, extra_random, seed)
-        evaluated = itertools.chain(
-            itertools.product(_basis_evaluated(ctx), repeat=2),
-            ((_evaluated(ctx, x1), _evaluated(ctx, x2)) for x1, x2 in drawn),
-        )
-        decided = d * d
+        pairs, decided = default_verification_pairs(d, extra_random, seed), d * d
     else:
-        checked = (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs)
-        evaluated = ((_evaluated(ctx, x1), _evaluated(ctx, x2)) for x1, x2 in checked)
-        decided = None
-    for k, (v1, v2) in enumerate(evaluated):
-        if not _pair_passes(ctx, v1, v2):
+        pairs, decided = (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs), None
+    for k, (x1, x2) in enumerate(pairs):
+        if not _pair_passes(ctx, x1, x2):
             if decided is not None and k >= decided:
                 raise InternalMismatch("a random pair failed where every basis pair passed")
-            return to_vec(v1[0]), to_vec(v2[0])
+            return to_vec(x1), to_vec(x2)
     return None
 
 
@@ -402,16 +374,15 @@ def verify_trivialization(
     """Whether the trivialization identity holds on the lattice pairs.
 
     Each factor of the trivializer is at most quadratic in the lattice
-    vector, so the residual is bilinear in (l1, l2), its constant part
-    included.  Without explicit pairs the dim**2 basis pairs decide the
-    identity on the whole lattice; the extra_random seeded pairs, one draw
-    each, then run as a self-check, and one failing there raises
-    InternalMismatch.  Every pair evaluates the trivializer three times and
-    the translation factor once, from E and J, in integers, and checks the
-    linear part as well as the constant.  A basis vector's evaluation is a
-    row of the kernel, any other vector's one product with it, and the
-    evaluation at l1 + l2 is the sum of the two.  With explicit pairs the
-    answer is whether all of them pass.  False witnesses that w is not a
-    symmetry of the gerbe for the chosen case.
+    vector and its linear part is linear in it, so the residual at (l1, l2)
+    is the constant l1^T*(ar + i*ai)*l2 of the record's coboundary form
+    plus the translation factor H_{l1,l2}(w), which comes from E and J.
+    Without explicit pairs the dim**2 basis pairs decide the identity on
+    the whole lattice; the extra_random seeded pairs, one draw each, then
+    run as a self-check, and one failing there raises InternalMismatch.
+    Every pair checks that the imaginary constant cancels and the real one
+    is an integer.  With explicit pairs the answer is whether all of them
+    pass.  False witnesses that w is not a symmetry of the gerbe for the
+    chosen case.
     """
     return first_failing_pair(ctx, pairs, extra_random, seed) is None

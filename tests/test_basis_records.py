@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgerbe.gerbe as gerbe_module
+import torusgerbe.symmetry as symmetry_module
 import torusgerbe.trivialization as triv
 from torusgerbe import (
     GerbeData,
@@ -119,9 +120,8 @@ class TestCombinedRecords:
 class TestWarmGerbe:
     def test_second_query_builds_no_record(self, instance, monkeypatch):
         # a second obstruction_vanishes on the same gerbe and case combines
-        # every record from the cached basis: no contraction, no pullback of
-        # the record build (the (1,1) membership of a combined record still
-        # runs its own pullback, in symmetry.member_over)
+        # every record from the cached basis: no contraction and no
+        # pullback, the case membership included
         g, case, vectors = instance
         spec = SubgroupSpec.create(vectors[:3], case)
         first = [obstruction_vanishes(g, spec, which) for which in ObstructionKind]
@@ -133,6 +133,7 @@ class TestWarmGerbe:
             (gerbe_module, "forms_over"),
             (triv, "forms_over"),
             (triv, "pullback_over"),
+            (symmetry_module, "pullback_over"),
             (triv, "_direct_record"),
         ):
             monkeypatch.setattr(module, name, forbidden)

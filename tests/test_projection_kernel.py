@@ -243,10 +243,11 @@ class TestContextRecords:
                 tuple(x - y / 2 for x, y in zip(rl, rf))
                 for rl, rf in zip(l, mat_mul(t.jt, invariant.entries))
             )
-            jt_r, (den, rows), d = mat_mul(t.jt, r), tctx.kernel, t.dim
-            for a, row in enumerate(rows):
-                assert [F(y, den) for y in row[2 * d : 3 * d]] == [-x[a] for x in jt_r]
-                assert [F(y, den) for y in row[3 * d :]] == [-x[a] for x in r]
+            jt_r, (den, (_, _, re, im)) = mat_mul(t.jt, r), tctx.kernel
+            for lin, expected in ((re, jt_r), (im, r)):
+                assert [[F(y, den) for y in row] for row in lin] == [
+                    [-x for x in row] for row in expected
+                ]
             if not member:
                 with pytest.raises(NotInSubgroup):
                     TranslationContext.create(g, w, case)

@@ -11,16 +11,21 @@ keep the old Fraction routes: the trilinear `reference_exponent_re` and
 Instances: standard and twisted J at n = 2 and 3, both cases, vectors
 inside and outside the case subgroup.
 
+The kernel is four named d x d blocks (qre, qim, re, im).  Since the
+trivializer's linear part is linear in the lattice vector and its constant
+quadratic, its lattice coboundary is the constant l1^T*(ar + i*ai)*l2 of
+one bilinear form per record, `TranslationContext.coboundary`.
 `first_failing_pair` decides each pair on the integers of one private
-residual core (`_residual_over`), without a `Fraction`.  The core takes
-lattice vectors already evaluated against the kernel: a basis vector's
-evaluation is a row of the kernel and a column of J, any other vector's one
-product.  `TestResidualCore` checks those evaluations and the core's
-residuals against the oracle, that a corrupted kernel row is caught on the
-expected basis pair, and that the basis pairs run no product at all;
-`TestIntegerDecision` checks the verdicts against the oracle, that they
-never reach the `Fraction` wrappers, and that with default pairs a random
-pair failing after a passing basis raises `InternalMismatch`.
+residual core (`_residual_over`), without a `Fraction`: that form at the two
+lattice vectors and the translation factor from E and J.
+`TestResidualCore` checks the form against the three-point evaluation of
+`trivializing_exponent` (on kernels overwritten with arbitrary integers
+too), the core's residuals against the oracle, that a corrupted linear
+block is caught on the expected basis pair, and that each pair costs two
+products and two J-images; `TestIntegerDecision` checks the verdicts
+against the oracle, that they never reach the `Fraction` wrappers, and that
+with default pairs a random pair failing after a passing basis raises
+`InternalMismatch`.
 """
 
 import dataclasses
@@ -36,6 +41,7 @@ import torusgerbe.gerbe as gerbe_module
 import torusgerbe.trivialization as triv
 from torusgerbe import (
     AltForm3,
+    ExponentFn,
     GerbeData,
     InternalMismatch,
     SubgroupCase,
@@ -48,7 +54,7 @@ from torusgerbe import (
     trivializing_exponent,
     verify_trivialization,
 )
-from torusgerbe.exact import GaussianRational, basis_vec, int_vec_mat, to_vec
+from torusgerbe.exact import GaussianRational, basis_vec, int_dot, int_vec_mat, to_vec
 from torusgerbe.torus import TorusData
 from torusgerbe.trivialization import default_verification_pairs, first_failing_pair
 
@@ -250,23 +256,27 @@ class TestTrivializerKernel:
 
     def test_kernel_built_once_per_context(self, instance, monkeypatch):
         g, case, vectors = instance
-        builds = []
-        prop = vars(TranslationContext)["kernel"]
-        build = prop.func
+        builds = {"kernel": [], "coboundary": []}
+        for name, calls in builds.items():
+            prop = vars(TranslationContext)[name]
 
-        def counting(ctx):
-            builds.append(ctx)
-            return build(ctx)
+            def counting(ctx, build=prop.func, calls=calls):
+                calls.append(ctx)
+                return build(ctx)
 
-        monkeypatch.setattr(prop, "func", counting)
+            monkeypatch.setattr(prop, "func", counting)
         ctx = TranslationContext.create(g, vectors[0], case)
         assert verify_trivialization(ctx)
         for k in range(g.torus.dim):
             trivializing_exponent(ctx, basis_vec(g.torus.dim, k))
-        assert len(builds) == 1 and builds[0] is ctx  # the kernel, once
-        assert "kernel" in vars(ctx) and "kernel" not in vars(g)
+            trivialization_residual(ctx, basis_vec(g.torus.dim, k), basis_vec(g.torus.dim, 0))
+        # the kernel and the coboundary form, once each
+        assert builds == {"kernel": [ctx], "coboundary": [ctx]}
+        for name in builds:
+            assert name in vars(ctx) and name not in vars(g)
         verify_trivialization(TranslationContext.create(g, vectors[0], case))
-        assert len(builds) == 2  # a new context builds its own
+        # a new context builds its own
+        assert [len(calls) for calls in builds.values()] == [2, 2]
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -356,12 +366,14 @@ class TestVerificationPairs:
         assert first_failing_pair(ctx, explicit) == expected
 
 
-def core_residual(ctx, v1, v2):
-    """The residual of the private core at two evaluated vectors, as the
+def core_residual(ctx, x1, x2):
+    """The residual of the private core at two lattice vectors, as the
     ExponentFn that `trivialization_residual` builds from it."""
-    r, (re, dre, im, dim) = triv._residual_over(ctx, v1, v2)
-    h = GaussianRational(F(re, dre), F(im, dim))
-    return triv._exponent_of(r, ctx.kernel[0]).add_const(h)
+    c_re, c_im, (re, dre, im, dim) = triv._residual_over(ctx, x1, x2)
+    den = ctx.kernel[0]
+    zero = (F(0),) * ctx.gerbe.torus.dim
+    const = GaussianRational(F(c_re, den) + F(re, dre), F(c_im, den) + F(im, dim))
+    return ExponentFn(const, zero, zero)
 
 
 def inside_and_shifted(g, case, w):
@@ -373,18 +385,41 @@ def inside_and_shifted(g, case, w):
     return inside, shifted
 
 
+BLOCKS = ("qre", "qim", "re", "im")
+
+
+def with_kernel(ctx, den, blocks):
+    """A fresh copy of the record whose kernel is (den, blocks), set before
+    anything reads it."""
+    fresh = dataclasses.replace(ctx)
+    vars(fresh)["kernel"] = den, tuple(blocks)
+    assert "coboundary" not in vars(fresh)
+    return fresh
+
+
+def corrupted(ctx, block, a, b):
+    """A fresh copy of the record with entry (a, b) of one kernel block
+    raised by 1."""
+    den, blocks = ctx.kernel
+    blocks = [[list(row) for row in m] for m in blocks]
+    blocks[BLOCKS.index(block)][a][b] += 1
+    return with_kernel(ctx, den, blocks)
+
+
 class TestResidualCore:
-    def test_basis_evaluations_are_rows_and_columns(self, instance):
+    def test_basis_vectors_read_rows_and_columns(self, instance):
         g, case, vectors = instance
         t, d = g.torus, g.torus.dim
         for ctx in inside_and_shifted(g, case, vectors[0]):
-            evaluated = triv._basis_evaluated(ctx)
-            assert len(evaluated) == d
-            for a, (x, z, ix) in enumerate(evaluated):
-                assert x == [int(k == a) for k in range(d)]
-                assert z == ctx.kernel[1][a]
-                assert list(z) == int_vec_mat(x, ctx.kernel[1])
-                assert ix == t.mul_i_over(x)
+            den, blocks = ctx.kernel
+            assert len(blocks) == 4
+            assert all(len(m) == d and all(len(row) == d for row in m) for m in blocks)
+            assert all(type(y) is int for m in blocks for row in m for y in row)
+            for a in range(d):
+                x = [int(k == a) for k in range(d)]
+                for form in ctx.coboundary:
+                    assert int_vec_mat(x, form) == list(form[a])
+                ix = t.mul_i_over(x)
                 assert ix == [F(y) * t.j_columns[0] for y in t.mul_i(basis_vec(d, a))]
 
     def test_basis_pair_residuals_match_oracle(self, instance):
@@ -392,14 +427,15 @@ class TestResidualCore:
         d = g.torus.dim
         basis = [basis_vec(d, k) for k in range(d)]
         for ctx in inside_and_shifted(g, case, vectors[0]):
-            evaluated = triv._basis_evaluated(ctx)
+            (ar, ai), den = ctx.coboundary, ctx.kernel[0]
             verdicts = []
             for a, b in itertools.product(range(d), repeat=2):
-                r = core_residual(ctx, evaluated[a], evaluated[b])
+                ea, eb = ([int(k == c) for k in range(d)] for c in (a, b))
+                r = core_residual(ctx, ea, eb)
                 assert r == reference_trivialization_residual(ctx, basis[a], basis[b])
-                # a product with the basis vector gives the same residual
-                plain = [triv._evaluated(ctx, [int(k == c) for k in range(d)]) for c in (a, b)]
-                assert core_residual(ctx, *plain) == r
+                # the constant of the coboundary at (e_a, e_b) is entry (a, b)
+                h = translation_factor(g, ctx.w, basis[a], basis[b])
+                assert r.const == h + GaussianRational(F(ar[a][b], den), F(ai[a][b], den))
                 verdicts.append(triv.residual_is_trivial(r))
             assert all(verdicts) is ctx.member
 
@@ -415,33 +451,65 @@ class TestResidualCore:
         ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
         lat = st.tuples(*[st.integers(-3, 3)] * d)
         l1, l2 = data.draw(lat, label="l1"), data.draw(lat, label="l2")
-        v1, v2 = triv._evaluated(ctx, list(l1)), triv._evaluated(ctx, list(l2))
-        assert core_residual(ctx, v1, v2) == reference_trivialization_residual(ctx, l1, l2)
-        # a basis evaluation mixes with a product on either side
+        assert core_residual(ctx, l1, l2) == reference_trivialization_residual(ctx, l1, l2)
+        # a basis vector mixes with any other on either side
         a = data.draw(st.integers(0, d - 1), label="a")
-        ea, va = basis_vec(d, a), triv._basis_evaluated(ctx)[a]
-        assert core_residual(ctx, va, v2) == reference_trivialization_residual(ctx, ea, l2)
-        assert core_residual(ctx, v1, va) == reference_trivialization_residual(ctx, l1, ea)
+        ea = basis_vec(d, a)
+        va = [int(k == a) for k in range(d)]
+        assert core_residual(ctx, va, l2) == reference_trivialization_residual(ctx, ea, l2)
+        assert core_residual(ctx, l1, va) == reference_trivialization_residual(ctx, l1, ea)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_coboundary_is_the_three_point_evaluation(self, data):
+        # T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) is the constant
+        # l1^T*(ar + i*ai)*l2 over the kernel's denominator, whatever the
+        # integers of the four blocks
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
+        twisted = data.draw(st.booleans(), label="twisted")
+        g, vectors = conjugated_instance(n, data.draw(st.integers(0, 2)), case, twisted)
+        d = g.torus.dim
+        w = data.draw(st.sampled_from(vectors), label="w")
+        ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
+        if data.draw(st.booleans(), label="arbitrary kernel"):
+            entries = st.lists(st.integers(-50, 50), min_size=d, max_size=d)
+            block = st.lists(entries, min_size=d, max_size=d)
+            den = data.draw(st.integers(1, 60), label="den")
+            ctx = with_kernel(ctx, den, [data.draw(block, label=name) for name in BLOCKS])
+        basis = [basis_vec(d, k) for k in range(d)]
+        drawn = st.tuples(*[st.builds(F, st.integers(-3, 3))] * d)
+        l1, l2 = (data.draw(st.one_of(st.sampled_from(basis), drawn)) for _ in range(2))
+        l12 = tuple(a + b for a, b in zip(l1, l2))
+        three = (
+            trivializing_exponent(ctx, l2).shift(l1)
+            - trivializing_exponent(ctx, l12)
+            + trivializing_exponent(ctx, l1)
+        )
+        (ar, ai), den = ctx.coboundary, ctx.kernel[0]
+        x1, x2 = [int(y) for y in l1], [int(y) for y in l2]
+        form = [F(int_dot(int_vec_mat(x1, m), x2), den) for m in (ar, ai)]
+        assert three.linear_part_is_zero
+        assert three.const == GaussianRational(*form)
+        h = translation_factor(g, ctx.w, l1, l2)
+        assert trivialization_residual(ctx, l1, l2) == three.add_const(h)
 
     @pytest.mark.parametrize("block", ["re", "im"])
     def test_corrupted_linear_column_fails_on_its_basis_pair(self, instance, block):
-        # row a of the kernel holds column a of re and of im, so entry b of
-        # that column moves the constant of the residual at (e_b, e_a) only
+        # entry (b, a) of re or im is entry (b, a) of the coboundary form, so
+        # it moves the constant of the residual at (e_b, e_a) only
         g, case, vectors = instance
         d = g.torus.dim
-        start = 2 * d if block == "re" else 3 * d
         for a, b in ((0, 0), (1, d - 1), (d - 1, 2)):
             ctx = TranslationContext.create(g, vectors[0], case)
             assert first_failing_pair(ctx) is None
-            den, rows = ctx.kernel
-            rows = [list(row) for row in rows]
-            rows[a][start + b] += 1
-            vars(ctx)["kernel"] = (den, tuple(map(tuple, rows)))
-            assert first_failing_pair(ctx) == (basis_vec(d, b), basis_vec(d, a))
-            assert not verify_trivialization(ctx, extra_random=0)
+            bad = corrupted(ctx, block, b, a)
+            assert first_failing_pair(bad) == (basis_vec(d, b), basis_vec(d, a))
+            assert not verify_trivialization(bad, extra_random=0)
 
-    def test_basis_pairs_run_no_product(self, instance, monkeypatch):
+    def test_each_pair_runs_two_products_and_two_lifts(self, instance, monkeypatch):
         g, case, vectors = instance
+        d = g.torus.dim
         inside, shifted = inside_and_shifted(g, case, vectors[0])
         products, lifts = [], []
 
@@ -457,18 +525,18 @@ class TestResidualCore:
 
         monkeypatch.setattr(triv, "int_vec_mat", counting_product)
         monkeypatch.setattr(TorusData, "mul_i_over", counting_mul_i)
-        assert first_failing_pair(inside, extra_random=0) is None
-        assert first_failing_pair(shifted, extra_random=0) is not None
-        assert products == [] and lifts == []
-        for k in (1, 4, 10):
+        for k in (0, 1, 4, 10):
             products.clear()
             lifts.clear()
             assert first_failing_pair(inside, extra_random=k, seed=k) is None
-            assert len(products) == 2 * k and len(lifts) == 2 * k
-        # a failure on the basis stops before any random pair is evaluated
+            assert len(products) == len(lifts) == 2 * (d * d + k)
+        # a failure on the basis stops at the failing pair
         products.clear()
-        assert first_failing_pair(shifted, extra_random=10) is not None
-        assert products == []
+        lifts.clear()
+        failing = first_failing_pair(shifted, extra_random=10)
+        basis_pairs = list(itertools.islice(default_verification_pairs(d, 0), d * d))
+        checked = basis_pairs.index(failing) + 1
+        assert len(products) == len(lifts) == 2 * checked
 
 
 def oracle_first_failure(ctx, pairs):
@@ -544,13 +612,11 @@ class TestIntegerDecision:
         for a, b in ((0, 0), (1, d - 1)):
             ctx = TranslationContext.create(g, vectors[0], case)
             assert first_failing_pair(ctx) is None
-            den, rows = ctx.kernel
-            rows = [list(row) for row in rows]
-            rows[a][d + b] += 1  # one entry of qim, the imaginary quadratic part
-            vars(ctx)["kernel"] = (den, tuple(map(tuple, rows)))
+            # one entry of qim, the imaginary quadratic part
+            bad = corrupted(ctx, "qim", a, b)
             expected = (basis_vec(d, min(a, b)), basis_vec(d, max(a, b)))
-            assert first_failing_pair(ctx) == expected
-            assert not verify_trivialization(ctx)
+            assert first_failing_pair(bad) == expected
+            assert not verify_trivialization(bad)
 
     @pytest.mark.parametrize("name", ["m", "r"])
     def test_corrupted_record_fails_the_identity(self, instance, name):
@@ -567,13 +633,12 @@ class TestIntegerDecision:
         d = g.torus.dim
         core = triv._residual_over
 
-        def broken_off_basis(ctx, v1, v2):
+        def broken_off_basis(ctx, x1, x2):
             # bilinearity broken only where a vector is not a basis vector
-            r, h = core(ctx, v1, v2)
-            (x1, *_), (x2, *_) = v1, v2
+            c_re, c_im, h = core(ctx, x1, x2)
             if sorted(x1) != [0] * (d - 1) + [1] or sorted(x2) != [0] * (d - 1) + [1]:
-                r = [r[0], r[1] + 1, *r[2:]]
-            return r, h
+                c_im += 1
+            return c_re, c_im, h
 
         monkeypatch.setattr(triv, "_residual_over", broken_off_basis)
         ctx = TranslationContext.create(g, vectors[0], case)
