@@ -52,6 +52,7 @@ from .trivialization import (
     TranslationContext,
     integral_part_exponent,
     invariant_part_exponent,
+    residual_is_trivial,
     symmetric_part_exponent,
     trivialization_residual,
     trivializing_exponent,

@@ -55,10 +55,6 @@ def to_mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def zero_vec(dim: int) -> Vec:
-    return (Fraction(0),) * dim
-
-
 def basis_vec(dim: int, k: int) -> Vec:
     return tuple(Fraction(1 if a == k else 0) for a in range(dim))
 
@@ -71,11 +67,6 @@ def int_vec(v: Vec) -> tuple[int, list[int]]:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = to_fraction(c)
-    return tuple(c * a for a in v)
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -113,12 +104,6 @@ def int_dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def alternating_full(m) -> list[list[int]]:
-    """The alternating matrix whose upper triangle is that of m, for a
-    square matrix m that is zero below the diagonal."""
-    return [[x - y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
-
-
 def mat_transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -130,31 +115,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def identity_mat(k: int) -> Mat:
     return tuple(basis_vec(k, i) for i in range(k))
-
-
-def det(m: Mat) -> Fraction:
-    """Determinant by exact fraction Gaussian elimination."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
-    rows = [list(r) for r in m]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                factor = rows[i][c] * inv
-                for j in range(c, n):
-                    rows[i][j] -= factor * rows[c][j]
-    return sign * result
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Alternating 2- and 3-forms on Q^{dim} with exact rational coefficients.
 
-An `AltForm2` stores the integers of its upper triangle over one positive
-denominator, reduced by their gcd, so that equal forms have equal storage
-(the common-denominator representation of Bareiss, Math. Comp. 22 (1968)).
-Its sums, scalings and membership tests run on those integers; the
+An `AltForm2` stores its pair coordinates, the entries on the pairs a < b
+in lexicographic order, as integers over one positive denominator, reduced
+by their gcd, so that equal forms have equal storage (the common-denominator
+representation of Bareiss, Math. Comp. 22 (1968)).  Pair coordinates are
+the one integer layout of a 2-form in the package; `alternating_matrix`
+turns them into the full alternating matrix where a matrix is multiplied.
+Sums, scalings and membership tests run on the coordinates, and the
 `Fraction` matrix `entries` is a view built on first read.  An `AltForm3`
-is stored on strictly increasing triples, and its contraction and
-evaluation are integer cores that the other modules share.
+is stored on strictly increasing triples; its contraction (a full
+alternating integer matrix) and evaluation are integer cores that the
+other modules share.
 """
 
 from __future__ import annotations
@@ -22,10 +26,19 @@ from .exact import Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat
 _ZERO = Fraction(0)
 
 
+def alternating_matrix(upper, dim: int) -> list[list[int]]:
+    """The full alternating dim x dim matrix whose pair coordinates, on the
+    pairs a < b in lexicographic order, are upper."""
+    m = [[0] * dim for _ in range(dim)]
+    for (a, b), x in zip(itertools.combinations(range(dim), 2), upper):
+        m[a][b], m[b][a] = x, -x
+    return m
+
+
 @dataclass(frozen=True, init=False)
 class AltForm2:
-    """Alternating bilinear form on Q^{dim}.  Its entries above the
-    diagonal, on the pairs a < b in lexicographic order, are upper / den
+    """Alternating bilinear form on Q^{dim}.  Its pair coordinates, the
+    entries on the pairs a < b in lexicographic order, are upper / den
     for integers upper and den > 0 with no common factor.  `AltForm2(m)`
     builds it from a full antisymmetric matrix m."""
 
@@ -55,51 +68,41 @@ class AltForm2:
         vars(self).update(dim=dim, upper=tuple(nums), den=den)
 
     @staticmethod
-    def _of(dim: int, nums: list[int], den: int) -> "AltForm2":
-        """The form with upper-triangle coordinates nums / den, reduced."""
+    def from_coords(dim: int, nums: list[int], den: int) -> "AltForm2":
+        """The form with pair coordinates nums / den, for integers nums and a
+        nonzero integer den, reduced."""
         f = object.__new__(AltForm2)
         f._set(dim, nums, den)
         return f
 
     @staticmethod
     def zero(dim: int) -> "AltForm2":
-        return AltForm2._of(dim, [0] * (dim * (dim - 1) // 2), 1)
+        return AltForm2.from_coords(dim, [0] * (dim * (dim - 1) // 2), 1)
 
     @staticmethod
     def from_upper(upper, den: int) -> "AltForm2":
-        """The form with entries upper[a][b] / den above the diagonal, for a
-        square integer matrix `upper` (its other entries are ignored) and a
-        nonzero integer den."""
-        d = len(upper)
-        return AltForm2._of(d, [x for a, row in enumerate(upper) for x in row[a + 1 : d]], den)
+        """The form with the full alternating integer matrix upper over the
+        nonzero integer den; only its upper triangle is read."""
+        nums = [x for a, row in enumerate(upper) for x in row[a + 1 :]]
+        return AltForm2.from_coords(len(upper), nums, den)
 
     @staticmethod
     def from_pairs(dim: int, coeffs: dict) -> "AltForm2":
         """Build from {(a, b): c} with 0 <= a < b < dim (zero elsewhere)."""
-        m = [[_ZERO] * dim for _ in range(dim)]
+        coords = [0] * (dim * (dim - 1) // 2)
         for (a, b), c in coeffs.items():
             if not (0 <= a < b < dim):
                 raise ValueError(f"pair indices must satisfy 0 <= a < b < dim, got {(a, b)}")
-            c = to_fraction(c)
-            m[a][b] += c
-            m[b][a] -= c
-        return AltForm2(tuple(tuple(r) for r in m))
-
-    def int_matrix(self) -> list[list[int]]:
-        """den * omega as a full alternating integer matrix."""
-        d = self.dim
-        m = [[0] * d for _ in range(d)]
-        for (a, b), x in zip(itertools.combinations(range(d), 2), self.upper):
-            m[a][b], m[b][a] = x, -x
-        return m
+            # the pair's place in lexicographic order
+            coords[a * (2 * dim - a - 3) // 2 + b - 1] = to_fraction(c)
+        den, nums = int_vec(coords)
+        return AltForm2.from_coords(dim, nums, den)
 
     @functools.cached_property
     def entries(self) -> Mat:
         """The full matrix of `Fraction`s, built on first read."""
-        den = self.den
-        return tuple(
-            [tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in self.int_matrix()]
-        )
+        den, m = self.den, alternating_matrix(self.upper, self.dim)
+        return tuple([tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in m])
 
     def entry(self, a: int, b: int) -> Fraction:
         return self.entries[a][b]
@@ -113,7 +116,7 @@ class AltForm2:
 
     def scale(self, c) -> "AltForm2":
         c = to_fraction(c)
-        return AltForm2._of(
+        return AltForm2.from_coords(
             self.dim, [c.numerator * x for x in self.upper], c.denominator * self.den
         )
 
@@ -122,13 +125,14 @@ class AltForm2:
             raise ValueError("dimension mismatch")
         g = lcm(self.den, other.den)
         p, q = g // self.den, g // other.den
-        return AltForm2._of(self.dim, [p * x + q * y for x, y in zip(self.upper, other.upper)], g)
+        nums = [p * x + q * y for x, y in zip(self.upper, other.upper)]
+        return AltForm2.from_coords(self.dim, nums, g)
 
     def __sub__(self, other: "AltForm2") -> "AltForm2":
         return self + -other
 
     def __neg__(self) -> "AltForm2":
-        return AltForm2._of(self.dim, [-x for x in self.upper], self.den)
+        return AltForm2.from_coords(self.dim, [-x for x in self.upper], self.den)
 
     @property
     def is_zero(self) -> bool:
@@ -200,17 +204,21 @@ class AltForm3:
 
     def contract_over(self, nums, den: int) -> tuple[list[list[int]], int]:
         """`contract` for w = nums / den, integers over one positive
-        denominator: (m, de*den), m the upper triangle of de*den*E(w,.,.)
-        for the lcm de of E's denominators."""
+        denominator: (m, de*den), m the full alternating matrix of
+        de*den*E(w,.,.) for the lcm de of E's denominators."""
         d = self.dim
         if len(nums) != d:
             raise ValueError("vector/form dimension mismatch")
         de, ks = self.int_entries
         m = [[0] * d for _ in range(d)]
         for p, q, r, k in ks:
-            m[q][r] += k * nums[p]
-            m[p][r] -= k * nums[q]
-            m[p][q] += k * nums[r]
+            x, y, z = k * nums[p], k * nums[q], k * nums[r]
+            m[q][r] += x
+            m[r][q] -= x
+            m[p][r] -= y
+            m[r][p] += y
+            m[p][q] += z
+            m[q][p] -= z
         return m, de * den
 
     def scale(self, c) -> "AltForm3":

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, Mat, Vec, ZERO_G, alternating_full, dot
+from .exact import GaussianRational, Mat, Vec, ZERO_G, dot
 from .exact import mat_vec, to_vec, vec_is_integral, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import contract3, pullback_combination, type_condition_check
@@ -239,9 +239,8 @@ def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
     """
     dj = torus.j_columns[0]
     dw, x, ix = torus.lift(w)
-    up, do = e3.contract_over(x, dw)
-    omega = alternating_full(up)
-    omega_i = alternating_full(e3.contract_over(ix, dj * dw)[0])
+    omega, do = e3.contract_over(x, dw)
+    omega_i = e3.contract_over(ix, dj * dw)[0]
     y = torus.times_j(omega)
     r = range(torus.dim)
     l = [[y[a][b] - y[b][a] - 2 * omega_i[a][b] for b in r] for a in r]

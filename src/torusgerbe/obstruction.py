@@ -21,8 +21,7 @@ from fractions import Fraction
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
 from .exact import InternalMismatch, int_dot, int_vec_mat, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
-from .symmetry import NotInSubgroup, SubgroupCase, require_case_member
-from .torus import AltForm2
+from .symmetry import NotInSubgroup, SubgroupCase
 from .trivialization import TranslationContext, _lifted_record, trivializing_exponent
 
 
@@ -60,23 +59,10 @@ class ObstructionContext:
             data = self._vectors[key] = _lifted_record(g, w, self.case, g.torus.lift(w))
         return data
 
-    def member(self, w) -> bool:
-        return self.vector(w).member
-
     def require_member(self, w, what: str = "vector") -> TranslationContext:
         data = self.vector(w)
         if not data.member:
             raise NotInSubgroup(f"{what} is not in the chosen subgroup")
-        return data
-
-    def invariant_part(self, w) -> AltForm2:
-        return self.vector(w).invariant
-
-    def translation(self, w, check: bool = True) -> TranslationContext:
-        """The record of w, as `TranslationContext.create` checks it."""
-        data = self.vector(w)
-        if check:
-            require_case_member(data.member, self.case)
         return data
 
 
@@ -92,7 +78,7 @@ def lift_defect_exponent(ctx: ObstructionContext, w1, w2, lam) -> GaussianRation
     w1, w2, lam = to_vec(w1), to_vec(w2), to_vec(lam)
     ctx.require_member(w1, "w1")
     ctx.require_member(w2, "w2")
-    f2 = ctx.invariant_part(w2)
+    f2 = ctx.vector(w2).invariant
     iw1 = t.mul_i(w1)
     re = -f2.evaluate(w1, lam) / 2 - exponent_im(t, ctx.gerbe.e, w2, iw1, lam)
     im = f2.evaluate(iw1, lam) / 2 - exponent_im(t, ctx.gerbe.e, w2, w1, lam)
@@ -106,7 +92,7 @@ def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     t1 = ctx.require_member(w1, "w1")
     t2 = ctx.require_member(w2, "w2")
     t = ctx.gerbe.torus
-    t12 = ctx.translation(vec_add(w1, w2))
+    t12 = ctx.vector(vec_add(w1, w2))
     composed = []
     for k in range(t.dim):
         lam = basis_vec(t.dim, k)

@@ -112,7 +112,7 @@ def member_over(torus: TorusData, nums, den: int, case: SubgroupCase) -> bool:
     integers nums over the positive integer den."""
     if case is SubgroupCase.INTEGRAL:
         return not any(x % den for x in nums)
-    return not any(map(any, pullback_over(torus, nums, den, 1, -1)[0]))
+    return not any(pullback_over(torus, nums, den, 1, -1)[0])
 
 
 def invariant_coefficients(case: SubgroupCase) -> tuple[Fraction, Fraction]:

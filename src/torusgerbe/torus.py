@@ -19,7 +19,6 @@ from .exact import (
     Mat,
     ReducedLattice,
     Vec,
-    alternating_full,
     basis_vec,
     identity_mat,
     int_vec,
@@ -31,7 +30,7 @@ from .exact import (
     to_mat,
     to_vec,
 )
-from .forms import AltForm2, AltForm3
+from .forms import AltForm2, AltForm3, alternating_matrix
 
 
 class NotAComplexStructure(ValueError):
@@ -107,15 +106,18 @@ class TorusData:
 
     @functools.cached_property
     def pullback_map(self) -> tuple[int, tuple]:
-        """(dj**2, cols): the integer map omega -> dj**2 * J^T*omega*J on
-        upper-triangle coordinates.  cols lists, for each pair p < q in
-        lexicographic order, (p, q, image) where image holds the nonzero
-        entries (a, b, c), a < b, of dj**2 * J^T*(e_p ^ e_q)*J."""
+        """(dj**2, images): the integer map omega -> dj**2 * J^T*omega*J on
+        pair coordinates.  images[k], for the k-th pair p < q in
+        lexicographic order, holds the nonzero entries (coordinate, value)
+        of the pair coordinates of dj**2 * J^T*(e_p ^ e_q)*J; it is built
+        from the nonzero entries of rows p and q of J alone."""
         dj = self.j_columns[0]
         # rows[p]: the nonzero entries (a, dj * J[p][a]) of row p of J
         rows = [[(a, int(x * dj)) for a, x in enumerate(row) if x] for row in self.j]
+        pairs = list(itertools.combinations(range(self.dim), 2))
+        index = {pair: k for k, pair in enumerate(pairs)}
         out = []
-        for p, q in itertools.combinations(range(self.dim), 2):
+        for p, q in pairs:
             # (J^T*(e_p ^ e_q)*J)[a][b] = J[p][a]*J[q][b] - J[q][a]*J[p][b]
             image = {}
             for a, x in rows[p]:
@@ -124,7 +126,7 @@ class TorusData:
                         image[a, b] = image.get((a, b), 0) + x * y
                     elif b < a:
                         image[b, a] = image.get((b, a), 0) - x * y
-            out.append((p, q, tuple((a, b, c) for (a, b), c in sorted(image.items()) if c)))
+            out.append(tuple([(index[ab], c) for ab, c in sorted(image.items()) if c]))
         return dj * dj, tuple(out)
 
     @functools.cached_property
@@ -173,33 +175,30 @@ def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):
 
 
 def pullback_over(torus: TorusData, nums, den: int, c0, c1):
-    """c0*omega + c1*J^T*omega*J for the form omega whose coordinates on the
-    pairs a < b, in lexicographic order, are the integers nums over the
-    positive integer den, as (m, den'): m is a d x d integer matrix whose
-    upper triangle, over den', holds the result (its other entries are
-    zero).  c0 and c1 are scaled by the lcm dc of their denominators; the
-    torus's pullback map does the rest.
+    """c0*omega + c1*J^T*omega*J for the form omega whose pair coordinates
+    are the integers nums over the positive integer den, as (coords, den'):
+    the pair coordinates of the result are the integers coords over den'.
+    c0 and c1 are scaled by the lcm dc of their denominators; the torus's
+    pullback map does the rest.
     """
-    dj2, cols = torus.pullback_map
+    dj2, images = torus.pullback_map
     c0, c1 = to_fraction(c0), to_fraction(c1)
     dc = lcm(c0.denominator, c1.denominator)
     k0 = c0.numerator * (dc // c0.denominator) * dj2
     k1 = c1.numerator * (dc // c1.denominator)
-    d = torus.dim
-    m = [[0] * d for _ in range(d)]
-    for (p, q, image), x in zip(cols, nums):
-        if x:
-            m[p][q] += k0 * x
-            if k1:
+    out = [k0 * x for x in nums]
+    if k1:
+        for image, x in zip(images, nums):
+            if x:
                 x *= k1
-                for a, b, c in image:
-                    m[a][b] += c * x
-    return m, dc * dj2 * den
+                for k, c in image:
+                    out[k] += c * x
+    return out, dc * dj2 * den
 
 
 def pullback_combination(torus: TorusData, omega: AltForm2, c0, c1) -> AltForm2:
     """The form c0*omega + c1*J^T*omega*J."""
-    return AltForm2.from_upper(*_pullback_combination(torus, omega, c0, c1))
+    return AltForm2.from_coords(torus.dim, *_pullback_combination(torus, omega, c0, c1))
 
 
 def j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
@@ -224,10 +223,10 @@ def hodge_projection(torus: TorusData, omega: AltForm2) -> HodgeImage:
     With A = omega - J^T*omega*J the real part is A/4, and since J*J = -I
     the imaginary part (J^T*omega + omega*J)/4 is A*J/4.
     """
-    m, den = _pullback_combination(torus, omega, 1, -1)
-    m = alternating_full(m)
+    nums, den = _pullback_combination(torus, omega, 1, -1)
+    m = alternating_matrix(nums, torus.dim)
     return HodgeImage(
-        re=AltForm2.from_upper(m, 4 * den),
+        re=AltForm2.from_coords(torus.dim, nums, 4 * den),
         im=AltForm2.from_upper(torus.times_j(m), 4 * den * torus.j_columns[0]),
     )
 
@@ -293,7 +292,5 @@ def integral_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
     integer basis 2-forms, whose lattice the torus reduces once.  The
     target goes to the lattice as integers over one denominator.
     """
-    m, den = _pullback_combination(torus, omega, 1, -1)
-    d = torus.dim
-    nums = [m[a][b] for a in range(d) for b in range(a + 1, d)]
+    nums, den = _pullback_combination(torus, omega, 1, -1)
     return torus.anti_invariant_lattice.member_over(nums, 2 * den) is not None

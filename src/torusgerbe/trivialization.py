@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GaussianRational, InternalMismatch, Vec, alternating_full, int_dot
+from .exact import GaussianRational, InternalMismatch, Vec, int_dot
 from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
 from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, forms_over
 from .gerbe import require_lattice
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
 from .symmetry import require_case_member
-from .torus import AltForm2, pullback_over
+from .torus import AltForm2, alternating_matrix, pullback_over
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,9 @@ def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationC
     for the lattice basis vectors only, by `_basis_records`."""
     t = gerbe.torus
     dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
-    coords = [omega[p][q] for p, q, _ in t.pullback_map[1]]  # pairs p < q
+    coords = [omega[p][q] for p, q in itertools.combinations(range(t.dim), 2)]
     f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
-    f = alternating_full(f)
+    f = alternating_matrix(f, t.dim)
     # omega_i*J and F*J, times dj; J^T*F = -(F*J)^T as F is alternating
     xj, zj = t.times_j(omega_i), t.times_j(f)
     dj, ks = t.j_columns[0], range(t.dim)

@@ -47,7 +47,6 @@ from torusgerbe.exact import (
     to_vec,
     vec_add,
     vec_is_zero,
-    zero_vec,
 )
 
 F = Fraction
@@ -538,6 +537,11 @@ def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
 
 def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:
     """E(w,.,.) accumulated entry by entry in Fractions."""
+    return AltForm2(reference_contract_matrix(e3, w))
+
+
+def reference_contract_matrix(e3: AltForm3, w: Vec) -> Mat:
+    """The full Fraction matrix of E(w,.,.), accumulated entry by entry."""
     d = e3.dim
     m = [[F(0)] * d for _ in range(d)]
 
@@ -549,7 +553,7 @@ def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:
         bump(q, r, coef * w[p])
         bump(p, r, -coef * w[q])
         bump(p, q, coef * w[r])
-    return AltForm2(tuple(tuple(row) for row in m))
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -573,7 +577,7 @@ class FractionAltForm2:
 
     @staticmethod
     def zero(dim: int) -> "FractionAltForm2":
-        return FractionAltForm2(tuple(zero_vec(dim) for _ in range(dim)))
+        return FractionAltForm2(((F(0),) * dim,) * dim)
 
     @staticmethod
     def from_upper(upper, den: int) -> "FractionAltForm2":

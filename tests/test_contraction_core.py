@@ -157,7 +157,7 @@ class TestContextCache:
         m1, m2, m3 = (half, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0)
         bad = (F(1, 3), 0, 0, 0)
         _warm(ctx, [m1, m2, m3])
-        assert not ctx.member(bad)
+        assert not ctx.vector(bad).member
         lam = (1, 0, 0, 0)
         calls = [
             lambda: ctx.require_member(bad),
@@ -236,11 +236,11 @@ class TestIntegerRecords:
         rng = random.Random(7)
         thirds = [tuple(x / 3 for x in w) for w in vectors]
         candidates = vectors + thirds + [rand_rational_vec(rng, g.torus.dim) for _ in range(3)]
-        members = [ctx.member(w) for w in candidates]
+        members = [ctx.vector(w).member for w in candidates]
         assert any(members) and not all(members)
         for w, member in zip(candidates, members):
             assert member is in_case_subgroup(g.torus, g.e, w, case)
-            assert ctx.invariant_part(w) == case_decomposition(
+            assert ctx.vector(w).invariant == case_decomposition(
                 g.torus, g.e, w, case, check=False
             ).invariant_part
             if not member:

@@ -15,12 +15,23 @@ from torusgerbe import (
     unit_reduce,
 )
 import torusgerbe.exact
-from torusgerbe.exact import ReducedLattice, det, to_mat, to_vec, vec_add, vec_scale, zero_vec
+from torusgerbe.exact import ReducedLattice, to_mat, to_vec
 from torusgerbe.symmetry import fixes_gerbe
 from torusgerbe.gerbe import gerbes_isomorphic, translate_gerbe
 from torusgerbe.torus import anti_invariant_part, integral_anti_invariant_member
 
 from helpers import gerbe4, oracle_membership_search, reference_membership, twisted_torus
+
+def combination(coeffs, gens, dim):
+    """sum(c * g) over the coefficients and rational generators."""
+    return tuple(sum([c * to_vec(g)[k] for c, g in zip(coeffs, gens)], F(0)) for k in range(dim))
+
+
+def sympy_det(m):
+    from sympy import Matrix
+
+    return Matrix([list(r) for r in m]).det()
+
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=24)
 
@@ -84,7 +95,7 @@ class TestHermiteNormalForm:
             for i in range(len(um))
         )
         assert prod == hm
-        assert abs(det(um)) == 1
+        assert abs(sympy_det(u)) == 1
         # echelon with positive pivots and reduced entries above
         last_pivot = -1
         for row in h:
@@ -106,7 +117,7 @@ class TestHermiteNormalForm:
     def test_textbook_example(self):
         h, u = self.check_canonical([[1, 2], [3, 4]])
         assert h[0][0] == 1
-        assert abs(det(to_mat(h))) == 2
+        assert abs(sympy_det(h)) == 2
 
     def test_zero_matrix(self):
         h, _ = hermite_normal_form([[0, 0], [0, 0]])
@@ -151,10 +162,7 @@ def reconstruct_cases():
             for _ in range(rng.randint(1, 4))
         ]
         coeffs = [rng.randint(-4, 4) for _ in gens]
-        target = zero_vec(dim)
-        for c, g in zip(coeffs, gens):
-            target = vec_add(target, vec_scale(c, g))
-        yield gens, target
+        yield gens, combination(coeffs, gens, dim)
 
 
 def brute_force_cases():
@@ -203,10 +211,7 @@ class TestLatticeMembership:
             dim = len(target)
             got = lattice_membership(gens, target)
             assert got is not None
-            acc = zero_vec(dim)
-            for c, g in zip(got, gens):
-                acc = vec_add(acc, vec_scale(c, g))
-            assert acc == target
+            assert combination(got, gens, dim) == target
 
     def test_negatives_match_brute_force(self):
         hits = 0
@@ -313,9 +318,7 @@ class TestReducedLattice:
             lat = ReducedLattice(gens, dim)
             for _ in range(6):
                 if rng.random() < 0.5:
-                    target = zero_vec(dim)
-                    for g in gens:
-                        target = vec_add(target, vec_scale(rng.randint(-3, 3), to_vec(g)))
+                    target = combination([rng.randint(-3, 3) for _ in gens], gens, dim)
                 else:
                     target = tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(dim))
                 d = lcm(*(x.denominator for g in gens for x in g), *(x.denominator for x in target))

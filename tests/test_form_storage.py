@@ -1,7 +1,8 @@
 """`AltForm2`'s integer storage against the `Fraction`-matrix oracle.
 
-The form stores the integers of its upper triangle over one positive
-denominator, reduced by their gcd; every constructor, operation and view is
+The form stores its pair coordinates (the entries on the pairs a < b in
+lexicographic order) as integers over one positive denominator, reduced by
+their gcd; every constructor, operation and view is
 compared with `helpers.FractionAltForm2`, which keeps the full matrix of
 `Fraction`s.  The membership decisions read only the integers, which the
 last test checks by forbidding the `Fraction` view while they run.
@@ -74,6 +75,9 @@ class TestAgainstFractionOracle:
         m = full_matrix(dim, coeffs)
         assert_matches(AltForm2(m), FractionAltForm2(m), rng)
         assert_matches(AltForm2.from_pairs(dim, coeffs), FractionAltForm2.from_pairs(dim, coeffs), rng)
+        # from_pairs writes pair coordinates; they are those of the full matrix
+        assert AltForm2.from_pairs(dim, coeffs) == AltForm2(m)
+        assert hash(AltForm2.from_pairs(dim, coeffs)) == hash(AltForm2(m))
         assert_matches(AltForm2.zero(dim), FractionAltForm2.zero(dim), rng)
         # from_upper reads only the upper triangle of an integer matrix, over
         # a denominator that may share factors with it or be negative

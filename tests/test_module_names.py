@@ -1,14 +1,16 @@
-"""Every global name a function reads is bound in its module, and every
-module-level import of the package is read.
+"""Every global name a function reads is bound in its module, every
+module-level import of the package is read, and every module-level
+definition of the package is read or re-exported.
 
 A function body that reads a name its module never binds raises
 ``NameError`` only when the function runs, so a missing import hides until
 the one call that reaches it.  An import that nothing reads stays behind
-when code moves between modules.  The project has no linter dependency, so
-the checks read the compiler's own symbol tables (stdlib ``symtable``) for
-every module of the package and of the test suite, and the syntax tree
-(stdlib ``ast``) of every package module but ``__init__.py``, whose imports
-are its re-exports.
+when code moves between modules, and so does a function or class that only
+the tests still call.  The project has no linter dependency, so the checks
+read the compiler's own symbol tables (stdlib ``symtable``) for every
+module of the package and of the test suite, and the syntax tree (stdlib
+``ast``) of every package module but ``__init__.py``, whose imports are its
+re-exports.
 """
 
 import ast
@@ -29,6 +31,11 @@ PACKAGE_MODULES = sorted(
 UNREAD_IMPORTS_KEPT = {
     # bench/test_bench.py checks that this binding of a traced function is wrapped
     ("torus.py", "lattice_membership"),
+}
+# (module, name) of the definitions kept although no package module reads them
+UNREFERENCED_KEPT = {
+    # the documented round trip parse_problem(render_problem(p)) == p
+    ("cli.py", "render_problem"),
 }
 # Builtins, plus the attributes the import system sets on every module.
 ALWAYS_BOUND = set(dir(builtins)) | {"__builtins__", "__cached__", "__file__", "__path__"}
@@ -148,3 +155,80 @@ def test_check_flags_an_unread_import():
         "    return os.sep\n"
     )
     assert unread_imports(source) == [(3, "gcd"), (4, "sys")]
+
+
+def unreferenced_definitions(sources):
+    """Sorted (module, line, name) for each module-level ``def`` or
+    ``class`` of a module in ``sources`` (file name -> source) but
+    ``__init__.py`` that no statement of any module reads, its own
+    statement aside, and that ``__init__.py`` does not import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {
+        (module, k): {
+            n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for module, tree in trees.items()
+        for k, stmt in enumerate(tree.body)
+    }
+    exported = {
+        alias.name
+        for stmt in trees.get("__init__.py", ast.Module(body=[])).body
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (module, stmt.lineno, stmt.name)
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for k, stmt in enumerate(tree.body)
+        if isinstance(stmt, definitions)
+        and stmt.name not in exported
+        and not any(stmt.name in names for key, names in reads.items() if key != (module, k))
+    )
+
+
+def _package_sources():
+    return {
+        p.name: p.read_text(encoding="utf-8") for p in (ROOT / "src" / "torusgerbe").glob("*.py")
+    }
+
+
+def test_package_definitions_are_read():
+    unread = [
+        (module, line, name)
+        for module, line, name in unreferenced_definitions(_package_sources())
+        if (module, name) not in UNREFERENCED_KEPT
+    ]
+    assert not unread, "\n".join(
+        f"src/torusgerbe/{module}:{line}: {name!r} is defined but no package module reads it"
+        for module, line, name in unread
+    )
+
+
+def test_kept_definitions_are_still_unread():
+    # an exception that the package has come to read is no longer needed
+    unread = {(module, name) for module, _, name in unreferenced_definitions(_package_sources())}
+    assert UNREFERENCED_KEPT <= unread
+
+
+def test_check_flags_an_unread_definition():
+    sources = {
+        "__init__.py": "from .a import shown\n",
+        "__main__.py": "from .a import run\nrun()\n",
+        "a.py": (
+            "def shown(): pass\n"
+            "def run(): return helper()\n"
+            "def helper(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Dead:\n"
+            "    def make(self): return Dead()\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": "from .a import _private\nVALUE = 1\n",
+    }
+    assert unreferenced_definitions(sources) == [
+        ("a.py", 4, "recursive"),
+        ("a.py", 5, "Dead"),
+        ("a.py", 7, "_private"),
+    ]

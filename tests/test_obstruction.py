@@ -88,7 +88,7 @@ class TestLiftDefectExponent:
             w2 = vec(*[F(rng.randint(-2, 2), 2) for _ in range(4)])
             lam = rand_vec(rng, 4, -2, 2)
             got = lift_defect_exponent(ctx2, w1, w2, lam)
-            f2 = ctx2.invariant_part(w2)
+            f2 = ctx2.vector(w2).invariant
             iw1, iw2, ilam = t.mul_i(w1), t.mul_i(w2), t.mul_i(lam)
             ev = g.e.evaluate
             re = -f2.evaluate(w1, lam) / 2 - (
@@ -149,14 +149,15 @@ class TestLiftDefectCharacter:
         char = lift_defect_character(ctx6, w1, w2)
         assert char.dim == 6
 
-    def test_translation_is_the_cached_record(self):
-        ctx = ObstructionContext(gerbe4(2), INT)
-        assert ctx.member(W1)
-        assert ctx.translation(W1) is ctx.vector(W1)
+    def test_vector_is_built_unchecked(self):
+        g = gerbe4(2)
+        ctx = ObstructionContext(g, INT)
+        assert ctx.vector(W1).member
         bad = vec(F(1, 3), 0, 0, 0)
-        assert ctx.translation(bad, check=False) is ctx.vector(bad)
+        assert not ctx.vector(bad).member
+        assert ctx.vector(bad) == TranslationContext.create(g, bad, INT, check=False)
         with pytest.raises(NotInSubgroup, match="contraction with the 3-form is not integral"):
-            ctx.translation(bad)
+            TranslationContext.create(g, bad, INT)
 
     def test_one_record_per_distinct_vector(self, monkeypatch):
         # the contractions run once per basis vector per (gerbe, case); the
@@ -210,7 +211,7 @@ class TestLiftDefectCharacter:
         # the same vector in any form is a hit
         assert ctx.vector(W1) is data and ctx.vector(list(W1)) is data
         assert ctx.vector([F(1, 2), 0, 0, 0]) is data
-        assert ctx.member(W1) is data.member and ctx.translation(W1) is data
+        assert ctx.vector(W1).member is data.member
         assert lifts == [W1]
         total = vec_add(W1, W2)
         got, built = ctx.vector(total), TranslationContext.create(g, total, INT, check=False)
