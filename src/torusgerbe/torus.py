@@ -132,7 +132,7 @@ class TorusData:
     @functools.cached_property
     def anti_invariant_lattice(self) -> ReducedLattice:
         """The lattice spanned by the anti-invariant parts of the integer
-        basis 2-forms, in upper-triangle coordinates; it depends only on J,
+        basis 2-forms, in pair coordinates; it depends only on J,
         so it is reduced once per torus."""
         d = self.dim
         gens = [
