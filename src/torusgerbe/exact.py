@@ -1,11 +1,11 @@
 """Exact arithmetic substrate.
 
 Rational vectors and matrices, Gaussian rationals, canonical unit-circle
-values, and integer lattice routines (Hermite normal form and membership).
-Public scalars are `fractions.Fraction`s, never floats; the integer cores
-(`int_vec`, `int_dot`, `int_vec_mat`, `ReducedLattice.member_over`) take
-`int` numerators over one positive denominator, and the package's other
-integer kernels build on them.
+values, and integer lattice routines (Hermite normal form, and membership
+on its sparse rows).  Public scalars are `fractions.Fraction`s, never
+floats; the integer cores (`int_vec`, `int_dot`, `int_vec_mat`,
+`ReducedLattice.over`, `ReducedLattice.member_over`) take `int` numerators
+over one positive denominator; the other integer kernels build on them.
 
 Throughout the package ``exp(z)`` denotes ``e^{2*pi*i*z}``, so two exponents
 describe the same unit value exactly when they differ by a real integer.
@@ -219,17 +219,13 @@ class UnitValue:
 
 def unit_reduce(z) -> UnitValue:
     """Canonical representative of exp(z) for z rational or Gaussian rational."""
-    if isinstance(z, GaussianRational):
-        return UnitValue(z)
-    return UnitValue(GaussianRational.real(z))
+    return UnitValue(z)
 
 
 def _check_int_matrix(m) -> list[list[int]]:
     rows = [[int(x) for x in r] for r in m]
-    for r, orig in zip(rows, m):
-        for x, y in zip(r, orig):
-            if x != y:
-                raise ValueError("hermite_normal_form needs an integer matrix")
+    if rows != [list(r) for r in m]:
+        raise ValueError("hermite_normal_form needs an integer matrix")
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return rows
@@ -256,14 +252,6 @@ def hermite_normal_form(m: Sequence[Sequence[int]]):
         for k in range(nrows):
             ui[k] -= q * uj[k]
 
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        u[i], u[j] = u[j], u[i]
-
-    def negate(i):
-        rows[i] = [-x for x in rows[i]]
-        u[i] = [-x for x in u[i]]
-
     r = 0
     for c in range(ncols):
         while True:
@@ -272,7 +260,7 @@ def hermite_normal_form(m: Sequence[Sequence[int]]):
                 break
             best = min(nonzero, key=lambda i: abs(rows[i][c]))
             if best != r:
-                swap(r, best)
+                rows[r], rows[best], u[r], u[best] = rows[best], rows[r], u[best], u[r]
             done = True
             for i in range(r + 1, nrows):
                 if rows[i][c] != 0:
@@ -281,18 +269,16 @@ def hermite_normal_form(m: Sequence[Sequence[int]]):
                         done = False
             if done:
                 break
-        if r < nrows and rows[r][c] != 0:
+        if rows[r][c] != 0:  # r < nrows: the loop stops when r reaches it
             if rows[r][c] < 0:
-                negate(r)
+                rows[r], u[r] = [-x for x in rows[r]], [-x for x in u[r]]
             for j in range(r):
                 if rows[j][c] != 0:
                     row_op(j, r, rows[j][c] // rows[r][c])
             r += 1
             if r == nrows:
                 break
-    h = tuple(tuple(x for x in row) for row in rows)
-    ut = tuple(tuple(x for x in row) for row in u)
-    return h, ut
+    return tuple(map(tuple, rows)), tuple(map(tuple, u))
 
 
 class ReducedLattice:
@@ -302,23 +288,30 @@ class ReducedLattice:
     the Hermite normal form H = U*G of the scaled generator matrix G is
     computed once; every membership query is then back-substitution
     against H.  Scaling G by a positive integer leaves U unchanged, so the
-    coefficients returned do not depend on the scale.
+    coefficients returned do not depend on the scale.  H, U and G are kept
+    as sparse rows, the nonzero entries (index, value) of each row.
     """
 
     def __init__(self, generators: Sequence[Sequence], dim: int):
-        gens = [to_vec(g) for g in generators]
-        if any(len(g) != dim for g in gens):
+        self._reduce([int_vec(to_vec(g)) for g in generators], dim)
+
+    @classmethod
+    def over(cls, generators: Sequence[tuple[int, Sequence[int]]], dim: int):
+        """Built from (den, nums) pairs, each the generator nums / den, den > 0."""
+        lat = cls.__new__(cls)
+        lat._reduce(generators, dim)
+        return lat
+
+    def _reduce(self, generators, dim: int):
+        if any(len(nums) != dim for _, nums in generators):
             raise ValueError("generator/target dimension mismatch")
-        self.dim = dim
-        self.scale = lcm(*(x.denominator for g in gens for x in g))
-        self.g_int = tuple(tuple(int(x * self.scale) for x in g) for g in gens)
-        self.h, self.u = hermite_normal_form(self.g_int)
-        # (pivot column, row) for the nonzero rows of H, top to bottom
-        self.pivot_rows = tuple(
-            (next(c for c, x in enumerate(row) if x), row)
-            for row in self.h
-            if any(row)
-        )
+        self.dim, self.scale = dim, lcm(*[den for den, _ in generators])
+        g = [[x * (self.scale // den) for x in nums] for den, nums in generators]
+        h, self.u_rows, self.g_rows = [
+            tuple([tuple([(k, x) for k, x in enumerate(row) if x]) for row in m])
+            for m in (*hermite_normal_form(g), g)
+        ]
+        self.h_rows = tuple([row for row in h if row])  # each starts at its pivot
 
     def member(self, target) -> tuple[int, ...] | None:
         """Integer coefficients c with sum(c_i * generators_i) == target, or None."""
@@ -330,32 +323,32 @@ class ReducedLattice:
         denominator."""
         if len(nums) != self.dim:
             raise ValueError("generator/target dimension mismatch")
-        t_int = []
-        for x in nums:
-            q, rem = divmod(x * self.scale, den)
-            if rem:
-                return None
-            t_int.append(q)
+        scaled = [x * self.scale for x in nums]
+        if any([x % den for x in scaled]):
+            return None
+        t_int = [x // den for x in scaled]
         residual = list(t_int)
-        y = []
-        for pivot, row in self.pivot_rows:
-            q, rem = divmod(residual[pivot], row[pivot])
+        coeffs = [0] * len(self.g_rows)  # y*U for the quotients y
+        for h_row, u_row in zip(self.h_rows, self.u_rows):
+            pivot, p = h_row[0]
+            q, rem = divmod(residual[pivot], p)
             if rem:
                 return None
-            y.append(q)
             if q:
-                for k in range(pivot, self.dim):
-                    residual[k] -= q * row[k]
+                for k, x in h_row:
+                    residual[k] -= q * x
+                for i, x in u_row:
+                    coeffs[i] += q * x
         if any(residual):
             return None
-        coeffs = tuple(
-            sum(yr * ur[i] for yr, ur in zip(y, self.u)) for i in range(len(self.g_int))
-        )
         # paranoia: witnesses must reconstruct the target exactly
-        for k in range(self.dim):
-            if sum(c * g[k] for c, g in zip(coeffs, self.g_int)) != t_int[k]:
-                raise AssertionError("lattice_membership produced a bad witness")
-        return coeffs
+        for c, g_row in zip(coeffs, self.g_rows):
+            if c:
+                for k, x in g_row:
+                    t_int[k] -= c * x
+        if any(t_int):
+            raise AssertionError("lattice_membership produced a bad witness")
+        return tuple(coeffs)
 
 
 def lattice_membership(generators: Sequence[Sequence], target) -> tuple[int, ...] | None:

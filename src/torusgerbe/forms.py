@@ -193,7 +193,7 @@ class AltForm3:
         denominators: y^T*E(x,.,.)*z over the upper triangle."""
         if len(y) != self.dim or len(z) != self.dim:
             raise ValueError("vector/form dimension mismatch")
-        m, de = self.contract_over(x, 1)
+        m, de = self.contract_over(x)
         pairs = itertools.combinations(range(self.dim), 2)
         return sum([m[a][b] * (y[a] * z[b] - y[b] * z[a]) for a, b in pairs if m[a][b]]), de
 
@@ -202,7 +202,7 @@ class AltForm3:
         dw, wi = int_vec(w)
         return AltForm2.from_upper(*self.contract_over(wi, dw))
 
-    def contract_over(self, nums, den: int) -> tuple[list[list[int]], int]:
+    def contract_over(self, nums, den: int = 1) -> tuple[list[list[int]], int]:
         """`contract` for w = nums / den, integers over one positive
         denominator: (m, de*den), m the full alternating matrix of
         de*den*E(w,.,.) for the lcm de of E's denominators."""

@@ -107,10 +107,7 @@ class Character:
         v = to_vec(v)
         if not vec_is_integral(v):
             raise ValueError("characters are defined on lattice vectors")
-        total = ZERO_G
-        for e, c in zip(self.exponents, v, strict=True):
-            total = total + e * c
-        return total
+        return sum([e * c for e, c in zip(self.exponents, v, strict=True)], ZERO_G)
 
     def __mul__(self, other: "Character") -> "Character":
         return Character(
@@ -130,7 +127,12 @@ class Character:
 
 @dataclass(frozen=True)
 class GerbeData:
-    """Gerbe presentation (B, E) on a torus; E integral and type-compatible."""
+    """Gerbe presentation (B, E) on a torus; E integral and type-compatible.
+
+    `GerbeData(...)` checks both.  `translate_gerbe` builds its result by
+    `_with_b`, which skips the checks: they read only the torus, E and the
+    dimension of B, and the result keeps all three from a checked gerbe.
+    """
 
     torus: TorusData
     b: AltForm2
@@ -145,6 +147,12 @@ class GerbeData:
             raise TypeConditionFailed(
                 "3-form violates the type condition for this complex structure"
             )
+
+    def _with_b(self, b: AltForm2) -> "GerbeData":
+        """This gerbe with the 2-form b of the same dimension, unchecked."""
+        g = object.__new__(GerbeData)
+        vars(g).update(torus=self.torus, b=b, e=self.e)
+        return g
 
     @functools.cached_property
     def basis_records(self) -> dict:
@@ -237,10 +245,9 @@ def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
     alternating, J^T*omega = -(omega*J)^T, so with Y = dj*omega*J the
     form is l = Y - Y^T - 2*omega_i.
     """
-    dj = torus.j_columns[0]
     dw, x, ix = torus.lift(w)
     omega, do = e3.contract_over(x, dw)
-    omega_i = e3.contract_over(ix, dj * dw)[0]
+    omega_i = e3.contract_over(ix)[0]
     y = torus.times_j(omega)
     r = range(torus.dim)
     l = [[y[a][b] - y[b][a] - 2 * omega_i[a][b] for b in r] for a in r]
@@ -323,7 +330,7 @@ SHIFT_COEFFICIENTS = (Fraction(5, 8), Fraction(-3, 8))
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:
     """Canonical presentation of the gerbe pulled back by translation by w."""
     shift = translation_shift_form(gerbe.torus, gerbe.e, to_vec(w))
-    return GerbeData(torus=gerbe.torus, b=gerbe.b + shift, e=gerbe.e)
+    return gerbe._with_b(gerbe.b + shift)
 
 
 def gerbes_isomorphic(g1: GerbeData, g2: GerbeData) -> bool:

@@ -133,13 +133,14 @@ class TorusData:
     def anti_invariant_lattice(self) -> ReducedLattice:
         """The lattice spanned by the anti-invariant parts of the integer
         basis 2-forms, in pair coordinates; it depends only on J,
-        so it is reduced once per torus."""
+        so it is reduced once per torus.  Each part goes in as its integer
+        coordinates over its denominator."""
         d = self.dim
-        gens = [
-            anti_invariant_part(self, AltForm2.from_pairs(d, {(a, b): 1})).upper_coeffs()
+        parts = [
+            anti_invariant_part(self, AltForm2.from_pairs(d, {(a, b): 1}))
             for a, b in itertools.combinations(range(d), 2)
         ]
-        return ReducedLattice(gens, d * (d - 1) // 2)
+        return ReducedLattice.over([(f.den, f.upper) for f in parts], d * (d - 1) // 2)
 
 
 def check_complex_structure(j_rows) -> TorusData:

@@ -441,6 +441,43 @@ def reference_membership(generators: list[Vec], target: Vec) -> tuple[int, ...] 
     return tuple(sum(y[r] * u[r][i] for r in range(len(y))) for i in range(len(y)))
 
 
+def dense_member_over(generators: list[Vec], nums, den: int) -> tuple[int, ...] | None:
+    """`ReducedLattice.member_over` as it ran before it kept sparse rows:
+    the generators scaled by the lcm of their denominators, their Hermite
+    normal form, back-substitution over whole rows of H, the coefficients
+    y*U summed over every row of U and the witness c*G checked on every
+    coordinate, all dense."""
+    scale = lcm(*(x.denominator for g in generators for x in g))
+    g_int = tuple(tuple(int(x * scale) for x in g) for g in generators)
+    h, u = hermite_normal_form(g_int)
+    dim = len(nums)
+    t_int = []
+    for x in nums:
+        q, rem = divmod(x * scale, den)
+        if rem:
+            return None
+        t_int.append(q)
+    residual = list(t_int)
+    y = []
+    for row in h:
+        if not any(row):
+            break
+        pivot = next(c for c, x in enumerate(row) if x)
+        q, rem = divmod(residual[pivot], row[pivot])
+        if rem:
+            return None
+        y.append(q)
+        for k in range(pivot, dim):
+            residual[k] -= q * row[k]
+    if any(residual):
+        return None
+    coeffs = tuple(sum(yr * ur[i] for yr, ur in zip(y, u)) for i in range(len(g_int)))
+    for k in range(dim):
+        if sum(c * g[k] for c, g in zip(coeffs, g_int)) != t_int[k]:
+            raise AssertionError("lattice_membership produced a bad witness")
+    return coeffs
+
+
 # The per-basis forms of the canonical exponent that the package evaluated
 # before it built one bilinear form per vector; each reads E, the case
 # decomposition and the trilinear reference_exponent_im directly.

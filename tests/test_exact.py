@@ -1,5 +1,7 @@
 """Exact substrate: Gaussian rationals, unit values, HNF, lattice membership."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,12 +17,24 @@ from torusgerbe import (
     unit_reduce,
 )
 import torusgerbe.exact
-from torusgerbe.exact import ReducedLattice, to_mat, to_vec
+from torusgerbe.exact import ReducedLattice, int_vec, to_mat, to_vec
 from torusgerbe.symmetry import fixes_gerbe
 from torusgerbe.gerbe import gerbes_isomorphic, translate_gerbe
-from torusgerbe.torus import anti_invariant_part, integral_anti_invariant_member
+from torusgerbe.torus import (
+    anti_invariant_part,
+    check_complex_structure,
+    integral_anti_invariant_member,
+    pullback_over,
+)
 
-from helpers import gerbe4, oracle_membership_search, reference_membership, twisted_torus
+from helpers import (
+    dense_member_over,
+    gerbe4,
+    oracle_membership_search,
+    reference_membership,
+    standard_j_rows,
+    twisted_torus,
+)
 
 def combination(coeffs, gens, dim):
     """sum(c * g) over the coefficients and rational generators."""
@@ -107,6 +121,11 @@ class TestHermiteNormalForm:
             assert nz[0] > last_pivot
             assert row[nz[0]] > 0
             last_pivot = nz[0]
+        # entries above each pivot reduced into [0, pivot)
+        for r, row in enumerate(h):
+            pivot = next((c for c, x in enumerate(row) if x), None)
+            if pivot is not None:
+                assert all(0 <= above[pivot] < row[pivot] for above in h[:r])
         return h, u
 
     def test_already_hnf(self):
@@ -146,6 +165,12 @@ class TestHermiteNormalForm:
             h, _ = hermite_normal_form(m)
             h2, _ = hermite_normal_form(h)
             assert h2 == h
+
+    def test_single_row(self):
+        h, u = self.check_canonical([[0, -4, 6]])
+        assert h == ((0, 4, -6),) and u == ((-1,),)
+        assert lattice_membership([(0, -4, 6)], (0, 8, -12)) == (-2,)
+        assert lattice_membership([(0, -4, 6)], (0, 2, -3)) is None
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
@@ -357,10 +382,91 @@ class TestReducedLattice:
         assert calls == [6, 15]
 
     def test_corrupt_transform_trips_the_witness_check(self, monkeypatch):
+        # the decision reads U as sparse rows; doubling them doubles every
+        # coefficient, which no longer reconstructs the target
         t = twisted_torus(2, 0)
         omega = AltForm2.from_pairs(4, {(1, 2): 1})  # integral, so a member
         assert integral_anti_invariant_member(t, omega)
         lat = t.anti_invariant_lattice
-        monkeypatch.setattr(lat, "u", tuple(tuple(2 * x for x in row) for row in lat.u))
+        doubled = tuple(tuple((i, 2 * x) for i, x in row) for row in lat.u_rows)
+        monkeypatch.setattr(lat, "u_rows", doubled)
         with pytest.raises(AssertionError):
             integral_anti_invariant_member(t, omega)
+
+    def test_corrupt_generator_row_trips_the_witness_check(self, monkeypatch):
+        # one entry of one sparse row of G, on a generator the witness uses
+        t = twisted_torus(2, 0)
+        omega = AltForm2.from_pairs(4, {(1, 2): 1})
+        lat = t.anti_invariant_lattice
+        coeffs = lat.member_over(*_lattice_target(t, omega))
+        i = next(i for i, c in enumerate(coeffs) if c)
+        (k, x), *rest = lat.g_rows[i]
+        rows = list(lat.g_rows)
+        rows[i] = ((k, x + 1), *rest)
+        monkeypatch.setattr(lat, "g_rows", tuple(rows))
+        with pytest.raises(AssertionError):
+            integral_anti_invariant_member(t, omega)
+
+    def test_integer_entry_matches_rational_generators(self):
+        # the torus hands each projected generator in as integers over its
+        # denominator; the rational constructor reduces the same lattice
+        for n, twisted in LATTICE_TORI:
+            t, gens = _lattice_torus(n, twisted)
+            lat, rational = t.anti_invariant_lattice, ReducedLattice(gens, len(gens))
+            assert (lat.dim, lat.scale) == (rational.dim, rational.scale)
+            assert lat.h_rows == rational.h_rows
+            assert (lat.u_rows, lat.g_rows) == (rational.u_rows, rational.g_rows)
+        with pytest.raises(ValueError):
+            ReducedLattice.over([(1, [1, 0]), (2, [1, 0, 0])], 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sparse_rows_match_the_dense_loops(self, data):
+        # member and non-member targets on standard and twisted tori: the
+        # same answer and the same coefficients as the old dense loops
+        n, twisted = data.draw(st.sampled_from(LATTICE_TORI))
+        t, gens = _lattice_torus(n, twisted)
+        lat, m = t.anti_invariant_lattice, len(gens)
+        c = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        den, nums = int_vec(combination(c, gens, m))
+        k = data.draw(st.integers(1, 3))
+        got = lat.member_over([k * x for x in nums], k * den)
+        assert got is not None and got == dense_member_over(gens, nums, den)
+        assert combination(got, gens, m) == combination(c, gens, m)
+        # off the span of the anti-invariant parts: no rational solution
+        off = [2 * x for x in nums]
+        off[0] += 1
+        assert lat.member_over(off, 2 * den) is None
+        assert dense_member_over(gens, off, 2 * den) is None
+        # the projected target of a drawn rational form
+        dens = data.draw(st.sampled_from(((1,), (1, 2, 3))))
+        pairs = list(itertools.combinations(range(t.dim), 2))
+        coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        omega = AltForm2.from_pairs(
+            t.dim, {ab: F(x, data.draw(st.sampled_from(dens))) for ab, x in zip(pairs, coeffs)}
+        )
+        target = _lattice_target(t, omega)
+        assert lat.member_over(*target) == dense_member_over(gens, *target)
+        if dens == (1,):  # integral forms are members
+            assert lat.member_over(*target) is not None
+
+
+LATTICE_TORI = [(n, twisted) for n in (2, 3, 4) for twisted in (False, True)]
+
+
+@functools.cache
+def _lattice_torus(n, twisted):
+    """The torus and the rational generators of its anti-invariant lattice."""
+    t = twisted_torus(n, 0) if twisted else check_complex_structure(standard_j_rows(n))
+    gens = [
+        anti_invariant_part(t, AltForm2.from_pairs(t.dim, {ab: 1})).upper_coeffs()
+        for ab in itertools.combinations(range(t.dim), 2)
+    ]
+    return t, gens
+
+
+def _lattice_target(t, omega):
+    """(nums, den) of omega - J^T*omega*J over twice its denominator, the
+    target `integral_anti_invariant_member` hands the lattice."""
+    nums, den = pullback_over(t, omega.upper, omega.den, 1, -1)
+    return nums, 2 * den

@@ -1,5 +1,6 @@
 """Gerbe data, canonical exponents, translation action, isomorphism test."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -16,15 +17,22 @@ from torusgerbe import (
     fixes_gerbe,
     gerbes_isomorphic,
     pair_exponent,
+    SubgroupCase,
     translate_gerbe,
     translation_factor,
 )
+import torusgerbe.gerbe as gerbe_module
 from torusgerbe.exact import vec_add
+from torusgerbe.gerbe import translation_shift_form
+from torusgerbe.trivialization import TranslationContext
 
 from helpers import (
+    conjugated_instance,
     e,
     gerbe4,
+    gerbe6,
     oracle_pair_exponent,
+    rand_altform2,
     rand_altform3_int,
     rand_rational_vec,
     rand_vec,
@@ -195,6 +203,72 @@ class TestTranslateGerbe:
         assert translate_gerbe(translate_gerbe(g, w1), w2) == translate_gerbe(
             g, vec_add(w1, w2)
         )
+
+
+class TestTranslatedGerbeIsTrusted:
+    """`translate_gerbe` keeps the torus and E of a gerbe that passed its
+    checks, so it builds the result without running them again."""
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_the_checked_construction(self, n, twisted):
+        rng = random.Random(f"trusted:{n}:{twisted}")
+        g, vectors = conjugated_instance(n, 0, SubgroupCase.INTEGRAL, twisted)
+        g = GerbeData(g.torus, rand_altform2(rng, g.torus.dim), g.e)
+        for w in [*vectors, rand_rational_vec(rng, g.torus.dim)]:
+            got = translate_gerbe(g, w)
+            checked = GerbeData(g.torus, g.b + translation_shift_form(g.torus, g.e, w), g.e)
+            assert type(got) is GerbeData
+            assert got == checked and hash(got) == hash(checked)
+            assert repr(got) == repr(checked)
+
+    def test_runs_no_type_check(self, monkeypatch):
+        calls = []
+        real = gerbe_module.type_condition_check
+
+        def counting(torus, e3):
+            calls.append(e3)
+            return real(torus, e3)
+
+        monkeypatch.setattr(gerbe_module, "type_condition_check", counting)
+        g = gerbe6()
+        assert len(calls) == 1
+        rng = random.Random(12)
+        moved = g
+        for _ in range(4):
+            moved = translate_gerbe(moved, rand_rational_vec(rng, 6))
+        assert len(calls) == 1
+        GerbeData(moved.torus, moved.b, moved.e)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", list(SubgroupCase))
+    def test_basis_records_on_the_translated_gerbe(self, case):
+        # the translated gerbe starts with its own empty cache and fills it
+        g, vectors = conjugated_instance(3, 0, case, True)
+        moved = translate_gerbe(g, tuple(F(1, 3) * x for x in vectors[0]))
+        assert moved.basis_records == {} and moved.basis_records is not g.basis_records
+        twin = GerbeData(moved.torus, moved.b, moved.e)
+        for w in vectors:
+            got = TranslationContext.create(moved, w, case)
+            expected = TranslationContext.create(twin, w, case)
+            assert got.gerbe is moved and got == expected
+            for name in ("den", "member", "omega", "f", "m", "r"):
+                assert getattr(got, name) == getattr(expected, name), name
+            assert got.kernel == expected.kernel
+        assert list(moved.basis_records) == [case] and g.basis_records == {}
+
+    def test_outside_construction_still_checks(self):
+        bad = AltForm3.from_coeffs(6, {(0, 1, 2): 1})
+        g = gerbe6()
+        moved = translate_gerbe(g, vec(F(1, 2), 0, 0, F(1, 3), 0, 0))
+        with pytest.raises(TypeConditionFailed):
+            GerbeData(g.torus, moved.b, bad)
+        for base in (g, moved):
+            with pytest.raises(TypeConditionFailed):
+                dataclasses.replace(base, e=bad)
+            with pytest.raises(ValueError):
+                dataclasses.replace(base, b=AltForm2.zero(4))
+        assert dataclasses.replace(moved, b=g.b) == g
 
 
 class TestGerbesIsomorphic:

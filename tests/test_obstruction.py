@@ -1,14 +1,20 @@
 """Lifting defects, theta group, first and second obstructions."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgerbe import (
+    AltForm2,
+    AltForm3,
     Character,
     FirstObstructionNonzero,
     GaussianRational,
+    GerbeData,
     NotInSubgroup,
     ObstructionContext,
     ObstructionKind,
@@ -26,12 +32,14 @@ from torusgerbe import (
     second_obstruction_alternating,
     second_obstruction_cocycle,
     theta_group_multiply,
+    unit_reduce,
 )
 from torusgerbe.trivialization import TranslationContext
 from torusgerbe.exact import basis_vec, to_vec, vec_add
 from torusgerbe.obstruction import defect_correction_fn
 
 from helpers import (
+    conjugated_instance,
     sample_case_vector,
     e,
     gerbe4,
@@ -39,11 +47,19 @@ from helpers import (
     rand_vec,
     sample_integral_instance,
     sample_oneone_instance,
+    torus4,
     vec,
 )
 
 INT = SubgroupCase.INTEGRAL
 ONEONE = SubgroupCase.TYPE_ONE_ONE
+
+
+def combine(vectors, coeffs):
+    """The integer combination sum(c * v) of the vectors."""
+    dim = len(vectors[0])
+    return tuple(sum([c * v[k] for c, v in zip(coeffs, vectors)], F(0)) for k in range(dim))
+
 
 W1 = vec(F(1, 2), 0, 0, 0)
 W2 = vec(0, F(1, 2), 0, 0)
@@ -384,6 +400,69 @@ class TestSecondObstruction:
             assert values.skew_exponent == GaussianRational.real(-ev)
             assert values.general_factor.exponent.re == (F(-9, 2) * ev) % 1
             assert values.closed_form.exponent.re == (F(-9) * ev) % 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scalar_relations_integral_twisted(self, n):
+        # on twisted J, where dj > 1 and the three values are different
+        # rationals, they stay -E, -9/2 E and -9E, and each flag states
+        # exactly whether two of them agree modulo the integers
+        seen = {"skew_general": set(), "general_closed": set(), "general": set()}
+        for seed in range(3):
+            g, vectors = conjugated_instance(n, seed, INT, True)
+            assert g.torus.j_columns[0] > 1
+            ctx = ObstructionContext(g, INT)
+            rng = random.Random(f"relations:{n}:{seed}")
+            pool = list(vectors) + [
+                combine(vectors, [rng.randint(-2, 2) for _ in vectors]) for _ in range(3)
+            ]
+            for w1, w2, w3 in itertools.combinations(pool, 3):
+                ev = g.e.evaluate(w1, w2, w3)
+                values = second_obstruction_alternating(ctx, w1, w2, w3)
+                assert values.skew_exponent == GaussianRational.real(-ev)
+                assert values.general_factor == unit_reduce(F(-9, 2) * ev)
+                assert values.closed_form == unit_reduce(-9 * ev)
+                assert values.agree_skew_general is ((F(7, 2) * ev).denominator == 1)
+                assert values.agree_skew_closed is ((8 * ev).denominator == 1)
+                assert values.agree_general_closed is ((F(9, 2) * ev).denominator == 1)
+                seen["skew_general"].add(values.agree_skew_general)
+                seen["general_closed"].add(values.agree_general_closed)
+                seen["general"].add(values.general_factor.is_trivial)
+        assert all(found == {True, False} for found in seen.values())
+
+    @pytest.mark.parametrize(
+        "k, den, flags", [(14, 7, (True, False, False)), (54, 27, (False, False, False))]
+    )
+    def test_flags_separate_the_differences(self, k, den, flags):
+        # E = k*e012 and w = e0/den, e1/den, e2: E(w1,w2,w3) = 2/7 makes the
+        # difference skew - general an integer but not the sum, and 2/27
+        # makes general + closed one but not the difference
+        g = GerbeData(torus4(), AltForm2.zero(4), AltForm3.from_coeffs(4, {(0, 1, 2): k}))
+        ws = (vec(F(1, den), 0, 0, 0), vec(0, F(1, den), 0, 0), vec(0, 0, 1, 0))
+        ev = g.e.evaluate(*ws)
+        values = second_obstruction_alternating(ObstructionContext(g, INT), *ws)
+        assert values.skew_exponent == GaussianRational.real(-ev)
+        assert values.general_factor == unit_reduce(F(-9, 2) * ev)
+        assert values.closed_form == unit_reduce(-9 * ev)
+        assert flags == (
+            values.agree_skew_general, values.agree_skew_closed, values.agree_general_closed
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_closed_form_vanishes_on_oneone_triples(self, data):
+        # on the type (1,1) subgroup E(w1,w2,w3) = 0, so SECOND's closed
+        # form, and with it the other two values, is trivial on every triple
+        n = data.draw(st.sampled_from((2, 3)))
+        seed = data.draw(st.integers(0, 2))
+        g, vectors = conjugated_instance(n, seed, ONEONE, data.draw(st.booleans()))
+        ctx = ObstructionContext(g, ONEONE)
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors))
+        ws = [combine(vectors, data.draw(coeffs)) for _ in range(3)]
+        assert g.e.evaluate(*ws) == 0
+        values = second_obstruction_alternating(ctx, *ws)
+        assert values.closed_form.is_trivial and values.general_factor.is_trivial
+        assert values.skew_exponent.is_zero
+        assert values.agree_skew_general and values.agree_general_closed
 
     def test_scalar_relations_oneone(self, ctx6):
         # on the (1,1) subgroup the 3-form restricts to zero, so all three
