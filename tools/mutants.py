@@ -11,7 +11,7 @@ changes one node inside the named function, nested functions included:
   swap;
 - a comparison: == and != swap, < and <= swap, > and >= swap;
 - an integer constant k becomes k + 1;
-- `not x` becomes `x`.
+- `not x` becomes `not not x`, the truth value of x.
 
 The repository is copied once into the work directory (a fresh temporary
 directory by default).  For each mutant the module is written there from
