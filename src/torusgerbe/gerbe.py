@@ -10,6 +10,7 @@ translating the data, and the isomorphism test for two presentations.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,6 +163,13 @@ class GerbeData:
         shown."""
         return {}
 
+    @functools.cached_property
+    def factor_rows(self) -> tuple[int, int, list]:
+        """`basis_factor_rows` of the torus and E, built on first use; the
+        translation factors that `first_failing_pair` decides the basis
+        pairs on.  Not compared, hashed or shown."""
+        return basis_factor_rows(self.torus, self.e)
+
 
 def require_lattice(v: Vec, what: str):
     if not vec_is_integral(v):
@@ -220,6 +228,48 @@ def exponent_over(torus: TorusData, e3: AltForm3, a, b, c) -> tuple[int, int, in
     return re, den * dj, im, den
 
 
+def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, list]:
+    """(dre, dim, rows): the translation factors H_{e_a,e_b} of the basis
+    pairs as integer rows, one per basis vector e_k, over the denominators
+    dre = 16*dj**2*de and dim = 16*dj*de of `exponent_over` at basis
+    triples.
+
+    Row k holds exponent_over(e_k, e_a, e_b) for the pairs (a, b) in
+    row-major order: the d**2 real numerators, then the d**2 imaginary
+    ones.  The numerators are linear in the first argument's (x, dj*J*x),
+    so for w = x/dw the row vector x^T*rows over (dw*dre, dw*dim) holds
+    exponent_over(w, e_a, e_b) with the same integers.  E is alternating,
+    so each factor is antisymmetric in (a, b): only a < b is computed, the
+    diagonal is zero and (b, a) is -(a, b).
+
+    One call per pair evaluates all d first arguments at once (Kronecker
+    substitution): at x = (1, B, ..., B**(d-1)) each numerator is
+    sum_k B**k * (its value at e_k), whose balanced base-B digits are
+    those values when each is at most h in absolute value and B = 2*h + 1.
+    With K the sum of |k| over E's integer coefficients and m the largest
+    of dj and the entries of dj*J in absolute value, a 3x3 minor of basis
+    vectors and their J-images is at most 1 with no J-image among them, m
+    with one and 2*m**2 with two, so |re| <= K*(2*dj**2 + 4*m**2) and
+    |im| <= 4*K*m, both at most h = 6*K*m**2.
+    """
+    d = torus.dim
+    (dj, cols), (de, ks) = torus.j_columns, e3.int_entries
+    m = max(dj, *[abs(y) for col in cols for _, y in col])
+    h = 6 * sum(abs(k) for *_, k in ks) * m * m
+    base = 2 * h + 1
+    x = [base**k for k in range(d)]
+    packed, lifts = (1, x, torus.mul_i_over(x)), [torus.lift(ek) for ek in torus.basis()]
+    rows = [[0] * (2 * d * d) for _ in range(d)]
+    for a, b in itertools.combinations(range(d), 2):
+        ab, ba = a * d + b, b * d + a
+        re, _, im, _ = exponent_over(torus, e3, packed, lifts[a], lifts[b])
+        for row in rows:
+            r, i = (re + h) % base - h, (im + h) % base - h
+            re, im = (re - r) // base, (im - i) // base
+            row[ab], row[ba], row[d * d + ab], row[d * d + ba] = r, -r, i, -i
+    return 16 * dj * dj * de, 16 * dj * de, rows
+
+
 def exponent_re(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
     """Real part of the canonical exponent, trilinear in rational arguments:
 
@@ -259,8 +309,8 @@ class VectorForms:
     """The canonical exponent with its first argument fixed at w.
 
     omega = E(w,.,.) and omega_i = E(iw,.,.) are the two contractions, and
-    l = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form with
-    exponent_im(w, x, y) = x^T * l * y.  A `Fraction` view: the integer
+    l_form = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form
+    with exponent_im(w, x, y) = x^T * l * y.  A `Fraction` view: the integer
     kernels read `forms_over` instead.
     """
 
@@ -268,7 +318,12 @@ class VectorForms:
     iw: Vec
     omega: AltForm2
     omega_i: AltForm2
-    l: Mat
+    l_form: AltForm2
+
+    @functools.cached_property
+    def l(self) -> Mat:
+        """The matrix of `Fraction`s of l_form, built on first read."""
+        return self.l_form.entries
 
     @staticmethod
     def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
@@ -280,7 +335,7 @@ class VectorForms:
             iw=tuple([Fraction(y, dj * dw) for y in ix]),
             omega=AltForm2.from_upper(omega, do),
             omega_i=AltForm2.from_upper(omega_i, dj * do),
-            l=AltForm2.from_upper(l, 16 * dj * do).entries,
+            l_form=AltForm2.from_upper(l, 16 * dj * do),
         )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GaussianRational, InternalMismatch, Vec, int_dot
+from .exact import GaussianRational, InternalMismatch, Vec, basis_vec, int_dot
 from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
 from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, forms_over
 from .gerbe import require_lattice
@@ -294,12 +294,34 @@ def _residual_over(ctx: TranslationContext, x1, x2) -> tuple:
     return int_dot(int_vec_mat(x1, ar), x2), int_dot(int_vec_mat(x1, ai), x2), h
 
 
-def _pair_passes(ctx: TranslationContext, x1, x2) -> bool:
-    """`residual_is_trivial` of the residual at the pair, on its integers:
-    the imaginary constant cancels and the real one is integral."""
-    c_re, c_im, (re, dre, im, dim) = _residual_over(ctx, x1, x2)
-    k = ctx.kernel[0]
+def _residual_passes(k: int, c_re: int, c_im: int, re: int, dre: int, im: int, dim: int) -> bool:
+    """`residual_is_trivial` of a residual on its integers, the coboundary
+    constant (c_re + i*c_im)/k plus the translation factor re/dre +
+    i*im/dim: the imaginary constant cancels and the real one is integral."""
     return c_im * dim + im * k == 0 and (c_re * dre + re * k) % (k * dre) == 0
+
+
+def _pair_passes(ctx: TranslationContext, x1, x2) -> bool:
+    """`_residual_passes` of the residual at the lattice pair (x1, x2)."""
+    c_re, c_im, h = _residual_over(ctx, x1, x2)
+    return _residual_passes(ctx.kernel[0], c_re, c_im, *h)
+
+
+def _first_failing_basis(ctx: TranslationContext) -> tuple[int, int] | None:
+    """(a, b) of the first basis pair (e_a, e_b) in row-major order that
+    fails `_residual_passes`, or None.  The residual there is entry (a, b)
+    of the coboundary form plus the translation factor, which for w = x/dw
+    is x^T*rows over dw of the gerbe's `factor_rows`: one product for all
+    d**2 pairs."""
+    d, (dre, dim, rows) = len(ctx.x), ctx.gerbe.factor_rows
+    h = int_vec_mat(ctx.x, rows)
+    k, dre, dim = ctx.kernel[0], ctx.dw * dre, ctx.dw * dim
+    ar, ai = ctx.coboundary
+    entries = zip(itertools.chain(*ar), itertools.chain(*ai), h[: d * d], h[d * d :])
+    for n, (c_re, c_im, re, im) in enumerate(entries):
+        if not _residual_passes(k, c_re, c_im, re, dre, im, dim):
+            return divmod(n, d)
+    return None
 
 
 def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
@@ -326,7 +348,7 @@ def default_verification_pairs(
     [-3, 3], generated lazily as `int` tuples: each random pair is one draw
     below 7**(2*dim), whose base-7 digits minus 3, lowest first, are l1 and
     then l2."""
-    basis = [tuple([int(a == k) for a in range(dim)]) for k in range(dim)]
+    basis = [(0,) * k + (1,) + (0,) * (dim - k - 1) for k in range(dim)]
     yield from itertools.product(basis, repeat=2)
     rng = random.Random(seed)
     span, powers = 7 ** (2 * dim), [7**k for k in range(2 * dim)]
@@ -344,24 +366,28 @@ def first_failing_pair(
 ) -> tuple[Vec, Vec] | None:
     """The first pair whose residual is not an integer constant, or None.
 
-    Every pair is decided on the bilinear form of the record
-    (`TranslationContext.coboundary`) and the translation factor from E
-    and J, in integers.  Explicit pairs are checked in order.  Without them
-    the pairs are `default_verification_pairs`: the dim**2 basis pairs come
-    first and decide, since the residual is bilinear; a random pair failing
-    after them can only be a program fault and raises InternalMismatch.
-    The pairs are consumed one at a time.
+    Without explicit pairs the pairs are `default_verification_pairs`.  The
+    dim**2 basis pairs come first and decide, since the residual is
+    bilinear; they are decided together on the record's coboundary form
+    and the gerbe's per-basis translation factor rows (`factor_rows`, from
+    E and J).  The random pairs then run one at a time as a self-check,
+    each against the translation factor at w from E and J
+    (`exponent_over`); one failing after a passing basis can only be a
+    program fault and raises InternalMismatch.  Explicit pairs are checked
+    one at a time, in order, in the same way as the random ones.
     """
     d = ctx.gerbe.torus.dim
-    if pairs is None:
-        pairs, decided = default_verification_pairs(d, extra_random, seed), d * d
-    else:
-        pairs, decided = (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs), None
-    for k, (x1, x2) in enumerate(pairs):
+    if pairs is not None:
+        for x1, x2 in (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs):
+            if not _pair_passes(ctx, x1, x2):
+                return to_vec(x1), to_vec(x2)
+        return None
+    failing = _first_failing_basis(ctx)
+    if failing is not None:
+        return tuple(basis_vec(d, a) for a in failing)
+    for x1, x2 in itertools.islice(default_verification_pairs(d, extra_random, seed), d * d, None):
         if not _pair_passes(ctx, x1, x2):
-            if decided is not None and k >= decided:
-                raise InternalMismatch("a random pair failed where every basis pair passed")
-            return to_vec(x1), to_vec(x2)
+            raise InternalMismatch("a random pair failed where every basis pair passed")
     return None
 
 
@@ -378,8 +404,10 @@ def verify_trivialization(
     is the constant l1^T*(ar + i*ai)*l2 of the record's coboundary form
     plus the translation factor H_{l1,l2}(w), which comes from E and J.
     Without explicit pairs the dim**2 basis pairs decide the identity on
-    the whole lattice; the extra_random seeded pairs, one draw each, then
-    run as a self-check, and one failing there raises InternalMismatch.
+    the whole lattice, all at once on the gerbe's per-basis factor rows;
+    the extra_random seeded pairs, one draw each, then run as a self-check
+    against the factor at w itself, and one failing there raises
+    InternalMismatch.
     Every pair checks that the imaginary constant cancels and the real one
     is an integer.  With explicit pairs the answer is whether all of them
     pass.  False witnesses that w is not a symmetry of the gerbe for the

@@ -15,14 +15,18 @@ The kernel is four named d x d blocks (qre, qim, re, im).  Since the
 trivializer's linear part is linear in the lattice vector and its constant
 quadratic, its lattice coboundary is the constant l1^T*(ar + i*ai)*l2 of
 one bilinear form per record, `TranslationContext.coboundary`.
-`first_failing_pair` decides each pair on the integers of one private
-residual core (`_residual_over`), without a `Fraction`: that form at the two
-lattice vectors and the translation factor from E and J.
+`first_failing_pair` decides each pair on integers, without a `Fraction`:
+that form at the two lattice vectors and the translation factor from E and
+J.  The basis pairs read the factor off the gerbe's `factor_rows`, one
+integer row per basis vector; every other pair goes through one private
+residual core (`_residual_over`), which evaluates the factor at w.
 `TestResidualCore` checks the form against the three-point evaluation of
 `trivializing_exponent` (on kernels overwritten with arbitrary integers
 too), the core's residuals against the oracle, that a corrupted linear
-block is caught on the expected basis pair, and that each pair costs two
-products and two J-images; `TestIntegerDecision` checks the verdicts
+block is caught on the expected basis pair, and that the basis costs one
+product with the per-gerbe factor rows and each random pair two products
+and two J-images; `TestFactorRows` checks those rows against
+`exponent_over`; `TestIntegerDecision` checks the verdicts
 against the oracle, that they never reach the `Fraction` wrappers, and that
 with default pairs a random pair failing after a passing basis raises
 `InternalMismatch`.
@@ -34,7 +38,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torusgerbe.gerbe as gerbe_module
@@ -54,7 +58,8 @@ from torusgerbe import (
     trivializing_exponent,
     verify_trivialization,
 )
-from torusgerbe.exact import GaussianRational, basis_vec, int_dot, int_vec_mat, to_vec
+from torusgerbe.exact import GaussianRational, basis_vec, int_dot, int_vec_mat, to_mat, to_vec
+from torusgerbe.gerbe import exponent_over
 from torusgerbe.torus import TorusData
 from torusgerbe.trivialization import default_verification_pairs, first_failing_pair
 
@@ -316,6 +321,12 @@ class TestVerificationPairs:
         assert set(entries) == set(range(-3, 4))
         assert all(len(v) == 4 for pair in drawn for v in pair)
 
+    def test_defaults_are_ten_random_pairs_of_seed_zero(self):
+        for dim in (4, 6):
+            assert list(default_verification_pairs(dim)) == list(
+                default_verification_pairs(dim, 10, 0)
+            )
+
     def test_same_seed_same_sequence(self):
         def pairs(seed):
             return list(default_verification_pairs(6, 20, seed))
@@ -507,14 +518,16 @@ class TestResidualCore:
             assert first_failing_pair(bad) == (basis_vec(d, b), basis_vec(d, a))
             assert not verify_trivialization(bad, extra_random=0)
 
-    def test_each_pair_runs_two_products_and_two_lifts(self, instance, monkeypatch):
+    def test_basis_is_one_row_product_and_random_pairs_two_products_two_lifts(
+        self, instance, monkeypatch
+    ):
         g, case, vectors = instance
-        d = g.torus.dim
         inside, shifted = inside_and_shifted(g, case, vectors[0])
+        rows = g.factor_rows[2]  # warm: built once per gerbe
         products, lifts = [], []
 
         def counting_product(x, m):
-            products.append(x)
+            products.append((x, m))
             return int_vec_mat(x, m)
 
         mul_i_over = TorusData.mul_i_over
@@ -529,14 +542,151 @@ class TestResidualCore:
             products.clear()
             lifts.clear()
             assert first_failing_pair(inside, extra_random=k, seed=k) is None
-            assert len(products) == len(lifts) == 2 * (d * d + k)
-        # a failure on the basis stops at the failing pair
+            # one product of w's numerators with the rows decides every
+            # basis pair; each random pair costs two products and two lifts
+            assert products[0][0] is inside.x and products[0][1] is rows
+            assert len(products) == 1 + 2 * k
+            assert len(lifts) == 2 * k
+        # ten random pairs of seed 0 by default
         products.clear()
         lifts.clear()
-        failing = first_failing_pair(shifted, extra_random=10)
-        basis_pairs = list(itertools.islice(default_verification_pairs(d, 0), d * d))
-        checked = basis_pairs.index(failing) + 1
-        assert len(products) == len(lifts) == 2 * checked
+        assert first_failing_pair(inside) is None
+        assert (len(products), len(lifts)) == (21, 20)
+        d = g.torus.dim
+        drawn = itertools.islice(default_verification_pairs(d, 10, 0), d * d, None)
+        assert [tuple(x) for x in lifts] == [x for pair in drawn for x in pair]
+        assert verify_trivialization(inside)
+        assert (len(products), len(lifts)) == (42, 40)
+        # a failing basis makes no per-pair product or lift
+        products.clear()
+        lifts.clear()
+        assert first_failing_pair(shifted, extra_random=10) is not None
+        assert len(products) == 1 and products[0][0] is shifted.x and products[0][1] is rows
+        assert lifts == []
+
+
+def drawn_gerbe(data):
+    """A gerbe of `conjugated_instance` on standard or twisted J at n = 2
+    or 3, either case, with its case and vectors."""
+    n = data.draw(st.sampled_from((2, 3)), label="n")
+    case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
+    twisted = data.draw(st.booleans(), label="twisted")
+    g, vectors = conjugated_instance(n, data.draw(st.integers(0, 2)), case, twisted)
+    return g, case, vectors
+
+
+class TestFactorRows:
+    """`GerbeData.factor_rows`: the translation factors of the basis pairs,
+    one integer row per basis vector, read off E and J alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_rows_are_exponent_over_at_basis_triples(self, data):
+        g, _, _ = drawn_gerbe(data)
+        t, d = g.torus, g.torus.dim
+        dre, dim, rows = g.factor_rows
+        e3 = g.e
+        if data.draw(st.booleans(), label="arbitrary E"):
+            # any rational 3-form, the type condition aside: large
+            # coefficients over small denominators test the digit bound
+            rat = st.builds(F, st.integers(-999, 999), st.sampled_from((1, 2, 3, 8)))
+            triples = st.sampled_from(list(itertools.combinations(range(d), 3)))
+            e3 = AltForm3.from_coeffs(d, data.draw(st.dictionaries(triples, rat), label="E"))
+            dre, dim, rows = gerbe_module.basis_factor_rows(t, e3)
+        assert len(rows) == d and all(len(row) == 2 * d * d for row in rows)
+        lifts = [t.lift(ek) for ek in t.basis()]
+        for k, a, b in itertools.product(range(d), repeat=3):
+            # the diagonal and the (b, a) entries too, which the build fills
+            # from antisymmetry without computing them
+            expected = exponent_over(t, e3, lifts[k], lifts[a], lifts[b])
+            assert (rows[k][a * d + b], dre, rows[k][d * d + a * d + b], dim) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_row_product_is_exponent_over_at_w(self, data):
+        g, _, vectors = drawn_gerbe(data)
+        t, d = g.torus, g.torus.dim
+        rat = st.builds(F, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 6, 9)))
+        w = data.draw(st.one_of(st.sampled_from(vectors), st.tuples(*[rat] * d)), label="w")
+        dw, x, ix = t.lift(w)
+        dre, dim, rows = g.factor_rows
+        h = int_vec_mat(x, rows)
+        lifts = [t.lift(ek) for ek in t.basis()]
+        for a, b in itertools.product(range(d), repeat=2):
+            n = a * d + b
+            expected = exponent_over(t, g.e, (dw, x, ix), lifts[a], lifts[b])
+            assert (h[n], dw * dre, h[d * d + n], dw * dim) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_corrupted_entry_fails_its_own_basis_pair(self, data):
+        g, case, vectors = drawn_gerbe(data)
+        d = g.torus.dim
+        w = data.draw(st.sampled_from(vectors), label="w")
+        fresh = GerbeData(g.torus, g.b, g.e)
+        ctx = TranslationContext.create(fresh, w, case)
+        assert first_failing_pair(ctx) is None
+        k = data.draw(st.sampled_from([k for k, y in enumerate(ctx.x) if y]), label="k")
+        n = data.draw(st.integers(0, 2 * d * d - 1), label="entry")
+        dre, dim, rows = fresh.factor_rows
+        # the factor at the pair moves by x_k/(dw*dre) or i*x_k/(dw*dim)
+        assume(n >= d * d or ctx.x[k] % (ctx.dw * dre))
+        bad = [list(row) for row in rows]
+        bad[k][n] += 1
+        vars(fresh)["factor_rows"] = dre, dim, bad
+        a, b = divmod(n % (d * d), d)
+        assert first_failing_pair(ctx) == (basis_vec(d, a), basis_vec(d, b))
+        assert not verify_trivialization(ctx, extra_random=0)
+
+    def test_digit_bound_is_reached(self):
+        # The build reads each value as a balanced base-(2h + 1) digit, with
+        # h = 6*K*m**2.  The bound holds for any integer matrix in place of
+        # dj*J, so take one with J*J != -I on which it is reached: with
+        # E = 2*e0^e1^e2, K = 2 and dj = m = 2, the real numerator at
+        # (e0, e1, e2) is 2*(2*dj**2 + 8 + 8) = 48 = h.  A smaller bound or
+        # base misreads it.
+        j = to_mat(((1, -1, -1, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, F(1, 2))))
+        t = object.__new__(TorusData)
+        vars(t).update(n=2, j=j, jt=tuple(zip(*j)))
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        dre, dim, rows = gerbe_module.basis_factor_rows(t, e3)
+        lifts = [t.lift(ek) for ek in t.basis()]
+        assert rows[0][1 * 4 + 2] == 48 == exponent_over(t, e3, *lifts[:3])[0]
+        for k, a, b in itertools.product(range(4), repeat=3):
+            expected = exponent_over(t, e3, lifts[k], lifts[a], lifts[b])
+            assert (rows[k][a * 4 + b], dre, rows[k][16 + a * 4 + b], dim) == expected
+
+    def test_rows_read_only_e_and_j(self, instance, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the factor rows read the vector forms")
+
+        monkeypatch.setattr(gerbe_module, "forms_over", forbidden)
+        monkeypatch.setattr(gerbe_module.VectorForms, "create", forbidden)
+        g, _, _ = instance
+        fresh = GerbeData(g.torus, g.b, g.e)
+        assert fresh.factor_rows == g.factor_rows
+        assert fresh.basis_records == {}
+
+    def test_rows_built_once_per_gerbe(self, instance, monkeypatch):
+        g, case, vectors = instance
+        builds = []
+        build = gerbe_module.basis_factor_rows
+
+        def counting(torus, e3):
+            builds.append(e3)
+            return build(torus, e3)
+
+        monkeypatch.setattr(gerbe_module, "basis_factor_rows", counting)
+        fresh = GerbeData(g.torus, g.b, g.e)
+        for w in vectors:
+            assert verify_trivialization(TranslationContext.create(fresh, w, case))
+        assert builds == [g.e]
+        assert "factor_rows" in vars(fresh)
+        # explicit pairs never read the rows
+        other = GerbeData(g.torus, g.b, g.e)
+        e0 = basis_vec(g.torus.dim, 0)
+        assert verify_trivialization(TranslationContext.create(other, vectors[0], case), [(e0, e0)])
+        assert "factor_rows" not in vars(other)
 
 
 def oracle_first_failure(ctx, pairs):
