@@ -4,8 +4,8 @@ Rational vectors and matrices, Gaussian rationals, canonical unit-circle
 values, and integer lattice routines (Hermite normal form, and membership
 on its sparse rows).  Public scalars are `fractions.Fraction`s, never
 floats; the integer cores (`int_vec`, `int_dot`, `int_vec_mat`,
-`ReducedLattice.over`, `ReducedLattice.member_over`) take `int` numerators
-over one positive denominator; the other integer kernels build on them.
+`ReducedLattice`, `ReducedLattice.member_over`) take `int` numerators over
+one positive denominator; the other integer kernels build on them.
 
 Throughout the package ``exp(z)`` denotes ``e^{2*pi*i*z}``, so two exponents
 describe the same unit value exactly when they differ by a real integer.
@@ -282,27 +282,19 @@ def hermite_normal_form(m: Sequence[Sequence[int]]):
 
 
 class ReducedLattice:
-    """The integer span of rational generators in Q^dim, reduced once.
+    """The integer span of generators in Q^dim, reduced once.
 
-    Denominators are cleared by the lcm of the generators' denominators and
-    the Hermite normal form H = U*G of the scaled generator matrix G is
-    computed once; every membership query is then back-substitution
-    against H.  Scaling G by a positive integer leaves U unchanged, so the
-    coefficients returned do not depend on the scale.  H, U and G are kept
-    as sparse rows, the nonzero entries (index, value) of each row.
+    Each generator is a pair (den, nums), the vector nums / den for integers
+    nums over a positive integer den.  Denominators are cleared by the lcm
+    of the generators' denominators and the Hermite normal form H = U*G of
+    the scaled generator matrix G is computed once; every membership query
+    is then back-substitution against H.  Scaling G by a positive integer
+    leaves U unchanged, so the coefficients returned do not depend on the
+    scale.  H, U and G are kept as sparse rows, the nonzero entries
+    (index, value) of each row.
     """
 
-    def __init__(self, generators: Sequence[Sequence], dim: int):
-        self._reduce([int_vec(to_vec(g)) for g in generators], dim)
-
-    @classmethod
-    def over(cls, generators: Sequence[tuple[int, Sequence[int]]], dim: int):
-        """Built from (den, nums) pairs, each the generator nums / den, den > 0."""
-        lat = cls.__new__(cls)
-        lat._reduce(generators, dim)
-        return lat
-
-    def _reduce(self, generators, dim: int):
+    def __init__(self, generators: Sequence[tuple[int, Sequence[int]]], dim: int):
         if any(len(nums) != dim for _, nums in generators):
             raise ValueError("generator/target dimension mismatch")
         self.dim, self.scale = dim, lcm(*[den for den, _ in generators])
@@ -313,14 +305,9 @@ class ReducedLattice:
         ]
         self.h_rows = tuple([row for row in h if row])  # each starts at its pivot
 
-    def member(self, target) -> tuple[int, ...] | None:
-        """Integer coefficients c with sum(c_i * generators_i) == target, or None."""
-        den, nums = int_vec(to_vec(target))
-        return self.member_over(nums, den)
-
     def member_over(self, nums: Sequence[int], den: int) -> tuple[int, ...] | None:
-        """`member` for the target nums / den: integers over one positive
-        denominator."""
+        """Integer coefficients c with sum(c_i * generators_i) == nums / den,
+        for integers nums over a positive denominator, or None."""
         if len(nums) != self.dim:
             raise ValueError("generator/target dimension mismatch")
         scaled = [x * self.scale for x in nums]
@@ -354,8 +341,10 @@ class ReducedLattice:
 def lattice_membership(generators: Sequence[Sequence], target) -> tuple[int, ...] | None:
     """Integer coefficients c with sum(c_i * generators_i) == target, or None.
 
-    Generators and target may be rational; see `ReducedLattice`, which
-    answers repeated queries against the same generators.
+    Generators and target may be rational; each goes to `ReducedLattice`,
+    which answers repeated queries against the same generators, as integers
+    over one denominator.
     """
-    tgt = to_vec(target)
-    return ReducedLattice(generators, len(tgt)).member(tgt)
+    den, nums = int_vec(to_vec(target))
+    lattice = ReducedLattice([int_vec(to_vec(g)) for g in generators], len(nums))
+    return lattice.member_over(nums, den)

@@ -181,7 +181,11 @@ class AltForm3:
         return de, tuple([(*t, v.numerator * (de // v.denominator)) for t, v in self.entries])
 
     def coeff(self, a: int, b: int, c: int) -> Fraction:
-        return dict(self.entries).get((a, b, c), _ZERO)
+        """E(e_a, e_b, e_c): the value stored on the sorted triple, negated
+        for an odd permutation of it; 0 when an index repeats."""
+        p, q, r = t = tuple(sorted((a, b, c)))
+        v = dict(self.entries).get(t, _ZERO)
+        return v if (a, b, c) in (t, (q, r, p), (r, p, q)) else -v
 
     def evaluate(self, x: Vec, y: Vec, z: Vec) -> Fraction:
         (dx, x), (dy, y), (dz, z) = (int_vec(v) for v in (x, y, z))
@@ -197,15 +201,11 @@ class AltForm3:
         pairs = itertools.combinations(range(self.dim), 2)
         return sum([m[a][b] * (y[a] * z[b] - y[b] * z[a]) for a, b in pairs if m[a][b]]), de
 
-    def contract(self, w: Vec) -> AltForm2:
-        """The 2-form (x, y) -> E(w, x, y)."""
-        dw, wi = int_vec(w)
-        return AltForm2.from_upper(*self.contract_over(wi, dw))
-
     def contract_over(self, nums, den: int = 1) -> tuple[list[list[int]], int]:
-        """`contract` for w = nums / den, integers over one positive
-        denominator: (m, de*den), m the full alternating matrix of
-        de*den*E(w,.,.) for the lcm de of E's denominators."""
+        """The contraction (x, y) -> E(w, x, y) for w = nums / den, integers
+        over one positive denominator: (m, de*den), m the full alternating
+        matrix of de*den*E(w,.,.) for the lcm de of E's denominators.
+        `torus.contract3` wraps it for a rational w."""
         d = self.dim
         if len(nums) != d:
             raise ValueError("vector/form dimension mismatch")

@@ -384,7 +384,7 @@ SHIFT_COEFFICIENTS = (Fraction(5, 8), Fraction(-3, 8))
 
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:
     """Canonical presentation of the gerbe pulled back by translation by w."""
-    shift = translation_shift_form(gerbe.torus, gerbe.e, to_vec(w))
+    shift = translation_shift_form(gerbe.torus, gerbe.e, w)
     return gerbe._with_b(gerbe.b + shift)
 
 

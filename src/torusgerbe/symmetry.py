@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import to_vec
 from .torus import (
     AltForm2,
     AltForm3,
@@ -58,7 +57,7 @@ class Decomposition:
 
 def invariance_class(torus: TorusData, e3: AltForm3, w) -> InvarianceClass:
     """Class of the translation action of w on the gerbe presentation."""
-    rep = contract3(e3, to_vec(w))
+    rep = contract3(e3, w)
     return InvarianceClass(
         representative=rep, is_zero=integral_anti_invariant_member(torus, rep)
     )
@@ -66,12 +65,12 @@ def invariance_class(torus: TorusData, e3: AltForm3, w) -> InvarianceClass:
 
 def fixes_gerbe(torus: TorusData, e3: AltForm3, w) -> bool:
     """Whether translation by w preserves the isomorphism class."""
-    return invariance_class(torus, e3, w).is_zero
+    return integral_anti_invariant_member(torus, contract3(e3, w))
 
 
 def in_case_subgroup(torus: TorusData, e3: AltForm3, w, case: SubgroupCase) -> bool:
     """Membership of w in the chosen decomposition subgroup."""
-    omega = contract3(e3, to_vec(w))
+    omega = contract3(e3, w)
     if omega.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
     return member_over(torus, omega.upper, omega.den, case)
@@ -89,7 +88,7 @@ def case_decomposition(
     data then fails its defining property exactly when w is outside the
     subgroup, which is what the trivialization verifier witnesses.
     """
-    omega = contract3(e3, to_vec(w))
+    omega = contract3(e3, w)
     invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
     if check:
         require_case_member(member_over(torus, omega.upper, omega.den, case), case)

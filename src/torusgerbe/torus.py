@@ -140,7 +140,7 @@ class TorusData:
             anti_invariant_part(self, AltForm2.from_pairs(d, {(a, b): 1}))
             for a, b in itertools.combinations(range(d), 2)
         ]
-        return ReducedLattice.over([(f.den, f.upper) for f in parts], d * (d - 1) // 2)
+        return ReducedLattice([(f.den, f.upper) for f in parts], d * (d - 1) // 2)
 
 
 def check_complex_structure(j_rows) -> TorusData:
@@ -165,7 +165,8 @@ class HodgeImage:
 
 def contract3(e3: AltForm3, w) -> AltForm2:
     """Contraction of a 3-form in its first slot: (x, y) -> E(w, x, y)."""
-    return e3.contract(to_vec(w))
+    dw, x = int_vec(to_vec(w))
+    return AltForm2.from_upper(*e3.contract_over(x, dw))
 
 
 def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):

@@ -341,18 +341,15 @@ def residual_is_trivial(r: ExponentFn) -> bool:
     return r.linear_part_is_zero and r.const.im == 0 and r.const.re.denominator == 1
 
 
-def default_verification_pairs(
-    dim: int, extra_random: int = 10, seed: int = 0
+def random_verification_pairs(
+    dim: int, count: int = 10, seed: int = 0
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered basis pairs, then extra_random seeded integer pairs in
-    [-3, 3], generated lazily as `int` tuples: each random pair is one draw
-    below 7**(2*dim), whose base-7 digits minus 3, lowest first, are l1 and
-    then l2."""
-    basis = [(0,) * k + (1,) + (0,) * (dim - k - 1) for k in range(dim)]
-    yield from itertools.product(basis, repeat=2)
+    """count seeded integer pairs in [-3, 3], generated lazily as `int`
+    tuples: each is one draw below 7**(2*dim), whose base-7 digits minus 3,
+    lowest first, are l1 and then l2."""
     rng = random.Random(seed)
     span, powers = 7 ** (2 * dim), [7**k for k in range(2 * dim)]
-    for _ in range(extra_random):
+    for _ in range(count):
         n = rng.randrange(span)
         digits = [n // p % 7 - 3 for p in powers]
         yield tuple(digits[:dim]), tuple(digits[dim:])
@@ -366,12 +363,12 @@ def first_failing_pair(
 ) -> tuple[Vec, Vec] | None:
     """The first pair whose residual is not an integer constant, or None.
 
-    Without explicit pairs the pairs are `default_verification_pairs`.  The
-    dim**2 basis pairs come first and decide, since the residual is
-    bilinear; they are decided together on the record's coboundary form
-    and the gerbe's per-basis translation factor rows (`factor_rows`, from
-    E and J).  The random pairs then run one at a time as a self-check,
-    each against the translation factor at w from E and J
+    Without explicit pairs the dim**2 basis pairs (e_a, e_b), in row-major
+    order, come first and decide, since the residual is bilinear; they are
+    decided together on the record's coboundary form and the gerbe's
+    per-basis translation factor rows (`factor_rows`, from E and J).  The
+    extra_random `random_verification_pairs` of seed then run one at a time
+    as a self-check, each against the translation factor at w from E and J
     (`exponent_over`); one failing after a passing basis can only be a
     program fault and raises InternalMismatch.  Explicit pairs are checked
     one at a time, in order, in the same way as the random ones.
@@ -385,7 +382,7 @@ def first_failing_pair(
     failing = _first_failing_basis(ctx)
     if failing is not None:
         return tuple(basis_vec(d, a) for a in failing)
-    for x1, x2 in itertools.islice(default_verification_pairs(d, extra_random, seed), d * d, None):
+    for x1, x2 in random_verification_pairs(d, extra_random, seed):
         if not _pair_passes(ctx, x1, x2):
             raise InternalMismatch("a random pair failed where every basis pair passed")
     return None

@@ -41,6 +41,17 @@ def combination(coeffs, gens, dim):
     return tuple(sum([c * to_vec(g)[k] for c, g in zip(coeffs, gens)], F(0)) for k in range(dim))
 
 
+def lifted(gens, dim):
+    """The `ReducedLattice` of rational generators, each lifted by `int_vec`."""
+    return ReducedLattice([int_vec(to_vec(g)) for g in gens], dim)
+
+
+def over(target):
+    """(nums, den) of a rational target, the arguments of `member_over`."""
+    den, nums = int_vec(to_vec(target))
+    return nums, den
+
+
 def sympy_det(m):
     from sympy import Matrix
 
@@ -227,6 +238,16 @@ class TestLatticeMembership:
         with pytest.raises(ValueError):
             lattice_membership([(1, 0, 0)], (1, 0))
 
+    def test_errors_in_order(self):
+        # the target is lifted first, then every generator, then the
+        # dimensions are compared
+        with pytest.raises(TypeError):
+            lattice_membership([(1, 0, 0)], (0.5, 0))
+        with pytest.raises(TypeError):
+            lattice_membership([(1, 0, 0), (0.5, 0)], (1, 0))
+        with pytest.raises(ValueError):
+            lattice_membership([(1, 0), (1, 0, 0)], (1, 0))
+
     def test_empty_generators(self):
         assert lattice_membership([], (0, 0)) == ()
         assert lattice_membership([], (1, 0)) is None
@@ -269,28 +290,29 @@ class TestReducedLattice:
     def test_one_reduction_answers_many_targets(self):
         rng = random.Random(13)
         gens = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(3)) for _ in range(4)]
-        lat = ReducedLattice(gens, 3)
+        lat = lifted(gens, 3)
         for _ in range(30):
             target = tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3, 6])) for _ in range(3))
-            assert lat.member(target) == lattice_membership(gens, target)
+            assert lat.member_over(*over(target)) == lattice_membership(gens, target)
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            ReducedLattice([(1, 0), (1, 0, 0)], 2)
+            ReducedLattice([(1, [1, 0]), (2, [1, 0, 0])], 2)
         with pytest.raises(ValueError):
-            ReducedLattice([(1, 0)], 2).member((1, 0, 0))
+            ReducedLattice([(1, [1, 0])], 2).member_over([1, 0, 0], 1)
 
     def test_integer_targets_match_rational_targets(self):
-        # member_over(nums, den) is member(nums / den), whatever the scale of
-        # nums and den; non-integral scaled targets are rejected exactly
+        # member_over(nums, den) is the membership of nums / den, whatever
+        # the scale of nums and den; non-integral scaled targets are rejected
+        # exactly
         rng = random.Random(19)
         gens = [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 4])) for _ in range(3)) for _ in range(4)]
-        lat = ReducedLattice(gens, 3)
+        lat = lifted(gens, 3)
         seen = {True: 0, False: 0}
         for _ in range(40):
             den = rng.choice([1, 2, 3, 4, 6, 8])
             nums = [rng.randint(-12, 12) for _ in range(3)]
-            expected = lat.member(tuple(F(x, den) for x in nums))
+            expected = lattice_membership(gens, tuple(F(x, den) for x in nums))
             k = rng.randint(1, 5)
             assert lat.member_over(nums, den) == expected
             assert lat.member_over([k * x for x in nums], k * den) == expected
@@ -320,7 +342,7 @@ class TestReducedLattice:
                     },
                 )
                 target = anti_invariant_part(t, omega).upper_coeffs()
-                expected = t.anti_invariant_lattice.member(target) is not None
+                expected = t.anti_invariant_lattice.member_over(*over(target)) is not None
                 assert integral_anti_invariant_member(t, omega) is expected
                 seen[expected] += 1
         assert seen[True] and seen[False]
@@ -340,7 +362,7 @@ class TestReducedLattice:
                 tuple(F(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(dim))
                 for _ in range(rng.randint(1, 5))
             ]
-            lat = ReducedLattice(gens, dim)
+            lat = lifted(gens, dim)
             for _ in range(6):
                 if rng.random() < 0.5:
                     target = combination([rng.randint(-3, 3) for _ in gens], gens, dim)
@@ -357,7 +379,7 @@ class TestReducedLattice:
                         expected = all(x.is_integer for x in sol)
                     except ValueError:  # not even in the rational span
                         expected = False
-                assert (lat.member(target) is not None) is expected
+                assert (lat.member_over(*over(target)) is not None) is expected
                 decided[expected] += 1
         assert decided[True] and decided[False]
 
@@ -408,16 +430,15 @@ class TestReducedLattice:
             integral_anti_invariant_member(t, omega)
 
     def test_integer_entry_matches_rational_generators(self):
-        # the torus hands each projected generator in as integers over its
-        # denominator; the rational constructor reduces the same lattice
+        # the torus hands each projected generator in as its stored integers
+        # over its denominator; lifting the rational coordinates gives the
+        # same lattice
         for n, twisted in LATTICE_TORI:
             t, gens = _lattice_torus(n, twisted)
-            lat, rational = t.anti_invariant_lattice, ReducedLattice(gens, len(gens))
+            lat, rational = t.anti_invariant_lattice, lifted(gens, len(gens))
             assert (lat.dim, lat.scale) == (rational.dim, rational.scale)
             assert lat.h_rows == rational.h_rows
             assert (lat.u_rows, lat.g_rows) == (rational.u_rows, rational.g_rows)
-        with pytest.raises(ValueError):
-            ReducedLattice.over([(1, [1, 0]), (2, [1, 0, 0])], 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -24,8 +24,12 @@ from helpers import FractionAltForm2, reference_contract_matrix, standard_j_rows
 
 # the (c0, c1) of every c0*omega + c1*J^T*omega*J the package forms: the
 # pullback, the anti-invariant part, the translation shift, the integral
-# (1,1) piece and the (1,1) membership test
-COEFFICIENTS = [(0, 1), (F(1, 2), F(-1, 2)), (F(5, 8), F(-3, 8)), (F(-3, 8), F(-3, 8)), (1, -1)]
+# (1,1) piece and the (1,1) membership test; then pairs with unequal
+# denominators, which the package's own never have
+COEFFICIENTS = [
+    (0, 1), (F(1, 2), F(-1, 2)), (F(5, 8), F(-3, 8)), (F(-3, 8), F(-3, 8)), (1, -1),
+    (F(1, 2), F(1, 3)), (F(2, 3), F(-5, 4)), (3, F(-1, 6)),
+]
 TORI = [
     twisted_torus(n, 0) if twisted else check_complex_structure(standard_j_rows(n))
     for n in (2, 3)

@@ -79,6 +79,20 @@ class TestAltForms:
         assert f.evaluate(e(4, 1), e(4, 2), e(4, 3)) == F(5, 3)
         assert f.coeff(0, 1, 2) == F(5, 3)
 
+    def test_coeff_reads_every_index_order(self):
+        # coeff(a, b, c) is E(e_a, e_b, e_c), signed by the order of the
+        # indices, and 0 when one repeats
+        f = AltForm3.from_coeffs(3, {(0, 1, 2): 3})
+        assert f.coeff(1, 0, 2) == -3 and f.coeff(1, 2, 0) == 3 and f.coeff(0, 2, 0) == 0
+        rng = random.Random(5)
+        values = {
+            t: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+            for t in itertools.combinations(range(5), 3)
+        }
+        f = AltForm3.from_coeffs(5, values)
+        for a, b, c in itertools.product(range(5), repeat=3):
+            assert f.coeff(a, b, c) == f.evaluate(e(5, a + 1), e(5, b + 1), e(5, c + 1))
+
 
 class TestContract3:
     def test_absent_slot_gives_zero(self):

@@ -61,7 +61,7 @@ from torusgerbe import (
 from torusgerbe.exact import GaussianRational, basis_vec, int_dot, int_vec_mat, to_mat, to_vec
 from torusgerbe.gerbe import exponent_over
 from torusgerbe.torus import TorusData
-from torusgerbe.trivialization import default_verification_pairs, first_failing_pair
+from torusgerbe.trivialization import first_failing_pair, random_verification_pairs
 
 from helpers import (
     conjugated_instance,
@@ -303,18 +303,44 @@ class TestTrivializerKernel:
         )
 
 
+def default_pairs(dim, extra_random, seed):
+    """The pairs a default query decides on, in order: every basis pair
+    (e_a, e_b) in row-major order, then the seeded random pairs."""
+    basis = [(0,) * k + (1,) + (0,) * (dim - k - 1) for k in range(dim)]
+    yield from itertools.product(basis, repeat=2)
+    yield from random_verification_pairs(dim, extra_random, seed)
+
+
 class TestVerificationPairs:
     def test_pairs_are_lazy_and_counted(self):
         for dim, extra in itertools.product((4, 6), (0, 3, 7)):
-            pairs = default_verification_pairs(dim, extra, seed=5)
+            pairs = random_verification_pairs(dim, extra, seed=5)
             assert iter(pairs) is pairs
-            listed = list(pairs)
-            assert len(listed) == dim * dim + extra
-            basis = [basis_vec(dim, k) for k in range(dim)]
-            assert listed[: dim * dim] == [(a, b) for a in basis for b in basis]
+            assert len(list(pairs)) == extra
+
+    def test_random_pairs_are_pinned(self):
+        # the seeded pairs that followed the d**2 basis pairs when both came
+        # from one generator: same draws, same digits
+        pinned = {
+            (4, 3, 2): [
+                ((1, -1, -3, 1), (-2, -3, 1, -3)),
+                ((1, 3, 2, 3), (1, 0, 3, -3)),
+                ((-2, 2, 1, 0), (-1, -3, 3, -3)),
+            ],
+            (6, 2, 7): [
+                ((0, -2, -1, -3, -1, 1), (3, -1, 0, 0, 0, -1)),
+                ((0, -3, -2, 0, 3, -1), (2, 3, -2, 3, -1, -2)),
+            ],
+            (8, 2, 11): [
+                ((3, -3, 2, -2, -2, 0, -2, 0), (-3, -3, 1, 2, -1, 3, -1, 3)),
+                ((-1, 2, 0, 1, -1, 2, -1, -3), (3, 1, -2, -2, -2, 0, -1, 3)),
+            ],
+        }
+        for (dim, count, seed), pairs in pinned.items():
+            assert list(random_verification_pairs(dim, count, seed)) == pairs
 
     def test_random_entries_cover_minus_three_to_three(self):
-        drawn = list(itertools.islice(default_verification_pairs(4, 200, seed=9), 16, None))
+        drawn = list(random_verification_pairs(4, 200, seed=9))
         assert len(drawn) == 200
         entries = [y for pair in drawn for v in pair for y in v]
         assert all(type(y) is int for y in entries)
@@ -323,16 +349,16 @@ class TestVerificationPairs:
 
     def test_defaults_are_ten_random_pairs_of_seed_zero(self):
         for dim in (4, 6):
-            assert list(default_verification_pairs(dim)) == list(
-                default_verification_pairs(dim, 10, 0)
+            assert list(random_verification_pairs(dim)) == list(
+                random_verification_pairs(dim, 10, 0)
             )
 
     def test_same_seed_same_sequence(self):
         def pairs(seed):
-            return list(default_verification_pairs(6, 20, seed))
+            return list(random_verification_pairs(6, 20, seed))
 
         assert pairs(4) == pairs(4)
-        assert pairs(4)[36:] != pairs(5)[36:]
+        assert pairs(4) != pairs(5)
 
     def test_one_draw_per_random_pair(self, monkeypatch):
         draws = []
@@ -345,15 +371,14 @@ class TestVerificationPairs:
         monkeypatch.setattr(random.Random, "randrange", counting)
         for dim, extra in ((4, 5), (6, 3)):
             draws.clear()
-            pairs = default_verification_pairs(dim, extra, seed=1)
-            list(itertools.islice(pairs, dim * dim))
-            assert draws == []  # the basis pairs draw nothing
+            pairs = random_verification_pairs(dim, extra, seed=1)
+            assert draws == []  # nothing is drawn before the first pair is read
             assert sum(1 for _ in pairs) == extra
             assert draws == [(7 ** (2 * dim),)] * extra
 
     def test_first_random_pairs_pinned(self):
         # one draw below 7**4 per pair, its base-7 digits minus 3, lowest first
-        drawn = list(itertools.islice(default_verification_pairs(2, 3, seed=0), 4, None))
+        drawn = list(random_verification_pairs(2, 3, seed=0))
         assert drawn == [((-1, -2), (1, 1)), ((-3, -2), (-3, 2)), ((1, -1), (0, -3))]
         rng = random.Random(0)
         for l1, l2 in drawn:
@@ -368,7 +393,7 @@ class TestVerificationPairs:
         ctx = TranslationContext.create(g, outside_vector(rng, g, case), case, check=False)
         expected = next(
             (l1, l2)
-            for l1, l2 in default_verification_pairs(d, 10, 3)
+            for l1, l2 in default_pairs(d, 10, 3)
             if not triv.residual_is_trivial(reference_trivialization_residual(ctx, l1, l2))
         )
         assert first_failing_pair(ctx, seed=3) == expected
@@ -553,7 +578,7 @@ class TestResidualCore:
         assert first_failing_pair(inside) is None
         assert (len(products), len(lifts)) == (21, 20)
         d = g.torus.dim
-        drawn = itertools.islice(default_verification_pairs(d, 10, 0), d * d, None)
+        drawn = random_verification_pairs(d, 10, 0)
         assert [tuple(x) for x in lifts] == [x for pair in drawn for x in pair]
         assert verify_trivialization(inside)
         assert (len(products), len(lifts)) == (42, 40)
@@ -722,7 +747,7 @@ class TestIntegerDecision:
         ctx = TranslationContext.create(g, w, case, check=False)
         if data.draw(st.booleans(), label="default pairs"):
             extra, seed = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 99))
-            expected = oracle_first_failure(ctx, default_verification_pairs(d, extra, seed))
+            expected = oracle_first_failure(ctx, default_pairs(d, extra, seed))
             # bilinearity: a failure, if any, shows on a basis pair first
             assert expected is None or is_basis_pair(expected, d)
             assert first_failing_pair(ctx, extra_random=extra, seed=seed) == expected

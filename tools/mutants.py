@@ -5,7 +5,8 @@ see whether the tests notice it.
         [--timeout S] [-- PYTEST_ARGS ...]
 
 MODULE is a source file of the package (say `src/torusgerbe/exact.py`) and
-each NAME a function in it, `Class.method` for a method.  Every mutant
+each NAME a function in it, `Class.method` for a method; an unknown NAME is
+an error (exit 2) before anything is copied or run.  Every mutant
 changes one node inside the named function, nested functions included:
 - a binary operator, augmented assignments too: + and - swap, * and //
   swap;
@@ -44,12 +45,21 @@ COMPARE = {
 
 
 def find_function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    """The function `name` of tree, `Class.method` for a method; LookupError
+    naming it if there is none."""
     scope = tree
     for part in name.split("."):
         scope = next(
-            node for node in ast.iter_child_nodes(scope)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
+            (
+                node for node in ast.iter_child_nodes(scope)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
+            ),
+            None,
         )
+        if scope is None:
+            break
+    if not isinstance(scope, ast.FunctionDef):
+        raise LookupError(name)
     return scope
 
 
@@ -107,6 +117,16 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=None, help="seconds per run (default: 4x the clean run)")
     args, pytest_args = parser.parse_known_args(argv)
     pytest_args = [a for a in pytest_args if a != "--"]
+    source = ROOT / args.module
+    if not source.is_file():
+        parser.error(f"no source file {args.module}")
+    original = source.read_text()
+    tree = ast.parse(original)
+    for name in args.names:
+        try:
+            find_function(tree, name)
+        except LookupError:
+            parser.error(f"no function {name} in {args.module}")
     base = Path(args.workdir or tempfile.mkdtemp(prefix="mutants-"))
     work = base / "repo"
     if work.exists():
@@ -114,8 +134,6 @@ def main(argv=None) -> int:
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
     shutil.copytree(ROOT, work, ignore=ignore)
     target = work / args.module
-    original = target.read_text()
-    tree = ast.parse(original)
     try:
         target.write_text(ast.unparse(tree))
         passed, clean_s = run_tests(work, pytest_args, None)
