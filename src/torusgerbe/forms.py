@@ -149,7 +149,9 @@ class AltForm2:
 
 @dataclass(frozen=True)
 class AltForm3:
-    """Alternating trilinear form, stored on strictly increasing triples."""
+    """Alternating trilinear form, stored on strictly increasing triples.
+    Its cached `int_entries` and the last contraction `torus.contract3`
+    built sit in the instance dict, outside equality, hashing and repr."""
 
     dim: int
     entries: tuple[tuple[tuple[int, int, int], Fraction], ...]

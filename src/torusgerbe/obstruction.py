@@ -49,6 +49,11 @@ class ObstructionContext:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        # built once per obstruction query: a member skips the enum lookup
+        if type(self.case) is not SubgroupCase:
+            object.__setattr__(self, "case", SubgroupCase(self.case))
+
     def vector(self, w) -> TranslationContext:
         """The record of w, built on first use without the membership check."""
         w = to_vec(w)
@@ -309,7 +314,7 @@ class SubgroupSpec:
 
     @staticmethod
     def create(generators, case: SubgroupCase) -> "SubgroupSpec":
-        return SubgroupSpec(tuple(to_vec(g) for g in generators), case)
+        return SubgroupSpec(tuple(to_vec(g) for g in generators), SubgroupCase(case))
 
 
 class ObstructionKind(enum.Enum):

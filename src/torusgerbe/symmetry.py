@@ -30,6 +30,9 @@ class NotInSubgroup(ValueError):
 
 
 class SubgroupCase(enum.Enum):
+    """`in_case_subgroup`, `case_decomposition`, the contexts and
+    `SubgroupSpec.create` take a member or its value (else ValueError)."""
+
     INTEGRAL = "integral"
     TYPE_ONE_ONE = "oneone"
 
@@ -70,6 +73,7 @@ def fixes_gerbe(torus: TorusData, e3: AltForm3, w) -> bool:
 
 def in_case_subgroup(torus: TorusData, e3: AltForm3, w, case: SubgroupCase) -> bool:
     """Membership of w in the chosen decomposition subgroup."""
+    case = SubgroupCase(case)
     omega = contract3(e3, w)
     if omega.dim != torus.dim:
         raise ValueError("form/torus dimension mismatch")
@@ -88,6 +92,7 @@ def case_decomposition(
     data then fails its defining property exactly when w is outside the
     subgroup, which is what the trivialization verifier witnesses.
     """
+    case = SubgroupCase(case)
     omega = contract3(e3, w)
     invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
     if check:

@@ -164,9 +164,21 @@ class HodgeImage:
 
 
 def contract3(e3: AltForm3, w) -> AltForm2:
-    """Contraction of a 3-form in its first slot: (x, y) -> E(w, x, y)."""
-    dw, x = int_vec(to_vec(w))
-    return AltForm2.from_upper(*e3.contract_over(x, dw))
+    """Contraction of a 3-form in its first slot: (x, y) -> E(w, x, y).
+
+    The form keeps the last contraction it built, with its vector, in its
+    instance dict (as it keeps `int_entries`), so the calls one query makes
+    with the same w contract once.  w is validated first, so a float still
+    raises TypeError; both objects are immutable, so the result is shared.
+    """
+    w = to_vec(w)
+    last = vars(e3).get("_last_contraction")
+    if last is not None and last[0] == w:
+        return last[1]
+    dw, x = int_vec(w)
+    omega = AltForm2.from_upper(*e3.contract_over(x, dw))
+    vars(e3)["_last_contraction"] = (w, omega)
+    return omega
 
 
 def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):

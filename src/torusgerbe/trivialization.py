@@ -69,6 +69,7 @@ class TranslationContext:
         """The record of w, combined from the gerbe's basis records (a basis
         vector gets its cached record); with check, NotInSubgroup outside
         the subgroup."""
+        case = SubgroupCase(case)
         w = to_vec(w)
         data = _lifted_record(gerbe, w, case, gerbe.torus.lift(w))
         if check:
@@ -79,7 +80,7 @@ class TranslationContext:
     def basis(gerbe: GerbeData, case: SubgroupCase) -> tuple["TranslationContext", ...]:
         """The records of the lattice basis vectors e_1..e_d, built once per
         (gerbe, case)."""
-        return _basis_records(gerbe, case)[0]
+        return _basis_records(gerbe, SubgroupCase(case))[0]
 
     @functools.cached_property
     def forms(self) -> VectorForms:

@@ -572,6 +572,20 @@ def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
     return AltForm2(mat_mul(torus.jt, mat_mul(omega.entries, torus.j)))
 
 
+def count_contractions(monkeypatch) -> list:
+    """Patch `AltForm3.contract_over` to record (form, nums, den) of each
+    call in the returned list."""
+    calls = []
+    original = AltForm3.contract_over
+
+    def counting(e3, nums, den=1):
+        calls.append((e3, tuple(nums), den))
+        return original(e3, nums, den)
+
+    monkeypatch.setattr(AltForm3, "contract_over", counting)
+    return calls
+
+
 def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:
     """E(w,.,.) accumulated entry by entry in Fractions."""
     return AltForm2(reference_contract_matrix(e3, w))

@@ -19,6 +19,8 @@ from torusgerbe.cli import (
 from torusgerbe.torus import NotAComplexStructure
 from torusgerbe.gerbe import TypeConditionFailed
 
+from helpers import count_contractions
+
 FIXTURE_DOC = {
     "n": 2,
     "J": [
@@ -149,6 +151,15 @@ class TestRunCommand:
         assert status == 0
         assert report["result"]["fixes_gerbe"] is False
         assert report["result"]["integral"] is False
+
+    def test_membership_contracts_once_per_run(self, monkeypatch):
+        # fixes_gerbe, both case memberships and the printed contraction
+        # share one contraction of E by w
+        calls = count_contractions(monkeypatch)
+        for runs in (1, 2):
+            report, status = run_command("membership", parse_problem(fixture_text()), {"w": "u"})
+            assert status == 0 and report["result"]["integral"] is True
+            assert len(calls) == runs
 
     def test_translate(self):
         p = parse_problem(fixture_text())

@@ -10,7 +10,11 @@ from torusgerbe import (
     AltForm3,
     GerbeData,
     NotInSubgroup,
+    ObstructionContext,
+    ObstructionKind,
     SubgroupCase,
+    SubgroupSpec,
+    TranslationContext,
     anti_invariant_part,
     case_decomposition,
     contract3,
@@ -18,18 +22,22 @@ from torusgerbe import (
     in_case_subgroup,
     invariance_class,
     j_pullback2,
+    obstruction_vanishes,
     translate_gerbe,
 )
 from torusgerbe.gerbe import translation_shift_form
 from torusgerbe.exact import vec_add
 
 from helpers import (
+    count_contractions,
     e,
+    gerbe4,
     gerbe6,
     oneone_e6,
     oracle_membership_search,
     rand_altform3_int,
     rand_rational_vec,
+    reference_contract,
     torus4,
     torus6,
     vec,
@@ -251,3 +259,147 @@ class TestVectorLength:
         for args in ((x, x[:3], x), (x, x, x + (F(0),))):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 e3.evaluate(*args)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_wrong_length_is_rejected_after_a_stored_contraction(self, entry):
+        t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        contract3(e3, vec(F(1, 2), 0, 0, 0))
+        for w in (vec(F(1, 2), 0, 0, 0, 0), vec(F(1, 2), 0, 0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                entry(t, e3, w)
+
+
+class TestCaseValues:
+    """Every entry point that takes a case reads a `SubgroupCase` member or
+    its value alike, and rejects anything else; the standard n = 2 torus
+    with E = 2*e012 and w = (1/2, 0, 0, 0) is in the integral subgroup but
+    not in the type (1,1) one."""
+
+    W = vec(F(1, 2), 0, 0, 0)
+
+    def test_in_case_subgroup(self):
+        t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        assert in_case_subgroup(t, e3, self.W, "integral") is True
+        assert in_case_subgroup(t, e3, self.W, "oneone") is False
+        g = gerbe6()
+        w = vec(F(1, 2), 0, 0, 0, 0, 0)
+        assert in_case_subgroup(g.torus, g.e, w, "oneone") is True
+        assert in_case_subgroup(g.torus, g.e, w, "integral") is False
+
+    def test_case_decomposition(self):
+        t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        for case in INT, ONEONE:
+            expected = case_decomposition(t, e3, self.W, case, check=False)
+            assert case_decomposition(t, e3, self.W, case.value, check=False) == expected
+        assert case_decomposition(t, e3, self.W, "integral") == case_decomposition(
+            t, e3, self.W, INT
+        )
+
+    def test_translation_context(self):
+        g = gerbe4(2)
+        data = TranslationContext.create(g, self.W, "integral")
+        assert data == TranslationContext.create(g, self.W, INT)
+        assert data.case is INT and data.member
+        assert TranslationContext.basis(g, "oneone") == TranslationContext.basis(g, ONEONE)
+        assert set(g.basis_records) <= {INT, ONEONE}
+
+    def test_obstruction_contexts(self):
+        g = gerbe4(2)
+        assert ObstructionContext(g, "integral") == ObstructionContext(g, INT)
+        assert ObstructionContext(g, "oneone").case is ONEONE
+        spec = SubgroupSpec.create((self.W, vec(0, F(1, 2), 0, 0)), "integral")
+        assert spec == SubgroupSpec.create(spec.generators, INT)
+        result = obstruction_vanishes(g, spec, ObstructionKind.FIRST)
+        assert not result.vanishes
+        assert result.certificate == (self.W, vec(0, F(1, 2), 0, 0), e(4, 3))
+
+    CALLS = {
+        "in_case_subgroup": lambda g, w, c: in_case_subgroup(g.torus, g.e, w, c),
+        "case_decomposition": lambda g, w, c: case_decomposition(g.torus, g.e, w, c, check=False),
+        "TranslationContext.create": lambda g, w, c: TranslationContext.create(g, w, c),
+        "TranslationContext.basis": lambda g, w, c: TranslationContext.basis(g, c),
+        "SubgroupSpec.create": lambda g, w, c: SubgroupSpec.create((w,), c),
+        "ObstructionContext": lambda g, w, c: ObstructionContext(g, c),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @pytest.mark.parametrize("case", ("junk", "INTEGRAL", None))
+    def test_junk_is_rejected(self, call, case):
+        g = gerbe4(2)
+        with pytest.raises(ValueError):
+            call(g, self.W, case)
+        assert not g.basis_records
+
+
+class TestContractionMemo:
+    """`contract3` keeps the last contraction per 3-form instance, so the
+    calls of one query with the same w contract once, and a stored vector
+    never lets an invalid one through."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_contractions(monkeypatch)
+
+    def test_one_contraction_across_the_entry_points(self, calls):
+        g = gerbe4(2)
+        t, e3, w = g.torus, g.e, vec(F(1, 2), F(1, 3), 0, F(-1, 2))
+        fixes_gerbe(t, e3, w)
+        in_case_subgroup(t, e3, w, INT)
+        in_case_subgroup(t, e3, w, ONEONE)
+        invariance_class(t, e3, w)
+        for case in (INT, ONEONE):
+            case_decomposition(t, e3, w, case, check=False)
+        translated = translate_gerbe(g, w)
+        assert len(calls) == 1
+        # the translated gerbe shares E, and with it the stored contraction
+        fixes_gerbe(t, translated.e, list(w))
+        assert len(calls) == 1
+
+    def test_equal_vectors_hit(self, calls):
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
+        first = contract3(e3, vec(F(1, 2), 0, F(2, 3), 0))
+        assert contract3(e3, (F(1, 2), F(0), F(4, 6), F(0))) is first
+        assert contract3(e3, [F(1, 2), 0, F(2, 3), 0]) is first
+        assert len(calls) == 1
+
+    def test_a_new_vector_or_another_instance_misses(self, calls):
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
+        w1, w2 = vec(F(1, 2), 0, 0, 0), vec(0, 0, 0, F(1, 3))
+        contract3(e3, w1)
+        contract3(e3, w2)
+        assert len(calls) == 2
+        contract3(e3, w1)  # one slot: w2 replaced w1
+        assert len(calls) == 3
+        twin = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
+        assert twin == e3 and hash(twin) == hash(e3)
+        assert contract3(twin, w1) == contract3(e3, w1)
+        assert len(calls) == 4 and calls[3][0] is twin
+
+    def test_results_equal_the_reference(self):
+        rng = random.Random(19)
+        for dim in (4, 6):
+            for _ in range(10):
+                e3 = rand_altform3_int(rng, dim)
+                ws = [rand_rational_vec(rng, dim) for _ in range(3)]
+                for w in (ws[0], ws[0], ws[1], ws[0], ws[2], ws[2], ws[1]):
+                    assert contract3(e3, w) == reference_contract(e3, w)
+
+    def test_memo_is_not_part_of_the_form(self):
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        before = (repr(e3), hash(e3))
+        contract3(e3, vec(F(1, 2), 0, 0, 0))
+        assert (repr(e3), hash(e3)) == before
+        assert e3 == AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+
+    ENTRY_POINTS = dict(TestVectorLength.ENTRY_POINTS)
+    del ENTRY_POINTS["AltForm3.evaluate"]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_float_of_the_stored_value_still_raises(self, entry):
+        t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        w = vec(F(1, 2), 0, 0, 0)
+        contract3(e3, w)
+        floats = (0.5, 0, 0, 0)
+        assert floats == w
+        with pytest.raises(TypeError):
+            entry(t, e3, floats)
