@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat
+from .exact import Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat, to_vec
 
 _ZERO = Fraction(0)
 
@@ -190,7 +190,7 @@ class AltForm3:
         return v if (a, b, c) in (t, (q, r, p), (r, p, q)) else -v
 
     def evaluate(self, x: Vec, y: Vec, z: Vec) -> Fraction:
-        (dx, x), (dy, y), (dz, z) = (int_vec(v) for v in (x, y, z))
+        (dx, x), (dy, y), (dz, z) = (int_vec(to_vec(v)) for v in (x, y, z))
         num, de = self.evaluate_over(x, y, z)
         return Fraction(num, de * dx * dy * dz)
 

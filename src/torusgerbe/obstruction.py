@@ -8,7 +8,9 @@ decomposition case.  When the first obstruction vanishes, the coboundary of
 the correction used to unitarize the defect produces a degree-3 class, the
 second obstruction, computed here three ways: by brute-force alternation,
 by the bilinear closed expression in the decomposition data, and by the
-per-case closed form.
+per-case closed form.  All three are read off tables built once per query
+over its candidate vectors: the correction covector of each ordered pair
+at every candidate, and E contracted at most once per candidate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
-from .exact import InternalMismatch, int_dot, int_vec_mat, unit_reduce
+from .exact import InternalMismatch, int_vec_mat, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase
 from .trivialization import TranslationContext, _lifted_record, trivializing_exponent
@@ -212,6 +214,8 @@ class SecondObstructionValues:
     is the authority for vanishing decisions.  The three are recorded side
     by side because they are genuinely different scalar multiples of
     E(w1,w2,w3); agreement flags state equality of the reduced values.
+    `second_obstruction_alternating` reads them off the same per-query
+    tables as `obstruction_vanishes`, built over its three vectors alone.
     """
 
     skew: UnitValue
@@ -232,34 +236,59 @@ class SecondObstructionValues:
         )
 
 
-def _second_alternating(ctx: ObstructionContext, d1, d2, d3):
-    """((den, skew_re, skew_im, general, closed), flags): the three values
-    on a triple as numerators over one denominator, and whether skew and
-    general, skew and closed, and general and closed agree.  Each skew term
-    is the correction covector r = b^T*R_c at a: r.(ia) + i*r.a."""
-    skew_re = skew_im = 0
-    signs = (1, -1, -1, 1, 1, -1)  # of the permutations, in lexicographic order
-    for (a, b, c), sign in zip(itertools.permutations((d1, d2, d3)), signs):
-        r = int_vec_mat(b.x, c.r)
-        skew_re += sign * int_dot(r, a.ix)
-        skew_im += sign * int_dot(r, a.x)
-    x1, x2, x3 = d1.x, d2.x, d3.x
-    general = int_dot(int_vec_mat(x1, d3.f), x2) + int_dot(int_vec_mat(x2, d1.f), x3)
-    general -= int_dot(int_vec_mat(x1, d2.f), x3)
+def _alternate(t, i: int, j: int, k: int) -> int:
+    """The sum of t[b][c][a] over the permutations (a, b, c) of (i, j, k),
+    signed by their parity."""
+    return t[j][k][i] - t[k][j][i] - t[i][k][j] + t[k][i][j] + t[i][j][k] - t[j][i][k]
+
+
+def _second_triples(ctx: ObstructionContext, records):
+    """((den, skew_re, skew_im, general, closed), flags) for each triple of
+    the records, in lexicographic order of their indices: the three values
+    as numerators over one denominator, and whether skew and general, skew
+    and closed, and general and closed agree.
+
+    The values are read off per-query tables.  For each ordered pair (b, c)
+    of records, one product of b with the stacked rows [R_c | F_c] and then
+    with the columns of every record a gives b^T*R_c*(ia), b^T*R_c*a and
+    b^T*F_c*a: the correction covector r = b^T*R_c at a is r.(ia) + i*r.a,
+    and the bilinear expression sums three F-terms.  E is contracted once
+    per first index i, and E(i, j, a) is read for every a off one product
+    per pair i < j.  Nothing is built for fewer than three records.
+    """
+    n = len(records)
+    if n < 3:
+        return
+    xs = [d.x for d in records]
+    cols = [list(c) for c in zip(*xs)]  # row p: coordinate p of every record
+    z = [0] * n
+    # columns ia and a against the R half of [R_c | F_c], a against its F half
+    block = [[*i, *c, *z] for i, c in zip(zip(*[d.ix for d in records]), cols)]
+    block += [[*z, *z, *c] for c in cols]
+    stacked = [[r + f for r, f in zip(d.r, d.f)] for d in records]
+    re, im, gen = ([[None] * n for _ in range(n)] for _ in range(3))
+    for b, c in itertools.permutations(range(n), 2):
+        row = int_vec_mat(int_vec_mat(xs[b], stacked[c]), block)
+        re[b][c], im[b][c], gen[b][c] = row[:n], row[n : 2 * n], row[2 * n :]
     dj = ctx.gerbe.torus.j_columns[0]
-    dws = d1.dw * d2.dw * d3.dw
-    den = dj * d1.den * d2.dw * d3.dw  # dj*dws times the records' shared scale
-    e_num, de = ctx.gerbe.e.evaluate_over(x1, x2, x3)
     coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
-    closed = coef * e_num * (den // (de * dws))
-    skew_im, general = dj * skew_im, 3 * dj * general
-    real = skew_im == 0
-    flags = (
-        real and (skew_re - general) % den == 0,
-        real and (skew_re - closed) % den == 0,
-        (general - closed) % den == 0,
-    )
-    return (den, skew_re, skew_im, general, closed), flags
+    for i, di in enumerate(records[:-2]):
+        m, de = ctx.gerbe.e.contract_over(di.x)
+        unit = coef * dj * di.den // (de * di.dw)  # coef*den / (de*dws)
+        for j in range(i + 1, n - 1):
+            e_row = int_vec_mat(int_vec_mat(xs[j], m), cols)  # E(i, j, a) for every a
+            dij = dj * di.den * records[j].dw
+            for k in range(j + 1, n):
+                den = dij * records[k].dw  # dj*dws times the records' shared scale
+                skew_re, skew_im = _alternate(re, i, j, k), dj * _alternate(im, i, j, k)
+                general = 3 * dj * (gen[i][k][j] + gen[j][i][k] - gen[i][j][k])
+                closed = unit * e_row[k]
+                real = skew_im == 0
+                yield (den, skew_re, skew_im, general, closed), (
+                    real and (skew_re - general) % den == 0,
+                    real and (skew_re - closed) % den == 0,
+                    (general - closed) % den == 0,
+                )
 
 
 def second_obstruction_alternating(
@@ -273,7 +302,7 @@ def second_obstruction_alternating(
     alone.  Disagreements are reported in the returned flags, not raised.
     """
     ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    (den, skew_re, skew_im, general, closed), flags = _second_alternating(ctx, *ds)
+    (den, skew_re, skew_im, general, closed), flags = next(_second_triples(ctx, ds))
     skew = GaussianRational(Fraction(skew_re, den), Fraction(skew_im, den))
     general, closed = (unit_reduce(Fraction(y, den)) for y in (general, closed))
     return SecondObstructionValues(
@@ -312,9 +341,14 @@ class SubgroupSpec:
     generators: tuple[Vec, ...]
     case: SubgroupCase
 
+    def __post_init__(self):
+        # a member or its value, else ValueError, as for the contexts
+        if type(self.case) is not SubgroupCase:
+            object.__setattr__(self, "case", SubgroupCase(self.case))
+
     @staticmethod
     def create(generators, case: SubgroupCase) -> "SubgroupSpec":
-        return SubgroupSpec(tuple(to_vec(g) for g in generators), SubgroupCase(case))
+        return SubgroupSpec(tuple(to_vec(g) for g in generators), case)
 
 
 class ObstructionKind(enum.Enum):
@@ -370,9 +404,11 @@ def obstruction_vanishes(
 
     disagreements = []
     failure = None
-    for (w1, d1), (w2, d2), (w3, d3) in itertools.combinations(records, 3):
+    values = _second_triples(ctx, [d for _, d in records])
+    for ((w1, _), (w2, _), (w3, _)), ((den, *_, closed), flags) in zip(
+        itertools.combinations(records, 3), values
+    ):
         checked += 1
-        (den, *_, closed), flags = _second_alternating(ctx, d1, d2, d3)
         if not flags[1]:
             disagreements.append((w1, w2, w3))
         if failure is None and closed % den:

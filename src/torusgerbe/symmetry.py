@@ -31,7 +31,7 @@ class NotInSubgroup(ValueError):
 
 class SubgroupCase(enum.Enum):
     """`in_case_subgroup`, `case_decomposition`, the contexts and
-    `SubgroupSpec.create` take a member or its value (else ValueError)."""
+    `SubgroupSpec` take a member or its value (else ValueError)."""
 
     INTEGRAL = "integral"
     TYPE_ONE_ONE = "oneone"

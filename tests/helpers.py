@@ -7,6 +7,7 @@ the package's covector-based code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from torusgerbe import (
     NotInSubgroup,
     SubgroupCase,
     TorusData,
+    TranslationContext,
     case_decomposition,
     check_complex_structure,
     contract3,
@@ -33,6 +35,7 @@ from torusgerbe import (
     symmetric_part_exponent,
     unitarize_exponent,
 )
+from torusgerbe.trivialization import _stacked
 from torusgerbe.exact import (
     Mat,
     Vec,
@@ -40,6 +43,8 @@ from torusgerbe.exact import (
     dot,
     hermite_normal_form,
     identity_mat,
+    int_dot,
+    int_vec_mat,
     mat_mul,
     mat_vec,
     to_fraction,
@@ -565,6 +570,56 @@ def reference_second_skew(ctx, w1: Vec, w2: Vec, w3: Vec) -> GaussianRational:
         term = reference_defect_correction_fn(ctx, b, c).evaluate(a)
         total = total + (term if sign > 0 else -term)
     return total
+
+
+def reference_second_alternating(ctx, d1, d2, d3):
+    """((den, skew_re, skew_im, general, closed), flags): the three values
+    on a triple as numerators over one denominator, and whether skew and
+    general, skew and closed, and general and closed agree.  Each skew term
+    is the correction covector r = b^T*R_c at a: r.(ia) + i*r.a."""
+    skew_re = skew_im = 0
+    signs = (1, -1, -1, 1, 1, -1)  # of the permutations, in lexicographic order
+    for (a, b, c), sign in zip(itertools.permutations((d1, d2, d3)), signs):
+        r = int_vec_mat(b.x, c.r)
+        skew_re += sign * int_dot(r, a.ix)
+        skew_im += sign * int_dot(r, a.x)
+    x1, x2, x3 = d1.x, d2.x, d3.x
+    general = int_dot(int_vec_mat(x1, d3.f), x2) + int_dot(int_vec_mat(x2, d1.f), x3)
+    general -= int_dot(int_vec_mat(x1, d2.f), x3)
+    dj = ctx.gerbe.torus.j_columns[0]
+    dws = d1.dw * d2.dw * d3.dw
+    den = dj * d1.den * d2.dw * d3.dw  # dj*dws times the records' shared scale
+    e_num, de = ctx.gerbe.e.evaluate_over(x1, x2, x3)
+    coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
+    closed = coef * e_num * (den // (de * dws))
+    skew_im, general = dj * skew_im, 3 * dj * general
+    real = skew_im == 0
+    flags = (
+        real and (skew_re - general) % den == 0,
+        real and (skew_re - closed) % den == 0,
+        (general - closed) % den == 0,
+    )
+    return (den, skew_re, skew_im, general, closed), flags
+
+
+def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
+    """Add delta / den to entry (p, q) of the matrix `name` of w's record
+    cached on the obstruction context."""
+    data = ctx.vector(w)
+    m = [list(row) for row in getattr(data, name)]
+    m[p][q] += delta
+    key = next(k for k, v in ctx._vectors.items() if v is data)
+    ctx._vectors[key] = dataclasses.replace(data, **{name: m})
+
+
+def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int):
+    """Add 1/den to entry (p, q) of the matrix `name` of the basis record of
+    e_k cached on the gerbe."""
+    records = list(TranslationContext.basis(g, case))
+    m = [list(row) for row in getattr(records[k], name)]
+    m[p][q] += 1
+    records[k] = dataclasses.replace(records[k], **{name: m})
+    monkeypatch.setitem(g.basis_records, case, _stacked(records))
 
 
 def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:

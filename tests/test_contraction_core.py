@@ -8,7 +8,6 @@ oracles in `helpers`, on standard and twisted rational J at n = 2 and 3, in
 both decomposition cases.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -42,12 +41,13 @@ from torusgerbe import (
     theta_group_multiply,
     unitarize_exponent,
 )
-import torusgerbe.trivialization as triv
 from torusgerbe.obstruction import defect_correction_fn
 from torusgerbe.trivialization import verify_trivialization
 
 from helpers import (
     conjugated_instance,
+    corrupt_basis_record,
+    corrupt_record,
     gerbe4,
     rand_rational_vec,
     rand_vec,
@@ -253,15 +253,6 @@ class TestCorruptedFormIsCaught:
     forms read E or E(w,.,.) and never L_w, R_w or M_w."""
 
     @staticmethod
-    def _corrupt(ctx, w, name, p, q, delta):
-        """Add delta / den to entry (p, q) of the record's matrix `name`."""
-        data = ctx.vector(w)
-        m = [list(row) for row in getattr(data, name)]
-        m[p][q] += delta
-        key = next(k for k, v in ctx._vectors.items() if v is data)
-        ctx._vectors[key] = dataclasses.replace(data, **{name: m})
-
-    @staticmethod
     def _caught(ctx, w1, w2, w3):
         try:
             for a, b in itertools.combinations((w1, w2, w3), 2):
@@ -278,7 +269,7 @@ class TestCorruptedFormIsCaught:
         assert not self._caught(ctx, w1, w2, w3)
         # entry (1, 0) of R_w3 enters the imaginary part of the skew as
         # delta*(x2_1*x1_0 - x1_1*x2_0) for the numerators x of w1, w2
-        self._corrupt(ctx, w3, "r", 1, 0, 1)
+        corrupt_record(ctx, w3, "r", 1, 0, 1)
         assert self._caught(ctx, w1, w2, w3)
 
     def test_half_lattice_example_first(self):
@@ -288,7 +279,7 @@ class TestCorruptedFormIsCaught:
         ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
         first_obstruction_alternating(ctx, w1, w2)
         # entry (0, 1) of M_w2 moves coordinate 1 of w1^T*M_w2 by x1_0 / den
-        self._corrupt(ctx, w2, "m", 0, 1, 1)
+        corrupt_record(ctx, w2, "m", 0, 1, 1)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
 
@@ -303,7 +294,7 @@ class TestCorruptedFormIsCaught:
             for p, q in itertools.product(range(g.torus.dim), repeat=2)
             if x2[p] * x1[q] != x1[p] * x2[q]
         )
-        self._corrupt(ctx, w3, "r", p, q, 1)
+        corrupt_record(ctx, w3, "r", p, q, 1)
         assert self._caught(ctx, w1, w2, w3)
 
     def test_every_instance_first(self, instance):
@@ -313,7 +304,7 @@ class TestCorruptedFormIsCaught:
         first_obstruction_alternating(ctx, w1, w2)
         d1, d2 = ctx.vector(w1), ctx.vector(w2)
         p = next(p for p, x in enumerate(d1.x) if x % (d1.dw * d2.den))
-        self._corrupt(ctx, w2, "m", p, 0, 1)
+        corrupt_record(ctx, w2, "m", p, 0, 1)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
 
@@ -329,15 +320,6 @@ class TestCorruptedBasisRecordIsCaught:
     and must surface there: FIRST's closed form reads E(w,.,.), SECOND's
     reads E alone, and the trivialization identity takes its translation
     factor from E and J.  Each test corrupts a fresh gerbe's cache."""
-
-    @staticmethod
-    def _corrupt(monkeypatch, g, case, k, name, p, q):
-        """Add 1/den to entry (p, q) of the matrix `name` of the cached e_k."""
-        records = list(TranslationContext.basis(g, case))
-        m = [list(row) for row in getattr(records[k], name)]
-        m[p][q] += 1
-        records[k] = dataclasses.replace(records[k], **{name: m})
-        monkeypatch.setitem(g.basis_records, case, triv._stacked(records))
 
     @staticmethod
     def _fresh(instance):
@@ -356,7 +338,7 @@ class TestCorruptedBasisRecordIsCaught:
             for k, p in itertools.product(range(g.torus.dim), repeat=2)
             if x1[p] * x2[k] != x2[p] * x1[k]
         )
-        self._corrupt(monkeypatch, g, case, k, "m", p, 0)
+        corrupt_basis_record(monkeypatch, g, case, k, "m", p, 0)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ObstructionContext(g, case), w1, w2)
         w = w2 if x2[k] else w1
@@ -388,7 +370,7 @@ class TestCorruptedBasisRecordIsCaught:
             triple, (q, p, k) = found
             w = next(vectors[i] for i in triple if xs[i][k])
         assert verify_trivialization(TranslationContext.create(g, w, case))
-        self._corrupt(monkeypatch, g, case, k, "r", p, q)
+        corrupt_basis_record(monkeypatch, g, case, k, "r", p, q)
         if found is not None:
             ctx = ObstructionContext(g, case)
             values = second_obstruction_alternating(ctx, *[vectors[i] for i in triple])
@@ -402,7 +384,7 @@ class TestCorruptedBasisRecordIsCaught:
         ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
         assert second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
         # entry (1, 0) of R_{e_2}: the minor of (e_0, e_1, e_2) on (0, 1, 2)
-        self._corrupt(monkeypatch, g, SubgroupCase.INTEGRAL, 2, "r", 1, 0)
+        corrupt_basis_record(monkeypatch, g, SubgroupCase.INTEGRAL, 2, "r", 1, 0)
         ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
         assert not second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
         assert not verify_trivialization(

@@ -1,0 +1,272 @@
+"""The per-query tables of the second obstruction.
+
+`obstruction._second_triples` reads every triple's values off tables built
+once per query over the candidate records.  Each test compares it, triple
+by triple, with `helpers.reference_second_alternating`, which computes one
+triple at a time: the same five integers and the same three flags,
+on standard and twisted tori at n = 2 and 3 in both cases, on the
+half-lattice example, and on corrupted records.  `obstruction_vanishes`
+must return what a loop over that oracle returns, and a query contracts E
+once per candidate at most.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+from math import comb
+
+import pytest
+
+import torusgerbe.obstruction as obstruction
+from torusgerbe import (
+    GerbeData,
+    NotInSubgroup,
+    ObstructionContext,
+    ObstructionKind,
+    SubgroupCase,
+    SubgroupSpec,
+    TranslationContext,
+    obstruction_vanishes,
+    second_obstruction_alternating,
+)
+
+from helpers import (
+    conjugated_instance,
+    corrupt_basis_record,
+    corrupt_record,
+    count_contractions,
+    gerbe4,
+    reference_second_alternating,
+    sample_case_vector,
+    sample_integral_instance,
+    vec,
+)
+
+INT = SubgroupCase.INTEGRAL
+SECOND = ObstructionKind.SECOND
+HALVES = [vec(*[F(1, 2) if a == k else 0 for a in range(4)]) for k in range(4)]
+
+INSTANCES = [
+    (n, twisted, case)
+    for n in (2, 3)
+    for twisted in (False, True)
+    for case in (SubgroupCase.INTEGRAL, SubgroupCase.TYPE_ONE_ONE)
+]
+IDS = [f"n{n}-{'twisted' if tw else 'standard'}-{case.value}" for n, tw, case in INSTANCES]
+
+
+@pytest.fixture(scope="module", params=INSTANCES, ids=IDS)
+def instance(request):
+    n, twisted, case = request.param
+    g, vectors = conjugated_instance(n, 0, case, twisted, count=5)
+    return g, case, vectors
+
+
+def candidates(g, spec):
+    """(ctx, [(w, record)]): the candidates of a query, in the order
+    `obstruction_vanishes` takes them (generators, then the admissible
+    lattice basis vectors, each distinct vector once)."""
+    ctx = ObstructionContext(g, spec.case)
+    found = {}
+    for w in spec.generators:
+        data = ctx.require_member(w)
+        found.setdefault((data.dw, *data.x), (w, data))
+    for data in TranslationContext.basis(g, spec.case):
+        if data.member:
+            found.setdefault((data.dw, *data.x), (data.w, data))
+    return ctx, list(found.values())
+
+
+def oracle_vanishes(g, spec):
+    """(vanishes, certificate, tuples_checked, cross_check_disagreements)
+    of the SECOND decision by a loop over the per-triple oracle."""
+    ctx, found = candidates(g, spec)
+    disagreements, failure, checked = [], None, 0
+    for (w1, d1), (w2, d2), (w3, d3) in itertools.combinations(found, 3):
+        checked += 1
+        (den, *_, closed), flags = reference_second_alternating(ctx, d1, d2, d3)
+        if not flags[1]:
+            disagreements.append((w1, w2, w3))
+        if failure is None and closed % den:
+            failure = (w1, w2, w3)
+    return failure is None, failure, checked, tuple(disagreements)
+
+
+def decided(result):
+    return (
+        result.vanishes,
+        result.certificate,
+        result.tuples_checked,
+        result.cross_check_disagreements,
+    )
+
+
+def assert_tables_match(ctx, records):
+    """The table kernel equals the oracle on every triple; returns its
+    values."""
+    tables = list(obstruction._second_triples(ctx, records))
+    assert tables == [
+        reference_second_alternating(ctx, *triple)
+        for triple in itertools.combinations(records, 3)
+    ]
+    return tables
+
+
+class TestAgainstTheOracle:
+    def test_every_triple_of_a_query(self, instance):
+        g, case, vectors = instance
+        ctx, found = candidates(g, SubgroupSpec.create(vectors, case))
+        assert len(found) >= 6
+        assert_tables_match(ctx, [d for _, d in found])
+
+    def test_every_order_and_repeats(self, instance):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        records = [ctx.vector(w) for w in vectors]
+        for order in (records[::-1], records[1:] + records[:2], records[:2] * 2):
+            assert_tables_match(ctx, order)
+
+    def test_public_values_come_from_the_same_kernel(self, instance):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        for triple in itertools.combinations(vectors, 3):
+            values = second_obstruction_alternating(ctx, *triple)
+            (den, skew_re, skew_im, general, closed), flags = reference_second_alternating(
+                ctx, *[ctx.vector(w) for w in triple]
+            )
+            assert values.skew_exponent.re == F(skew_re, den)
+            assert values.skew_exponent.im == F(skew_im, den)
+            assert values.general_factor.exponent.re == F(general, den) % 1
+            assert values.closed_form.exponent.re == F(closed, den) % 1
+            assert (
+                values.agree_skew_general,
+                values.agree_skew_closed,
+                values.agree_general_closed,
+            ) == flags
+
+    def test_drawn_integral_instances(self):
+        rng = random.Random(20)
+        for _ in range(8):
+            g, w = sample_integral_instance(rng)
+            ctx = ObstructionContext(g, INT)
+            vectors = [w] + [sample_case_vector(rng, g, INT) for _ in range(4)]
+            tables = assert_tables_match(ctx, [ctx.vector(v) for v in vectors])
+            assert [closed != 0 for (_, *_, closed), _ in tables] == [
+                g.e.evaluate(*t) != 0 for t in itertools.combinations(vectors, 3)
+            ]
+
+    def test_half_lattice_example(self):
+        g = gerbe4(4)
+        spec = SubgroupSpec.create(HALVES, INT)
+        ctx, found = candidates(g, spec)
+        tables = assert_tables_match(ctx, [d for _, d in found])
+        assert len(tables) == 56
+        assert any(closed % den for (den, *_, closed), _ in tables)
+
+    def test_a_non_member_is_named_by_its_position(self):
+        ctx = ObstructionContext(gerbe4(4), INT)
+        for k in range(3):
+            ws = list(HALVES[:3])
+            ws[k] = vec(F(1, 8), 0, 0, 0)  # E(w,.,.) = e23/2 is not integral
+            with pytest.raises(NotInSubgroup, match=f"^w{k + 1} is not"):
+                second_obstruction_alternating(ctx, *ws)
+
+    def test_vanishing_decisions(self, instance):
+        g, case, vectors = instance
+        for generators in (vectors, vectors[:1], vectors[2:], ()):
+            spec = SubgroupSpec.create(generators, case)
+            assert decided(obstruction_vanishes(g, spec, SECOND)) == oracle_vanishes(g, spec)
+
+    def test_vanishing_decision_on_the_half_lattice_example(self):
+        g = gerbe4(4)
+        for generators in (HALVES[1:], HALVES[:3], HALVES):
+            spec = SubgroupSpec.create(generators, INT)
+            result = obstruction_vanishes(g, spec, SECOND)
+            assert decided(result) == oracle_vanishes(g, spec)
+        assert not result.vanishes
+
+
+class TestCorruptedRecords:
+    """The tables read each record's own R_c and F_c: a corrupted entry
+    moves the table's values exactly as it moves the oracle's."""
+
+    @pytest.mark.parametrize("name", ("r", "f"))
+    def test_every_instance(self, instance, name):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        w1, w2, w3 = vectors[:3]
+        before = assert_tables_match(ctx, [ctx.vector(w) for w in vectors])
+        x1, x2 = ctx.vector(w1).x, ctx.vector(w2).x
+        # entry (p, q) of R_w3 moves the skew of (w1, w2, w3) by x2_p*x1_q -
+        # x1_p*x2_q, and of F_w3 moves `general` by x1_p*x2_q
+        moved = (lambda p, q: x2[p] * x1[q] - x1[p] * x2[q]) if name == "r" else (
+            lambda p, q: x1[p] * x2[q]
+        )
+        p, q = next(
+            (p, q) for p, q in itertools.product(range(g.torus.dim), repeat=2) if moved(p, q)
+        )
+        corrupt_record(ctx, w3, name, p, q)
+        after = assert_tables_match(ctx, [ctx.vector(w) for w in vectors])
+        assert after[0] != before[0]
+        if name == "r":
+            assert not after[0][1][1]  # skew no longer agrees with closed
+
+    def test_half_lattice_example(self):
+        g = gerbe4(4)
+        ctx = ObstructionContext(g, INT)
+        w1, w2, w3, _ = HALVES
+        assert second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
+        # entry (1, 0) of R_w3 enters the imaginary part of the skew
+        corrupt_record(ctx, w3, "r", 1, 0)
+        assert_tables_match(ctx, [ctx.vector(w) for w in HALVES])
+        assert not second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
+
+    def test_disagreements_surface_in_the_decision(self, monkeypatch):
+        g = gerbe4(4)
+        g = GerbeData(g.torus, g.b, g.e)
+        corrupt_basis_record(monkeypatch, g, INT, 2, "r", 1, 0)
+        spec = SubgroupSpec.create(HALVES, INT)
+        result = obstruction_vanishes(g, spec, SECOND)
+        assert result.cross_check_disagreements
+        assert decided(result) == oracle_vanishes(g, spec)
+
+
+class TestStructure:
+    """A query builds its tables once: E is contracted at most once per
+    candidate, not once per triple, and not at all below three."""
+
+    def test_contractions_per_query(self, instance, monkeypatch):
+        g, case, vectors = instance
+        spec = SubgroupSpec.create(vectors, case)
+        n = len(candidates(g, spec)[1])
+        calls = count_contractions(monkeypatch)
+        result = obstruction_vanishes(g, spec, SECOND)
+        assert result.tuples_checked == comb(n, 3) > n
+        assert 0 < len(calls) <= n
+        assert all(e3 is g.e for e3, _, _ in calls)
+
+    def test_one_contraction_per_public_triple(self, instance, monkeypatch):
+        g, case, vectors = instance
+        ctx = ObstructionContext(g, case)
+        for w in vectors:
+            ctx.vector(w)
+        calls = count_contractions(monkeypatch)
+        second_obstruction_alternating(ctx, *vectors[:3])
+        assert len(calls) == 1
+
+    def test_no_table_below_three_candidates(self, monkeypatch):
+        g, vectors = conjugated_instance(2, 0, SubgroupCase.TYPE_ONE_ONE, True)
+        spec = SubgroupSpec.create((), SubgroupCase.TYPE_ONE_ONE)
+        assert len(candidates(g, spec)[1]) == 2
+        products = []
+        original = obstruction.int_vec_mat
+        monkeypatch.setattr(
+            obstruction, "int_vec_mat", lambda x, m: products.append(1) or original(x, m)
+        )
+        calls = count_contractions(monkeypatch)
+        result = obstruction_vanishes(g, spec, SECOND)
+        assert (result.vanishes, result.tuples_checked) == (True, 0)
+        assert calls == [] and products == []
+        ctx = ObstructionContext(g, SubgroupCase.TYPE_ONE_ONE)
+        assert list(obstruction._second_triples(ctx, [ctx.vector(vectors[0])] * 2)) == []
+        assert calls == [] and products == []

@@ -232,7 +232,8 @@ class TestDecomposition:
 
 class TestVectorLength:
     """A vector whose length is not the torus dimension is rejected on the
-    contraction path, as it is by `exponent_re` and the contexts."""
+    contraction path, as it is by `exponent_re` and the contexts; so is a
+    vector holding a float."""
 
     ENTRY_POINTS = {
         "contract3": lambda t, e3, w: contract3(e3, w),
@@ -252,6 +253,14 @@ class TestVectorLength:
         t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
         with pytest.raises(ValueError, match="dimension mismatch"):
             entry(t, e3, w)
+
+    def test_evaluate_rejects_a_float_in_every_argument(self):
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        x, y, floats = vec(0, 1, 0, 0), vec(0, 0, 1, 0), (0.5, 0, 0, 0)
+        for args in ((floats, x, y), (x, floats, y), (x, y, floats)):
+            with pytest.raises(TypeError, match="floats are not allowed"):
+                e3.evaluate(*args)
+        assert e3.evaluate(vec(F(1, 2), 0, 0, 0), x, y) == 1
 
     def test_evaluate_checks_every_argument(self):
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
@@ -309,6 +318,11 @@ class TestCaseValues:
         assert ObstructionContext(g, "oneone").case is ONEONE
         spec = SubgroupSpec.create((self.W, vec(0, F(1, 2), 0, 0)), "integral")
         assert spec == SubgroupSpec.create(spec.generators, INT)
+        for case in ("integral", INT):
+            built = SubgroupSpec(spec.generators, case)
+            assert built.case is INT
+            assert built == spec and hash(built) == hash(spec)
+        assert SubgroupSpec(spec.generators, "oneone") != spec
         result = obstruction_vanishes(g, spec, ObstructionKind.FIRST)
         assert not result.vanishes
         assert result.certificate == (self.W, vec(0, F(1, 2), 0, 0), e(4, 3))
@@ -319,6 +333,7 @@ class TestCaseValues:
         "TranslationContext.create": lambda g, w, c: TranslationContext.create(g, w, c),
         "TranslationContext.basis": lambda g, w, c: TranslationContext.basis(g, c),
         "SubgroupSpec.create": lambda g, w, c: SubgroupSpec.create((w,), c),
+        "SubgroupSpec": lambda g, w, c: SubgroupSpec((w,), c),
         "ObstructionContext": lambda g, w, c: ObstructionContext(g, c),
     }
 
@@ -391,8 +406,7 @@ class TestContractionMemo:
         assert (repr(e3), hash(e3)) == before
         assert e3 == AltForm3.from_coeffs(4, {(0, 1, 2): 2})
 
-    ENTRY_POINTS = dict(TestVectorLength.ENTRY_POINTS)
-    del ENTRY_POINTS["AltForm3.evaluate"]
+    ENTRY_POINTS = TestVectorLength.ENTRY_POINTS
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
     def test_float_of_the_stored_value_still_raises(self, entry):
