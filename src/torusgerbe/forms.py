@@ -109,10 +109,10 @@ class AltForm2:
 
     def apply(self, v: Vec) -> Vec:
         """The vector (omega(e_k, v))_k."""
-        return mat_vec(self.entries, v)
+        return mat_vec(self.entries, to_vec(v))
 
     def evaluate(self, x: Vec, y: Vec) -> Fraction:
-        return dot(x, self.apply(y))
+        return dot(to_vec(x), self.apply(y))
 
     def scale(self, c) -> "AltForm2":
         c = to_fraction(c)

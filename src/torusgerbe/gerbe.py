@@ -106,6 +106,8 @@ class Character:
 
     def exponent_at(self, v) -> GaussianRational:
         v = to_vec(v)
+        if len(v) != self.dim:
+            raise ValueError("vector/character dimension mismatch")
         if not vec_is_integral(v):
             raise ValueError("characters are defined on lattice vectors")
         return sum([e * c for e, c in zip(self.exponents, v, strict=True)], ZERO_G)
@@ -170,6 +172,12 @@ class GerbeData:
         pairs on.  Not compared, hashed or shown."""
         return basis_factor_rows(self.torus, self.e)
 
+    @functools.cached_property
+    def factor_bound(self) -> int:
+        """`factor_digit_bound` of the torus and E, computed on first use.
+        Not compared, hashed or shown."""
+        return factor_digit_bound(self.torus, self.e)
+
 
 def require_lattice(v: Vec, what: str):
     if not vec_is_integral(v):
@@ -228,6 +236,37 @@ def exponent_over(torus: TorusData, e3: AltForm3, a, b, c) -> tuple[int, int, in
     return re, den * dj, im, den
 
 
+def factor_digit_bound(torus: TorusData, e3: AltForm3) -> int:
+    """h0 = 6*K*m**2, a bound on the numerators of `exponent_over` at every
+    basis triple (e_k, e_a, e_b), read off E and J alone.
+
+    With K the sum of |k| over E's integer coefficients and m the largest
+    of dj and the entries of dj*J in absolute value, a 3x3 minor of basis
+    vectors and their J-images is at most 1 with no J-image among them, m
+    with one and 2*m**2 with two, so |re| <= K*(2*dj**2 + 4*m**2) and
+    |im| <= 4*K*m, both at most h0.  At (x/dw, e_a, e_b) the numerators
+    over dw times those denominators are sum_k x_k times those at e_k, so
+    at most h0*sum_k |x_k|.
+    """
+    (dj, cols), (_, ks) = torus.j_columns, e3.int_entries
+    m = max(dj, *[abs(y) for col in cols for _, y in col])
+    return 6 * sum(abs(k) for *_, k in ks) * m * m
+
+
+def balanced_digits(n: int, h: int, count: int) -> list[int]:
+    """The count lowest balanced base-B digits of n for B = 2*h + 1, each
+    in [-h, h] and lowest first, then what is left: n is sum_k
+    digits[k]*B**k + rest*B**count.  When n is sum_k B**k*v_k for count
+    values |v_k| <= h, the digits are the v_k and the rest is 0."""
+    base, digits = 2 * h + 1, []
+    for _ in range(count):
+        r = (n + h) % base - h
+        digits.append(r)
+        n = (n - r) // base
+    digits.append(n)
+    return digits
+
+
 def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, list]:
     """(dre, dim, rows): the translation factors H_{e_a,e_b} of the basis
     pairs as integer rows, one per basis vector e_k, over the denominators
@@ -244,29 +283,21 @@ def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, list]:
 
     One call per pair evaluates all d first arguments at once (Kronecker
     substitution): at x = (1, B, ..., B**(d-1)) each numerator is
-    sum_k B**k * (its value at e_k), whose balanced base-B digits are
-    those values when each is at most h in absolute value and B = 2*h + 1.
-    With K the sum of |k| over E's integer coefficients and m the largest
-    of dj and the entries of dj*J in absolute value, a 3x3 minor of basis
-    vectors and their J-images is at most 1 with no J-image among them, m
-    with one and 2*m**2 with two, so |re| <= K*(2*dj**2 + 4*m**2) and
-    |im| <= 4*K*m, both at most h = 6*K*m**2.
+    sum_k B**k * (its value at e_k), whose `balanced_digits` are those
+    values, as each is at most h = `factor_digit_bound` in absolute value
+    and B = 2*h + 1.
     """
     d = torus.dim
-    (dj, cols), (de, ks) = torus.j_columns, e3.int_entries
-    m = max(dj, *[abs(y) for col in cols for _, y in col])
-    h = 6 * sum(abs(k) for *_, k in ks) * m * m
-    base = 2 * h + 1
-    x = [base**k for k in range(d)]
+    h = factor_digit_bound(torus, e3)
+    x = [(2 * h + 1) ** k for k in range(d)]
     packed, lifts = (1, x, torus.mul_i_over(x)), [torus.lift(ek) for ek in torus.basis()]
     rows = [[0] * (2 * d * d) for _ in range(d)]
     for a, b in itertools.combinations(range(d), 2):
         ab, ba = a * d + b, b * d + a
         re, _, im, _ = exponent_over(torus, e3, packed, lifts[a], lifts[b])
-        for row in rows:
-            r, i = (re + h) % base - h, (im + h) % base - h
-            re, im = (re - r) // base, (im - i) // base
+        for row, r, i in zip(rows, balanced_digits(re, h, d), balanced_digits(im, h, d)):
             row[ab], row[ba], row[d * d + ab], row[d * d + ba] = r, -r, i, -i
+    dj, de = torus.j_columns[0], e3.int_entries[0]
     return 16 * dj * dj * de, 16 * dj * de, rows
 
 

@@ -317,12 +317,15 @@ class ThetaGroupElement:
     character: Character
     w: Vec
 
+    def __post_init__(self):
+        object.__setattr__(self, "w", to_vec(self.w))
+
 
 def theta_group_multiply(
     a: ThetaGroupElement, b: ThetaGroupElement, ctx: ObstructionContext
 ) -> ThetaGroupElement:
     """(a1, w1) * (a2, w2) = (a1 * a2 * defect(w1, w2), w1 + w2)."""
-    w = vec_add(to_vec(a.w), to_vec(b.w))
+    w = vec_add(a.w, b.w)
     ctx.require_member(w, "product vector")
     defect = defect_character(ctx, a.w, b.w)
     return ThetaGroupElement(character=a.character * b.character * defect, w=w)
@@ -342,13 +345,14 @@ class SubgroupSpec:
     case: SubgroupCase
 
     def __post_init__(self):
-        # a member or its value, else ValueError, as for the contexts
-        if type(self.case) is not SubgroupCase:
-            object.__setattr__(self, "case", SubgroupCase(self.case))
+        # the generators as `to_vec` tuples, and the case a member or its
+        # value, else ValueError, as for the contexts
+        object.__setattr__(self, "generators", tuple(to_vec(g) for g in self.generators))
+        object.__setattr__(self, "case", SubgroupCase(self.case))
 
     @staticmethod
     def create(generators, case: SubgroupCase) -> "SubgroupSpec":
-        return SubgroupSpec(tuple(to_vec(g) for g in generators), case)
+        return SubgroupSpec(generators, case)
 
 
 class ObstructionKind(enum.Enum):
@@ -379,8 +383,10 @@ def obstruction_vanishes(
     order of the candidate list (user generators first, then admissible
     lattice basis vectors).  For the second obstruction the per-case closed
     form is the authority; triples where the brute-force alternation
-    disagrees with it are surfaced, never silently resolved.
+    disagrees with it are surfaced, never silently resolved.  which is an
+    `ObstructionKind` or its value, else ValueError.
     """
+    which = ObstructionKind(which)
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)
     dim = gerbe.torus.dim
     candidates = {}  # (dw, *x) -> (w, record): one entry per distinct vector

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import GaussianRational, InternalMismatch, Vec, basis_vec, int_dot
 from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
-from .gerbe import ExponentFn, GerbeData, VectorForms, exponent_over, forms_over
-from .gerbe import require_lattice
+from .gerbe import ExponentFn, GerbeData, VectorForms, balanced_digits, exponent_over
+from .gerbe import forms_over, require_lattice
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
 from .symmetry import require_case_member
 from .torus import AltForm2, alternating_matrix, pullback_over
@@ -302,27 +302,68 @@ def _residual_passes(k: int, c_re: int, c_im: int, re: int, dre: int, im: int, d
     return c_im * dim + im * k == 0 and (c_re * dre + re * k) % (k * dre) == 0
 
 
-def _pair_passes(ctx: TranslationContext, x1, x2) -> bool:
-    """`_residual_passes` of the residual at the lattice pair (x1, x2)."""
-    c_re, c_im, h = _residual_over(ctx, x1, x2)
-    return _residual_passes(ctx.kernel[0], c_re, c_im, *h)
+def _folded_residual(ctx: TranslationContext, h: list) -> tuple[int, list]:
+    """(modulus, folded): the residual of every lattice pair on one d x 2d
+    integer matrix, from the record's coboundary form (ar, ai) over k =
+    ctx.kernel[0] and h = x^T*rows of the gerbe's `factor_rows`, the
+    translation factors (hre, him) of the basis pairs over (dre, dim) =
+    dw times the rows' denominators.  Row a is
 
+        [ar[a][b]*dre + hre[a][b]*k for b] + [ai[a][b]*dim + him[a][b]*k for b]
 
-def _first_failing_basis(ctx: TranslationContext) -> tuple[int, int] | None:
-    """(a, b) of the first basis pair (e_a, e_b) in row-major order that
-    fails `_residual_passes`, or None.  The residual there is entry (a, b)
-    of the coboundary form plus the translation factor, which for w = x/dw
-    is x^T*rows over dw of the gerbe's `factor_rows`: one product for all
-    d**2 pairs."""
-    d, (dre, dim, rows) = len(ctx.x), ctx.gerbe.factor_rows
-    h = int_vec_mat(ctx.x, rows)
-    k, dre, dim = ctx.kernel[0], ctx.dw * dre, ctx.dw * dim
+    so by bilinearity the residual at (x1, x2) is x1^T*folded*x2 over
+    k*dre for its first d columns and k*dim for its last d: it is an
+    integer constant when the first is divisible by modulus = k*dre and the
+    second is zero, the test of `_residual_passes`.
+    """
+    d, k = len(ctx.x), ctx.kernel[0]
+    dre, dim = (ctx.dw * y for y in ctx.gerbe.factor_rows[:2])
     ar, ai = ctx.coboundary
-    entries = zip(itertools.chain(*ar), itertools.chain(*ai), h[: d * d], h[d * d :])
-    for n, (c_re, c_im, re, im) in enumerate(entries):
-        if not _residual_passes(k, c_re, c_im, re, dre, im, dim):
-            return divmod(n, d)
+    n = d * d
+    folded = [
+        [c * dre + y * k for c, y in zip(cre, h[s : s + d])]
+        + [c * dim + y * k for c, y in zip(cim, h[n + s : n + s + d])]
+        for cre, cim, s in zip(ar, ai, range(0, n, d))
+    ]
+    return k * dre, folded
+
+
+def _first_failing_basis(modulus: int, folded: list) -> tuple[int, int] | None:
+    """(a, b) of the first basis pair (e_a, e_b) in row-major order whose
+    residual, entry (a, b) of each half of `_folded_residual`, is not an
+    integer constant, or None."""
+    d = len(folded)
+    for a, row in enumerate(folded):
+        for b in range(d):
+            if row[d + b] or row[b] % modulus:
+                return a, b
     return None
+
+
+def _check_at_w(ctx: TranslationContext, h: list) -> None:
+    """Raise InternalMismatch unless h = x^T*rows, the translation factors
+    of the basis pairs read off the gerbe's `factor_rows`, is the factor at
+    w itself, from E and J: one `exponent_over` call decides all d**2 pairs.
+
+    The factor is trilinear, so at (w, sum_a B**(d*a)*e_a, sum_b B**b*e_b)
+    each numerator is sum_(a,b) B**(d*a + b) times its value at (w, e_a,
+    e_b), over dw times the rows' denominators.  Every such value is at most
+    h0*sum_k |x_k| = hw in absolute value for h0 the gerbe's `factor_bound`,
+    so with B = 2*hw + 1 the `balanced_digits` of the numerators, in
+    row-major order, are those values and the rest is 0.
+    """
+    g, d = ctx.gerbe, len(ctx.x)
+    t, (dre, dim, _) = g.torus, g.factor_rows
+    hw = g.factor_bound * sum(map(abs, ctx.x))
+    firsts, seconds = ([(2 * hw + 1) ** (s * k) for k in range(d)] for s in (d, 1))
+    packed = [(1, y, t.mul_i_over(y)) for y in (firsts, seconds)]
+    re, dre_w, im, dim_w = exponent_over(t, g.e, (ctx.dw, ctx.x, ctx.ix), *packed)
+    if (
+        (dre_w, dim_w) != (ctx.dw * dre, ctx.dw * dim)
+        or balanced_digits(re, hw, d * d) != [*h[: d * d], 0]
+        or balanced_digits(im, hw, d * d) != [*h[d * d :], 0]
+    ):
+        raise InternalMismatch("the factor rows disagree with the translation factor at w")
 
 
 def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
@@ -366,25 +407,34 @@ def first_failing_pair(
 
     Without explicit pairs the dim**2 basis pairs (e_a, e_b), in row-major
     order, come first and decide, since the residual is bilinear; they are
-    decided together on the record's coboundary form and the gerbe's
-    per-basis translation factor rows (`factor_rows`, from E and J).  The
-    extra_random `random_verification_pairs` of seed then run one at a time
-    as a self-check, each against the translation factor at w from E and J
-    (`exponent_over`); one failing after a passing basis can only be a
-    program fault and raises InternalMismatch.  Explicit pairs are checked
-    one at a time, in order, in the same way as the random ones.
+    decided together on `_folded_residual`, built once from the record's
+    coboundary form and the translation factors x^T*rows of the gerbe's
+    per-basis rows (`factor_rows`, from E and J).  When every basis pair
+    passes, two self-checks follow, and a failure of either after a
+    passing basis can only be a program fault and raises InternalMismatch:
+    - `_check_at_w` compares those factors with the translation factor at
+      w itself, from E and J, in one packed `exponent_over` call;
+    - the extra_random `random_verification_pairs` of seed are read off
+      the folded matrix, one product and two dot products each.
+    Explicit pairs are checked one at a time, in order, each on the
+    residual from `_residual_over`, whose factor comes from E and J at w.
     """
     d = ctx.gerbe.torus.dim
     if pairs is not None:
         for x1, x2 in (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs):
-            if not _pair_passes(ctx, x1, x2):
+            c_re, c_im, h = _residual_over(ctx, x1, x2)
+            if not _residual_passes(ctx.kernel[0], c_re, c_im, *h):
                 return to_vec(x1), to_vec(x2)
         return None
-    failing = _first_failing_basis(ctx)
+    h = int_vec_mat(ctx.x, ctx.gerbe.factor_rows[2])
+    modulus, folded = _folded_residual(ctx, h)
+    failing = _first_failing_basis(modulus, folded)
     if failing is not None:
         return tuple(basis_vec(d, a) for a in failing)
+    _check_at_w(ctx, h)
     for x1, x2 in random_verification_pairs(d, extra_random, seed):
-        if not _pair_passes(ctx, x1, x2):
+        y = int_vec_mat(x1, folded)
+        if int_dot(y[d:], x2) or int_dot(y[:d], x2) % modulus:
             raise InternalMismatch("a random pair failed where every basis pair passed")
     return None
 
@@ -402,10 +452,12 @@ def verify_trivialization(
     is the constant l1^T*(ar + i*ai)*l2 of the record's coboundary form
     plus the translation factor H_{l1,l2}(w), which comes from E and J.
     Without explicit pairs the dim**2 basis pairs decide the identity on
-    the whole lattice, all at once on the gerbe's per-basis factor rows;
-    the extra_random seeded pairs, one draw each, then run as a self-check
-    against the factor at w itself, and one failing there raises
-    InternalMismatch.
+    the whole lattice, all at once on the gerbe's per-basis factor rows.
+    Two self-checks follow a passing basis: the factors read off the rows
+    are compared with the factor at w itself, from E and J, for all basis
+    pairs in one packed evaluation, and the extra_random seeded pairs, one
+    draw each, are read off the same residual matrix.  Either failing
+    raises InternalMismatch.
     Every pair checks that the imaginary constant cancels and the real one
     is an integer.  With explicit pairs the answer is whether all of them
     pass.  False witnesses that w is not a symmetry of the gerbe for the

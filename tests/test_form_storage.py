@@ -169,3 +169,22 @@ def test_membership_decisions_never_build_the_fraction_view(n, twisted, monkeypa
             for case in CASES:
                 in_case_subgroup(t, g.e, w, case)
             assert gerbes_isomorphic(g, translate_gerbe(g, w)) == fixes_gerbe(t, g.e, w)
+
+
+def test_evaluate_and_apply_reject_floats_and_read_lists():
+    # the form with coefficient 1 on the pair (0, 1)
+    form = AltForm2.from_pairs(4, {(0, 1): 1})
+    half, e1 = (0.5, 0, 0, 0), (0, 1, 0, 0)
+    for call in (
+        lambda: form.evaluate(half, e1),
+        lambda: form.evaluate(e1, half),
+        lambda: form.apply(half),
+    ):
+        with pytest.raises(TypeError, match="floats are not allowed in exact computations"):
+            call()
+    x, y = (F(1, 2), 0, 0, 0), (0, 1, 0, 0)
+    assert form.evaluate(x, y) == F(1, 2) == form.evaluate(list(x), list(y))
+    assert form.apply(list(x)) == form.apply(x) == (0, F(-1, 2), 0, 0)
+    assert all(type(v) is F for v in form.apply([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        form.apply((1, 0, 0))

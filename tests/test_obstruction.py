@@ -581,3 +581,54 @@ class TestGerbalClass:
         assert values.closed_form.exponent.re == (6 * F(-3, 2) * ev) % 1
         # and for the (1,1) case: 36 == 6 * 6 as implemented coefficients
         assert F(36) == 6 * F(6)
+
+
+class TestBoundaryValues:
+    """Public value objects and the obstruction kind normalise what they
+    are given: a list and a tuple of the same entries give equal, hashable
+    objects, a float raises the package's TypeError, and a value that is
+    not an `ObstructionKind` raises ValueError."""
+
+    HALF0, HALF1 = vec(F(1, 2), 0, 0, 0), vec(0, F(1, 2), 0, 0)
+
+    def test_obstruction_kind_by_member_or_value(self):
+        # the standard n = 2 torus, E = 2*e012 and two half-lattice
+        # generators in the integral case: FIRST fails on the first pair,
+        # SECOND reads all 20 triples of the six candidates
+        g = GerbeData(torus4(), AltForm2.zero(4), AltForm3.from_coeffs(4, {(0, 1, 2): 2}))
+        spec = SubgroupSpec.create((self.HALF0, self.HALF1), INT)
+        first = obstruction_vanishes(g, spec, ObstructionKind.FIRST)
+        second = obstruction_vanishes(g, spec, ObstructionKind.SECOND)
+        assert (first.tuples_checked, second.tuples_checked) == (1, 20)
+        assert obstruction_vanishes(g, spec, "first") == first
+        assert obstruction_vanishes(g, spec, "second") == second
+        for which in ("junk", "FIRST", None, 1):
+            with pytest.raises(ValueError):
+                obstruction_vanishes(g, spec, which)
+
+    def test_subgroup_spec_from_lists(self):
+        built = SubgroupSpec([[F(1, 2), 0, 0, 0], [0, F(1, 2), 0, 0]], "integral")
+        spec = SubgroupSpec.create((self.HALF0, self.HALF1), INT)
+        assert built.generators == (self.HALF0, self.HALF1)
+        assert built == spec and hash(built) == hash(spec)
+        assert SubgroupSpec(iter([[F(1, 2), 0, 0, 0], self.HALF1]), INT) == spec
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            SubgroupSpec([[0.5, 0, 0, 0]], INT)
+
+    def test_theta_group_element_from_a_list(self):
+        c = Character.identity(4)
+        built = ThetaGroupElement(c, [F(1, 2), 0, 0, 0])
+        assert built.w == self.HALF0 and all(type(y) is F for y in built.w)
+        assert built == ThetaGroupElement(c, self.HALF0)
+        assert hash(built) == hash(ThetaGroupElement(c, self.HALF0))
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            ThetaGroupElement(c, [0.5, 0, 0, 0])
+
+    def test_character_exponent_at_checks_the_length(self):
+        c = Character(tuple(GaussianRational(F(k), F(1, 2)) for k in range(4)))
+        assert c.exponent_at([1, 1, 0, 0]) == GaussianRational(F(1), F(1))
+        for v in ((1, 0, 0), (1, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="vector/character dimension mismatch"):
+                c.exponent_at(v)
+        with pytest.raises(ValueError, match="lattice vectors"):
+            c.exponent_at((F(1, 2), 0, 0, 0))

@@ -18,23 +18,28 @@ one bilinear form per record, `TranslationContext.coboundary`.
 `first_failing_pair` decides each pair on integers, without a `Fraction`:
 that form at the two lattice vectors and the translation factor from E and
 J.  The basis pairs read the factor off the gerbe's `factor_rows`, one
-integer row per basis vector; every other pair goes through one private
-residual core (`_residual_over`), which evaluates the factor at w.
+integer row per basis vector, and are decided on one folded residual
+matrix; one packed `exponent_over` call at w then checks those factors,
+and the seeded random pairs are read off the same matrix.  Explicit pairs
+go through one private residual core (`_residual_over`), which evaluates
+the factor at w.
 `TestResidualCore` checks the form against the three-point evaluation of
 `trivializing_exponent` (on kernels overwritten with arbitrary integers
 too), the core's residuals against the oracle, that a corrupted linear
-block is caught on the expected basis pair, and that the basis costs one
-product with the per-gerbe factor rows and each random pair two products
-and two J-images; `TestFactorRows` checks those rows against
-`exponent_over`; `TestIntegerDecision` checks the verdicts
-against the oracle, that they never reach the `Fraction` wrappers, and that
-with default pairs a random pair failing after a passing basis raises
-`InternalMismatch`.
+block is caught on the expected basis pair, and that a passing query costs
+one product with the per-gerbe factor rows, two packed lifts and one
+product per random pair; `TestFactorRows` checks those rows against
+`exponent_over`; `TestPackedCheckAtW` checks that the packed check catches
+every row corruption the basis passes, at h = 0 too; `TestIntegerDecision`
+checks the verdicts against the oracle, that they never reach the
+`Fraction` wrappers, and that with default pairs a fault at w or in the
+folded matrix after a passing basis raises `InternalMismatch`.
 """
 
 import dataclasses
 import itertools
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -543,10 +548,11 @@ class TestResidualCore:
             assert first_failing_pair(bad) == (basis_vec(d, b), basis_vec(d, a))
             assert not verify_trivialization(bad, extra_random=0)
 
-    def test_basis_is_one_row_product_and_random_pairs_two_products_two_lifts(
+    def test_basis_is_one_row_product_two_packed_lifts_and_a_product_per_random_pair(
         self, instance, monkeypatch
     ):
         g, case, vectors = instance
+        d = g.torus.dim
         inside, shifted = inside_and_shifted(g, case, vectors[0])
         rows = g.factor_rows[2]  # warm: built once per gerbe
         products, lifts = [], []
@@ -563,26 +569,35 @@ class TestResidualCore:
 
         monkeypatch.setattr(triv, "int_vec_mat", counting_product)
         monkeypatch.setattr(TorusData, "mul_i_over", counting_mul_i)
+        # the packed basis vectors of the check at w, in base 2*h0*|x|_1 + 1
+        base = 2 * g.factor_bound * sum(map(abs, inside.x)) + 1
+        packed = [[base ** (d * a) for a in range(d)], [base**b for b in range(d)]]
         for k in (0, 1, 4, 10):
             products.clear()
             lifts.clear()
             assert first_failing_pair(inside, extra_random=k, seed=k) is None
             # one product of w's numerators with the rows decides every
-            # basis pair; each random pair costs two products and two lifts
+            # basis pair and feeds the check at w, which lifts its two
+            # packed vectors; each random pair is one product of its first
+            # vector with the folded matrix, and no lift
             assert products[0][0] is inside.x and products[0][1] is rows
-            assert len(products) == 1 + 2 * k
-            assert len(lifts) == 2 * k
+            assert len(products) == 1 + k
+            assert lifts == packed
+            drawn = random_verification_pairs(d, k, k)
+            assert [x for x, _ in products[1:]] == [l1 for l1, _ in drawn]
+            folded = {id(m) for _, m in products[1:]}
+            assert len(folded) <= 1 and all(len(m) == d for _, m in products[1:])
+            assert all(len(row) == 2 * d for _, m in products[1:] for row in m)
         # ten random pairs of seed 0 by default
         products.clear()
         lifts.clear()
         assert first_failing_pair(inside) is None
-        assert (len(products), len(lifts)) == (21, 20)
-        d = g.torus.dim
+        assert (len(products), len(lifts)) == (11, 2)
         drawn = random_verification_pairs(d, 10, 0)
-        assert [tuple(x) for x in lifts] == [x for pair in drawn for x in pair]
+        assert [x for x, _ in products[1:]] == [l1 for l1, _ in drawn]
         assert verify_trivialization(inside)
-        assert (len(products), len(lifts)) == (42, 40)
-        # a failing basis makes no per-pair product or lift
+        assert (len(products), len(lifts)) == (22, 4)
+        # a failing basis makes no per-pair product and no lift
         products.clear()
         lifts.clear()
         assert first_failing_pair(shifted, extra_random=10) is not None
@@ -714,6 +729,149 @@ class TestFactorRows:
         assert "factor_rows" not in vars(other)
 
 
+class TestPackedCheckAtW:
+    """With default pairs and a passing basis, `first_failing_pair` checks
+    the factors x^T*rows it decided on against one `exponent_over` call at
+    w and two packed basis vectors, whose balanced digits in base 2*h + 1,
+    h = h0*|x|_1 with h0 the gerbe's `factor_bound`, are the factors of all
+    d**2 basis pairs."""
+
+    def test_every_corruption_the_basis_passes_is_caught_at_w(self, instance):
+        # a real entry of row k moved by dw*dre moves the factor at its
+        # basis pair by the integer x_k: the basis passes, the check at w
+        # raises, also without random pairs
+        g, case, vectors = instance
+        d = g.torus.dim
+        fresh = GerbeData(g.torus, g.b, g.e)
+        ctx = TranslationContext.create(fresh, vectors[0], case)
+        assert first_failing_pair(ctx) is None
+        dre, dim, rows = fresh.factor_rows
+        caught = 0
+        for k in (k for k, y in enumerate(ctx.x) if y):
+            for n in range(d * d):
+                bad = [list(row) for row in rows]
+                bad[k][n] += ctx.dw * dre
+                vars(fresh)["factor_rows"] = dre, dim, bad
+                h = int_vec_mat(ctx.x, bad)
+                assert triv._first_failing_basis(*triv._folded_residual(ctx, h)) is None
+                for extra in (10, 0):
+                    with pytest.raises(InternalMismatch):
+                        first_failing_pair(ctx, extra_random=extra)
+                caught += 1
+        assert caught >= d * d
+        vars(fresh)["factor_rows"] = dre, dim, rows
+        assert first_failing_pair(ctx) is None
+
+    @pytest.mark.parametrize("case", list(SubgroupCase), ids=lambda c: c.value)
+    @pytest.mark.parametrize("twisted", [False, True], ids=["standard", "twisted"])
+    def test_zero_vector_and_zero_form_pack_in_base_one(self, case, twisted, monkeypatch):
+        # w = 0 or E = 0 gives h = 0: B = 1 packs every basis vector as 1,
+        # every digit is 0 and the numerator itself is the rest
+        g, vectors = conjugated_instance(2, 1, case, twisted)
+        d = g.torus.dim
+        flat = GerbeData(g.torus, g.b, AltForm3.from_coeffs(d, {}))
+        assert flat.factor_bound == 0 and g.factor_bound > 0
+        contexts = [
+            TranslationContext.create(g, (F(0),) * d, case),
+            TranslationContext.create(flat, vectors[0], case),
+            TranslationContext.create(flat, mixed_vec(random.Random(5), d), case),
+        ]
+        assert g.factor_rows and flat.factor_rows  # warm: built once per gerbe
+        lifts = []
+        mul_i_over = TorusData.mul_i_over
+
+        def counting_mul_i(torus, x):
+            lifts.append(x)
+            return mul_i_over(torus, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TorusData, "mul_i_over", counting_mul_i)
+            for ctx in contexts:
+                lifts.clear()
+                assert first_failing_pair(ctx) is None
+                assert lifts == [[1] * d, [1] * d]
+        factor = triv.exponent_over
+        for shift in (1, contexts[0].dw * contexts[0].gerbe.factor_rows[0]):
+
+            def moved(torus, e3, a, b, c, shift=shift):
+                re, dre, im, dim = factor(torus, e3, a, b, c)
+                return re + shift, dre, im, dim
+
+            with monkeypatch.context() as patch:
+                patch.setattr(triv, "exponent_over", moved)
+                for ctx in contexts:
+                    for extra in (10, 0):
+                        with pytest.raises(InternalMismatch):
+                            first_failing_pair(ctx, extra_random=extra)
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_check_at_w_reaches_the_bound(self, scale):
+        # the torus of `TestFactorRows.test_digit_bound_is_reached`, where
+        # the factor at (e_0, e_1, e_2) is h0 = 48: at w = scale*e_0 the
+        # factor at (e_1, e_2) is the largest digit h = 48*scale, which a
+        # smaller base misreads
+        j = to_mat(((1, -1, -1, 0), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, F(1, 2))))
+        t = object.__new__(TorusData)
+        vars(t).update(n=2, j=j, jt=tuple(zip(*j)))
+        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+        g = types.SimpleNamespace(
+            torus=t,
+            e=e3,
+            factor_rows=gerbe_module.basis_factor_rows(t, e3),
+            factor_bound=gerbe_module.factor_digit_bound(t, e3),
+        )
+        assert g.factor_bound == 48
+        x = [scale, 0, 0, 0]
+        ctx = types.SimpleNamespace(gerbe=g, dw=1, x=x, ix=t.mul_i_over(x))
+        h = int_vec_mat(x, g.factor_rows[2])
+        assert h[1 * 4 + 2] == 48 * scale
+        triv._check_at_w(ctx, h)
+        for n in (1 * 4 + 2, 16 + 3):
+            bad = list(h)
+            bad[n] -= 1
+            with pytest.raises(InternalMismatch):
+                triv._check_at_w(ctx, bad)
+
+    def test_bound_reads_e_and_j_once_per_gerbe(self, instance, monkeypatch):
+        g, case, vectors = instance
+        rows = g.factor_rows  # warm: built once per gerbe
+        calls = []
+        bound = gerbe_module.factor_digit_bound
+
+        def counting(torus, e3):
+            calls.append(e3)
+            return bound(torus, e3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the bound read the factor rows")
+
+        monkeypatch.setattr(gerbe_module, "factor_digit_bound", counting)
+        # the rows build takes its base from the same bound
+        assert gerbe_module.basis_factor_rows(g.torus, g.e) == rows
+        assert calls == [g.e]
+        monkeypatch.setattr(gerbe_module, "basis_factor_rows", forbidden)
+        fresh = GerbeData(g.torus, g.b, g.e)
+        assert fresh.factor_bound == bound(g.torus, g.e)
+        assert fresh.factor_bound == fresh.factor_bound  # the second read is cached
+        assert calls == [g.e, g.e]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda h: st.tuples(
+                st.just(h),
+                st.lists(st.integers(-h, h), max_size=8),
+                st.integers(-10**6, 10**6),
+            )
+        )
+    )
+    def test_property_balanced_digits_read_back_the_packed_values(self, drawn):
+        h, values, rest = drawn
+        base = 2 * h + 1
+        n = sum(v * base**k for k, v in enumerate(values)) + rest * base ** len(values)
+        assert gerbe_module.balanced_digits(n, h, len(values)) == [*values, rest]
+
+
 def oracle_first_failure(ctx, pairs):
     """The first of pairs whose oracle residual is not an integer constant."""
     return next(
@@ -806,26 +964,55 @@ class TestIntegerDecision:
     def test_random_pair_failing_after_basis_raises(self, instance, monkeypatch):
         g, case, vectors = instance
         d = g.torus.dim
-        core = triv._residual_over
-
-        def broken_off_basis(ctx, x1, x2):
-            # bilinearity broken only where a vector is not a basis vector
-            c_re, c_im, h = core(ctx, x1, x2)
-            if sorted(x1) != [0] * (d - 1) + [1] or sorted(x2) != [0] * (d - 1) + [1]:
-                c_im += 1
-            return c_re, c_im, h
-
-        monkeypatch.setattr(triv, "_residual_over", broken_off_basis)
         ctx = TranslationContext.create(g, vectors[0], case)
-        with pytest.raises(InternalMismatch):
-            verify_trivialization(ctx)
-        with pytest.raises(InternalMismatch):
-            first_failing_pair(ctx, seed=7)
-        # without random pairs the basis alone decides
-        assert verify_trivialization(ctx, extra_random=0)
-        # explicit pairs keep first-failure semantics
         e0, off = basis_vec(d, 0), (F(1),) * d
-        assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) == (off, e0)
+
+        def is_basis(x) -> bool:
+            return sorted(x) == [0] * (d - 1) + [1]
+
+        # a fault in the translation factor at w, away from the basis
+        # vectors: the packed check at w raises, with or without random pairs
+        factor = triv.exponent_over
+
+        def broken_off_basis(torus, e3, a, b, c):
+            re, dre, im, dim = factor(torus, e3, a, b, c)
+            if not (is_basis(b[1]) and is_basis(c[1])):
+                im += 1
+            return re, dre, im, dim
+
+        with monkeypatch.context() as patch:
+            patch.setattr(triv, "exponent_over", broken_off_basis)
+            for extra in (10, 0):
+                with pytest.raises(InternalMismatch):
+                    verify_trivialization(ctx, extra_random=extra)
+            with pytest.raises(InternalMismatch):
+                first_failing_pair(ctx, seed=7)
+            # explicit pairs keep first-failure semantics
+            assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) == (off, e0)
+
+        # a fault in the folded matrix as a random pair reads it, off the
+        # basis: imaginary column 0 of x1^T*folded moves by 1, so the pair's
+        # imaginary part by its second vector's entry 0
+        product = triv.int_vec_mat
+
+        def broken_folded(x, m):
+            y = product(x, m)
+            if len(y) == 2 * d and not is_basis(x):
+                y[d] += 1
+            return y
+
+        for seed in (0, 7):
+            drawn = random_verification_pairs(d, 10, seed)
+            assert any(l2[0] and not is_basis(l1) for l1, l2 in drawn)
+        with monkeypatch.context() as patch:
+            patch.setattr(triv, "int_vec_mat", broken_folded)
+            with pytest.raises(InternalMismatch):
+                verify_trivialization(ctx)
+            with pytest.raises(InternalMismatch):
+                first_failing_pair(ctx, seed=7)
+            # without random pairs the basis and the check at w decide
+            assert verify_trivialization(ctx, extra_random=0)
+            assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) is None
 
     def test_internal_mismatch_lives_below_trivialization(self):
         import torusgerbe
