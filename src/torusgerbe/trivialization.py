@@ -46,7 +46,7 @@ class TranslationContext:
     kept on the gerbe (`GerbeData.basis_records`).  The record of any other
     w = x/dw is sum_k x_k*(record of e_k) over dw times their den: the same
     integers as built directly, since no step of the direct build reduces
-    its denominator.
+    its denominator.  So is the coboundary form, read without a kernel.
     """
 
     gerbe: GerbeData
@@ -80,7 +80,7 @@ class TranslationContext:
     def basis(gerbe: GerbeData, case: SubgroupCase) -> tuple["TranslationContext", ...]:
         """The records of the lattice basis vectors e_1..e_d, built once per
         (gerbe, case)."""
-        return _basis_records(gerbe, SubgroupCase(case))[0]
+        return _basis_records(gerbe, SubgroupCase(case)).records
 
     @functools.cached_property
     def forms(self) -> VectorForms:
@@ -99,53 +99,65 @@ class TranslationContext:
     @functools.cached_property
     def kernel(self) -> tuple[int, tuple]:
         """(den, (qre, qim, re, im)): the trivializer as four d x d integer
-        matrices over one denominator, read off the record and J's columns
-        alone.  At a lattice vector lam its linear part is (re + i*im)*lam /
-        den and its constant lam^T*(qre + i*qim)*lam / den, where, with eps
-        the integral piece (E(w,.,.) in the integral case, zero in the other),
-
-            re  = -J^T*R_w                                  im  = -R_w
-            qre = M_w/4 - (strict upper triangle of eps)/2  qim = J^T*F_w/4
-
-        Only the symmetric part of qre enters the constant; that of M_w/4 is
-        the symmetric part of J^T*omega_i/16 for omega_i = E(iw,.,.).
-        """
-        t = self.gerbe.torus
-        dj = t.j_columns[0]
-        # J^T*R = (R^T*J)^T, and J^T*F = -(F*J)^T
-        rj, fj = t.times_j(list(zip(*self.r))), t.times_j(self.f)
-        ke = 2 * dj if self.case is SubgroupCase.INTEGRAL else 0  # eps = E(w,.,.) or 0
-        qre = [
-            [dj * y - (ke * e if a < b else 0) for b, (y, e) in enumerate(zip(mr, er))]
-            for a, (mr, er) in enumerate(zip(self.m, self.omega))
-        ]
-        qim = [[-y for y in row] for row in zip(*fj)]
-        re = [[-4 * y for y in row] for row in zip(*rj)]
-        im = [[-4 * dj * y for y in row] for row in self.r]
-        return 4 * dj * self.den, (qre, qim, re, im)
+        matrices over one denominator, `_kernel_blocks` of the record."""
+        return _kernel_den(self), _kernel_blocks(self)
 
     @functools.cached_property
     def coboundary(self) -> tuple[list, list]:
-        """(ar, ai) over kernel[0]: the lattice coboundary T(l2)(v + l1) -
+        """(ar, ai) over `_kernel_den`: the lattice coboundary T(l2)(v + l1) -
         T(l1 + l2)(v) + T(l1)(v) of the trivializer T is the constant
         l1^T*(ar + i*ai)*l2, as T's linear part is linear in lam and its
-        constant quadratic, with ar = re - qre - qre^T, ai = im - qim - qim^T."""
-        qre, qim, re, im = self.kernel[1]
-        return tuple(
-            [[x - y - z for x, y, z in zip(*rows)] for rows in zip(lin, q, zip(*q))]
-            for lin, q in ((re, qre), (im, qim))
-        )
+        constant quadratic, with ar = re - qre - qre^T, ai = im - qim -
+        qim^T.  The kernel is linear in the record and divides nowhere, so
+        this is x^T times `_Basis.coboundary_rows`, with no kernel built."""
+        flat = int_vec_mat(self.x, _basis_records(self.gerbe, self.case).coboundary_rows)
+        d = len(self.x)
+        rows = [flat[s : s + d] for s in range(0, 2 * d * d, d)]
+        return rows[:d], rows[d:]
+
+
+def _kernel_den(ctx: TranslationContext) -> int:
+    """4*dj*den, the denominator of the kernel and the coboundary form."""
+    return 4 * ctx.gerbe.torus.j_columns[0] * ctx.den
+
+
+def _kernel_blocks(ctx: TranslationContext) -> tuple:
+    """(qre, qim, re, im): the trivializer as four d x d integer matrices
+    over k = `_kernel_den`, read off the record and J's columns alone.  At
+    a lattice vector lam its linear part is (re + i*im)*lam / k and its
+    constant lam^T*(qre + i*qim)*lam / k, where, with eps the integral
+    piece (E(w,.,.) in the integral case, zero in the other),
+
+        re  = -J^T*R_w                                  im  = -R_w
+        qre = M_w/4 - (strict upper triangle of eps)/2  qim = J^T*F_w/4
+
+    Only the symmetric part of qre enters the constant; that of M_w/4 is
+    the symmetric part of J^T*omega_i/16 for omega_i = E(iw,.,.).
+    """
+    t = ctx.gerbe.torus
+    dj = t.j_columns[0]
+    # J^T*R = (R^T*J)^T, and J^T*F = -(F*J)^T
+    rj, fj = t.times_j(list(zip(*ctx.r))), t.times_j(ctx.f)
+    ke = 2 * dj if ctx.case is SubgroupCase.INTEGRAL else 0  # eps = E(w,.,.) or 0
+    qre = [
+        [dj * y - (ke * e if a < b else 0) for b, (y, e) in enumerate(zip(mr, er))]
+        for a, (mr, er) in enumerate(zip(ctx.m, ctx.omega))
+    ]
+    qim = [[-y for y in row] for row in zip(*fj)]
+    re = [[-4 * y for y in row] for row in zip(*rj)]
+    im = [[-4 * dj * y for y in row] for row in ctx.r]
+    return qre, qim, re, im
 
 
 def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase, lifted) -> TranslationContext:
     """The record of w from its lift (dw, x, ix), unchecked: the cached
     record of a basis vector, else the combination of the basis records."""
     dw, x, ix = lifted
-    records, rows = _basis_records(gerbe, case)
-    d = len(x)
+    basis = _basis_records(gerbe, case)
+    records, d = basis.records, len(x)
     if dw == 1 and x.count(0) == d - 1 and 1 in x:
         return records[x.index(1)]
-    flat = int_vec_mat(x, rows)
+    flat = int_vec_mat(x, basis.rows)
     omega, f, m, r = (
         [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
     )
@@ -185,15 +197,35 @@ def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
     return all(4 * y == z for fr, row in zip(f, omega) for y, z in zip(fr, row))
 
 
-def _stacked(records) -> tuple[tuple, list]:
-    """(records, rows) for the basis records e_1..e_d: row k holds record
-    k's omega, f, m and r flattened, so x^T*rows is the four matrices of
-    x/dw flattened, over dw*records[0].den."""
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """The basis records e_1..e_d of a (gerbe, case): row k of `rows` holds
+    record k's omega, f, m and r flattened, so x^T*rows is the four
+    matrices of x/dw flattened, over dw*records[0].den."""
+
+    records: tuple
+    rows: list
+
+    @functools.cached_property
+    def coboundary_rows(self) -> list[list[int]]:
+        """Row k: (ar, ai) of record k flattened, from its `_kernel_blocks`;
+        no kernel is cached on the records."""
+        rows = []
+        for qre, qim, re, im in map(_kernel_blocks, self.records):
+            halves = ((re, qre), (im, qim))
+            rows.append(
+                [x - y - z for a, q in halves for r in zip(a, q, zip(*q)) for x, y, z in zip(*r)]
+            )
+        return rows
+
+
+def _stacked(records) -> _Basis:
+    """The `_Basis` of the basis records e_1..e_d."""
     rows = [[y for mat in (b.omega, b.f, b.m, b.r) for row in mat for y in row] for b in records]
-    return tuple(records), rows
+    return _Basis(tuple(records), rows)
 
 
-def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> tuple[tuple, list]:
+def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
     """`_stacked` of the basis records of case, built once per gerbe."""
     basis = gerbe.basis_records.get(case)
     if basis is None:
@@ -229,6 +261,8 @@ def integral_part_exponent(ctx: TranslationContext, lam) -> Fraction:
     """Constant exponent -1/2 * sum_{i<j} lam_i lam_j eps_ij over the basis
     in index order; defined for lattice vectors only."""
     lam = to_vec(lam)
+    if len(lam) != ctx.gerbe.torus.dim:
+        raise ValueError("dimension mismatch")
     if not vec_is_integral(lam):
         raise ValueError("defined on lattice (integer) vectors only")
     eps = ctx.dec.integral_part
@@ -283,9 +317,9 @@ def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
 def _residual_over(ctx: TranslationContext, x1, x2) -> tuple:
     """(c_re, c_im, h): the residual at the lattice pair (x1, x2) in integers.
 
-    c_re + i*c_im over ctx.kernel[0] is the coboundary x1^T*(ar + i*ai)*x2 of
-    the trivializer (`TranslationContext.coboundary`), whose linear part is
-    zero.  h = (re, dre, im, dim) is the translation factor H_{x1,x2}(w)
+    c_re + i*c_im over `_kernel_den` is the coboundary x1^T*(ar + i*ai)*x2
+    of the trivializer (`TranslationContext.coboundary`), whose linear part
+    is zero.  h = (re, dre, im, dim) is the translation factor H_{x1,x2}(w)
     from E and J alone (`exponent_over`).
     """
     ar, ai = ctx.coboundary
@@ -302,42 +336,23 @@ def _residual_passes(k: int, c_re: int, c_im: int, re: int, dre: int, im: int, d
     return c_im * dim + im * k == 0 and (c_re * dre + re * k) % (k * dre) == 0
 
 
-def _folded_residual(ctx: TranslationContext, h: list) -> tuple[int, list]:
-    """(modulus, folded): the residual of every lattice pair on one d x 2d
-    integer matrix, from the record's coboundary form (ar, ai) over k =
-    ctx.kernel[0] and h = x^T*rows of the gerbe's `factor_rows`, the
-    translation factors (hre, him) of the basis pairs over (dre, dim) =
-    dw times the rows' denominators.  Row a is
-
-        [ar[a][b]*dre + hre[a][b]*k for b] + [ai[a][b]*dim + him[a][b]*k for b]
-
-    so by bilinearity the residual at (x1, x2) is x1^T*folded*x2 over
-    k*dre for its first d columns and k*dim for its last d: it is an
-    integer constant when the first is divisible by modulus = k*dre and the
-    second is zero, the test of `_residual_passes`.
+def _folded_residual(ctx: TranslationContext, h: list) -> tuple[int, list, list]:
+    """(modulus, fre, fim): the residual of every lattice pair on two
+    flattened d x d integer matrices, from the coboundary form (ar, ai)
+    over k = `_kernel_den` and h = x^T*rows of the gerbe's `factor_rows`,
+    the factors (hre, him) of the basis pairs over (dre, dim) = dw times
+    the rows' denominators: fre = ar*dre + hre*k, fim = ai*dim + him*k.
+    By bilinearity the residual at (x1, x2) is [u*v for u in x1 for v in
+    x2] dotted with fre over k*dre and with fim over k*dim: an integer
+    constant when the first is divisible by modulus = k*dre and the second
+    is zero, the test of `_residual_passes`.
     """
-    d, k = len(ctx.x), ctx.kernel[0]
+    k, n = _kernel_den(ctx), len(ctx.x) ** 2
     dre, dim = (ctx.dw * y for y in ctx.gerbe.factor_rows[:2])
     ar, ai = ctx.coboundary
-    n = d * d
-    folded = [
-        [c * dre + y * k for c, y in zip(cre, h[s : s + d])]
-        + [c * dim + y * k for c, y in zip(cim, h[n + s : n + s + d])]
-        for cre, cim, s in zip(ar, ai, range(0, n, d))
-    ]
-    return k * dre, folded
-
-
-def _first_failing_basis(modulus: int, folded: list) -> tuple[int, int] | None:
-    """(a, b) of the first basis pair (e_a, e_b) in row-major order whose
-    residual, entry (a, b) of each half of `_folded_residual`, is not an
-    integer constant, or None."""
-    d = len(folded)
-    for a, row in enumerate(folded):
-        for b in range(d):
-            if row[d + b] or row[b] % modulus:
-                return a, b
-    return None
+    fre = [c * dre + y * k for c, y in zip(itertools.chain(*ar), h)]
+    fim = [c * dim + y * k for c, y in zip(itertools.chain(*ai), h[n:])]
+    return k * dre, fre, fim
 
 
 def _check_at_w(ctx: TranslationContext, h: list) -> None:
@@ -370,13 +385,15 @@ def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     """Exponent of exp(H_{l1,l2}(w)) times the coboundary of the trivializer.
 
     The coboundary is the constant l1^T*(ar + i*ai)*l2 over the kernel's
-    denominator, so the linear part is zero here by construction; for w in
-    the decomposition subgroup the constant is a real integer.  It comes
-    from the integer residual that `first_failing_pair` decides on.
+    denominator (`TranslationContext.coboundary`), so the linear part is
+    zero here by construction; for w in the decomposition subgroup the
+    constant is a real integer.  It comes from the integer residual that
+    `first_failing_pair` decides on.
     """
     c_re, c_im, (re, dre, im, dim) = _residual_over(ctx, *_lattice_pair(ctx, l1, l2))
     h = GaussianRational(Fraction(re, dre), Fraction(im, dim))
-    return _exponent_of([c_re, c_im, *[0] * (2 * ctx.gerbe.torus.dim)], ctx.kernel[0]).add_const(h)
+    nums = [c_re, c_im, *[0] * (2 * ctx.gerbe.torus.dim)]
+    return _exponent_of(nums, _kernel_den(ctx)).add_const(h)
 
 
 def residual_is_trivial(r: ExponentFn) -> bool:
@@ -388,11 +405,17 @@ def random_verification_pairs(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """count seeded integer pairs in [-3, 3], generated lazily as `int`
     tuples: each is one draw below 7**(2*dim), whose base-7 digits minus 3,
-    lowest first, are l1 and then l2."""
-    rng = random.Random(seed)
-    span, powers = 7 ** (2 * dim), [7**k for k in range(2 * dim)]
-    for _ in range(count):
-        n = rng.randrange(span)
+    lowest first, are l1 and then l2.  ValueError for count < 0."""
+    if count < 0:
+        raise ValueError("the random pair count must be non-negative")
+    return _seeded_pairs(dim, count, seed)
+
+
+def _seeded_pairs(dim: int, count: int, seed: int):
+    """`random_verification_pairs` once its count is checked: nothing is
+    seeded or drawn before the first pair is read."""
+    rng, powers = random.Random(seed), [7**k for k in range(2 * dim)]
+    for n in map(rng.randrange, [7 ** (2 * dim)] * count):
         digits = [n // p % 7 - 3 for p in powers]
         yield tuple(digits[:dim]), tuple(digits[dim:])
 
@@ -415,26 +438,29 @@ def first_failing_pair(
     - `_check_at_w` compares those factors with the translation factor at
       w itself, from E and J, in one packed `exponent_over` call;
     - the extra_random `random_verification_pairs` of seed are read off
-      the folded matrix, one product and two dot products each.
+      its two flattened halves, one Kronecker list and two dots each.
     Explicit pairs are checked one at a time, in order, each on the
     residual from `_residual_over`, whose factor comes from E and J at w.
     """
     d = ctx.gerbe.torus.dim
+    drawn = random_verification_pairs(d, extra_random, seed)
     if pairs is not None:
+        k = _kernel_den(ctx)
         for x1, x2 in (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs):
             c_re, c_im, h = _residual_over(ctx, x1, x2)
-            if not _residual_passes(ctx.kernel[0], c_re, c_im, *h):
+            if not _residual_passes(k, c_re, c_im, *h):
                 return to_vec(x1), to_vec(x2)
         return None
     h = int_vec_mat(ctx.x, ctx.gerbe.factor_rows[2])
-    modulus, folded = _folded_residual(ctx, h)
-    failing = _first_failing_basis(modulus, folded)
+    modulus, fre, fim = _folded_residual(ctx, h)
+    # the first basis pair (e_a, e_b), at a*d + b, that fails
+    failing = next((n for n, (y, z) in enumerate(zip(fre, fim)) if z or y % modulus), None)
     if failing is not None:
-        return tuple(basis_vec(d, a) for a in failing)
+        return tuple(basis_vec(d, a) for a in divmod(failing, d))
     _check_at_w(ctx, h)
-    for x1, x2 in random_verification_pairs(d, extra_random, seed):
-        y = int_vec_mat(x1, folded)
-        if int_dot(y[d:], x2) or int_dot(y[:d], x2) % modulus:
+    for x1, x2 in drawn:
+        pair = [u * v for u in x1 for v in x2]
+        if int_dot(pair, fim) or int_dot(pair, fre) % modulus:
             raise InternalMismatch("a random pair failed where every basis pair passed")
     return None
 
@@ -456,8 +482,8 @@ def verify_trivialization(
     Two self-checks follow a passing basis: the factors read off the rows
     are compared with the factor at w itself, from E and J, for all basis
     pairs in one packed evaluation, and the extra_random seeded pairs, one
-    draw each, are read off the same residual matrix.  Either failing
-    raises InternalMismatch.
+    draw each, are read off the same residual.  Either failing raises
+    InternalMismatch; a negative extra_random is a ValueError.
     Every pair checks that the imaginary constant cancels and the real one
     is an integer.  With explicit pairs the answer is whether all of them
     pass.  False witnesses that w is not a symmetry of the gerbe for the

@@ -157,6 +157,20 @@ class TestIntegralPartExponent:
         with pytest.raises(ValueError):
             integral_part_exponent(ctx, vec(F(1, 2), 0, 0, 0))
 
+    def test_length_is_checked(self):
+        # a short vector summed over its own coordinates read 0, a long one
+        # raised IndexError; both are the package's dimension mismatch
+        contexts = (
+            ctx4(2, vec(F(1, 2), 0, 0, 0)),
+            TranslationContext.create(gerbe6(), vec(F(1, 2), 0, 0, 0, 0, 0), ONEONE),
+        )
+        for ctx in contexts:
+            d = ctx.gerbe.torus.dim
+            for lam in ((1,), (1,) * (d - 1), (1,) * (d + 1), (0,) * (d + 3)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    integral_part_exponent(ctx, lam)
+            assert integral_part_exponent(ctx, (0,) * d) == 0
+
 
 class TestInvariantPartExponent:
     def test_zero_invariant_part(self):

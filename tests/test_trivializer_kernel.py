@@ -14,26 +14,31 @@ inside and outside the case subgroup.
 The kernel is four named d x d blocks (qre, qim, re, im).  Since the
 trivializer's linear part is linear in the lattice vector and its constant
 quadratic, its lattice coboundary is the constant l1^T*(ar + i*ai)*l2 of
-one bilinear form per record, `TranslationContext.coboundary`.
+one bilinear form per record, `TranslationContext.coboundary`.  Kernel and
+form are linear in the record, so the form is x^T times per-basis
+coboundary rows, each read off a basis record's own kernel, built once per
+(gerbe, case); a record builds its kernel only for `trivializing_exponent`.
 `first_failing_pair` decides each pair on integers, without a `Fraction`:
 that form at the two lattice vectors and the translation factor from E and
 J.  The basis pairs read the factor off the gerbe's `factor_rows`, one
-integer row per basis vector, and are decided on one folded residual
-matrix; one packed `exponent_over` call at w then checks those factors,
-and the seeded random pairs are read off the same matrix.  Explicit pairs
-go through one private residual core (`_residual_over`), which evaluates
-the factor at w.
-`TestResidualCore` checks the form against the three-point evaluation of
-`trivializing_exponent` (on kernels overwritten with arbitrary integers
-too), the core's residuals against the oracle, that a corrupted linear
-block is caught on the expected basis pair, and that a passing query costs
-one product with the per-gerbe factor rows, two packed lifts and one
-product per random pair; `TestFactorRows` checks those rows against
-`exponent_over`; `TestPackedCheckAtW` checks that the packed check catches
-every row corruption the basis passes, at h = 0 too; `TestIntegerDecision`
-checks the verdicts against the oracle, that they never reach the
-`Fraction` wrappers, and that with default pairs a fault at w or in the
-folded matrix after a passing basis raises `InternalMismatch`.
+integer row per basis vector, and are decided on the two flattened halves
+of one folded residual; one packed `exponent_over` call at w then checks
+those factors, and each seeded random pair is its Kronecker list dotted
+with the same halves.  Explicit pairs go through one private residual core
+(`_residual_over`), which evaluates the factor at w.
+`TestResidualCore` checks the form against the record's own kernel and
+against the three-point evaluation of `trivializing_exponent` (on basis
+kernels overwritten with arbitrary integers too), the Kronecker reading
+against x1^T*folded*x2, the core's residuals against the oracle, that a
+corrupted linear block of a basis kernel is caught on the expected basis
+pair, and that a passing query costs two row products, two packed lifts
+and two dot products per random pair; `TestFactorRows` checks the factor
+rows against `exponent_over`; `TestPackedCheckAtW` checks that the packed
+check catches every row corruption the basis passes, at h = 0 too;
+`TestIntegerDecision` checks the verdicts against the oracle, that they
+never reach the `Fraction` wrappers, and that with default pairs a fault
+at w or in a flattened half after a passing basis raises
+`InternalMismatch`.
 """
 
 import dataclasses
@@ -70,6 +75,7 @@ from torusgerbe.trivialization import first_failing_pair, random_verification_pa
 
 from helpers import (
     conjugated_instance,
+    corrupt_basis_record,
     oracle_pair_exponent,
     rand_vec,
     reference_exponent_im,
@@ -266,27 +272,36 @@ class TestTrivializerKernel:
 
     def test_kernel_built_once_per_context(self, instance, monkeypatch):
         g, case, vectors = instance
-        builds = {"kernel": [], "coboundary": []}
+        g = GerbeData(g.torus, g.b, g.e)  # fresh: no basis records yet
+        builds = {"kernel": [], "coboundary": [], "coboundary_rows": []}
         for name, calls in builds.items():
-            prop = vars(TranslationContext)[name]
+            owner = triv._Basis if name == "coboundary_rows" else TranslationContext
+            prop = vars(owner)[name]
 
-            def counting(ctx, build=prop.func, calls=calls):
-                calls.append(ctx)
-                return build(ctx)
+            def counting(obj, build=prop.func, calls=calls):
+                calls.append(obj)
+                return build(obj)
 
             monkeypatch.setattr(prop, "func", counting)
         ctx = TranslationContext.create(g, vectors[0], case)
+        basis = g.basis_records[case]
         assert verify_trivialization(ctx)
+        # the identity reads the coboundary form, x^T times the rows of the
+        # (gerbe, case), and builds no kernel, on the record or the basis
+        assert builds == {"kernel": [], "coboundary": [ctx], "coboundary_rows": [basis]}
+        assert not any("kernel" in vars(b) for b in basis.records)
         for k in range(g.torus.dim):
             trivializing_exponent(ctx, basis_vec(g.torus.dim, k))
             trivialization_residual(ctx, basis_vec(g.torus.dim, k), basis_vec(g.torus.dim, 0))
         # the kernel and the coboundary form, once each
-        assert builds == {"kernel": [ctx], "coboundary": [ctx]}
-        for name in builds:
+        assert builds == {"kernel": [ctx], "coboundary": [ctx], "coboundary_rows": [basis]}
+        for name in ("kernel", "coboundary"):
             assert name in vars(ctx) and name not in vars(g)
+        assert "coboundary_rows" in vars(basis)
         verify_trivialization(TranslationContext.create(g, vectors[0], case))
-        # a new context builds its own
-        assert [len(calls) for calls in builds.values()] == [2, 2]
+        # a new context builds its own coboundary form, still no kernel, and
+        # reads the same rows
+        assert [len(calls) for calls in builds.values()] == [1, 2, 1]
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -381,6 +396,27 @@ class TestVerificationPairs:
             assert sum(1 for _ in pairs) == extra
             assert draws == [(7 ** (2 * dim),)] * extra
 
+    def test_negative_count_raises_at_the_call(self, instance):
+        # it read as no random pairs, so a query with a negative count passed
+        # on the basis pairs alone
+        with pytest.raises(ValueError, match="non-negative"):
+            random_verification_pairs(4, -1)
+        assert list(random_verification_pairs(4, 0)) == []
+        g, case, vectors = instance
+        d = g.torus.dim
+        inside = TranslationContext.create(g, vectors[0], case)
+        w = outside_vector(random.Random(32), g, case)
+        outside = TranslationContext.create(g, w, case, check=False)
+        e0 = basis_vec(d, 0)
+        for ctx in (inside, outside):
+            for pairs in (None, [(e0, e0)]):
+                with pytest.raises(ValueError, match="non-negative"):
+                    verify_trivialization(ctx, pairs, extra_random=-1)
+                with pytest.raises(ValueError, match="non-negative"):
+                    first_failing_pair(ctx, pairs, extra_random=-3, seed=2)
+        assert verify_trivialization(inside, extra_random=0)
+        assert not verify_trivialization(outside, extra_random=0)
+
     def test_first_random_pairs_pinned(self):
         # one draw below 7**4 per pair, its base-7 digits minus 3, lowest first
         drawn = list(random_verification_pairs(2, 3, seed=0))
@@ -438,13 +474,43 @@ def with_kernel(ctx, den, blocks):
     return fresh
 
 
-def corrupted(ctx, block, a, b):
-    """A fresh copy of the record with entry (a, b) of one kernel block
-    raised by 1."""
-    den, blocks = ctx.kernel
-    blocks = [[list(row) for row in m] for m in blocks]
-    blocks[BLOCKS.index(block)][a][b] += 1
-    return with_kernel(ctx, den, blocks)
+def patch_basis_kernels(patch, g, case, blocks_of):
+    """Make the coboundary rows of (g, case) read the kernel blocks
+    blocks_of(j, blocks) of each basis record e_j in place of its own
+    blocks; g's rows must not be built yet."""
+    basis = TranslationContext.basis(g, case)
+    assert "coboundary_rows" not in vars(g.basis_records[case])
+    kernel_blocks = triv._kernel_blocks
+
+    def patched(ctx):
+        blocks = kernel_blocks(ctx)
+        j = next((j for j, b in enumerate(basis) if b is ctx), None)
+        return blocks if j is None else blocks_of(j, blocks)
+
+    patch.setattr(triv, "_kernel_blocks", patched)
+
+
+def corrupt_basis_kernel(patch, g, case, k, block, a, b):
+    """Raise entry (a, b) of one kernel block of the basis record of e_k by
+    1, as the coboundary rows of the fresh gerbe g read it."""
+
+    def raised(j, blocks):
+        blocks = [[list(row) for row in m] for m in blocks]
+        blocks[BLOCKS.index(block)][a][b] += int(j == k)
+        return tuple(blocks)
+
+    patch_basis_kernels(patch, g, case, raised)
+
+
+def kernel_coboundary(blocks):
+    """(ar, ai) = (re - qre - qre^T, im - qim - qim^T) of the kernel blocks
+    (qre, qim, re, im), entry by entry."""
+    qre, qim, re, im = blocks
+    d = len(re)
+    return tuple(
+        [[lin[a][b] - q[a][b] - q[b][a] for b in range(d)] for a in range(d)]
+        for lin, q in ((re, qre), (im, qim))
+    )
 
 
 class TestResidualCore:
@@ -500,12 +566,66 @@ class TestResidualCore:
         assert core_residual(ctx, va, l2) == reference_trivialization_residual(ctx, ea, l2)
         assert core_residual(ctx, l1, va) == reference_trivialization_residual(ctx, l1, ea)
 
+    def test_coboundary_is_read_off_the_record_kernel(self, instance):
+        # the product with the per-basis coboundary rows gives the integers
+        # of the record's own kernel, and of the directly built record's
+        g, case, vectors = instance
+        d = g.torus.dim
+        rng = random.Random(24)
+        shifted = [tuple(x + F(1, 3) for x in w) for w in vectors]
+        drawn = [mixed_vec(rng, d) for _ in range(4)]
+        members = []
+        for w in [(0,) * d, *vectors, *shifted, *drawn, *g.torus.basis()]:
+            ctx = TranslationContext.create(g, w, case, check=False)
+            direct = triv._direct_record(g, to_vec(w), case)
+            assert ctx.coboundary == kernel_coboundary(ctx.kernel[1])
+            assert ctx.coboundary == kernel_coboundary(direct.kernel[1])
+            assert ctx.kernel[0] == triv._kernel_den(ctx) == direct.kernel[0]
+            members.append(ctx.member)
+        assert any(members) and not all(members)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_coboundary_is_read_off_the_record_kernel(self, data):
+        g, case, vectors = drawn_gerbe(data)
+        d = g.torus.dim
+        rat = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 8)))
+        w = data.draw(st.one_of(st.sampled_from(vectors), st.tuples(*[rat] * d)), label="w")
+        ctx = TranslationContext.create(g, w, case, check=False)
+        assert ctx.coboundary == kernel_coboundary(ctx.kernel[1])
+        assert ctx.kernel[0] == triv._kernel_den(ctx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_kronecker_list_reads_the_folded_residual(self, data):
+        # x1^T*folded*x2 of each flattened half is the Kronecker list of
+        # (x1, x2) dotted with it, and is the residual of the explicit-pair
+        # core, whose factor comes from E and J at w
+        g, case, vectors = drawn_gerbe(data)
+        d = g.torus.dim
+        w = data.draw(st.sampled_from(vectors), label="w")
+        ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
+        modulus, fre, fim = triv._folded_residual(ctx, int_vec_mat(ctx.x, g.factor_rows[2]))
+        k = triv._kernel_den(ctx)
+        dre, dim = (ctx.dw * y for y in g.factor_rows[:2])
+        assert modulus == k * dre and len(fre) == len(fim) == d * d
+        lat = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+        x1, x2 = data.draw(lat, label="l1"), data.draw(lat, label="l2")
+        pair = [u * v for u in x1 for v in x2]
+        for half in (fre, fim):
+            folded = [half[s : s + d] for s in range(0, d * d, d)]
+            assert int_dot(pair, half) == int_dot(int_vec_mat(x1, folded), x2)
+        c_re, c_im, (re, dre_w, im, dim_w) = triv._residual_over(ctx, x1, x2)
+        assert F(int_dot(pair, fre), k * dre) == F(c_re, k) + F(re, dre_w)
+        assert F(int_dot(pair, fim), k * dim) == F(c_im, k) + F(im, dim_w)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_property_coboundary_is_the_three_point_evaluation(self, data):
         # T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) is the constant
         # l1^T*(ar + i*ai)*l2 over the kernel's denominator, whatever the
-        # integers of the four blocks
+        # integers of the four blocks of each basis record: the coboundary
+        # rows read them, and the record's kernel is x^T times them
         n = data.draw(st.sampled_from((2, 3)), label="n")
         case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
         twisted = data.draw(st.booleans(), label="twisted")
@@ -513,11 +633,20 @@ class TestResidualCore:
         d = g.torus.dim
         w = data.draw(st.sampled_from(vectors), label="w")
         ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
-        if data.draw(st.booleans(), label="arbitrary kernel"):
+        if data.draw(st.booleans(), label="arbitrary basis kernels"):
             entries = st.lists(st.integers(-50, 50), min_size=d, max_size=d)
             block = st.lists(entries, min_size=d, max_size=d)
-            den = data.draw(st.integers(1, 60), label="den")
-            ctx = with_kernel(ctx, den, [data.draw(block, label=name) for name in BLOCKS])
+            drawn = [
+                [data.draw(block, label=f"{name} of e_{j}") for name in BLOCKS] for j in range(d)
+            ]
+            with pytest.MonkeyPatch.context() as patch:
+                patch_basis_kernels(patch, g, case, lambda j, blocks: tuple(drawn[j]))
+                assert triv._basis_records(g, case).coboundary_rows  # read the drawn blocks
+            combined = [
+                [int_vec_mat(ctx.x, [kernels[i][a] for kernels in drawn]) for a in range(d)]
+                for i in range(len(BLOCKS))
+            ]
+            ctx = with_kernel(ctx, triv._kernel_den(ctx), combined)
         basis = [basis_vec(d, k) for k in range(d)]
         drawn = st.tuples(*[st.builds(F, st.integers(-3, 3))] * d)
         l1, l2 = (data.draw(st.one_of(st.sampled_from(basis), drawn)) for _ in range(2))
@@ -536,26 +665,39 @@ class TestResidualCore:
         assert trivialization_residual(ctx, l1, l2) == three.add_const(h)
 
     @pytest.mark.parametrize("block", ["re", "im"])
-    def test_corrupted_linear_column_fails_on_its_basis_pair(self, instance, block):
-        # entry (b, a) of re or im is entry (b, a) of the coboundary form, so
-        # it moves the constant of the residual at (e_b, e_a) only
+    def test_corrupted_linear_column_fails_on_its_basis_pair(self, instance, block, monkeypatch):
+        # entry (b, a) of re or im of e_k's kernel is entry (b, a) of e_k's
+        # coboundary row, so it moves the constant of the residual of w =
+        # x/dw at (e_b, e_a) only, by x_k over the kernel's denominator k:
+        # the real part fails unless k divides x_k, the imaginary part
+        # unless x_k = 0
         g, case, vectors = instance
         d = g.torus.dim
-        for a, b in ((0, 0), (1, d - 1), (d - 1, 2)):
-            ctx = TranslationContext.create(g, vectors[0], case)
-            assert first_failing_pair(ctx) is None
-            bad = corrupted(ctx, block, b, a)
-            assert first_failing_pair(bad) == (basis_vec(d, b), basis_vec(d, a))
-            assert not verify_trivialization(bad, extra_random=0)
+        for w in vectors:
+            assert first_failing_pair(TranslationContext.create(g, w, case)) is None
+        failed = 0
+        for (a, b), k in itertools.product(((0, 0), (1, d - 1), (d - 1, 2)), range(d)):
+            fresh = GerbeData(g.torus, g.b, g.e)
+            with monkeypatch.context() as patch:
+                corrupt_basis_kernel(patch, fresh, case, k, block, b, a)
+                for w in vectors:
+                    ctx = TranslationContext.create(fresh, w, case)
+                    fails = bool(ctx.x[k] % triv._kernel_den(ctx) if block == "re" else ctx.x[k])
+                    expected = (basis_vec(d, b), basis_vec(d, a)) if fails else None
+                    assert first_failing_pair(ctx) == expected
+                    assert verify_trivialization(ctx, extra_random=0) is not fails
+                    failed += fails
+        assert failed
 
-    def test_basis_is_one_row_product_two_packed_lifts_and_a_product_per_random_pair(
+    def test_basis_is_two_row_products_two_packed_lifts_and_two_dots_per_random_pair(
         self, instance, monkeypatch
     ):
         g, case, vectors = instance
         d = g.torus.dim
         inside, shifted = inside_and_shifted(g, case, vectors[0])
         rows = g.factor_rows[2]  # warm: built once per gerbe
-        products, lifts = [], []
+        forms = triv._basis_records(g, case).coboundary_rows  # warm: once per (gerbe, case)
+        products, lifts, dots = [], [], []
 
         def counting_product(x, m):
             products.append((x, m))
@@ -567,42 +709,59 @@ class TestResidualCore:
             lifts.append(x)
             return mul_i_over(torus, x)
 
+        def counting_dot(u, v):
+            dots.append((u, v))
+            return int_dot(u, v)
+
         monkeypatch.setattr(triv, "int_vec_mat", counting_product)
         monkeypatch.setattr(TorusData, "mul_i_over", counting_mul_i)
+        monkeypatch.setattr(triv, "int_dot", counting_dot)
+
+        def fresh_query(ctx, **kwargs):
+            """first_failing_pair on a copy of ctx that has not built its
+            coboundary form, with the counts cleared."""
+            for calls in (products, lifts, dots):
+                calls.clear()
+            copy = dataclasses.replace(ctx)
+            return copy, first_failing_pair(copy, **kwargs)
+
         # the packed basis vectors of the check at w, in base 2*h0*|x|_1 + 1
         base = 2 * g.factor_bound * sum(map(abs, inside.x)) + 1
         packed = [[base ** (d * a) for a in range(d)], [base**b for b in range(d)]]
         for k in (0, 1, 4, 10):
-            products.clear()
-            lifts.clear()
-            assert first_failing_pair(inside, extra_random=k, seed=k) is None
-            # one product of w's numerators with the rows decides every
-            # basis pair and feeds the check at w, which lifts its two
-            # packed vectors; each random pair is one product of its first
-            # vector with the folded matrix, and no lift
-            assert products[0][0] is inside.x and products[0][1] is rows
-            assert len(products) == 1 + k
+            ctx, failing = fresh_query(inside, extra_random=k, seed=k)
+            assert failing is None
+            # one product of w's numerators with the factor rows decides
+            # every basis pair and feeds the check at w, which lifts its two
+            # packed vectors, and one with the coboundary rows is the
+            # record's coboundary form; each random pair is its Kronecker
+            # list dotted with the two flattened halves of the folded
+            # residual, imaginary first, with no product and no lift
+            assert len(products) == 2 and all(x is ctx.x for x, _ in products)
+            assert products[0][1] is rows and products[1][1] is forms
             assert lifts == packed
-            drawn = random_verification_pairs(d, k, k)
-            assert [x for x, _ in products[1:]] == [l1 for l1, _ in drawn]
-            folded = {id(m) for _, m in products[1:]}
-            assert len(folded) <= 1 and all(len(m) == d for _, m in products[1:])
-            assert all(len(row) == 2 * d for _, m in products[1:] for row in m)
+            drawn = list(random_verification_pairs(d, k, k))
+            kron = [[u * v for u in l1 for v in l2] for l1, l2 in drawn]
+            assert [u for u, _ in dots] == [y for pair in kron for y in (pair, pair)]
+            if k:
+                fim, fre = dots[0][1], dots[1][1]
+                assert len(fim) == len(fre) == d * d and fim is not fre
+                assert all(v is (fim, fre)[n % 2] for n, (_, v) in enumerate(dots))
         # ten random pairs of seed 0 by default
-        products.clear()
-        lifts.clear()
-        assert first_failing_pair(inside) is None
-        assert (len(products), len(lifts)) == (11, 2)
+        ctx, failing = fresh_query(inside)
+        assert failing is None
+        assert (len(products), len(lifts), len(dots)) == (2, 2, 20)
         drawn = random_verification_pairs(d, 10, 0)
-        assert [x for x, _ in products[1:]] == [l1 for l1, _ in drawn]
-        assert verify_trivialization(inside)
-        assert (len(products), len(lifts)) == (22, 4)
-        # a failing basis makes no per-pair product and no lift
-        products.clear()
-        lifts.clear()
-        assert first_failing_pair(shifted, extra_random=10) is not None
-        assert len(products) == 1 and products[0][0] is shifted.x and products[0][1] is rows
-        assert lifts == []
+        assert [u for u, _ in dots[::2]] == [[u * v for u in l1 for v in l2] for l1, l2 in drawn]
+        # a second query on the same record reads its coboundary form again
+        assert verify_trivialization(ctx)
+        assert (len(products), len(lifts), len(dots)) == (3, 4, 40)
+        # a failing basis makes no dot product and no lift
+        ctx, failing = fresh_query(shifted, extra_random=10)
+        assert failing is not None
+        assert len(products) == 2 and all(x is ctx.x for x, _ in products)
+        assert products[0][1] is rows and products[1][1] is forms
+        assert lifts == [] and dots == []
 
 
 def drawn_gerbe(data):
@@ -753,7 +912,8 @@ class TestPackedCheckAtW:
                 bad[k][n] += ctx.dw * dre
                 vars(fresh)["factor_rows"] = dre, dim, bad
                 h = int_vec_mat(ctx.x, bad)
-                assert triv._first_failing_basis(*triv._folded_residual(ctx, h)) is None
+                modulus, fre, fim = triv._folded_residual(ctx, h)
+                assert not any(fim) and not any(y % modulus for y in fre)
                 for extra in (10, 0):
                     with pytest.raises(InternalMismatch):
                         first_failing_pair(ctx, extra_random=extra)
@@ -939,27 +1099,39 @@ class TestIntegerDecision:
             TranslationContext.create(g, outside, case, check=False)
         )
 
-    def test_corrupted_kernel_fails_on_a_basis_pair(self, instance):
+    def test_corrupted_kernel_fails_on_a_basis_pair(self, instance, monkeypatch):
+        # one entry (a, b) of qim, the imaginary quadratic part, of e_k's
+        # kernel moves ai of w at (a, b) and (b, a) by -x_k
         g, case, vectors = instance
         d = g.torus.dim
-        for a, b in ((0, 0), (1, d - 1)):
-            ctx = TranslationContext.create(g, vectors[0], case)
-            assert first_failing_pair(ctx) is None
-            # one entry of qim, the imaginary quadratic part
-            bad = corrupted(ctx, "qim", a, b)
-            expected = (basis_vec(d, min(a, b)), basis_vec(d, max(a, b)))
-            assert first_failing_pair(bad) == expected
-            assert not verify_trivialization(bad)
+        failed = 0
+        for (a, b), k in itertools.product(((0, 0), (1, d - 1)), range(d)):
+            fresh = GerbeData(g.torus, g.b, g.e)
+            with monkeypatch.context() as patch:
+                corrupt_basis_kernel(patch, fresh, case, k, "qim", a, b)
+                for w in vectors:
+                    ctx = TranslationContext.create(fresh, w, case)
+                    expected = (basis_vec(d, min(a, b)), basis_vec(d, max(a, b)))
+                    assert first_failing_pair(ctx) == (expected if ctx.x[k] else None)
+                    assert verify_trivialization(ctx) is not bool(ctx.x[k])
+                    failed += bool(ctx.x[k])
+        assert failed
 
     @pytest.mark.parametrize("name", ["m", "r"])
-    def test_corrupted_record_fails_the_identity(self, instance, name):
-        # the kernel reads M_w and R_w, the translation factor only E and J
+    def test_corrupted_record_fails_the_identity(self, instance, name, monkeypatch):
+        # the coboundary rows read M and R of the basis records, the
+        # translation factor only E and J.  Entry (0, 1) of M_{e_k} moves ar
+        # of w at (0, 1) and (1, 0) by -dj*x_k over 4*dj*den; entry (0, 1)
+        # of R_{e_k} moves ai at (0, 1) by -4*dj*x_k
         g, case, vectors = instance
+        g, d = GerbeData(g.torus, g.b, g.e), g.torus.dim
         ctx = TranslationContext.create(g, vectors[0], case)
         assert verify_trivialization(ctx)
-        m = [list(row) for row in getattr(ctx, name)]
-        m[0][1] += 1
-        assert not verify_trivialization(dataclasses.replace(ctx, **{name: m}))
+        k = next(k for k, y in enumerate(ctx.x) if y % (4 * ctx.den))
+        corrupt_basis_record(monkeypatch, g, case, k, name, 0, 1)
+        bad = TranslationContext.create(g, vectors[0], case)
+        assert first_failing_pair(bad) == (basis_vec(d, 0), basis_vec(d, 1))
+        assert not verify_trivialization(bad)
 
     def test_random_pair_failing_after_basis_raises(self, instance, monkeypatch):
         g, case, vectors = instance
@@ -990,22 +1162,28 @@ class TestIntegerDecision:
             # explicit pairs keep first-failure semantics
             assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) == (off, e0)
 
-        # a fault in the folded matrix as a random pair reads it, off the
-        # basis: imaginary column 0 of x1^T*folded moves by 1, so the pair's
-        # imaginary part by its second vector's entry 0
-        product = triv.int_vec_mat
+        # a fault in the flattened imaginary half of the folded residual as
+        # a random pair reads it, off the basis: the pair's imaginary part
+        # moves by 1 when its Kronecker list has more than one nonzero entry
+        folded, dot, halves = triv._folded_residual, triv.int_dot, []
 
-        def broken_folded(x, m):
-            y = product(x, m)
-            if len(y) == 2 * d and not is_basis(x):
-                y[d] += 1
+        def recording(ctx, h):
+            modulus, fre, fim = folded(ctx, h)
+            halves.append(fim)
+            return modulus, fre, fim
+
+        def broken_half(u, v):
+            y = dot(u, v)
+            if any(v is fim for fim in halves) and sum(map(bool, u)) > 1:
+                y += 1
             return y
 
         for seed in (0, 7):
             drawn = random_verification_pairs(d, 10, seed)
-            assert any(l2[0] and not is_basis(l1) for l1, l2 in drawn)
+            assert any(sum(map(bool, l1)) * sum(map(bool, l2)) > 1 for l1, l2 in drawn)
         with monkeypatch.context() as patch:
-            patch.setattr(triv, "int_vec_mat", broken_folded)
+            patch.setattr(triv, "_folded_residual", recording)
+            patch.setattr(triv, "int_dot", broken_half)
             with pytest.raises(InternalMismatch):
                 verify_trivialization(ctx)
             with pytest.raises(InternalMismatch):
