@@ -4,8 +4,12 @@ Rational vectors and matrices, Gaussian rationals, canonical unit-circle
 values, and integer lattice routines (Hermite normal form, and membership
 on its sparse rows).  Public scalars are `fractions.Fraction`s, never
 floats; the integer cores (`int_vec`, `int_dot`, `int_vec_mat`,
-`ReducedLattice`, `ReducedLattice.member_over`) take `int` numerators over
-one positive denominator; the other integer kernels build on them.
+`PackedRows`, `ReducedLattice`, `ReducedLattice.member_over`) take `int`
+numerators over one positive denominator; the other integer kernels build
+on them.  `PackedRows` multiplies by a fixed integer table in one big-int
+dot of signed 64-bit slots while sum|x| times the largest |entry| is below
+2**63, and by `int_vec_mat` otherwise, so its products are exact for
+every x.
 
 Throughout the package ``exp(z)`` denotes ``e^{2*pi*i*z}``, so two exponents
 describe the same unit value exactly when they differ by a real integer.
@@ -21,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
+from struct import Struct
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -102,6 +108,41 @@ def int_vec_mat(x, m) -> list[int]:
 
 def int_dot(u, v) -> int:
     return sum(map(mul, u, v))
+
+
+class PackedRows:
+    """A fixed integer table whose products x^T*rows are one big-int dot.
+
+    Row k is packed once as sum_c rows[k][c]*2**(64*c), read off its
+    two's-complement bytes: `struct` writes entry c as its residue mod
+    2**64 in slot c, and subtracting the slots' sign bits shifted up by one
+    leaves the signed value.  sum_k x_k times the packed rows then holds
+    the entries of x^T*rows in signed 64-bit slots without carries when
+    every |entry| is below 2**63, which sum|x| times the table's largest
+    |entry| (`top`) < 2**63 guarantees; adding 2**63 to every slot and
+    flipping that bit turns each into its two's-complement bytes, which
+    one `Struct.unpack` reads.  Otherwise `times` runs `int_vec_mat`.
+    """
+
+    __slots__ = ("rows", "top", "packed", "bias", "width", "unpack")
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        n = len(rows[0]) if rows else 0
+        fmt = Struct(f"<{n}q")
+        self.rows, self.width, self.unpack = rows, 8 * n, fmt.unpack
+        self.top = max(map(abs, chain.from_iterable(rows)), default=0)
+        self.bias = int.from_bytes((bytes(7) + b"\x80") * n, "little")  # 2**63 in every slot
+        self.packed = [0] * len(rows)  # from 2**63 on only x = 0 packs, and x^T*rows = 0
+        if self.top < 2**63:
+            unsigned = [int.from_bytes(fmt.pack(*row), "little") for row in rows]
+            self.packed = [u - ((u & self.bias) << 1) for u in unsigned]
+
+    def times(self, x) -> list[int]:
+        """x^T*rows, the same integers as `int_vec_mat(x, rows)`."""
+        if sum(map(abs, x)) * self.top >= 2**63:
+            return int_vec_mat(x, self.rows)
+        n = (sum(map(mul, x, self.packed)) + self.bias) ^ self.bias
+        return list(self.unpack(n.to_bytes(self.width, "little")))
 
 
 def mat_transpose(m: Mat) -> Mat:

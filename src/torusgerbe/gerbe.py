@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, Mat, Vec, ZERO_G, dot
+from .exact import GaussianRational, Mat, PackedRows, Vec, ZERO_G, dot
 from .exact import mat_vec, to_vec, vec_is_integral, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import contract3, pullback_combination, type_condition_check
@@ -30,12 +30,17 @@ class ExponentFn:
 
     The linear part is stored as a pair of real covectors.  Holomorphy of
     exp of this function amounts to lin_re(Jv) = -lin_im(v) and
-    lin_im(Jv) = lin_re(v), which is exactly checkable.
+    lin_im(Jv) = lin_re(v), which is exactly checkable.  The covectors are
+    kept as tuples of `Fraction`s, so equal functions hash alike.
     """
 
     const: GaussianRational
     lin_re: Vec
     lin_im: Vec
+
+    def __post_init__(self):
+        object.__setattr__(self, "lin_re", to_vec(self.lin_re))
+        object.__setattr__(self, "lin_im", to_vec(self.lin_im))
 
     @property
     def dim(self) -> int:
@@ -91,10 +96,18 @@ class Character:
 
     The value on a lattice vector l is exp(sum_k exponents[k] * l_k).  Two
     characters agree exactly when the exponent difference is real and
-    integral componentwise.
+    integral componentwise.  The exponents are kept as a tuple of
+    `GaussianRational`s; an int or `Fraction` exponent is its real part.
     """
 
     exponents: tuple[GaussianRational, ...]
+
+    def __post_init__(self):
+        exps = [
+            e if isinstance(e, GaussianRational) else GaussianRational.real(e)
+            for e in self.exponents
+        ]
+        object.__setattr__(self, "exponents", tuple(exps))
 
     @staticmethod
     def identity(dim: int) -> "Character":
@@ -113,9 +126,9 @@ class Character:
         return sum([e * c for e, c in zip(self.exponents, v, strict=True)], ZERO_G)
 
     def __mul__(self, other: "Character") -> "Character":
-        return Character(
-            tuple(a + b for a, b in zip(self.exponents, other.exponents, strict=True))
-        )
+        if self.dim != other.dim:
+            raise ValueError("character dimension mismatch")
+        return Character(tuple([a + b for a, b in zip(self.exponents, other.exponents)]))
 
     def inverse(self) -> "Character":
         return Character(tuple(-a for a in self.exponents))
@@ -166,7 +179,7 @@ class GerbeData:
         return {}
 
     @functools.cached_property
-    def factor_rows(self) -> tuple[int, int, list]:
+    def factor_rows(self) -> tuple[int, int, PackedRows]:
         """`basis_factor_rows` of the torus and E, built on first use; the
         translation factors that `first_failing_pair` decides the basis
         pairs on.  Not compared, hashed or shown."""
@@ -267,19 +280,19 @@ def balanced_digits(n: int, h: int, count: int) -> list[int]:
     return digits
 
 
-def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, list]:
+def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, PackedRows]:
     """(dre, dim, rows): the translation factors H_{e_a,e_b} of the basis
-    pairs as integer rows, one per basis vector e_k, over the denominators
-    dre = 16*dj**2*de and dim = 16*dj*de of `exponent_over` at basis
-    triples.
+    pairs as packed integer rows (`PackedRows`), one per basis vector e_k,
+    over the denominators dre = 16*dj**2*de and dim = 16*dj*de of
+    `exponent_over` at basis triples.
 
     Row k holds exponent_over(e_k, e_a, e_b) for the pairs (a, b) in
     row-major order: the d**2 real numerators, then the d**2 imaginary
     ones.  The numerators are linear in the first argument's (x, dj*J*x),
-    so for w = x/dw the row vector x^T*rows over (dw*dre, dw*dim) holds
-    exponent_over(w, e_a, e_b) with the same integers.  E is alternating,
-    so each factor is antisymmetric in (a, b): only a < b is computed, the
-    diagonal is zero and (b, a) is -(a, b).
+    so for w = x/dw the row vector rows.times(x) over (dw*dre, dw*dim)
+    holds exponent_over(w, e_a, e_b) with the same integers.  E is
+    alternating, so each factor is antisymmetric in (a, b): only a < b is
+    computed, the diagonal is zero and (b, a) is -(a, b).
 
     One call per pair evaluates all d first arguments at once (Kronecker
     substitution): at x = (1, B, ..., B**(d-1)) each numerator is
@@ -298,7 +311,7 @@ def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, list]:
         for row, r, i in zip(rows, balanced_digits(re, h, d), balanced_digits(im, h, d)):
             row[ab], row[ba], row[d * d + ab], row[d * d + ba] = r, -r, i, -i
     dj, de = torus.j_columns[0], e3.int_entries[0]
-    return 16 * dj * dj * de, 16 * dj * de, rows
+    return 16 * dj * dj * de, 16 * dj * de, PackedRows(rows)
 
 
 def exponent_re(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:

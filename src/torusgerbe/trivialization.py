@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GaussianRational, InternalMismatch, Vec, basis_vec, int_dot
+from .exact import GaussianRational, InternalMismatch, PackedRows, Vec, basis_vec, int_dot
 from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
 from .gerbe import ExponentFn, GerbeData, VectorForms, balanced_digits, exponent_over
 from .gerbe import forms_over, require_lattice
@@ -110,7 +110,7 @@ class TranslationContext:
         constant quadratic, with ar = re - qre - qre^T, ai = im - qim -
         qim^T.  The kernel is linear in the record and divides nowhere, so
         this is x^T times `_Basis.coboundary_rows`, with no kernel built."""
-        flat = int_vec_mat(self.x, _basis_records(self.gerbe, self.case).coboundary_rows)
+        flat = _basis_records(self.gerbe, self.case).coboundary_rows.times(self.x)
         d = len(self.x)
         rows = [flat[s : s + d] for s in range(0, 2 * d * d, d)]
         return rows[:d], rows[d:]
@@ -157,7 +157,7 @@ def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase, lifted) -> Tran
     records, d = basis.records, len(x)
     if dw == 1 and x.count(0) == d - 1 and 1 in x:
         return records[x.index(1)]
-    flat = int_vec_mat(x, basis.rows)
+    flat = basis.rows.times(x)
     omega, f, m, r = (
         [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
     )
@@ -199,30 +199,30 @@ def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class _Basis:
-    """The basis records e_1..e_d of a (gerbe, case): row k of `rows` holds
-    record k's omega, f, m and r flattened, so x^T*rows is the four
-    matrices of x/dw flattened, over dw*records[0].den."""
+    """The basis records e_1..e_d of a (gerbe, case): row k of the packed
+    `rows` is record k's omega, f, m and r flattened, so rows.times(x) is
+    the four matrices of x/dw flattened, over dw*records[0].den."""
 
     records: tuple
-    rows: list
+    rows: PackedRows
 
     @functools.cached_property
-    def coboundary_rows(self) -> list[list[int]]:
-        """Row k: (ar, ai) of record k flattened, from its `_kernel_blocks`;
-        no kernel is cached on the records."""
+    def coboundary_rows(self) -> PackedRows:
+        """Packed row k: (ar, ai) of record k flattened, from its
+        `_kernel_blocks`; no kernel is cached on the records."""
         rows = []
         for qre, qim, re, im in map(_kernel_blocks, self.records):
             halves = ((re, qre), (im, qim))
             rows.append(
                 [x - y - z for a, q in halves for r in zip(a, q, zip(*q)) for x, y, z in zip(*r)]
             )
-        return rows
+        return PackedRows(rows)
 
 
 def _stacked(records) -> _Basis:
     """The `_Basis` of the basis records e_1..e_d."""
     rows = [[y for mat in (b.omega, b.f, b.m, b.r) for row in mat for y in row] for b in records]
-    return _Basis(tuple(records), rows)
+    return _Basis(tuple(records), PackedRows(rows))
 
 
 def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
@@ -451,7 +451,7 @@ def first_failing_pair(
             if not _residual_passes(k, c_re, c_im, *h):
                 return to_vec(x1), to_vec(x2)
         return None
-    h = int_vec_mat(ctx.x, ctx.gerbe.factor_rows[2])
+    h = ctx.gerbe.factor_rows[2].times(ctx.x)
     modulus, fre, fim = _folded_residual(ctx, h)
     # the first basis pair (e_a, e_b), at a*d + b, that fails
     failing = next((n for n, (y, z) in enumerate(zip(fre, fim)) if z or y % modulus), None)

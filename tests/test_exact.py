@@ -1,4 +1,5 @@
-"""Exact substrate: Gaussian rationals, unit values, HNF, lattice membership."""
+"""Exact substrate: Gaussian rationals, unit values, HNF, lattice membership,
+and the packed products of `PackedRows`."""
 
 import functools
 import itertools
@@ -17,7 +18,7 @@ from torusgerbe import (
     unit_reduce,
 )
 import torusgerbe.exact
-from torusgerbe.exact import ReducedLattice, int_vec, to_mat, to_vec
+from torusgerbe.exact import PackedRows, ReducedLattice, int_vec, int_vec_mat, to_mat, to_vec
 from torusgerbe.symmetry import fixes_gerbe
 from torusgerbe.gerbe import gerbes_isomorphic, translate_gerbe
 from torusgerbe.torus import (
@@ -491,3 +492,85 @@ def _lattice_target(t, omega):
     target `integral_anti_invariant_member` hands the lattice."""
     nums, den = pullback_over(t, omega.upper, omega.den, 1, -1)
     return nums, 2 * den
+
+
+def packed_product(rows, x):
+    """(PackedRows(rows).times(x), whether it ran the exact loop
+    `int_vec_mat`)."""
+    loops = []
+    exact_loop = torusgerbe.exact.int_vec_mat
+
+    def counting(x, m):
+        loops.append(m)
+        return exact_loop(x, m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torusgerbe.exact, "int_vec_mat", counting)
+        product = PackedRows(rows).times(x)
+    assert loops in ([], [rows])
+    return product, bool(loops)
+
+
+class TestPackedRows:
+    """x^T*rows as one big-int dot of signed 64-bit slots while sum|x|
+    times the largest |entry| is below 2**63, by `int_vec_mat` from
+    there on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_times_is_int_vec_mat(self, data):
+        nrows = data.draw(st.integers(0, 8), label="rows")
+        ncols = data.draw(st.integers(0, 300), label="columns")
+        scale = data.draw(st.sampled_from((1, 1000, 2**31, 2**62)), label="entry scale")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="entry seed"))
+        edges, cols = (2**62, -(2**62), scale, -scale, 0), range(ncols)
+        rows = [
+            [rng.choice(edges) if rng.random() < 0.1 else rng.randint(-scale, scale) for _ in cols]
+            for _ in range(nrows)
+        ]
+        coeff = st.one_of(*[st.integers(-(2**k), 2**k) for k in (2, 40, 70)])
+        x = data.draw(st.lists(coeff, min_size=nrows, max_size=nrows), label="x")
+        product, looped = packed_product(rows, x)
+        assert product == int_vec_mat(x, rows)
+        assert len(product) == (ncols if nrows else 0)
+        top = max([abs(v) for row in rows for v in row], default=0)
+        assert looped is (sum(map(abs, x)) * top >= 2**63)
+
+    def test_slots_reach_the_guard_exactly(self):
+        # sum|x|*top = 2**63 - 1 = (7*73*127) * 142123242012031 packs, and
+        # the extreme columns read +-(2**63 - 1), the ends of a slot
+        top, s = 7 * 73 * 127, 142123242012031
+        assert top * s == 2**63 - 1
+        rows = [[top, -top, 5, 0], [top, -top, -1, top], [-top, top, 0, 2]]
+        x = [s - 5, 3, -2]
+        product, looped = packed_product(rows, x)
+        assert not looped
+        expected = [2**63 - 1, -(2**63 - 1), 5 * (s - 5) - 3, 3 * top - 4]
+        assert product == int_vec_mat(x, rows) == expected
+
+    def test_the_exact_loop_runs_from_the_guard_on(self):
+        # sum|x|*top = 2**63: the column 2**63 fits no signed 64-bit slot
+        for top, x in ((2**62, [1, -1]), (2**31, [2**31, -(2**31)]), (2**62, [2, 0])):
+            rows = [[top, -top, 1], [-top, top, 0]]
+            product, looped = packed_product(rows, x)
+            assert looped and product == int_vec_mat(x, rows)
+        assert packed_product(rows, [1, -1])[0] == [2**63, -(2**63), 1]
+
+    def test_empty_tables_and_entries_past_a_slot(self):
+        assert packed_product([], []) == ([], False)
+        assert packed_product([[], []], [4, -5]) == ([], False)
+        assert packed_product([[0, 0, 0]], [2**80]) == ([0, 0, 0], False)
+        # an entry of 2**63 or more packs into no slot: every x but 0 loops
+        rows = [[2**63, -(2**64), 1], [3, 0, -1]]
+        assert packed_product(rows, [0, 0]) == ([0, 0, 0], False)
+        for x in ([1, 0], [0, 1], [-2, 7]):
+            assert packed_product(rows, x) == (int_vec_mat(x, rows), True)
+        for top in (2**63, -(2**63)):  # the first |entry| past a slot
+            assert packed_product([[top, 1]], [0]) == ([0, 0], False)
+            assert packed_product([[top, 1]], [-1]) == ([-top, -1], True)
+
+    def test_rows_are_kept_as_given(self):
+        rows = [[1, -2], [3, 4]]
+        table = PackedRows(rows)
+        assert table.rows is rows and table.top == 4
+        assert table.times([1, 1]) == [4, 2] and table.times((0, -1)) == [-3, -4]

@@ -9,6 +9,9 @@ import pytest
 from torusgerbe import (
     AltForm2,
     AltForm3,
+    Character,
+    ExponentFn,
+    GaussianRational,
     GerbeData,
     TypeConditionFailed,
     cocycle_exponent,
@@ -323,3 +326,44 @@ class TestGerbesIsomorphic:
         other = GerbeData(other_t, AltForm2.zero(4), AltForm3.zero(4))
         with pytest.raises(ValueError):
             gerbes_isomorphic(g, other)
+
+
+class TestValueObjects:
+    """`Character` and `ExponentFn` keep tuples, so equal values compare
+    and hash alike whatever sequence they were given."""
+
+    def test_character_keeps_a_tuple(self):
+        g = GaussianRational(F(1, 2), F(-1, 3))
+        listed = Character([g, GaussianRational.real(1)])
+        assert listed == Character((g, GaussianRational.real(1)))
+        assert type(listed.exponents) is tuple
+        assert hash(listed) == hash(Character((g, GaussianRational.real(1))))
+
+    def test_character_exponents_from_rationals(self):
+        half = Character((F(1, 2),))
+        assert half.exponents == (GaussianRational.real(F(1, 2)),)
+        assert not half.is_trivial
+        assert Character([F(3), 2]).is_trivial
+        assert Character((F(3), 2)) == Character.identity(2) * Character([3, 2])
+        with pytest.raises(TypeError, match="floats"):
+            Character((0.5,))
+        with pytest.raises(TypeError, match="floats"):
+            Character([GaussianRational.real(1), 1.0])
+
+    def test_character_lengths_must_agree(self):
+        one, two = Character.identity(1), Character.identity(2)
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ValueError, match="character dimension mismatch"):
+                a * b
+            with pytest.raises(ValueError, match="character dimension mismatch"):
+                a.equivalent(b)
+        assert (two * two).is_trivial and two.equivalent(two)
+
+    def test_exponent_fn_keeps_tuples(self):
+        c = GaussianRational(F(1, 4), F(0))
+        listed = ExponentFn(c, [F(1, 2), 0], [1, F(-1, 3)])
+        assert listed == ExponentFn(c, (F(1, 2), F(0)), (F(1), F(-1, 3)))
+        assert type(listed.lin_re) is tuple and type(listed.lin_im) is tuple
+        assert hash(listed) == hash(ExponentFn(c, (F(1, 2), F(0)), (F(1), F(-1, 3))))
+        with pytest.raises(TypeError, match="floats"):
+            ExponentFn(c, [0.5, 0], [0, 0])

@@ -19,12 +19,16 @@ from torusgerbe import (
     AltForm3,
     GaussianRational,
     GerbeData,
+    NotInSubgroup,
+    ObstructionKind,
     SubgroupCase,
+    SubgroupSpec,
     TranslationContext,
     exponent_im,
     in_case_subgroup,
     integral_part_exponent,
     invariant_part_exponent,
+    obstruction_vanishes,
     symmetric_part_exponent,
     translation_factor,
     trivialization_residual,
@@ -32,7 +36,8 @@ from torusgerbe import (
     unitarize_exponent,
     verify_trivialization,
 )
-from torusgerbe.exact import basis_vec, vec_add
+import torusgerbe.exact
+from torusgerbe.exact import PackedRows, basis_vec, int_vec_mat, vec_add
 from torusgerbe.trivialization import residual_is_trivial
 
 from helpers import (
@@ -485,3 +490,67 @@ def _basis_residuals(label: str):
         for a in range(d)
         for b in range(d)
     }
+
+
+def pinned_gerbe() -> GerbeData:
+    """A fresh gerbe4 with E = 2*e0^e1^e2 and B = e0^e1/2, no table built."""
+    return gerbe4(2, AltForm2.from_pairs(4, {(0, 1): F(1, 2)}))
+
+
+# w -> (member, default pairs, explicit pairs) in the integral case, then
+# the same in the (1,1) case, and whether every table product runs the
+# exact loop, past the 64-bit guard of `PackedRows`
+PAST_THE_GUARD = {
+    (F(2**70 + 1, 2**70), 0, 0, 0): ("FFT" "FFT", True),
+    (2**70, 0, 0, 3): ("TTT" "FFT", True),
+    (2**61, 2**61, 5, 7): ("TTT" "FFF", True),
+    (F(1, 2**62), 0, 0, 1): ("FFT" "FFT", True),
+    (F(3, 2**40), F(5, 7), 0, 1): ("FFT" "FFF", False),
+}
+PINNED_PAIRS = [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 1, 0, 1))]
+
+
+class TestPackedProductsPastTheGuard:
+    """Records, coboundary forms and basis-pair factors of vectors with
+    large numerators or denominators: the packed table products fall back
+    to `int_vec_mat`, and every answer stays as it was."""
+
+    @pytest.mark.parametrize("w", list(PAST_THE_GUARD), ids=range(len(PAST_THE_GUARD)))
+    def test_answers_pinned_on_either_path(self, w, monkeypatch):
+        expected, loops = PAST_THE_GUARD[w]
+        looped, paths = [], []  # per `PackedRows.times` call: whether it looped
+        times, exact_loop = PackedRows.times, torusgerbe.exact.int_vec_mat
+
+        def counting_loop(x, m):
+            looped.append(m)
+            return exact_loop(x, m)
+
+        def counting_times(table, x):
+            before = len(looped)
+            product = times(table, x)
+            paths.append(len(looped) > before)
+            return product
+
+        monkeypatch.setattr(torusgerbe.exact, "int_vec_mat", counting_loop)
+        monkeypatch.setattr(PackedRows, "times", counting_times)
+        g, answers = pinned_gerbe(), []
+        for case in (INT, ONEONE):
+            ctx = TranslationContext.create(g, w, case, check=False)
+            explicit = verify_trivialization(ctx, PINNED_PAIRS)
+            answers += [ctx.member, verify_trivialization(ctx), explicit]
+        assert "".join("T" if a else "F" for a in answers) == expected
+        # per case: the record, its coboundary form and the basis-pair factors
+        assert paths == [loops] * 6
+
+    @pytest.mark.parametrize("which", list(ObstructionKind), ids=lambda k: k.value)
+    def test_obstructions_match_the_exact_loop(self, which, monkeypatch):
+        generators = [(2**70, 0, 0, 3)]
+        spec = SubgroupSpec.create(generators, INT)
+        packed = obstruction_vanishes(pinned_gerbe(), spec, which)
+        assert packed.vanishes and packed.tuples_checked == 10
+        with pytest.raises(NotInSubgroup):
+            obstruction_vanishes(pinned_gerbe(), SubgroupSpec.create(generators, ONEONE), which)
+        monkeypatch.setattr(PackedRows, "times", lambda table, x: int_vec_mat(x, table.rows))
+        assert obstruction_vanishes(pinned_gerbe(), spec, which) == packed
+        with pytest.raises(NotInSubgroup):
+            obstruction_vanishes(pinned_gerbe(), SubgroupSpec.create(generators, ONEONE), which)

@@ -31,8 +31,9 @@ against the three-point evaluation of `trivializing_exponent` (on basis
 kernels overwritten with arbitrary integers too), the Kronecker reading
 against x1^T*folded*x2, the core's residuals against the oracle, that a
 corrupted linear block of a basis kernel is caught on the expected basis
-pair, and that a passing query costs two row products, two packed lifts
-and two dot products per random pair; `TestFactorRows` checks the factor
+pair, and that a passing query costs two packed row products
+(`PackedRows.times`) and no `int_vec_mat`, two packed lifts and two dot
+products per random pair; `TestFactorRows` checks the factor
 rows against `exponent_over`; `TestPackedCheckAtW` checks that the packed
 check catches every row corruption the basis passes, at h = 0 too;
 `TestIntegerDecision` checks the verdicts against the oracle, that they
@@ -68,7 +69,8 @@ from torusgerbe import (
     trivializing_exponent,
     verify_trivialization,
 )
-from torusgerbe.exact import GaussianRational, basis_vec, int_dot, int_vec_mat, to_mat, to_vec
+from torusgerbe.exact import GaussianRational, PackedRows, basis_vec, int_dot, int_vec_mat
+from torusgerbe.exact import to_mat, to_vec
 from torusgerbe.gerbe import exponent_over
 from torusgerbe.torus import TorusData
 from torusgerbe.trivialization import first_failing_pair, random_verification_pairs
@@ -605,7 +607,7 @@ class TestResidualCore:
         d = g.torus.dim
         w = data.draw(st.sampled_from(vectors), label="w")
         ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
-        modulus, fre, fim = triv._folded_residual(ctx, int_vec_mat(ctx.x, g.factor_rows[2]))
+        modulus, fre, fim = triv._folded_residual(ctx, int_vec_mat(ctx.x, g.factor_rows[2].rows))
         k = triv._kernel_den(ctx)
         dre, dim = (ctx.dw * y for y in g.factor_rows[:2])
         assert modulus == k * dre and len(fre) == len(fim) == d * d
@@ -698,9 +700,14 @@ class TestResidualCore:
         rows = g.factor_rows[2]  # warm: built once per gerbe
         forms = triv._basis_records(g, case).coboundary_rows  # warm: once per (gerbe, case)
         products, lifts, dots = [], [], []
+        times = PackedRows.times
 
-        def counting_product(x, m):
-            products.append((x, m))
+        def counting_product(table, x):
+            products.append((x, table))
+            return times(table, x)
+
+        def unpacked_product(x, m):
+            products.append((x, "int_vec_mat"))
             return int_vec_mat(x, m)
 
         mul_i_over = TorusData.mul_i_over
@@ -713,7 +720,8 @@ class TestResidualCore:
             dots.append((u, v))
             return int_dot(u, v)
 
-        monkeypatch.setattr(triv, "int_vec_mat", counting_product)
+        monkeypatch.setattr(PackedRows, "times", counting_product)
+        monkeypatch.setattr(triv, "int_vec_mat", unpacked_product)
         monkeypatch.setattr(TorusData, "mul_i_over", counting_mul_i)
         monkeypatch.setattr(triv, "int_dot", counting_dot)
 
@@ -731,12 +739,13 @@ class TestResidualCore:
         for k in (0, 1, 4, 10):
             ctx, failing = fresh_query(inside, extra_random=k, seed=k)
             assert failing is None
-            # one product of w's numerators with the factor rows decides
-            # every basis pair and feeds the check at w, which lifts its two
-            # packed vectors, and one with the coboundary rows is the
-            # record's coboundary form; each random pair is its Kronecker
-            # list dotted with the two flattened halves of the folded
-            # residual, imaginary first, with no product and no lift
+            # one packed product of w's numerators with the factor rows
+            # decides every basis pair and feeds the check at w, which lifts
+            # its two packed vectors, and one with the packed coboundary
+            # rows is the record's coboundary form, with no `int_vec_mat`;
+            # each random pair is its Kronecker list dotted with the two
+            # flattened halves of the folded residual, imaginary first, with
+            # no product and no lift
             assert len(products) == 2 and all(x is ctx.x for x, _ in products)
             assert products[0][1] is rows and products[1][1] is forms
             assert lifts == packed
@@ -783,15 +792,16 @@ class TestFactorRows:
     def test_property_rows_are_exponent_over_at_basis_triples(self, data):
         g, _, _ = drawn_gerbe(data)
         t, d = g.torus, g.torus.dim
-        dre, dim, rows = g.factor_rows
-        e3 = g.e
+        dre, dim, packed = g.factor_rows
+        rows, e3 = packed.rows, g.e
         if data.draw(st.booleans(), label="arbitrary E"):
             # any rational 3-form, the type condition aside: large
             # coefficients over small denominators test the digit bound
             rat = st.builds(F, st.integers(-999, 999), st.sampled_from((1, 2, 3, 8)))
             triples = st.sampled_from(list(itertools.combinations(range(d), 3)))
             e3 = AltForm3.from_coeffs(d, data.draw(st.dictionaries(triples, rat), label="E"))
-            dre, dim, rows = gerbe_module.basis_factor_rows(t, e3)
+            dre, dim, packed = gerbe_module.basis_factor_rows(t, e3)
+            rows = packed.rows
         assert len(rows) == d and all(len(row) == 2 * d * d for row in rows)
         lifts = [t.lift(ek) for ek in t.basis()]
         for k, a, b in itertools.product(range(d), repeat=3):
@@ -809,7 +819,8 @@ class TestFactorRows:
         w = data.draw(st.one_of(st.sampled_from(vectors), st.tuples(*[rat] * d)), label="w")
         dw, x, ix = t.lift(w)
         dre, dim, rows = g.factor_rows
-        h = int_vec_mat(x, rows)
+        h = rows.times(x)
+        assert h == int_vec_mat(x, rows.rows)
         lifts = [t.lift(ek) for ek in t.basis()]
         for a, b in itertools.product(range(d), repeat=2):
             n = a * d + b
@@ -830,9 +841,9 @@ class TestFactorRows:
         dre, dim, rows = fresh.factor_rows
         # the factor at the pair moves by x_k/(dw*dre) or i*x_k/(dw*dim)
         assume(n >= d * d or ctx.x[k] % (ctx.dw * dre))
-        bad = [list(row) for row in rows]
+        bad = [list(row) for row in rows.rows]
         bad[k][n] += 1
-        vars(fresh)["factor_rows"] = dre, dim, bad
+        vars(fresh)["factor_rows"] = dre, dim, PackedRows(bad)
         a, b = divmod(n % (d * d), d)
         assert first_failing_pair(ctx) == (basis_vec(d, a), basis_vec(d, b))
         assert not verify_trivialization(ctx, extra_random=0)
@@ -848,7 +859,8 @@ class TestFactorRows:
         t = object.__new__(TorusData)
         vars(t).update(n=2, j=j, jt=tuple(zip(*j)))
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
-        dre, dim, rows = gerbe_module.basis_factor_rows(t, e3)
+        dre, dim, packed = gerbe_module.basis_factor_rows(t, e3)
+        rows = packed.rows
         lifts = [t.lift(ek) for ek in t.basis()]
         assert rows[0][1 * 4 + 2] == 48 == exponent_over(t, e3, *lifts[:3])[0]
         for k, a, b in itertools.product(range(4), repeat=3):
@@ -863,7 +875,8 @@ class TestFactorRows:
         monkeypatch.setattr(gerbe_module.VectorForms, "create", forbidden)
         g, _, _ = instance
         fresh = GerbeData(g.torus, g.b, g.e)
-        assert fresh.factor_rows == g.factor_rows
+        assert fresh.factor_rows[:2] == g.factor_rows[:2]
+        assert fresh.factor_rows[2].rows == g.factor_rows[2].rows
         assert fresh.basis_records == {}
 
     def test_rows_built_once_per_gerbe(self, instance, monkeypatch):
@@ -908,9 +921,9 @@ class TestPackedCheckAtW:
         caught = 0
         for k in (k for k, y in enumerate(ctx.x) if y):
             for n in range(d * d):
-                bad = [list(row) for row in rows]
+                bad = [list(row) for row in rows.rows]
                 bad[k][n] += ctx.dw * dre
-                vars(fresh)["factor_rows"] = dre, dim, bad
+                vars(fresh)["factor_rows"] = dre, dim, PackedRows(bad)
                 h = int_vec_mat(ctx.x, bad)
                 modulus, fre, fim = triv._folded_residual(ctx, h)
                 assert not any(fim) and not any(y % modulus for y in fre)
@@ -983,7 +996,8 @@ class TestPackedCheckAtW:
         assert g.factor_bound == 48
         x = [scale, 0, 0, 0]
         ctx = types.SimpleNamespace(gerbe=g, dw=1, x=x, ix=t.mul_i_over(x))
-        h = int_vec_mat(x, g.factor_rows[2])
+        h = g.factor_rows[2].times(x)
+        assert h == int_vec_mat(x, g.factor_rows[2].rows)
         assert h[1 * 4 + 2] == 48 * scale
         triv._check_at_w(ctx, h)
         for n in (1 * 4 + 2, 16 + 3):
@@ -1007,7 +1021,8 @@ class TestPackedCheckAtW:
 
         monkeypatch.setattr(gerbe_module, "factor_digit_bound", counting)
         # the rows build takes its base from the same bound
-        assert gerbe_module.basis_factor_rows(g.torus, g.e) == rows
+        built = gerbe_module.basis_factor_rows(g.torus, g.e)
+        assert built[:2] == rows[:2] and built[2].rows == rows[2].rows
         assert calls == [g.e]
         monkeypatch.setattr(gerbe_module, "basis_factor_rows", forbidden)
         fresh = GerbeData(g.torus, g.b, g.e)
