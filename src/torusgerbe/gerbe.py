@@ -31,7 +31,8 @@ class ExponentFn:
     The linear part is stored as a pair of real covectors.  Holomorphy of
     exp of this function amounts to lin_re(Jv) = -lin_im(v) and
     lin_im(Jv) = lin_re(v), which is exactly checkable.  The covectors are
-    kept as tuples of `Fraction`s, so equal functions hash alike.
+    kept as tuples of `Fraction`s of one length, so equal functions hash
+    alike; an int or `Fraction` constant is its real part.
     """
 
     const: GaussianRational
@@ -39,8 +40,12 @@ class ExponentFn:
     lin_im: Vec
 
     def __post_init__(self):
+        if not isinstance(self.const, GaussianRational):
+            object.__setattr__(self, "const", GaussianRational.real(self.const))
         object.__setattr__(self, "lin_re", to_vec(self.lin_re))
         object.__setattr__(self, "lin_im", to_vec(self.lin_im))
+        if len(self.lin_re) != len(self.lin_im):
+            raise ValueError("exponent covectors of different lengths")
 
     @property
     def dim(self) -> int:
@@ -60,10 +65,12 @@ class ExponentFn:
         return ExponentFn(self.const + c, self.lin_re, self.lin_im)
 
     def __add__(self, other: "ExponentFn") -> "ExponentFn":
+        if self.dim != other.dim:
+            raise ValueError("exponent dimension mismatch")
         return ExponentFn(
             self.const + other.const,
-            tuple(a + b for a, b in zip(self.lin_re, other.lin_re, strict=True)),
-            tuple(a + b for a, b in zip(self.lin_im, other.lin_im, strict=True)),
+            tuple(a + b for a, b in zip(self.lin_re, other.lin_re)),
+            tuple(a + b for a, b in zip(self.lin_im, other.lin_im)),
         )
 
     def __sub__(self, other: "ExponentFn") -> "ExponentFn":

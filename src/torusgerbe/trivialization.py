@@ -283,13 +283,6 @@ def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     return ExponentFn(const, lin_re, lin_im)
 
 
-def _exponent_of(nums: list[int], den: int) -> ExponentFn:
-    """The ExponentFn whose [const_re, const_im, *lin_re, *lin_im] is nums / den."""
-    f = [Fraction(y, den) for y in nums]
-    d = (len(f) - 2) // 2
-    return ExponentFn(GaussianRational(f[0], f[1]), tuple(f[2 : 2 + d]), tuple(f[2 + d :]))
-
-
 def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     """Exponent of the full trivializing cochain at a lattice vector: the
     sum of the four factors above, read off the blocks of ctx.kernel."""
@@ -300,8 +293,9 @@ def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
         raise ValueError("defined on lattice (integer) vectors only")
     x = [v.numerator for v in lam]
     den, (qre, qim, re, im) = ctx.kernel
-    const = [int_dot(int_vec_mat(x, q), x) for q in (qre, qim)]
-    return _exponent_of([*const, *[int_dot(row, x) for m in (re, im) for row in m]], den)
+    const = [Fraction(int_dot(int_vec_mat(x, q), x), den) for q in (qre, qim)]
+    lin = ([Fraction(int_dot(row, x), den) for row in m] for m in (re, im))
+    return ExponentFn(GaussianRational(*const), *lin)
 
 
 def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
@@ -314,28 +308,6 @@ def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
     return [[v.numerator for v in lam] for lam in pair]
 
 
-def _residual_over(ctx: TranslationContext, x1, x2) -> tuple:
-    """(c_re, c_im, h): the residual at the lattice pair (x1, x2) in integers.
-
-    c_re + i*c_im over `_kernel_den` is the coboundary x1^T*(ar + i*ai)*x2
-    of the trivializer (`TranslationContext.coboundary`), whose linear part
-    is zero.  h = (re, dre, im, dim) is the translation factor H_{x1,x2}(w)
-    from E and J alone (`exponent_over`).
-    """
-    ar, ai = ctx.coboundary
-    t = ctx.gerbe.torus
-    lattice = (1, x1, t.mul_i_over(x1)), (1, x2, t.mul_i_over(x2))
-    h = exponent_over(t, ctx.gerbe.e, (ctx.dw, ctx.x, ctx.ix), *lattice)
-    return int_dot(int_vec_mat(x1, ar), x2), int_dot(int_vec_mat(x1, ai), x2), h
-
-
-def _residual_passes(k: int, c_re: int, c_im: int, re: int, dre: int, im: int, dim: int) -> bool:
-    """`residual_is_trivial` of a residual on its integers, the coboundary
-    constant (c_re + i*c_im)/k plus the translation factor re/dre +
-    i*im/dim: the imaginary constant cancels and the real one is integral."""
-    return c_im * dim + im * k == 0 and (c_re * dre + re * k) % (k * dre) == 0
-
-
 def _folded_residual(ctx: TranslationContext, h: list) -> tuple[int, list, list]:
     """(modulus, fre, fim): the residual of every lattice pair on two
     flattened d x d integer matrices, from the coboundary form (ar, ai)
@@ -345,7 +317,7 @@ def _folded_residual(ctx: TranslationContext, h: list) -> tuple[int, list, list]
     By bilinearity the residual at (x1, x2) is [u*v for u in x1 for v in
     x2] dotted with fre over k*dre and with fim over k*dim: an integer
     constant when the first is divisible by modulus = k*dre and the second
-    is zero, the test of `_residual_passes`.
+    is zero.  Every lattice pair is decided on this residual.
     """
     k, n = _kernel_den(ctx), len(ctx.x) ** 2
     dre, dim = (ctx.dw * y for y in ctx.gerbe.factor_rows[:2])
@@ -387,13 +359,18 @@ def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     The coboundary is the constant l1^T*(ar + i*ai)*l2 over the kernel's
     denominator (`TranslationContext.coboundary`), so the linear part is
     zero here by construction; for w in the decomposition subgroup the
-    constant is a real integer.  It comes from the integer residual that
-    `first_failing_pair` decides on.
+    constant is a real integer.  It is read off `_folded_residual`, as
+    `first_failing_pair` reads it, after `_check_at_w`.
     """
-    c_re, c_im, (re, dre, im, dim) = _residual_over(ctx, *_lattice_pair(ctx, l1, l2))
-    h = GaussianRational(Fraction(re, dre), Fraction(im, dim))
-    nums = [c_re, c_im, *[0] * (2 * ctx.gerbe.torus.dim)]
-    return _exponent_of(nums, _kernel_den(ctx)).add_const(h)
+    x1, x2 = _lattice_pair(ctx, l1, l2)
+    h = ctx.gerbe.factor_rows[2].times(ctx.x)
+    modulus, fre, fim = _folded_residual(ctx, h)
+    _check_at_w(ctx, h)
+    pair = [u * v for u in x1 for v in x2]
+    k_im = _kernel_den(ctx) * ctx.dw * ctx.gerbe.factor_rows[1]
+    re, im = Fraction(int_dot(pair, fre), modulus), Fraction(int_dot(pair, fim), k_im)
+    zero = (Fraction(0),) * len(x1)
+    return ExponentFn(GaussianRational(re, im), zero, zero)
 
 
 def residual_is_trivial(r: ExponentFn) -> bool:
@@ -439,29 +416,26 @@ def first_failing_pair(
       w itself, from E and J, in one packed `exponent_over` call;
     - the extra_random `random_verification_pairs` of seed are read off
       its two flattened halves, one Kronecker list and two dots each.
-    Explicit pairs are checked one at a time, in order, each on the
-    residual from `_residual_over`, whose factor comes from E and J at w.
+    Explicit pairs are read off the same halves, one at a time and in
+    order, after `_check_at_w`, so each verdict rests on the factor at w.
     """
     d = ctx.gerbe.torus.dim
     drawn = random_verification_pairs(d, extra_random, seed)
-    if pairs is not None:
-        k = _kernel_den(ctx)
-        for x1, x2 in (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs):
-            c_re, c_im, h = _residual_over(ctx, x1, x2)
-            if not _residual_passes(k, c_re, c_im, *h):
-                return to_vec(x1), to_vec(x2)
-        return None
     h = ctx.gerbe.factor_rows[2].times(ctx.x)
     modulus, fre, fim = _folded_residual(ctx, h)
-    # the first basis pair (e_a, e_b), at a*d + b, that fails
-    failing = next((n for n, (y, z) in enumerate(zip(fre, fim)) if z or y % modulus), None)
-    if failing is not None:
-        return tuple(basis_vec(d, a) for a in divmod(failing, d))
+    if pairs is None:
+        # the first basis pair (e_a, e_b), at a*d + b, that fails
+        failing = next((n for n, (y, z) in enumerate(zip(fre, fim)) if z or y % modulus), None)
+        if failing is not None:
+            return tuple(basis_vec(d, a) for a in divmod(failing, d))
     _check_at_w(ctx, h)
-    for x1, x2 in drawn:
+    checked = drawn if pairs is None else (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs)
+    for x1, x2 in checked:
         pair = [u * v for u in x1 for v in x2]
         if int_dot(pair, fim) or int_dot(pair, fre) % modulus:
-            raise InternalMismatch("a random pair failed where every basis pair passed")
+            if pairs is None:
+                raise InternalMismatch("a random pair failed where every basis pair passed")
+            return to_vec(x1), to_vec(x2)
     return None
 
 
@@ -477,16 +451,17 @@ def verify_trivialization(
     vector and its linear part is linear in it, so the residual at (l1, l2)
     is the constant l1^T*(ar + i*ai)*l2 of the record's coboundary form
     plus the translation factor H_{l1,l2}(w), which comes from E and J.
-    Without explicit pairs the dim**2 basis pairs decide the identity on
-    the whole lattice, all at once on the gerbe's per-basis factor rows.
-    Two self-checks follow a passing basis: the factors read off the rows
-    are compared with the factor at w itself, from E and J, for all basis
-    pairs in one packed evaluation, and the extra_random seeded pairs, one
-    draw each, are read off the same residual.  Either failing raises
+    Every pair is read off one folded residual, built on the gerbe's
+    per-basis factor rows.  Without explicit pairs the dim**2 basis pairs
+    decide the identity on the whole lattice, all at once.  Two self-checks
+    follow a passing basis: the factors read off the rows are compared
+    with the factor at w itself, from E and J, for all basis pairs in one
+    packed evaluation, and the extra_random seeded pairs, one draw each,
+    are read off the same residual.  Either failing raises
     InternalMismatch; a negative extra_random is a ValueError.
     Every pair checks that the imaginary constant cancels and the real one
-    is an integer.  With explicit pairs the answer is whether all of them
-    pass.  False witnesses that w is not a symmetry of the gerbe for the
-    chosen case.
+    is an integer.  With explicit pairs the check at w runs first and the
+    answer is whether all of them pass.  False witnesses that w is not a
+    symmetry of the gerbe for the chosen case.
     """
     return first_failing_pair(ctx, pairs, extra_random, seed) is None

@@ -382,7 +382,7 @@ class TestMainEntry:
         # the cap must stop the command before any context or pair exists
         monkeypatch.setattr(triv.TranslationContext, "create", no_pair)
         monkeypatch.setattr(triv, "trivialization_residual", no_pair)
-        monkeypatch.setattr(triv, "_residual_over", no_pair)
+        monkeypatch.setattr(triv, "_folded_residual", no_pair)
         argv = ["tau-verify", problem_path, "--w", "u", "--samples", str(10**20)]
         assert main(argv) == 2
         assert "--samples" in json.loads(capsys.readouterr().out)["result"]["message"]

@@ -367,3 +367,32 @@ class TestValueObjects:
         assert hash(listed) == hash(ExponentFn(c, (F(1, 2), F(0)), (F(1), F(-1, 3))))
         with pytest.raises(TypeError, match="floats"):
             ExponentFn(c, [0.5, 0], [0, 0])
+
+    def test_exponent_fn_constant_from_rationals(self):
+        zero = (F(0),)
+        assert ExponentFn(0, zero, zero).is_zero
+        half = ExponentFn(F(1, 2), zero, zero)
+        assert half.const == GaussianRational.real(F(1, 2))
+        assert half == ExponentFn(GaussianRational.real(F(1, 2)), zero, zero)
+        assert (half + ExponentFn(3, zero, zero)).const == GaussianRational.real(F(7, 2))
+
+    def test_exponent_fn_float_constant_raises(self):
+        with pytest.raises(TypeError, match="floats"):
+            ExponentFn(0.5, (F(0),), (F(0),))
+
+    def test_exponent_fn_covectors_must_agree(self):
+        c = GaussianRational.real(0)
+        for lin_re, lin_im in (((F(1),), (F(1), F(0))), ((0, 0), (0,))):
+            with pytest.raises(ValueError, match="exponent covectors of different lengths"):
+                ExponentFn(c, lin_re, lin_im)
+        assert ExponentFn(c, (), ()).dim == 0
+
+    def test_exponent_fn_lengths_must_agree(self):
+        c = GaussianRational.real(0)
+        one, two = ExponentFn(c, (1,), (0,)), ExponentFn(c, (1, 0), (0, 1))
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ValueError, match="exponent dimension mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="exponent dimension mismatch"):
+                a - b
+        assert (two - two).is_zero and (one + one).lin_re == (F(2),)

@@ -539,8 +539,9 @@ class TestPackedProductsPastTheGuard:
             explicit = verify_trivialization(ctx, PINNED_PAIRS)
             answers += [ctx.member, verify_trivialization(ctx), explicit]
         assert "".join("T" if a else "F" for a in answers) == expected
-        # per case: the record, its coboundary form and the basis-pair factors
-        assert paths == [loops] * 6
+        # per case: the record; for the explicit pairs the basis-pair
+        # factors and the coboundary form; for the default pairs the factors
+        assert paths == [loops] * 8
 
     @pytest.mark.parametrize("which", list(ObstructionKind), ids=lambda k: k.value)
     def test_obstructions_match_the_exact_loop(self, which, monkeypatch):

@@ -24,22 +24,24 @@ J.  The basis pairs read the factor off the gerbe's `factor_rows`, one
 integer row per basis vector, and are decided on the two flattened halves
 of one folded residual; one packed `exponent_over` call at w then checks
 those factors, and each seeded random pair is its Kronecker list dotted
-with the same halves.  Explicit pairs go through one private residual core
-(`_residual_over`), which evaluates the factor at w.
+with the same halves.  Explicit pairs and `trivialization_residual` are
+read off the same halves, after the same check at w: every lattice pair
+is decided on the one folded residual.
 `TestResidualCore` checks the form against the record's own kernel and
 against the three-point evaluation of `trivializing_exponent` (on basis
 kernels overwritten with arbitrary integers too), the Kronecker reading
-against x1^T*folded*x2, the core's residuals against the oracle, that a
-corrupted linear block of a basis kernel is caught on the expected basis
-pair, and that a passing query costs two packed row products
-(`PackedRows.times`) and no `int_vec_mat`, two packed lifts and two dot
-products per random pair; `TestFactorRows` checks the factor
-rows against `exponent_over`; `TestPackedCheckAtW` checks that the packed
-check catches every row corruption the basis passes, at h = 0 too;
-`TestIntegerDecision` checks the verdicts against the oracle, that they
-never reach the `Fraction` wrappers, and that with default pairs a fault
-at w or in a flattened half after a passing basis raises
-`InternalMismatch`.
+against x1^T*folded*x2 and against the coboundary plus `exponent_over` at
+the pair, the folded reading against the oracle, that a corrupted linear
+block of a basis kernel is caught on the expected basis pair, and that a
+passing query costs two packed row products (`PackedRows.times`) and no
+`int_vec_mat`, two packed lifts and two dot products per random pair;
+`TestFactorRows` checks the factor rows against `exponent_over`;
+`TestPackedCheckAtW` checks that the packed check catches every row
+corruption the basis passes, at h = 0 too; `TestIntegerDecision` checks
+the verdicts against the oracle, that they never reach the `Fraction`
+wrappers, and that a fault at w raises `InternalMismatch` for default
+pairs, explicit pairs and `trivialization_residual` alike, as does a
+fault in a flattened half after a passing basis for default pairs.
 """
 
 import dataclasses
@@ -445,13 +447,17 @@ class TestVerificationPairs:
         assert first_failing_pair(ctx, explicit) == expected
 
 
-def core_residual(ctx, x1, x2):
-    """The residual of the private core at two lattice vectors, as the
-    ExponentFn that `trivialization_residual` builds from it."""
-    c_re, c_im, (re, dre, im, dim) = triv._residual_over(ctx, x1, x2)
-    den = ctx.kernel[0]
-    zero = (F(0),) * ctx.gerbe.torus.dim
-    const = GaussianRational(F(c_re, den) + F(re, dre), F(c_im, den) + F(im, dim))
+def folded_reading(ctx, x1, x2):
+    """The residual at two lattice vectors read off the two flattened
+    halves of `_folded_residual`, built on the unpacked product x^T*rows:
+    the Kronecker list of (x1, x2) dotted with each half, over k*dre and
+    k*dim, as an ExponentFn with zero linear part."""
+    g = ctx.gerbe
+    modulus, fre, fim = triv._folded_residual(ctx, int_vec_mat(ctx.x, g.factor_rows[2].rows))
+    k_im = triv._kernel_den(ctx) * ctx.dw * g.factor_rows[1]
+    pair = [u * v for u in x1 for v in x2]
+    zero = (F(0),) * g.torus.dim
+    const = GaussianRational(F(int_dot(pair, fre), modulus), F(int_dot(pair, fim), k_im))
     return ExponentFn(const, zero, zero)
 
 
@@ -540,8 +546,9 @@ class TestResidualCore:
             verdicts = []
             for a, b in itertools.product(range(d), repeat=2):
                 ea, eb = ([int(k == c) for k in range(d)] for c in (a, b))
-                r = core_residual(ctx, ea, eb)
+                r = folded_reading(ctx, ea, eb)
                 assert r == reference_trivialization_residual(ctx, basis[a], basis[b])
+                assert r == trivialization_residual(ctx, basis[a], basis[b])
                 # the constant of the coboundary at (e_a, e_b) is entry (a, b)
                 h = translation_factor(g, ctx.w, basis[a], basis[b])
                 assert r.const == h + GaussianRational(F(ar[a][b], den), F(ai[a][b], den))
@@ -550,7 +557,7 @@ class TestResidualCore:
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_property_core_matches_oracle(self, data):
+    def test_property_folded_reading_matches_oracle(self, data):
         n = data.draw(st.sampled_from((2, 3)), label="n")
         case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
         twisted = data.draw(st.booleans(), label="twisted")
@@ -560,13 +567,16 @@ class TestResidualCore:
         ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
         lat = st.tuples(*[st.integers(-3, 3)] * d)
         l1, l2 = data.draw(lat, label="l1"), data.draw(lat, label="l2")
-        assert core_residual(ctx, l1, l2) == reference_trivialization_residual(ctx, l1, l2)
+        expected = reference_trivialization_residual(ctx, l1, l2)
+        assert folded_reading(ctx, l1, l2) == expected == trivialization_residual(ctx, l1, l2)
         # a basis vector mixes with any other on either side
         a = data.draw(st.integers(0, d - 1), label="a")
         ea = basis_vec(d, a)
         va = [int(k == a) for k in range(d)]
-        assert core_residual(ctx, va, l2) == reference_trivialization_residual(ctx, ea, l2)
-        assert core_residual(ctx, l1, va) == reference_trivialization_residual(ctx, l1, ea)
+        assert folded_reading(ctx, va, l2) == reference_trivialization_residual(ctx, ea, l2)
+        assert folded_reading(ctx, l1, va) == reference_trivialization_residual(ctx, l1, ea)
+        pairs = [(l1, l2), (ea, l2), (l1, ea)]
+        assert first_failing_pair(ctx, pairs) == oracle_first_failure(ctx, pairs)
 
     def test_coboundary_is_read_off_the_record_kernel(self, instance):
         # the product with the per-basis coboundary rows gives the integers
@@ -601,8 +611,8 @@ class TestResidualCore:
     @given(st.data())
     def test_property_kronecker_list_reads_the_folded_residual(self, data):
         # x1^T*folded*x2 of each flattened half is the Kronecker list of
-        # (x1, x2) dotted with it, and is the residual of the explicit-pair
-        # core, whose factor comes from E and J at w
+        # (x1, x2) dotted with it, and is the coboundary form at the pair
+        # plus the translation factor from E and J at (w, x1, x2)
         g, case, vectors = drawn_gerbe(data)
         d = g.torus.dim
         w = data.draw(st.sampled_from(vectors), label="w")
@@ -617,7 +627,10 @@ class TestResidualCore:
         for half in (fre, fim):
             folded = [half[s : s + d] for s in range(0, d * d, d)]
             assert int_dot(pair, half) == int_dot(int_vec_mat(x1, folded), x2)
-        c_re, c_im, (re, dre_w, im, dim_w) = triv._residual_over(ctx, x1, x2)
+        t, (ar, ai) = g.torus, ctx.coboundary
+        lifts = [(1, y, t.mul_i_over(y)) for y in (x1, x2)]
+        re, dre_w, im, dim_w = exponent_over(t, g.e, (ctx.dw, ctx.x, ctx.ix), *lifts)
+        c_re, c_im = (int_dot(int_vec_mat(x1, form), x2) for form in (ar, ai))
         assert F(int_dot(pair, fre), k * dre) == F(c_re, k) + F(re, dre_w)
         assert F(int_dot(pair, fim), k * dim) == F(c_im, k) + F(im, dim_w)
 
@@ -894,11 +907,18 @@ class TestFactorRows:
             assert verify_trivialization(TranslationContext.create(fresh, w, case))
         assert builds == [g.e]
         assert "factor_rows" in vars(fresh)
-        # explicit pairs never read the rows
+        # explicit pairs and single residuals read the same rows, built once
         other = GerbeData(g.torus, g.b, g.e)
         e0 = basis_vec(g.torus.dim, 0)
-        assert verify_trivialization(TranslationContext.create(other, vectors[0], case), [(e0, e0)])
-        assert "factor_rows" not in vars(other)
+        ctx = TranslationContext.create(other, vectors[0], case)
+        assert verify_trivialization(ctx, [(e0, e0)])
+        assert builds == [g.e, g.e]
+        rows = other.factor_rows
+        for w in vectors:
+            ctx = TranslationContext.create(other, w, case)
+            assert verify_trivialization(ctx, [(e0, e0)]) and verify_trivialization(ctx)
+            assert triv.residual_is_trivial(trivialization_residual(ctx, e0, e0))
+        assert builds == [g.e, g.e] and other.factor_rows is rows
 
 
 class TestPackedCheckAtW:
@@ -972,10 +992,15 @@ class TestPackedCheckAtW:
 
             with monkeypatch.context() as patch:
                 patch.setattr(triv, "exponent_over", moved)
+                e0 = basis_vec(d, 0)
                 for ctx in contexts:
                     for extra in (10, 0):
                         with pytest.raises(InternalMismatch):
                             first_failing_pair(ctx, extra_random=extra)
+                    with pytest.raises(InternalMismatch):
+                        first_failing_pair(ctx, [(e0, e0)])
+                    with pytest.raises(InternalMismatch):
+                        trivialization_residual(ctx, e0, e0)
 
     @pytest.mark.parametrize("scale", [1, 3])
     def test_check_at_w_reaches_the_bound(self, scale):
@@ -1106,13 +1131,16 @@ class TestIntegerDecision:
             raise AssertionError("the decision went through a Fraction wrapper")
 
         monkeypatch.setattr(triv, "trivialization_residual", forbidden)
-        monkeypatch.setattr(triv, "_exponent_of", forbidden)
+        monkeypatch.setattr(triv, "Fraction", forbidden)
         monkeypatch.setattr(gerbe_module, "translation_factor", forbidden)
+        d = g.torus.dim
+        explicit = [(basis_vec(d, a), basis_vec(d, b)) for a in range(d) for b in range(d)]
         for w in vectors[:2]:
-            assert verify_trivialization(TranslationContext.create(g, w, case))
-        assert not verify_trivialization(
-            TranslationContext.create(g, outside, case, check=False)
-        )
+            ctx = TranslationContext.create(g, w, case)
+            assert verify_trivialization(ctx) and verify_trivialization(ctx, explicit)
+        ctx = TranslationContext.create(g, outside, case, check=False)
+        assert not verify_trivialization(ctx)
+        assert not verify_trivialization(ctx, explicit)
 
     def test_corrupted_kernel_fails_on_a_basis_pair(self, instance, monkeypatch):
         # one entry (a, b) of qim, the imaginary quadratic part, of e_k's
@@ -1158,7 +1186,8 @@ class TestIntegerDecision:
             return sorted(x) == [0] * (d - 1) + [1]
 
         # a fault in the translation factor at w, away from the basis
-        # vectors: the packed check at w raises, with or without random pairs
+        # vectors: the packed check at w raises, with or without random
+        # pairs, and before the first explicit pair or single residual
         factor = triv.exponent_over
 
         def broken_off_basis(torus, e3, a, b, c):
@@ -1174,8 +1203,12 @@ class TestIntegerDecision:
                     verify_trivialization(ctx, extra_random=extra)
             with pytest.raises(InternalMismatch):
                 first_failing_pair(ctx, seed=7)
-            # explicit pairs keep first-failure semantics
-            assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) == (off, e0)
+            for pairs in ([(e0, e0), (off, e0)], [(off, e0)], [(e0, e0)]):
+                with pytest.raises(InternalMismatch):
+                    first_failing_pair(ctx, pairs)
+            for l1, l2 in ((off, e0), (e0, e0)):
+                with pytest.raises(InternalMismatch):
+                    trivialization_residual(ctx, l1, l2)
 
         # a fault in the flattened imaginary half of the folded residual as
         # a random pair reads it, off the basis: the pair's imaginary part
@@ -1205,7 +1238,10 @@ class TestIntegerDecision:
                 first_failing_pair(ctx, seed=7)
             # without random pairs the basis and the check at w decide
             assert verify_trivialization(ctx, extra_random=0)
-            assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) is None
+            # explicit pairs read the same halves: the fault shows on the
+            # first pair whose Kronecker list has two nonzero entries
+            assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) == (off, e0)
+        assert first_failing_pair(ctx, [(e0, e0), (off, e0)]) is None
 
     def test_internal_mismatch_lives_below_trivialization(self):
         import torusgerbe
