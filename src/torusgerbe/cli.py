@@ -219,11 +219,6 @@ def parse_problem(text: str) -> ProblemFile:
     return ProblemFile(gerbe=gerbe, vectors=vectors, case=case)
 
 
-def render_problem(problem: ProblemFile) -> str:
-    """Canonical JSON text; parse(render(p)) == p."""
-    return json.dumps(problem_document(problem), sort_keys=True, indent=2) + "\n"
-
-
 def problem_document(problem: ProblemFile) -> dict:
     doc = {
         "n": problem.n,

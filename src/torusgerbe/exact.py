@@ -83,6 +83,18 @@ def vec_is_integral(v: Vec) -> bool:
     return all(a.denominator == 1 for a in v)
 
 
+def lattice_vector(v, dim: int, what: str) -> Vec:
+    """to_vec(v), a ValueError naming it as what unless it is integral and
+    has dim entries: the one check of every function evaluated at a lattice
+    vector.  Integrality is checked first."""
+    v = to_vec(v)
+    if not vec_is_integral(v):
+        raise ValueError(f"{what} must be a lattice (integer) vector")
+    if len(v) != dim:
+        raise ValueError(f"dimension mismatch: {what} has {len(v)} entries, not {dim}")
+    return v
+
+
 def dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")

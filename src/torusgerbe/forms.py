@@ -105,6 +105,8 @@ class AltForm2:
         return tuple([tuple([Fraction(x, den) if x else _ZERO for x in row]) for row in m])
 
     def entry(self, a: int, b: int) -> Fraction:
+        if not (0 <= a < self.dim and 0 <= b < self.dim):
+            raise ValueError(f"pair indices must lie in 0..{self.dim - 1}, got {(a, b)}")
         return self.entries[a][b]
 
     def apply(self, v: Vec) -> Vec:
@@ -186,6 +188,8 @@ class AltForm3:
         """E(e_a, e_b, e_c): the value stored on the sorted triple, negated
         for an odd permutation of it; 0 when an index repeats."""
         p, q, r = t = tuple(sorted((a, b, c)))
+        if p < 0 or r >= self.dim:
+            raise ValueError(f"triple indices must lie in 0..{self.dim - 1}, got {(a, b, c)}")
         v = dict(self.entries).get(t, _ZERO)
         return v if (a, b, c) in (t, (q, r, p), (r, p, q)) else -v
 

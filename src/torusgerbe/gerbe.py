@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import GaussianRational, Mat, PackedRows, Vec, ZERO_G, dot
-from .exact import mat_vec, to_vec, vec_is_integral, vec_is_zero
+from .exact import lattice_vector, mat_vec, to_vec, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import contract3, pullback_combination, type_condition_check
 
@@ -124,13 +124,9 @@ class Character:
     def dim(self) -> int:
         return len(self.exponents)
 
-    def exponent_at(self, v) -> GaussianRational:
-        v = to_vec(v)
-        if len(v) != self.dim:
-            raise ValueError("vector/character dimension mismatch")
-        if not vec_is_integral(v):
-            raise ValueError("characters are defined on lattice vectors")
-        return sum([e * c for e, c in zip(self.exponents, v, strict=True)], ZERO_G)
+    def exponent_at(self, lam) -> GaussianRational:
+        lam = lattice_vector(lam, self.dim, "lam")
+        return sum([e * c for e, c in zip(self.exponents, lam)], ZERO_G)
 
     def __mul__(self, other: "Character") -> "Character":
         if self.dim != other.dim:
@@ -197,11 +193,6 @@ class GerbeData:
         """`factor_digit_bound` of the torus and E, computed on first use.
         Not compared, hashed or shown."""
         return factor_digit_bound(self.torus, self.e)
-
-
-def require_lattice(v: Vec, what: str):
-    if not vec_is_integral(v):
-        raise ValueError(f"{what} must be a lattice (integer) vector")
 
 
 def _canonical_exponent(
@@ -393,9 +384,7 @@ class VectorForms:
 def pair_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:
     """The holomorphic exponent H attached to a lattice pair, linear in v."""
     t = gerbe.torus
-    l1, l2 = to_vec(l1), to_vec(l2)
-    require_lattice(l1, "l1")
-    require_lattice(l2, "l2")
+    l1, l2 = lattice_vector(l1, t.dim, "l1"), lattice_vector(l2, t.dim, "l2")
     parts = [_canonical_exponent(t, gerbe.e, ek, l1, l2) for ek in t.basis()]
     lin_re, lin_im = zip(*parts)
     return ExponentFn(ZERO_G, lin_re, lin_im)
@@ -418,10 +407,9 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
     It reads only E and J, never the per-vector forms of w, so it is the
     independent side of the trivialization residual.
     """
-    l1, l2 = to_vec(l1), to_vec(l2)
-    require_lattice(l1, "l1")
-    require_lattice(l2, "l2")
-    return GaussianRational(*_canonical_exponent(gerbe.torus, gerbe.e, w, l1, l2))
+    t = gerbe.torus
+    l1, l2 = lattice_vector(l1, t.dim, "l1"), lattice_vector(l2, t.dim, "l2")
+    return GaussianRational(*_canonical_exponent(t, gerbe.e, w, l1, l2))
 
 
 def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:

@@ -73,25 +73,6 @@ class ObstructionContext:
         return data
 
 
-def lift_defect_exponent(ctx: ObstructionContext, w1, w2, lam) -> GaussianRational:
-    """Exponent of the defect character of composing the trivializations of
-    w1 and w2 against the one of w1 + w2, evaluated at a lattice vector:
-
-        i/2*F2(iw1,lam) - 1/2*F2(w1,lam) - i*l(w2,w1,lam) - l(w2,iw1,lam)
-
-    where F2 is the (1,1) decomposition piece for w2.
-    """
-    t = ctx.gerbe.torus
-    w1, w2, lam = to_vec(w1), to_vec(w2), to_vec(lam)
-    ctx.require_member(w1, "w1")
-    ctx.require_member(w2, "w2")
-    f2 = ctx.vector(w2).invariant
-    iw1 = t.mul_i(w1)
-    re = -f2.evaluate(w1, lam) / 2 - exponent_im(t, ctx.gerbe.e, w2, iw1, lam)
-    im = f2.evaluate(iw1, lam) / 2 - exponent_im(t, ctx.gerbe.e, w2, w1, lam)
-    return GaussianRational(re, im)
-
-
 def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     """The defect character, computed both from the trivializer composition
     and from the closed exponent, and asserted identical."""
@@ -120,14 +101,30 @@ def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
 
 
 def defect_character(ctx: ObstructionContext, w1, w2) -> Character:
-    """The defect character of (w1, w2) from the closed exponent, on the
-    lattice basis."""
-    dim = ctx.gerbe.torus.dim
-    return Character(
-        tuple(
-            lift_defect_exponent(ctx, w1, w2, basis_vec(dim, k)) for k in range(dim)
-        )
-    )
+    """The defect character of composing the trivializations of w1 and w2
+    against the one of w1 + w2, from the closed exponent at lam
+
+        i/2*F2(iw1,lam) - 1/2*F2(w1,lam) - i*l(w2,w1,lam) - l(w2,iw1,lam)
+
+    where F2 is the (1,1) decomposition piece for w2, read on the whole
+    lattice basis at once: F2(v, e_k) is -(F2 applied to v)_k.
+    """
+    t, e3 = ctx.gerbe.torus, ctx.gerbe.e
+    w1, w2 = to_vec(w1), to_vec(w2)
+    ctx.require_member(w1, "w1")
+    f2 = ctx.require_member(w2, "w2").invariant
+    iw1 = t.mul_i(w1)
+    exps = []
+    for a, b, ek in zip(f2.apply(w1), f2.apply(iw1), t.basis()):
+        re = a / 2 - exponent_im(t, e3, w2, iw1, ek)
+        exps.append(GaussianRational(re, -b / 2 - exponent_im(t, e3, w2, w1, ek)))
+    return Character(tuple(exps))
+
+
+def lift_defect_exponent(ctx: ObstructionContext, w1, w2, lam) -> GaussianRational:
+    """The exponent of `defect_character` of (w1, w2) at the lattice vector
+    lam."""
+    return defect_character(ctx, w1, w2).exponent_at(lam)
 
 
 def defect_correction_fn(ctx: ObstructionContext, w1, w2) -> ExponentFn:

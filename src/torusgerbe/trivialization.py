@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .exact import GaussianRational, InternalMismatch, PackedRows, Vec, basis_vec, int_dot
-from .exact import int_vec_mat, mat_vec, to_vec, vec_is_integral
+from .exact import int_vec_mat, lattice_vector, mat_vec, to_vec
 from .gerbe import ExponentFn, GerbeData, VectorForms, balanced_digits, exponent_over
-from .gerbe import forms_over, require_lattice
+from .gerbe import forms_over
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
 from .symmetry import require_case_member
 from .torus import AltForm2, alternating_matrix, pullback_over
@@ -260,11 +260,7 @@ def symmetric_part_exponent(ctx: TranslationContext, lam) -> Fraction:
 def integral_part_exponent(ctx: TranslationContext, lam) -> Fraction:
     """Constant exponent -1/2 * sum_{i<j} lam_i lam_j eps_ij over the basis
     in index order; defined for lattice vectors only."""
-    lam = to_vec(lam)
-    if len(lam) != ctx.gerbe.torus.dim:
-        raise ValueError("dimension mismatch")
-    if not vec_is_integral(lam):
-        raise ValueError("defined on lattice (integer) vectors only")
+    lam = lattice_vector(lam, ctx.gerbe.torus.dim, "lam")
     eps = ctx.dec.integral_part
     pairs = itertools.combinations(range(len(lam)), 2)
     return -sum([lam[i] * lam[j] * eps.entry(i, j) for i, j in pairs], Fraction(0)) / 2
@@ -286,12 +282,7 @@ def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
 def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
     """Exponent of the full trivializing cochain at a lattice vector: the
     sum of the four factors above, read off the blocks of ctx.kernel."""
-    lam = to_vec(lam)
-    if len(lam) != ctx.gerbe.torus.dim:
-        raise ValueError("dimension mismatch")
-    if not vec_is_integral(lam):
-        raise ValueError("defined on lattice (integer) vectors only")
-    x = [v.numerator for v in lam]
+    x = [v.numerator for v in lattice_vector(lam, ctx.gerbe.torus.dim, "lam")]
     den, (qre, qim, re, im) = ctx.kernel
     const = [Fraction(int_dot(int_vec_mat(x, q), x), den) for q in (qre, qim)]
     lin = ([Fraction(int_dot(row, x), den) for row in m] for m in (re, im))
@@ -300,11 +291,8 @@ def trivializing_exponent(ctx: TranslationContext, lam) -> ExponentFn:
 
 def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
     """[l1, l2] as integer lists, checked as `translation_factor` checks them."""
-    pair = to_vec(l1), to_vec(l2)
-    require_lattice(pair[0], "l1")
-    require_lattice(pair[1], "l2")
-    if any(len(v) != ctx.gerbe.torus.dim for v in pair):
-        raise ValueError("vector/torus dimension mismatch")
+    d = ctx.gerbe.torus.dim
+    pair = lattice_vector(l1, d, "l1"), lattice_vector(l2, d, "l2")
     return [[v.numerator for v in lam] for lam in pair]
 
 

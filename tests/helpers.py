@@ -535,6 +535,23 @@ def reference_defect_correction_fn(ctx, w1: Vec, w2: Vec) -> ExponentFn:
     return ExponentFn(GaussianRational.real(0), lin_re, lin_im)
 
 
+def reference_lift_defect_exponent(ctx, w1: Vec, w2: Vec, lam: Vec) -> GaussianRational:
+    """The defect exponent at one vector lam, by its per-vector formula
+
+        i/2*F2(iw1,lam) - 1/2*F2(w1,lam) - i*l(w2,w1,lam) - l(w2,iw1,lam)
+
+    with F2 the (1,1) piece of the decomposition of w2 and l the trilinear
+    reference_exponent_im; lam is not checked."""
+    g, t = ctx.gerbe, ctx.gerbe.torus
+    w1, w2, lam = to_vec(w1), to_vec(w2), to_vec(lam)
+    _reference_member_invariant(g, ctx.case, w1)
+    f2 = _reference_member_invariant(g, ctx.case, w2)
+    iw1 = t.mul_i(w1)
+    re = -f2.evaluate(w1, lam) / 2 - reference_exponent_im(t, g.e, w2, iw1, lam)
+    im = f2.evaluate(iw1, lam) / 2 - reference_exponent_im(t, g.e, w2, w1, lam)
+    return GaussianRational(re, im)
+
+
 def reference_first_obstruction_character(ctx, w1: Vec, w2: Vec) -> Character:
     """lam -> exp((E(iw2,iw1,lam) - E(iw2,w1,i*lam))/8 - F2(w1,lam)) with E
     evaluated on each basis vector."""

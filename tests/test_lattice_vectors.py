@@ -1,0 +1,112 @@
+"""One input contract for every public function evaluated at a lattice vector.
+
+Each row names a public function and the lattice-vector argument it takes;
+the other arguments are fixed on the n = 2 gerbe with E = 2*e123 and B =
+e12/2, in the integral case at w = (1/2, 0, 0, 0).  Every row is checked
+by `exact.lattice_vector`, so for each:
+- a float entry raises the package's TypeError, an integral-valued one too;
+- a vector of the wrong length raises the dimension mismatch;
+- a non-integer entry raises ValueError naming the argument;
+- a list and a tuple of the same entries give equal results.
+"""
+
+import ast
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from torusgerbe import (
+    AltForm2,
+    Character,
+    GaussianRational,
+    ObstructionContext,
+    SubgroupCase,
+    TranslationContext,
+    cocycle_exponent,
+    integral_part_exponent,
+    lift_defect_exponent,
+    pair_exponent,
+    translation_factor,
+    trivialization_residual,
+    trivializing_exponent,
+    verify_trivialization,
+)
+from torusgerbe.trivialization import first_failing_pair
+
+from helpers import gerbe4, vec
+
+INT = SubgroupCase.INTEGRAL
+W1 = vec(F(1, 2), 0, 0, 0)
+W2 = vec(0, F(1, 2), 0, 0)
+E0 = (1, 0, 0, 0)
+G = gerbe4(2, AltForm2.from_pairs(4, {(0, 1): F(1, 2)}))
+CTX = TranslationContext.create(G, W1, INT)
+OCTX = ObstructionContext(G, INT)
+CHAR = Character(tuple(GaussianRational(F(k), F(1, 2)) for k in range(4)))
+
+# name -> (argument, the call with the vector as that argument)
+ROWS = {
+    "Character.exponent_at": ("lam", lambda v: CHAR.exponent_at(v)),
+    "pair_exponent(l1)": ("l1", lambda v: pair_exponent(G, v, E0)),
+    "pair_exponent(l2)": ("l2", lambda v: pair_exponent(G, E0, v)),
+    "cocycle_exponent(l1)": ("l1", lambda v: cocycle_exponent(G, v, E0)),
+    "cocycle_exponent(l2)": ("l2", lambda v: cocycle_exponent(G, E0, v)),
+    "translation_factor(l1)": ("l1", lambda v: translation_factor(G, W1, v, E0)),
+    "translation_factor(l2)": ("l2", lambda v: translation_factor(G, W1, E0, v)),
+    "trivializing_exponent": ("lam", lambda v: trivializing_exponent(CTX, v)),
+    "integral_part_exponent": ("lam", lambda v: integral_part_exponent(CTX, v)),
+    "first_failing_pair(l1)": ("l1", lambda v: first_failing_pair(CTX, [(E0, E0), (v, E0)])),
+    "first_failing_pair(l2)": ("l2", lambda v: first_failing_pair(CTX, [(E0, v)])),
+    "verify_trivialization(l1)": ("l1", lambda v: verify_trivialization(CTX, [(v, E0)])),
+    "verify_trivialization(l2)": ("l2", lambda v: verify_trivialization(CTX, [(E0, v)])),
+    "trivialization_residual(l1)": ("l1", lambda v: trivialization_residual(CTX, v, E0)),
+    "trivialization_residual(l2)": ("l2", lambda v: trivialization_residual(CTX, E0, v)),
+    "lift_defect_exponent": ("lam", lambda v: lift_defect_exponent(OCTX, W1, W2, v)),
+}
+NAMES = sorted(ROWS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_float_raises_the_package_type_error(name):
+    _, call = ROWS[name]
+    for v in ([0.5, 0, 0, 0], (1, 0, 0, 1.0)):
+        with pytest.raises(TypeError, match="floats are not allowed in exact computations"):
+            call(v)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_wrong_length_raises_the_dimension_mismatch(name):
+    what, call = ROWS[name]
+    for v in ((1, 0, 0), (1, 0, 0, 0, 0), ()):
+        with pytest.raises(ValueError, match=f"dimension mismatch: {what} has {len(v)} entries"):
+            call(v)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_non_integer_entry_raises_naming_the_argument(name):
+    # lift_defect_exponent read (1/2, 0, 0, 0) as 0 and returned 0+0i
+    what, call = ROWS[name]
+    for v in ((F(1, 2), 0, 0, 0), [0, 0, 0, F(-7, 3)], (1, 0, F(2, 4), 0)):
+        with pytest.raises(ValueError, match=rf"^{what} must be a lattice \(integer\) vector$"):
+            call(v)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_list_and_a_tuple_give_equal_results(name):
+    _, call = ROWS[name]
+    for entries in ((2, -1, 0, 3), (0, 0, 0, 0), (1, 0, 0, 0)):
+        fractions = tuple(F(x) for x in entries)
+        assert call(list(entries)) == call(tuple(entries)) == call(fractions)
+
+
+def test_one_function_reads_the_integrality_test():
+    src = Path(__file__).resolve().parent.parent / "src" / "torusgerbe"
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == "vec_is_integral" for n in ast.walk(node)
+            ):
+                readers.append(f"{path.name}:{node.name}")
+    assert readers == ["exact.py:lattice_vector"]

@@ -33,10 +33,7 @@ UNREAD_IMPORTS_KEPT = {
     ("torus.py", "lattice_membership"),
 }
 # (module, name) of the definitions kept although no package module reads them
-UNREFERENCED_KEPT = {
-    # the documented round trip parse_problem(render_problem(p)) == p
-    ("cli.py", "render_problem"),
-}
+UNREFERENCED_KEPT = set()
 # Builtins, plus the attributes the import system sets on every module.
 ALWAYS_BOUND = set(dir(builtins)) | {"__builtins__", "__cached__", "__file__", "__path__"}
 

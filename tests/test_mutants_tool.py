@@ -53,3 +53,26 @@ def test_every_mutant_unparses_and_compiles():
         compile(source, FORMS, "exec")
         sources.add(source)
     assert len(sources) == count  # each mutant changes the module
+
+
+def test_boolean_modulo_and_identity_mutants():
+    tree = ast.parse(
+        "def verdict(z, y, pairs):\n"
+        "    if pairs is None or z is not None:\n"
+        "        return z and y\n"
+        "    return y % 3\n"
+    )
+    count = len(list(TOOL.mutations(TOOL.find_function(tree, "verdict"))))
+    bodies = {ast.unparse(TOOL.mutate(tree, "verdict", i)[0]) for i in range(count)}
+    expected = [
+        "if pairs is None and z is not None:",  # or -> and
+        "if pairs is not None or z is not None:",  # is -> is not
+        "if pairs is None or z is None:",  # is not -> is
+        "return z or y",  # and -> or
+        "return y // 3",  # % -> //
+        "return y % 4",  # the constant
+    ]
+    assert count == len(expected) == len(bodies)
+    for line in expected:
+        assert sum(line in body for body in bodies) == 1, line
+    assert "return y % 3" in ast.unparse(tree)  # each mutant works on a copy

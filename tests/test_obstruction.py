@@ -45,6 +45,7 @@ from helpers import (
     gerbe4,
     gerbe6,
     rand_vec,
+    reference_lift_defect_exponent,
     sample_integral_instance,
     sample_oneone_instance,
     torus4,
@@ -118,6 +119,22 @@ class TestLiftDefectExponent:
     def test_membership_required(self, ctx2):
         with pytest.raises(NotInSubgroup):
             lift_defect_exponent(ctx2, vec(F(1, 3), 0, 0, 0), W2, e(4, 3))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("case", [INT, ONEONE])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_equals_the_per_vector_formula(self, n, case, twisted):
+        # the defect character's value at lam against the per-lam formula,
+        # at random lattice vectors, the zero vector and the basis
+        rng = random.Random(f"defect:{n}:{case.value}:{twisted}")
+        g, vectors = conjugated_instance(n, 7, case, twisted, count=3)
+        ctx, d = ObstructionContext(g, case), g.torus.dim
+        for w1, w2 in itertools.product(vectors, repeat=2):
+            lams = [rand_vec(rng, d) for _ in range(3)] + [(0,) * d, basis_vec(d, d - 1)]
+            for lam in lams:
+                want = reference_lift_defect_exponent(ctx, w1, w2, lam)
+                assert lift_defect_exponent(ctx, w1, w2, lam) == want
+                assert lift_defect_exponent(ctx, w1, w2, list(lam)) == want
 
     def test_bilinear_cocycle_identity(self):
         # defect(w2,w3) - defect(w1+w2,w3) + defect(w1,w2+w3) - defect(w1,w2)
@@ -628,7 +645,7 @@ class TestBoundaryValues:
         c = Character(tuple(GaussianRational(F(k), F(1, 2)) for k in range(4)))
         assert c.exponent_at([1, 1, 0, 0]) == GaussianRational(F(1), F(1))
         for v in ((1, 0, 0), (1, 0, 0, 0, 0)):
-            with pytest.raises(ValueError, match="vector/character dimension mismatch"):
+            with pytest.raises(ValueError, match="dimension mismatch: lam has"):
                 c.exponent_at(v)
-        with pytest.raises(ValueError, match="lattice vectors"):
+        with pytest.raises(ValueError, match=r"lam must be a lattice \(integer\) vector"):
             c.exponent_at((F(1, 2), 0, 0, 0))

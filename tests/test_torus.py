@@ -93,6 +93,22 @@ class TestAltForms:
         for a, b, c in itertools.product(range(5), repeat=3):
             assert f.coeff(a, b, c) == f.evaluate(e(5, a + 1), e(5, b + 1), e(5, c + 1))
 
+    def test_altform2_entry_rejects_an_index_outside_the_form(self):
+        # entry(-1, 0) read the last row, entry(dim - 1, 0)
+        f = AltForm2.from_pairs(4, {(0, 3): 2, (1, 2): 1})
+        assert f.entry(3, 0) == -2
+        for a, b in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+            with pytest.raises(ValueError, match=r"pair indices must lie in 0\.\.3"):
+                f.entry(a, b)
+
+    def test_altform3_coeff_rejects_an_index_outside_the_form(self):
+        # coeff(0, 1, 99) and coeff(-1, 0, 1) read 0, as for a repeated index
+        f = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): 1})
+        assert f.coeff(3, 2, 1) == -1 and f.coeff(3, 3, 1) == 0
+        for a, b, c in ((0, 1, 99), (-1, 0, 1), (1, 4, 0), (0, 0, -1)):
+            with pytest.raises(ValueError, match=r"triple indices must lie in 0\.\.3"):
+                f.coeff(a, b, c)
+
 
 class TestContract3:
     def test_absent_slot_gives_zero(self):

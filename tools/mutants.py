@@ -9,8 +9,10 @@ each NAME a function in it, `Class.method` for a method; an unknown NAME is
 an error (exit 2) before anything is copied or run.  Every mutant
 changes one node inside the named function, nested functions included:
 - a binary operator, augmented assignments too: + and - swap, * and //
-  swap;
-- a comparison: == and != swap, < and <= swap, > and >= swap;
+  swap, % becomes //;
+- a boolean operator: `and` and `or` swap;
+- a comparison: == and != swap, < and <= swap, > and >= swap, `is` and
+  `is not` swap;
 - an integer constant k becomes k + 1;
 - `not x` becomes `not not x`, the truth value of x.
 
@@ -37,10 +39,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BINARY = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult}
+BINARY = {
+    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
+    ast.Mod: ast.FloorDiv,
+}
+BOOLEAN = {ast.And: ast.Or, ast.Or: ast.And}
 COMPARE = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE,
-    ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+    ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
 }
 
 
@@ -74,6 +80,9 @@ def mutations(func: ast.FunctionDef):
         where = f"line {getattr(node, 'lineno', func.lineno)}"
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in BINARY:
             new = BINARY[type(node.op)]()
+            yield node, setter("op", new), f"{where}: {ast.unparse(node)}, {type(new).__name__}"
+        elif isinstance(node, ast.BoolOp):
+            new = BOOLEAN[type(node.op)]()
             yield node, setter("op", new), f"{where}: {ast.unparse(node)}, {type(new).__name__}"
         elif isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
