@@ -29,7 +29,6 @@ from .gerbe import (
     ExponentFn,
     GerbeData,
     TypeConditionFailed,
-    VectorForms,
     cocycle_exponent,
     exponent_im,
     exponent_re,

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, Mat, PackedRows, Vec, ZERO_G, dot
+from .exact import GaussianRational, PackedRows, Vec, ZERO_G, dot
 from .exact import lattice_vector, mat_vec, to_vec, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import contract3, pullback_combination, type_condition_check
@@ -329,13 +329,15 @@ def exponent_im(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:
 
 
 def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
-    """The integer core of `VectorForms`: (dw, x, ix, do, omega, omega_i, l).
+    """The canonical exponent with its first argument fixed at w, in
+    integers: (dw, x, ix, do, omega, omega_i, l).
 
     (dw, x, ix) is `TorusData.lift` of w, so iw = ix/(dj*dw), and omega,
     omega_i and l are the full integer matrices of E(w,.,.) over do =
-    de*dw, E(iw,.,.) over dj*do and L_w over 16*dj*do.  Since omega is
-    alternating, J^T*omega = -(omega*J)^T, so with Y = dj*omega*J the
-    form is l = Y - Y^T - 2*omega_i.
+    de*dw, E(iw,.,.) over dj*do and L_w over 16*dj*do, the bilinear form
+    L_w = (J^T*omega + omega*J - 2*omega_i)/16 with exponent_im(w, x, y) =
+    x^T*L_w*y.  Since omega is alternating, J^T*omega = -(omega*J)^T, so
+    with Y = dj*omega*J the form is l = Y - Y^T - 2*omega_i.
     """
     dw, x, ix = torus.lift(w)
     omega, do = e3.contract_over(x, dw)
@@ -344,41 +346,6 @@ def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
     r = range(torus.dim)
     l = [[y[a][b] - y[b][a] - 2 * omega_i[a][b] for b in r] for a in r]
     return dw, x, ix, do, omega, omega_i, l
-
-
-@dataclass(frozen=True)
-class VectorForms:
-    """The canonical exponent with its first argument fixed at w.
-
-    omega = E(w,.,.) and omega_i = E(iw,.,.) are the two contractions, and
-    l_form = (J^T*omega + omega*J - 2*omega_i) / 16 is the bilinear form
-    with exponent_im(w, x, y) = x^T * l * y.  A `Fraction` view: the integer
-    kernels read `forms_over` instead.
-    """
-
-    w: Vec
-    iw: Vec
-    omega: AltForm2
-    omega_i: AltForm2
-    l_form: AltForm2
-
-    @functools.cached_property
-    def l(self) -> Mat:
-        """The matrix of `Fraction`s of l_form, built on first read."""
-        return self.l_form.entries
-
-    @staticmethod
-    def create(torus: TorusData, e3: AltForm3, w) -> "VectorForms":
-        w = to_vec(w)
-        dw, _, ix, do, omega, omega_i, l = forms_over(torus, e3, w)
-        dj = torus.j_columns[0]
-        return VectorForms(
-            w=w,
-            iw=tuple([Fraction(y, dj * dw) for y in ix]),
-            omega=AltForm2.from_upper(omega, do),
-            omega_i=AltForm2.from_upper(omega_i, dj * do),
-            l_form=AltForm2.from_upper(l, 16 * dj * do),
-        )
 
 
 def pair_exponent(gerbe: GerbeData, l1, l2) -> ExponentFn:

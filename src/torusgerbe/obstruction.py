@@ -332,10 +332,10 @@ def theta_group_multiply(
 class SubgroupSpec:
     """Finitely many subgroup generators together with the ambient case.
 
-    Vanishing decisions also draw on the standard lattice basis: the group
-    under study always sits over the lattice, whose vectors are included
-    whenever they satisfy the case membership (always, in the integral
-    case).
+    Vanishing decisions also draw on the standard lattice basis: a basis
+    vector e_k is added whenever it is a case member (always, in the
+    integral case).  In the (1,1) case a member lattice vector that the
+    member basis vectors do not span is included only as a generator.
     """
 
     generators: tuple[Vec, ...]
@@ -376,12 +376,15 @@ def obstruction_vanishes(
     """Decide vanishing of the chosen obstruction on the generated subgroup.
 
     The alternating classes are multilinear, so generator tuples decide the
-    question.  The certificate is the first failing tuple in lexicographic
-    order of the candidate list (user generators first, then admissible
-    lattice basis vectors).  For the second obstruction the per-case closed
-    form is the authority; triples where the brute-force alternation
-    disagrees with it are surfaced, never silently resolved.  which is an
-    `ObstructionKind` or its value, else ValueError.
+    question on the subgroup they span.  The candidates are the generators,
+    then the lattice basis vectors that are case members: every one in the
+    integral case, while in the (1,1) case a member lattice vector outside
+    the span of the member basis vectors counts only as a generator.  The
+    certificate is the first failing tuple in lexicographic order of the
+    candidates.  For the second obstruction the per-case closed form is the
+    authority; triples where the brute-force alternation disagrees with it
+    are surfaced, never silently resolved.  which is an `ObstructionKind`
+    or its value, else ValueError.
     """
     which = ObstructionKind(which)
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)

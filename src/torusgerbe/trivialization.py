@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import GaussianRational, InternalMismatch, PackedRows, Vec, basis_vec, int_dot
 from .exact import int_vec_mat, lattice_vector, mat_vec, to_vec
-from .gerbe import ExponentFn, GerbeData, VectorForms, balanced_digits, exponent_over
+from .gerbe import ExponentFn, GerbeData, balanced_digits, exponent_im, exponent_over
 from .gerbe import forms_over
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
 from .symmetry import require_case_member
@@ -81,10 +81,6 @@ class TranslationContext:
         """The records of the lattice basis vectors e_1..e_d, built once per
         (gerbe, case)."""
         return _basis_records(gerbe, SubgroupCase(case)).records
-
-    @functools.cached_property
-    def forms(self) -> VectorForms:
-        return VectorForms.create(self.gerbe.torus, self.gerbe.e, self.w)
 
     @functools.cached_property
     def invariant(self) -> AltForm2:
@@ -235,26 +231,24 @@ def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:
-    """Exponent of the holomorphic factor -i*l(w,v,lam) - l(w,iv,lam).
-
-    With L the bilinear form of l(w,.,.), the covectors of v -> l(w,v,lam)
-    and v -> l(w,iv,lam) are L*lam and J^T*L*lam.
-    """
-    im = mat_vec(ctx.forms.l, to_vec(lam))
-    re = mat_vec(ctx.gerbe.torus.jt, im)
-    return ExponentFn(
-        GaussianRational.real(0), tuple(-x for x in re), tuple(-x for x in im)
-    )
+    """Exponent of the holomorphic factor -i*l(w,v,lam) - l(w,iv,lam) at a
+    lattice vector, for l = exponent_im: the covector of v -> l(w,v,lam)
+    is (l(w,e_k,lam))_k, and that of v -> l(w,iv,lam) is J^T times it."""
+    t, e3 = ctx.gerbe.torus, ctx.gerbe.e
+    lam = lattice_vector(lam, t.dim, "lam")
+    im = [exponent_im(t, e3, ctx.w, ek, lam) for ek in t.basis()]
+    return -ExponentFn(0, mat_vec(t.jt, im), im)
 
 
 def symmetric_part_exponent(ctx: TranslationContext, lam) -> Fraction:
-    """Constant exponent E(iw, i*lam, lam) / 16.
+    """Constant exponent E(iw, i*lam, lam) / 16 at a lattice vector.
 
     Its coboundary cancels the symmetric part of the real factor left after
     unitarizing, which is what the trivialization identity requires.
     """
-    lam = to_vec(lam)
-    return ctx.forms.omega_i.evaluate(ctx.gerbe.torus.mul_i(lam), lam) / 16
+    t = ctx.gerbe.torus
+    lam = lattice_vector(lam, t.dim, "lam")
+    return ctx.gerbe.e.evaluate(t.mul_i(ctx.w), t.mul_i(lam), lam) / 16
 
 
 def integral_part_exponent(ctx: TranslationContext, lam) -> Fraction:
@@ -267,10 +261,10 @@ def integral_part_exponent(ctx: TranslationContext, lam) -> Fraction:
 
 
 def invariant_part_exponent(ctx: TranslationContext, lam) -> ExponentFn:
-    """Exponent i/2*F(iv,lam) - 1/2*F(v,lam) + i/4*F(i*lam,lam) for the
-    (1,1) piece F of the decomposition; holomorphic in v."""
-    lam = to_vec(lam)
+    """Exponent i/2*F(iv,lam) - 1/2*F(v,lam) + i/4*F(i*lam,lam) at a lattice
+    vector, for the (1,1) piece F of the decomposition; holomorphic in v."""
     t = ctx.gerbe.torus
+    lam = lattice_vector(lam, t.dim, "lam")
     f = ctx.dec.invariant_part
     flam = f.apply(lam)
     lin_re = tuple(-x / 2 for x in flam)

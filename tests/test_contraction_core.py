@@ -1,11 +1,11 @@
 """The per-vector contraction core of the canonical exponent.
 
-`VectorForms` holds, for one vector w, the contractions E(w,.,.) and
-E(iw,.,.) and the bilinear form L_w of exponent_im(w,.,.); the obstruction
-and trivialization formulas evaluate it as row-vector products.  Every
-result is checked for exact equality against the per-basis reference
-oracles in `helpers`, on standard and twisted rational J at n = 2 and 3, in
-both decomposition cases.
+`gerbe.forms_over` gives, for one vector w, the contractions E(w,.,.) and
+E(iw,.,.) and the bilinear form L_w of exponent_im(w,.,.) as integer
+matrices; the per-vector records that the obstruction and trivialization
+formulas read are built from them.  Every result is checked for exact
+equality against the per-basis reference oracles in `helpers`, on standard
+and twisted rational J at n = 2 and 3, in both decomposition cases.
 """
 
 import itertools
@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from torusgerbe import (
+    AltForm2,
     ClosedFormMismatch,
     GerbeData,
     NotInSubgroup,
@@ -24,7 +25,6 @@ from torusgerbe import (
     SubgroupSpec,
     ThetaGroupElement,
     TranslationContext,
-    VectorForms,
     case_decomposition,
     contract3,
     defect_character,
@@ -41,6 +41,7 @@ from torusgerbe import (
     theta_group_multiply,
     unitarize_exponent,
 )
+from torusgerbe.gerbe import forms_over
 from torusgerbe.obstruction import defect_correction_fn
 from torusgerbe.trivialization import verify_trivialization
 
@@ -75,19 +76,21 @@ def instance(request):
     return g, case, vectors
 
 
-class TestVectorForms:
+class TestFormsOver:
     def test_bilinear_form_matches_trilinear_exponent_on_basis(self, instance):
         g, _, vectors = instance
         t = g.torus
+        dj = t.j_columns[0]
         rng = random.Random(5)
         basis = t.basis()
         for w in vectors + [rand_rational_vec(rng, t.dim)]:
-            forms = VectorForms.create(t, g.e, w)
-            assert forms.iw == t.mul_i(w)
-            assert forms.omega == contract3(g.e, w)
-            assert forms.omega_i == contract3(g.e, t.mul_i(w))
+            dw, x, ix, do, omega, omega_i, l = forms_over(t, g.e, w)
+            assert tuple(F(y, dw) for y in x) == w
+            assert tuple(F(y, dj * dw) for y in ix) == t.mul_i(w)
+            assert AltForm2.from_upper(omega, do) == contract3(g.e, w)
+            assert AltForm2.from_upper(omega_i, dj * do) == contract3(g.e, t.mul_i(w))
             for a, b in itertools.product(range(t.dim), repeat=2):
-                assert forms.l[a][b] == reference_exponent_im(
+                assert F(l[a][b], 16 * dj * do) == reference_exponent_im(
                     t, g.e, w, basis[a], basis[b]
                 )
 

@@ -25,11 +25,14 @@ from torusgerbe import (
     TranslationContext,
     cocycle_exponent,
     integral_part_exponent,
+    invariant_part_exponent,
     lift_defect_exponent,
     pair_exponent,
+    symmetric_part_exponent,
     translation_factor,
     trivialization_residual,
     trivializing_exponent,
+    unitarize_exponent,
     verify_trivialization,
 )
 from torusgerbe.trivialization import first_failing_pair
@@ -56,6 +59,9 @@ ROWS = {
     "translation_factor(l2)": ("l2", lambda v: translation_factor(G, W1, E0, v)),
     "trivializing_exponent": ("lam", lambda v: trivializing_exponent(CTX, v)),
     "integral_part_exponent": ("lam", lambda v: integral_part_exponent(CTX, v)),
+    "unitarize_exponent": ("lam", lambda v: unitarize_exponent(CTX, v)),
+    "symmetric_part_exponent": ("lam", lambda v: symmetric_part_exponent(CTX, v)),
+    "invariant_part_exponent": ("lam", lambda v: invariant_part_exponent(CTX, v)),
     "first_failing_pair(l1)": ("l1", lambda v: first_failing_pair(CTX, [(E0, E0), (v, E0)])),
     "first_failing_pair(l2)": ("l2", lambda v: first_failing_pair(CTX, [(E0, v)])),
     "verify_trivialization(l1)": ("l1", lambda v: verify_trivialization(CTX, [(v, E0)])),

@@ -21,6 +21,7 @@ from torusgerbe import (
     SubgroupCase,
     SubgroupSpec,
     ThetaGroupElement,
+    TorusData,
     defect_correction_value,
     exponent_im,
     first_obstruction_alternating,
@@ -570,6 +571,40 @@ class TestObstructionVanishes:
         result = obstruction_vanishes(g, spec, ObstructionKind.FIRST)
         assert not result.vanishes
         assert result.certificate == (w1, w2, e(6, 3))
+
+    def test_oneone_candidates_are_member_basis_vectors_not_the_lattice_part(self):
+        # J = P*J0*P^-1 for the standard n = 3 structure J0 and a unipotent
+        # rational P.  No basis vector is a (1,1) member, while the lattice
+        # vector lam is one: the decided subgroup is the one spanned by the
+        # generators and the member basis vectors, not all of the lattice
+        # part of the (1,1) subgroup.
+        j = (
+            (F(1, 3), F(-10, 9), F(2, 3), F(-1, 27), F(-16, 9), 0),
+            (1, F(-1, 3), F(1, 6), F(-11, 18), F(-1, 2), 1),
+            (0, 0, 0, -1, 0, -1),
+            (0, 0, 1, 0, -1, 0),
+            (0, 0, 0, 0, 0, -1),
+            (0, 0, 0, 0, 1, 0),
+        )
+        coeffs = {
+            (0, 1, 2): -18, (0, 1, 3): 18, (0, 1, 4): 18, (0, 2, 3): 15, (0, 3, 4): -3,
+            (0, 3, 5): -18, (1, 2, 3): 6, (1, 2, 4): 6, (1, 2, 5): -18, (1, 3, 4): 24,
+            (1, 3, 5): 6, (1, 4, 5): 18, (2, 3, 4): -5, (2, 3, 5): -3, (2, 4, 5): 18,
+            (3, 4, 5): -9,
+        }
+        g = GerbeData(TorusData(3, j), AltForm2.zero(6), AltForm3.from_coeffs(6, coeffs))
+        assert not any(record.member for record in TranslationContext.basis(g, ONEONE))
+        w1, w2 = vec(1, F(1, 6), 1, 1, 1, F(-1, 2)), vec(4, F(1, 3), -1, 2, -1, -1)
+        lam = vec(-5, 0, 12, 3, 14, 0)
+        assert TranslationContext.create(g, lam, ONEONE).member
+        spec = SubgroupSpec.create((w1, w2), ONEONE)
+        result = obstruction_vanishes(g, spec, ObstructionKind.FIRST)
+        assert (result.vanishes, result.certificate, result.tuples_checked) == (True, None, 1)
+        spec = SubgroupSpec.create((w1, w2, lam), ONEONE)
+        result = obstruction_vanishes(g, spec, ObstructionKind.FIRST)
+        assert (result.vanishes, result.certificate, result.tuples_checked) == (
+            False, (w1, lam, e(6, 3)), 2
+        )
 
 
 class TestGerbalClass:

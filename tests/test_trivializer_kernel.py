@@ -186,7 +186,6 @@ class TestCanonicalExponent:
             raise AssertionError("translation_factor read the vector forms")
 
         monkeypatch.setattr(gerbe, "forms_over", forbidden)
-        monkeypatch.setattr(gerbe.VectorForms, "create", forbidden)
         g, _, vectors = instance
         d = g.torus.dim
         translation_factor(g, vectors[0], basis_vec(d, 0), basis_vec(d, 1))
@@ -245,6 +244,23 @@ class TestTrivializerKernel:
             assert trivializing_exponent(ctx, lam) == reference_trivializing_exponent(
                 ctx, lam
             )
+
+    def test_factor_oracle_does_not_share_the_records_forms(self, instance, monkeypatch):
+        # a fault in L_w, which every record is built from, must show against
+        # the oracle: the four factor functions never read forms_over
+        g, case, _ = instance
+        rng = random.Random(24)
+        w, lam = outside_vector(rng, g, case), rand_vec(rng, g.torus.dim)
+        forms_over = gerbe_module.forms_over
+
+        def faulty(torus, e3, w):
+            *head, omega_i, l = forms_over(torus, e3, w)
+            return (*head, omega_i, [[a - b for a, b in zip(*rows)] for rows in zip(l, omega_i)])
+
+        for module in (gerbe_module, triv):
+            monkeypatch.setattr(module, "forms_over", faulty)
+        ctx = TranslationContext.create(GerbeData(g.torus, g.b, g.e), w, case, check=False)
+        assert trivializing_exponent(ctx, lam) != reference_trivializing_exponent(ctx, lam)
 
     def test_zero_vector_and_zero_form(self, instance):
         g, case, _ = instance
@@ -885,7 +901,6 @@ class TestFactorRows:
             raise AssertionError("the factor rows read the vector forms")
 
         monkeypatch.setattr(gerbe_module, "forms_over", forbidden)
-        monkeypatch.setattr(gerbe_module.VectorForms, "create", forbidden)
         g, _, _ = instance
         fresh = GerbeData(g.torus, g.b, g.e)
         assert fresh.factor_rows[:2] == g.factor_rows[:2]
