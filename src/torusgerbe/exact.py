@@ -90,6 +90,12 @@ def lattice_vector(v, dim: int, what: str) -> Vec:
     v = to_vec(v)
     if not vec_is_integral(v):
         raise ValueError(f"{what} must be a lattice (integer) vector")
+    return sized_vector(v, dim, what)
+
+
+def sized_vector(v, dim: int, what: str) -> Vec:
+    """to_vec(v), a ValueError naming it as what unless it has dim entries."""
+    v = to_vec(v)
     if len(v) != dim:
         raise ValueError(f"dimension mismatch: {what} has {len(v)} entries, not {dim}")
     return v

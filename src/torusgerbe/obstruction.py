@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
-from .exact import InternalMismatch, int_vec_mat, unit_reduce
+from .exact import InternalMismatch, int_vec_mat, sized_vector, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase
 from .trivialization import TranslationContext, _lifted_record, trivializing_exponent
@@ -321,8 +321,10 @@ class ThetaGroupElement:
 def theta_group_multiply(
     a: ThetaGroupElement, b: ThetaGroupElement, ctx: ObstructionContext
 ) -> ThetaGroupElement:
-    """(a1, w1) * (a2, w2) = (a1 * a2 * defect(w1, w2), w1 + w2)."""
-    w = vec_add(a.w, b.w)
+    """(a1, w1) * (a2, w2) = (a1 * a2 * defect(w1, w2), w1 + w2); a
+    ValueError unless both vectors have the torus's dimension."""
+    d = ctx.gerbe.torus.dim
+    w = vec_add(sized_vector(a.w, d, "a.w"), sized_vector(b.w, d, "b.w"))
     ctx.require_member(w, "product vector")
     defect = defect_character(ctx, a.w, b.w)
     return ThetaGroupElement(character=a.character * b.character * defect, w=w)

@@ -46,7 +46,7 @@ class TranslationContext:
     kept on the gerbe (`GerbeData.basis_records`).  The record of any other
     w = x/dw is sum_k x_k*(record of e_k) over dw times their den: the same
     integers as built directly, since no step of the direct build reduces
-    its denominator.  So is the coboundary form, read without a kernel.
+    its denominator.  So is the identity's residual (`_residual`).
     """
 
     gerbe: GerbeData
@@ -98,22 +98,8 @@ class TranslationContext:
         matrices over one denominator, `_kernel_blocks` of the record."""
         return _kernel_den(self), _kernel_blocks(self)
 
-    @functools.cached_property
-    def coboundary(self) -> tuple[list, list]:
-        """(ar, ai) over `_kernel_den`: the lattice coboundary T(l2)(v + l1) -
-        T(l1 + l2)(v) + T(l1)(v) of the trivializer T is the constant
-        l1^T*(ar + i*ai)*l2, as T's linear part is linear in lam and its
-        constant quadratic, with ar = re - qre - qre^T, ai = im - qim -
-        qim^T.  The kernel is linear in the record and divides nowhere, so
-        this is x^T times `_Basis.coboundary_rows`, with no kernel built."""
-        flat = _basis_records(self.gerbe, self.case).coboundary_rows.times(self.x)
-        d = len(self.x)
-        rows = [flat[s : s + d] for s in range(0, 2 * d * d, d)]
-        return rows[:d], rows[d:]
-
-
 def _kernel_den(ctx: TranslationContext) -> int:
-    """4*dj*den, the denominator of the kernel and the coboundary form."""
+    """4*dj*den, the denominator of the kernel and of the residual."""
     return 4 * ctx.gerbe.torus.j_columns[0] * ctx.den
 
 
@@ -197,21 +183,31 @@ def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
 class _Basis:
     """The basis records e_1..e_d of a (gerbe, case): row k of the packed
     `rows` is record k's omega, f, m and r flattened, so rows.times(x) is
-    the four matrices of x/dw flattened, over dw*records[0].den."""
+    the four matrices of x/dw flattened, over dw*records[0].den; the
+    identity's `residual_rows` are built on first use."""
 
     records: tuple
     rows: PackedRows
 
     @functools.cached_property
-    def coboundary_rows(self) -> PackedRows:
-        """Packed row k: (ar, ai) of record k flattened, from its
-        `_kernel_blocks`; no kernel is cached on the records."""
+    def residual_rows(self) -> PackedRows:
+        """Packed row k: the residual of every basis pair at w = e_k over k0
+        = `_kernel_den` of record k, flattened.  The lattice coboundary of
+        the trivializer T, T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v), is the
+        constant l1^T*(ar + i*ai)*l2, as T's linear part is linear in lam
+        and its constant quadratic: ar = re - qre - qre^T and ai = im - qim
+        - qim^T of record k's `_kernel_blocks` (not cached on the records).
+        Row k of the gerbe's `factor_rows`, over (dre, dim), is added times
+        k0/dre and k0/dim."""
+        first = self.records[0]
+        k0, (dre, dim, factors) = _kernel_den(first), first.gerbe.factor_rows
+        n = len(self.records) ** 2
+        scales = [k0 // dre] * n + [k0 // dim] * n
         rows = []
-        for qre, qim, re, im in map(_kernel_blocks, self.records):
+        for (qre, qim, re, im), h in zip(map(_kernel_blocks, self.records), factors.rows):
             halves = ((re, qre), (im, qim))
-            rows.append(
-                [x - y - z for a, q in halves for r in zip(a, q, zip(*q)) for x, y, z in zip(*r)]
-            )
+            cob = (x - y - z for a, q in halves for r in zip(a, q, zip(*q)) for x, y, z in zip(*r))
+            rows.append([c + s * y for c, s, y in zip(cob, scales, h)])
         return PackedRows(rows)
 
 
@@ -290,26 +286,20 @@ def _lattice_pair(ctx: TranslationContext, l1, l2) -> list[list[int]]:
     return [[v.numerator for v in lam] for lam in pair]
 
 
-def _folded_residual(ctx: TranslationContext, h: list) -> tuple[int, list, list]:
-    """(modulus, fre, fim): the residual of every lattice pair on two
-    flattened d x d integer matrices, from the coboundary form (ar, ai)
-    over k = `_kernel_den` and h = x^T*rows of the gerbe's `factor_rows`,
-    the factors (hre, him) of the basis pairs over (dre, dim) = dw times
-    the rows' denominators: fre = ar*dre + hre*k, fim = ai*dim + him*k.
-    By bilinearity the residual at (x1, x2) is [u*v for u in x1 for v in
-    x2] dotted with fre over k*dre and with fim over k*dim: an integer
-    constant when the first is divisible by modulus = k*dre and the second
-    is zero.  Every lattice pair is decided on this residual.
+def _residual(ctx: TranslationContext) -> tuple[int, list, list]:
+    """(k, re, im): the halves of x^T*`_Basis.residual_rows`, whose entry
+    a*d + b over k = `_kernel_den` is the residual at (e_a, e_b).  By
+    bilinearity the residual at (x1, x2) is [u*v for u in x1 for v in x2]
+    dotted with each half over k: an integer constant when the real dot is
+    divisible by k and the imaginary one is zero.  Every lattice pair is
+    decided on this residual.
     """
-    k, n = _kernel_den(ctx), len(ctx.x) ** 2
-    dre, dim = (ctx.dw * y for y in ctx.gerbe.factor_rows[:2])
-    ar, ai = ctx.coboundary
-    fre = [c * dre + y * k for c, y in zip(itertools.chain(*ar), h)]
-    fim = [c * dim + y * k for c, y in zip(itertools.chain(*ai), h[n:])]
-    return k * dre, fre, fim
+    flat = _basis_records(ctx.gerbe, ctx.case).residual_rows.times(ctx.x)
+    n = len(ctx.x) ** 2
+    return _kernel_den(ctx), flat[:n], flat[n:]
 
 
-def _check_at_w(ctx: TranslationContext, h: list) -> None:
+def _check_at_w(ctx: TranslationContext) -> None:
     """Raise InternalMismatch unless h = x^T*rows, the translation factors
     of the basis pairs read off the gerbe's `factor_rows`, is the factor at
     w itself, from E and J: one `exponent_over` call decides all d**2 pairs.
@@ -322,7 +312,8 @@ def _check_at_w(ctx: TranslationContext, h: list) -> None:
     row-major order, are those values and the rest is 0.
     """
     g, d = ctx.gerbe, len(ctx.x)
-    t, (dre, dim, _) = g.torus, g.factor_rows
+    t, (dre, dim, rows) = g.torus, g.factor_rows
+    h = rows.times(ctx.x)
     hw = g.factor_bound * sum(map(abs, ctx.x))
     firsts, seconds = ([(2 * hw + 1) ** (s * k) for k in range(d)] for s in (d, 1))
     packed = [(1, y, t.mul_i_over(y)) for y in (firsts, seconds)]
@@ -338,21 +329,18 @@ def _check_at_w(ctx: TranslationContext, h: list) -> None:
 def trivialization_residual(ctx: TranslationContext, l1, l2) -> ExponentFn:
     """Exponent of exp(H_{l1,l2}(w)) times the coboundary of the trivializer.
 
-    The coboundary is the constant l1^T*(ar + i*ai)*l2 over the kernel's
-    denominator (`TranslationContext.coboundary`), so the linear part is
-    zero here by construction; for w in the decomposition subgroup the
-    constant is a real integer.  It is read off `_folded_residual`, as
+    The coboundary is a constant bilinear in (l1, l2), so the linear part
+    is zero here by construction; for w in the decomposition subgroup the
+    constant is a real integer.  It is read off `_residual`, as
     `first_failing_pair` reads it, after `_check_at_w`.
     """
     x1, x2 = _lattice_pair(ctx, l1, l2)
-    h = ctx.gerbe.factor_rows[2].times(ctx.x)
-    modulus, fre, fim = _folded_residual(ctx, h)
-    _check_at_w(ctx, h)
+    k, re, im = _residual(ctx)
+    _check_at_w(ctx)
     pair = [u * v for u in x1 for v in x2]
-    k_im = _kernel_den(ctx) * ctx.dw * ctx.gerbe.factor_rows[1]
-    re, im = Fraction(int_dot(pair, fre), modulus), Fraction(int_dot(pair, fim), k_im)
     zero = (Fraction(0),) * len(x1)
-    return ExponentFn(GaussianRational(re, im), zero, zero)
+    const = GaussianRational(Fraction(int_dot(pair, re), k), Fraction(int_dot(pair, im), k))
+    return ExponentFn(const, zero, zero)
 
 
 def residual_is_trivial(r: ExponentFn) -> bool:
@@ -389,32 +377,34 @@ def first_failing_pair(
 
     Without explicit pairs the dim**2 basis pairs (e_a, e_b), in row-major
     order, come first and decide, since the residual is bilinear; they are
-    decided together on `_folded_residual`, built once from the record's
-    coboundary form and the translation factors x^T*rows of the gerbe's
-    per-basis rows (`factor_rows`, from E and J).  When every basis pair
-    passes, two self-checks follow, and a failure of either after a
-    passing basis can only be a program fault and raises InternalMismatch:
-    - `_check_at_w` compares those factors with the translation factor at
-      w itself, from E and J, in one packed `exponent_over` call;
+    decided together on `_residual`, one table product that holds the
+    trivializer's coboundary and the translation factors of the gerbe's
+    `factor_rows` (from E and J).  When every basis pair passes, two
+    self-checks follow, and a failure of either after a passing basis can
+    only be a program fault and raises InternalMismatch:
+    - `_check_at_w` compares the factors x^T*rows with the translation
+      factor at w itself, from E and J, in one packed `exponent_over` call;
     - the extra_random `random_verification_pairs` of seed are read off
-      its two flattened halves, one Kronecker list and two dots each.
+      the residual's two flattened halves, one Kronecker list and two dots
+      each.  A seeded pair's residual is an integer combination of the
+      entries the basis has just cleared, so it can fail only on a fault
+      in that reading (`int_dot`).
     Explicit pairs are read off the same halves, one at a time and in
     order, after `_check_at_w`, so each verdict rests on the factor at w.
     """
     d = ctx.gerbe.torus.dim
     drawn = random_verification_pairs(d, extra_random, seed)
-    h = ctx.gerbe.factor_rows[2].times(ctx.x)
-    modulus, fre, fim = _folded_residual(ctx, h)
+    k, re, im = _residual(ctx)
     if pairs is None:
         # the first basis pair (e_a, e_b), at a*d + b, that fails
-        failing = next((n for n, (y, z) in enumerate(zip(fre, fim)) if z or y % modulus), None)
+        failing = next((n for n, (y, z) in enumerate(zip(re, im)) if z or y % k), None)
         if failing is not None:
             return tuple(basis_vec(d, a) for a in divmod(failing, d))
-    _check_at_w(ctx, h)
+    _check_at_w(ctx)
     checked = drawn if pairs is None else (_lattice_pair(ctx, l1, l2) for l1, l2 in pairs)
     for x1, x2 in checked:
         pair = [u * v for u in x1 for v in x2]
-        if int_dot(pair, fim) or int_dot(pair, fre) % modulus:
+        if int_dot(pair, im) or int_dot(pair, re) % k:
             if pairs is None:
                 raise InternalMismatch("a random pair failed where every basis pair passed")
             return to_vec(x1), to_vec(x2)
@@ -431,19 +421,20 @@ def verify_trivialization(
 
     Each factor of the trivializer is at most quadratic in the lattice
     vector and its linear part is linear in it, so the residual at (l1, l2)
-    is the constant l1^T*(ar + i*ai)*l2 of the record's coboundary form
-    plus the translation factor H_{l1,l2}(w), which comes from E and J.
-    Every pair is read off one folded residual, built on the gerbe's
-    per-basis factor rows.  Without explicit pairs the dim**2 basis pairs
+    is a constant bilinear in them: the coboundary of the trivializer plus
+    the translation factor H_{l1,l2}(w), which comes from E and J.  Every
+    pair is read off one residual, x^T times per-(gerbe, case) integer
+    rows that hold both.  Without explicit pairs the dim**2 basis pairs
     decide the identity on the whole lattice, all at once.  Two self-checks
     follow a passing basis: the factors read off the rows are compared
     with the factor at w itself, from E and J, for all basis pairs in one
     packed evaluation, and the extra_random seeded pairs, one draw each,
-    are read off the same residual.  Either failing raises
-    InternalMismatch; a negative extra_random is a ValueError.
-    Every pair checks that the imaginary constant cancels and the real one
-    is an integer.  With explicit pairs the check at w runs first and the
-    answer is whether all of them pass.  False witnesses that w is not a
-    symmetry of the gerbe for the chosen case.
+    are read off the same residual, which can fail only on a fault in that
+    reading.  Either failing raises InternalMismatch; a negative
+    extra_random is a ValueError.  Every pair checks that the imaginary
+    constant cancels and the real one is an integer.  With explicit pairs
+    the check at w runs first and the answer is whether all of them pass.
+    False witnesses that w is not a symmetry of the gerbe for the chosen
+    case.
     """
     return first_failing_pair(ctx, pairs, extra_random, seed) is None

@@ -60,6 +60,7 @@ def test_boolean_modulo_and_identity_mutants():
         "def verdict(z, y, pairs):\n"
         "    if pairs is None or z is not None:\n"
         "        return z and y\n"
+        "    y = -y / 2\n"
         "    return y % 3\n"
     )
     count = len(list(TOOL.mutations(TOOL.find_function(tree, "verdict"))))
@@ -71,6 +72,9 @@ def test_boolean_modulo_and_identity_mutants():
         "return z or y",  # and -> or
         "return y // 3",  # % -> //
         "return y % 4",  # the constant
+        "y = -y * 2",  # / -> *
+        "y = +y / 2",  # -y -> +y, which is y
+        "y = -y / 3",  # the constant
     ]
     assert count == len(expected) == len(bodies)
     for line in expected:

@@ -533,6 +533,18 @@ class TestThetaGroup:
             assert left.w == right.w
             assert left.character == right.character
 
+    def test_wrong_length_vector_names_the_argument(self, ctx2):
+        # both lengths are checked before the sum, which zip refused with
+        # its own message
+        a = ThetaGroupElement(Character.identity(4), W1)
+        for v in ((1, 0, 0), (1, 0, 0, 0, 0)):
+            bad = ThetaGroupElement(Character.identity(4), v)
+            message = f"dimension mismatch: {{}} has {len(v)} entries, not 4"
+            with pytest.raises(ValueError, match=message.format("a.w")):
+                theta_group_multiply(bad, a, ctx2)
+            with pytest.raises(ValueError, match=message.format("b.w")):
+                theta_group_multiply(a, bad, ctx2)
+
 
 class TestObstructionVanishes:
     def test_first_fails_with_certificate(self):

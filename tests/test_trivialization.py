@@ -511,7 +511,7 @@ PINNED_PAIRS = [((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 1, 0, 1))]
 
 
 class TestPackedProductsPastTheGuard:
-    """Records, coboundary forms and basis-pair factors of vectors with
+    """Records, residuals and basis-pair factors of vectors with
     large numerators or denominators: the packed table products fall back
     to `int_vec_mat`, and every answer stays as it was."""
 
@@ -528,20 +528,26 @@ class TestPackedProductsPastTheGuard:
         def counting_times(table, x):
             before = len(looped)
             product = times(table, x)
-            paths.append(len(looped) > before)
+            paths.append((table, len(looped) > before))
             return product
 
         monkeypatch.setattr(torusgerbe.exact, "int_vec_mat", counting_loop)
         monkeypatch.setattr(PackedRows, "times", counting_times)
-        g, answers = pinned_gerbe(), []
+        g, answers, tables = pinned_gerbe(), [], []
         for case in (INT, ONEONE):
             ctx = TranslationContext.create(g, w, case, check=False)
             explicit = verify_trivialization(ctx, PINNED_PAIRS)
-            answers += [ctx.member, verify_trivialization(ctx), explicit]
+            default = verify_trivialization(ctx)
+            answers += [ctx.member, default, explicit]
+            basis, factors = g.basis_records[case], g.factor_rows[2]
+            residual = basis.residual_rows
+            tables += [basis.rows, residual, factors, residual] + [factors] * default
         assert "".join("T" if a else "F" for a in answers) == expected
-        # per case: the record; for the explicit pairs the basis-pair
-        # factors and the coboundary form; for the default pairs the factors
-        assert paths == [loops] * 8
+        # per case: the record; for the explicit pairs the residual table,
+        # then the factors of the check at w; for the default pairs the
+        # residual table, and the factors again when the basis passes
+        assert [table for table, _ in paths] == tables
+        assert [path for _, path in paths] == [loops] * len(tables)
 
     @pytest.mark.parametrize("which", list(ObstructionKind), ids=lambda k: k.value)
     def test_obstructions_match_the_exact_loop(self, which, monkeypatch):

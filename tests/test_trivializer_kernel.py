@@ -14,34 +14,35 @@ inside and outside the case subgroup.
 The kernel is four named d x d blocks (qre, qim, re, im).  Since the
 trivializer's linear part is linear in the lattice vector and its constant
 quadratic, its lattice coboundary is the constant l1^T*(ar + i*ai)*l2 of
-one bilinear form per record, `TranslationContext.coboundary`.  Kernel and
-form are linear in the record, so the form is x^T times per-basis
-coboundary rows, each read off a basis record's own kernel, built once per
-(gerbe, case); a record builds its kernel only for `trivializing_exponent`.
-`first_failing_pair` decides each pair on integers, without a `Fraction`:
-that form at the two lattice vectors and the translation factor from E and
-J.  The basis pairs read the factor off the gerbe's `factor_rows`, one
-integer row per basis vector, and are decided on the two flattened halves
-of one folded residual; one packed `exponent_over` call at w then checks
-those factors, and each seeded random pair is its Kronecker list dotted
-with the same halves.  Explicit pairs and `trivialization_residual` are
-read off the same halves, after the same check at w: every lattice pair
-is decided on the one folded residual.
-`TestResidualCore` checks the form against the record's own kernel and
-against the three-point evaluation of `trivializing_exponent` (on basis
-kernels overwritten with arbitrary integers too), the Kronecker reading
-against x1^T*folded*x2 and against the coboundary plus `exponent_over` at
-the pair, the folded reading against the oracle, that a corrupted linear
-block of a basis kernel is caught on the expected basis pair, and that a
-passing query costs two packed row products (`PackedRows.times`) and no
-`int_vec_mat`, two packed lifts and two dot products per random pair;
-`TestFactorRows` checks the factor rows against `exponent_over`;
-`TestPackedCheckAtW` checks that the packed check catches every row
-corruption the basis passes, at h = 0 too; `TestIntegerDecision` checks
-the verdicts against the oracle, that they never reach the `Fraction`
-wrappers, and that a fault at w raises `InternalMismatch` for default
-pairs, explicit pairs and `trivialization_residual` alike, as does a
-fault in a flattened half after a passing basis for default pairs.
+one bilinear form per record.  Kernel and form are linear in the record
+and the translation factor in w, so the residual of every basis pair is
+x^T times one table per (gerbe, case), `_Basis.residual_rows`: row k is the coboundary
+form of basis record k's own kernel plus row k of the gerbe's
+`factor_rows`, over one denominator; a record builds its kernel only for
+`trivializing_exponent`.  `first_failing_pair` decides each pair on
+integers, without a `Fraction`, on the two flattened halves of that
+product; one packed `exponent_over` call at w then checks the factor rows,
+and each seeded random pair is its Kronecker list dotted with the same
+halves.  Explicit pairs and `trivialization_residual` are read off the
+same halves, after the same check at w.
+`TestResidualCore` checks the residual against the record's own kernel and
+factors and against the three-point evaluation of `trivializing_exponent`
+(on basis kernels overwritten with arbitrary integers too), the Kronecker
+reading against x1^T*R*x2 and against the kernel's coboundary plus
+`exponent_over` at the pair, the reading of the unpacked product against
+the oracle, that a corrupted linear block of a basis kernel is caught on
+the expected basis pair, and that a passing query costs two packed row
+products (`PackedRows.times`) and no `int_vec_mat`, two packed lifts and
+two dot products per random pair; `TestResidualRows` checks that a failing
+basis costs one product after the record, and the table against the
+oracle on both sides of the 64-bit guard; `TestFactorRows` checks the
+factor rows against `exponent_over`; `TestPackedCheckAtW` checks that the
+packed check catches every row corruption the basis passes, at h = 0 too;
+`TestIntegerDecision` checks the verdicts against the oracle, that they
+never reach the `Fraction` wrappers, and that a fault at w raises
+`InternalMismatch` for default pairs, explicit pairs and
+`trivialization_residual` alike, as does a fault in the Kronecker reading
+of a flattened half after a passing basis for default pairs.
 """
 
 import dataclasses
@@ -293,9 +294,9 @@ class TestTrivializerKernel:
     def test_kernel_built_once_per_context(self, instance, monkeypatch):
         g, case, vectors = instance
         g = GerbeData(g.torus, g.b, g.e)  # fresh: no basis records yet
-        builds = {"kernel": [], "coboundary": [], "coboundary_rows": []}
+        builds = {"kernel": [], "residual_rows": []}
         for name, calls in builds.items():
-            owner = triv._Basis if name == "coboundary_rows" else TranslationContext
+            owner = triv._Basis if name == "residual_rows" else TranslationContext
             prop = vars(owner)[name]
 
             def counting(obj, build=prop.func, calls=calls):
@@ -306,22 +307,20 @@ class TestTrivializerKernel:
         ctx = TranslationContext.create(g, vectors[0], case)
         basis = g.basis_records[case]
         assert verify_trivialization(ctx)
-        # the identity reads the coboundary form, x^T times the rows of the
-        # (gerbe, case), and builds no kernel, on the record or the basis
-        assert builds == {"kernel": [], "coboundary": [ctx], "coboundary_rows": [basis]}
+        # the identity reads x^T times the residual rows of the (gerbe,
+        # case), and builds no kernel, on the record or the basis
+        assert builds == {"kernel": [], "residual_rows": [basis]}
         assert not any("kernel" in vars(b) for b in basis.records)
         for k in range(g.torus.dim):
             trivializing_exponent(ctx, basis_vec(g.torus.dim, k))
             trivialization_residual(ctx, basis_vec(g.torus.dim, k), basis_vec(g.torus.dim, 0))
-        # the kernel and the coboundary form, once each
-        assert builds == {"kernel": [ctx], "coboundary": [ctx], "coboundary_rows": [basis]}
-        for name in ("kernel", "coboundary"):
-            assert name in vars(ctx) and name not in vars(g)
-        assert "coboundary_rows" in vars(basis)
+        # the kernel once, and the same rows
+        assert builds == {"kernel": [ctx], "residual_rows": [basis]}
+        assert "kernel" in vars(ctx) and "kernel" not in vars(g)
+        assert "residual_rows" in vars(basis)
         verify_trivialization(TranslationContext.create(g, vectors[0], case))
-        # a new context builds its own coboundary form, still no kernel, and
-        # reads the same rows
-        assert [len(calls) for calls in builds.values()] == [1, 2, 1]
+        # a new context reads the same rows, still with no kernel
+        assert [len(calls) for calls in builds.values()] == [1, 1]
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -463,17 +462,17 @@ class TestVerificationPairs:
         assert first_failing_pair(ctx, explicit) == expected
 
 
-def folded_reading(ctx, x1, x2):
-    """The residual at two lattice vectors read off the two flattened
-    halves of `_folded_residual`, built on the unpacked product x^T*rows:
-    the Kronecker list of (x1, x2) dotted with each half, over k*dre and
-    k*dim, as an ExponentFn with zero linear part."""
+def residual_reading(ctx, x1, x2):
+    """The residual at two lattice vectors read off the unpacked product
+    x^T*residual_rows of the record's (gerbe, case): the Kronecker list of
+    (x1, x2) dotted with each flattened half, over `_kernel_den`, as an
+    ExponentFn with zero linear part."""
     g = ctx.gerbe
-    modulus, fre, fim = triv._folded_residual(ctx, int_vec_mat(ctx.x, g.factor_rows[2].rows))
-    k_im = triv._kernel_den(ctx) * ctx.dw * g.factor_rows[1]
+    flat = int_vec_mat(ctx.x, triv._basis_records(g, ctx.case).residual_rows.rows)
+    n, k = g.torus.dim**2, triv._kernel_den(ctx)
     pair = [u * v for u in x1 for v in x2]
     zero = (F(0),) * g.torus.dim
-    const = GaussianRational(F(int_dot(pair, fre), modulus), F(int_dot(pair, fim), k_im))
+    const = GaussianRational(F(int_dot(pair, flat[:n]), k), F(int_dot(pair, flat[n:]), k))
     return ExponentFn(const, zero, zero)
 
 
@@ -494,16 +493,15 @@ def with_kernel(ctx, den, blocks):
     anything reads it."""
     fresh = dataclasses.replace(ctx)
     vars(fresh)["kernel"] = den, tuple(blocks)
-    assert "coboundary" not in vars(fresh)
     return fresh
 
 
 def patch_basis_kernels(patch, g, case, blocks_of):
-    """Make the coboundary rows of (g, case) read the kernel blocks
+    """Make the residual rows of (g, case) read the kernel blocks
     blocks_of(j, blocks) of each basis record e_j in place of its own
     blocks; g's rows must not be built yet."""
     basis = TranslationContext.basis(g, case)
-    assert "coboundary_rows" not in vars(g.basis_records[case])
+    assert "residual_rows" not in vars(g.basis_records[case])
     kernel_blocks = triv._kernel_blocks
 
     def patched(ctx):
@@ -516,7 +514,7 @@ def patch_basis_kernels(patch, g, case, blocks_of):
 
 def corrupt_basis_kernel(patch, g, case, k, block, a, b):
     """Raise entry (a, b) of one kernel block of the basis record of e_k by
-    1, as the coboundary rows of the fresh gerbe g read it."""
+    1, as the residual rows of the fresh gerbe g read it."""
 
     def raised(j, blocks):
         blocks = [[list(row) for row in m] for m in blocks]
@@ -537,6 +535,20 @@ def kernel_coboundary(blocks):
     )
 
 
+def kernel_residual(ctx):
+    """(re, im): the residual of every basis pair over `_kernel_den`,
+    flattened, composed from its two sources apart: the coboundary form
+    of the record's own kernel plus the translation factors x^T*rows of the
+    gerbe's `factor_rows`, rescaled from (dw*dre, dw*dim)."""
+    k, (ar, ai) = triv._kernel_den(ctx), kernel_coboundary(ctx.kernel[1])
+    dre, dim, rows = ctx.gerbe.factor_rows
+    h, n = int_vec_mat(ctx.x, rows.rows), len(ar) ** 2
+    assert k % (ctx.dw * dre) == 0 and k % (ctx.dw * dim) == 0
+    re = [c + y * (k // (ctx.dw * dre)) for c, y in zip(itertools.chain(*ar), h[:n])]
+    im = [c + y * (k // (ctx.dw * dim)) for c, y in zip(itertools.chain(*ai), h[n:])]
+    return re, im
+
+
 class TestResidualCore:
     def test_basis_vectors_read_rows_and_columns(self, instance):
         g, case, vectors = instance
@@ -546,9 +558,12 @@ class TestResidualCore:
             assert len(blocks) == 4
             assert all(len(m) == d and all(len(row) == d for row in m) for m in blocks)
             assert all(type(y) is int for m in blocks for row in m for y in row)
+            k_res, *halves = triv._residual(ctx)
+            assert k_res == den and all(type(y) is int for half in halves for y in half)
             for a in range(d):
                 x = [int(k == a) for k in range(d)]
-                for form in ctx.coboundary:
+                for half in halves:
+                    form = [half[s : s + d] for s in range(0, d * d, d)]
                     assert int_vec_mat(x, form) == list(form[a])
                 ix = t.mul_i_over(x)
                 assert ix == [F(y) * t.j_columns[0] for y in t.mul_i(basis_vec(d, a))]
@@ -558,14 +573,16 @@ class TestResidualCore:
         d = g.torus.dim
         basis = [basis_vec(d, k) for k in range(d)]
         for ctx in inside_and_shifted(g, case, vectors[0]):
-            (ar, ai), den = ctx.coboundary, ctx.kernel[0]
+            den, blocks = ctx.kernel
+            ar, ai = kernel_coboundary(blocks)
             verdicts = []
             for a, b in itertools.product(range(d), repeat=2):
                 ea, eb = ([int(k == c) for k in range(d)] for c in (a, b))
-                r = folded_reading(ctx, ea, eb)
+                r = residual_reading(ctx, ea, eb)
                 assert r == reference_trivialization_residual(ctx, basis[a], basis[b])
                 assert r == trivialization_residual(ctx, basis[a], basis[b])
                 # the constant of the coboundary at (e_a, e_b) is entry (a, b)
+                # of the kernel's coboundary form
                 h = translation_factor(g, ctx.w, basis[a], basis[b])
                 assert r.const == h + GaussianRational(F(ar[a][b], den), F(ai[a][b], den))
                 verdicts.append(triv.residual_is_trivial(r))
@@ -573,7 +590,7 @@ class TestResidualCore:
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_property_folded_reading_matches_oracle(self, data):
+    def test_property_residual_reading_matches_oracle(self, data):
         n = data.draw(st.sampled_from((2, 3)), label="n")
         case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
         twisted = data.draw(st.booleans(), label="twisted")
@@ -584,19 +601,20 @@ class TestResidualCore:
         lat = st.tuples(*[st.integers(-3, 3)] * d)
         l1, l2 = data.draw(lat, label="l1"), data.draw(lat, label="l2")
         expected = reference_trivialization_residual(ctx, l1, l2)
-        assert folded_reading(ctx, l1, l2) == expected == trivialization_residual(ctx, l1, l2)
+        assert residual_reading(ctx, l1, l2) == expected == trivialization_residual(ctx, l1, l2)
         # a basis vector mixes with any other on either side
         a = data.draw(st.integers(0, d - 1), label="a")
         ea = basis_vec(d, a)
         va = [int(k == a) for k in range(d)]
-        assert folded_reading(ctx, va, l2) == reference_trivialization_residual(ctx, ea, l2)
-        assert folded_reading(ctx, l1, va) == reference_trivialization_residual(ctx, l1, ea)
+        assert residual_reading(ctx, va, l2) == reference_trivialization_residual(ctx, ea, l2)
+        assert residual_reading(ctx, l1, va) == reference_trivialization_residual(ctx, l1, ea)
         pairs = [(l1, l2), (ea, l2), (l1, ea)]
         assert first_failing_pair(ctx, pairs) == oracle_first_failure(ctx, pairs)
 
-    def test_coboundary_is_read_off_the_record_kernel(self, instance):
-        # the product with the per-basis coboundary rows gives the integers
-        # of the record's own kernel, and of the directly built record's
+    def test_residual_is_read_off_the_record_kernel(self, instance):
+        # the product with the residual rows gives the integers of the
+        # record's own kernel plus the factors, and those of the directly
+        # built record
         g, case, vectors = instance
         d = g.torus.dim
         rng = random.Random(24)
@@ -606,56 +624,56 @@ class TestResidualCore:
         for w in [(0,) * d, *vectors, *shifted, *drawn, *g.torus.basis()]:
             ctx = TranslationContext.create(g, w, case, check=False)
             direct = triv._direct_record(g, to_vec(w), case)
-            assert ctx.coboundary == kernel_coboundary(ctx.kernel[1])
-            assert ctx.coboundary == kernel_coboundary(direct.kernel[1])
-            assert ctx.kernel[0] == triv._kernel_den(ctx) == direct.kernel[0]
+            k, re, im = triv._residual(ctx)
+            assert (re, im) == kernel_residual(ctx) == kernel_residual(direct)
+            assert ctx.kernel[0] == k == direct.kernel[0]
             members.append(ctx.member)
         assert any(members) and not all(members)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_property_coboundary_is_read_off_the_record_kernel(self, data):
+    def test_property_residual_is_read_off_the_record_kernel(self, data):
         g, case, vectors = drawn_gerbe(data)
         d = g.torus.dim
         rat = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 8)))
         w = data.draw(st.one_of(st.sampled_from(vectors), st.tuples(*[rat] * d)), label="w")
         ctx = TranslationContext.create(g, w, case, check=False)
-        assert ctx.coboundary == kernel_coboundary(ctx.kernel[1])
-        assert ctx.kernel[0] == triv._kernel_den(ctx)
+        k, re, im = triv._residual(ctx)
+        assert (re, im) == kernel_residual(ctx)
+        assert ctx.kernel[0] == k
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_property_kronecker_list_reads_the_folded_residual(self, data):
-        # x1^T*folded*x2 of each flattened half is the Kronecker list of
-        # (x1, x2) dotted with it, and is the coboundary form at the pair
-        # plus the translation factor from E and J at (w, x1, x2)
+    def test_property_kronecker_list_reads_the_residual(self, data):
+        # x1^T*R*x2 of each flattened half R is the Kronecker list of (x1,
+        # x2) dotted with it, and is the coboundary form of the record's
+        # kernel at the pair plus the translation factor from E and J at
+        # (w, x1, x2)
         g, case, vectors = drawn_gerbe(data)
         d = g.torus.dim
         w = data.draw(st.sampled_from(vectors), label="w")
         ctx = inside_and_shifted(g, case, w)[data.draw(st.integers(0, 1), label="shifted")]
-        modulus, fre, fim = triv._folded_residual(ctx, int_vec_mat(ctx.x, g.factor_rows[2].rows))
-        k = triv._kernel_den(ctx)
-        dre, dim = (ctx.dw * y for y in g.factor_rows[:2])
-        assert modulus == k * dre and len(fre) == len(fim) == d * d
+        k, re, im = triv._residual(ctx)
+        assert k == triv._kernel_den(ctx) and len(re) == len(im) == d * d
         lat = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
         x1, x2 = data.draw(lat, label="l1"), data.draw(lat, label="l2")
         pair = [u * v for u in x1 for v in x2]
-        for half in (fre, fim):
+        for half in (re, im):
             folded = [half[s : s + d] for s in range(0, d * d, d)]
             assert int_dot(pair, half) == int_dot(int_vec_mat(x1, folded), x2)
-        t, (ar, ai) = g.torus, ctx.coboundary
+        t, (ar, ai) = g.torus, kernel_coboundary(ctx.kernel[1])
         lifts = [(1, y, t.mul_i_over(y)) for y in (x1, x2)]
-        re, dre_w, im, dim_w = exponent_over(t, g.e, (ctx.dw, ctx.x, ctx.ix), *lifts)
+        h_re, dre_w, h_im, dim_w = exponent_over(t, g.e, (ctx.dw, ctx.x, ctx.ix), *lifts)
         c_re, c_im = (int_dot(int_vec_mat(x1, form), x2) for form in (ar, ai))
-        assert F(int_dot(pair, fre), k * dre) == F(c_re, k) + F(re, dre_w)
-        assert F(int_dot(pair, fim), k * dim) == F(c_im, k) + F(im, dim_w)
+        assert F(int_dot(pair, re), k) == F(c_re, k) + F(h_re, dre_w)
+        assert F(int_dot(pair, im), k) == F(c_im, k) + F(h_im, dim_w)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_property_coboundary_is_the_three_point_evaluation(self, data):
         # T(l2)(v + l1) - T(l1 + l2)(v) + T(l1)(v) is the constant
         # l1^T*(ar + i*ai)*l2 over the kernel's denominator, whatever the
-        # integers of the four blocks of each basis record: the coboundary
+        # integers of the four blocks of each basis record: the residual
         # rows read them, and the record's kernel is x^T times them
         n = data.draw(st.sampled_from((2, 3)), label="n")
         case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
@@ -672,7 +690,7 @@ class TestResidualCore:
             ]
             with pytest.MonkeyPatch.context() as patch:
                 patch_basis_kernels(patch, g, case, lambda j, blocks: tuple(drawn[j]))
-                assert triv._basis_records(g, case).coboundary_rows  # read the drawn blocks
+                assert triv._basis_records(g, case).residual_rows  # read the drawn blocks
             combined = [
                 [int_vec_mat(ctx.x, [kernels[i][a] for kernels in drawn]) for a in range(d)]
                 for i in range(len(BLOCKS))
@@ -687,9 +705,9 @@ class TestResidualCore:
             - trivializing_exponent(ctx, l12)
             + trivializing_exponent(ctx, l1)
         )
-        (ar, ai), den = ctx.coboundary, ctx.kernel[0]
+        den, blocks = ctx.kernel
         x1, x2 = [int(y) for y in l1], [int(y) for y in l2]
-        form = [F(int_dot(int_vec_mat(x1, m), x2), den) for m in (ar, ai)]
+        form = [F(int_dot(int_vec_mat(x1, m), x2), den) for m in kernel_coboundary(blocks)]
         assert three.linear_part_is_zero
         assert three.const == GaussianRational(*form)
         h = translation_factor(g, ctx.w, l1, l2)
@@ -697,8 +715,8 @@ class TestResidualCore:
 
     @pytest.mark.parametrize("block", ["re", "im"])
     def test_corrupted_linear_column_fails_on_its_basis_pair(self, instance, block, monkeypatch):
-        # entry (b, a) of re or im of e_k's kernel is entry (b, a) of e_k's
-        # coboundary row, so it moves the constant of the residual of w =
+        # entry (b, a) of re or im of e_k's kernel is entry (b, a) of a half
+        # of e_k's residual row, so it moves the constant of the residual of w =
         # x/dw at (e_b, e_a) only, by x_k over the kernel's denominator k:
         # the real part fails unless k divides x_k, the imaginary part
         # unless x_k = 0
@@ -727,7 +745,7 @@ class TestResidualCore:
         d = g.torus.dim
         inside, shifted = inside_and_shifted(g, case, vectors[0])
         rows = g.factor_rows[2]  # warm: built once per gerbe
-        forms = triv._basis_records(g, case).coboundary_rows  # warm: once per (gerbe, case)
+        residual = triv._basis_records(g, case).residual_rows  # warm: once per (gerbe, case)
         products, lifts, dots = [], [], []
         times = PackedRows.times
 
@@ -755,12 +773,10 @@ class TestResidualCore:
         monkeypatch.setattr(triv, "int_dot", counting_dot)
 
         def fresh_query(ctx, **kwargs):
-            """first_failing_pair on a copy of ctx that has not built its
-            coboundary form, with the counts cleared."""
+            """first_failing_pair on ctx, with the counts cleared."""
             for calls in (products, lifts, dots):
                 calls.clear()
-            copy = dataclasses.replace(ctx)
-            return copy, first_failing_pair(copy, **kwargs)
+            return ctx, first_failing_pair(ctx, **kwargs)
 
         # the packed basis vectors of the check at w, in base 2*h0*|x|_1 + 1
         base = 2 * g.factor_bound * sum(map(abs, inside.x)) + 1
@@ -768,15 +784,14 @@ class TestResidualCore:
         for k in (0, 1, 4, 10):
             ctx, failing = fresh_query(inside, extra_random=k, seed=k)
             assert failing is None
-            # one packed product of w's numerators with the factor rows
-            # decides every basis pair and feeds the check at w, which lifts
-            # its two packed vectors, and one with the packed coboundary
-            # rows is the record's coboundary form, with no `int_vec_mat`;
-            # each random pair is its Kronecker list dotted with the two
-            # flattened halves of the folded residual, imaginary first, with
-            # no product and no lift
+            # one packed product of w's numerators with the residual rows
+            # decides every basis pair, and one with the factor rows feeds
+            # the check at w, which lifts its two packed vectors, with no
+            # `int_vec_mat`; each random pair is its Kronecker list dotted
+            # with the two flattened halves of the residual, imaginary
+            # first, with no product and no lift
             assert len(products) == 2 and all(x is ctx.x for x, _ in products)
-            assert products[0][1] is rows and products[1][1] is forms
+            assert products[0][1] is residual and products[1][1] is rows
             assert lifts == packed
             drawn = list(random_verification_pairs(d, k, k))
             kron = [[u * v for u in l1 for v in l2] for l1, l2 in drawn]
@@ -791,15 +806,74 @@ class TestResidualCore:
         assert (len(products), len(lifts), len(dots)) == (2, 2, 20)
         drawn = random_verification_pairs(d, 10, 0)
         assert [u for u, _ in dots[::2]] == [[u * v for u in l1 for v in l2] for l1, l2 in drawn]
-        # a second query on the same record reads its coboundary form again
+        # a second query on the same record makes both products again
         assert verify_trivialization(ctx)
-        assert (len(products), len(lifts), len(dots)) == (3, 4, 40)
-        # a failing basis makes no dot product and no lift
+        assert (len(products), len(lifts), len(dots)) == (4, 4, 40)
+        # a failing basis makes the residual product alone, no dot product
+        # and no lift
         ctx, failing = fresh_query(shifted, extra_random=10)
         assert failing is not None
-        assert len(products) == 2 and all(x is ctx.x for x, _ in products)
-        assert products[0][1] is rows and products[1][1] is forms
+        assert products == [(ctx.x, residual)]
         assert lifts == [] and dots == []
+
+
+class TestResidualRows:
+    """`_Basis.residual_rows`: the residual of every basis pair as one
+    table per (gerbe, case), which a query multiplies once."""
+
+    def test_one_product_after_the_record_when_the_basis_fails(self, instance, monkeypatch):
+        g, case, vectors = instance
+        d = g.torus.dim
+        basis, factors = triv._basis_records(g, case), g.factor_rows[2]
+        residual = basis.residual_rows  # warm: once per (gerbe, case)
+        products = []
+        times = PackedRows.times
+
+        def counting(table, x):
+            products.append(table)
+            return times(table, x)
+
+        monkeypatch.setattr(PackedRows, "times", counting)
+        e0 = basis_vec(d, 0)
+        inside, shifted = vectors[0], tuple(x + F(1, 3) for x in vectors[0])
+        # (w, query, whether the check at w runs): a failing basis stops
+        # after the residual; a passing basis, explicit pairs and single
+        # residuals multiply the factor rows next, for the check at w
+        queries = [
+            (shifted, first_failing_pair, False),
+            (inside, first_failing_pair, True),
+            (shifted, lambda ctx: first_failing_pair(ctx, [(e0, e0)]), True),
+            (shifted, lambda ctx: trivialization_residual(ctx, e0, e0), True),
+        ]
+        for w, query, checked in queries:
+            products.clear()
+            ctx = TranslationContext.create(g, w, case, check=False)
+            record = [] if to_vec(w) in g.torus.basis() else [basis.rows]
+            query(ctx)
+            assert products == record + [residual] + [factors] * checked
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_rows_hold_the_oracle_residual(self, data):
+        # x^T*residual_rows is k = `_kernel_den` times the oracle residual
+        # at every basis pair, on either side of the 64-bit guard of
+        # `PackedRows`
+        g, case, vectors = drawn_gerbe(data)
+        d = g.torus.dim
+        rat = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 5, 8)))
+        w = list(data.draw(st.one_of(st.sampled_from(vectors), st.tuples(*[rat] * d)), label="w"))
+        past = data.draw(st.booleans(), label="past the guard")
+        if past:
+            big = data.draw(st.sampled_from((2**70, F(2**70 + 1, 2**10))), label="big")
+            w[data.draw(st.integers(0, d - 1), label="at")] += big
+        ctx = TranslationContext.create(g, w, case, check=False)
+        table = triv._basis_records(g, case).residual_rows
+        assert (sum(map(abs, ctx.x)) * table.top >= 2**63) is past
+        flat, k, n = table.times(ctx.x), triv._kernel_den(ctx), d * d
+        for a, b in itertools.product(range(d), repeat=2):
+            r = reference_trivialization_residual(ctx, basis_vec(d, a), basis_vec(d, b))
+            assert r.linear_part_is_zero
+            assert (flat[a * d + b], flat[n + a * d + b]) == (k * r.const.re, k * r.const.im)
 
 
 def drawn_gerbe(data):
@@ -859,23 +933,31 @@ class TestFactorRows:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_property_corrupted_entry_fails_its_own_basis_pair(self, data):
+        # the residual rows keep the factor rows they were built from, so
+        # the entry is corrupted on a fresh gerbe before its table is built
         g, case, vectors = drawn_gerbe(data)
         d = g.torus.dim
         w = data.draw(st.sampled_from(vectors), label="w")
+        assert first_failing_pair(TranslationContext.create(g, w, case)) is None
         fresh = GerbeData(g.torus, g.b, g.e)
+        dre, dim, rows = fresh.factor_rows
         ctx = TranslationContext.create(fresh, w, case)
-        assert first_failing_pair(ctx) is None
         k = data.draw(st.sampled_from([k for k, y in enumerate(ctx.x) if y]), label="k")
         n = data.draw(st.integers(0, 2 * d * d - 1), label="entry")
-        dre, dim, rows = fresh.factor_rows
-        # the factor at the pair moves by x_k/(dw*dre) or i*x_k/(dw*dim)
-        assume(n >= d * d or ctx.x[k] % (ctx.dw * dre))
         bad = [list(row) for row in rows.rows]
         bad[k][n] += 1
         vars(fresh)["factor_rows"] = dre, dim, PackedRows(bad)
-        a, b = divmod(n % (d * d), d)
-        assert first_failing_pair(ctx) == (basis_vec(d, a), basis_vec(d, b))
-        assert not verify_trivialization(ctx, extra_random=0)
+        assert "residual_rows" not in vars(fresh.basis_records[case])
+        # the factor at the pair moves by x_k/(dw*dre) or i*x_k/(dw*dim): it
+        # fails its own basis pair, or, moved by an integer, the basis
+        # passes and the check at w catches it
+        if n >= d * d or ctx.x[k] % (ctx.dw * dre):
+            a, b = divmod(n % (d * d), d)
+            assert first_failing_pair(ctx) == (basis_vec(d, a), basis_vec(d, b))
+            assert not verify_trivialization(ctx, extra_random=0)
+        else:
+            with pytest.raises(InternalMismatch):
+                first_failing_pair(ctx)
 
     def test_digit_bound_is_reached(self):
         # The build reads each value as a balanced base-(2h + 1) digit, with
@@ -946,29 +1028,29 @@ class TestPackedCheckAtW:
     def test_every_corruption_the_basis_passes_is_caught_at_w(self, instance):
         # a real entry of row k moved by dw*dre moves the factor at its
         # basis pair by the integer x_k: the basis passes, the check at w
-        # raises, also without random pairs
+        # raises, also without random pairs.  The residual rows keep the
+        # factor rows they were built from, so each corruption is made on a
+        # fresh gerbe before its table is built.
         g, case, vectors = instance
         d = g.torus.dim
-        fresh = GerbeData(g.torus, g.b, g.e)
-        ctx = TranslationContext.create(fresh, vectors[0], case)
+        ctx = TranslationContext.create(g, vectors[0], case)
         assert first_failing_pair(ctx) is None
-        dre, dim, rows = fresh.factor_rows
+        dre, dim, rows = g.factor_rows
         caught = 0
         for k in (k for k, y in enumerate(ctx.x) if y):
             for n in range(d * d):
+                fresh = GerbeData(g.torus, g.b, g.e)
                 bad = [list(row) for row in rows.rows]
                 bad[k][n] += ctx.dw * dre
                 vars(fresh)["factor_rows"] = dre, dim, PackedRows(bad)
-                h = int_vec_mat(ctx.x, bad)
-                modulus, fre, fim = triv._folded_residual(ctx, h)
-                assert not any(fim) and not any(y % modulus for y in fre)
+                bad_ctx = TranslationContext.create(fresh, vectors[0], case)
+                den, re, im = triv._residual(bad_ctx)
+                assert not any(im) and not any(y % den for y in re)
                 for extra in (10, 0):
                     with pytest.raises(InternalMismatch):
-                        first_failing_pair(ctx, extra_random=extra)
+                        first_failing_pair(bad_ctx, extra_random=extra)
                 caught += 1
         assert caught >= d * d
-        vars(fresh)["factor_rows"] = dre, dim, rows
-        assert first_failing_pair(ctx) is None
 
     @pytest.mark.parametrize("case", list(SubgroupCase), ids=lambda c: c.value)
     @pytest.mark.parametrize("twisted", [False, True], ids=["standard", "twisted"])
@@ -1036,15 +1118,19 @@ class TestPackedCheckAtW:
         assert g.factor_bound == 48
         x = [scale, 0, 0, 0]
         ctx = types.SimpleNamespace(gerbe=g, dw=1, x=x, ix=t.mul_i_over(x))
-        h = g.factor_rows[2].times(x)
-        assert h == int_vec_mat(x, g.factor_rows[2].rows)
+        dre, dim, rows = g.factor_rows
+        h = rows.times(x)
+        assert h == int_vec_mat(x, rows.rows)
         assert h[1 * 4 + 2] == 48 * scale
-        triv._check_at_w(ctx, h)
+        triv._check_at_w(ctx)
+        # the check reads the gerbe's rows: an entry of row 0 moved by 1
+        # moves the factor read off them by scale
         for n in (1 * 4 + 2, 16 + 3):
-            bad = list(h)
-            bad[n] -= 1
+            bad = [list(row) for row in rows.rows]
+            bad[0][n] -= 1
+            g.factor_rows = dre, dim, PackedRows(bad)
             with pytest.raises(InternalMismatch):
-                triv._check_at_w(ctx, bad)
+                triv._check_at_w(ctx)
 
     def test_bound_reads_e_and_j_once_per_gerbe(self, instance, monkeypatch):
         g, case, vectors = instance
@@ -1177,7 +1263,7 @@ class TestIntegerDecision:
 
     @pytest.mark.parametrize("name", ["m", "r"])
     def test_corrupted_record_fails_the_identity(self, instance, name, monkeypatch):
-        # the coboundary rows read M and R of the basis records, the
+        # the residual rows read M and R of the basis records, the
         # translation factor only E and J.  Entry (0, 1) of M_{e_k} moves ar
         # of w at (0, 1) and (1, 0) by -dj*x_k over 4*dj*den; entry (0, 1)
         # of R_{e_k} moves ai at (0, 1) by -4*dj*x_k
@@ -1225,15 +1311,17 @@ class TestIntegerDecision:
                 with pytest.raises(InternalMismatch):
                     trivialization_residual(ctx, l1, l2)
 
-        # a fault in the flattened imaginary half of the folded residual as
-        # a random pair reads it, off the basis: the pair's imaginary part
-        # moves by 1 when its Kronecker list has more than one nonzero entry
-        folded, dot, halves = triv._folded_residual, triv.int_dot, []
+        # a fault in the flattened imaginary half of the residual as a
+        # random pair reads it, off the basis: the pair's imaginary part
+        # moves by 1 when its Kronecker list has more than one nonzero
+        # entry.  The seeded pairs are integer combinations of the basis
+        # entries just cleared, so only a fault in this reading fails one.
+        residual, dot, halves = triv._residual, triv.int_dot, []
 
-        def recording(ctx, h):
-            modulus, fre, fim = folded(ctx, h)
-            halves.append(fim)
-            return modulus, fre, fim
+        def recording(ctx):
+            k, re, im = residual(ctx)
+            halves.append(im)
+            return k, re, im
 
         def broken_half(u, v):
             y = dot(u, v)
@@ -1245,7 +1333,7 @@ class TestIntegerDecision:
             drawn = random_verification_pairs(d, 10, seed)
             assert any(sum(map(bool, l1)) * sum(map(bool, l2)) > 1 for l1, l2 in drawn)
         with monkeypatch.context() as patch:
-            patch.setattr(triv, "_folded_residual", recording)
+            patch.setattr(triv, "_residual", recording)
             patch.setattr(triv, "int_dot", broken_half)
             with pytest.raises(InternalMismatch):
                 verify_trivialization(ctx)

@@ -9,7 +9,8 @@ each NAME a function in it, `Class.method` for a method; an unknown NAME is
 an error (exit 2) before anything is copied or run.  Every mutant
 changes one node inside the named function, nested functions included:
 - a binary operator, augmented assignments too: + and - swap, * and //
-  swap, % becomes //;
+  swap, % becomes //, / becomes *;
+- a unary minus: `-x` becomes `+x`, which is x;
 - a boolean operator: `and` and `or` swap;
 - a comparison: == and != swap, < and <= swap, > and >= swap, `is` and
   `is not` swap;
@@ -41,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BINARY = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
-    ast.Mod: ast.FloorDiv,
+    ast.Mod: ast.FloorDiv, ast.Div: ast.Mult,
 }
 BOOLEAN = {ast.And: ast.Or, ast.Or: ast.And}
 COMPARE = {
@@ -92,6 +93,8 @@ def mutations(func: ast.FunctionDef):
                     yield node, setter("ops", ops), f"{where}: {ast.unparse(node)}, {type(ops[i]).__name__}"
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             yield node, setter("value", node.value + 1), f"{where}: {node.value} -> {node.value + 1}"
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            yield node, setter("op", ast.UAdd()), f"{where}: {ast.unparse(node)} without -"
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             # `not x` -> `not not x`, which is the truth value of x
             flip = setter("operand", ast.UnaryOp(ast.Not(), node.operand))
