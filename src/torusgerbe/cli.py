@@ -31,11 +31,10 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exact import UnitValue, Vec
+from .exact import Frozen, UnitValue, Vec
 from .gerbe import Character, GerbeData, TypeConditionFailed, gerbes_isomorphic, translate_gerbe
 from .obstruction import (
     FirstObstructionNonzero,
@@ -152,13 +151,11 @@ def _parse_forms(items, arity: int, dim: int, name: str) -> dict:
     return coeffs
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """Validated problem data: the gerbe plus named vectors and default case."""
+class ProblemFile(Frozen):
+    """Validated problem data: the gerbe, the named vectors as a tuple of
+    (name, vector) pairs, and the default case or None."""
 
-    gerbe: GerbeData
-    vectors: tuple[tuple[str, Vec], ...]
-    case: SubgroupCase | None
+    _fields = ("gerbe", "vectors", "case")
 
     @property
     def n(self) -> int:

@@ -14,6 +14,10 @@ every x.
 Throughout the package ``exp(z)`` denotes ``e^{2*pi*i*z}``, so two exponents
 describe the same unit value exactly when they differ by a real integer.
 
+`Frozen` is the base of the package's value objects: frozen, with
+equality, hashing and repr over named fields, from one shared set of
+methods that generate no code.
+
 Per-call code passes lists, not generators, to ``lcm(*...)`` and to
 ``tuple`` for short tuples whose length varies: CPython builds a tuple from
 a generator by resizing one, and each such tuple of fewer than 20 items,
@@ -23,7 +27,6 @@ without one having been taken from it, so process memory creeps up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -36,6 +39,58 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 _ZERO = Fraction(0)
+_set = object.__setattr__
+
+
+class Frozen:
+    """A frozen value object with its fields in its instance dict.
+
+    `_fields` names the fields in order: the shared `__init__` takes them as
+    its parameters, then runs `__post_init__`; a hot constructor, or one
+    with defaults, is written out.  Equality, hashing and repr read
+    `_compare` (default `_fields`).  Setting or deleting any attribute
+    raises AttributeError: constructors write past it with
+    `object.__setattr__` or `vars(self)`, as `functools.cached_property` does.
+    """
+
+    _fields = _compare = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            rest = names[len(args) :]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(names)}")
+            args = [*args, *[kwargs[name] for name in rest]]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compare or self._fields])
+
+    def __eq__(self, other):
+        if other is self:  # as comparing the field tuples would find
+            return True
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = [f"{name}={getattr(self, name)!r}" for name in self._compare or self._fields]
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class InternalMismatch(RuntimeError):
@@ -176,16 +231,13 @@ def identity_mat(k: int) -> Mat:
     return tuple(basis_vec(k, i) for i in range(k))
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """Element of Q(i): an exact complex number re + im*i."""
 
-    re: Fraction
-    im: Fraction
+    _fields = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", to_fraction(self.re))
-        object.__setattr__(self, "im", to_fraction(self.im))
+    def __init__(self, re, im):
+        vars(self).update(re=to_fraction(re), im=to_fraction(im))
 
     @staticmethod
     def real(x) -> "GaussianRational":
@@ -245,23 +297,18 @@ class GaussianRational:
 ZERO_G = GaussianRational(Fraction(0), Fraction(0))
 
 
-@dataclass(frozen=True)
-class UnitValue:
+class UnitValue(Frozen):
     """exp(exponent) with the real part of the exponent reduced into [0, 1).
 
     A nonzero imaginary part means the value has modulus != 1; such values
     occur for intermediate data and are kept exact.
     """
 
-    exponent: GaussianRational
+    _fields = ("exponent",)
 
-    def __post_init__(self):
-        e = self.exponent
-        if not isinstance(e, GaussianRational):
-            e = GaussianRational.real(e)
-        object.__setattr__(
-            self, "exponent", GaussianRational(e.re % 1, e.im)
-        )
+    def __init__(self, exponent):
+        e = exponent if isinstance(exponent, GaussianRational) else GaussianRational.real(exponent)
+        vars(self).update(exponent=GaussianRational(e.re % 1, e.im))
 
     @property
     def is_trivial(self) -> bool:

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat, to_vec
+from .exact import Frozen, Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat, to_vec
 
 _ZERO = Fraction(0)
 
@@ -35,16 +34,13 @@ def alternating_matrix(upper, dim: int) -> list[list[int]]:
     return m
 
 
-@dataclass(frozen=True, init=False)
-class AltForm2:
+class AltForm2(Frozen):
     """Alternating bilinear form on Q^{dim}.  Its pair coordinates, the
     entries on the pairs a < b in lexicographic order, are upper / den
     for integers upper and den > 0 with no common factor.  `AltForm2(m)`
     builds it from a full antisymmetric matrix m."""
 
-    dim: int
-    upper: tuple[int, ...]
-    den: int
+    _fields = ("dim", "upper", "den")
 
     def __init__(self, entries: Mat):
         m = to_mat(entries)
@@ -64,7 +60,7 @@ class AltForm2:
         g = gcd(den, *nums)
         if g != 1:
             den, nums = den // g, [x // g for x in nums]
-        # frozen: the fields are set once, here, past the dataclass __setattr__
+        # frozen: the fields are set once, here, past `Frozen.__setattr__`
         vars(self).update(dim=dim, upper=tuple(nums), den=den)
 
     @staticmethod
@@ -149,14 +145,13 @@ class AltForm2:
         return tuple([Fraction(x, self.den) for x in self.upper])
 
 
-@dataclass(frozen=True)
-class AltForm3:
+class AltForm3(Frozen):
     """Alternating trilinear form, stored on strictly increasing triples.
     Its cached `int_entries` and the last contraction `torus.contract3`
-    built sit in the instance dict, outside equality, hashing and repr."""
+    built sit in the instance dict, outside equality, hashing and repr.
+    entries is a tuple of ((a, b, c), value) with a < b < c, sorted."""
 
-    dim: int
-    entries: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    _fields = ("dim", "entries")
 
     @staticmethod
     def zero(dim: int) -> "AltForm3":

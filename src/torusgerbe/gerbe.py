@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, PackedRows, Vec, ZERO_G, dot
-from .exact import lattice_vector, mat_vec, to_vec, vec_is_zero
+from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dot
+from .exact import lattice_vector, mat_vec, sized_vector, to_vec, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import contract3, pullback_combination, type_condition_check
 
@@ -24,8 +23,7 @@ class TypeConditionFailed(ValueError):
     """Raised when a 3-form is incompatible with the complex structure."""
 
 
-@dataclass(frozen=True)
-class ExponentFn:
+class ExponentFn(Frozen):
     """Exponent of a holomorphic function of v: const + (re + i*im) . v.
 
     The linear part is stored as a pair of real covectors.  Holomorphy of
@@ -35,17 +33,15 @@ class ExponentFn:
     alike; an int or `Fraction` constant is its real part.
     """
 
-    const: GaussianRational
-    lin_re: Vec
-    lin_im: Vec
+    _fields = ("const", "lin_re", "lin_im")
 
-    def __post_init__(self):
-        if not isinstance(self.const, GaussianRational):
-            object.__setattr__(self, "const", GaussianRational.real(self.const))
-        object.__setattr__(self, "lin_re", to_vec(self.lin_re))
-        object.__setattr__(self, "lin_im", to_vec(self.lin_im))
-        if len(self.lin_re) != len(self.lin_im):
+    def __init__(self, const, lin_re, lin_im):
+        if not isinstance(const, GaussianRational):
+            const = GaussianRational.real(const)
+        lin_re, lin_im = to_vec(lin_re), to_vec(lin_im)
+        if len(lin_re) != len(lin_im):
             raise ValueError("exponent covectors of different lengths")
+        vars(self).update(const=const, lin_re=lin_re, lin_im=lin_im)
 
     @property
     def dim(self) -> int:
@@ -55,11 +51,12 @@ class ExponentFn:
         return GaussianRational(dot(self.lin_re, v), dot(self.lin_im, v))
 
     def evaluate(self, v) -> GaussianRational:
-        return self.const + self.linear(to_vec(v))
+        return self.const + self.linear(sized_vector(v, self.dim, "v"))
 
     def shift(self, w) -> "ExponentFn":
         """Precompose with v -> v + w."""
-        return ExponentFn(self.const + self.linear(to_vec(w)), self.lin_re, self.lin_im)
+        w = sized_vector(w, self.dim, "w")
+        return ExponentFn(self.const + self.linear(w), self.lin_re, self.lin_im)
 
     def add_const(self, c: GaussianRational) -> "ExponentFn":
         return ExponentFn(self.const + c, self.lin_re, self.lin_im)
@@ -97,8 +94,7 @@ class ExponentFn:
         return re_j == tuple(-a for a in self.lin_im) and im_j == self.lin_re
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Frozen):
     """Homomorphism from the lattice to C^x, stored as exponents on the basis.
 
     The value on a lattice vector l is exp(sum_k exponents[k] * l_k).  Two
@@ -107,14 +103,14 @@ class Character:
     `GaussianRational`s; an int or `Fraction` exponent is its real part.
     """
 
-    exponents: tuple[GaussianRational, ...]
+    _fields = ("exponents",)
 
-    def __post_init__(self):
+    def __init__(self, exponents):
         exps = [
             e if isinstance(e, GaussianRational) else GaussianRational.real(e)
-            for e in self.exponents
+            for e in exponents
         ]
-        object.__setattr__(self, "exponents", tuple(exps))
+        vars(self).update(exponents=tuple(exps))
 
     @staticmethod
     def identity(dim: int) -> "Character":
@@ -144,8 +140,7 @@ class Character:
         return (self * other.inverse()).is_trivial
 
 
-@dataclass(frozen=True)
-class GerbeData:
+class GerbeData(Frozen):
     """Gerbe presentation (B, E) on a torus; E integral and type-compatible.
 
     `GerbeData(...)` checks both.  `translate_gerbe` builds its result by
@@ -153,9 +148,7 @@ class GerbeData:
     dimension of B, and the result keeps all three from a checked gerbe.
     """
 
-    torus: TorusData
-    b: AltForm2
-    e: AltForm3
+    _fields = ("torus", "b", "e")
 
     def __post_init__(self):
         if self.b.dim != self.torus.dim or self.e.dim != self.torus.dim:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import GaussianRational, UnitValue, Vec, basis_vec, to_vec, vec_add
+from .exact import Frozen, GaussianRational, UnitValue, basis_vec, to_vec, vec_add
 from .exact import InternalMismatch, int_vec_mat, sized_vector, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase
@@ -35,26 +34,23 @@ class FirstObstructionNonzero(ValueError):
     """The requested class is only defined once the first obstruction vanishes."""
 
 
-@dataclass(frozen=True)
-class ObstructionContext:
+class ObstructionContext(Frozen):
     """A gerbe together with the decomposition case all formulas use.
 
     The record of each distinct vector (a `TranslationContext`) is built
-    once and kept for the life of the context, keyed by the numerators and
-    then the denominators of w, so a lookup lifts nothing and a miss lifts w
-    once; the cache takes no part in equality or hashing.
+    once and kept for the life of the context in `_vectors`, keyed by the
+    numerators and then the denominators of w, so a lookup lifts nothing and
+    a miss lifts w once; the cache takes no part in equality, hashing or
+    repr.
     """
 
-    gerbe: GerbeData
-    case: SubgroupCase
-    _vectors: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("gerbe", "case")
 
-    def __post_init__(self):
+    def __init__(self, gerbe, case):
         # built once per obstruction query: a member skips the enum lookup
-        if type(self.case) is not SubgroupCase:
-            object.__setattr__(self, "case", SubgroupCase(self.case))
+        if type(case) is not SubgroupCase:
+            case = SubgroupCase(case)
+        vars(self).update(gerbe=gerbe, case=case, _vectors={})
 
     def vector(self, w) -> TranslationContext:
         """The record of w, built on first use without the membership check."""
@@ -145,7 +141,7 @@ def defect_correction_fn(ctx: ObstructionContext, w1, w2) -> ExponentFn:
 
 def defect_correction_value(ctx: ObstructionContext, w1, w2, v) -> GaussianRational:
     """The correction exponent evaluated at v."""
-    return defect_correction_fn(ctx, w1, w2).evaluate(to_vec(v))
+    return defect_correction_fn(ctx, w1, w2).evaluate(v)
 
 
 def _character(nums, den: int) -> Character:
@@ -199,8 +195,7 @@ def second_obstruction_cocycle(ctx: ObstructionContext, w1, w2, w3) -> GaussianR
     return defect_correction_fn(ctx, w2, w3).evaluate(w1)
 
 
-@dataclass(frozen=True)
-class SecondObstructionValues:
+class SecondObstructionValues(Frozen):
     """The three computed values of the second obstruction on a triple.
 
     skew: brute-force alternation of the degree-3 cocycle over all six
@@ -215,14 +210,16 @@ class SecondObstructionValues:
     tables as `obstruction_vanishes`, built over its three vectors alone.
     """
 
-    skew: UnitValue
-    general_factor: UnitValue
-    closed_form: UnitValue
-    skew_exponent: GaussianRational
-    skew_is_real: bool
-    agree_skew_general: bool
-    agree_skew_closed: bool
-    agree_general_closed: bool
+    _fields = (
+        "skew",
+        "general_factor",
+        "closed_form",
+        "skew_exponent",
+        "skew_is_real",
+        "agree_skew_general",
+        "agree_skew_closed",
+        "agree_general_closed",
+    )
 
     @property
     def all_nontrivial(self) -> bool:
@@ -307,12 +304,10 @@ def second_obstruction_alternating(
     )
 
 
-@dataclass(frozen=True)
-class ThetaGroupElement:
+class ThetaGroupElement(Frozen):
     """Element (character, translation vector) of the lifted theta group."""
 
-    character: Character
-    w: Vec
+    _fields = ("character", "w")
 
     def __post_init__(self):
         object.__setattr__(self, "w", to_vec(self.w))
@@ -330,8 +325,7 @@ def theta_group_multiply(
     return ThetaGroupElement(character=a.character * b.character * defect, w=w)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(Frozen):
     """Finitely many subgroup generators together with the ambient case.
 
     Vanishing decisions also draw on the standard lattice basis: a basis
@@ -340,14 +334,12 @@ class SubgroupSpec:
     member basis vectors do not span is included only as a generator.
     """
 
-    generators: tuple[Vec, ...]
-    case: SubgroupCase
+    _fields = ("generators", "case")
 
-    def __post_init__(self):
+    def __init__(self, generators, case):
         # the generators as `to_vec` tuples, and the case a member or its
         # value, else ValueError, as for the contexts
-        object.__setattr__(self, "generators", tuple(to_vec(g) for g in self.generators))
-        object.__setattr__(self, "case", SubgroupCase(self.case))
+        vars(self).update(generators=tuple(to_vec(g) for g in generators), case=SubgroupCase(case))
 
     @staticmethod
     def create(generators, case: SubgroupCase) -> "SubgroupSpec":
@@ -359,14 +351,20 @@ class ObstructionKind(enum.Enum):
     SECOND = "second"
 
 
-@dataclass(frozen=True)
-class VanishingResult:
-    """Decision plus certificate for an obstruction on a generated subgroup."""
+class VanishingResult(Frozen):
+    """Decision plus certificate for an obstruction on a generated subgroup:
+    the certificate is the first failing tuple of vectors, or None, and the
+    disagreements are the triples whose cross-check failed."""
 
-    vanishes: bool
-    certificate: tuple[Vec, ...] | None
-    tuples_checked: int
-    cross_check_disagreements: tuple[tuple[Vec, Vec, Vec], ...] = ()
+    _fields = ("vanishes", "certificate", "tuples_checked", "cross_check_disagreements")
+
+    def __init__(self, vanishes, certificate, tuples_checked, cross_check_disagreements=()):
+        vars(self).update(
+            vanishes=vanishes,
+            certificate=certificate,
+            tuples_checked=tuples_checked,
+            cross_check_disagreements=cross_check_disagreements,
+        )
 
     def __bool__(self) -> bool:
         return self.vanishes

@@ -10,9 +10,9 @@ integer coefficients) and the type (1,1) case (contraction is J-invariant).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import Frozen
 from .torus import (
     AltForm2,
     AltForm3,
@@ -37,16 +37,13 @@ class SubgroupCase(enum.Enum):
     TYPE_ONE_ONE = "oneone"
 
 
-@dataclass(frozen=True)
-class InvarianceClass:
+class InvarianceClass(Frozen):
     """Contraction representative and whether its class vanishes."""
 
-    representative: AltForm2
-    is_zero: bool
+    _fields = ("representative", "is_zero")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Splitting of the translation shift into (1,1) and integral pieces.
 
     invariant_part + integral_part always equals the translation shift form;
@@ -54,8 +51,7 @@ class Decomposition:
     the integral part has integer coefficients.
     """
 
-    invariant_part: AltForm2
-    integral_part: AltForm2
+    _fields = ("invariant_part", "integral_part")
 
 
 def invariance_class(torus: TorusData, e3: AltForm3, w) -> InvarianceClass:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .exact import (
-    Mat,
+    Frozen,
     ReducedLattice,
     Vec,
     basis_vec,
@@ -37,13 +36,11 @@ class NotAComplexStructure(ValueError):
     """Raised when a candidate matrix J does not satisfy J*J = -I."""
 
 
-@dataclass(frozen=True)
-class TorusData:
-    """A complex torus of dimension n presented by J acting on R^{2n}."""
+class TorusData(Frozen):
+    """A complex torus of dimension n presented by J acting on R^{2n}; its
+    transpose jt is kept beside J, outside equality, hashing and repr."""
 
-    n: int
-    j: Mat
-    jt: Mat = field(init=False, repr=False, compare=False)
+    _fields = ("n", "j")
 
     def __post_init__(self):
         dim = 2 * self.n
@@ -151,12 +148,11 @@ def check_complex_structure(j_rows) -> TorusData:
     return TorusData(n=len(j) // 2, j=j)
 
 
-@dataclass(frozen=True)
-class HodgeImage:
-    """Value of the Hodge projection: a complex-valued alternating 2-form."""
+class HodgeImage(Frozen):
+    """Value of the Hodge projection: a complex-valued alternating 2-form
+    re + i*im."""
 
-    re: AltForm2
-    im: AltForm2
+    _fields = ("re", "im")
 
     @property
     def is_zero(self) -> bool:

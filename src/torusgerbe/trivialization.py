@@ -14,12 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GaussianRational, InternalMismatch, PackedRows, Vec, basis_vec, int_dot
-from .exact import int_vec_mat, lattice_vector, mat_vec, to_vec
+from .exact import Frozen, GaussianRational, InternalMismatch, PackedRows, Vec, basis_vec
+from .exact import int_dot, int_vec_mat, lattice_vector, mat_vec, to_vec
 from .gerbe import ExponentFn, GerbeData, balanced_digits, exponent_im, exponent_over
 from .gerbe import forms_over
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
@@ -27,8 +26,7 @@ from .symmetry import require_case_member
 from .torus import AltForm2, alternating_matrix, pullback_over
 
 
-@dataclass(frozen=True)
-class TranslationContext:
+class TranslationContext(Frozen):
     """Translation by w with its trivialization: the one per-vector record
     that the trivializer and the obstruction formulas read, in integers.
 
@@ -49,18 +47,14 @@ class TranslationContext:
     its denominator.  So is the identity's residual (`_residual`).
     """
 
-    gerbe: GerbeData
-    w: Vec
-    case: SubgroupCase
-    dw: int = field(compare=False, repr=False)
-    x: list = field(compare=False, repr=False)
-    ix: list = field(compare=False, repr=False)
-    den: int = field(compare=False, repr=False)
-    member: bool = field(compare=False, repr=False)
-    omega: list = field(compare=False, repr=False)
-    f: list = field(compare=False, repr=False)
-    m: list = field(compare=False, repr=False)
-    r: list = field(compare=False, repr=False)
+    _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den", "member", "omega", "f", "m", "r")
+    _compare = ("gerbe", "w", "case")
+
+    def __init__(self, gerbe, w, case, dw, x, ix, den, member, omega, f, m, r):
+        vars(self).update(
+            gerbe=gerbe, w=w, case=case, dw=dw, x=x, ix=ix, den=den, member=member,
+            omega=omega, f=f, m=m, r=r
+        )
 
     @staticmethod
     def create(
@@ -179,15 +173,15 @@ def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
     return all(4 * y == z for fr, row in zip(f, omega) for y, z in zip(fr, row))
 
 
-@dataclass(frozen=True, eq=False)
-class _Basis:
+class _Basis(Frozen):
     """The basis records e_1..e_d of a (gerbe, case): row k of the packed
     `rows` is record k's omega, f, m and r flattened, so rows.times(x) is
     the four matrices of x/dw flattened, over dw*records[0].den; the
-    identity's `residual_rows` are built on first use."""
+    identity's `residual_rows` are built on first use.  Compared by
+    identity."""
 
-    records: tuple
-    rows: PackedRows
+    _fields = ("records", "rows")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @functools.cached_property
     def residual_rows(self) -> PackedRows:

@@ -7,7 +7,6 @@ the package's covector-based code paths.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -619,6 +618,16 @@ def reference_second_alternating(ctx, d1, d2, d3):
     return (den, skew_re, skew_im, general, closed), flags
 
 
+def replace_fields(obj, **changes):
+    """A new value object of obj's class with the named fields changed,
+    built by the class's constructor from its fields in order."""
+    names = type(obj)._fields
+    unknown = set(changes) - set(names)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no fields {sorted(unknown)}")
+    return type(obj)(*[changes.get(name, getattr(obj, name)) for name in names])
+
+
 def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
     """Add delta / den to entry (p, q) of the matrix `name` of w's record
     cached on the obstruction context."""
@@ -626,7 +635,7 @@ def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
     m = [list(row) for row in getattr(data, name)]
     m[p][q] += delta
     key = next(k for k, v in ctx._vectors.items() if v is data)
-    ctx._vectors[key] = dataclasses.replace(data, **{name: m})
+    ctx._vectors[key] = replace_fields(data, **{name: m})
 
 
 def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int):
@@ -635,7 +644,7 @@ def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int
     records = list(TranslationContext.basis(g, case))
     m = [list(row) for row in getattr(records[k], name)]
     m[p][q] += 1
-    records[k] = dataclasses.replace(records[k], **{name: m})
+    records[k] = replace_fields(records[k], **{name: m})
     monkeypatch.setitem(g.basis_records, case, _stacked(records))
 
 

@@ -1,6 +1,5 @@
 """Gerbe data, canonical exponents, translation action, isomorphism test."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -39,6 +38,7 @@ from helpers import (
     rand_altform3_int,
     rand_rational_vec,
     rand_vec,
+    replace_fields,
     torus4,
     torus6,
     vec,
@@ -268,10 +268,10 @@ class TestTranslatedGerbeIsTrusted:
             GerbeData(g.torus, moved.b, bad)
         for base in (g, moved):
             with pytest.raises(TypeConditionFailed):
-                dataclasses.replace(base, e=bad)
+                replace_fields(base, e=bad)
             with pytest.raises(ValueError):
-                dataclasses.replace(base, b=AltForm2.zero(4))
-        assert dataclasses.replace(moved, b=g.b) == g
+                replace_fields(base, b=AltForm2.zero(4))
+        assert replace_fields(moved, b=g.b) == g
 
 
 class TestGerbesIsomorphic:
@@ -386,6 +386,16 @@ class TestValueObjects:
             with pytest.raises(ValueError, match="exponent covectors of different lengths"):
                 ExponentFn(c, lin_re, lin_im)
         assert ExponentFn(c, (), ()).dim == 0
+
+    def test_exponent_fn_names_a_wrong_length_vector(self):
+        fn = ExponentFn(GaussianRational.real(1), (1, 0), (0, 1))
+        for v in ((1,), (1, 0, 0)):
+            message = rf"^dimension mismatch: {{}} has {len(v)} entries, not 2$"
+            with pytest.raises(ValueError, match=message.format("v")):
+                fn.evaluate(v)
+            with pytest.raises(ValueError, match=message.format("w")):
+                fn.shift(v)
+        assert fn.evaluate([1, 2]) == GaussianRational(2, 2) and fn.shift([0, 0]) == fn
 
     def test_exponent_fn_lengths_must_agree(self):
         c = GaussianRational.real(0)

@@ -5,9 +5,11 @@ loads, and the largest single compile sets the process's peak memory at
 import.  The benchmark's `peak_rss_mib` of every in-process workload
 includes that peak, so a module that grows past the bound below costs
 memory on every workload, whatever it computes.  `cli.py` loads only in the
-command-line entry point and is left out.
+command-line entry point and is left out.  A CLI child also imports
+neither `dataclasses` nor the `inspect` module it pulls in.
 """
 
+import ast
 import subprocess
 import sys
 import tracemalloc
@@ -58,6 +60,38 @@ def test_the_package_modules_are_found():
     names = {p.name for p in MODULES}
     assert {"__init__.py", "obstruction.py", "torus.py"} <= names
     assert "cli.py" not in names
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """A CLI child pays for every module it imports before any command
+    runs; the package's value objects build on `exact.Frozen` instead.
+    The child skips `site`, whose `.pth` files may import either."""
+    code = (
+        "import sys, torusgerbe.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_package_module_imports_dataclasses():
+    for path in sorted((SRC / "torusgerbe").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name} imports dataclasses"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

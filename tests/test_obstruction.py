@@ -269,6 +269,13 @@ class TestDefectCorrection:
         got = defect_correction_value(ctx4, W1, W2, vec(0, 0, F(1, 2), 0))
         assert got == GaussianRational(F(-1, 16), F(0))
 
+    def test_wrong_length_vector_names_the_argument(self, ctx4):
+        # dot's bare "dimension mismatch" named neither v nor the lengths
+        for v in ((1, 0, 0), (1, 0, 0, 0, 0)):
+            message = rf"^dimension mismatch: v has {len(v)} entries, not 4$"
+            with pytest.raises(ValueError, match=message):
+                defect_correction_value(ctx4, W1, W2, v)
+
     def test_holomorphic(self, ctx4):
         fn = defect_correction_fn(ctx4, W1, W2)
         assert fn.is_holomorphic(ctx4.gerbe.torus)

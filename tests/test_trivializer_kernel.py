@@ -45,7 +45,6 @@ never reach the `Fraction` wrappers, and that a fault at w raises
 of a flattened half after a passing basis for default pairs.
 """
 
-import dataclasses
 import itertools
 import random
 import types
@@ -87,6 +86,7 @@ from helpers import (
     reference_exponent_re,
     reference_trivialization_residual,
     reference_trivializing_exponent,
+    replace_fields,
     twisted_torus,
 )
 
@@ -491,7 +491,7 @@ BLOCKS = ("qre", "qim", "re", "im")
 def with_kernel(ctx, den, blocks):
     """A fresh copy of the record whose kernel is (den, blocks), set before
     anything reads it."""
-    fresh = dataclasses.replace(ctx)
+    fresh = replace_fields(ctx)
     vars(fresh)["kernel"] = den, tuple(blocks)
     return fresh
 
