@@ -8,9 +8,11 @@ decomposition case.  When the first obstruction vanishes, the coboundary of
 the correction used to unitarize the defect produces a degree-3 class, the
 second obstruction, computed here three ways: by brute-force alternation,
 by the bilinear closed expression in the decomposition data, and by the
-per-case closed form.  All three are read off tables built once per query
-over its candidate vectors: the correction covector of each ordered pair
-at every candidate, and E contracted at most once per candidate.
+per-case closed form.  The alternation and the closed form, which decide
+vanishing, are read off tables built once per query over its candidate
+vectors: the correction covector of each ordered pair at every candidate,
+and E contracted at most once per candidate.  The bilinear expression is
+computed only by `second_obstruction_alternating`, for its one triple.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import Frozen, GaussianRational, UnitValue, basis_vec, to_vec, vec_add
-from .exact import InternalMismatch, int_vec_mat, sized_vector, unit_reduce
+from .exact import InternalMismatch, int_dot, int_vec_mat, sized_vector, unit_reduce
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase
 from .trivialization import TranslationContext, _lifted_record, trivializing_exponent
@@ -54,29 +56,31 @@ class ObstructionContext(Frozen):
 
     def vector(self, w) -> TranslationContext:
         """The record of w, built on first use without the membership check."""
-        w = to_vec(w)
+        return self._record(to_vec(w))
+
+    def require_member(self, w, what: str = "vector") -> TranslationContext:
+        """The record of w; a ValueError naming w as what unless it has the
+        torus's dimension, NotInSubgroup unless it is a case member."""
+        data = self._record(sized_vector(w, self.gerbe.torus.dim, what))
+        if not data.member:
+            raise NotInSubgroup(f"{what} is not in the chosen subgroup")
+        return data
+
+    def _record(self, w) -> TranslationContext:
         key = (*[v.numerator for v in w], *[v.denominator for v in w])
         data = self._vectors.get(key)
         if data is None:
-            g = self.gerbe
-            data = self._vectors[key] = _lifted_record(g, w, self.case, g.torus.lift(w))
-        return data
-
-    def require_member(self, w, what: str = "vector") -> TranslationContext:
-        data = self.vector(w)
-        if not data.member:
-            raise NotInSubgroup(f"{what} is not in the chosen subgroup")
+            data = self._vectors[key] = _lifted_record(self.gerbe, w, self.case)
         return data
 
 
 def lift_defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     """The defect character, computed both from the trivializer composition
     and from the closed exponent, and asserted identical."""
-    w1, w2 = to_vec(w1), to_vec(w2)
     t1 = ctx.require_member(w1, "w1")
     t2 = ctx.require_member(w2, "w2")
-    t = ctx.gerbe.torus
-    t12 = ctx.vector(vec_add(w1, w2))
+    t, w1 = ctx.gerbe.torus, t1.w
+    t12 = ctx.vector(vec_add(w1, t2.w))
     composed = []
     for k in range(t.dim):
         lam = basis_vec(t.dim, k)
@@ -106,10 +110,9 @@ def defect_character(ctx: ObstructionContext, w1, w2) -> Character:
     lattice basis at once: F2(v, e_k) is -(F2 applied to v)_k.
     """
     t, e3 = ctx.gerbe.torus, ctx.gerbe.e
-    w1, w2 = to_vec(w1), to_vec(w2)
-    ctx.require_member(w1, "w1")
-    f2 = ctx.require_member(w2, "w2").invariant
-    iw1 = t.mul_i(w1)
+    w1 = ctx.require_member(w1, "w1").w
+    d2 = ctx.require_member(w2, "w2")
+    f2, w2, iw1 = d2.invariant, d2.w, t.mul_i(w1)
     exps = []
     for a, b, ek in zip(f2.apply(w1), f2.apply(iw1), t.basis()):
         re = a / 2 - exponent_im(t, e3, w2, iw1, ek)
@@ -131,8 +134,11 @@ def defect_correction_fn(ctx: ObstructionContext, w1, w2) -> ExponentFn:
 
     that is i*r.v + r.(Jv) for the covector r = w1^T*R_w2.
     """
-    d1 = ctx.require_member(w1, "w1")
-    d2 = ctx.require_member(w2, "w2")
+    return _correction_fn(ctx, ctx.require_member(w1, "w1"), ctx.require_member(w2, "w2"))
+
+
+def _correction_fn(ctx: ObstructionContext, d1, d2) -> ExponentFn:
+    """`defect_correction_fn` of the records d1 and d2."""
     t, den, r = ctx.gerbe.torus, d1.dw * d2.den, int_vec_mat(d1.x, d2.r)
     lin_re = [Fraction(y, t.j_columns[0] * den) for y in t.times_j([r])[0]]
     lin_im = [Fraction(y, den) for y in r]
@@ -190,9 +196,8 @@ def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
 def second_obstruction_cocycle(ctx: ObstructionContext, w1, w2, w3) -> GaussianRational:
     """Exponent of the degree-3 cocycle: the correction for (w2, w3)
     evaluated at w1."""
-    w1 = to_vec(w1)
-    ctx.require_member(w1, "w1")
-    return defect_correction_fn(ctx, w2, w3).evaluate(w1)
+    d1, d2, d3 = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
+    return _correction_fn(ctx, d2, d3).evaluate(d1.w)
 
 
 class SecondObstructionValues(Frozen):
@@ -206,8 +211,9 @@ class SecondObstructionValues(Frozen):
     is the authority for vanishing decisions.  The three are recorded side
     by side because they are genuinely different scalar multiples of
     E(w1,w2,w3); agreement flags state equality of the reduced values.
-    `second_obstruction_alternating` reads them off the same per-query
-    tables as `obstruction_vanishes`, built over its three vectors alone.
+    `second_obstruction_alternating` reads skew and closed_form off the same
+    per-query tables as `obstruction_vanishes`, built over its three vectors
+    alone, and computes general_factor from their three records.
     """
 
     _fields = (
@@ -237,33 +243,27 @@ def _alternate(t, i: int, j: int, k: int) -> int:
 
 
 def _second_triples(ctx: ObstructionContext, records):
-    """((den, skew_re, skew_im, general, closed), flags) for each triple of
-    the records, in lexicographic order of their indices: the three values
-    as numerators over one denominator, and whether skew and general, skew
-    and closed, and general and closed agree.
+    """(den, skew_re, skew_im, closed) for each triple of the records, in
+    lexicographic order of their indices: the skew and the closed form as
+    numerators over one denominator.
 
     The values are read off per-query tables.  For each ordered pair (b, c)
-    of records, one product of b with the stacked rows [R_c | F_c] and then
-    with the columns of every record a gives b^T*R_c*(ia), b^T*R_c*a and
-    b^T*F_c*a: the correction covector r = b^T*R_c at a is r.(ia) + i*r.a,
-    and the bilinear expression sums three F-terms.  E is contracted once
-    per first index i, and E(i, j, a) is read for every a off one product
-    per pair i < j.  Nothing is built for fewer than three records.
+    of records, one product of b with R_c and then with the columns of
+    every record a gives b^T*R_c*(ia) and b^T*R_c*a: the correction
+    covector r = b^T*R_c at a is r.(ia) + i*r.a.  E is contracted once per
+    first index i, and E(i, j, a) is read for every a off one product per
+    pair i < j.  Nothing is built for fewer than three records.
     """
     n = len(records)
     if n < 3:
         return
     xs = [d.x for d in records]
     cols = [list(c) for c in zip(*xs)]  # row p: coordinate p of every record
-    z = [0] * n
-    # columns ia and a against the R half of [R_c | F_c], a against its F half
-    block = [[*i, *c, *z] for i, c in zip(zip(*[d.ix for d in records]), cols)]
-    block += [[*z, *z, *c] for c in cols]
-    stacked = [[r + f for r, f in zip(d.r, d.f)] for d in records]
-    re, im, gen = ([[None] * n for _ in range(n)] for _ in range(3))
+    block = [[*i, *c] for i, c in zip(zip(*[d.ix for d in records]), cols)]  # ia, a
+    re, im = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
     for b, c in itertools.permutations(range(n), 2):
-        row = int_vec_mat(int_vec_mat(xs[b], stacked[c]), block)
-        re[b][c], im[b][c], gen[b][c] = row[:n], row[n : 2 * n], row[2 * n :]
+        row = int_vec_mat(int_vec_mat(xs[b], records[c].r), block)
+        re[b][c], im[b][c] = row[:n], row[n:]
     dj = ctx.gerbe.torus.j_columns[0]
     coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
     for i, di in enumerate(records[:-2]):
@@ -274,15 +274,7 @@ def _second_triples(ctx: ObstructionContext, records):
             dij = dj * di.den * records[j].dw
             for k in range(j + 1, n):
                 den = dij * records[k].dw  # dj*dws times the records' shared scale
-                skew_re, skew_im = _alternate(re, i, j, k), dj * _alternate(im, i, j, k)
-                general = 3 * dj * (gen[i][k][j] + gen[j][i][k] - gen[i][j][k])
-                closed = unit * e_row[k]
-                real = skew_im == 0
-                yield (den, skew_re, skew_im, general, closed), (
-                    real and (skew_re - general) % den == 0,
-                    real and (skew_re - closed) % den == 0,
-                    (general - closed) % den == 0,
-                )
+                yield den, _alternate(re, i, j, k), dj * _alternate(im, i, j, k), unit * e_row[k]
 
 
 def second_obstruction_alternating(
@@ -295,13 +287,16 @@ def second_obstruction_alternating(
     bilinear expression reads the (1,1) pieces F_w; the closed form reads E
     alone.  Disagreements are reported in the returned flags, not raised.
     """
-    ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    (den, skew_re, skew_im, general, closed), flags = next(_second_triples(ctx, ds))
+    d1, d2, d3 = ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
+    den, skew_re, skew_im, closed = next(_second_triples(ctx, ds))
+    x1, x2, x3 = d1.x, d2.x, d3.x
+    general = int_dot(int_vec_mat(x1, d3.f), x2) + int_dot(int_vec_mat(x2, d1.f), x3)
+    general = 3 * ctx.gerbe.torus.j_columns[0] * (general - int_dot(int_vec_mat(x1, d2.f), x3))
     skew = GaussianRational(Fraction(skew_re, den), Fraction(skew_im, den))
-    general, closed = (unit_reduce(Fraction(y, den)) for y in (general, closed))
-    return SecondObstructionValues(
-        unit_reduce(skew), general, closed, skew, skew_im == 0, *flags
-    )
+    values = [unit_reduce(v) for v in (skew, Fraction(general, den), Fraction(closed, den))]
+    real = skew_im == 0
+    agree = [real and (skew_re - general) % den == 0, real and (skew_re - closed) % den == 0]
+    return SecondObstructionValues(*values, skew, real, *agree, (general - closed) % den == 0)
 
 
 class ThetaGroupElement(Frozen):
@@ -411,11 +406,11 @@ def obstruction_vanishes(
     disagreements = []
     failure = None
     values = _second_triples(ctx, [d for _, d in records])
-    for ((w1, _), (w2, _), (w3, _)), ((den, *_, closed), flags) in zip(
+    for ((w1, _), (w2, _), (w3, _)), (den, skew_re, skew_im, closed) in zip(
         itertools.combinations(records, 3), values
     ):
         checked += 1
-        if not flags[1]:
+        if skew_im or (skew_re - closed) % den:
             disagreements.append((w1, w2, w3))
         if failure is None and closed % den:
             failure = (w1, w2, w3)
@@ -427,10 +422,9 @@ def gerbal_class(ctx: ObstructionContext, w1, w2, w3) -> UnitValue:
     exp(-3/2*E(w1,w2,w3)) in the integral case, exp(6*E(w1,w2,w3)) in the
     type (1,1) case.  Defined only when the first obstruction vanishes on
     the three pairs."""
-    w1, w2, w3 = to_vec(w1), to_vec(w2), to_vec(w3)
-    for w, name in ((w1, "w1"), (w2, "w2"), (w3, "w3")):
-        ctx.require_member(w, name)
-    for a, b in ((w1, w2), (w1, w3), (w2, w3)):
+    for k, w in enumerate((w1, w2, w3), 1):
+        ctx.require_member(w, f"w{k}")
+    for a, b in itertools.combinations((w1, w2, w3), 2):
         if not first_obstruction_alternating(ctx, a, b).is_trivial:
             raise FirstObstructionNonzero(
                 "first obstruction does not vanish on the given vectors"

@@ -65,7 +65,7 @@ class TranslationContext(Frozen):
         the subgroup."""
         case = SubgroupCase(case)
         w = to_vec(w)
-        data = _lifted_record(gerbe, w, case, gerbe.torus.lift(w))
+        data = _lifted_record(gerbe, w, case)
         if check:
             require_case_member(data.member, case)
         return data
@@ -125,10 +125,10 @@ def _kernel_blocks(ctx: TranslationContext) -> tuple:
     return qre, qim, re, im
 
 
-def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase, lifted) -> TranslationContext:
+def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
     """The record of w from its lift (dw, x, ix), unchecked: the cached
     record of a basis vector, else the combination of the basis records."""
-    dw, x, ix = lifted
+    dw, x, ix = gerbe.torus.lift(w)
     basis = _basis_records(gerbe, case)
     records, d = basis.records, len(x)
     if dw == 1 and x.count(0) == d - 1 and 1 in x:

@@ -1,5 +1,6 @@
 """Lifting defects, theta group, first and second obstructions."""
 
+import inspect
 import itertools
 import random
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from torusgerbe import (
     SubgroupSpec,
     ThetaGroupElement,
     TorusData,
+    defect_character,
     defect_correction_value,
     exponent_im,
     first_obstruction_alternating,
@@ -209,9 +211,9 @@ class TestLiftDefectCharacter:
             forms.append(to_vec(w))
             return forms_over(torus, e3, w)
 
-        def counting_build(g, w, case, lifted):
+        def counting_build(g, w, case):
             creates.append(to_vec(w))
-            return build(g, w, case, lifted)
+            return build(g, w, case)
 
         for module in (gerbe, triv):
             monkeypatch.setattr(module, "forms_over", counting_forms)
@@ -703,3 +705,82 @@ class TestBoundaryValues:
                 c.exponent_at(v)
         with pytest.raises(ValueError, match=r"lam must be a lattice \(integer\) vector"):
             c.exponent_at((F(1, 2), 0, 0, 0))
+
+
+
+# The obstruction functions that check their vectors through
+# `ObstructionContext.require_member`: (function, how many vectors it takes
+# first, its further arguments).
+MEMBER_CHECKED = [
+    (lift_defect_character, 2, ()),
+    (defect_character, 2, ()),
+    (lift_defect_exponent, 2, ((1, 0, 0, 0),)),
+    (defect_correction_fn, 2, ()),
+    (defect_correction_value, 2, (W2,)),
+    (first_obstruction_character, 2, ()),
+    (first_obstruction_alternating, 2, ()),
+    (second_obstruction_cocycle, 3, ()),
+    (second_obstruction_alternating, 3, ()),
+    (gerbal_class, 3, ()),
+]
+# name -> (the argument's name, the call with v as that argument and W1 as
+# every other vector)
+VECTOR_ROWS = {
+    "require_member": ("vector", lambda c, v: c.require_member(v)),
+    **{
+        f"obstruction_vanishes-{which}": (
+            "generator",
+            lambda c, v, which=which: obstruction_vanishes(
+                c.gerbe, SubgroupSpec.create((W1, v), INT), which
+            ),
+        )
+        for which in ("first", "second")
+    },
+    **{
+        f"{fn.__name__}-w{k + 1}": (
+            f"w{k + 1}",
+            lambda c, v, fn=fn, k=k, count=count, extra=extra: fn(
+                c, *[v if a == k else W1 for a in range(count)], *extra
+            ),
+        )
+        for fn, count, extra in MEMBER_CHECKED
+        for k in range(count)
+    },
+}
+
+
+class TestVectorArguments:
+    """A vector of the wrong length, or outside the case subgroup, is named
+    by its argument, on the standard n = 2 torus with E = 2*e123 in the
+    integral case.  A wrong length reached `TorusData.lift`'s bare
+    "vector/torus dimension mismatch", and `second_obstruction_cocycle`
+    named a non-member w2 or w3 as w1 or w2."""
+
+    @pytest.mark.parametrize("row", VECTOR_ROWS)
+    @pytest.mark.parametrize("v", [(F(1, 2), 0, 0), (F(1, 2), 0, 0, 0, 0)], ids=["3", "5"])
+    def test_wrong_length_names_the_argument(self, ctx2, row, v):
+        what, call = VECTOR_ROWS[row]
+        message = rf"^dimension mismatch: {what} has {len(v)} entries, not 4$"
+        with pytest.raises(ValueError, match=message):
+            call(ctx2, v)
+        call(ctx2, vec(0, 0, 0, 0))  # a vector of the right length passes
+
+    @pytest.mark.parametrize("row", VECTOR_ROWS)
+    def test_non_member_names_the_argument(self, ctx2, row):
+        what, call = VECTOR_ROWS[row]
+        with pytest.raises(NotInSubgroup, match=f"^{what} is not in the chosen subgroup$"):
+            call(ctx2, vec(F(1, 3), 0, 0, 0))
+
+    def test_every_member_checked_function_has_rows(self):
+        import torusgerbe.obstruction as obstruction
+
+        callers = {
+            name
+            for name, fn in vars(obstruction).items()
+            if inspect.isfunction(fn)
+            and fn.__module__ == obstruction.__name__
+            and "require_member(" in inspect.getsource(fn)
+        }
+        rows = {fn.__name__ for fn, _, _ in MEMBER_CHECKED}
+        # theta_group_multiply checks both lengths before its sum
+        assert callers - rows == {"obstruction_vanishes", "theta_group_multiply"}

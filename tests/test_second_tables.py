@@ -1,13 +1,15 @@
 """The per-query tables of the second obstruction.
 
-`obstruction._second_triples` reads every triple's values off tables built
-once per query over the candidate records.  Each test compares it, triple
-by triple, with `helpers.reference_second_alternating`, which computes one
-triple at a time: the same five integers and the same three flags,
-on standard and twisted tori at n = 2 and 3 in both cases, on the
-half-lattice example, and on corrupted records.  `obstruction_vanishes`
-must return what a loop over that oracle returns, and a query contracts E
-once per candidate at most.
+`obstruction._second_triples` reads every triple's skew and closed form
+off tables built once per query over the candidate records.  Each test
+compares it, triple by triple, with `helpers.reference_second_alternating`,
+which computes one triple at a time: the same four integers and the same
+skew-against-closed flag, on standard and twisted tori at n = 2 and 3 in
+both cases, on the half-lattice example, and on corrupted records.
+`second_obstruction_alternating` must return the oracle's three values and
+three flags on every triple, and `obstruction_vanishes` what a loop over
+the oracle returns.  The tables read no record's F_w, and a query contracts
+E once per candidate at most.
 """
 
 import itertools
@@ -19,15 +21,18 @@ import pytest
 
 import torusgerbe.obstruction as obstruction
 from torusgerbe import (
+    GaussianRational,
     GerbeData,
     NotInSubgroup,
     ObstructionContext,
     ObstructionKind,
+    SecondObstructionValues,
     SubgroupCase,
     SubgroupSpec,
     TranslationContext,
     obstruction_vanishes,
     second_obstruction_alternating,
+    unit_reduce,
 )
 
 from helpers import (
@@ -37,6 +42,7 @@ from helpers import (
     count_contractions,
     gerbe4,
     reference_second_alternating,
+    replace_fields,
     sample_case_vector,
     sample_integral_instance,
     vec,
@@ -101,15 +107,57 @@ def decided(result):
     )
 
 
+def skew_agrees_closed(den, skew_re, skew_im, closed):
+    """The cross-check `obstruction_vanishes` makes on a triple's values."""
+    return skew_im == 0 and (skew_re - closed) % den == 0
+
+
 def assert_tables_match(ctx, records):
-    """The table kernel equals the oracle on every triple; returns its
-    values."""
+    """The table kernel equals the oracle's skew and closed form, and its
+    skew-against-closed flag, on every triple; returns its values."""
     tables = list(obstruction._second_triples(ctx, records))
-    assert tables == [
+    expected = [
         reference_second_alternating(ctx, *triple)
         for triple in itertools.combinations(records, 3)
     ]
+    assert tables == [(den, re, im, closed) for (den, re, im, _, closed), _ in expected]
+    assert [skew_agrees_closed(*values) for values in tables] == [
+        flags[1] for _, flags in expected
+    ]
     return tables
+
+
+def assert_public_values_match(ctx, ws):
+    """`second_obstruction_alternating` on the vectors ws equals the
+    oracle's three values and three flags; returns its values."""
+    values = second_obstruction_alternating(ctx, *ws)
+    (den, skew_re, skew_im, general, closed), flags = reference_second_alternating(
+        ctx, *[ctx.vector(w) for w in ws]
+    )
+    skew = GaussianRational(F(skew_re, den), F(skew_im, den))
+    general, closed = unit_reduce(F(general, den)), unit_reduce(F(closed, den))
+    assert values == SecondObstructionValues(
+        unit_reduce(skew), general, closed, skew, skew_im == 0, *flags
+    )
+    return values
+
+
+def assert_decision_reads_no_f(monkeypatch, g, spec):
+    """The SECOND decision is unchanged when every candidate record, of a
+    generator or of a basis vector, is replaced by one without F_w."""
+    expected = decided(obstruction_vanishes(g, spec, SECOND))
+    build, basis = obstruction._lifted_record, TranslationContext.basis
+    monkeypatch.setattr(
+        obstruction, "_lifted_record", lambda *args: replace_fields(build(*args), f=None)
+    )
+    monkeypatch.setattr(
+        TranslationContext,
+        "basis",
+        staticmethod(lambda *args: tuple(replace_fields(d, f=None) for d in basis(*args))),
+    )
+    found = candidates(g, spec)[1]
+    assert len(found) >= 3 and all(d.f is None for _, d in found)
+    assert decided(obstruction_vanishes(g, spec, SECOND)) == expected
 
 
 class TestAgainstTheOracle:
@@ -126,23 +174,13 @@ class TestAgainstTheOracle:
         for order in (records[::-1], records[1:] + records[:2], records[:2] * 2):
             assert_tables_match(ctx, order)
 
-    def test_public_values_come_from_the_same_kernel(self, instance):
+    def test_public_values_match_the_oracle(self, instance):
+        # every ordered triple of the query's candidates, repeats included,
+        # not only the increasing triples the tables read
         g, case, vectors = instance
-        ctx = ObstructionContext(g, case)
-        for triple in itertools.combinations(vectors, 3):
-            values = second_obstruction_alternating(ctx, *triple)
-            (den, skew_re, skew_im, general, closed), flags = reference_second_alternating(
-                ctx, *[ctx.vector(w) for w in triple]
-            )
-            assert values.skew_exponent.re == F(skew_re, den)
-            assert values.skew_exponent.im == F(skew_im, den)
-            assert values.general_factor.exponent.re == F(general, den) % 1
-            assert values.closed_form.exponent.re == F(closed, den) % 1
-            assert (
-                values.agree_skew_general,
-                values.agree_skew_closed,
-                values.agree_general_closed,
-            ) == flags
+        ctx, found = candidates(g, SubgroupSpec.create(vectors, case))
+        for triple in itertools.product([w for w, _ in found], repeat=3):
+            assert_public_values_match(ctx, triple)
 
     def test_drawn_integral_instances(self):
         rng = random.Random(20)
@@ -151,7 +189,7 @@ class TestAgainstTheOracle:
             ctx = ObstructionContext(g, INT)
             vectors = [w] + [sample_case_vector(rng, g, INT) for _ in range(4)]
             tables = assert_tables_match(ctx, [ctx.vector(v) for v in vectors])
-            assert [closed != 0 for (_, *_, closed), _ in tables] == [
+            assert [closed != 0 for *_, closed in tables] == [
                 g.e.evaluate(*t) != 0 for t in itertools.combinations(vectors, 3)
             ]
 
@@ -161,7 +199,9 @@ class TestAgainstTheOracle:
         ctx, found = candidates(g, spec)
         tables = assert_tables_match(ctx, [d for _, d in found])
         assert len(tables) == 56
-        assert any(closed % den for (den, *_, closed), _ in tables)
+        assert any(closed % den for den, *_, closed in tables)
+        for triple in itertools.product([w for w, _ in found], repeat=3):
+            assert_public_values_match(ctx, triple)
 
     def test_a_non_member_is_named_by_its_position(self):
         ctx = ObstructionContext(gerbe4(4), INT)
@@ -187,8 +227,10 @@ class TestAgainstTheOracle:
 
 
 class TestCorruptedRecords:
-    """The tables read each record's own R_c and F_c: a corrupted entry
-    moves the table's values exactly as it moves the oracle's."""
+    """The tables read each record's own R_c and no record's F_c: a
+    corrupted entry of R moves the tables' values exactly as it moves the
+    oracle's, and one of F moves only the bilinear expression of
+    `second_obstruction_alternating`, exactly as it moves the oracle's."""
 
     @pytest.mark.parametrize("name", ("r", "f"))
     def test_every_instance(self, instance, name):
@@ -196,9 +238,10 @@ class TestCorruptedRecords:
         ctx = ObstructionContext(g, case)
         w1, w2, w3 = vectors[:3]
         before = assert_tables_match(ctx, [ctx.vector(w) for w in vectors])
+        general = second_obstruction_alternating(ctx, w1, w2, w3).general_factor
         x1, x2 = ctx.vector(w1).x, ctx.vector(w2).x
         # entry (p, q) of R_w3 moves the skew of (w1, w2, w3) by x2_p*x1_q -
-        # x1_p*x2_q, and of F_w3 moves `general` by x1_p*x2_q
+        # x1_p*x2_q, and of F_w3 moves `general` by 3*dj*x1_p*x2_q
         moved = (lambda p, q: x2[p] * x1[q] - x1[p] * x2[q]) if name == "r" else (
             lambda p, q: x1[p] * x2[q]
         )
@@ -207,9 +250,22 @@ class TestCorruptedRecords:
         )
         corrupt_record(ctx, w3, name, p, q)
         after = assert_tables_match(ctx, [ctx.vector(w) for w in vectors])
-        assert after[0] != before[0]
+        values = assert_public_values_match(ctx, (w1, w2, w3))
         if name == "r":
-            assert not after[0][1][1]  # skew no longer agrees with closed
+            assert after[0] != before[0]
+            assert not skew_agrees_closed(*after[0])  # skew no longer agrees with closed
+        else:
+            assert after == before
+            den, dj = after[0][0], g.torus.j_columns[0]
+            shift = F(3 * dj * moved(p, q), den) % 1
+            assert shift and values.general_factor == general * unit_reduce(shift)
+
+    def test_f_takes_no_part_in_the_decision(self, instance, monkeypatch):
+        g, case, vectors = instance
+        assert_decision_reads_no_f(monkeypatch, g, SubgroupSpec.create(vectors, case))
+
+    def test_f_takes_no_part_in_the_half_lattice_decision(self, monkeypatch):
+        assert_decision_reads_no_f(monkeypatch, gerbe4(4), SubgroupSpec.create(HALVES, INT))
 
     def test_half_lattice_example(self):
         g = gerbe4(4)
