@@ -191,8 +191,9 @@ class GerbeData(Frozen):
 def _canonical_exponent(
     torus: TorusData, e3: AltForm3, a, b, c
 ) -> tuple[Fraction, Fraction]:
-    """(exponent_re, exponent_im) at rational (a, b, c), by `exponent_over`."""
-    vecs = (to_vec(a), to_vec(b), to_vec(c))
+    """(exponent_re, exponent_im) at rational (a, b, c) of the torus's
+    dimension, else a ValueError naming it, by `exponent_over`."""
+    vecs = [sized_vector(v, torus.dim, k) for k, v in zip("abc", (a, b, c))]
     re, dre, im, dim = exponent_over(torus, e3, *map(torus.lift, vecs))
     return Fraction(re, dre), Fraction(im, dim)
 
@@ -369,6 +370,7 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
     """
     t = gerbe.torus
     l1, l2 = lattice_vector(l1, t.dim, "l1"), lattice_vector(l2, t.dim, "l2")
+    w = sized_vector(w, t.dim, "w")
     return GaussianRational(*_canonical_exponent(t, gerbe.e, w, l1, l2))
 
 

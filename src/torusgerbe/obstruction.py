@@ -55,8 +55,9 @@ class ObstructionContext(Frozen):
         vars(self).update(gerbe=gerbe, case=case, _vectors={})
 
     def vector(self, w) -> TranslationContext:
-        """The record of w, built on first use without the membership check."""
-        return self._record(to_vec(w))
+        """The record of w, built on first use without the membership check;
+        a ValueError naming w unless it has the torus's dimension."""
+        return self._record(sized_vector(w, self.gerbe.torus.dim, "w"))
 
     def require_member(self, w, what: str = "vector") -> TranslationContext:
         """The record of w; a ValueError naming w as what unless it has the
@@ -106,17 +107,18 @@ def defect_character(ctx: ObstructionContext, w1, w2) -> Character:
 
         i/2*F2(iw1,lam) - 1/2*F2(w1,lam) - i*l(w2,w1,lam) - l(w2,iw1,lam)
 
-    where F2 is the (1,1) decomposition piece for w2, read on the whole
-    lattice basis at once: F2(v, e_k) is -(F2 applied to v)_k.
+    on the whole lattice basis at once, for F2 = F_w2 and l = `exponent_im`:
+    F2(v, e_k) is (v^T*F_w2)_k, read off the records' integers at v = w1
+    and iw1, as w1's record holds x1 and dj*J*x1 for w1 = x1/dw1.
     """
     t, e3 = ctx.gerbe.torus, ctx.gerbe.e
-    w1 = ctx.require_member(w1, "w1").w
-    d2 = ctx.require_member(w2, "w2")
-    f2, w2, iw1 = d2.invariant, d2.w, t.mul_i(w1)
+    d1, d2 = ctx.require_member(w1, "w1"), ctx.require_member(w2, "w2")
+    w1, w2, iw1, den = d1.w, d2.w, t.mul_i(d1.w), 2 * d1.dw * d2.den
     exps = []
-    for a, b, ek in zip(f2.apply(w1), f2.apply(iw1), t.basis()):
-        re = a / 2 - exponent_im(t, e3, w2, iw1, ek)
-        exps.append(GaussianRational(re, -b / 2 - exponent_im(t, e3, w2, w1, ek)))
+    for a, b, ek in zip(int_vec_mat(d1.x, d2.f), int_vec_mat(d1.ix, d2.f), t.basis()):
+        re = Fraction(-a, den) - exponent_im(t, e3, w2, iw1, ek)
+        im = Fraction(b, den * t.j_columns[0]) - exponent_im(t, e3, w2, w1, ek)
+        exps.append(GaussianRational(re, im))
     return Character(tuple(exps))
 
 
@@ -311,13 +313,12 @@ class ThetaGroupElement(Frozen):
 def theta_group_multiply(
     a: ThetaGroupElement, b: ThetaGroupElement, ctx: ObstructionContext
 ) -> ThetaGroupElement:
-    """(a1, w1) * (a2, w2) = (a1 * a2 * defect(w1, w2), w1 + w2); a
-    ValueError unless both vectors have the torus's dimension."""
-    d = ctx.gerbe.torus.dim
-    w = vec_add(sized_vector(a.w, d, "a.w"), sized_vector(b.w, d, "b.w"))
-    ctx.require_member(w, "product vector")
-    defect = defect_character(ctx, a.w, b.w)
-    return ThetaGroupElement(character=a.character * b.character * defect, w=w)
+    """(a1, w1) * (a2, w2) = (a1 * a2 * defect(w1, w2), w1 + w2), naming a.w
+    or b.w as `require_member` does.  The sum needs no check: membership is
+    linear in E(w,.,.) and F_w, so the sum of two members is one."""
+    w1, w2 = ctx.require_member(a.w, "a.w").w, ctx.require_member(b.w, "b.w").w
+    defect = defect_character(ctx, w1, w2)
+    return ThetaGroupElement(character=a.character * b.character * defect, w=vec_add(w1, w2))
 
 
 class SubgroupSpec(Frozen):
@@ -421,13 +422,11 @@ def gerbal_class(ctx: ObstructionContext, w1, w2, w3) -> UnitValue:
     """Closed-form class of the induced action on sheaves for a triple:
     exp(-3/2*E(w1,w2,w3)) in the integral case, exp(6*E(w1,w2,w3)) in the
     type (1,1) case.  Defined only when the first obstruction vanishes on
-    the three pairs."""
-    for k, w in enumerate((w1, w2, w3), 1):
-        ctx.require_member(w, f"w{k}")
-    for a, b in itertools.combinations((w1, w2, w3), 2):
-        if not first_obstruction_alternating(ctx, a, b).is_trivial:
-            raise FirstObstructionNonzero(
-                "first obstruction does not vanish on the given vectors"
-            )
+    the three pairs of records, each decided on `_first_alternating`."""
+    ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
+    for d1, d2 in itertools.combinations(ds, 2):
+        den, skew = _first_alternating(ctx, d1, d2)
+        if any(s % den for s in skew):
+            raise FirstObstructionNonzero("first obstruction does not vanish on the given vectors")
     coef = Fraction(-3, 2) if ctx.case is SubgroupCase.INTEGRAL else Fraction(6)
-    return unit_reduce(coef * ctx.gerbe.e.evaluate(w1, w2, w3))
+    return unit_reduce(coef * ctx.gerbe.e.evaluate(*[d.w for d in ds]))

@@ -25,9 +25,9 @@ from .exact import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    sized_vector,
     to_fraction,
     to_mat,
-    to_vec,
 )
 from .forms import AltForm2, AltForm3, alternating_matrix
 
@@ -165,9 +165,10 @@ def contract3(e3: AltForm3, w) -> AltForm2:
     The form keeps the last contraction it built, with its vector, in its
     instance dict (as it keeps `int_entries`), so the calls one query makes
     with the same w contract once.  w is validated first, so a float still
-    raises TypeError; both objects are immutable, so the result is shared.
+    raises TypeError and a length other than E's dimension a ValueError
+    naming w; both objects are immutable, so the result is shared.
     """
-    w = to_vec(w)
+    w = sized_vector(w, e3.dim, "w")
     last = vars(e3).get("_last_contraction")
     if last is not None and last[0] == w:
         return last[1]

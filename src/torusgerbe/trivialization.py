@@ -18,12 +18,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Frozen, GaussianRational, InternalMismatch, PackedRows, Vec, basis_vec
-from .exact import int_dot, int_vec_mat, lattice_vector, mat_vec, to_vec
+from .exact import int_dot, int_vec_mat, lattice_vector, mat_vec, sized_vector, to_vec
 from .gerbe import ExponentFn, GerbeData, balanced_digits, exponent_im, exponent_over
 from .gerbe import forms_over
 from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
 from .symmetry import require_case_member
-from .torus import AltForm2, alternating_matrix, pullback_over
+from .torus import alternating_matrix, pullback_over
 
 
 class TranslationContext(Frozen):
@@ -61,10 +61,11 @@ class TranslationContext(Frozen):
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
         """The record of w, combined from the gerbe's basis records (a basis
-        vector gets its cached record); with check, NotInSubgroup outside
-        the subgroup."""
+        vector gets its cached record); a ValueError naming w unless it has
+        the torus's dimension, and with check, NotInSubgroup outside the
+        subgroup."""
         case = SubgroupCase(case)
-        w = to_vec(w)
+        w = sized_vector(w, gerbe.torus.dim, "w")
         data = _lifted_record(gerbe, w, case)
         if check:
             require_case_member(data.member, case)
@@ -75,11 +76,6 @@ class TranslationContext(Frozen):
         """The records of the lattice basis vectors e_1..e_d, built once per
         (gerbe, case)."""
         return _basis_records(gerbe, SubgroupCase(case)).records
-
-    @functools.cached_property
-    def invariant(self) -> AltForm2:
-        """F_w, the (1,1) piece of the case decomposition."""
-        return AltForm2.from_upper(self.f, self.den)
 
     @functools.cached_property
     def dec(self) -> Decomposition:

@@ -17,6 +17,7 @@ import pytest
 from torusgerbe import (
     AltForm2,
     ClosedFormMismatch,
+    FirstObstructionNonzero,
     GerbeData,
     NotInSubgroup,
     ObstructionContext,
@@ -39,8 +40,10 @@ from torusgerbe import (
     second_obstruction_alternating,
     second_obstruction_cocycle,
     theta_group_multiply,
+    unit_reduce,
     unitarize_exponent,
 )
+from torusgerbe.exact import vec_add
 from torusgerbe.gerbe import forms_over
 from torusgerbe.obstruction import defect_correction_fn
 from torusgerbe.trivialization import verify_trivialization
@@ -57,6 +60,7 @@ from helpers import (
     reference_first_obstruction_character,
     reference_im_covector,
     reference_im_covector_j,
+    reference_lift_defect_exponent,
     reference_second_skew,
 )
 
@@ -131,7 +135,8 @@ class TestObstructionCoreAgainstReference:
         for w in vectors:
             data = ctx.vector(w)
             assert data.member is in_case_subgroup(g.torus, g.e, w, case)
-            assert data.invariant == case_decomposition(g.torus, g.e, w, case).invariant_part
+            invariant = AltForm2.from_upper(data.f, data.den)
+            assert invariant == case_decomposition(g.torus, g.e, w, case).invariant_part
             assert ctx.vector(w) is data
 
 
@@ -233,6 +238,33 @@ class TestIntegerRecords:
             assert values.skew_exponent == reference_second_skew(ctx, *triple)
             assert values.agree_skew_closed and values.agree_general_closed
 
+    def test_defect_character_on_the_basis(self, instance):
+        # the F_w2 terms come off the records' integers, the oracle reads
+        # the case decomposition's (1,1) piece
+        ctx, mixed = self._mixed(instance)
+        basis = ctx.gerbe.torus.basis()
+        for w1, w2 in itertools.product(mixed, repeat=2):
+            want = tuple(reference_lift_defect_exponent(ctx, w1, w2, ek) for ek in basis)
+            assert defect_character(ctx, w1, w2).exponents == want
+
+    def test_gerbal_class_is_blocked_exactly_by_the_first_obstruction(self, instance):
+        ctx, mixed = self._mixed(instance)
+        coef = F(-3, 2) if ctx.case is SubgroupCase.INTEGRAL else F(6)
+        for triple in itertools.product(mixed, repeat=3):
+            pairs = itertools.combinations(triple, 2)
+            if any(not first_obstruction_alternating(ctx, a, b).is_trivial for a, b in pairs):
+                with pytest.raises(FirstObstructionNonzero):
+                    gerbal_class(ctx, *triple)
+            else:
+                want = unit_reduce(coef * ctx.gerbe.e.evaluate(*triple))
+                assert gerbal_class(ctx, *triple) == want
+
+    def test_a_sum_of_members_is_a_member(self, instance):
+        # why `theta_group_multiply` needs no lookup of its product
+        ctx, mixed = self._mixed(instance)
+        for w1, w2 in itertools.product(mixed, repeat=2):
+            assert ctx.require_member(vec_add(w1, w2)).member
+
     def test_members_and_non_members(self, instance):
         g, case, vectors = instance
         ctx = ObstructionContext(g, case)
@@ -243,7 +275,8 @@ class TestIntegerRecords:
         assert any(members) and not all(members)
         for w, member in zip(candidates, members):
             assert member is in_case_subgroup(g.torus, g.e, w, case)
-            assert ctx.vector(w).invariant == case_decomposition(
+            data = ctx.vector(w)
+            assert AltForm2.from_upper(data.f, data.den) == case_decomposition(
                 g.torus, g.e, w, case, check=False
             ).invariant_part
             if not member:

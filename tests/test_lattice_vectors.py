@@ -8,6 +8,11 @@ by `exact.lattice_vector`, so for each:
 - a vector of the wrong length raises the dimension mismatch;
 - a non-integer entry raises ValueError naming the argument;
 - a list and a tuple of the same entries give equal results.
+
+A rational vector (any w) is checked by `exact.sized_vector`, the length
+half of the same check: the second table holds one row per public
+function and rational-vector argument, and a wrong length raises the same
+dimension mismatch, naming the argument.
 """
 
 import ast
@@ -23,12 +28,20 @@ from torusgerbe import (
     ObstructionContext,
     SubgroupCase,
     TranslationContext,
+    case_decomposition,
     cocycle_exponent,
+    contract3,
+    exponent_im,
+    exponent_re,
+    fixes_gerbe,
+    in_case_subgroup,
+    invariance_class,
     integral_part_exponent,
     invariant_part_exponent,
     lift_defect_exponent,
     pair_exponent,
     symmetric_part_exponent,
+    translate_gerbe,
     translation_factor,
     trivialization_residual,
     trivializing_exponent,
@@ -71,6 +84,26 @@ ROWS = {
     "lift_defect_exponent": ("lam", lambda v: lift_defect_exponent(OCTX, W1, W2, v)),
 }
 NAMES = sorted(ROWS)
+# name -> (argument, the call with the rational vector as that argument)
+RATIONAL_ROWS = {
+    "TranslationContext.create": ("w", lambda v: TranslationContext.create(G, v, INT)),
+    "ObstructionContext.vector": ("w", lambda v: ObstructionContext(G, INT).vector(v)),
+    "contract3": ("w", lambda v: contract3(G.e, v)),
+    "fixes_gerbe": ("w", lambda v: fixes_gerbe(G.torus, G.e, v)),
+    "in_case_subgroup": ("w", lambda v: in_case_subgroup(G.torus, G.e, v, INT)),
+    "invariance_class": ("w", lambda v: invariance_class(G.torus, G.e, v)),
+    "case_decomposition": ("w", lambda v: case_decomposition(G.torus, G.e, v, INT)),
+    "translate_gerbe": ("w", lambda v: translate_gerbe(G, v)),
+    "translation_factor(w)": ("w", lambda v: translation_factor(G, v, E0, E0)),
+    **{
+        f"{fn.__name__}({what})": (
+            what,
+            lambda v, fn=fn, k=k: fn(G.torus, G.e, *[v if a == k else W1 for a in range(3)]),
+        )
+        for fn in (exponent_re, exponent_im)
+        for k, what in enumerate("abc")
+    },
+}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -87,6 +120,16 @@ def test_a_wrong_length_raises_the_dimension_mismatch(name):
     for v in ((1, 0, 0), (1, 0, 0, 0, 0), ()):
         with pytest.raises(ValueError, match=f"dimension mismatch: {what} has {len(v)} entries"):
             call(v)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_ROWS))
+def test_a_wrong_length_rational_vector_is_named(name):
+    what, call = RATIONAL_ROWS[name]
+    for v in ((F(1, 2), 0, 0), (F(1, 2), 0, 0, 0, 0)):
+        message = rf"^dimension mismatch: {what} has {len(v)} entries, not 4$"
+        with pytest.raises(ValueError, match=message):
+            call(v)
+    call(W2)  # a member of the right length passes
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,16 +1,17 @@
 """Every global name a function reads is bound in its module, every
-module-level import of the package is read, and every module-level
-definition of the package is read or re-exported.
+module-level import of the package is read, every module-level
+definition of the package is read or re-exported, and every method or
+property of a package class has its name read by a package module.
 
 A function body that reads a name its module never binds raises
 ``NameError`` only when the function runs, so a missing import hides until
 the one call that reaches it.  An import that nothing reads stays behind
-when code moves between modules, and so does a function or class that only
-the tests still call.  The project has no linter dependency, so the checks
-read the compiler's own symbol tables (stdlib ``symtable``) for every
-module of the package and of the test suite, and the syntax tree (stdlib
-``ast``) of every package module but ``__init__.py``, whose imports are its
-re-exports.
+when code moves between modules, and so does a function, class or method
+that only the tests still call.  The project has no linter dependency, so
+the checks read the compiler's own symbol tables (stdlib ``symtable``) for
+every module of the package and of the test suite, and the syntax tree
+(stdlib ``ast``) of every package module but ``__init__.py``, whose
+imports are its re-exports.
 """
 
 import ast
@@ -34,6 +35,16 @@ UNREAD_IMPORTS_KEPT = {
 }
 # (module, name) of the definitions kept although no package module reads them
 UNREFERENCED_KEPT = set()
+# "Class.method" of the public methods and properties kept although no
+# package module reads their names, each with its reason
+UNREAD_METHODS_KEPT = {
+    "GaussianRational.times_i": "public arithmetic of the exact complex value",
+    "ExponentFn.is_holomorphic": "the holomorphy test the tests apply to every exponent",
+    "Character.identity": "the neutral element of the theta group's characters",
+    "Character.equivalent": "equality of characters up to an integral exponent",
+    "SecondObstructionValues.all_nontrivial": "public summary of the three second values",
+    "AltForm2.upper_coeffs": "the pair coordinates as Fractions, the public view of storage",
+}
 # Builtins, plus the attributes the import system sets on every module.
 ALWAYS_BOUND = set(dir(builtins)) | {"__builtins__", "__cached__", "__file__", "__path__"}
 
@@ -229,3 +240,65 @@ def test_check_flags_an_unread_definition():
         ("a.py", 5, "Dead"),
         ("a.py", 7, "_private"),
     ]
+
+
+def unread_methods(sources):
+    """Sorted (module, line, "Class.name") for each method or property of a
+    module-level class of a module in ``sources`` (file name -> source),
+    dunder names aside, whose name no module reads as an attribute or holds
+    as a string constant."""
+    read = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    methods = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(
+        (module, fn.lineno, f"{cls.name}.{fn.name}")
+        for module, source in sources.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, methods)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    )
+
+
+def test_package_methods_are_read():
+    unread = [
+        (module, line, name)
+        for module, line, name in unread_methods(_package_sources())
+        if name not in UNREAD_METHODS_KEPT
+    ]
+    assert not unread, "\n".join(
+        f"src/torusgerbe/{module}:{line}: {name!r} is defined but no package module reads it"
+        for module, line, name in unread
+    )
+
+
+def test_kept_methods_are_still_unread():
+    # an exception that the package has come to read is no longer needed
+    assert set(UNREAD_METHODS_KEPT) <= {name for *_, name in unread_methods(_package_sources())}
+
+
+def test_check_flags_an_unread_method():
+    sources = {
+        "a.py": (
+            "import functools\n"
+            "class Record:\n"
+            "    def __eq__(self, other): return True\n"
+            "    def used(self): return self.named\n"
+            "    @functools.cached_property\n"
+            "    def leftover(self): return 1\n"
+            "    @property\n"
+            "    def named(self): return getattr(self, 'by_string')\n"
+            "    def by_string(self): pass\n"
+            "    def dead(self): return Record().dead\n"
+        ),
+        "b.py": "from .a import Record\nRecord().used()\n",
+    }
+    # a name read anywhere counts, in the method's own body too
+    assert unread_methods(sources) == [("a.py", 6, "Record.leftover")]

@@ -23,6 +23,7 @@ from torusgerbe import (
     SubgroupSpec,
     ThetaGroupElement,
     TorusData,
+    case_decomposition,
     defect_character,
     defect_correction_value,
     exponent_im,
@@ -108,7 +109,7 @@ class TestLiftDefectExponent:
             w2 = vec(*[F(rng.randint(-2, 2), 2) for _ in range(4)])
             lam = rand_vec(rng, 4, -2, 2)
             got = lift_defect_exponent(ctx2, w1, w2, lam)
-            f2 = ctx2.vector(w2).invariant
+            f2 = case_decomposition(t, g.e, w2, INT).invariant_part
             iw1, iw2, ilam = t.mul_i(w1), t.mul_i(w2), t.mul_i(lam)
             ev = g.e.evaluate
             re = -f2.evaluate(w1, lam) / 2 - (
@@ -254,8 +255,9 @@ class TestLiftDefectCharacter:
         assert lifts == [W1, total, total]  # the miss, then `create` itself
         for name in ("w", "dw", "x", "ix", "den", "member", "omega", "f", "m", "r"):
             assert getattr(got, name) == getattr(built, name)
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="^dimension mismatch: w has 3 entries, not 4$"):
             ctx.vector(W1[:3])
+        assert lifts == [W1, total, total]  # the wrong length lifts nothing
 
 
 class TestDefectCorrection:
@@ -542,17 +544,12 @@ class TestThetaGroup:
             assert left.w == right.w
             assert left.character == right.character
 
-    def test_wrong_length_vector_names_the_argument(self, ctx2):
-        # both lengths are checked before the sum, which zip refused with
-        # its own message
-        a = ThetaGroupElement(Character.identity(4), W1)
-        for v in ((1, 0, 0), (1, 0, 0, 0, 0)):
-            bad = ThetaGroupElement(Character.identity(4), v)
-            message = f"dimension mismatch: {{}} has {len(v)} entries, not 4"
-            with pytest.raises(ValueError, match=message.format("a.w")):
-                theta_group_multiply(bad, a, ctx2)
-            with pytest.raises(ValueError, match=message.format("b.w")):
-                theta_group_multiply(a, bad, ctx2)
+    def test_a_non_member_with_a_member_sum_is_named(self, ctx2):
+        # the rows of TestVectorArguments cover a non-member sum
+        a = ThetaGroupElement(Character.identity(4), vec(F(1, 3), 0, 0, 0))
+        b = ThetaGroupElement(Character.identity(4), vec(F(-1, 3), 0, 0, 0))
+        with pytest.raises(NotInSubgroup, match="^a.w is not in the chosen subgroup$"):
+            theta_group_multiply(a, b, ctx2)
 
 
 class TestObstructionVanishes:
@@ -746,6 +743,16 @@ VECTOR_ROWS = {
         for fn, count, extra in MEMBER_CHECKED
         for k in range(count)
     },
+    **{
+        f"theta_group_multiply-{what}": (
+            what,
+            lambda c, v, k=k: theta_group_multiply(
+                *[ThetaGroupElement(Character.identity(4), v if a == k else W1) for a in (0, 1)],
+                c,
+            ),
+        )
+        for k, what in enumerate(("a.w", "b.w"))
+    },
 }
 
 
@@ -781,6 +788,5 @@ class TestVectorArguments:
             and fn.__module__ == obstruction.__name__
             and "require_member(" in inspect.getsource(fn)
         }
-        rows = {fn.__name__ for fn, _, _ in MEMBER_CHECKED}
-        # theta_group_multiply checks both lengths before its sum
-        assert callers - rows == {"obstruction_vanishes", "theta_group_multiply"}
+        rows = {fn.__name__ for fn, _, _ in MEMBER_CHECKED} | {theta_group_multiply.__name__}
+        assert callers - rows == {"obstruction_vanishes"}

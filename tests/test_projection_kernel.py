@@ -232,7 +232,7 @@ class TestContextRecords:
             for m, (expected, den) in zip(ints, dense):
                 assert tuple(tuple(F(y, den) for y in row) for row in m) == expected
             data = ctx.vector(w)
-            assert (data.member, data.invariant) == (member, invariant)
+            assert (data.member, AltForm2.from_upper(data.f, data.den)) == (member, invariant)
             tctx = TranslationContext.create(g, w, case, check=False)
             assert (tctx.dec.invariant_part, tctx.dec.integral_part) == (invariant, integral)
             twin = TranslationContext.create(g, w, case, check=False)
