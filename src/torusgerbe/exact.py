@@ -199,8 +199,8 @@ class PackedRows:
 
     __slots__ = ("rows", "top", "packed", "bias", "width", "unpack")
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        n = len(rows[0]) if rows else 0
+    def __init__(self, rows: Sequence[Sequence[int]], columns: int = 0):
+        n = len(rows[0]) if rows else columns  # the width of a table with no rows
         fmt = Struct(f"<{n}q")
         self.rows, self.width, self.unpack = rows, 8 * n, fmt.unpack
         self.top = max(map(abs, chain.from_iterable(rows)), default=0)
@@ -394,10 +394,10 @@ class ReducedLattice:
     nums over a positive integer den.  Denominators are cleared by the lcm
     of the generators' denominators and the Hermite normal form H = U*G of
     the scaled generator matrix G is computed once; every membership query
-    is then back-substitution against H.  Scaling G by a positive integer
-    leaves U unchanged, so the coefficients returned do not depend on the
-    scale.  H, U and G are kept as sparse rows, the nonzero entries
-    (index, value) of each row.
+    is then back-substitution against H (`quotients`).  Scaling G by a
+    positive integer leaves U unchanged, so the coefficients returned do
+    not depend on the scale.  H, U and G are kept as sparse rows, the
+    nonzero entries (index, value) of each row.
     """
 
     def __init__(self, generators: Sequence[tuple[int, Sequence[int]]], dim: int):
@@ -420,20 +420,14 @@ class ReducedLattice:
         if any([x % den for x in scaled]):
             return None
         t_int = [x // den for x in scaled]
-        residual = list(t_int)
+        quotients = self.quotients(t_int)
+        if quotients is None:
+            return None
         coeffs = [0] * len(self.g_rows)  # y*U for the quotients y
-        for h_row, u_row in zip(self.h_rows, self.u_rows):
-            pivot, p = h_row[0]
-            q, rem = divmod(residual[pivot], p)
-            if rem:
-                return None
+        for q, u_row in zip(quotients, self.u_rows):
             if q:
-                for k, x in h_row:
-                    residual[k] -= q * x
                 for i, x in u_row:
                     coeffs[i] += q * x
-        if any(residual):
-            return None
         # paranoia: witnesses must reconstruct the target exactly
         for c, g_row in zip(coeffs, self.g_rows):
             if c:
@@ -442,6 +436,23 @@ class ReducedLattice:
         if any(t_int):
             raise AssertionError("lattice_membership produced a bad witness")
         return tuple(coeffs)
+
+    def quotients(self, target: Sequence[int]) -> list[int] | None:
+        """The integers y with sum(y_i * h_i) == target over the nonzero rows
+        h_i of H, by back-substitution, or None; the rows are independent,
+        so y is unique."""
+        residual = list(target)
+        quotients = []
+        for h_row in self.h_rows:
+            pivot, p = h_row[0]
+            q, rem = divmod(residual[pivot], p)
+            if rem:
+                return None
+            quotients.append(q)
+            if q:
+                for k, x in h_row:
+                    residual[k] -= q * x
+        return None if any(residual) else quotients
 
 
 def lattice_membership(generators: Sequence[Sequence], target) -> tuple[int, ...] | None:

@@ -8,9 +8,9 @@ the one integer layout of a 2-form in the package; `alternating_matrix`
 turns them into the full alternating matrix where a matrix is multiplied.
 Sums, scalings and membership tests run on the coordinates, and the
 `Fraction` matrix `entries` is a view built on first read.  An `AltForm3`
-is stored on strictly increasing triples; its contraction (a full
-alternating integer matrix) and evaluation are integer cores that the
-other modules share.
+is stored on strictly increasing triples; its contraction (as a full
+alternating integer matrix or in pair coordinates) and evaluation are
+integer cores that the other modules share.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Frozen, Mat, Vec, dot, int_vec, mat_vec, to_fraction, to_mat, to_vec
+from .exact import Frozen, Mat, Vec, dot, int_vec, mat_vec, sized_vector, to_fraction, to_mat
+from .exact import to_vec
 
 _ZERO = Fraction(0)
 
@@ -32,6 +33,11 @@ def alternating_matrix(upper, dim: int) -> list[list[int]]:
     for (a, b), x in zip(itertools.combinations(range(dim), 2), upper):
         m[a][b], m[b][a] = x, -x
     return m
+
+
+def _place(a: int, b: int, dim: int) -> int:
+    """The place of the pair a < b in the lexicographic order of pairs."""
+    return a * (2 * dim - a - 3) // 2 + b - 1
 
 
 class AltForm2(Frozen):
@@ -89,8 +95,7 @@ class AltForm2(Frozen):
         for (a, b), c in coeffs.items():
             if not (0 <= a < b < dim):
                 raise ValueError(f"pair indices must satisfy 0 <= a < b < dim, got {(a, b)}")
-            # the pair's place in lexicographic order
-            coords[a * (2 * dim - a - 3) // 2 + b - 1] = to_fraction(c)
+            coords[_place(a, b, dim)] = to_fraction(c)
         den, nums = int_vec(coords)
         return AltForm2.from_coords(dim, nums, den)
 
@@ -107,10 +112,11 @@ class AltForm2(Frozen):
 
     def apply(self, v: Vec) -> Vec:
         """The vector (omega(e_k, v))_k."""
-        return mat_vec(self.entries, to_vec(v))
+        return mat_vec(self.entries, sized_vector(v, self.dim, "v"))
 
     def evaluate(self, x: Vec, y: Vec) -> Fraction:
-        return dot(to_vec(x), self.apply(y))
+        x, y = sized_vector(x, self.dim, "x"), sized_vector(y, self.dim, "y")
+        return dot(x, mat_vec(self.entries, y))
 
     def scale(self, c) -> "AltForm2":
         c = to_fraction(c)
@@ -147,8 +153,9 @@ class AltForm2(Frozen):
 
 class AltForm3(Frozen):
     """Alternating trilinear form, stored on strictly increasing triples.
-    Its cached `int_entries` and the last contraction `torus.contract3`
-    built sit in the instance dict, outside equality, hashing and repr.
+    Its cached `int_entries` and `pair_entries` and the last contraction
+    `torus.contract3` built sit in the instance dict, outside equality,
+    hashing and repr.
     entries is a tuple of ((a, b, c), value) with a < b < c, sorted."""
 
     _fields = ("dim", "entries")
@@ -195,18 +202,19 @@ class AltForm3(Frozen):
 
     def evaluate_over(self, x, y, z) -> tuple[int, int]:
         """(de*E(x, y, z), de) for integer vectors, de the lcm of E's
-        denominators: y^T*E(x,.,.)*z over the upper triangle."""
+        denominators: y^T*E(x,.,.)*z over the pair coordinates."""
         if len(y) != self.dim or len(z) != self.dim:
             raise ValueError("vector/form dimension mismatch")
-        m, de = self.contract_over(x)
+        coords, de = self.contract_pairs(x)
         pairs = itertools.combinations(range(self.dim), 2)
-        return sum([m[a][b] * (y[a] * z[b] - y[b] * z[a]) for a, b in pairs if m[a][b]]), de
+        return sum([c * (y[a] * z[b] - y[b] * z[a]) for (a, b), c in zip(pairs, coords) if c]), de
 
     def contract_over(self, nums, den: int = 1) -> tuple[list[list[int]], int]:
         """The contraction (x, y) -> E(w, x, y) for w = nums / den, integers
         over one positive denominator: (m, de*den), m the full alternating
-        matrix of de*den*E(w,.,.) for the lcm de of E's denominators.
-        `torus.contract3` wraps it for a rational w."""
+        matrix of de*den*E(w,.,.) for the lcm de of E's denominators, which
+        the per-vector records multiply; `contract_pairs` gives its pair
+        coordinates."""
         d = self.dim
         if len(nums) != d:
             raise ValueError("vector/form dimension mismatch")
@@ -221,6 +229,34 @@ class AltForm3(Frozen):
             m[p][q] += z
             m[q][p] -= z
         return m, de * den
+
+    @functools.cached_property
+    def pair_entries(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(de, ((p, q, r, k, qr, pr, pq), ...)): `int_entries` with the
+        places of the pairs (q, r), (p, r) and (p, q) in the lexicographic
+        order of pair coordinates."""
+        d, (de, ks) = self.dim, self.int_entries
+        return de, tuple(
+            [(p, q, r, k, _place(q, r, d), _place(p, r, d), _place(p, q, d)) for p, q, r, k in ks]
+        )
+
+    def contract_pairs(self, nums, den: int = 1) -> tuple[list[int], int]:
+        """The contraction (x, y) -> E(w, x, y) for w = nums / den, integers
+        over one positive denominator, in pair coordinates: (coords,
+        de*den), coords those of de*den*E(w,.,.) for the lcm de of E's
+        denominators: `contract_over` without the full matrix.  Each
+        coefficient adds its three terms straight into them;
+        `torus.contract3` wraps it for a rational w."""
+        d = self.dim
+        if len(nums) != d:
+            raise ValueError("vector/form dimension mismatch")
+        de, ks = self.pair_entries
+        coords = [0] * (d * (d - 1) // 2)
+        for p, q, r, k, qr, pr, pq in ks:
+            coords[qr] += k * nums[p]
+            coords[pr] -= k * nums[q]
+            coords[pq] += k * nums[r]
+        return coords, de * den
 
     def scale(self, c) -> "AltForm3":
         c = to_fraction(c)

@@ -307,7 +307,7 @@ class ThetaGroupElement(Frozen):
     _fields = ("character", "w")
 
     def __post_init__(self):
-        object.__setattr__(self, "w", to_vec(self.w))
+        object.__setattr__(self, "w", sized_vector(self.w, self.character.dim, "w"))
 
 
 def theta_group_multiply(
@@ -333,9 +333,14 @@ class SubgroupSpec(Frozen):
     _fields = ("generators", "case")
 
     def __init__(self, generators, case):
-        # the generators as `to_vec` tuples, and the case a member or its
-        # value, else ValueError, as for the contexts
-        vars(self).update(generators=tuple(to_vec(g) for g in generators), case=SubgroupCase(case))
+        # the generators as `to_vec` tuples of one length, and the case a
+        # member or its value, else ValueError, as for the contexts
+        gens = tuple([to_vec(g) for g in generators])
+        for k, g in enumerate(gens):
+            if len(g) != len(gens[0]):
+                what = f"generators[{k}] has {len(g)} entries"
+                raise ValueError(f"dimension mismatch: {what}, not {len(gens[0])}")
+        vars(self).update(generators=gens, case=SubgroupCase(case))
 
     @staticmethod
     def create(generators, case: SubgroupCase) -> "SubgroupSpec":

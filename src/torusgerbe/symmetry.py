@@ -20,7 +20,6 @@ from .torus import (
     contract3,
     integral_anti_invariant_member,
     pullback_combination,
-    pullback_over,
 )
 from .gerbe import SHIFT_COEFFICIENTS
 
@@ -109,10 +108,13 @@ def require_case_member(member: bool, case: SubgroupCase):
 def member_over(torus: TorusData, nums, den: int, case: SubgroupCase) -> bool:
     """`in_case_subgroup` for the vector w whose contraction E(w,.,.) has the
     coordinates nums / den on the pairs a < b, in lexicographic order, for
-    integers nums over the positive integer den."""
+    integers nums over the positive integer den.  In the (1,1) case the
+    anti-invariant part, (nums^T*V/den)*H_r in the terms of
+    `TorusData.anti_invariant_table`, is zero iff nums^T*V is: H_r's rows
+    are independent."""
     if case is SubgroupCase.INTEGRAL:
         return not any(x % den for x in nums)
-    return not any(pullback_over(torus, nums, den, 1, -1)[0])
+    return not any(torus.anti_invariant_table[0].times(nums))
 
 
 def invariant_coefficients(case: SubgroupCase) -> tuple[Fraction, Fraction]:

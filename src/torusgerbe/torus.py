@@ -16,6 +16,7 @@ from math import lcm
 
 from .exact import (
     Frozen,
+    PackedRows,
     ReducedLattice,
     Vec,
     basis_vec,
@@ -61,7 +62,7 @@ class TorusData(Frozen):
 
     def mul_i(self, v: Vec) -> Vec:
         """Multiplication by i, realized as J*v."""
-        return mat_vec(self.j, v)
+        return mat_vec(self.j, sized_vector(v, self.dim, "v"))
 
     def basis(self) -> tuple[Vec, ...]:
         return tuple(basis_vec(self.dim, k) for k in range(self.dim))
@@ -139,6 +140,37 @@ class TorusData(Frozen):
         ]
         return ReducedLattice([(f.den, f.upper) for f in parts], d * (d - 1) // 2)
 
+    @functools.cached_property
+    def anti_invariant_table(self) -> tuple[PackedRows, PackedRows, PackedRows]:
+        """(V, U, G), packed: the anti-invariant lattice as one integer map.
+
+        Row k of G is `scale` times the anti-invariant part of the k-th
+        basis pair form, H = U*G is the lattice's Hermite normal form and
+        H_r its r nonzero rows, whose U rows are kept.  Row k of the m x r
+        table V holds the quotients of G's row k against H_r, so G = V*H_r;
+        they are found once per torus, by back-substitution, and a row that
+        does not reduce raises.  For omega = upper/den, scale times its
+        anti-invariant part is then (upper^T*V/den)*H_r.
+        """
+        lat = self.anti_invariant_lattice
+        m, r = lat.dim, len(lat.h_rows)
+        g, u = _dense_rows(lat.g_rows, m), _dense_rows(lat.u_rows[:r], m)
+        v = [lat.quotients(row) for row in g]
+        if None in v:
+            raise AssertionError("a generator is not in the span of its Hermite normal form")
+        return PackedRows(v), PackedRows(u, m), PackedRows(g)  # u has no rows if r = 0
+
+
+def _dense_rows(rows, width: int) -> list[list[int]]:
+    """The rows of (index, value) entries as full rows of the given width."""
+    out = []
+    for row in rows:
+        full = [0] * width
+        for k, x in row:
+            full[k] = x
+        out.append(full)
+    return out
+
 
 def check_complex_structure(j_rows) -> TorusData:
     """Validate a candidate complex-structure matrix and wrap it."""
@@ -162,19 +194,24 @@ class HodgeImage(Frozen):
 def contract3(e3: AltForm3, w) -> AltForm2:
     """Contraction of a 3-form in its first slot: (x, y) -> E(w, x, y).
 
-    The form keeps the last contraction it built, with its vector, in its
-    instance dict (as it keeps `int_entries`), so the calls one query makes
-    with the same w contract once.  w is validated first, so a float still
-    raises TypeError and a length other than E's dimension a ValueError
-    naming w; both objects are immutable, so the result is shared.
+    Its pair coordinates come from `AltForm3.contract_pairs`.  The form
+    keeps the last contraction it built, with its vector, in its instance
+    dict (as it keeps `int_entries`), so the calls one query makes with the
+    same w contract once.  w is validated first, so a float still raises
+    TypeError and a length other than E's dimension a ValueError naming w;
+    only the very tuple the last contraction stored returns before that
+    check, since it passed it and a tuple cannot change.  Both objects are
+    immutable, so the result is shared.
     """
-    w = sized_vector(w, e3.dim, "w")
     last = vars(e3).get("_last_contraction")
-    if last is not None and last[0] == w:
+    if last is not None and last[0] is w:
         return last[1]
-    dw, x = int_vec(w)
-    omega = AltForm2.from_upper(*e3.contract_over(x, dw))
-    vars(e3)["_last_contraction"] = (w, omega)
+    v = sized_vector(w, e3.dim, "w")
+    if last is not None and last[0] == v:
+        return last[1]
+    dw, x = int_vec(v)
+    omega = AltForm2.from_coords(e3.dim, *e3.contract_pairs(x, dw))
+    vars(e3)["_last_contraction"] = (w if type(w) is tuple else v, omega)
     return omega
 
 
@@ -300,8 +337,20 @@ def integral_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
 
     Decided exactly: the anti-invariant part (omega - J^T*omega*J)/2 of
     omega must be an integer combination of the anti-invariant parts of the
-    integer basis 2-forms, whose lattice the torus reduces once.  The
-    target goes to the lattice as integers over one denominator.
+    integer basis 2-forms.  With the torus's table (V, U, G), scale times
+    that part of omega = upper/den is (y/den)*H_r for y = upper^T*V, and
+    H_r's rows are independent, so omega is a member iff den divides every
+    entry of y.  A member's witness c = (y/den)*U must then reconstruct the
+    target, c*G = (upper/den)*G, checked as (y*U - upper)*G = 0.
     """
-    nums, den = _pullback_combination(torus, omega, 1, -1)
-    return torus.anti_invariant_lattice.member_over(nums, 2 * den) is not None
+    if omega.dim != torus.dim:
+        raise ValueError("form/torus dimension mismatch")
+    v, u, g = torus.anti_invariant_table
+    upper, den = omega.upper, omega.den
+    y = v.times(upper)
+    if any([s % den for s in y]):
+        return False
+    # paranoia: the witness must reconstruct the target exactly
+    if any(g.times([a - b for a, b in zip(u.times(y), upper)])):
+        raise AssertionError("lattice_membership produced a bad witness")
+    return True

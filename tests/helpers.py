@@ -34,6 +34,7 @@ from torusgerbe import (
     symmetric_part_exponent,
     unitarize_exponent,
 )
+from torusgerbe.torus import pullback_over
 from torusgerbe.trivialization import _stacked
 from torusgerbe.exact import (
     Mat,
@@ -654,17 +655,35 @@ def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
 
 
 def count_contractions(monkeypatch) -> list:
-    """Patch `AltForm3.contract_over` to record (form, nums, den) of each
-    call in the returned list."""
+    """Patch both contraction cores of `AltForm3`, `contract_pairs` (which
+    `contract3` and `evaluate_over` run) and `contract_over` (the full
+    matrix the records and SECOND's tables read), to record (form, nums,
+    den) of each call in the returned list."""
     calls = []
-    original = AltForm3.contract_over
+    for name in ("contract_pairs", "contract_over"):
 
-    def counting(e3, nums, den=1):
-        calls.append((e3, tuple(nums), den))
-        return original(e3, nums, den)
+        def counting(e3, nums, den=1, original=getattr(AltForm3, name)):
+            calls.append((e3, tuple(nums), den))
+            return original(e3, nums, den)
 
-    monkeypatch.setattr(AltForm3, "contract_over", counting)
+        monkeypatch.setattr(AltForm3, name, counting)
     return calls
+
+
+def reference_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
+    """`integral_anti_invariant_member` by the route it replaced: the target
+    omega - J^T*omega*J over twice its denominator, back-substituted
+    against the torus's reduced lattice (`ReducedLattice.member_over`)."""
+    nums, den = pullback_over(torus, omega.upper, omega.den, 1, -1)
+    return torus.anti_invariant_lattice.member_over(nums, 2 * den) is not None
+
+
+def reference_case_member(torus: TorusData, omega: AltForm2, case: SubgroupCase) -> bool:
+    """`symmetry.member_over` for the contraction omega by the route it
+    replaced: integral coordinates, or omega - J^T*omega*J zero."""
+    if case is SubgroupCase.INTEGRAL:
+        return omega.is_integral
+    return not any(pullback_over(torus, omega.upper, omega.den, 1, -1)[0])
 
 
 def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:

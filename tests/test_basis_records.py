@@ -133,7 +133,7 @@ class TestWarmGerbe:
             (gerbe_module, "forms_over"),
             (triv, "forms_over"),
             (triv, "pullback_over"),
-            (symmetry_module, "pullback_over"),
+            (symmetry_module, "member_over"),
             (triv, "_direct_record"),
         ):
             monkeypatch.setattr(module, name, forbidden)

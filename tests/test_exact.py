@@ -405,30 +405,30 @@ class TestReducedLattice:
         assert calls == [6, 15]
 
     def test_corrupt_transform_trips_the_witness_check(self, monkeypatch):
-        # the decision reads U as sparse rows; doubling them doubles every
+        # member_over reads U as sparse rows; doubling them doubles every
         # coefficient, which no longer reconstructs the target
         t = twisted_torus(2, 0)
         omega = AltForm2.from_pairs(4, {(1, 2): 1})  # integral, so a member
-        assert integral_anti_invariant_member(t, omega)
-        lat = t.anti_invariant_lattice
+        lat, target = t.anti_invariant_lattice, _lattice_target(t, omega)
+        assert lat.member_over(*target) is not None
         doubled = tuple(tuple((i, 2 * x) for i, x in row) for row in lat.u_rows)
         monkeypatch.setattr(lat, "u_rows", doubled)
-        with pytest.raises(AssertionError):
-            integral_anti_invariant_member(t, omega)
+        with pytest.raises(AssertionError, match="bad witness"):
+            lat.member_over(*target)
 
     def test_corrupt_generator_row_trips_the_witness_check(self, monkeypatch):
         # one entry of one sparse row of G, on a generator the witness uses
         t = twisted_torus(2, 0)
         omega = AltForm2.from_pairs(4, {(1, 2): 1})
-        lat = t.anti_invariant_lattice
-        coeffs = lat.member_over(*_lattice_target(t, omega))
+        lat, target = t.anti_invariant_lattice, _lattice_target(t, omega)
+        coeffs = lat.member_over(*target)
         i = next(i for i, c in enumerate(coeffs) if c)
         (k, x), *rest = lat.g_rows[i]
         rows = list(lat.g_rows)
         rows[i] = ((k, x + 1), *rest)
         monkeypatch.setattr(lat, "g_rows", tuple(rows))
-        with pytest.raises(AssertionError):
-            integral_anti_invariant_member(t, omega)
+        with pytest.raises(AssertionError, match="bad witness"):
+            lat.member_over(*target)
 
     def test_integer_entry_matches_rational_generators(self):
         # the torus hands each projected generator in as its stored integers

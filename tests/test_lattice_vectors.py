@@ -95,6 +95,10 @@ RATIONAL_ROWS = {
     "case_decomposition": ("w", lambda v: case_decomposition(G.torus, G.e, v, INT)),
     "translate_gerbe": ("w", lambda v: translate_gerbe(G, v)),
     "translation_factor(w)": ("w", lambda v: translation_factor(G, v, E0, E0)),
+    "TorusData.mul_i": ("v", lambda v: G.torus.mul_i(v)),
+    "AltForm2.apply": ("v", lambda v: G.b.apply(v)),
+    "AltForm2.evaluate(x)": ("x", lambda v: G.b.evaluate(v, W1)),
+    "AltForm2.evaluate(y)": ("y", lambda v: G.b.evaluate(W1, v)),
     **{
         f"{fn.__name__}({what})": (
             what,

@@ -694,6 +694,25 @@ class TestBoundaryValues:
         with pytest.raises(TypeError, match="floats are not allowed"):
             ThetaGroupElement(c, [0.5, 0, 0, 0])
 
+    def test_theta_group_element_checks_the_length(self):
+        # a w of another length than the character built, and failed only
+        # when theta_group_multiply read the gerbe's dimension
+        for w in ((1, 0, 0), (F(1, 2), 0, 0, 0, 0)):
+            message = rf"^dimension mismatch: w has {len(w)} entries, not 4$"
+            with pytest.raises(ValueError, match=message):
+                ThetaGroupElement(Character.identity(4), w)
+        assert ThetaGroupElement(Character.identity(3), (1, 0, 0)).w == vec(1, 0, 0)
+
+    def test_subgroup_spec_generators_share_one_length(self):
+        # the first generator whose length differs from the first's is named
+        gens = [self.HALF0, (1, 0, 0, 0), (0, 1, 0), (1, 0)]
+        with pytest.raises(ValueError, match=r"^dimension mismatch: generators\[2\] has 3 entries, not 4$"):
+            SubgroupSpec(gens, INT)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: generators\[1\] has 4 entries, not 3$"):
+            SubgroupSpec.create([(0, 1, 0), self.HALF0], "oneone")
+        assert SubgroupSpec.create([(0, 1, 0)], INT).generators == (vec(0, 1, 0),)
+        assert SubgroupSpec.create([], INT).generators == ()
+
     def test_character_exponent_at_checks_the_length(self):
         c = Character(tuple(GaussianRational(F(k), F(1, 2)) for k in range(4)))
         assert c.exponent_at([1, 1, 0, 0]) == GaussianRational(F(1), F(1))
@@ -728,7 +747,7 @@ VECTOR_ROWS = {
         f"obstruction_vanishes-{which}": (
             "generator",
             lambda c, v, which=which: obstruction_vanishes(
-                c.gerbe, SubgroupSpec.create((W1, v), INT), which
+                c.gerbe, SubgroupSpec.create((v,), INT), which
             ),
         )
         for which in ("first", "second")
@@ -747,7 +766,10 @@ VECTOR_ROWS = {
         f"theta_group_multiply-{what}": (
             what,
             lambda c, v, k=k: theta_group_multiply(
-                *[ThetaGroupElement(Character.identity(4), v if a == k else W1) for a in (0, 1)],
+                *[
+                    ThetaGroupElement(Character.identity(len(x)), x)
+                    for x in [v if a == k else W1 for a in (0, 1)]
+                ],
                 c,
             ),
         )
