@@ -152,8 +152,13 @@ def sized_vector(v, dim: int, what: str) -> Vec:
     """to_vec(v), a ValueError naming it as what unless it has dim entries."""
     v = to_vec(v)
     if len(v) != dim:
-        raise ValueError(f"dimension mismatch: {what} has {len(v)} entries, not {dim}")
+        raise dimension_mismatch(what, v, dim)
     return v
+
+
+def dimension_mismatch(what: str, v, dim: int) -> ValueError:
+    """The ValueError of a vector v, named what, without dim entries."""
+    return ValueError(f"dimension mismatch: {what} has {len(v)} entries, not {dim}")
 
 
 def dot(u: Vec, v: Vec) -> Fraction:

@@ -20,8 +20,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Frozen, Mat, Vec, dot, int_vec, mat_vec, sized_vector, to_fraction, to_mat
-from .exact import to_vec
+from .exact import Frozen, Mat, Vec, dimension_mismatch, dot, int_vec, mat_vec, sized_vector
+from .exact import to_fraction, to_mat, to_vec
 
 _ZERO = Fraction(0)
 
@@ -155,7 +155,8 @@ class AltForm3(Frozen):
     """Alternating trilinear form, stored on strictly increasing triples.
     Its cached `int_entries` and `pair_entries` and the last contraction
     `torus.contract3` built sit in the instance dict, outside equality,
-    hashing and repr.
+    hashing and repr, as a lookup keyed by the form costs a hash of its
+    entries each time (`contract3` gives the measured cost).
     entries is a tuple of ((a, b, c), value) with a < b < c, sorted."""
 
     _fields = ("dim", "entries")
@@ -203,10 +204,12 @@ class AltForm3(Frozen):
     def evaluate_over(self, x, y, z) -> tuple[int, int]:
         """(de*E(x, y, z), de) for integer vectors, de the lcm of E's
         denominators: y^T*E(x,.,.)*z over the pair coordinates."""
-        if len(y) != self.dim or len(z) != self.dim:
-            raise ValueError("vector/form dimension mismatch")
+        d = self.dim
+        if len(x) != d or len(y) != d or len(z) != d:
+            what, v = next((k, v) for k, v in zip("xyz", (x, y, z)) if len(v) != d)
+            raise dimension_mismatch(what, v, d)
         coords, de = self.contract_pairs(x)
-        pairs = itertools.combinations(range(self.dim), 2)
+        pairs = itertools.combinations(range(d), 2)
         return sum([c * (y[a] * z[b] - y[b] * z[a]) for (a, b), c in zip(pairs, coords) if c]), de
 
     def contract_over(self, nums, den: int = 1) -> tuple[list[list[int]], int]:
@@ -217,7 +220,7 @@ class AltForm3(Frozen):
         coordinates."""
         d = self.dim
         if len(nums) != d:
-            raise ValueError("vector/form dimension mismatch")
+            raise dimension_mismatch("nums", nums, d)
         de, ks = self.int_entries
         m = [[0] * d for _ in range(d)]
         for p, q, r, k in ks:
@@ -249,7 +252,7 @@ class AltForm3(Frozen):
         `torus.contract3` wraps it for a rational w."""
         d = self.dim
         if len(nums) != d:
-            raise ValueError("vector/form dimension mismatch")
+            raise dimension_mismatch("nums", nums, d)
         de, ks = self.pair_entries
         coords = [0] * (d * (d - 1) // 2)
         for p, q, r, k, qr, pr, pq in ks:

@@ -145,7 +145,8 @@ class GerbeData(Frozen):
 
     `GerbeData(...)` checks both.  `translate_gerbe` builds its result by
     `_with_b`, which skips the checks: they read only the torus, E and the
-    dimension of B, and the result keeps all three from a checked gerbe.
+    dimension of B, and the result keeps all three from a checked gerbe,
+    and with them its `tables`.
     """
 
     _fields = ("torus", "b", "e")
@@ -161,31 +162,35 @@ class GerbeData(Frozen):
             )
 
     def _with_b(self, b: AltForm2) -> "GerbeData":
-        """This gerbe with the 2-form b of the same dimension, unchecked."""
+        """This gerbe with the 2-form b of the same dimension, unchecked,
+        sharing its `tables`."""
         g = object.__new__(GerbeData)
-        vars(g).update(torus=self.torus, b=b, e=self.e)
+        vars(g).update(torus=self.torus, b=b, e=self.e, tables=self.tables)
         return g
 
     @functools.cached_property
-    def basis_records(self) -> dict:
-        """Per case, the records of the lattice basis vectors that
-        `TranslationContext.create` combines every other record from; it
-        fills the dict on first use of a case.  Not compared, hashed or
-        shown."""
-        return {}
+    def tables(self) -> "GerbeTables":
+        """The `GerbeTables` of the torus and E, made on first use and kept
+        by `_with_b`.  Not compared, hashed or shown."""
+        return GerbeTables(self.torus, self.e)
+
+
+class GerbeTables:
+    """The tables of a torus and a 3-form E that the trivializer and the
+    obstructions read, built on first use and compared by identity.
+    Translation changes only B, so a checked gerbe and every gerbe
+    translated from it share one.  `bases` maps a case to its `_Basis`,
+    which holds the records of the gerbe that built it."""
+
+    def __init__(self, torus: TorusData, e: AltForm3):
+        self.torus, self.e, self.bases = torus, e, {}
 
     @functools.cached_property
-    def factor_rows(self) -> tuple[int, int, PackedRows]:
-        """`basis_factor_rows` of the torus and E, built on first use; the
-        translation factors that `first_failing_pair` decides the basis
-        pairs on.  Not compared, hashed or shown."""
+    def factors(self) -> tuple[int, int, PackedRows, int]:
+        """`basis_factor_rows` of the torus and E: the translation factors
+        that `first_failing_pair` decides the basis pairs on, with the digit
+        bound that `_check_at_w` packs them in."""
         return basis_factor_rows(self.torus, self.e)
-
-    @functools.cached_property
-    def factor_bound(self) -> int:
-        """`factor_digit_bound` of the torus and E, computed on first use.
-        Not compared, hashed or shown."""
-        return factor_digit_bound(self.torus, self.e)
 
 
 def _canonical_exponent(
@@ -272,11 +277,11 @@ def balanced_digits(n: int, h: int, count: int) -> list[int]:
     return digits
 
 
-def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, PackedRows]:
-    """(dre, dim, rows): the translation factors H_{e_a,e_b} of the basis
+def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, PackedRows, int]:
+    """(dre, dim, rows, h): the translation factors H_{e_a,e_b} of the basis
     pairs as packed integer rows (`PackedRows`), one per basis vector e_k,
     over the denominators dre = 16*dj**2*de and dim = 16*dj*de of
-    `exponent_over` at basis triples.
+    `exponent_over` at basis triples, and h = `factor_digit_bound`.
 
     Row k holds exponent_over(e_k, e_a, e_b) for the pairs (a, b) in
     row-major order: the d**2 real numerators, then the d**2 imaginary
@@ -303,7 +308,7 @@ def basis_factor_rows(torus: TorusData, e3: AltForm3) -> tuple[int, int, PackedR
         for row, r, i in zip(rows, balanced_digits(re, h, d), balanced_digits(im, h, d)):
             row[ab], row[ba], row[d * d + ab], row[d * d + ba] = r, -r, i, -i
     dj, de = torus.j_columns[0], e3.int_entries[0]
-    return 16 * dj * dj * de, 16 * dj * de, PackedRows(rows)
+    return 16 * dj * dj * de, 16 * dj * de, PackedRows(rows), h
 
 
 def exponent_re(torus: TorusData, e3: AltForm3, a, b, c) -> Fraction:

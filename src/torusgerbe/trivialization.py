@@ -40,11 +40,11 @@ class TranslationContext(Frozen):
     M_w and F_w.
 
     Each matrix is linear in x, so only the records of the lattice basis
-    vectors are built from the contractions, once per (gerbe, case), and
-    kept on the gerbe (`GerbeData.basis_records`).  The record of any other
-    w = x/dw is sum_k x_k*(record of e_k) over dw times their den: the same
-    integers as built directly, since no step of the direct build reduces
-    its denominator.  So is the identity's residual (`_residual`).
+    vectors are built from the contractions, once per (torus, E, case), in
+    the `GerbeData.tables` that translated gerbes share.  The record of any
+    other w = x/dw is sum_k x_k*(record of e_k) over dw times their den: the
+    same integers as built directly, since no step of the direct build
+    reduces its denominator.  So is the identity's residual (`_residual`).
     """
 
     _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den", "member", "omega", "f", "m", "r")
@@ -61,9 +61,9 @@ class TranslationContext(Frozen):
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
         """The record of w, combined from the gerbe's basis records (a basis
-        vector gets its cached record); a ValueError naming w unless it has
-        the torus's dimension, and with check, NotInSubgroup outside the
-        subgroup."""
+        vector gets its cached record, `_rebound` to the gerbe); a
+        ValueError naming w unless it has the torus's dimension, and with
+        check, NotInSubgroup outside the subgroup."""
         case = SubgroupCase(case)
         w = sized_vector(w, gerbe.torus.dim, "w")
         data = _lifted_record(gerbe, w, case)
@@ -74,8 +74,10 @@ class TranslationContext(Frozen):
     @staticmethod
     def basis(gerbe: GerbeData, case: SubgroupCase) -> tuple["TranslationContext", ...]:
         """The records of the lattice basis vectors e_1..e_d, built once per
-        (gerbe, case)."""
-        return _basis_records(gerbe, SubgroupCase(case)).records
+        (torus, E, case), each `_rebound` to the gerbe."""
+        records = _basis_records(gerbe, SubgroupCase(case)).records
+        own = records[0].gerbe is gerbe
+        return records if own else tuple([_rebound(b, gerbe) for b in records])
 
     @functools.cached_property
     def dec(self) -> Decomposition:
@@ -128,7 +130,7 @@ def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationC
     basis = _basis_records(gerbe, case)
     records, d = basis.records, len(x)
     if dw == 1 and x.count(0) == d - 1 and 1 in x:
-        return records[x.index(1)]
+        return _rebound(records[x.index(1)], gerbe)
     flat = basis.rows.times(x)
     omega, f, m, r = (
         [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
@@ -136,6 +138,16 @@ def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationC
     den = dw * records[0].den
     member = _record_member(omega, f, den, case)
     return TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
+
+
+def _rebound(record: TranslationContext, gerbe: GerbeData) -> TranslationContext:
+    """The basis record as gerbe's: itself, or a copy sharing all but its
+    gerbe, as every field reads only the torus, E, w and case."""
+    if record.gerbe is gerbe:
+        return record
+    own = object.__new__(TranslationContext)
+    vars(own).update(vars(record), gerbe=gerbe)
+    return own
 
 
 def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
@@ -170,7 +182,7 @@ def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
 
 
 class _Basis(Frozen):
-    """The basis records e_1..e_d of a (gerbe, case): row k of the packed
+    """The basis records e_1..e_d of a (torus, E, case): row k of the packed
     `rows` is record k's omega, f, m and r flattened, so rows.times(x) is
     the four matrices of x/dw flattened, over dw*records[0].den; the
     identity's `residual_rows` are built on first use.  Compared by
@@ -187,10 +199,10 @@ class _Basis(Frozen):
         constant l1^T*(ar + i*ai)*l2, as T's linear part is linear in lam
         and its constant quadratic: ar = re - qre - qre^T and ai = im - qim
         - qim^T of record k's `_kernel_blocks` (not cached on the records).
-        Row k of the gerbe's `factor_rows`, over (dre, dim), is added times
-        k0/dre and k0/dim."""
+        Row k of the factor rows of `GerbeTables.factors`, over (dre, dim),
+        is added times k0/dre and k0/dim."""
         first = self.records[0]
-        k0, (dre, dim, factors) = _kernel_den(first), first.gerbe.factor_rows
+        k0, (dre, dim, factors, _) = _kernel_den(first), first.gerbe.tables.factors
         n = len(self.records) ** 2
         scales = [k0 // dre] * n + [k0 // dim] * n
         rows = []
@@ -208,11 +220,11 @@ def _stacked(records) -> _Basis:
 
 
 def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
-    """`_stacked` of the basis records of case, built once per gerbe."""
-    basis = gerbe.basis_records.get(case)
+    """`_stacked` of the basis records of case, once per gerbe `tables`."""
+    basis = gerbe.tables.bases.get(case)
     if basis is None:
         records = [_direct_record(gerbe, ek, case) for ek in gerbe.torus.basis()]
-        basis = gerbe.basis_records[case] = _stacked(records)
+        basis = gerbe.tables.bases[case] = _stacked(records)
     return basis
 
 
@@ -291,20 +303,20 @@ def _residual(ctx: TranslationContext) -> tuple[int, list, list]:
 
 def _check_at_w(ctx: TranslationContext) -> None:
     """Raise InternalMismatch unless h = x^T*rows, the translation factors
-    of the basis pairs read off the gerbe's `factor_rows`, is the factor at
-    w itself, from E and J: one `exponent_over` call decides all d**2 pairs.
+    of the basis pairs read off `GerbeTables.factors`, is the factor at w
+    itself, from E and J: one `exponent_over` call decides all d**2 pairs.
 
     The factor is trilinear, so at (w, sum_a B**(d*a)*e_a, sum_b B**b*e_b)
     each numerator is sum_(a,b) B**(d*a + b) times its value at (w, e_a,
     e_b), over dw times the rows' denominators.  Every such value is at most
-    h0*sum_k |x_k| = hw in absolute value for h0 the gerbe's `factor_bound`,
+    h0*sum_k |x_k| = hw in absolute value for h0 the entry's digit bound,
     so with B = 2*hw + 1 the `balanced_digits` of the numerators, in
     row-major order, are those values and the rest is 0.
     """
     g, d = ctx.gerbe, len(ctx.x)
-    t, (dre, dim, rows) = g.torus, g.factor_rows
+    t, (dre, dim, rows, h0) = g.torus, g.tables.factors
     h = rows.times(ctx.x)
-    hw = g.factor_bound * sum(map(abs, ctx.x))
+    hw = h0 * sum(map(abs, ctx.x))
     firsts, seconds = ([(2 * hw + 1) ** (s * k) for k in range(d)] for s in (d, 1))
     packed = [(1, y, t.mul_i_over(y)) for y in (firsts, seconds)]
     re, dre_w, im, dim_w = exponent_over(t, g.e, (ctx.dw, ctx.x, ctx.ix), *packed)
@@ -369,7 +381,7 @@ def first_failing_pair(
     order, come first and decide, since the residual is bilinear; they are
     decided together on `_residual`, one table product that holds the
     trivializer's coboundary and the translation factors of the gerbe's
-    `factor_rows` (from E and J).  When every basis pair passes, two
+    `GerbeTables.factors` (from E and J).  When every basis pair passes, two
     self-checks follow, and a failure of either after a passing basis can
     only be a program fault and raises InternalMismatch:
     - `_check_at_w` compares the factors x^T*rows with the translation
@@ -413,7 +425,7 @@ def verify_trivialization(
     vector and its linear part is linear in it, so the residual at (l1, l2)
     is a constant bilinear in them: the coboundary of the trivializer plus
     the translation factor H_{l1,l2}(w), which comes from E and J.  Every
-    pair is read off one residual, x^T times per-(gerbe, case) integer
+    pair is read off one residual, x^T times per-(torus, E, case) integer
     rows that hold both.  Without explicit pairs the dim**2 basis pairs
     decide the identity on the whole lattice, all at once.  Two self-checks
     follow a passing basis: the factors read off the rows are compared

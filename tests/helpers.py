@@ -641,12 +641,12 @@ def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
 
 def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int):
     """Add 1/den to entry (p, q) of the matrix `name` of the basis record of
-    e_k cached on the gerbe."""
+    e_k kept in the gerbe's tables."""
     records = list(TranslationContext.basis(g, case))
     m = [list(row) for row in getattr(records[k], name)]
     m[p][q] += 1
     records[k] = replace_fields(records[k], **{name: m})
-    monkeypatch.setitem(g.basis_records, case, _stacked(records))
+    monkeypatch.setitem(g.tables.bases, case, _stacked(records))
 
 
 def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:

@@ -1,12 +1,13 @@
-"""Per-gerbe basis records: every other translation record is combined.
+"""Shared basis records: every other translation record is combined.
 
 `TranslationContext.create` builds the records of the lattice basis
-vectors from the contractions once per (gerbe, case) and keeps them on the
-gerbe; the record of any other w = x/dw is sum_k x_k*(record of e_k) over
-dw times their denominator.  The combination is checked field by field
-against the direct build (`trivialization._direct_record`), on standard and
-twisted J at n = 2 and 3, in both cases, for w with denominators 1, 2 and
-4, inside and outside the subgroup, and for the zero vector.
+vectors from the contractions once per (torus, E, case) and keeps them in
+the gerbe's tables (`GerbeData.tables`); the record of any other w = x/dw
+is sum_k x_k*(record of e_k) over dw times their denominator.  The
+combination is checked field by field against the direct build
+(`trivialization._direct_record`), on standard and twisted J at n = 2 and
+3, in both cases, for w with denominators 1, 2 and 4, inside and outside
+the subgroup, and for the zero vector.
 """
 
 import random
@@ -97,7 +98,7 @@ class TestCombinedRecords:
         g, case, _ = instance
         d = g.torus.dim
         basis = TranslationContext.basis(g, case)
-        assert len(basis) == d and list(g.basis_records) == [case]
+        assert len(basis) == d and list(g.tables.bases) == [case]
         for k, ek in enumerate(g.torus.basis()):
             assert TranslationContext.create(g, ek, case, check=False) is basis[k]
             as_ints = [int(a == k) for a in range(d)]
@@ -113,7 +114,7 @@ class TestCombinedRecords:
         before = hash(g), repr(g)
         for other in SubgroupCase:
             TranslationContext.create(g, vectors[0], other, check=False)
-        assert set(g.basis_records) == set(SubgroupCase) and not twin.basis_records
+        assert set(g.tables.bases) == set(SubgroupCase) and not twin.tables.bases
         assert g == twin and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 
 

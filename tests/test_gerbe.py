@@ -12,21 +12,28 @@ from torusgerbe import (
     ExponentFn,
     GaussianRational,
     GerbeData,
+    ObstructionContext,
+    ObstructionKind,
+    SubgroupSpec,
     TypeConditionFailed,
     cocycle_exponent,
     exponent_im,
     exponent_re,
     fixes_gerbe,
     gerbes_isomorphic,
+    lift_defect_character,
+    obstruction_vanishes,
     pair_exponent,
     SubgroupCase,
     translate_gerbe,
     translation_factor,
 )
 import torusgerbe.gerbe as gerbe_module
+import torusgerbe.trivialization as triv
 from torusgerbe.exact import vec_add
 from torusgerbe.gerbe import translation_shift_form
-from torusgerbe.trivialization import TranslationContext
+from torusgerbe.trivialization import TranslationContext, first_failing_pair
+from torusgerbe.trivialization import verify_trivialization
 
 from helpers import (
     conjugated_instance,
@@ -208,6 +215,14 @@ class TestTranslateGerbe:
         )
 
 
+def handed_records(g, case, vectors) -> list:
+    """The records of g's basis, by `TranslationContext.basis` and then by
+    `create` one basis vector at a time, then those of the case vectors."""
+    singles = [TranslationContext.create(g, ek, case, check=False) for ek in g.torus.basis()]
+    combined = [TranslationContext.create(g, w, case) for w in vectors]
+    return [*TranslationContext.basis(g, case), *singles, *combined]
+
+
 class TestTranslatedGerbeIsTrusted:
     """`translate_gerbe` keeps the torus and E of a gerbe that passed its
     checks, so it builds the result without running them again."""
@@ -245,20 +260,47 @@ class TestTranslatedGerbeIsTrusted:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("case", list(SubgroupCase))
-    def test_basis_records_on_the_translated_gerbe(self, case):
-        # the translated gerbe starts with its own empty cache and fills it
+    def test_basis_records_on_the_translated_gerbe(self, case, monkeypatch):
+        # translation changes only B: a chain of translations of a warm
+        # gerbe shares its tables and builds nothing, and every record it
+        # hands out is a record of the asking gerbe, equal to the record of
+        # a freshly checked twin
         g, vectors = conjugated_instance(3, 0, case, True)
-        moved = translate_gerbe(g, tuple(F(1, 3) * x for x in vectors[0]))
-        assert moved.basis_records == {} and moved.basis_records is not g.basis_records
-        twin = GerbeData(moved.torus, moved.b, moved.e)
+        d, rng = g.torus.dim, random.Random(f"shared:{case.value}")
         for w in vectors:
-            got = TranslationContext.create(moved, w, case)
-            expected = TranslationContext.create(twin, w, case)
-            assert got.gerbe is moved and got == expected
-            for name in ("den", "member", "omega", "f", "m", "r"):
-                assert getattr(got, name) == getattr(expected, name), name
-            assert got.kernel == expected.kernel
-        assert list(moved.basis_records) == [case] and g.basis_records == {}
+            assert verify_trivialization(TranslationContext.create(g, w, case))
+        assert TranslationContext.basis(g, case) is g.tables.bases[case].records
+        builds = []
+        record, rows = triv._direct_record, gerbe_module.basis_factor_rows
+        residual = vars(triv._Basis)["residual_rows"]
+
+        def counting(name, build):
+            return lambda *args: builds.append(name) or build(*args)
+
+        monkeypatch.setattr(triv, "_direct_record", counting("record", record))
+        monkeypatch.setattr(gerbe_module, "basis_factor_rows", counting("factor rows", rows))
+        monkeypatch.setattr(residual, "func", counting("residual rows", residual.func))
+        chain = [g]
+        for _ in range(4):
+            chain.append(translate_gerbe(chain[-1], rand_rational_vec(rng, d)))
+        assert all(moved.tables is g.tables for moved in chain)
+        handed = []
+        for moved in chain[1:]:
+            records = handed_records(moved, case, vectors)
+            assert all(r.gerbe is moved for r in records)
+            assert all(verify_trivialization(r) for r in records[2 * d :])
+            handed.append((moved, records))
+        assert builds == [] and list(g.tables.bases) == [case]
+        monkeypatch.undo()
+        for moved, records in handed:
+            twin = GerbeData(moved.torus, moved.b, moved.e)
+            expected = handed_records(twin, case, vectors)
+            assert twin.tables is not g.tables
+            for got, want in zip(records, expected, strict=True):
+                assert got == want and got.gerbe is moved and want.gerbe is twin
+                for name in ("dw", "x", "ix", "den", "member", "omega", "f", "m", "r"):
+                    assert getattr(got, name) == getattr(want, name), name
+                assert got.kernel == want.kernel
 
     def test_outside_construction_still_checks(self):
         bad = AltForm3.from_coeffs(6, {(0, 1, 2): 1})
@@ -272,6 +314,27 @@ class TestTranslatedGerbeIsTrusted:
             with pytest.raises(ValueError):
                 replace_fields(base, b=AltForm2.zero(4))
         assert replace_fields(moved, b=g.b) == g
+
+
+class TestGerbeKeepsOneCache:
+    """Every table a gerbe's queries read depends on the torus and E alone,
+    so past its three fields a gerbe keeps one cache, `tables`, which its
+    translations share."""
+
+    @pytest.mark.parametrize("case", list(SubgroupCase))
+    def test_queries_leave_the_fields_and_the_tables(self, case):
+        g, vectors = conjugated_instance(2, 1, case, True)
+        moved = translate_gerbe(g, vectors[1])
+        spec = SubgroupSpec.create(vectors[:3], case)
+        for h in (g, moved):
+            # as `tau-verify`, `xi` and `obstruction1`/`2` run them
+            ctx = TranslationContext.create(h, vectors[0], case, check=False)
+            assert first_failing_pair(ctx, None, 10, 0) is None
+            lift_defect_character(ObstructionContext(h, case), vectors[0], vectors[1])
+            for kind in ObstructionKind:
+                obstruction_vanishes(h, spec, kind)
+            assert sorted(vars(h)) == ["b", "e", "tables", "torus"]
+        assert moved.tables is g.tables
 
 
 class TestGerbesIsomorphic:

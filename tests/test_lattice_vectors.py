@@ -11,8 +11,11 @@ by `exact.lattice_vector`, so for each:
 
 A rational vector (any w) is checked by `exact.sized_vector`, the length
 half of the same check: the second table holds one row per public
-function and rational-vector argument, and a wrong length raises the same
-dimension mismatch, naming the argument.
+function and rational-vector argument, a wrong length raises the same
+dimension mismatch, naming the argument, and a float the package's
+TypeError.  The third table holds the integer methods that take the
+vectors the kernels have already validated, which check the length alone
+and name the argument the same way.
 """
 
 import ast
@@ -99,6 +102,10 @@ RATIONAL_ROWS = {
     "AltForm2.apply": ("v", lambda v: G.b.apply(v)),
     "AltForm2.evaluate(x)": ("x", lambda v: G.b.evaluate(v, W1)),
     "AltForm2.evaluate(y)": ("y", lambda v: G.b.evaluate(W1, v)),
+    "TorusData.lift": ("v", lambda v: G.torus.lift(v)),
+    "AltForm3.evaluate(x)": ("x", lambda v: G.e.evaluate(v, W1, W2)),
+    "AltForm3.evaluate(y)": ("y", lambda v: G.e.evaluate(W1, v, W2)),
+    "AltForm3.evaluate(z)": ("z", lambda v: G.e.evaluate(W1, W2, v)),
     **{
         f"{fn.__name__}({what})": (
             what,
@@ -134,6 +141,37 @@ def test_a_wrong_length_rational_vector_is_named(name):
         with pytest.raises(ValueError, match=message):
             call(v)
     call(W2)  # a member of the right length passes
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_ROWS))
+def test_a_float_in_a_rational_vector_raises_the_package_type_error(name):
+    # TorusData.lift raised AttributeError: 'float' object has no
+    # attribute 'denominator'
+    _, call = RATIONAL_ROWS[name]
+    for v in ([0.5, 0, 0, 0], (1, 0, 0, 1.0)):
+        with pytest.raises(TypeError, match="floats are not allowed in exact computations"):
+            call(v)
+
+
+# name -> (argument, the call with the integer list as that argument)
+INTEGER_ROWS = {
+    "AltForm3.evaluate_over(x)": ("x", lambda v: G.e.evaluate_over(v, [1, 0, 0, 0], [0, 1, 0, 0])),
+    "AltForm3.evaluate_over(y)": ("y", lambda v: G.e.evaluate_over([1, 0, 0, 0], v, [0, 1, 0, 0])),
+    "AltForm3.evaluate_over(z)": ("z", lambda v: G.e.evaluate_over([1, 0, 0, 0], [0, 1, 0, 0], v)),
+    "AltForm3.contract_over": ("nums", lambda v: G.e.contract_over(v, 2)),
+    "AltForm3.contract_pairs": ("nums", lambda v: G.e.contract_pairs(v, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ROWS))
+def test_a_wrong_length_integer_vector_is_named(name):
+    # each said "vector/form dimension mismatch"
+    what, call = INTEGER_ROWS[name]
+    for v in ([1, 0, 0], [1, 0, 0, 0, 0], []):
+        message = rf"^dimension mismatch: {what} has {len(v)} entries, not 4$"
+        with pytest.raises(ValueError, match=message):
+            call(v)
+    call([0, 0, 1, 0])  # the right length passes
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -310,7 +310,7 @@ class TestCaseValues:
         assert data == TranslationContext.create(g, self.W, INT)
         assert data.case is INT and data.member
         assert TranslationContext.basis(g, "oneone") == TranslationContext.basis(g, ONEONE)
-        assert set(g.basis_records) <= {INT, ONEONE}
+        assert set(g.tables.bases) <= {INT, ONEONE}
 
     def test_obstruction_contexts(self):
         g = gerbe4(2)
@@ -343,7 +343,7 @@ class TestCaseValues:
         g = gerbe4(2)
         with pytest.raises(ValueError):
             call(g, self.W, case)
-        assert not g.basis_records
+        assert not g.tables.bases
 
 
 class TestContractionMemo:

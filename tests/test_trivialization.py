@@ -539,7 +539,7 @@ class TestPackedProductsPastTheGuard:
             explicit = verify_trivialization(ctx, PINNED_PAIRS)
             default = verify_trivialization(ctx)
             answers += [ctx.member, default, explicit]
-            basis, factors = g.basis_records[case], g.factor_rows[2]
+            basis, factors = g.tables.bases[case], g.tables.factors[2]
             residual = basis.residual_rows
             tables += [basis.rows, residual, factors, residual] + [factors] * default
         assert "".join("T" if a else "F" for a in answers) == expected

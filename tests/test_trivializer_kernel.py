@@ -16,9 +16,9 @@ trivializer's linear part is linear in the lattice vector and its constant
 quadratic, its lattice coboundary is the constant l1^T*(ar + i*ai)*l2 of
 one bilinear form per record.  Kernel and form are linear in the record
 and the translation factor in w, so the residual of every basis pair is
-x^T times one table per (gerbe, case), `_Basis.residual_rows`: row k is the coboundary
-form of basis record k's own kernel plus row k of the gerbe's
-`factor_rows`, over one denominator; a record builds its kernel only for
+x^T times one table per (torus, E, case), `_Basis.residual_rows`: row k is
+the coboundary form of basis record k's own kernel plus row k of the
+factor rows of `GerbeTables.factors`, over one denominator; a record builds its kernel only for
 `trivializing_exponent`.  `first_failing_pair` decides each pair on
 integers, without a `Fraction`, on the two flattened halves of that
 product; one packed `exponent_over` call at w then checks the factor rows,
@@ -305,7 +305,7 @@ class TestTrivializerKernel:
 
             monkeypatch.setattr(prop, "func", counting)
         ctx = TranslationContext.create(g, vectors[0], case)
-        basis = g.basis_records[case]
+        basis = g.tables.bases[case]
         assert verify_trivialization(ctx)
         # the identity reads x^T times the residual rows of the (gerbe,
         # case), and builds no kernel, on the record or the basis
@@ -501,7 +501,7 @@ def patch_basis_kernels(patch, g, case, blocks_of):
     blocks_of(j, blocks) of each basis record e_j in place of its own
     blocks; g's rows must not be built yet."""
     basis = TranslationContext.basis(g, case)
-    assert "residual_rows" not in vars(g.basis_records[case])
+    assert "residual_rows" not in vars(g.tables.bases[case])
     kernel_blocks = triv._kernel_blocks
 
     def patched(ctx):
@@ -539,9 +539,9 @@ def kernel_residual(ctx):
     """(re, im): the residual of every basis pair over `_kernel_den`,
     flattened, composed from its two sources apart: the coboundary form
     of the record's own kernel plus the translation factors x^T*rows of the
-    gerbe's `factor_rows`, rescaled from (dw*dre, dw*dim)."""
+    gerbe's `GerbeTables.factors`, rescaled from (dw*dre, dw*dim)."""
     k, (ar, ai) = triv._kernel_den(ctx), kernel_coboundary(ctx.kernel[1])
-    dre, dim, rows = ctx.gerbe.factor_rows
+    dre, dim, rows, _ = ctx.gerbe.tables.factors
     h, n = int_vec_mat(ctx.x, rows.rows), len(ar) ** 2
     assert k % (ctx.dw * dre) == 0 and k % (ctx.dw * dim) == 0
     re = [c + y * (k // (ctx.dw * dre)) for c, y in zip(itertools.chain(*ar), h[:n])]
@@ -744,8 +744,8 @@ class TestResidualCore:
         g, case, vectors = instance
         d = g.torus.dim
         inside, shifted = inside_and_shifted(g, case, vectors[0])
-        rows = g.factor_rows[2]  # warm: built once per gerbe
-        residual = triv._basis_records(g, case).residual_rows  # warm: once per (gerbe, case)
+        rows = g.tables.factors[2]  # warm: built once per gerbe
+        residual = triv._basis_records(g, case).residual_rows  # warm: once per (torus, E, case)
         products, lifts, dots = [], [], []
         times = PackedRows.times
 
@@ -779,7 +779,7 @@ class TestResidualCore:
             return ctx, first_failing_pair(ctx, **kwargs)
 
         # the packed basis vectors of the check at w, in base 2*h0*|x|_1 + 1
-        base = 2 * g.factor_bound * sum(map(abs, inside.x)) + 1
+        base = 2 * g.tables.factors[3] * sum(map(abs, inside.x)) + 1
         packed = [[base ** (d * a) for a in range(d)], [base**b for b in range(d)]]
         for k in (0, 1, 4, 10):
             ctx, failing = fresh_query(inside, extra_random=k, seed=k)
@@ -824,8 +824,8 @@ class TestResidualRows:
     def test_one_product_after_the_record_when_the_basis_fails(self, instance, monkeypatch):
         g, case, vectors = instance
         d = g.torus.dim
-        basis, factors = triv._basis_records(g, case), g.factor_rows[2]
-        residual = basis.residual_rows  # warm: once per (gerbe, case)
+        basis, factors = triv._basis_records(g, case), g.tables.factors[2]
+        residual = basis.residual_rows  # warm: once per (torus, E, case)
         products = []
         times = PackedRows.times
 
@@ -887,7 +887,7 @@ def drawn_gerbe(data):
 
 
 class TestFactorRows:
-    """`GerbeData.factor_rows`: the translation factors of the basis pairs,
+    """`GerbeTables.factors`: the translation factors of the basis pairs,
     one integer row per basis vector, read off E and J alone."""
 
     @settings(max_examples=30, deadline=None)
@@ -895,7 +895,7 @@ class TestFactorRows:
     def test_property_rows_are_exponent_over_at_basis_triples(self, data):
         g, _, _ = drawn_gerbe(data)
         t, d = g.torus, g.torus.dim
-        dre, dim, packed = g.factor_rows
+        dre, dim, packed, _ = g.tables.factors
         rows, e3 = packed.rows, g.e
         if data.draw(st.booleans(), label="arbitrary E"):
             # any rational 3-form, the type condition aside: large
@@ -903,7 +903,7 @@ class TestFactorRows:
             rat = st.builds(F, st.integers(-999, 999), st.sampled_from((1, 2, 3, 8)))
             triples = st.sampled_from(list(itertools.combinations(range(d), 3)))
             e3 = AltForm3.from_coeffs(d, data.draw(st.dictionaries(triples, rat), label="E"))
-            dre, dim, packed = gerbe_module.basis_factor_rows(t, e3)
+            dre, dim, packed, _ = gerbe_module.basis_factor_rows(t, e3)
             rows = packed.rows
         assert len(rows) == d and all(len(row) == 2 * d * d for row in rows)
         lifts = [t.lift(ek) for ek in t.basis()]
@@ -921,7 +921,7 @@ class TestFactorRows:
         rat = st.builds(F, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 6, 9)))
         w = data.draw(st.one_of(st.sampled_from(vectors), st.tuples(*[rat] * d)), label="w")
         dw, x, ix = t.lift(w)
-        dre, dim, rows = g.factor_rows
+        dre, dim, rows, _ = g.tables.factors
         h = rows.times(x)
         assert h == int_vec_mat(x, rows.rows)
         lifts = [t.lift(ek) for ek in t.basis()]
@@ -940,14 +940,14 @@ class TestFactorRows:
         w = data.draw(st.sampled_from(vectors), label="w")
         assert first_failing_pair(TranslationContext.create(g, w, case)) is None
         fresh = GerbeData(g.torus, g.b, g.e)
-        dre, dim, rows = fresh.factor_rows
+        dre, dim, rows, h0 = fresh.tables.factors
         ctx = TranslationContext.create(fresh, w, case)
         k = data.draw(st.sampled_from([k for k, y in enumerate(ctx.x) if y]), label="k")
         n = data.draw(st.integers(0, 2 * d * d - 1), label="entry")
         bad = [list(row) for row in rows.rows]
         bad[k][n] += 1
-        vars(fresh)["factor_rows"] = dre, dim, PackedRows(bad)
-        assert "residual_rows" not in vars(fresh.basis_records[case])
+        vars(fresh.tables)["factors"] = dre, dim, PackedRows(bad), h0
+        assert "residual_rows" not in vars(fresh.tables.bases[case])
         # the factor at the pair moves by x_k/(dw*dre) or i*x_k/(dw*dim): it
         # fails its own basis pair, or, moved by an integer, the basis
         # passes and the check at w catches it
@@ -970,7 +970,7 @@ class TestFactorRows:
         t = object.__new__(TorusData)
         vars(t).update(n=2, j=j, jt=tuple(zip(*j)))
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
-        dre, dim, packed = gerbe_module.basis_factor_rows(t, e3)
+        dre, dim, packed, _ = gerbe_module.basis_factor_rows(t, e3)
         rows = packed.rows
         lifts = [t.lift(ek) for ek in t.basis()]
         assert rows[0][1 * 4 + 2] == 48 == exponent_over(t, e3, *lifts[:3])[0]
@@ -985,9 +985,10 @@ class TestFactorRows:
         monkeypatch.setattr(gerbe_module, "forms_over", forbidden)
         g, _, _ = instance
         fresh = GerbeData(g.torus, g.b, g.e)
-        assert fresh.factor_rows[:2] == g.factor_rows[:2]
-        assert fresh.factor_rows[2].rows == g.factor_rows[2].rows
-        assert fresh.basis_records == {}
+        factors, expected = fresh.tables.factors, g.tables.factors
+        assert factors[:2] == expected[:2] and factors[3] == expected[3]
+        assert factors[2].rows == expected[2].rows
+        assert fresh.tables.bases == {}
 
     def test_rows_built_once_per_gerbe(self, instance, monkeypatch):
         g, case, vectors = instance
@@ -1003,27 +1004,27 @@ class TestFactorRows:
         for w in vectors:
             assert verify_trivialization(TranslationContext.create(fresh, w, case))
         assert builds == [g.e]
-        assert "factor_rows" in vars(fresh)
+        assert "factors" in vars(fresh.tables)
         # explicit pairs and single residuals read the same rows, built once
         other = GerbeData(g.torus, g.b, g.e)
         e0 = basis_vec(g.torus.dim, 0)
         ctx = TranslationContext.create(other, vectors[0], case)
         assert verify_trivialization(ctx, [(e0, e0)])
         assert builds == [g.e, g.e]
-        rows = other.factor_rows
+        rows = other.tables.factors
         for w in vectors:
             ctx = TranslationContext.create(other, w, case)
             assert verify_trivialization(ctx, [(e0, e0)]) and verify_trivialization(ctx)
             assert triv.residual_is_trivial(trivialization_residual(ctx, e0, e0))
-        assert builds == [g.e, g.e] and other.factor_rows is rows
+        assert builds == [g.e, g.e] and other.tables.factors is rows
 
 
 class TestPackedCheckAtW:
     """With default pairs and a passing basis, `first_failing_pair` checks
     the factors x^T*rows it decided on against one `exponent_over` call at
     w and two packed basis vectors, whose balanced digits in base 2*h + 1,
-    h = h0*|x|_1 with h0 the gerbe's `factor_bound`, are the factors of all
-    d**2 basis pairs."""
+    h = h0*|x|_1 with h0 the digit bound of `GerbeTables.factors`, are the
+    factors of all d**2 basis pairs."""
 
     def test_every_corruption_the_basis_passes_is_caught_at_w(self, instance):
         # a real entry of row k moved by dw*dre moves the factor at its
@@ -1035,14 +1036,14 @@ class TestPackedCheckAtW:
         d = g.torus.dim
         ctx = TranslationContext.create(g, vectors[0], case)
         assert first_failing_pair(ctx) is None
-        dre, dim, rows = g.factor_rows
+        dre, dim, rows, h0 = g.tables.factors
         caught = 0
         for k in (k for k, y in enumerate(ctx.x) if y):
             for n in range(d * d):
                 fresh = GerbeData(g.torus, g.b, g.e)
                 bad = [list(row) for row in rows.rows]
                 bad[k][n] += ctx.dw * dre
-                vars(fresh)["factor_rows"] = dre, dim, PackedRows(bad)
+                vars(fresh.tables)["factors"] = dre, dim, PackedRows(bad), h0
                 bad_ctx = TranslationContext.create(fresh, vectors[0], case)
                 den, re, im = triv._residual(bad_ctx)
                 assert not any(im) and not any(y % den for y in re)
@@ -1060,13 +1061,13 @@ class TestPackedCheckAtW:
         g, vectors = conjugated_instance(2, 1, case, twisted)
         d = g.torus.dim
         flat = GerbeData(g.torus, g.b, AltForm3.from_coeffs(d, {}))
-        assert flat.factor_bound == 0 and g.factor_bound > 0
+        assert flat.tables.factors[3] == 0 and g.tables.factors[3] > 0
         contexts = [
             TranslationContext.create(g, (F(0),) * d, case),
             TranslationContext.create(flat, vectors[0], case),
             TranslationContext.create(flat, mixed_vec(random.Random(5), d), case),
         ]
-        assert g.factor_rows and flat.factor_rows  # warm: built once per gerbe
+        assert g.tables.factors and flat.tables.factors  # warm: built once per gerbe
         lifts = []
         mul_i_over = TorusData.mul_i_over
 
@@ -1081,7 +1082,7 @@ class TestPackedCheckAtW:
                 assert first_failing_pair(ctx) is None
                 assert lifts == [[1] * d, [1] * d]
         factor = triv.exponent_over
-        for shift in (1, contexts[0].dw * contexts[0].gerbe.factor_rows[0]):
+        for shift in (1, contexts[0].dw * contexts[0].gerbe.tables.factors[0]):
 
             def moved(torus, e3, a, b, c, shift=shift):
                 re, dre, im, dim = factor(torus, e3, a, b, c)
@@ -1109,16 +1110,12 @@ class TestPackedCheckAtW:
         t = object.__new__(TorusData)
         vars(t).update(n=2, j=j, jt=tuple(zip(*j)))
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
-        g = types.SimpleNamespace(
-            torus=t,
-            e=e3,
-            factor_rows=gerbe_module.basis_factor_rows(t, e3),
-            factor_bound=gerbe_module.factor_digit_bound(t, e3),
-        )
-        assert g.factor_bound == 48
+        tables = types.SimpleNamespace(factors=gerbe_module.basis_factor_rows(t, e3))
+        g = types.SimpleNamespace(torus=t, e=e3, tables=tables)
+        assert tables.factors[3] == 48 == gerbe_module.factor_digit_bound(t, e3)
         x = [scale, 0, 0, 0]
         ctx = types.SimpleNamespace(gerbe=g, dw=1, x=x, ix=t.mul_i_over(x))
-        dre, dim, rows = g.factor_rows
+        dre, dim, rows, h0 = tables.factors
         h = rows.times(x)
         assert h == int_vec_mat(x, rows.rows)
         assert h[1 * 4 + 2] == 48 * scale
@@ -1128,13 +1125,13 @@ class TestPackedCheckAtW:
         for n in (1 * 4 + 2, 16 + 3):
             bad = [list(row) for row in rows.rows]
             bad[0][n] -= 1
-            g.factor_rows = dre, dim, PackedRows(bad)
+            tables.factors = dre, dim, PackedRows(bad), h0
             with pytest.raises(InternalMismatch):
                 triv._check_at_w(ctx)
 
     def test_bound_reads_e_and_j_once_per_gerbe(self, instance, monkeypatch):
         g, case, vectors = instance
-        rows = g.factor_rows  # warm: built once per gerbe
+        rows = g.tables.factors  # warm: built once per gerbe
         calls = []
         bound = gerbe_module.factor_digit_bound
 
@@ -1146,14 +1143,18 @@ class TestPackedCheckAtW:
             raise AssertionError("the bound read the factor rows")
 
         monkeypatch.setattr(gerbe_module, "factor_digit_bound", counting)
-        # the rows build takes its base from the same bound
+        # the rows build takes its base from the bound and keeps it beside
+        # the rows
         built = gerbe_module.basis_factor_rows(g.torus, g.e)
         assert built[:2] == rows[:2] and built[2].rows == rows[2].rows
-        assert calls == [g.e]
-        monkeypatch.setattr(gerbe_module, "basis_factor_rows", forbidden)
+        assert built[3] == rows[3] and calls == [g.e]
         fresh = GerbeData(g.torus, g.b, g.e)
-        assert fresh.factor_bound == bound(g.torus, g.e)
-        assert fresh.factor_bound == fresh.factor_bound  # the second read is cached
+        assert fresh.tables.factors[3] == bound(g.torus, g.e)
+        assert calls == [g.e, g.e]
+        # queries read the cached entry: neither the rows nor the bound again
+        monkeypatch.setattr(gerbe_module, "basis_factor_rows", forbidden)
+        for w in vectors:
+            assert verify_trivialization(TranslationContext.create(fresh, w, case))
         assert calls == [g.e, g.e]
 
     @settings(max_examples=60, deadline=None)
