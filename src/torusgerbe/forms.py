@@ -20,8 +20,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import Frozen, Mat, Vec, dimension_mismatch, dot, int_vec, mat_vec, sized_vector
-from .exact import to_fraction, to_mat, to_vec
+from .exact import Frozen, Mat, PackedRows, Vec, dimension_mismatch, dot, int_vec, mat_vec
+from .exact import sized_vector, to_fraction, to_mat, to_vec
 
 _ZERO = Fraction(0)
 
@@ -124,16 +124,23 @@ class AltForm2(Frozen):
             self.dim, [c.numerator * x for x in self.upper], c.denominator * self.den
         )
 
+    def add_over(self, nums, den: int) -> "AltForm2":
+        """This form plus the form with pair coordinates nums / den, for
+        integers nums and a nonzero integer den: one lcm, one list and one
+        reduction."""
+        g = lcm(self.den, den)
+        p, q = g // self.den, g // den
+        return AltForm2.from_coords(self.dim, [p * x + q * y for x, y in zip(self.upper, nums)], g)
+
     def __add__(self, other: "AltForm2") -> "AltForm2":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        g = lcm(self.den, other.den)
-        p, q = g // self.den, g // other.den
-        nums = [p * x + q * y for x, y in zip(self.upper, other.upper)]
-        return AltForm2.from_coords(self.dim, nums, g)
+        return self.add_over(other.upper, other.den)
 
     def __sub__(self, other: "AltForm2") -> "AltForm2":
-        return self + -other
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return self.add_over(other.upper, -other.den)
 
     def __neg__(self) -> "AltForm2":
         return AltForm2.from_coords(self.dim, [-x for x in self.upper], self.den)
@@ -153,10 +160,10 @@ class AltForm2(Frozen):
 
 class AltForm3(Frozen):
     """Alternating trilinear form, stored on strictly increasing triples.
-    Its cached `int_entries` and `pair_entries` and the last contraction
-    `torus.contract3` built sit in the instance dict, outside equality,
-    hashing and repr, as a lookup keyed by the form costs a hash of its
-    entries each time (`contract3` gives the measured cost).
+    Its cached `int_entries`, `pair_entries` and `contraction_table` and
+    the last contraction `torus.contract3` built sit in the instance dict,
+    outside equality, hashing and repr, as a lookup keyed by the form costs
+    a hash of its entries each time (`contract3` gives the measured cost).
     entries is a tuple of ((a, b, c), value) with a < b < c, sorted."""
 
     _fields = ("dim", "entries")
@@ -208,8 +215,9 @@ class AltForm3(Frozen):
         if len(x) != d or len(y) != d or len(z) != d:
             what, v = next((k, v) for k, v in zip("xyz", (x, y, z)) if len(v) != d)
             raise dimension_mismatch(what, v, d)
-        coords, de = self.contract_pairs(x)
+        de, rows = self.contraction_table
         pairs = itertools.combinations(range(d), 2)
+        coords = rows.times(x)
         return sum([c * (y[a] * z[b] - y[b] * z[a]) for (a, b), c in zip(pairs, coords) if c]), de
 
     def contract_over(self, nums, den: int = 1) -> tuple[list[list[int]], int]:
@@ -248,8 +256,9 @@ class AltForm3(Frozen):
         over one positive denominator, in pair coordinates: (coords,
         de*den), coords those of de*den*E(w,.,.) for the lcm de of E's
         denominators: `contract_over` without the full matrix.  Each
-        coefficient adds its three terms straight into them;
-        `torus.contract3` wraps it for a rational w."""
+        coefficient adds its three terms straight into them; it builds
+        `contraction_table`, which `torus.contract3` and `evaluate_over`
+        read."""
         d = self.dim
         if len(nums) != d:
             raise dimension_mismatch("nums", nums, d)
@@ -260,6 +269,16 @@ class AltForm3(Frozen):
             coords[pr] -= k * nums[q]
             coords[pq] += k * nums[r]
         return coords, de * den
+
+    @functools.cached_property
+    def contraction_table(self) -> tuple[int, PackedRows]:
+        """(de, rows): row k holds the pair coordinates of de*E(e_k,.,.),
+        from `contract_pairs`, packed (`PackedRows`).  The contraction is
+        linear in w, so for w = nums/den it has the coordinates
+        rows.times(nums) over de*den: one product per vector."""
+        d = self.dim
+        rows = [self.contract_pairs([int(a == k) for a in range(d)])[0] for k in range(d)]
+        return self.pair_entries[0], PackedRows(rows)
 
     def scale(self, c) -> "AltForm3":
         c = to_fraction(c)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dot
+from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dot, int_vec
 from .exact import lattice_vector, mat_vec, sized_vector, to_vec, vec_is_zero
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
-from .torus import contract3, pullback_combination, type_condition_check
+from .torus import pullback_combination, type_condition_check
 
 
 class TypeConditionFailed(ValueError):
@@ -176,14 +177,25 @@ class GerbeData(Frozen):
 
 
 class GerbeTables:
-    """The tables of a torus and a 3-form E that the trivializer and the
-    obstructions read, built on first use and compared by identity.
-    Translation changes only B, so a checked gerbe and every gerbe
-    translated from it share one.  `bases` maps a case to its `_Basis`,
-    which holds the records of the gerbe that built it."""
+    """The tables of a torus and a 3-form E that translation, the
+    trivializer and the obstructions read, built on first use and compared
+    by identity.  Translation changes only B, so a checked gerbe and every
+    gerbe translated from it share one.  `bases` maps a case to its
+    `_Basis`, which holds the records of the gerbe that built it."""
 
     def __init__(self, torus: TorusData, e: AltForm3):
         self.torus, self.e, self.bases = torus, e, {}
+
+    @functools.cached_property
+    def shift_rows(self) -> tuple[int, PackedRows]:
+        """(ds, rows): row k holds the pair coordinates of
+        `translation_shift_form` at e_k times ds, the lcm of their
+        denominators, packed.  The shift is linear in w, so for w = x/dw
+        its coordinates are rows.times(x) over ds*dw: `translate_gerbe`
+        neither contracts nor pulls back."""
+        forms = [translation_shift_form(self.torus, self.e, ek) for ek in self.torus.basis()]
+        ds = lcm(*[f.den for f in forms])
+        return ds, PackedRows([[u * (ds // f.den) for u in f.upper] for f in forms])
 
     @functools.cached_property
     def factors(self) -> tuple[int, int, PackedRows, int]:
@@ -338,7 +350,7 @@ def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
     x^T*L_w*y.  Since omega is alternating, J^T*omega = -(omega*J)^T, so
     with Y = dj*omega*J the form is l = Y - Y^T - 2*omega_i.
     """
-    dw, x, ix = torus.lift(w)
+    dw, x, ix = torus.lift(sized_vector(w, torus.dim, "w"))
     omega, do = e3.contract_over(x, dw)
     omega_i = e3.contract_over(ix)[0]
     y = torus.times_j(omega)
@@ -380,8 +392,14 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
 
 
 def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:
-    """The 2-form (5*E(w,.,.) - 3*E(w,i.,i.)) / 8 added to B by translation."""
-    return pullback_combination(torus, contract3(e3, w), *SHIFT_COEFFICIENTS)
+    """The 2-form (5*E(w,.,.) - 3*E(w,i.,i.)) / 8 added to B by translation.
+
+    It contracts by `AltForm3.contract_pairs`, not `contract3`, so building
+    `GerbeTables.shift_rows` from it leaves a query's stored contraction in
+    place."""
+    dw, x = int_vec(sized_vector(w, e3.dim, "w"))
+    omega = AltForm2.from_coords(e3.dim, *e3.contract_pairs(x, dw))
+    return pullback_combination(torus, omega, *SHIFT_COEFFICIENTS)
 
 
 # (c0, c1) of the translation shift c0*omega + c1*J^T*omega*J
@@ -389,9 +407,13 @@ SHIFT_COEFFICIENTS = (Fraction(5, 8), Fraction(-3, 8))
 
 
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:
-    """Canonical presentation of the gerbe pulled back by translation by w."""
-    shift = translation_shift_form(gerbe.torus, gerbe.e, w)
-    return gerbe._with_b(gerbe.b + shift)
+    """Canonical presentation of the gerbe pulled back by translation by w:
+    B plus `translation_shift_form` at w.  For w = x/dw the shift is
+    x^T times the gerbe's packed `GerbeTables.shift_rows` over ds*dw, added
+    to B's integers in one reduction; the result shares the tables."""
+    dw, x = int_vec(sized_vector(w, gerbe.torus.dim, "w"))
+    ds, rows = gerbe.tables.shift_rows
+    return gerbe._with_b(gerbe.b.add_over(rows.times(x), ds * dw))
 
 
 def gerbes_isomorphic(g1: GerbeData, g2: GerbeData) -> bool:

@@ -201,17 +201,20 @@ class HodgeImage(Frozen):
 def contract3(e3: AltForm3, w) -> AltForm2:
     """Contraction of a 3-form in its first slot: (x, y) -> E(w, x, y).
 
-    Its pair coordinates come from `AltForm3.contract_pairs`.  The form
-    keeps the last contraction it built, with its vector, in its instance
-    dict (as it keeps `int_entries`), so the calls one query makes with the
-    same w contract once.  It stays on the form, not in a gerbe's tables:
-    `fixes_gerbe` has no gerbe, and a lookup keyed by E hashes E's entries,
-    1.9 us at n = 2 and 4-17 us at n = 3, 4 (Xeon, Python 3.11.7), three
-    times per membership query of about 75 us.  w is validated first, so a
-    float still raises TypeError and a length other than E's dimension a
-    ValueError naming w; only the very tuple the last contraction stored
-    returns before that check, since it passed it and a tuple cannot
-    change.  Both objects are immutable, so the result is shared.
+    Its pair coordinates are one product with the form's packed
+    `AltForm3.contraction_table`, which `contract_pairs` builds once per
+    form.  The form keeps the last contraction it built, with its vector,
+    in its instance dict (as it keeps `int_entries`), so the calls one
+    query makes with the same w contract once; `translate_gerbe` reads a
+    gerbe's shift table and does not contract.  The memo stays on the
+    form, not in a gerbe's tables: `fixes_gerbe` has no gerbe, and a
+    lookup keyed by E hashes E's entries, 1.9 us at n = 2 and 4-17 us at
+    n = 3, 4 (Xeon, Python 3.11.7), three times per membership query of
+    about 75 us.  w is validated first, so a float still raises TypeError
+    and a length other than E's dimension a ValueError naming w; only the
+    very tuple the last contraction stored returns before that check,
+    since it passed it and a tuple cannot change.  Both objects are
+    immutable, so the result is shared.
     """
     last = vars(e3).get("_last_contraction")
     if last is not None and last[0] is w:
@@ -220,7 +223,8 @@ def contract3(e3: AltForm3, w) -> AltForm2:
     if last is not None and last[0] == v:
         return last[1]
     dw, x = int_vec(v)
-    omega = AltForm2.from_coords(e3.dim, *e3.contract_pairs(x, dw))
+    de, rows = e3.contraction_table
+    omega = AltForm2.from_coords(e3.dim, rows.times(x), de * dw)
     vars(e3)["_last_contraction"] = (w if type(w) is tuple else v, omega)
     return omega
 

@@ -34,7 +34,7 @@ from torusgerbe import (
     symmetric_part_exponent,
     unitarize_exponent,
 )
-from torusgerbe.torus import pullback_over
+from torusgerbe.torus import pullback_combination, pullback_over
 from torusgerbe.trivialization import _stacked
 from torusgerbe.exact import (
     Mat,
@@ -654,19 +654,40 @@ def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
     return AltForm2(mat_mul(torus.jt, mat_mul(omega.entries, torus.j)))
 
 
+class _CountedRows:
+    """A form's packed contraction table that records (form, nums) of each
+    product before it multiplies."""
+
+    def __init__(self, e3: AltForm3, rows, calls: list):
+        self.e3, self.rows, self.calls = e3, rows, calls
+
+    def times(self, nums):
+        self.calls.append((self.e3, tuple(nums)))
+        return self.rows.times(nums)
+
+
 def count_contractions(monkeypatch) -> list:
-    """Patch both contraction cores of `AltForm3`, `contract_pairs` (which
-    `contract3` and `evaluate_over` run) and `contract_over` (the full
-    matrix the records and SECOND's tables read), to record (form, nums,
-    den) of each call in the returned list."""
+    """Patch both contraction cores of `AltForm3` to record (form, nums) of
+    each contraction in the returned list: a product with
+    `contraction_table` (which `contract3` and `evaluate_over` run) and
+    `contract_over` (the full matrix the records and SECOND's tables read).
+    Building the table runs `contract_pairs` once per basis vector; that
+    is not a contraction of a queried vector and is not recorded."""
     calls = []
-    for name in ("contract_pairs", "contract_over"):
+    table = AltForm3.contraction_table
 
-        def counting(e3, nums, den=1, original=getattr(AltForm3, name)):
-            calls.append((e3, tuple(nums), den))
-            return original(e3, nums, den)
+    def counted_table(e3):
+        de, rows = table.__get__(e3, AltForm3)  # built and kept on first use
+        return de, _CountedRows(e3, rows, calls)
 
-        monkeypatch.setattr(AltForm3, name, counting)
+    monkeypatch.setattr(AltForm3, "contraction_table", property(counted_table))
+    contract_over = AltForm3.contract_over
+
+    def counting(e3, nums, den=1):
+        calls.append((e3, tuple(nums)))
+        return contract_over(e3, nums, den)
+
+    monkeypatch.setattr(AltForm3, "contract_over", counting)
     return calls
 
 
@@ -689,6 +710,14 @@ def reference_case_member(torus: TorusData, omega: AltForm2, case: SubgroupCase)
 def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:
     """E(w,.,.) accumulated entry by entry in Fractions."""
     return AltForm2(reference_contract_matrix(e3, w))
+
+
+def reference_translate(g: GerbeData, w: Vec) -> AltForm2:
+    """B of `translate_gerbe` by the route the shift table replaced: B plus
+    5/8*E(w,.,.) - 3/8*J^T*E(w,.,.)*J, from the entry-by-entry
+    contraction."""
+    shift = pullback_combination(g.torus, reference_contract(g.e, w), F(5, 8), F(-3, 8))
+    return g.b + shift
 
 
 def reference_contract_matrix(e3: AltForm3, w: Vec) -> Mat:

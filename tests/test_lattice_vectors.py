@@ -19,6 +19,7 @@ and name the argument the same way.
 """
 
 import ast
+import inspect
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from torusgerbe import (
     unitarize_exponent,
     verify_trivialization,
 )
+from torusgerbe.gerbe import forms_over, translation_shift_form
 from torusgerbe.trivialization import first_failing_pair
 
 from helpers import gerbe4, vec
@@ -97,6 +99,9 @@ RATIONAL_ROWS = {
     "invariance_class": ("w", lambda v: invariance_class(G.torus, G.e, v)),
     "case_decomposition": ("w", lambda v: case_decomposition(G.torus, G.e, v, INT)),
     "translate_gerbe": ("w", lambda v: translate_gerbe(G, v)),
+    "translation_shift_form": ("w", lambda v: translation_shift_form(G.torus, G.e, v)),
+    # TorusData.lift named its own parameter: "v has 3 entries, not 4"
+    "forms_over": ("w", lambda v: forms_over(G.torus, G.e, v)),
     "translation_factor(w)": ("w", lambda v: translation_factor(G, v, E0, E0)),
     "TorusData.mul_i": ("v", lambda v: G.torus.mul_i(v)),
     "AltForm2.apply": ("v", lambda v: G.b.apply(v)),
@@ -141,6 +146,28 @@ def test_a_wrong_length_rational_vector_is_named(name):
         with pytest.raises(ValueError, match=message):
             call(v)
     call(W2)  # a member of the right length passes
+
+
+def test_every_public_vector_function_has_a_rational_row():
+    # a public function of these modules that validates, contracts or lifts
+    # a vector takes a rational vector argument
+    import torusgerbe.gerbe
+    import torusgerbe.symmetry
+    import torusgerbe.torus
+
+    markers = ("sized_vector(", "contract3(", ".lift(")
+    callers = {
+        name
+        for module in (torusgerbe.torus, torusgerbe.symmetry, torusgerbe.gerbe)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+        and not name.startswith("_")
+        and any(m in inspect.getsource(fn) for m in markers)
+    }
+    rows = {name.split("(")[0] for name in RATIONAL_ROWS}
+    # basis_factor_rows lifts the basis vectors itself and takes no vector
+    assert callers - rows == {"basis_factor_rows"}
 
 
 @pytest.mark.parametrize("name", sorted(RATIONAL_ROWS))

@@ -299,7 +299,7 @@ class TestStructure:
         result = obstruction_vanishes(g, spec, SECOND)
         assert result.tuples_checked == comb(n, 3) > n
         assert 0 < len(calls) <= n
-        assert all(e3 is g.e for e3, _, _ in calls)
+        assert all(e3 is g.e for e3, _ in calls)
 
     def test_one_contraction_per_public_triple(self, instance, monkeypatch):
         g, case, vectors = instance
