@@ -10,7 +10,9 @@ Sums, scalings and membership tests run on the coordinates, and the
 `Fraction` matrix `entries` is a view built on first read.  An `AltForm3`
 is stored on strictly increasing triples; its contraction (as a full
 alternating integer matrix or in pair coordinates) and evaluation are
-integer cores that the other modules share.
+integer cores that the other modules share.  An `AlternatingTable` holds
+an integer-valued alternating map of rank 2 or 3 by its rows on the basis
+pairs or triples, read off at the wedge vector of a tuple.
 """
 
 from __future__ import annotations
@@ -291,3 +293,62 @@ class AltForm3(Frozen):
     @property
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for _, v in self.entries)
+
+
+class AlternatingTable:
+    """An alternating map on Z^d of rank 2 or 3 with values in Z^columns
+    (columns is read only for a table with no rows, rank 3 at d = 2), from
+    its values on the basis tuples: `packed` holds one row per
+    increasing pair a < b (rank 2) or triple a < b < c (rank 3), in
+    lexicographic order, over den.  Vectors are given as (dw, x, k) for
+    x/dw with k the index of the basis vector it is, else -1.  The value on
+    a tuple of them is its wedge vector times the rows, over den times
+    their dw.  The wedge of basis vectors is a signed unit vector, so
+    `units`, keyed by their indices, holds the row times the sign of their
+    permutation, and is read in place of the product.  `pairs` lists the
+    pairs a < b, and `triples` each a < b < c with the places of (a, b),
+    (a, c) and (b, c) among them."""
+
+    __slots__ = ("den", "packed", "units", "pairs", "triples")
+
+    def __init__(self, den: int, rows: list[list[int]], rank: int, d: int, columns: int = 0):
+        self.den, self.packed = den, PackedRows(rows, columns)
+        self.pairs = list(itertools.combinations(range(d), 2))
+        self.triples = [
+            (a, b, c, _place(a, b, d), _place(a, c, d), _place(b, c, d))
+            for a, b, c in itertools.combinations(range(d), 3)
+        ]
+        by_tuple = dict(zip(itertools.combinations(range(d), rank), rows))
+        self.units = {}
+        for t in itertools.permutations(range(d), rank):
+            row = by_tuple[tuple(sorted(t))]
+            odd = sum([a > b for a, b in itertools.combinations(t, 2)]) % 2
+            self.units[t] = [-y for y in row] if odd else row
+
+    def wedge(self, x1, x2) -> list[int]:
+        """The pair coordinates x1_a*x2_b - x1_b*x2_a of x1 ^ x2."""
+        return [x1[a] * x2[b] - x1[b] * x2[a] for a, b in self.pairs]
+
+    def on_pair(self, v1, v2) -> list[int]:
+        """The row of the vectors v1, v2, over den*dw1*dw2 (rank 2)."""
+        row = self.units.get((v1[2], v2[2]))
+        return self.packed.times(self.wedge(v1[1], v2[1])) if row is None else row
+
+    def on_triples(self, vectors):
+        """(den*dw1*dw2*dw3, *row) for each triple of the vectors, in
+        lexicographic order of their indices (rank 3).  A triple of basis
+        vectors reads its row; any other multiplies q = x1 ^ x2 ^ z, from
+        the wedge p of its first two, made once per pair: q_abc = p_bc*z_a
+        - p_ac*z_b + p_ab*z_c."""
+        n, units, times, places = len(vectors), self.units, self.packed.times, self.triples
+        for i, (dw1, x1, k1) in enumerate(vectors):
+            for j in range(i + 1, n):
+                dw2, x2, k2 = vectors[j]
+                p = None
+                for dw3, z, k3 in vectors[j + 1 :]:
+                    row = units.get((k1, k2, k3))
+                    if row is None:
+                        p = self.wedge(x1, x2) if p is None else p
+                        q = [p[bc] * z[a] - p[ac] * z[b] + p[ab] * z[c] for a, b, c, ab, ac, bc in places]
+                        row = times(q)
+                    yield self.den * dw1 * dw2 * dw3, *row

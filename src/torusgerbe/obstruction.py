@@ -8,11 +8,19 @@ decomposition case.  When the first obstruction vanishes, the coboundary of
 the correction used to unitarize the defect produces a degree-3 class, the
 second obstruction, computed here three ways: by brute-force alternation,
 by the bilinear closed expression in the decomposition data, and by the
-per-case closed form.  The alternation and the closed form, which decide
-vanishing, are read off tables built once per query over its candidate
-vectors: the correction covector of each ordered pair at every candidate,
-and E contracted at most once per candidate.  The bilinear expression is
-computed only by `second_obstruction_alternating`, for its one triple.
+per-case closed form.
+
+Both obstructions are alternating and multilinear in the vectors, so each
+is fixed by its values on the tuples of lattice basis vectors.  Those are
+kept in two `forms.AlternatingTable`s, built once per (torus, E, case) from
+the basis records and shared by translated gerbes: FIRST's
+skew-symmetrization beside its closed form on the basis pairs, and
+SECOND's alternation (`_second_triples`, the brute-force oracle) beside
+its closed form on the basis triples.  A decision reads a tuple of basis
+vectors off one signed row and any other tuple as its wedge vector times
+the rows; it reads no record's matrices.  `second_obstruction_alternating`
+runs the alternation over its own three records and computes the bilinear
+expression from them.
 """
 
 from __future__ import annotations
@@ -23,9 +31,11 @@ from fractions import Fraction
 
 from .exact import Frozen, GaussianRational, UnitValue, basis_vec, to_vec, vec_add
 from .exact import InternalMismatch, int_dot, int_vec_mat, sized_vector, unit_reduce
+from .forms import AlternatingTable
 from .gerbe import Character, ExponentFn, GerbeData, exponent_im
 from .symmetry import NotInSubgroup, SubgroupCase
-from .trivialization import TranslationContext, _lifted_record, trivializing_exponent
+from .trivialization import TranslationContext, _basis_index, _basis_records, _lifted_record
+from .trivialization import trivializing_exponent
 
 
 class ClosedFormMismatch(RuntimeError):
@@ -169,17 +179,55 @@ def first_obstruction_character(ctx: ObstructionContext, w1, w2) -> Character:
     return _character(int_vec_mat(d1.x, d2.m), d1.dw * d2.den)
 
 
-def _first_alternating(ctx: ObstructionContext, d1, d2):
+def _pair_rows(basis) -> AlternatingTable:
+    """FIRST on the basis pairs, over the basis records' den: row (a, b) is
+    [skew | closed], skew = row a of M_{e_b} - row b of M_{e_a}, closed =
+    row a of E(e_b,.,.), negated in the type (1,1) case.  For w1 = x1/dw1
+    and w2 = x2/dw2, wedge(x1, x2) times the rows is w1^T*M_w2 - w2^T*M_w1
+    and w1^T*E(w2,.,.) (or w2^T*E(w1,.,.)) over dw1*dw2*den."""
+    rs, d = basis.records, len(basis.records)
+    sign = 1 if rs[0].case is SubgroupCase.INTEGRAL else -1
+    rows = [
+        [u - v for u, v in zip(rs[b].m[a], rs[a].m[b])] + [sign * y for y in rs[b].omega[a]]
+        for a, b in itertools.combinations(range(d), 2)
+    ]
+    return AlternatingTable(rs[0].den, rows, 2, d)
+
+
+def _triple_rows(basis) -> AlternatingTable:
+    """SECOND on the basis triples, (skew_re, skew_im, closed) over dj*den
+    for the basis records' den, by `_second_triples` over the basis
+    records."""
+    rs, d = basis.records, len(basis.records)
+    ctx = ObstructionContext(rs[0].gerbe, rs[0].case)
+    rows = [list(values[1:]) for values in _second_triples(ctx, rs)]
+    return AlternatingTable(ctx.gerbe.torus.j_columns[0] * rs[0].den, rows, 3, d, 3)
+
+
+def _candidate(data) -> tuple[int, list[int], int]:
+    """(dw, x, k) of a record: k is the index of the basis vector w = e_k,
+    else -1."""
+    return data.dw, data.x, _basis_index(data.dw, data.x)
+
+
+def _first_alternating(table: AlternatingTable, c1, c2):
     """(den, skew): the alternating first character's exponents on the
-    lattice basis over one denominator, checked against the closed form."""
-    den = d1.dw * d2.den  # = d2.dw * d1.den: the records share their scale
-    skew = [a - b for a, b in zip(int_vec_mat(d1.x, d2.m), int_vec_mat(d2.x, d1.m))]
-    x, w = (d1, d2) if ctx.case is SubgroupCase.INTEGRAL else (d2, d1)
-    if any((s - c) % den for s, c in zip(skew, int_vec_mat(x.x, w.omega))):
+    lattice basis over one denominator, for the candidates (dw, x, k) of
+    `_candidate`, read off the FIRST `table` and checked against the closed
+    form, its other half."""
+    den, row = table.den * c1[0] * c2[0], table.on_pair(c1, c2)
+    d = len(row) // 2
+    skew = row[:d]
+    if any([(s - c) % den for s, c in zip(skew, row[d:])]):
         raise ClosedFormMismatch(
             "first obstruction: skew-symmetrization disagrees with the closed form"
         )
     return den, skew
+
+
+def _tables(ctx: ObstructionContext, build) -> AlternatingTable:
+    """The table `build` of the context's (torus, E, case), made once."""
+    return _basis_records(ctx.gerbe, ctx.case).table(build)
 
 
 def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
@@ -191,7 +239,7 @@ def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
     """
     d1 = ctx.require_member(w1, "w1")
     d2 = ctx.require_member(w2, "w2")
-    den, skew = _first_alternating(ctx, d1, d2)
+    den, skew = _first_alternating(_tables(ctx, _pair_rows), _candidate(d1), _candidate(d2))
     return _character(skew, den)
 
 
@@ -213,9 +261,10 @@ class SecondObstructionValues(Frozen):
     is the authority for vanishing decisions.  The three are recorded side
     by side because they are genuinely different scalar multiples of
     E(w1,w2,w3); agreement flags state equality of the reduced values.
-    `second_obstruction_alternating` reads skew and closed_form off the same
-    per-query tables as `obstruction_vanishes`, built over its three vectors
-    alone, and computes general_factor from their three records.
+    `second_obstruction_alternating` computes skew and closed_form by
+    `_second_triples` over its three records, the alternation that builds
+    the basis table `obstruction_vanishes` reads, and general_factor from
+    the same records.
     """
 
     _fields = (
@@ -249,12 +298,14 @@ def _second_triples(ctx: ObstructionContext, records):
     lexicographic order of their indices: the skew and the closed form as
     numerators over one denominator.
 
-    The values are read off per-query tables.  For each ordered pair (b, c)
-    of records, one product of b with R_c and then with the columns of
-    every record a gives b^T*R_c*(ia) and b^T*R_c*a: the correction
-    covector r = b^T*R_c at a is r.(ia) + i*r.a.  E is contracted once per
-    first index i, and E(i, j, a) is read for every a off one product per
-    pair i < j.  Nothing is built for fewer than three records.
+    It runs over the basis records once per (torus, E, case), for the
+    table of `_triple_rows`, and over the three records of a call of
+    `second_obstruction_alternating`.  For each ordered pair (b, c) of
+    records, one product of b with R_c and then with the columns of every
+    record a gives b^T*R_c*(ia) and b^T*R_c*a: the correction covector r =
+    b^T*R_c at a is r.(ia) + i*r.a.  E is contracted once per first index
+    i, and E(i, j, a) is read for every a off one product per pair i < j.
+    Nothing is built for fewer than three records.
     """
     n = len(records)
     if n < 3:
@@ -389,31 +440,32 @@ def obstruction_vanishes(
     """
     which = ObstructionKind(which)
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)
-    dim = gerbe.torus.dim
-    candidates = {}  # (dw, *x) -> (w, record): one entry per distinct vector
+    basis = _basis_records(gerbe, ctx.case)
+    candidates = {}  # (dw, *x) -> (w, (dw, x, k)): one entry per distinct vector
     for g in spec.generators:
         data = ctx.require_member(g, "generator")
-        candidates.setdefault((data.dw, *data.x), (g, data))
-    for data in TranslationContext.basis(gerbe, spec.case):
+        candidates.setdefault((data.dw, *data.x), (g, _candidate(data)))
+    for k, data in enumerate(basis.records):
         if data.member:
-            candidates.setdefault((data.dw, *data.x), (data.w, data))
-    records = candidates.values()
+            candidates.setdefault((data.dw, *data.x), (data.w, (data.dw, data.x, k)))
+    ws, cs = [w for w, _ in candidates.values()], [c for _, c in candidates.values()]
     checked = 0
 
     if which is ObstructionKind.FIRST:
-        for (w1, d1), (w2, d2) in itertools.combinations(records, 2):
+        table = basis.table(_pair_rows)
+        for (w1, c1), (w2, c2) in itertools.combinations(zip(ws, cs), 2):
             checked += 1
-            den, skew = _first_alternating(ctx, d1, d2)
+            den, skew = _first_alternating(table, c1, c2)
             for k, s in enumerate(skew):
                 if s % den:
-                    return VanishingResult(False, (w1, w2, basis_vec(dim, k)), checked)
+                    return VanishingResult(False, (w1, w2, basis_vec(gerbe.torus.dim, k)), checked)
         return VanishingResult(True, None, checked)
 
     disagreements = []
     failure = None
-    values = _second_triples(ctx, [d for _, d in records])
-    for ((w1, _), (w2, _), (w3, _)), (den, skew_re, skew_im, closed) in zip(
-        itertools.combinations(records, 3), values
+    values = basis.table(_triple_rows).on_triples(cs) if len(cs) > 2 else ()
+    for (w1, w2, w3), (den, skew_re, skew_im, closed) in zip(
+        itertools.combinations(ws, 3), values
     ):
         checked += 1
         if skew_im or (skew_re - closed) % den:
@@ -429,8 +481,9 @@ def gerbal_class(ctx: ObstructionContext, w1, w2, w3) -> UnitValue:
     type (1,1) case.  Defined only when the first obstruction vanishes on
     the three pairs of records, each decided on `_first_alternating`."""
     ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    for d1, d2 in itertools.combinations(ds, 2):
-        den, skew = _first_alternating(ctx, d1, d2)
+    table = _tables(ctx, _pair_rows)
+    for c1, c2 in itertools.combinations(map(_candidate, ds), 2):
+        den, skew = _first_alternating(table, c1, c2)
         if any(s % den for s in skew):
             raise FirstObstructionNonzero("first obstruction does not vanish on the given vectors")
     coef = Fraction(-3, 2) if ctx.case is SubgroupCase.INTEGRAL else Fraction(6)

@@ -26,44 +26,70 @@ from .symmetry import require_case_member
 from .torus import alternating_matrix, pullback_over
 
 
+def _block(s: int) -> functools.cached_property:
+    """Matrix s of the record's omega, f, m and r, cut from its `_flat` on
+    first read."""
+
+    def build(ctx: "TranslationContext") -> list[list[int]]:
+        d = len(ctx.x)
+        flat = ctx._flat[s * d * d : (s + 1) * d * d]
+        return [flat[k : k + d] for k in range(0, d * d, d)]
+
+    return functools.cached_property(build)
+
+
 class TranslationContext(Frozen):
     """Translation by w with its trivialization: the one per-vector record
     that the trivializer and the obstruction formulas read, in integers.
 
-    Only gerbe, w and case are compared, hashed and shown.  (dw, x, ix) is
-    `TorusData.lift` of w.  The matrices are over den = 16*dj**3*de*dw,
-    whose factor before dw all records share: omega = E(w,.,.), f = F_w
-    (the (1,1) piece by the case formulas, member or not), m = M_w =
-    (J^T*omega_i - omega_i*J)/8 - F_w for omega_i = E(iw,.,.), and r = R_w
-    = L_w - J^T*F_w/2.  The unitary first character of (w1, w2) is lam ->
-    w1^T*M_w2*lam, the correction covector w1^T*R_w2; `kernel` reads R_w,
-    M_w and F_w.
+    Only gerbe, w and case are compared, hashed and shown.  A record is its
+    lift: (dw, x, ix) is `TorusData.lift` of w and den = dw*den0, for den0 =
+    16*dj**3*de the denominator of the basis records.  Its matrices are over
+    den: omega = E(w,.,.), f = F_w (the (1,1) piece by the case formulas,
+    member or not), m = M_w = (J^T*omega_i - omega_i*J)/8 - F_w for omega_i
+    = E(iw,.,.), and r = R_w = L_w - J^T*F_w/2.  The unitary first
+    character of (w1, w2) is lam -> w1^T*M_w2*lam, the correction covector
+    w1^T*R_w2; `kernel` reads R_w, M_w and F_w.
 
     Each matrix is linear in x, so only the records of the lattice basis
-    vectors are built from the contractions, once per (torus, E, case), in
-    the `GerbeData.tables` that translated gerbes share.  The record of any
-    other w = x/dw is sum_k x_k*(record of e_k) over dw times their den: the
+    vectors are built from the contractions, eagerly, once per (torus, E,
+    case), in the `GerbeData.tables` that translated gerbes share.  Any
+    other record builds its four matrices on first read as sum_k
+    x_k*(record of e_k), one product with the basis's packed `rows`: the
     same integers as built directly, since no step of the direct build
-    reduces its denominator.  So is the identity's residual (`_residual`).
+    reduces its denominator.  Its `member` is one product with the narrow
+    `_Basis.member_rows`.  The obstruction decisions and the
+    trivialization identity read neither.
     """
 
-    _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den", "member", "omega", "f", "m", "r")
+    _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den")
     _compare = ("gerbe", "w", "case")
 
-    def __init__(self, gerbe, w, case, dw, x, ix, den, member, omega, f, m, r):
-        vars(self).update(
-            gerbe=gerbe, w=w, case=case, dw=dw, x=x, ix=ix, den=den, member=member,
-            omega=omega, f=f, m=m, r=r
-        )
+    def __init__(self, gerbe, w, case, dw, x, ix, den):
+        vars(self).update(gerbe=gerbe, w=w, case=case, dw=dw, x=x, ix=ix, den=den)
+
+    @functools.cached_property
+    def member(self) -> bool:
+        """Whether w is in the case subgroup, by `_member_of` of x^T times
+        the basis's `member_rows`."""
+        coords = _basis_records(self.gerbe, self.case).member_rows.times(self.x)
+        return _member_of(coords, self.den, self.case)
+
+    @functools.cached_property
+    def _flat(self) -> list[int]:
+        """omega, f, m and r flattened: x^T times the basis's packed `rows`."""
+        return _basis_records(self.gerbe, self.case).rows.times(self.x)
+
+    omega, f, m, r = map(_block, range(4))
 
     @staticmethod
     def create(
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
-        """The record of w, combined from the gerbe's basis records (a basis
-        vector gets its cached record, `_rebound` to the gerbe); a
-        ValueError naming w unless it has the torus's dimension, and with
-        check, NotInSubgroup outside the subgroup."""
+        """The record of w, its lift (a basis vector gets its cached record,
+        `_rebound` to the gerbe); a ValueError naming w unless it has the
+        torus's dimension, and with check, NotInSubgroup outside the
+        subgroup, read off `member`."""
         case = SubgroupCase(case)
         w = sized_vector(w, gerbe.torus.dim, "w")
         data = _lifted_record(gerbe, w, case)
@@ -123,21 +149,20 @@ def _kernel_blocks(ctx: TranslationContext) -> tuple:
     return qre, qim, re, im
 
 
+def _basis_index(dw: int, x) -> int:
+    """k when x/dw is the lattice basis vector e_k, else -1."""
+    return x.index(1) if dw == 1 and x.count(0) == len(x) - 1 and 1 in x else -1
+
+
 def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
     """The record of w from its lift (dw, x, ix), unchecked: the cached
-    record of a basis vector, else the combination of the basis records."""
+    record of a basis vector, else a record whose matrices and membership
+    are built on first read."""
     dw, x, ix = gerbe.torus.lift(w)
-    basis = _basis_records(gerbe, case)
-    records, d = basis.records, len(x)
-    if dw == 1 and x.count(0) == d - 1 and 1 in x:
-        return _rebound(records[x.index(1)], gerbe)
-    flat = basis.rows.times(x)
-    omega, f, m, r = (
-        [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
-    )
-    den = dw * records[0].den
-    member = _record_member(omega, f, den, case)
-    return TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
+    records, k = _basis_records(gerbe, case).records, _basis_index(dw, x)
+    if k >= 0:
+        return _rebound(records[k], gerbe)
+    return TranslationContext(gerbe, w, case, dw, x, ix, dw * records[0].den)
 
 
 def _rebound(record: TranslationContext, gerbe: GerbeData) -> TranslationContext:
@@ -167,29 +192,59 @@ def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationC
     omega, f = [[den // do * y for y in row] for row in omega], [[kf * y for y in row] for row in f]
     m = [[-2 * dj * (xj[a][b] + xj[b][a]) - f[a][b] for b in ks] for a in ks]
     r = [[dj * dj * l[a][b] + kz * zj[b][a] for b in ks] for a in ks]
-    member = _record_member(omega, f, den, case)
-    return TranslationContext(gerbe, w, case, dw, x, ix, den, member, omega, f, m, r)
+    record = TranslationContext(gerbe, w, case, dw, x, ix, den)
+    member = _member_of(_member_coords(omega, f, case), den, case)
+    vars(record).update(member=member, omega=omega, f=f, m=m, r=r)
+    return record
 
 
-def _record_member(omega, f, den: int, case: SubgroupCase) -> bool:
-    """The case membership of w from its record's E(w,.,.) and F_w over den:
-    E(w,.,.) integral, or J-invariant, which for the type (1,1) F_w =
-    5/8*omega - 3/8*J^T*omega*J is 4*F_w == omega, as 4*F_w - omega =
-    3/2*(omega - J^T*omega*J)."""
+def _member_coords(omega, f, case: SubgroupCase) -> list[int]:
+    """The pair coordinates that decide the case membership of w from its
+    record's E(w,.,.) and F_w: those of omega in the integral case, and of
+    4*F_w - omega in the type (1,1) case."""
     if case is SubgroupCase.INTEGRAL:
-        return not any(y % den for row in omega for y in row)
-    return all(4 * y == z for fr, row in zip(f, omega) for y, z in zip(fr, row))
+        return [y for a, row in enumerate(omega) for y in row[a + 1 :]]
+    return [
+        4 * y - z
+        for a, (fr, row) in enumerate(zip(f, omega))
+        for y, z in zip(fr[a + 1 :], row[a + 1 :])
+    ]
+
+
+def _member_of(coords, den: int, case: SubgroupCase) -> bool:
+    """The case membership of w from `_member_coords` over den: E(w,.,.)
+    integral, or J-invariant, which for the type (1,1) F_w = 5/8*omega -
+    3/8*J^T*omega*J is 4*F_w == omega, as 4*F_w - omega = 3/2*(omega -
+    J^T*omega*J)."""
+    if case is SubgroupCase.INTEGRAL:
+        return not any([y % den for y in coords])
+    return not any(coords)
 
 
 class _Basis(Frozen):
     """The basis records e_1..e_d of a (torus, E, case): row k of the packed
     `rows` is record k's omega, f, m and r flattened, so rows.times(x) is
-    the four matrices of x/dw flattened, over dw*records[0].den; the
-    identity's `residual_rows` are built on first use.  Compared by
-    identity."""
+    the four matrices of x/dw flattened, over dw*records[0].den.  The
+    narrow `member_rows`, the identity's `residual_rows` and the tables
+    that `table` keeps for other modules are built on first use.  Compared
+    by identity."""
 
     _fields = ("records", "rows")
     __eq__, __hash__ = object.__eq__, object.__hash__
+
+    @functools.cached_property
+    def member_rows(self) -> PackedRows:
+        """Packed row k: `_member_coords` of record k, so x^T*member_rows
+        decides the membership of x/dw over dw*records[0].den."""
+        return PackedRows([_member_coords(b.omega, b.f, b.case) for b in self.records])
+
+    def table(self, build):
+        """build(self), made on first call and kept with the basis: the
+        obstruction's alternating tables, so translated gerbes share them."""
+        made = vars(self).setdefault("_made", {})
+        if build not in made:
+            made[build] = build(self)
+        return made[build]
 
     @functools.cached_property
     def residual_rows(self) -> PackedRows:

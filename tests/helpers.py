@@ -17,6 +17,7 @@ from torusgerbe import (
     AltForm2,
     AltForm3,
     Character,
+    ClosedFormMismatch,
     ExponentFn,
     GaussianRational,
     GerbeData,
@@ -35,7 +36,8 @@ from torusgerbe import (
     unitarize_exponent,
 )
 from torusgerbe.torus import pullback_combination, pullback_over
-from torusgerbe.trivialization import _stacked
+from torusgerbe.forms import AlternatingTable
+from torusgerbe.trivialization import _basis_records, _stacked
 from torusgerbe.exact import (
     Mat,
     Vec,
@@ -619,14 +621,25 @@ def reference_second_alternating(ctx, d1, d2, d3):
     return (den, skew_re, skew_im, general, closed), flags
 
 
+# the fields of a `TranslationContext` built on first read, except on the
+# basis records, which hold them from the start
+RECORD_LAZY = ("member", "omega", "f", "m", "r")
+
+
 def replace_fields(obj, **changes):
     """A new value object of obj's class with the named fields changed,
-    built by the class's constructor from its fields in order."""
+    built by the class's constructor from its fields in order.  A record's
+    fields of `RECORD_LAZY` are changed, or kept where obj holds them, in
+    the new record's instance dict."""
     names = type(obj)._fields
-    unknown = set(changes) - set(names)
+    lazy = RECORD_LAZY if isinstance(obj, TranslationContext) else ()
+    unknown = set(changes) - set(names) - set(lazy)
     if unknown:
         raise TypeError(f"{type(obj).__name__} has no fields {sorted(unknown)}")
-    return type(obj)(*[changes.get(name, getattr(obj, name)) for name in names])
+    new = type(obj)(*[changes.get(name, getattr(obj, name)) for name in names])
+    held = {name: vars(obj)[name] for name in lazy if name in vars(obj)}
+    vars(new).update(held, **{name: changes[name] for name in lazy if name in changes})
+    return new
 
 
 def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
@@ -647,6 +660,96 @@ def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int
     m[p][q] += 1
     records[k] = replace_fields(records[k], **{name: m})
     monkeypatch.setitem(g.tables.bases, case, _stacked(records))
+
+
+def corrupt_table_row(monkeypatch, g, case, build, place: int, column: int, delta: int = 1):
+    """Add delta / den to entry column of row place of the obstruction table
+    `build` (`obstruction._pair_rows` or `_triple_rows`) kept with the
+    gerbe's basis records, in its packed rows and in its signed unit rows
+    alike."""
+    basis = _basis_records(g, case)
+    table = basis.table(build)
+    rows = [list(row) for row in table.packed.rows]
+    rows[place][column] += delta
+    d, rank = g.torus.dim, len(next(iter(table.units)))
+    made = vars(basis)["_made"]
+    monkeypatch.setitem(made, build, AlternatingTable(table.den, rows, rank, d, len(rows[0])))
+
+
+# The per-vector record and the obstruction values as the package computed
+# them before the alternating tables: every matrix of a record built at
+# once from the basis records, FIRST by three products per pair of
+# records, and SECOND by tables built per query over its records.
+
+def reference_record(g: GerbeData, w: Vec, case: SubgroupCase) -> dict:
+    """The fields member, omega, f, m and r of w's record, built eagerly:
+    x^T times the basis's packed rows, cut into the four matrices, and the
+    membership read off omega and f over den."""
+    dw, x, _ = g.torus.lift(to_vec(w))
+    basis, d = _basis_records(g, case), len(x)
+    flat = basis.rows.times(x)
+    omega, f, m, r = (
+        [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
+    )
+    den = dw * basis.records[0].den
+    if case is SubgroupCase.INTEGRAL:
+        member = not any(y % den for row in omega for y in row)
+    else:
+        member = all(4 * y == z for fr, row in zip(f, omega) for y, z in zip(fr, row))
+    return dict(member=member, omega=omega, f=f, m=m, r=r)
+
+
+def reference_first_alternating(ctx, d1, d2):
+    """(den, skew) of the first obstruction on the records d1, d2 by three
+    products: x1^T*M_w2 - x2^T*M_w1, checked against x1^T*E(w2,.,.) in the
+    integral case and x2^T*E(w1,.,.) in the type (1,1) case; raises
+    ClosedFormMismatch as the package does."""
+    den = d1.dw * d2.den
+    skew = [a - b for a, b in zip(int_vec_mat(d1.x, d2.m), int_vec_mat(d2.x, d1.m))]
+    x, w = (d1, d2) if ctx.case is SubgroupCase.INTEGRAL else (d2, d1)
+    if any((s - c) % den for s, c in zip(skew, int_vec_mat(x.x, w.omega))):
+        raise ClosedFormMismatch(
+            "first obstruction: skew-symmetrization disagrees with the closed form"
+        )
+    return den, skew
+
+
+def reference_second_triples(ctx, records) -> list[tuple[int, int, int, int]]:
+    """(den, skew_re, skew_im, closed) for each triple of the records, in
+    lexicographic order, from tables built over the records: b^T*R_c at
+    the columns (ia, a) of every record a for each ordered pair (b, c), and
+    E(i, j, a) off one contraction per first index i, each alternated over
+    the six permutations."""
+    n = len(records)
+    if n < 3:
+        return []
+    xs = [d.x for d in records]
+    cols = [list(c) for c in zip(*xs)]
+    block = [[*i, *c] for i, c in zip(zip(*[d.ix for d in records]), cols)]
+    re, im = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
+    for b, c in itertools.permutations(range(n), 2):
+        row = int_vec_mat(int_vec_mat(xs[b], records[c].r), block)
+        re[b][c], im[b][c] = row[:n], row[n:]
+
+    def alternate(t, i, j, k):
+        return (
+            t[j][k][i] - t[k][j][i] - t[i][k][j] + t[k][i][j] + t[i][j][k] - t[j][i][k]
+        )
+
+    dj = ctx.gerbe.torus.j_columns[0]
+    coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
+    out = []
+    for i, di in enumerate(records[:-2]):
+        m, de = ctx.gerbe.e.contract_over(di.x)
+        unit = coef * dj * di.den // (de * di.dw)
+        for j in range(i + 1, n - 1):
+            e_row = int_vec_mat(int_vec_mat(xs[j], m), cols)
+            dij = dj * di.den * records[j].dw
+            for k in range(j + 1, n):
+                den = dij * records[k].dw
+                re_k, im_k = alternate(re, i, j, k), dj * alternate(im, i, j, k)
+                out.append((den, re_k, im_k, unit * e_row[k]))
+    return out
 
 
 def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:

@@ -45,13 +45,14 @@ from torusgerbe import (
 )
 from torusgerbe.exact import vec_add
 from torusgerbe.gerbe import forms_over
-from torusgerbe.obstruction import defect_correction_fn
-from torusgerbe.trivialization import verify_trivialization
+from torusgerbe.obstruction import _first_alternating, _pair_rows, defect_correction_fn
+from torusgerbe.trivialization import _basis_records, verify_trivialization
 
 from helpers import (
     conjugated_instance,
     corrupt_basis_record,
     corrupt_record,
+    corrupt_table_row,
     gerbe4,
     rand_rational_vec,
     rand_vec,
@@ -285,8 +286,9 @@ class TestIntegerRecords:
 
 
 class TestCorruptedFormIsCaught:
-    """A wrong cached R_w or M_w must surface in a cross-check: the closed
-    forms read E or E(w,.,.) and never L_w, R_w or M_w."""
+    """A wrong cached R_w, or a wrong skew half of FIRST's basis-pair table
+    (the M_w at the basis), must surface in a cross-check: the closed forms
+    read E or E(w,.,.) and never L_w, R_w or M_w."""
 
     @staticmethod
     def _caught(ctx, w1, w2, w3):
@@ -308,14 +310,15 @@ class TestCorruptedFormIsCaught:
         corrupt_record(ctx, w3, "r", 1, 0, 1)
         assert self._caught(ctx, w1, w2, w3)
 
-    def test_half_lattice_example_first(self):
+    def test_half_lattice_example_first(self, monkeypatch):
         g = gerbe4(4)
         half = F(1, 2)
         w1, w2 = (half, 0, 0, 0), (0, half, 0, 0)
         ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
         first_obstruction_alternating(ctx, w1, w2)
-        # entry (0, 1) of M_w2 moves coordinate 1 of w1^T*M_w2 by x1_0 / den
-        corrupt_record(ctx, w2, "m", 0, 1, 1)
+        # entry 1 of row (0, 1), the skew's row 0 of M_e1 - row 1 of M_e0,
+        # moves coordinate 1 of the skew of (w1, w2) by x1_0*x2_1 / den
+        corrupt_table_row(monkeypatch, g, SubgroupCase.INTEGRAL, _pair_rows, 0, 1)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
 
@@ -333,16 +336,35 @@ class TestCorruptedFormIsCaught:
         corrupt_record(ctx, w3, "r", p, q, 1)
         assert self._caught(ctx, w1, w2, w3)
 
-    def test_every_instance_first(self, instance):
+    @pytest.mark.parametrize("half", ("skew", "closed"))
+    def test_every_instance_first(self, instance, monkeypatch, half):
         g, case, vectors = instance
         w1, w2 = vectors[:2]
         ctx = ObstructionContext(g, case)
         first_obstruction_alternating(ctx, w1, w2)
         d1, d2 = ctx.vector(w1), ctx.vector(w2)
-        p = next(p for p, x in enumerate(d1.x) if x % (d1.dw * d2.den))
-        corrupt_record(ctx, w2, "m", p, 0, 1)
+        # row (a, b) enters the pair times x1_a*x2_b - x1_b*x2_a over den
+        pairs = itertools.combinations(range(g.torus.dim), 2)
+        wedge = [d1.x[a] * d2.x[b] - d1.x[b] * d2.x[a] for a, b in pairs]
+        place = next(p for p, y in enumerate(wedge) if y % (d1.dw * d2.den))
+        column = 0 if half == "skew" else g.torus.dim
+        corrupt_table_row(monkeypatch, g, case, _pair_rows, place, column)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
+
+    def test_every_basis_pair_first(self, instance, monkeypatch):
+        # a pair of basis vectors reads its row off the table, in either
+        # order: a wrong row is caught on both, and the other rows pass
+        g, case, _ = instance
+        d = g.torus.dim
+        corrupt_table_row(monkeypatch, g, case, _pair_rows, d - 2, 0)  # row (0, d - 1)
+        table = _basis_records(g, case).table(_pair_rows)
+        e = [(1, [int(a == k) for a in range(d)], k) for k in range(d)]
+        for c1, c2 in ((e[0], e[-1]), (e[-1], e[0])):
+            with pytest.raises(ClosedFormMismatch):
+                _first_alternating(table, c1, c2)
+        _first_alternating(table, e[0], e[1])
+        _first_alternating(table, e[1], e[0])
 
 
 def _minor3(xs, cols) -> int:

@@ -1,16 +1,17 @@
-"""The per-query tables of the second obstruction.
+"""SECOND's table of the basis triples.
 
-`obstruction._second_triples` reads every triple's skew and closed form
-off tables built once per query over the candidate records.  Each test
-compares it, triple by triple, with `helpers.reference_second_alternating`,
-which computes one triple at a time: the same four integers and the same
-skew-against-closed flag, on standard and twisted tori at n = 2 and 3 in
-both cases, on the half-lattice example, and on corrupted records.
+`obstruction._second_triples` gives every triple's skew and closed form
+over its records; `obstruction_vanishes` runs it once per (torus, E,
+case) over the basis records, for the table it reads every triple of its
+candidates off.  Each test compares it, triple by triple, with
+`helpers.reference_second_alternating`, which computes one triple at a
+time: the same four integers and the same skew-against-closed flag, on
+standard and twisted tori at n = 2 and 3 in both cases, on the
+half-lattice example, and on corrupted records.
 `second_obstruction_alternating` must return the oracle's three values and
 three flags on every triple, and `obstruction_vanishes` what a loop over
-the oracle returns.  The tables read no record's F_w, and a query contracts
-E once per candidate at most.
-"""
+the oracle returns.  Neither the table nor a decision reads a record's
+F_w, and E is contracted only to build the table."""
 
 import itertools
 import random
@@ -20,6 +21,7 @@ from math import comb
 import pytest
 
 import torusgerbe.obstruction as obstruction
+from torusgerbe.trivialization import _Basis, _basis_records
 from torusgerbe import (
     GaussianRational,
     GerbeData,
@@ -144,16 +146,19 @@ def assert_public_values_match(ctx, ws):
 
 def assert_decision_reads_no_f(monkeypatch, g, spec):
     """The SECOND decision is unchanged when every candidate record, of a
-    generator or of a basis vector, is replaced by one without F_w."""
+    generator or of a basis vector, is replaced by one without F_w, the
+    basis records before SECOND's table is built from them."""
     expected = decided(obstruction_vanishes(g, spec, SECOND))
-    build, basis = obstruction._lifted_record, TranslationContext.basis
+    g = GerbeData(g.torus, g.b, g.e)  # no table built
+    basis = _basis_records(g, spec.case)
+    records = tuple(replace_fields(d, f=None) for d in basis.records)
+    without_f = _Basis(records, basis.rows)
+    # membership reads F_w by its definition, off rows built beforehand
+    vars(without_f)["member_rows"] = basis.member_rows
+    monkeypatch.setitem(g.tables.bases, spec.case, without_f)
+    build = obstruction._lifted_record
     monkeypatch.setattr(
         obstruction, "_lifted_record", lambda *args: replace_fields(build(*args), f=None)
-    )
-    monkeypatch.setattr(
-        TranslationContext,
-        "basis",
-        staticmethod(lambda *args: tuple(replace_fields(d, f=None) for d in basis(*args))),
     )
     found = candidates(g, spec)[1]
     assert len(found) >= 3 and all(d.f is None for _, d in found)
@@ -288,18 +293,24 @@ class TestCorruptedRecords:
 
 
 class TestStructure:
-    """A query builds its tables once: E is contracted at most once per
-    candidate, not once per triple, and not at all below three."""
+    """SECOND's table is built once per (torus, E, case): the first query on
+    a gerbe contracts E once per first index of the basis triples, and no
+    query after it contracts E; a public triple contracts E once, and
+    nothing is built below three candidates."""
 
     def test_contractions_per_query(self, instance, monkeypatch):
         g, case, vectors = instance
+        g = GerbeData(g.torus, g.b, g.e)  # no table built
         spec = SubgroupSpec.create(vectors, case)
-        n = len(candidates(g, spec)[1])
+        n = len(candidates(g, spec)[1])  # builds the basis records
         calls = count_contractions(monkeypatch)
         result = obstruction_vanishes(g, spec, SECOND)
         assert result.tuples_checked == comb(n, 3) > n
-        assert 0 < len(calls) <= n
+        assert len(calls) == g.torus.dim - 2
         assert all(e3 is g.e for e3, _ in calls)
+        calls.clear()
+        assert obstruction_vanishes(g, spec, SECOND) == result
+        assert calls == []
 
     def test_one_contraction_per_public_triple(self, instance, monkeypatch):
         g, case, vectors = instance

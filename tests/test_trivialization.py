@@ -541,11 +541,13 @@ class TestPackedProductsPastTheGuard:
             answers += [ctx.member, default, explicit]
             basis, factors = g.tables.bases[case], g.tables.factors[2]
             residual = basis.residual_rows
-            tables += [basis.rows, residual, factors, residual] + [factors] * default
+            tables += [residual, factors, residual] + [factors] * default + [basis.member_rows]
         assert "".join("T" if a else "F" for a in answers) == expected
-        # per case: the record; for the explicit pairs the residual table,
-        # then the factors of the check at w; for the default pairs the
-        # residual table, and the factors again when the basis passes
+        # per case: for the explicit pairs the residual table, then the
+        # factors of the check at w; for the default pairs the residual
+        # table, and the factors again when the basis passes; then the
+        # record's membership, its one product, as the identity reads no
+        # record matrix
         assert [table for table, _ in paths] == tables
         assert [path for _, path in paths] == [loops] * len(tables)
 
