@@ -225,11 +225,6 @@ def _first_alternating(table: AlternatingTable, c1, c2):
     return den, skew
 
 
-def _tables(ctx: ObstructionContext, build) -> AlternatingTable:
-    """The table `build` of the context's (torus, E, case), made once."""
-    return _basis_records(ctx.gerbe, ctx.case).table(build)
-
-
 def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
     """Skew-symmetrization of the unitary representative in (w1, w2).
 
@@ -239,7 +234,8 @@ def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
     """
     d1 = ctx.require_member(w1, "w1")
     d2 = ctx.require_member(w2, "w2")
-    den, skew = _first_alternating(_tables(ctx, _pair_rows), _candidate(d1), _candidate(d2))
+    table = _basis_records(ctx.gerbe, ctx.case).table(_pair_rows)
+    den, skew = _first_alternating(table, _candidate(d1), _candidate(d2))
     return _character(skew, den)
 
 
@@ -440,7 +436,7 @@ def obstruction_vanishes(
     """
     which = ObstructionKind(which)
     ctx = ObstructionContext(gerbe=gerbe, case=spec.case)
-    basis = _basis_records(gerbe, ctx.case)
+    dim, basis = gerbe.torus.dim, _basis_records(gerbe, ctx.case)
     candidates = {}  # (dw, *x) -> (w, (dw, x, k)): one entry per distinct vector
     for g in spec.generators:
         data = ctx.require_member(g, "generator")
@@ -458,11 +454,12 @@ def obstruction_vanishes(
             den, skew = _first_alternating(table, c1, c2)
             for k, s in enumerate(skew):
                 if s % den:
-                    return VanishingResult(False, (w1, w2, basis_vec(gerbe.torus.dim, k)), checked)
+                    return VanishingResult(False, (w1, w2, basis_vec(dim, k)), checked)
         return VanishingResult(True, None, checked)
 
     disagreements = []
     failure = None
+    # below three candidates there is no triple, and no table is built
     values = basis.table(_triple_rows).on_triples(cs) if len(cs) > 2 else ()
     for (w1, w2, w3), (den, skew_re, skew_im, closed) in zip(
         itertools.combinations(ws, 3), values
@@ -481,7 +478,7 @@ def gerbal_class(ctx: ObstructionContext, w1, w2, w3) -> UnitValue:
     type (1,1) case.  Defined only when the first obstruction vanishes on
     the three pairs of records, each decided on `_first_alternating`."""
     ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    table = _tables(ctx, _pair_rows)
+    table = _basis_records(ctx.gerbe, ctx.case).table(_pair_rows)
     for c1, c2 in itertools.combinations(map(_candidate, ds), 2):
         den, skew = _first_alternating(table, c1, c2)
         if any(s % den for s in skew):
