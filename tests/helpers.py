@@ -22,6 +22,7 @@ from torusgerbe import (
     GaussianRational,
     GerbeData,
     NotInSubgroup,
+    ObstructionContext,
     SubgroupCase,
     TorusData,
     TranslationContext,
@@ -619,6 +620,31 @@ def reference_second_alternating(ctx, d1, d2, d3):
         (general - closed) % den == 0,
     )
     return (den, skew_re, skew_im, general, closed), flags
+
+
+def obstruction_candidates(g, spec):
+    """(ctx, [(w, record)]): the candidates of a query, in the order
+    `obstruction_vanishes` takes them (generators, then the admissible
+    lattice basis vectors, each distinct vector once)."""
+    ctx = ObstructionContext(g, spec.case)
+    found = {}
+    for w in spec.generators:
+        data = ctx.require_member(w)
+        found.setdefault((data.dw, *data.x), (w, data))
+    for data in TranslationContext.basis(g, spec.case):
+        if data.member:
+            found.setdefault((data.dw, *data.x), (data.w, data))
+    return ctx, list(found.values())
+
+
+def decided(result) -> tuple:
+    """The fields of a `VanishingResult` as a tuple."""
+    return (
+        result.vanishes,
+        result.certificate,
+        result.tuples_checked,
+        result.cross_check_disagreements,
+    )
 
 
 # the fields of a `TranslationContext` built on first read, except on the

@@ -52,6 +52,8 @@ from torusgerbe.obstruction import _candidate, _first_alternating, _pair_rows, _
 from helpers import (
     RECORD_LAZY,
     conjugated_instance,
+    decided,
+    obstruction_candidates,
     reference_first_alternating,
     reference_record,
     reference_second_triples,
@@ -195,7 +197,7 @@ class TestAgainstTheOracles:
         g, case, vectors = instance
         for generators in (vectors, vectors[:2], vectors[3:], ()):
             spec = SubgroupSpec.create(generators, case)
-            ctx, found = candidates(g, spec)
+            ctx, found = obstruction_candidates(g, spec)
             expected_first = (True, None, 0)
             for n, ((w1, d1), (w2, d2)) in enumerate(itertools.combinations(found, 2), 1):
                 den, skew = reference_first_alternating(ctx, d1, d2)
@@ -215,29 +217,6 @@ class TestAgainstTheOracles:
             ]
             expected = (not failing, failing[0] if failing else None, len(triples), tuple(disagree))
             assert decided(obstruction_vanishes(g, spec, SECOND)) == expected
-
-
-def candidates(g, spec):
-    """(ctx, [(w, record)]): the candidates of a query in the order
-    `obstruction_vanishes` takes them."""
-    ctx = ObstructionContext(g, spec.case)
-    found = {}
-    for w in spec.generators:
-        data = ctx.require_member(w)
-        found.setdefault((data.dw, *data.x), (w, data))
-    for data in TranslationContext.basis(g, spec.case):
-        if data.member:
-            found.setdefault((data.dw, *data.x), (data.w, data))
-    return ctx, list(found.values())
-
-
-def decided(result):
-    return (
-        result.vanishes,
-        result.certificate,
-        result.tuples_checked,
-        result.cross_check_disagreements,
-    )
 
 
 class TestLazyRecords:

@@ -31,13 +31,14 @@ from torusgerbe import (
     SecondObstructionValues,
     SubgroupCase,
     SubgroupSpec,
-    TranslationContext,
     obstruction_vanishes,
     second_obstruction_alternating,
     unit_reduce,
 )
 
 from helpers import (
+    decided,
+    obstruction_candidates,
     conjugated_instance,
     corrupt_basis_record,
     corrupt_record,
@@ -70,25 +71,10 @@ def instance(request):
     return g, case, vectors
 
 
-def candidates(g, spec):
-    """(ctx, [(w, record)]): the candidates of a query, in the order
-    `obstruction_vanishes` takes them (generators, then the admissible
-    lattice basis vectors, each distinct vector once)."""
-    ctx = ObstructionContext(g, spec.case)
-    found = {}
-    for w in spec.generators:
-        data = ctx.require_member(w)
-        found.setdefault((data.dw, *data.x), (w, data))
-    for data in TranslationContext.basis(g, spec.case):
-        if data.member:
-            found.setdefault((data.dw, *data.x), (data.w, data))
-    return ctx, list(found.values())
-
-
 def oracle_vanishes(g, spec):
     """(vanishes, certificate, tuples_checked, cross_check_disagreements)
     of the SECOND decision by a loop over the per-triple oracle."""
-    ctx, found = candidates(g, spec)
+    ctx, found = obstruction_candidates(g, spec)
     disagreements, failure, checked = [], None, 0
     for (w1, d1), (w2, d2), (w3, d3) in itertools.combinations(found, 3):
         checked += 1
@@ -98,15 +84,6 @@ def oracle_vanishes(g, spec):
         if failure is None and closed % den:
             failure = (w1, w2, w3)
     return failure is None, failure, checked, tuple(disagreements)
-
-
-def decided(result):
-    return (
-        result.vanishes,
-        result.certificate,
-        result.tuples_checked,
-        result.cross_check_disagreements,
-    )
 
 
 def skew_agrees_closed(den, skew_re, skew_im, closed):
@@ -160,7 +137,7 @@ def assert_decision_reads_no_f(monkeypatch, g, spec):
     monkeypatch.setattr(
         obstruction, "_lifted_record", lambda *args: replace_fields(build(*args), f=None)
     )
-    found = candidates(g, spec)[1]
+    found = obstruction_candidates(g, spec)[1]
     assert len(found) >= 3 and all(d.f is None for _, d in found)
     assert decided(obstruction_vanishes(g, spec, SECOND)) == expected
 
@@ -168,7 +145,7 @@ def assert_decision_reads_no_f(monkeypatch, g, spec):
 class TestAgainstTheOracle:
     def test_every_triple_of_a_query(self, instance):
         g, case, vectors = instance
-        ctx, found = candidates(g, SubgroupSpec.create(vectors, case))
+        ctx, found = obstruction_candidates(g, SubgroupSpec.create(vectors, case))
         assert len(found) >= 6
         assert_tables_match(ctx, [d for _, d in found])
 
@@ -183,7 +160,7 @@ class TestAgainstTheOracle:
         # every ordered triple of the query's candidates, repeats included,
         # not only the increasing triples the tables read
         g, case, vectors = instance
-        ctx, found = candidates(g, SubgroupSpec.create(vectors, case))
+        ctx, found = obstruction_candidates(g, SubgroupSpec.create(vectors, case))
         for triple in itertools.product([w for w, _ in found], repeat=3):
             assert_public_values_match(ctx, triple)
 
@@ -201,7 +178,7 @@ class TestAgainstTheOracle:
     def test_half_lattice_example(self):
         g = gerbe4(4)
         spec = SubgroupSpec.create(HALVES, INT)
-        ctx, found = candidates(g, spec)
+        ctx, found = obstruction_candidates(g, spec)
         tables = assert_tables_match(ctx, [d for _, d in found])
         assert len(tables) == 56
         assert any(closed % den for den, *_, closed in tables)
@@ -302,7 +279,7 @@ class TestStructure:
         g, case, vectors = instance
         g = GerbeData(g.torus, g.b, g.e)  # no table built
         spec = SubgroupSpec.create(vectors, case)
-        n = len(candidates(g, spec)[1])  # builds the basis records
+        n = len(obstruction_candidates(g, spec)[1])  # builds the basis records
         calls = count_contractions(monkeypatch)
         result = obstruction_vanishes(g, spec, SECOND)
         assert result.tuples_checked == comb(n, 3) > n
@@ -324,7 +301,7 @@ class TestStructure:
     def test_no_table_below_three_candidates(self, monkeypatch):
         g, vectors = conjugated_instance(2, 0, SubgroupCase.TYPE_ONE_ONE, True)
         spec = SubgroupSpec.create((), SubgroupCase.TYPE_ONE_ONE)
-        assert len(candidates(g, spec)[1]) == 2
+        assert len(obstruction_candidates(g, spec)[1]) == 2
         products = []
         original = obstruction.int_vec_mat
         monkeypatch.setattr(
