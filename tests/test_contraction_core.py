@@ -336,8 +336,11 @@ class TestCorruptedFormIsCaught:
         corrupt_record(ctx, w3, "r", p, q, 1)
         assert self._caught(ctx, w1, w2, w3)
 
-    @pytest.mark.parametrize("half", ("skew", "closed"))
-    def test_every_instance_first(self, instance, monkeypatch, half):
+    @staticmethod
+    def _corrupt_first_row(instance, monkeypatch, half: int):
+        """(ctx, w1, w2) after adding 1/den to column 0 of the skew half
+        (half 0) or of the closed half (half 1) of a FIRST table row that
+        the pair of the first two vectors reads."""
         g, case, vectors = instance
         w1, w2 = vectors[:2]
         ctx = ObstructionContext(g, case)
@@ -347,8 +350,16 @@ class TestCorruptedFormIsCaught:
         pairs = itertools.combinations(range(g.torus.dim), 2)
         wedge = [d1.x[a] * d2.x[b] - d1.x[b] * d2.x[a] for a, b in pairs]
         place = next(p for p, y in enumerate(wedge) if y % (d1.dw * d2.den))
-        column = 0 if half == "skew" else g.torus.dim
-        corrupt_table_row(monkeypatch, g, case, _pair_rows, place, column)
+        corrupt_table_row(monkeypatch, g, case, _pair_rows, place, half * g.torus.dim)
+        return ctx, w1, w2
+
+    def test_every_instance_first(self, instance, monkeypatch):
+        ctx, w1, w2 = self._corrupt_first_row(instance, monkeypatch, 0)
+        with pytest.raises(ClosedFormMismatch):
+            first_obstruction_alternating(ctx, w1, w2)
+
+    def test_every_instance_first_closed_half(self, instance, monkeypatch):
+        ctx, w1, w2 = self._corrupt_first_row(instance, monkeypatch, 1)
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
 
