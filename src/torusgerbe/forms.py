@@ -8,11 +8,11 @@ the one integer layout of a 2-form in the package; `alternating_matrix`
 turns them into the full alternating matrix where a matrix is multiplied.
 Sums, scalings and membership tests run on the coordinates, and the
 `Fraction` matrix `entries` is a view built on first read.  An `AltForm3`
-is stored on strictly increasing triples; its contraction (as a full
-alternating integer matrix or in pair coordinates) and evaluation are
-integer cores that the other modules share.  An `AlternatingTable` holds
-an integer-valued alternating map of rank 2 or 3 by its rows on the basis
-pairs or triples, read off at the wedge vector of a tuple.
+is stored on strictly increasing triples; its contraction, in pair
+coordinates, and evaluation are integer cores that the other modules
+share.  An `AlternatingTable` holds an integer-valued alternating map of
+rank 2 or 3 by its rows on the basis pairs or triples, read off at the
+wedge vector of a tuple.
 """
 
 from __future__ import annotations
@@ -222,27 +222,6 @@ class AltForm3(Frozen):
         coords = rows.times(x)
         return sum([c * (y[a] * z[b] - y[b] * z[a]) for (a, b), c in zip(pairs, coords) if c]), de
 
-    def contract_over(self, nums, den: int = 1) -> tuple[list[list[int]], int]:
-        """The contraction (x, y) -> E(w, x, y) for w = nums / den, integers
-        over one positive denominator: (m, de*den), m the full alternating
-        matrix of de*den*E(w,.,.) for the lcm de of E's denominators, which
-        the per-vector records multiply; `contract_pairs` gives its pair
-        coordinates."""
-        d = self.dim
-        if len(nums) != d:
-            raise dimension_mismatch("nums", nums, d)
-        de, ks = self.int_entries
-        m = [[0] * d for _ in range(d)]
-        for p, q, r, k in ks:
-            x, y, z = k * nums[p], k * nums[q], k * nums[r]
-            m[q][r] += x
-            m[r][q] -= x
-            m[p][r] -= y
-            m[r][p] += y
-            m[p][q] += z
-            m[q][p] -= z
-        return m, de * den
-
     @functools.cached_property
     def pair_entries(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(de, ((p, q, r, k, qr, pr, pq), ...)): `int_entries` with the
@@ -257,10 +236,9 @@ class AltForm3(Frozen):
         """The contraction (x, y) -> E(w, x, y) for w = nums / den, integers
         over one positive denominator, in pair coordinates: (coords,
         de*den), coords those of de*den*E(w,.,.) for the lcm de of E's
-        denominators: `contract_over` without the full matrix.  Each
-        coefficient adds its three terms straight into them; it builds
-        `contraction_table`, which `torus.contract3` and `evaluate_over`
-        read."""
+        denominators.  Each coefficient adds its three terms straight into
+        them; it builds `contraction_table`, which `torus.contract3`,
+        `evaluate_over` and `gerbe.forms_over` read."""
         d = self.dim
         if len(nums) != d:
             raise dimension_mismatch("nums", nums, d)

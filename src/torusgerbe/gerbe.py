@@ -16,8 +16,8 @@ from math import lcm
 
 from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dot, int_vec
 from .exact import lattice_vector, mat_vec, sized_vector, to_vec, vec_is_zero
-from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
-from .torus import pullback_combination, type_condition_check
+from .torus import AltForm2, AltForm3, TorusData, alternating_matrix
+from .torus import integral_anti_invariant_member, pullback_combination, type_condition_check
 
 
 class TypeConditionFailed(ValueError):
@@ -345,14 +345,16 @@ def forms_over(torus: TorusData, e3: AltForm3, w: Vec) -> tuple:
 
     (dw, x, ix) is `TorusData.lift` of w, so iw = ix/(dj*dw), and omega,
     omega_i and l are the full integer matrices of E(w,.,.) over do =
-    de*dw, E(iw,.,.) over dj*do and L_w over 16*dj*do, the bilinear form
+    de*dw, E(iw,.,.) over dj*do (each one product with E's
+    `contraction_table`) and L_w over 16*dj*do, the bilinear form
     L_w = (J^T*omega + omega*J - 2*omega_i)/16 with exponent_im(w, x, y) =
     x^T*L_w*y.  Since omega is alternating, J^T*omega = -(omega*J)^T, so
     with Y = dj*omega*J the form is l = Y - Y^T - 2*omega_i.
     """
     dw, x, ix = torus.lift(sized_vector(w, torus.dim, "w"))
-    omega, do = e3.contract_over(x, dw)
-    omega_i = e3.contract_over(ix)[0]
+    de, rows = e3.contraction_table
+    omega, omega_i = [alternating_matrix(rows.times(v), torus.dim) for v in (x, ix)]
+    do = de * dw
     y = torus.times_j(omega)
     r = range(torus.dim)
     l = [[y[a][b] - y[b][a] - 2 * omega_i[a][b] for b in r] for a in r]

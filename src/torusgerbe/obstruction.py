@@ -6,21 +6,20 @@ defect is the extension cocycle of the theta group.  Its alternating
 reduction is the first obstruction to equivariance, with a closed form per
 decomposition case.  When the first obstruction vanishes, the coboundary of
 the correction used to unitarize the defect produces a degree-3 class, the
-second obstruction, computed here three ways: by brute-force alternation,
-by the bilinear closed expression in the decomposition data, and by the
-per-case closed form.
+second obstruction, computed here three ways: by alternation over the six
+permutations, by the bilinear closed expression in the decomposition data,
+and by the per-case closed form.
 
 Both obstructions are alternating and multilinear in the vectors, so each
 is fixed by its values on the tuples of lattice basis vectors.  Those are
 kept in two `forms.AlternatingTable`s, built once per (torus, E, case) from
-the basis records and shared by translated gerbes: FIRST's
+the basis rows and shared by translated gerbes: FIRST's
 skew-symmetrization beside its closed form on the basis pairs, and
-SECOND's alternation (`_second_triples`, the brute-force oracle) beside
-its closed form on the basis triples.  A decision reads a tuple of basis
-vectors off one signed row and any other tuple as its wedge vector times
-the rows; it reads no record's matrices.  `second_obstruction_alternating`
-runs the alternation over its own three records and computes the bilinear
-expression from them.
+SECOND's alternation beside its closed form on the basis triples.  A tuple
+of basis vectors reads one signed row and any other tuple its wedge vector
+times the rows; the decisions read no record's matrices.
+`second_obstruction_alternating` reads its skew and closed form off
+SECOND's table and the bilinear expression off its three records.
 """
 
 from __future__ import annotations
@@ -186,22 +185,41 @@ def _pair_rows(basis) -> AlternatingTable:
     and w2 = x2/dw2, wedge(x1, x2) times the rows is w1^T*M_w2 - w2^T*M_w1
     and w1^T*E(w2,.,.) (or w2^T*E(w1,.,.)) over dw1*dw2*den."""
     rs, d = basis.records, len(basis.records)
-    sign = 1 if rs[0].case is SubgroupCase.INTEGRAL else -1
+    sign = 1 if basis.case is SubgroupCase.INTEGRAL else -1
     rows = [
         [u - v for u, v in zip(rs[b].m[a], rs[a].m[b])] + [sign * y for y in rs[b].omega[a]]
         for a, b in itertools.combinations(range(d), 2)
     ]
-    return AlternatingTable(rs[0].den, rows, 2, d)
+    return AlternatingTable(basis.den, rows, 2, d)
+
+
+def _alternate(t, i: int, j: int, k: int) -> int:
+    """The sum of t[b][c][a] over the permutations (a, b, c) of (i, j, k),
+    signed by their parity."""
+    return t[j][k][i] - t[k][j][i] - t[i][k][j] + t[k][i][j] + t[i][j][k] - t[j][i][k]
 
 
 def _triple_rows(basis) -> AlternatingTable:
-    """SECOND on the basis triples, (skew_re, skew_im, closed) over dj*den
-    for the basis records' den, by `_second_triples` over the basis
-    records."""
-    rs, d = basis.records, len(basis.records)
-    ctx = ObstructionContext(rs[0].gerbe, rs[0].case)
-    rows = [list(values[1:]) for values in _second_triples(ctx, rs)]
-    return AlternatingTable(ctx.gerbe.torus.j_columns[0] * rs[0].den, rows, 3, d, 3)
+    """SECOND on the basis triples, over dj*den for the basis den: row (a,
+    b, c) is [skew_re, skew_im, closed].  The degree-3 cocycle at (e_a, e_b,
+    e_c) is the correction covector r = e_b^T*R_c at e_a, r.(i*e_a) +
+    i*r.e_a, so with re[b][c] row b of dj*R_c*J and im[b][c] row b of R_c,
+    skew_re and skew_im/dj are their `_alternate`s.  closed is coef*E(e_a,
+    e_b, e_c), coef = -9 in the integral case and 36 in the type (1,1)
+    case, from E's integer coefficient k over de."""
+    rs, t, e3 = basis.records, basis.gerbe.torus, basis.gerbe.e
+    d, dj = len(rs), t.j_columns[0]
+    rj = [t.times_j(c.r) for c in rs]
+    re = [[rj[c][b] for c in range(d)] for b in range(d)]
+    im = [[c.r[b] for c in rs] for b in range(d)]
+    de, ks = e3.int_entries
+    coef = -9 if basis.case is SubgroupCase.INTEGRAL else 36
+    unit, coeffs = coef * dj * basis.den // de, {(p, q, r): k for p, q, r, k in ks}
+    rows = [
+        [_alternate(re, *abc), dj * _alternate(im, *abc), unit * coeffs.get(abc, 0)]
+        for abc in itertools.combinations(range(d), 3)
+    ]
+    return AlternatingTable(dj * basis.den, rows, 3, d, 3)
 
 
 def _candidate(data) -> tuple[int, list[int], int]:
@@ -249,18 +267,16 @@ def second_obstruction_cocycle(ctx: ObstructionContext, w1, w2, w3) -> GaussianR
 class SecondObstructionValues(Frozen):
     """The three computed values of the second obstruction on a triple.
 
-    skew: brute-force alternation of the degree-3 cocycle over all six
-    permutations (the oracle).  general_factor: the bilinear closed
-    expression 3*(F3(w1,w2) + F1(w2,w3) - F2(w1,w3)) in the decomposition
-    data.  closed_form: the per-case closed form, exp(-9*E(w1,w2,w3)) in the
+    skew: alternation of the degree-3 cocycle over all six permutations.
+    general_factor: the bilinear closed expression 3*(F3(w1,w2) + F1(w2,w3)
+    - F2(w1,w3)) in the decomposition data.  closed_form: the per-case closed form, exp(-9*E(w1,w2,w3)) in the
     integral case and exp(36*E(w1,w2,w3)) in the type (1,1) case; this one
     is the authority for vanishing decisions.  The three are recorded side
     by side because they are genuinely different scalar multiples of
     E(w1,w2,w3); agreement flags state equality of the reduced values.
-    `second_obstruction_alternating` computes skew and closed_form by
-    `_second_triples` over its three records, the alternation that builds
-    the basis table `obstruction_vanishes` reads, and general_factor from
-    the same records.
+    `second_obstruction_alternating` reads skew and closed_form off
+    SECOND's basis table, as `obstruction_vanishes` does, and computes
+    general_factor from the three records' F_w.
     """
 
     _fields = (
@@ -283,61 +299,21 @@ class SecondObstructionValues(Frozen):
         )
 
 
-def _alternate(t, i: int, j: int, k: int) -> int:
-    """The sum of t[b][c][a] over the permutations (a, b, c) of (i, j, k),
-    signed by their parity."""
-    return t[j][k][i] - t[k][j][i] - t[i][k][j] + t[k][i][j] + t[i][j][k] - t[j][i][k]
-
-
-def _second_triples(ctx: ObstructionContext, records):
-    """(den, skew_re, skew_im, closed) for each triple of the records, in
-    lexicographic order of their indices: the skew and the closed form as
-    numerators over one denominator.
-
-    It runs over the basis records once per (torus, E, case), for the
-    table of `_triple_rows`, and over the three records of a call of
-    `second_obstruction_alternating`.  For each ordered pair (b, c) of
-    records, one product of b with R_c and then with the columns of every
-    record a gives b^T*R_c*(ia) and b^T*R_c*a: the correction covector r =
-    b^T*R_c at a is r.(ia) + i*r.a.  E is contracted once per first index
-    i, and E(i, j, a) is read for every a off one product per pair i < j.
-    Nothing is built for fewer than three records.
-    """
-    n = len(records)
-    if n < 3:
-        return
-    xs = [d.x for d in records]
-    cols = [list(c) for c in zip(*xs)]  # row p: coordinate p of every record
-    block = [[*i, *c] for i, c in zip(zip(*[d.ix for d in records]), cols)]  # ia, a
-    re, im = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
-    for b, c in itertools.permutations(range(n), 2):
-        row = int_vec_mat(int_vec_mat(xs[b], records[c].r), block)
-        re[b][c], im[b][c] = row[:n], row[n:]
-    dj = ctx.gerbe.torus.j_columns[0]
-    coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
-    for i, di in enumerate(records[:-2]):
-        m, de = ctx.gerbe.e.contract_over(di.x)
-        unit = coef * dj * di.den // (de * di.dw)  # coef*den / (de*dws)
-        for j in range(i + 1, n - 1):
-            e_row = int_vec_mat(int_vec_mat(xs[j], m), cols)  # E(i, j, a) for every a
-            dij = dj * di.den * records[j].dw
-            for k in range(j + 1, n):
-                den = dij * records[k].dw  # dj*dws times the records' shared scale
-                yield den, _alternate(re, i, j, k), dj * _alternate(im, i, j, k), unit * e_row[k]
-
-
 def second_obstruction_alternating(
     ctx: ObstructionContext, w1, w2, w3
 ) -> SecondObstructionValues:
     """The second obstruction on a triple, computed three ways.
 
     The skew alternates the degree-3 cocycle over the six permutations,
-    each term being the correction covector of (b, c) evaluated at a; the
-    bilinear expression reads the (1,1) pieces F_w; the closed form reads E
-    alone.  Disagreements are reported in the returned flags, not raised.
+    each term being the correction covector of (b, c) evaluated at a, and
+    the closed form reads E alone: both are one row of SECOND's basis
+    table (`_triple_rows`).  The bilinear expression reads the (1,1)
+    pieces F_w of the records.  Disagreements are reported in the returned
+    flags, not raised.
     """
     d1, d2, d3 = ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    den, skew_re, skew_im, closed = next(_second_triples(ctx, ds))
+    table = _basis_records(ctx.gerbe, ctx.case).table(_triple_rows)
+    den, skew_re, skew_im, closed = next(table.on_triples([*map(_candidate, ds)]))
     x1, x2, x3 = d1.x, d2.x, d3.x
     general = int_dot(int_vec_mat(x1, d3.f), x2) + int_dot(int_vec_mat(x2, d1.f), x3)
     general = 3 * ctx.gerbe.torus.j_columns[0] * (general - int_dot(int_vec_mat(x1, d2.f), x3))
@@ -430,7 +406,7 @@ def obstruction_vanishes(
     the span of the member basis vectors counts only as a generator.  The
     certificate is the first failing tuple in lexicographic order of the
     candidates.  For the second obstruction the per-case closed form is the
-    authority; triples where the brute-force alternation disagrees with it
+    authority; triples where the alternation disagrees with it
     are surfaced, never silently resolved.  which is an `ObstructionKind`
     or its value, else ValueError.
     """

@@ -42,24 +42,21 @@ class TranslationContext(Frozen):
     """Translation by w with its trivialization: the one per-vector record
     that the trivializer and the obstruction formulas read, in integers.
 
-    Only gerbe, w and case are compared, hashed and shown.  A record is its
-    lift: (dw, x, ix) is `TorusData.lift` of w and den = dw*den0, for den0 =
-    16*dj**3*de the denominator of the basis records.  Its matrices are over
-    den: omega = E(w,.,.), f = F_w (the (1,1) piece by the case formulas,
-    member or not), m = M_w = (J^T*omega_i - omega_i*J)/8 - F_w for omega_i
-    = E(iw,.,.), and r = R_w = L_w - J^T*F_w/2.  The unitary first
-    character of (w1, w2) is lam -> w1^T*M_w2*lam, the correction covector
-    w1^T*R_w2; `kernel` reads R_w, M_w and F_w.
+    Only gerbe, w and case are compared, hashed and shown.  Every record
+    is its lift: (dw, x, ix) is `TorusData.lift` of w and den = dw*den0,
+    for den0 = 16*dj**3*de the `_Basis.den` of (torus, E).  Its matrices
+    are over den: omega = E(w,.,.), f = F_w (the (1,1) piece by the case
+    formulas, member or not), m = M_w = (J^T*omega_i - omega_i*J)/8 - F_w
+    for omega_i = E(iw,.,.), and r = R_w = L_w - J^T*F_w/2.  The unitary
+    first character of (w1, w2) is lam -> w1^T*M_w2*lam, the correction
+    covector w1^T*R_w2; `kernel` reads R_w, M_w and F_w.
 
-    Each matrix is linear in x, so only the records of the lattice basis
-    vectors are built from the contractions, eagerly, once per (torus, E,
-    case), in the `GerbeData.tables` that translated gerbes share.  Any
-    other record builds its four matrices on first read as sum_k
-    x_k*(record of e_k), one product with the basis's packed `rows`: the
-    same integers as built directly, since no step of the direct build
-    reduces its denominator.  Its `member` is one product with the narrow
-    `_Basis.member_rows`.  The obstruction decisions and the
-    trivialization identity read neither.
+    Each matrix is linear in x, so a record builds its four matrices on
+    first read as x^T times the d packed `_Basis.rows` (the matrices of
+    e_1..e_d, built from the contractions once per (torus, E, case), in
+    the `GerbeData.tables` that translated gerbes share), and its `member`
+    as one product with the narrow `_Basis.member_rows`.  The obstruction
+    decisions and the trivialization identity read neither.
     """
 
     _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den")
@@ -86,24 +83,15 @@ class TranslationContext(Frozen):
     def create(
         gerbe: GerbeData, w, case: SubgroupCase, check: bool = True
     ) -> "TranslationContext":
-        """The record of w, its lift (a basis vector gets its cached record,
-        `_rebound` to the gerbe); a ValueError naming w unless it has the
-        torus's dimension, and with check, NotInSubgroup outside the
-        subgroup, read off `member`."""
+        """The record of w, `_lifted_record`; a ValueError naming w unless
+        it has the torus's dimension, and with check, NotInSubgroup outside
+        the subgroup, read off `member`."""
         case = SubgroupCase(case)
         w = sized_vector(w, gerbe.torus.dim, "w")
         data = _lifted_record(gerbe, w, case)
         if check:
             require_case_member(data.member, case)
         return data
-
-    @staticmethod
-    def basis(gerbe: GerbeData, case: SubgroupCase) -> tuple["TranslationContext", ...]:
-        """The records of the lattice basis vectors e_1..e_d, built once per
-        (torus, E, case), each `_rebound` to the gerbe."""
-        records = _basis_records(gerbe, SubgroupCase(case)).records
-        own = records[0].gerbe is gerbe
-        return records if own else tuple([_rebound(b, gerbe) for b in records])
 
     @functools.cached_property
     def dec(self) -> Decomposition:
@@ -116,8 +104,9 @@ class TranslationContext(Frozen):
         matrices over one denominator, `_kernel_blocks` of the record."""
         return _kernel_den(self), _kernel_blocks(self)
 
-def _kernel_den(ctx: TranslationContext) -> int:
-    """4*dj*den, the denominator of the kernel and of the residual."""
+def _kernel_den(ctx) -> int:
+    """4*dj*den of a record (or of a `_Basis`), the denominator of the
+    kernel and of the residual."""
     return 4 * ctx.gerbe.torus.j_columns[0] * ctx.den
 
 
@@ -155,31 +144,22 @@ def _basis_index(dw: int, x) -> int:
 
 
 def _lifted_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
-    """The record of w from its lift (dw, x, ix), unchecked: the cached
-    record of a basis vector, else a record whose matrices and membership
-    are built on first read."""
+    """The record of w, its lift (dw, x, ix), unchecked: the basis's own
+    record of a basis vector when gerbe built the basis, else a new one."""
     dw, x, ix = gerbe.torus.lift(w)
-    records, k = _basis_records(gerbe, case).records, _basis_index(dw, x)
-    if k >= 0:
-        return _rebound(records[k], gerbe)
-    return TranslationContext(gerbe, w, case, dw, x, ix, dw * records[0].den)
+    basis, k = _basis_records(gerbe, case), _basis_index(dw, x)
+    if k >= 0 and basis.gerbe is gerbe:
+        return basis.records[k]
+    return TranslationContext(gerbe, w, case, dw, x, ix, dw * basis.den)
 
 
-def _rebound(record: TranslationContext, gerbe: GerbeData) -> TranslationContext:
-    """The basis record as gerbe's: itself, or a copy sharing all but its
-    gerbe, as every field reads only the torus, E, w and case."""
-    if record.gerbe is gerbe:
-        return record
-    own = object.__new__(TranslationContext)
-    vars(own).update(vars(record), gerbe=gerbe)
-    return own
-
-
-def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
-    """The record of w built from the contractions of E by w and iw; run
-    for the lattice basis vectors only, by `_basis_records`."""
+def _basis_row(gerbe: GerbeData, w: Vec, case: SubgroupCase, den: int) -> list[int]:
+    """omega, f, m and r of the record of w flattened, over den =
+    16*dj**3*de*dw, built from the contractions of E by w and iw;
+    `_basis_records` runs it at the basis vectors, once per (torus, E,
+    case)."""
     t = gerbe.torus
-    dw, x, ix, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
+    _, _, _, do, omega, omega_i, l = forms_over(t, gerbe.e, w)
     coords = [omega[p][q] for p, q in itertools.combinations(range(t.dim), 2)]
     f, df = pullback_over(t, coords, do, *invariant_coefficients(case))
     f = alternating_matrix(f, t.dim)
@@ -187,15 +167,11 @@ def _direct_record(gerbe: GerbeData, w: Vec, case: SubgroupCase) -> TranslationC
     xj, zj = t.times_j(omega_i), t.times_j(f)
     dj, ks = t.j_columns[0], range(t.dim)
     # the case coefficients have denominator 8, so df = 8*dj**2*do
-    den = 16 * dj**3 * do
     kf, kz = den // df, den // (2 * dj * df)
     omega, f = [[den // do * y for y in row] for row in omega], [[kf * y for y in row] for row in f]
     m = [[-2 * dj * (xj[a][b] + xj[b][a]) - f[a][b] for b in ks] for a in ks]
     r = [[dj * dj * l[a][b] + kz * zj[b][a] for b in ks] for a in ks]
-    record = TranslationContext(gerbe, w, case, dw, x, ix, den)
-    member = _member_of(_member_coords(omega, f, case), den, case)
-    vars(record).update(member=member, omega=omega, f=f, m=m, r=r)
-    return record
+    return [y for mat in (omega, f, m, r) for row in mat for y in row]
 
 
 def _member_coords(omega, f, case: SubgroupCase) -> list[int]:
@@ -222,21 +198,27 @@ def _member_of(coords, den: int, case: SubgroupCase) -> bool:
 
 
 class _Basis(Frozen):
-    """The basis records e_1..e_d of a (torus, E, case): row k of the packed
-    `rows` is record k's omega, f, m and r flattened, so rows.times(x) is
-    the four matrices of x/dw flattened, over dw*records[0].den.  The
-    narrow `member_rows`, the identity's `residual_rows` and the tables
-    that `table` keeps for other modules are built on first use.  Compared
-    by identity."""
+    """The lattice basis e_1..e_d of a (torus, E, case) as d packed rows:
+    row k of `rows` is `_basis_row` of e_k, so rows.times(x) is the four
+    matrices of x/dw flattened, over dw*den.  gerbe is the gerbe that built
+    it.  The `records` of e_1..e_d (its lifts), the narrow `member_rows`,
+    the identity's `residual_rows` and the tables that `table` keeps for
+    other modules are built on first use.  Compared by identity."""
 
-    _fields = ("records", "rows")
+    _fields = ("gerbe", "case", "den", "rows")
     __eq__, __hash__ = object.__eq__, object.__hash__
+
+    @functools.cached_property
+    def records(self) -> tuple[TranslationContext, ...]:
+        """The records of e_1..e_d: the gerbe's lifts, as any record."""
+        g, t, case, den = self.gerbe, self.gerbe.torus, self.case, self.den
+        return tuple([TranslationContext(g, ek, case, *t.lift(ek), den) for ek in t.basis()])
 
     @functools.cached_property
     def member_rows(self) -> PackedRows:
         """Packed row k: `_member_coords` of record k, so x^T*member_rows
-        decides the membership of x/dw over dw*records[0].den."""
-        return PackedRows([_member_coords(b.omega, b.f, b.case) for b in self.records])
+        decides the membership of x/dw over dw*den."""
+        return PackedRows([_member_coords(b.omega, b.f, self.case) for b in self.records])
 
     def table(self, build):
         """build(self), made on first call and kept with the basis: the
@@ -256,8 +238,7 @@ class _Basis(Frozen):
         - qim^T of record k's `_kernel_blocks` (not cached on the records).
         Row k of the factor rows of `GerbeTables.factors`, over (dre, dim),
         is added times k0/dre and k0/dim."""
-        first = self.records[0]
-        k0, (dre, dim, factors, _) = _kernel_den(first), first.gerbe.tables.factors
+        k0, (dre, dim, factors, _) = _kernel_den(self), self.gerbe.tables.factors
         n = len(self.records) ** 2
         scales = [k0 // dre] * n + [k0 // dim] * n
         rows = []
@@ -268,18 +249,14 @@ class _Basis(Frozen):
         return PackedRows(rows)
 
 
-def _stacked(records) -> _Basis:
-    """The `_Basis` of the basis records e_1..e_d."""
-    rows = [[y for mat in (b.omega, b.f, b.m, b.r) for row in mat for y in row] for b in records]
-    return _Basis(tuple(records), PackedRows(rows))
-
-
 def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
-    """`_stacked` of the basis records of case, once per gerbe `tables`."""
+    """The `_Basis` of case, built by gerbe once per gerbe `tables`."""
     basis = gerbe.tables.bases.get(case)
     if basis is None:
-        records = [_direct_record(gerbe, ek, case) for ek in gerbe.torus.basis()]
-        basis = gerbe.tables.bases[case] = _stacked(records)
+        t = gerbe.torus
+        den = 16 * t.j_columns[0] ** 3 * gerbe.e.int_entries[0]
+        rows = PackedRows([_basis_row(gerbe, ek, case, den) for ek in t.basis()])
+        basis = gerbe.tables.bases[case] = _Basis(gerbe, case, den, rows)
     return basis
 
 

@@ -38,9 +38,10 @@ from torusgerbe import (
 )
 from torusgerbe.torus import pullback_combination, pullback_over
 from torusgerbe.forms import AlternatingTable
-from torusgerbe.trivialization import _basis_records, _stacked
+from torusgerbe.trivialization import _Basis, _basis_records, _basis_row
 from torusgerbe.exact import (
     Mat,
+    PackedRows,
     Vec,
     basis_vec,
     dot,
@@ -631,7 +632,7 @@ def obstruction_candidates(g, spec):
     for w in spec.generators:
         data = ctx.require_member(w)
         found.setdefault((data.dw, *data.x), (w, data))
-    for data in TranslationContext.basis(g, spec.case):
+    for data in basis_records(g, spec.case):
         if data.member:
             found.setdefault((data.dw, *data.x), (data.w, data))
     return ctx, list(found.values())
@@ -647,9 +648,15 @@ def decided(result) -> tuple:
     )
 
 
-# the fields of a `TranslationContext` built on first read, except on the
-# basis records, which hold them from the start
+# the fields of a `TranslationContext` built on first read, on every
+# record, the basis records included
 RECORD_LAZY = ("member", "omega", "f", "m", "r")
+
+
+def basis_records(g: GerbeData, case) -> tuple:
+    """The records of the lattice basis vectors e_1..e_d as g's, unchecked:
+    the basis's own records when g built the basis, else g's lifts."""
+    return tuple([TranslationContext.create(g, ek, case, check=False) for ek in g.torus.basis()])
 
 
 def replace_fields(obj, **changes):
@@ -679,13 +686,20 @@ def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
 
 
 def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int):
-    """Add 1/den to entry (p, q) of the matrix `name` of the basis record of
-    e_k kept in the gerbe's tables."""
-    records = list(TranslationContext.basis(g, case))
-    m = [list(row) for row in getattr(records[k], name)]
-    m[p][q] += 1
-    records[k] = replace_fields(records[k], **{name: m})
-    monkeypatch.setitem(g.tables.bases, case, _stacked(records))
+    """Add 1/den to entry (p, q) of the matrix `name` (omega, f, m or r) of
+    e_k in the basis rows kept in the gerbe's tables, so every record,
+    e_k's included, reads it."""
+    basis, d = _basis_records(g, case), g.torus.dim
+    rows = [list(row) for row in basis.rows.rows]
+    rows[k][("omega", "f", "m", "r").index(name) * d * d + p * d + q] += 1
+    corrupted = _Basis(basis.gerbe, basis.case, basis.den, PackedRows(rows))
+    monkeypatch.setitem(g.tables.bases, case, corrupted)
+
+
+def minor3(xs, cols) -> int:
+    """The determinant of the rows xs (three integer vectors) on cols."""
+    (a, b, c), (d, e, f), (g, h, i) = ([x[j] for j in cols] for x in xs)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def corrupt_table_row(monkeypatch, g, case, build, place: int, column: int, delta: int = 1):
@@ -707,22 +721,36 @@ def corrupt_table_row(monkeypatch, g, case, build, place: int, column: int, delt
 # once from the basis records, FIRST by three products per pair of
 # records, and SECOND by tables built per query over its records.
 
-def reference_record(g: GerbeData, w: Vec, case: SubgroupCase) -> dict:
-    """The fields member, omega, f, m and r of w's record, built eagerly:
-    x^T times the basis's packed rows, cut into the four matrices, and the
+def _cut_record(flat, d: int, den: int, case: SubgroupCase) -> dict:
+    """The fields member, omega, f, m and r of a record whose four matrices
+    over den are flattened in flat: the matrices cut out, and the
     membership read off omega and f over den."""
-    dw, x, _ = g.torus.lift(to_vec(w))
-    basis, d = _basis_records(g, case), len(x)
-    flat = basis.rows.times(x)
     omega, f, m, r = (
         [flat[k : k + d] for k in range(s, s + d * d, d)] for s in range(0, 4 * d * d, d * d)
     )
-    den = dw * basis.records[0].den
     if case is SubgroupCase.INTEGRAL:
         member = not any(y % den for row in omega for y in row)
     else:
         member = all(4 * y == z for fr, row in zip(f, omega) for y, z in zip(fr, row))
     return dict(member=member, omega=omega, f=f, m=m, r=r)
+
+
+def reference_record(g: GerbeData, w: Vec, case: SubgroupCase) -> dict:
+    """The fields member, omega, f, m and r of w's record, built eagerly:
+    x^T times the basis's packed rows, cut into the four matrices."""
+    dw, x, _ = g.torus.lift(to_vec(w))
+    basis = _basis_records(g, case)
+    return _cut_record(basis.rows.times(x), len(x), dw * basis.den, case)
+
+
+def direct_record(g: GerbeData, w: Vec, case: SubgroupCase) -> TranslationContext:
+    """w's record with its fields member, omega, f, m and r built from the
+    contractions of E by w and iw themselves (`trivialization._basis_row`,
+    which the package runs at the basis vectors only), not read off the
+    basis rows: a new object, whatever w is."""
+    record = TranslationContext.create(g, w, case, check=False)
+    flat = _basis_row(g, record.w, case, record.den)
+    return replace_fields(record, **_cut_record(flat, len(record.x), record.den, case))
 
 
 def reference_first_alternating(ctx, d1, d2):
@@ -744,8 +772,8 @@ def reference_second_triples(ctx, records) -> list[tuple[int, int, int, int]]:
     """(den, skew_re, skew_im, closed) for each triple of the records, in
     lexicographic order, from tables built over the records: b^T*R_c at
     the columns (ia, a) of every record a for each ordered pair (b, c), and
-    E(i, j, a) off one contraction per first index i, each alternated over
-    the six permutations."""
+    E(i, j, k) off E(i,.,.) entry by entry (`reference_contract_matrix`),
+    each alternated over the six permutations."""
     n = len(records)
     if n < 3:
         return []
@@ -766,15 +794,17 @@ def reference_second_triples(ctx, records) -> list[tuple[int, int, int, int]]:
     coef = -9 if ctx.case is SubgroupCase.INTEGRAL else 36
     out = []
     for i, di in enumerate(records[:-2]):
-        m, de = ctx.gerbe.e.contract_over(di.x)
-        unit = coef * dj * di.den // (de * di.dw)
+        m = reference_contract_matrix(ctx.gerbe.e, di.x)  # E(x_i,.,.)
+        unit = F(coef * dj * di.den, di.dw)  # coef*dj*den_i/dw_i, den_i = dw_i*den0
         for j in range(i + 1, n - 1):
-            e_row = int_vec_mat(int_vec_mat(xs[j], m), cols)
+            e_row = [dot(xs[j], col) for col in zip(*m)]  # E(x_i, x_j, .)
             dij = dj * di.den * records[j].dw
             for k in range(j + 1, n):
                 den = dij * records[k].dw
                 re_k, im_k = alternate(re, i, j, k), dj * alternate(im, i, j, k)
-                out.append((den, re_k, im_k, unit * e_row[k]))
+                closed = unit * dot(e_row, xs[k])
+                assert closed.denominator == 1
+                out.append((den, re_k, im_k, closed.numerator))
     return out
 
 
@@ -796,10 +826,10 @@ class _CountedRows:
 
 
 def count_contractions(monkeypatch) -> list:
-    """Patch both contraction cores of `AltForm3` to record (form, nums) of
+    """Patch the contraction core of `AltForm3` to record (form, nums) of
     each contraction in the returned list: a product with
-    `contraction_table` (which `contract3` and `evaluate_over` run) and
-    `contract_over` (the full matrix the records and SECOND's tables read).
+    `contraction_table`, which `contract3`, `evaluate_over` and
+    `gerbe.forms_over` run (the basis rows contract E by e_k and i*e_k).
     Building the table runs `contract_pairs` once per basis vector; that
     is not a contraction of a queried vector and is not recorded."""
     calls = []
@@ -810,13 +840,6 @@ def count_contractions(monkeypatch) -> list:
         return de, _CountedRows(e3, rows, calls)
 
     monkeypatch.setattr(AltForm3, "contraction_table", property(counted_table))
-    contract_over = AltForm3.contract_over
-
-    def counting(e3, nums, den=1):
-        calls.append((e3, tuple(nums)))
-        return contract_over(e3, nums, den)
-
-    monkeypatch.setattr(AltForm3, "contract_over", counting)
     return calls
 
 

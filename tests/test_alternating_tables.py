@@ -1,22 +1,24 @@
 """The alternating tables of the obstructions, and the records they spare.
 
-FIRST and SECOND are alternating and multilinear, so `obstruction_vanishes`
-reads them off two tables built once per (torus, E, case) from the basis
-records, `obstruction._pair_rows` and `_triple_rows`: a tuple of basis
+FIRST and SECOND are alternating and multilinear, so the obstructions
+read them off two tables built once per (torus, E, case) from the basis
+rows, `obstruction._pair_rows` and `_triple_rows`: a tuple of basis
 vectors reads one row times the sign of its order, any other tuple its
 wedge vector times the rows.  Both are compared with oracles in `helpers`
 that compute from the records of the vectors themselves:
-`reference_first_alternating` by three products per pair, and
-`reference_second_triples` by tables built over the records of one query.
-The vectors are basis vectors in every order, repeated vectors, rationals
-of mixed denominators and numerators past the 64-bit guard of
-`PackedRows`, on standard and twisted tori at n = 2 and 3 in both cases.
+`reference_first_alternating` by three products per pair,
+`reference_second_triples` by tables built over the records of one query,
+and `reference_second_alternating`, for the public SECOND values, by one
+product per permutation.  The vectors are basis vectors in every order,
+repeated vectors, rationals of mixed denominators and numerators past the
+64-bit guard of `PackedRows`, on standard and twisted tori at n = 2 and 3
+in both cases, and on translated gerbes.
 
-A record other than a basis record is its lift: its matrices and its
-membership, built on first read, equal `helpers.reference_record`, the
-eager build.  The decisions and the trivialization identity read no record
-matrix, and a translated gerbe decides as the gerbe does, off the same
-tables, with no basis record rebound to it.
+Every record is its lift: its matrices and its membership, built on first
+read, equal `helpers.reference_record`, the eager build.  The decisions
+and the trivialization identity read no record matrix, and a translated
+gerbe decides as the gerbe does, off the same tables, without building
+them again.
 """
 
 import functools
@@ -24,7 +26,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torusgerbe.trivialization as triv
@@ -33,9 +35,11 @@ from torusgerbe import (
     AltForm3,
     ClosedFormMismatch,
     FirstObstructionNonzero,
+    GaussianRational,
     GerbeData,
     ObstructionContext,
     ObstructionKind,
+    SecondObstructionValues,
     SubgroupCase,
     SubgroupSpec,
     TranslationContext,
@@ -43,7 +47,9 @@ from torusgerbe import (
     first_obstruction_alternating,
     gerbal_class,
     obstruction_vanishes,
+    second_obstruction_alternating,
     translate_gerbe,
+    unit_reduce,
     verify_trivialization,
 )
 from torusgerbe.exact import PackedRows
@@ -51,11 +57,13 @@ from torusgerbe.obstruction import _candidate, _first_alternating, _pair_rows, _
 
 from helpers import (
     RECORD_LAZY,
+    basis_records,
     conjugated_instance,
     decided,
     obstruction_candidates,
     reference_first_alternating,
     reference_record,
+    reference_second_alternating,
     reference_second_triples,
 )
 
@@ -133,6 +141,24 @@ def assert_second_matches(ctx, records):
     assert read == reference_second_triples(ctx, records)
 
 
+def assert_public_second_matches(ctx, ws):
+    """`second_obstruction_alternating` on the vectors ws equals the
+    oracle's three values and three flags."""
+    (den, re, im, general, closed), flags = reference_second_alternating(
+        ctx, *[ctx.vector(w) for w in ws]
+    )
+    skew = GaussianRational(F(re, den), F(im, den))
+    expected = SecondObstructionValues(
+        unit_reduce(skew), unit_reduce(F(general, den)), unit_reduce(F(closed, den)), skew,
+        im == 0, *flags,
+    )
+    assert second_obstruction_alternating(ctx, *ws) == expected
+
+
+def one_dimensional_gerbe() -> GerbeData:
+    return GerbeData(check_complex_structure([[0, -1], [1, 0]]), AltForm2.zero(2), AltForm3.zero(2))
+
+
 class TestAgainstTheOracles:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -147,6 +173,49 @@ class TestAgainstTheOracles:
         g, case, vectors = drawn_vectors(data, (3, 6))
         ctx = ObstructionContext(g, case)
         assert_second_matches(ctx, [ctx.vector(w) for w in vectors])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_property_triple_rows(self, data):
+        # SECOND's rows on the basis triples are the oracle's tables over
+        # the basis records; n = 1 has no triple
+        n = data.draw(st.integers(1, 3), label="n")
+        case = data.draw(st.sampled_from(list(SubgroupCase)), label="case")
+        if n == 1:
+            g = one_dimensional_gerbe()
+        else:
+            twisted = data.draw(st.booleans(), label="twisted")
+            g = conjugated_instance(n, data.draw(st.integers(0, 2), label="seed"), case, twisted)[0]
+        ctx, records = ObstructionContext(g, case), basis_records(g, case)
+        table = _triple_rows(triv._basis_records(g, case))
+        expected = reference_second_triples(ctx, records)
+        assert table.packed.rows == [list(values[1:]) for values in expected]
+        assert all(den == table.den for den, *_ in expected)
+        assert len(expected) == n * (2 * n - 1) * (2 * n - 2) // 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_second_public(self, data):
+        # members, repeats and numerators past the guard, on the gerbe or
+        # a translated one, whose records are its own lifts
+        g, case, vectors = drawn_vectors(data, (3, 6))
+        if data.draw(st.booleans(), label="translated"):
+            g = translate_gerbe(g, data.draw(st.sampled_from(vectors), label="by"))
+        ctx = ObstructionContext(g, case)
+        members = [w for w in vectors if ctx.vector(w).member]
+        assume(members)
+        ws = [data.draw(st.sampled_from(members), label="w") for _ in range(3)]
+        assert_public_second_matches(ctx, ws)
+
+    def test_public_second_on_basis_triples_in_every_order(self, instance):
+        g, case, vectors = instance
+        for h in (g, translate_gerbe(g, vectors[0])):
+            ctx = ObstructionContext(h, case)
+            members = [e for e in h.torus.basis() if ctx.vector(e).member][:4]
+            for ws in itertools.permutations(members + vectors[:1], 3):
+                assert_public_second_matches(ctx, ws)
+            if members:
+                assert_public_second_matches(ctx, [members[0]] * 2 + vectors[1:2])
 
     def test_basis_tuples_in_every_order(self, instance):
         # a tuple of distinct basis vectors reads its row times the sign of
@@ -183,7 +252,7 @@ class TestAgainstTheOracles:
     def test_one_dimensional_torus(self):
         # at n = 1 there is no basis triple: SECOND's table has no rows, and
         # every triple of Z^2 reads three zeros over its denominator
-        g = GerbeData(check_complex_structure([[0, -1], [1, 0]]), AltForm2.zero(2), AltForm3.zero(2))
+        g = one_dimensional_gerbe()
         vectors = [(F(1, 2), F(1, 3)), (F(2, 5), 1), *g.torus.basis()]
         for case in SubgroupCase:
             ctx = ObstructionContext(g, case)
@@ -228,10 +297,13 @@ class TestLazyRecords:
         if data.draw(st.booleans(), label="shifted"):  # most often a non-member
             w = tuple(x + F(1, 3) for x in w)
         record = TranslationContext.create(g, w, case, check=False)
-        basis = w in g.torus.basis()
-        # a basis record holds its fields from the start; any other builds
-        # each on first read
-        assert all((name in vars(record)) is basis for name in RECORD_LAZY)
+        # every record builds each field on first read; a basis vector gets
+        # the basis's own record, which the tables have read already
+        k = triv._basis_index(*g.torus.lift(w)[:2])
+        if k >= 0:
+            assert record is triv._basis_records(g, case).records[k]
+        else:
+            assert not any(name in vars(record) for name in RECORD_LAZY)
         expected = reference_record(g, w, case)
         assert {name: getattr(record, name) for name in RECORD_LAZY} == expected
 
@@ -304,18 +376,17 @@ class TestTranslatedGerbe:
     @pytest.mark.parametrize("which", list(ObstructionKind), ids=lambda k: k.value)
     def test_decides_as_the_gerbe_without_rebinding(self, instance, which, monkeypatch):
         g, case, vectors = instance
-        # a generator that is a basis vector gets its record bound to the
+        # a generator that is a basis vector gets a lift of the translated
         # gerbe, as any record; the basis candidates are read off the
-        # shared basis records themselves
-        basis = g.torus.basis()
-        spec = SubgroupSpec.create([w for w in vectors if w not in basis], case)
+        # shared basis records themselves, and nothing is built again
+        members = [e for e in g.torus.basis() if triv._lifted_record(g, e, case).member]
+        spec = SubgroupSpec.create([*vectors, *members[:1]], case)
         expected = obstruction_vanishes(g, spec, which)
         moved = translate_gerbe(g, vectors[1])
         assert moved.b != g.b and moved.tables is g.tables
-        rebound, original = [], triv._rebound
-        monkeypatch.setattr(
-            triv, "_rebound", lambda *args: rebound.append(args) or original(*args)
-        )
+        basis = triv._basis_records(g, case)
+        made = dict(vars(basis)["_made"])
+        monkeypatch.setattr(triv, "_basis_row", lambda *args: pytest.fail("a row was built"))
         assert obstruction_vanishes(moved, spec, which) == expected
         assert obstruction_vanishes(translate_gerbe(moved, vectors[2]), spec, which) == expected
-        assert rebound == []
+        assert vars(basis)["_made"] == made and moved.tables.bases[case] is basis

@@ -239,7 +239,7 @@ class TestAgainstTheOldRoute:
         )
         omega = contract3(e3, w)
         dw, x = int_vec(w)
-        assert omega == AltForm2.from_upper(*e3.contract_over(x, dw)) == reference_contract(e3, w)
+        assert omega == AltForm2.from_coords(d, *e3.contract_pairs(x, dw)) == reference_contract(e3, w)
         for case in SubgroupCase:
             assert in_case_subgroup(t, e3, w, case) is reference_case_member(t, omega, case)
         assert integral_anti_invariant_member(t, omega) is reference_anti_invariant_member(t, omega)

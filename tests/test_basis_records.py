@@ -1,13 +1,14 @@
-"""Shared basis records: every other translation record is combined.
+"""Shared basis rows: every translation record is its lift.
 
-`TranslationContext.create` builds the records of the lattice basis
-vectors from the contractions once per (torus, E, case) and keeps them in
-the gerbe's tables (`GerbeData.tables`); the record of any other w = x/dw
-is sum_k x_k*(record of e_k) over dw times their denominator.  The
-combination is checked field by field against the direct build
-(`trivialization._direct_record`), on standard and twisted J at n = 2 and
-3, in both cases, for w with denominators 1, 2 and 4, inside and outside
-the subgroup, and for the zero vector.
+The first record of a (torus, E, case) builds the matrices of the lattice
+basis vectors from the contractions, as d packed rows kept in the gerbe's
+tables (`GerbeData.tables`); the record of any w = x/dw, a basis vector's
+included, is sum_k x_k*(row of e_k) over dw times their denominator.  The
+combination is checked field by field against the direct build at w
+(`helpers.direct_record`), on standard and twisted J at n = 2 and 3, in
+both cases, for w with denominators 1, 2 and 4, inside and outside the
+subgroup, and for the zero vector.  The gerbe that built the rows gets
+the basis's own record of a basis vector; any other gets a plain lift.
 """
 
 import random
@@ -28,9 +29,9 @@ from torusgerbe import (
     TranslationContext,
     obstruction_vanishes,
 )
-from torusgerbe.exact import to_vec
+from torusgerbe.gerbe import translate_gerbe
 
-from helpers import conjugated_instance
+from helpers import basis_records, conjugated_instance, direct_record
 
 FIELDS = ("dw", "x", "ix", "den", "member", "omega", "f", "m", "r")
 INSTANCES = [
@@ -70,7 +71,7 @@ class TestCombinedRecords:
         shifted = [tuple(x + F(1, 4) for x in w) for w in vectors]
         for w in [(0,) * d, *vectors, *shifted, *drawn]:
             combined = TranslationContext.create(g, w, case, check=False)
-            assert_same_record(combined, triv._direct_record(g, to_vec(w), case))
+            assert_same_record(combined, direct_record(g, w, case))
         assert all(TranslationContext.create(g, w, case).member for w in vectors)
         assert not any(TranslationContext.create(g, w, case, check=False).member for w in shifted)
 
@@ -92,18 +93,19 @@ class TestCombinedRecords:
             )
         )
         combined = TranslationContext.create(g, w, case, check=False)
-        assert_same_record(combined, triv._direct_record(g, to_vec(w), case))
+        assert_same_record(combined, direct_record(g, w, case))
 
     def test_basis_vector_returns_the_cached_record(self, instance):
         g, case, _ = instance
         d = g.torus.dim
-        basis = TranslationContext.basis(g, case)
+        basis = basis_records(g, case)
         assert len(basis) == d and list(g.tables.bases) == [case]
         for k, ek in enumerate(g.torus.basis()):
-            assert TranslationContext.create(g, ek, case, check=False) is basis[k]
+            assert basis[k] is triv._basis_records(g, case).records[k]
+            assert triv._lifted_record(g, ek, case) is basis[k]
             as_ints = [int(a == k) for a in range(d)]
             assert TranslationContext.create(g, as_ints, case, check=False) is basis[k]
-            assert_same_record(basis[k], triv._direct_record(g, ek, case))
+            assert_same_record(basis[k], direct_record(g, ek, case))
         # 2*e_k and e_k/2 are combined, not read off the cache
         for w in ((2,) + (0,) * (d - 1), (F(1, 2),) + (0,) * (d - 1)):
             assert TranslationContext.create(g, w, case, check=False) is not basis[0]
@@ -135,7 +137,28 @@ class TestWarmGerbe:
             (triv, "forms_over"),
             (triv, "pullback_over"),
             (symmetry_module, "member_over"),
-            (triv, "_direct_record"),
+            (triv, "_basis_row"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         assert [obstruction_vanishes(g, spec, which) for which in ObstructionKind] == first
+
+
+class TestTranslatedGerbe:
+    def test_basis_vectors_are_plain_lifts(self, instance, monkeypatch):
+        # a translated gerbe shares the rows but not the records: its record
+        # of e_k is a new lift of its own, field for field a lift built by
+        # hand, made without a copy of the basis's record or a new row
+        g, case, _ = instance
+        basis = triv._basis_records(g, case)
+        moved = translate_gerbe(g, g.torus.basis()[0])
+        row = triv._basis_row
+        monkeypatch.setattr(triv, "_basis_row", lambda *args: pytest.fail("a row was rebuilt"))
+        records = [triv._lifted_record(moved, ek, case) for ek in g.torus.basis()]
+        for k, (record, ek) in enumerate(zip(records, g.torus.basis())):
+            lift = TranslationContext(moved, ek, case, *g.torus.lift(ek), basis.den)
+            assert record.gerbe is moved and record is not basis.records[k]
+            assert vars(record) == vars(lift)
+        assert moved.tables.bases[case] is basis
+        monkeypatch.setattr(triv, "_basis_row", row)
+        for record, ek in zip(records, g.torus.basis()):
+            assert_same_record(record, direct_record(moved, ek, case))

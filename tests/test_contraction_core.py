@@ -45,15 +45,16 @@ from torusgerbe import (
 )
 from torusgerbe.exact import vec_add
 from torusgerbe.gerbe import forms_over
-from torusgerbe.obstruction import _first_alternating, _pair_rows, defect_correction_fn
+from torusgerbe.obstruction import _first_alternating, _pair_rows, _triple_rows
+from torusgerbe.obstruction import defect_correction_fn
 from torusgerbe.trivialization import _basis_records, verify_trivialization
 
 from helpers import (
     conjugated_instance,
     corrupt_basis_record,
-    corrupt_record,
     corrupt_table_row,
     gerbe4,
+    minor3,
     rand_rational_vec,
     rand_vec,
     reference_defect_correction_fn,
@@ -286,9 +287,10 @@ class TestIntegerRecords:
 
 
 class TestCorruptedFormIsCaught:
-    """A wrong cached R_w, or a wrong skew half of FIRST's basis-pair table
-    (the M_w at the basis), must surface in a cross-check: the closed forms
-    read E or E(w,.,.) and never L_w, R_w or M_w."""
+    """A wrong skew half of SECOND's basis-triple table (the R_w at the
+    basis) or of FIRST's basis-pair table (the M_w at the basis) must
+    surface in a cross-check: the closed forms read E or E(w,.,.) and never
+    L_w, R_w or M_w."""
 
     @staticmethod
     def _caught(ctx, w1, w2, w3):
@@ -299,15 +301,14 @@ class TestCorruptedFormIsCaught:
             return True
         return not second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
 
-    def test_half_lattice_example(self):
+    def test_half_lattice_example(self, monkeypatch):
         g = gerbe4(4)
         half = F(1, 2)
         w1, w2, w3 = (half, 0, 0, 0), (0, half, 0, 0), (0, 0, half, 0)
         ctx = ObstructionContext(g, SubgroupCase.INTEGRAL)
         assert not self._caught(ctx, w1, w2, w3)
-        # entry (1, 0) of R_w3 enters the imaginary part of the skew as
-        # delta*(x2_1*x1_0 - x1_1*x2_0) for the numerators x of w1, w2
-        corrupt_record(ctx, w3, "r", 1, 0, 1)
+        # the imaginary skew of row (0, 1, 2) enters (w1, w2, w3) times 1
+        corrupt_table_row(monkeypatch, g, SubgroupCase.INTEGRAL, _triple_rows, 0, 1)
         assert self._caught(ctx, w1, w2, w3)
 
     def test_half_lattice_example_first(self, monkeypatch):
@@ -322,19 +323,31 @@ class TestCorruptedFormIsCaught:
         with pytest.raises(ClosedFormMismatch):
             first_obstruction_alternating(ctx, w1, w2)
 
-    def test_every_instance(self, instance):
+    def test_every_instance(self, instance, monkeypatch):
+        # the imaginary skew of row (a, b, c) enters a triple times its
+        # minor on the columns (a, b, c).  In the n = 2 type (1,1)
+        # instances the vectors span a plane, so no triple of them reads
+        # any row, and no corruption of one can change their values.
         g, case, vectors = instance
-        w1, w2, w3 = vectors[:3]
         ctx = ObstructionContext(g, case)
-        assert not self._caught(ctx, w1, w2, w3)
-        x1, x2 = ctx.vector(w1).x, ctx.vector(w2).x
-        p, q = next(
-            (p, q)
-            for p, q in itertools.product(range(g.torus.dim), repeat=2)
-            if x2[p] * x1[q] != x1[p] * x2[q]
+        xs = [ctx.vector(w).x for w in vectors]
+        rows = list(itertools.combinations(range(g.torus.dim), 3))
+        found = next(
+            (
+                (triple, place)
+                for triple in itertools.combinations(range(len(xs)), 3)
+                for place, cols in enumerate(rows)
+                if minor3([xs[i] for i in triple], cols)
+            ),
+            None,
         )
-        corrupt_record(ctx, w3, "r", p, q, 1)
-        assert self._caught(ctx, w1, w2, w3)
+        if found is None:
+            assert g.torus.n == 2 and case is SubgroupCase.TYPE_ONE_ONE
+        triple, place = found or ((0, 1, 2), 0)
+        ws = [vectors[i] for i in triple]
+        assert not self._caught(ctx, *ws)
+        corrupt_table_row(monkeypatch, g, case, _triple_rows, place, 1)
+        assert self._caught(ctx, *ws) is (found is not None)
 
     @staticmethod
     def _corrupt_first_row(instance, monkeypatch, half: int):
@@ -376,12 +389,6 @@ class TestCorruptedFormIsCaught:
                 _first_alternating(table, c1, c2)
         _first_alternating(table, e[0], e[1])
         _first_alternating(table, e[1], e[0])
-
-
-def _minor3(xs, cols) -> int:
-    """The determinant of the rows xs (three integer vectors) on cols."""
-    (a, b, c), (d, e, f), (g, h, i) = ([x[j] for j in cols] for x in xs)
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 class TestCorruptedBasisRecordIsCaught:
@@ -426,7 +433,7 @@ class TestCorruptedBasisRecordIsCaught:
                 (triple, cols)
                 for triple in itertools.combinations(range(len(xs)), 3)
                 for cols in itertools.permutations(range(g.torus.dim), 3)
-                if _minor3([xs[i] for i in triple], cols)
+                if minor3([xs[i] for i in triple], cols)
             ),
             None,
         )

@@ -36,6 +36,7 @@ from torusgerbe.trivialization import TranslationContext, first_failing_pair
 from torusgerbe.trivialization import verify_trivialization
 
 from helpers import (
+    basis_records,
     conjugated_instance,
     e,
     gerbe4,
@@ -216,11 +217,10 @@ class TestTranslateGerbe:
 
 
 def handed_records(g, case, vectors) -> list:
-    """The records of g's basis, by `TranslationContext.basis` and then by
-    `create` one basis vector at a time, then those of the case vectors."""
-    singles = [TranslationContext.create(g, ek, case, check=False) for ek in g.torus.basis()]
+    """The records of g's basis (`helpers.basis_records`, by `create` one
+    basis vector at a time), then those of the case vectors."""
     combined = [TranslationContext.create(g, w, case) for w in vectors]
-    return [*TranslationContext.basis(g, case), *singles, *combined]
+    return [*basis_records(g, case), *combined]
 
 
 class TestTranslatedGerbeIsTrusted:
@@ -269,15 +269,16 @@ class TestTranslatedGerbeIsTrusted:
         d, rng = g.torus.dim, random.Random(f"shared:{case.value}")
         for w in vectors:
             assert verify_trivialization(TranslationContext.create(g, w, case))
-        assert TranslationContext.basis(g, case) is g.tables.bases[case].records
+        own = g.tables.bases[case].records
+        assert all(a is b for a, b in zip(basis_records(g, case), own, strict=True))
         builds = []
-        record, rows = triv._direct_record, gerbe_module.basis_factor_rows
+        record, rows = triv._basis_row, gerbe_module.basis_factor_rows
         residual = vars(triv._Basis)["residual_rows"]
 
         def counting(name, build):
             return lambda *args: builds.append(name) or build(*args)
 
-        monkeypatch.setattr(triv, "_direct_record", counting("record", record))
+        monkeypatch.setattr(triv, "_basis_row", counting("record", record))
         monkeypatch.setattr(gerbe_module, "basis_factor_rows", counting("factor rows", rows))
         monkeypatch.setattr(residual, "func", counting("residual rows", residual.func))
         chain = [g]
@@ -288,7 +289,7 @@ class TestTranslatedGerbeIsTrusted:
         for moved in chain[1:]:
             records = handed_records(moved, case, vectors)
             assert all(r.gerbe is moved for r in records)
-            assert all(verify_trivialization(r) for r in records[2 * d :])
+            assert all(verify_trivialization(r) for r in records[d:])
             handed.append((moved, records))
         assert builds == [] and list(g.tables.bases) == [case]
         monkeypatch.undo()

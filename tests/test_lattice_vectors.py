@@ -185,7 +185,6 @@ INTEGER_ROWS = {
     "AltForm3.evaluate_over(x)": ("x", lambda v: G.e.evaluate_over(v, [1, 0, 0, 0], [0, 1, 0, 0])),
     "AltForm3.evaluate_over(y)": ("y", lambda v: G.e.evaluate_over([1, 0, 0, 0], v, [0, 1, 0, 0])),
     "AltForm3.evaluate_over(z)": ("z", lambda v: G.e.evaluate_over([1, 0, 0, 0], [0, 1, 0, 0], v)),
-    "AltForm3.contract_over": ("nums", lambda v: G.e.contract_over(v, 2)),
     "AltForm3.contract_pairs": ("nums", lambda v: G.e.contract_pairs(v, 2)),
 }
 

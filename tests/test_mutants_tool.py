@@ -26,10 +26,10 @@ TREE = ast.parse((ROOT / FORMS).read_text())
 
 
 def test_method_lookup():
-    func = TOOL.find_function(TREE, "AltForm3.contract_over")
-    assert isinstance(func, ast.FunctionDef) and func.name == "contract_over"
+    func = TOOL.find_function(TREE, "AltForm3.contract_pairs")
+    assert isinstance(func, ast.FunctionDef) and func.name == "contract_pairs"
     assert TOOL.find_function(TREE, "alternating_matrix").name == "alternating_matrix"
-    for name in ("AltForm3.no_such_method", "AltForm3", "contract_over"):
+    for name in ("AltForm3.no_such_method", "AltForm3", "contract_pairs"):
         with pytest.raises(LookupError):
             TOOL.find_function(TREE, name)
 
@@ -43,7 +43,7 @@ def test_unknown_name_is_a_usage_error(capsys, tmp_path):
 
 
 def test_every_mutant_unparses_and_compiles():
-    name = "AltForm3.contract_over"
+    name = "AltForm3.contract_pairs"
     count = len(list(TOOL.mutations(TOOL.find_function(TREE, name))))
     assert count > 10
     sources = set()

@@ -43,6 +43,7 @@ from torusgerbe.exact import basis_vec, to_vec, vec_add
 from torusgerbe.obstruction import defect_correction_fn
 
 from helpers import (
+    basis_records,
     conjugated_instance,
     sample_case_vector,
     e,
@@ -197,10 +198,10 @@ class TestLiftDefectCharacter:
             TranslationContext.create(g, bad, INT)
 
     def test_one_record_per_distinct_vector(self, monkeypatch):
-        # the contractions run once per basis vector per (gerbe, case); the
-        # records of w1, w2 and w1 + w2 are combined from those, once per
-        # context, and serve both the membership checks and the three
-        # trivializers composed
+        # the contractions run once per basis vector per (gerbe, case), for
+        # the basis rows; the records of w1, w2 and w1 + w2 are their lifts,
+        # once per context, and serve both the membership checks and the
+        # three trivializers composed
         import torusgerbe.gerbe as gerbe
         import torusgerbe.obstruction as obstruction
         import torusgerbe.trivialization as triv
@@ -232,7 +233,7 @@ class TestLiftDefectCharacter:
         from torusgerbe.torus import TorusData
 
         g = gerbe4(2)
-        TranslationContext.basis(g, INT)  # the basis records lift their own vectors
+        basis_records(g, INT)  # the basis records lift their own vectors
         lifts = []
         lift = TorusData.lift
 
@@ -611,7 +612,7 @@ class TestObstructionVanishes:
             (3, 4, 5): -9,
         }
         g = GerbeData(TorusData(3, j), AltForm2.zero(6), AltForm3.from_coeffs(6, coeffs))
-        assert not any(record.member for record in TranslationContext.basis(g, ONEONE))
+        assert not any(record.member for record in basis_records(g, ONEONE))
         w1, w2 = vec(1, F(1, 6), 1, 1, 1, F(-1, 2)), vec(4, F(1, 3), -1, 2, -1, -1)
         lam = vec(-5, 0, 12, 3, 14, 0)
         assert TranslationContext.create(g, lam, ONEONE).member

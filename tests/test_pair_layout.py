@@ -2,8 +2,7 @@
 the pairs a < b in lexicographic order.
 
 `torus.pullback_over` maps pair coordinates to pair coordinates through
-`TorusData.pullback_map`, `AltForm3.contract_over` returns the full
-alternating matrix; each is compared with dense `Fraction` matrices.
+`TorusData.pullback_map`; it is compared with dense `Fraction` matrices.
 `AltForm2.from_pairs` writes its coordinates straight from the dict and
 reports a bad pair or a float as it reads the items in order.
 """
@@ -16,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgerbe import AltForm2, AltForm3, check_complex_structure
+from torusgerbe import AltForm2, check_complex_structure
 from torusgerbe.exact import mat_mul
 from torusgerbe.torus import pullback_over
 
-from helpers import FractionAltForm2, reference_contract_matrix, standard_j_rows, twisted_torus
+from helpers import FractionAltForm2, standard_j_rows, twisted_torus
 
 # the (c0, c1) of every c0*omega + c1*J^T*omega*J the package forms: the
 # pullback, the anti-invariant part, the translation shift, the integral
@@ -88,28 +87,6 @@ def test_pullback_map_stays_sparse():
     dj2, images = t.pullback_map
     assert dj2 == 1 and len(images) == len(pairs(t.dim))
     assert all(len(image) == 1 for image in images)
-
-
-@pytest.mark.parametrize("torus", [*TORI, N4], ids=[*TORUS_IDS, "n4-twisted"])
-@given(data=st.data())
-@settings(max_examples=20, deadline=None)
-def test_contract_over_is_the_full_alternating_matrix(torus, data):
-    d = torus.dim
-    coeffs = data.draw(
-        st.dictionaries(
-            st.sampled_from(list(itertools.combinations(range(d), 3))),
-            st.fractions(min_value=-4, max_value=4, max_denominator=6),
-            max_size=6,
-        )
-    )
-    e3 = AltForm3.from_coeffs(d, coeffs)
-    nums = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
-    den = data.draw(st.integers(1, 7))
-    m, scale = e3.contract_over(nums, den)
-    assert scale == e3.int_entries[0] * den
-    assert all(m[a][b] == -m[b][a] for a in range(d) for b in range(d))
-    dense = reference_contract_matrix(e3, [F(x, den) for x in nums])
-    assert tuple(tuple(F(x, scale) for x in row) for row in m) == dense
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,18 @@
 """SECOND's table of the basis triples.
 
-`obstruction._second_triples` gives every triple's skew and closed form
-over its records; `obstruction_vanishes` runs it once per (torus, E,
-case) over the basis records, for the table it reads every triple of its
-candidates off.  Each test compares it, triple by triple, with
-`helpers.reference_second_alternating`, which computes one triple at a
-time: the same four integers and the same skew-against-closed flag, on
-standard and twisted tori at n = 2 and 3 in both cases, on the
-half-lattice example, and on corrupted records.
-`second_obstruction_alternating` must return the oracle's three values and
-three flags on every triple, and `obstruction_vanishes` what a loop over
-the oracle returns.  Neither the table nor a decision reads a record's
-F_w, and E is contracted only to build the table."""
+`obstruction._triple_rows` builds SECOND's skew and closed form on the
+basis triples once per (torus, E, case), from the basis rows;
+`obstruction_vanishes` and `second_obstruction_alternating` read every
+triple of their candidates off it.  Each test compares the table's
+values, triple by triple, with `helpers.reference_second_alternating`,
+which computes one triple at a time from its records: the same four
+integers and the same skew-against-closed flag, on standard and twisted
+tori at n = 2 and 3 in both cases, on the half-lattice example, and on
+corrupted rows and records.  `second_obstruction_alternating` must return
+the oracle's three values and three flags on every triple, and
+`obstruction_vanishes` what a loop over the oracle returns.  Neither the
+table nor a decision reads a record's F_w, and E is contracted only to
+build the basis rows."""
 
 import itertools
 import random
@@ -21,7 +22,7 @@ from math import comb
 import pytest
 
 import torusgerbe.obstruction as obstruction
-from torusgerbe.trivialization import _Basis, _basis_records
+from torusgerbe.trivialization import _basis_records
 from torusgerbe import (
     GaussianRational,
     GerbeData,
@@ -42,8 +43,10 @@ from helpers import (
     conjugated_instance,
     corrupt_basis_record,
     corrupt_record,
+    corrupt_table_row,
     count_contractions,
     gerbe4,
+    minor3,
     reference_second_alternating,
     replace_fields,
     sample_case_vector,
@@ -91,10 +94,23 @@ def skew_agrees_closed(den, skew_re, skew_im, closed):
     return skew_im == 0 and (skew_re - closed) % den == 0
 
 
+def table_values(ctx, records) -> list:
+    """(den, skew_re, skew_im, closed) of every triple of the records, in
+    lexicographic order, read off SECOND's basis table."""
+    table = _basis_records(ctx.gerbe, ctx.case).table(obstruction._triple_rows)
+    return list(table.on_triples([obstruction._candidate(d) for d in records]))
+
+
+def wedge3(x1, x2, x3) -> list:
+    """The coordinates of x1 ^ x2 ^ x3 on the basis triples a < b < c, in
+    lexicographic order: the 3 x 3 minors."""
+    return [minor3((x1, x2, x3), abc) for abc in itertools.combinations(range(len(x1)), 3)]
+
+
 def assert_tables_match(ctx, records):
-    """The table kernel equals the oracle's skew and closed form, and its
+    """The table's values equal the oracle's skew and closed form, and its
     skew-against-closed flag, on every triple; returns its values."""
-    tables = list(obstruction._second_triples(ctx, records))
+    tables = table_values(ctx, records)
     expected = [
         reference_second_alternating(ctx, *triple)
         for triple in itertools.combinations(records, 3)
@@ -128,11 +144,9 @@ def assert_decision_reads_no_f(monkeypatch, g, spec):
     expected = decided(obstruction_vanishes(g, spec, SECOND))
     g = GerbeData(g.torus, g.b, g.e)  # no table built
     basis = _basis_records(g, spec.case)
+    basis.member_rows  # membership reads F_w by its definition: built beforehand
     records = tuple(replace_fields(d, f=None) for d in basis.records)
-    without_f = _Basis(records, basis.rows)
-    # membership reads F_w by its definition, off rows built beforehand
-    vars(without_f)["member_rows"] = basis.member_rows
-    monkeypatch.setitem(g.tables.bases, spec.case, without_f)
+    monkeypatch.setitem(vars(basis), "records", records)
     build = obstruction._lifted_record
     monkeypatch.setattr(
         obstruction, "_lifted_record", lambda *args: replace_fields(build(*args), f=None)
@@ -209,38 +223,49 @@ class TestAgainstTheOracle:
 
 
 class TestCorruptedRecords:
-    """The tables read each record's own R_c and no record's F_c: a
-    corrupted entry of R moves the tables' values exactly as it moves the
-    oracle's, and one of F moves only the bilinear expression of
-    `second_obstruction_alternating`, exactly as it moves the oracle's."""
+    """SECOND's skew is read off its table and the bilinear expression off
+    the records' F_c: a corrupted skew entry of a table row moves the
+    values of every triple by its wedge coordinate, so the skew no longer
+    agrees with the closed form, and a corrupted entry of a record's F
+    moves only the bilinear expression of `second_obstruction_alternating`,
+    exactly as it moves the oracle's."""
 
     @pytest.mark.parametrize("name", ("r", "f"))
-    def test_every_instance(self, instance, name):
+    def test_every_instance(self, instance, name, monkeypatch):
         g, case, vectors = instance
         ctx = ObstructionContext(g, case)
         w1, w2, w3 = vectors[:3]
         before = assert_tables_match(ctx, [ctx.vector(w) for w in vectors])
         general = second_obstruction_alternating(ctx, w1, w2, w3).general_factor
+        if name == "r":
+            # the skew_re column of row (a, b, c) enters each triple times
+            # its wedge coordinate; the members of the n = 2 type (1,1)
+            # instances span rank 2, where every wedge, and so every
+            # skew, is zero
+            triples = list(itertools.combinations(range(len(vectors)), 3))
+            qs = [wedge3(*[ctx.vector(vectors[i]).x for i in t]) for t in triples]
+            place = next((k for q in qs for k, y in enumerate(q) if y), 0)
+            corrupt_table_row(monkeypatch, g, case, obstruction._triple_rows, place, 0)
+            after = table_values(ctx, [ctx.vector(w) for w in vectors])
+            for t, q, (den, skew_re, *rest), old in zip(triples, qs, after, before):
+                assert (den, skew_re - q[place], *rest) == old
+                assert skew_agrees_closed(den, skew_re, *rest) is (q[place] % den == 0)
+                public = second_obstruction_alternating(ctx, *[vectors[i] for i in t])
+                assert public.agree_skew_closed is (q[place] % den == 0)
+            assert any(q[place] for q in qs) is (g.torus.dim > 4 or case is INT)
+            return
+        # entry (p, q) of F_w3 moves `general` by 3*dj*x1_p*x2_q
         x1, x2 = ctx.vector(w1).x, ctx.vector(w2).x
-        # entry (p, q) of R_w3 moves the skew of (w1, w2, w3) by x2_p*x1_q -
-        # x1_p*x2_q, and of F_w3 moves `general` by 3*dj*x1_p*x2_q
-        moved = (lambda p, q: x2[p] * x1[q] - x1[p] * x2[q]) if name == "r" else (
-            lambda p, q: x1[p] * x2[q]
-        )
         p, q = next(
-            (p, q) for p, q in itertools.product(range(g.torus.dim), repeat=2) if moved(p, q)
+            (p, q) for p, q in itertools.product(range(g.torus.dim), repeat=2) if x1[p] * x2[q]
         )
         corrupt_record(ctx, w3, name, p, q)
         after = assert_tables_match(ctx, [ctx.vector(w) for w in vectors])
         values = assert_public_values_match(ctx, (w1, w2, w3))
-        if name == "r":
-            assert after[0] != before[0]
-            assert not skew_agrees_closed(*after[0])  # skew no longer agrees with closed
-        else:
-            assert after == before
-            den, dj = after[0][0], g.torus.j_columns[0]
-            shift = F(3 * dj * moved(p, q), den) % 1
-            assert shift and values.general_factor == general * unit_reduce(shift)
+        assert after == before
+        den, dj = after[0][0], g.torus.j_columns[0]
+        shift = F(3 * dj * x1[p] * x2[q], den) % 1
+        assert shift and values.general_factor == general * unit_reduce(shift)
 
     def test_f_takes_no_part_in_the_decision(self, instance, monkeypatch):
         g, case, vectors = instance
@@ -249,15 +274,15 @@ class TestCorruptedRecords:
     def test_f_takes_no_part_in_the_half_lattice_decision(self, monkeypatch):
         assert_decision_reads_no_f(monkeypatch, gerbe4(4), SubgroupSpec.create(HALVES, INT))
 
-    def test_half_lattice_example(self):
-        g = gerbe4(4)
+    def test_half_lattice_example(self, monkeypatch):
+        g = GerbeData(gerbe4(4).torus, gerbe4(4).b, gerbe4(4).e)
         ctx = ObstructionContext(g, INT)
         w1, w2, w3, _ = HALVES
         assert second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
-        # entry (1, 0) of R_w3 enters the imaginary part of the skew
-        corrupt_record(ctx, w3, "r", 1, 0)
-        assert_tables_match(ctx, [ctx.vector(w) for w in HALVES])
+        # the skew_im column of row (0, 1, 2), the triple of w1, w2, w3
+        corrupt_table_row(monkeypatch, g, INT, obstruction._triple_rows, 0, 1)
         assert not second_obstruction_alternating(ctx, w1, w2, w3).agree_skew_closed
+        assert second_obstruction_alternating(ctx, w1, w2, HALVES[3]).agree_skew_closed
 
     def test_disagreements_surface_in_the_decision(self, monkeypatch):
         g = gerbe4(4)
@@ -270,33 +295,33 @@ class TestCorruptedRecords:
 
 
 class TestStructure:
-    """SECOND's table is built once per (torus, E, case): the first query on
-    a gerbe contracts E once per first index of the basis triples, and no
-    query after it contracts E; a public triple contracts E once, and
-    nothing is built below three candidates."""
+    """SECOND's table is built once per (torus, E, case) from the basis
+    rows, whose build contracts E by each e_k and i*e_k: no query, the
+    first included, and no public triple contracts E, and nothing is built
+    below three candidates."""
 
     def test_contractions_per_query(self, instance, monkeypatch):
         g, case, vectors = instance
         g = GerbeData(g.torus, g.b, g.e)  # no table built
         spec = SubgroupSpec.create(vectors, case)
-        n = len(obstruction_candidates(g, spec)[1])  # builds the basis records
         calls = count_contractions(monkeypatch)
+        n = len(obstruction_candidates(g, spec)[1])  # builds the basis rows
+        assert len(calls) == 2 * g.torus.dim and all(e3 is g.e for e3, _ in calls)
+        calls.clear()
         result = obstruction_vanishes(g, spec, SECOND)
         assert result.tuples_checked == comb(n, 3) > n
-        assert len(calls) == g.torus.dim - 2
-        assert all(e3 is g.e for e3, _ in calls)
-        calls.clear()
+        assert calls == []
         assert obstruction_vanishes(g, spec, SECOND) == result
         assert calls == []
 
-    def test_one_contraction_per_public_triple(self, instance, monkeypatch):
+    def test_a_public_triple_contracts_nothing(self, instance, monkeypatch):
         g, case, vectors = instance
         ctx = ObstructionContext(g, case)
         for w in vectors:
             ctx.vector(w)
         calls = count_contractions(monkeypatch)
         second_obstruction_alternating(ctx, *vectors[:3])
-        assert len(calls) == 1
+        assert calls == []
 
     def test_no_table_below_three_candidates(self, monkeypatch):
         g, vectors = conjugated_instance(2, 0, SubgroupCase.TYPE_ONE_ONE, True)
@@ -310,7 +335,4 @@ class TestStructure:
         calls = count_contractions(monkeypatch)
         result = obstruction_vanishes(g, spec, SECOND)
         assert (result.vanishes, result.tuples_checked) == (True, 0)
-        assert calls == [] and products == []
-        ctx = ObstructionContext(g, SubgroupCase.TYPE_ONE_ONE)
-        assert list(obstruction._second_triples(ctx, [ctx.vector(vectors[0])] * 2)) == []
         assert calls == [] and products == []

@@ -150,8 +150,7 @@ class TestShiftTable:
             for name in ("contract3", "pullback_over"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden(name))
-        for name in ("contract_pairs", "contract_over"):
-            monkeypatch.setattr(AltForm3, name, forbidden(name))
+        monkeypatch.setattr(AltForm3, "contract_pairs", forbidden("contract_pairs"))
         for w, (b, fixes) in zip(ws, expected):
             h = translate_gerbe(g, w)
             assert h.b == b

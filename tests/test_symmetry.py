@@ -29,6 +29,7 @@ from torusgerbe.gerbe import translation_shift_form
 from torusgerbe.exact import vec_add
 
 from helpers import (
+    basis_records,
     count_contractions,
     e,
     gerbe4,
@@ -309,7 +310,7 @@ class TestCaseValues:
         data = TranslationContext.create(g, self.W, "integral")
         assert data == TranslationContext.create(g, self.W, INT)
         assert data.case is INT and data.member
-        assert TranslationContext.basis(g, "oneone") == TranslationContext.basis(g, ONEONE)
+        assert basis_records(g, "oneone") == basis_records(g, ONEONE)
         assert set(g.tables.bases) <= {INT, ONEONE}
 
     def test_obstruction_contexts(self):
@@ -331,7 +332,6 @@ class TestCaseValues:
         "in_case_subgroup": lambda g, w, c: in_case_subgroup(g.torus, g.e, w, c),
         "case_decomposition": lambda g, w, c: case_decomposition(g.torus, g.e, w, c, check=False),
         "TranslationContext.create": lambda g, w, c: TranslationContext.create(g, w, c),
-        "TranslationContext.basis": lambda g, w, c: TranslationContext.basis(g, c),
         "SubgroupSpec.create": lambda g, w, c: SubgroupSpec.create((w,), c),
         "SubgroupSpec": lambda g, w, c: SubgroupSpec((w,), c),
         "ObstructionContext": lambda g, w, c: ObstructionContext(g, c),

@@ -38,7 +38,7 @@ from torusgerbe import (
 )
 import torusgerbe.exact
 from torusgerbe.exact import PackedRows, basis_vec, int_vec_mat, vec_add
-from torusgerbe.trivialization import residual_is_trivial
+from torusgerbe.trivialization import _basis_records, residual_is_trivial
 
 from helpers import (
     conjugated_instance,
@@ -531,9 +531,12 @@ class TestPackedProductsPastTheGuard:
             paths.append((table, len(looped) > before))
             return product
 
+        g, answers, tables = pinned_gerbe(), [], []
+        for case in (INT, ONEONE):  # warm: the basis tables multiply unit vectors only
+            basis = _basis_records(g, case)
+            assert basis.residual_rows and basis.member_rows
         monkeypatch.setattr(torusgerbe.exact, "int_vec_mat", counting_loop)
         monkeypatch.setattr(PackedRows, "times", counting_times)
-        g, answers, tables = pinned_gerbe(), [], []
         for case in (INT, ONEONE):
             ctx = TranslationContext.create(g, w, case, check=False)
             explicit = verify_trivialization(ctx, PINNED_PAIRS)

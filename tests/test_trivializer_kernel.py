@@ -78,8 +78,10 @@ from torusgerbe.torus import TorusData
 from torusgerbe.trivialization import first_failing_pair, random_verification_pairs
 
 from helpers import (
+    basis_records,
     conjugated_instance,
     corrupt_basis_record,
+    direct_record,
     oracle_pair_exponent,
     rand_vec,
     reference_exponent_im,
@@ -500,7 +502,7 @@ def patch_basis_kernels(patch, g, case, blocks_of):
     """Make the residual rows of (g, case) read the kernel blocks
     blocks_of(j, blocks) of each basis record e_j in place of its own
     blocks; g's rows must not be built yet."""
-    basis = TranslationContext.basis(g, case)
+    basis = basis_records(g, case)
     assert "residual_rows" not in vars(g.tables.bases[case])
     kernel_blocks = triv._kernel_blocks
 
@@ -623,7 +625,7 @@ class TestResidualCore:
         members = []
         for w in [(0,) * d, *vectors, *shifted, *drawn, *g.torus.basis()]:
             ctx = TranslationContext.create(g, w, case, check=False)
-            direct = triv._direct_record(g, to_vec(w), case)
+            direct = direct_record(g, w, case)
             k, re, im = triv._residual(ctx)
             assert (re, im) == kernel_residual(ctx) == kernel_residual(direct)
             assert ctx.kernel[0] == k == direct.kernel[0]

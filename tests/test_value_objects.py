@@ -34,9 +34,9 @@ from torusgerbe.obstruction import (
     ThetaGroupElement,
     VanishingResult,
 )
-from torusgerbe.symmetry import Decomposition, InvarianceClass
+from torusgerbe.symmetry import Decomposition, InvarianceClass, SubgroupCase
 from torusgerbe.torus import HodgeImage
-from torusgerbe.trivialization import _Basis, _stacked
+from torusgerbe.trivialization import _basis_records
 
 
 def torus(seq):
@@ -110,10 +110,10 @@ ROWS = {
         12,
     ),
     "_Basis": (
-        lambda seq: _stacked(TranslationContext.basis(gerbe(seq), "integral")),
-        ("records", "rows"),
-        (),
-        2,
+        lambda seq: _basis_records(gerbe(seq), SubgroupCase.INTEGRAL),
+        ("gerbe", "case", "den", "rows"),
+        ("records",),
+        4,
     ),
     "ObstructionContext": (
         lambda seq: ObstructionContext(gerbe(seq), "integral"),
