@@ -48,12 +48,14 @@ class Frozen:
     `_fields` names the fields in order: the shared `__init__` takes them as
     its parameters, then runs `__post_init__`; a hot constructor, or one
     with defaults, is written out.  Equality, hashing and repr read
-    `_compare` (default `_fields`).  Setting or deleting any attribute
-    raises AttributeError: constructors write past it with
-    `object.__setattr__` or `vars(self)`, as `functools.cached_property` does.
+    `_compare` (default `_fields`); the hash is kept in the instance dict
+    from the first call.  Setting or deleting any attribute raises
+    AttributeError: constructors write past it with `object.__setattr__`
+    or `vars(self)`, as `functools.cached_property` does.
     """
 
     _fields = _compare = ()
+    _hash = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -80,7 +82,10 @@ class Frozen:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        h = self._hash
+        if h is None:
+            h = vars(self)["_hash"] = hash(self._key())
+        return h
 
     def __repr__(self):
         shown = [f"{name}={getattr(self, name)!r}" for name in self._compare or self._fields]
@@ -157,13 +162,15 @@ def sized_vector(v, dim: int, what: str) -> Vec:
 
 
 def dimension_mismatch(what: str, v, dim: int) -> ValueError:
-    """The ValueError of a vector v, named what, without dim entries."""
-    return ValueError(f"dimension mismatch: {what} has {len(v)} entries, not {dim}")
+    """The ValueError of a vector v, named what, without dim entries, or of
+    a form (anything with a `dim`) v of another dimension than dim."""
+    size = f"dimension {v.dim}" if hasattr(v, "dim") else f"{len(v)} entries"
+    return ValueError(f"dimension mismatch: {what} has {size}, not {dim}")
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
-        raise ValueError("dimension mismatch")
+        raise dimension_mismatch("v", v, len(u))
     total = _ZERO
     for a, b in zip(u, v):
         if a and b:  # skip zero terms; these vectors are typically sparse
@@ -406,8 +413,9 @@ class ReducedLattice:
     """
 
     def __init__(self, generators: Sequence[tuple[int, Sequence[int]]], dim: int):
-        if any(len(nums) != dim for _, nums in generators):
-            raise ValueError("generator/target dimension mismatch")
+        for k, (_, nums) in enumerate(generators):
+            if len(nums) != dim:
+                raise dimension_mismatch(f"generators[{k}]", nums, dim)
         self.dim, self.scale = dim, lcm(*[den for den, _ in generators])
         g = [[x * (self.scale // den) for x in nums] for den, nums in generators]
         h, self.u_rows, self.g_rows = [
@@ -420,7 +428,7 @@ class ReducedLattice:
         """Integer coefficients c with sum(c_i * generators_i) == nums / den,
         for integers nums over a positive denominator, or None."""
         if len(nums) != self.dim:
-            raise ValueError("generator/target dimension mismatch")
+            raise dimension_mismatch("nums", nums, self.dim)
         scaled = [x * self.scale for x in nums]
         if any([x % den for x in scaled]):
             return None

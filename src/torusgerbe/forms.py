@@ -136,12 +136,12 @@ class AltForm2(Frozen):
 
     def __add__(self, other: "AltForm2") -> "AltForm2":
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise dimension_mismatch("other", other, self.dim)
         return self.add_over(other.upper, other.den)
 
     def __sub__(self, other: "AltForm2") -> "AltForm2":
         if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+            raise dimension_mismatch("other", other, self.dim)
         return self.add_over(other.upper, -other.den)
 
     def __neg__(self) -> "AltForm2":
@@ -162,11 +162,9 @@ class AltForm2(Frozen):
 
 class AltForm3(Frozen):
     """Alternating trilinear form, stored on strictly increasing triples.
-    Its cached `int_entries`, `pair_entries` and `contraction_table` and
-    the last contraction `torus.contract3` built sit in the instance dict,
-    outside equality, hashing and repr, as a lookup keyed by the form costs
-    a hash of its entries each time (`contract3` gives the measured cost).
-    entries is a tuple of ((a, b, c), value) with a < b < c, sorted."""
+    Its cached `int_entries`, `pair_entries` and `contraction_table` sit
+    in the instance dict, outside equality, hashing and repr.  entries is
+    a tuple of ((a, b, c), value) with a < b < c, sorted."""
 
     _fields = ("dim", "entries")
 
@@ -237,7 +235,7 @@ class AltForm3(Frozen):
         over one positive denominator, in pair coordinates: (coords,
         de*den), coords those of de*den*E(w,.,.) for the lcm de of E's
         denominators.  Each coefficient adds its three terms straight into
-        them; it builds `contraction_table`, which `torus.contract3`,
+        them; it builds `contraction_table`, which `contract_int`,
         `evaluate_over` and `gerbe.forms_over` read."""
         d = self.dim
         if len(nums) != d:
@@ -249,6 +247,11 @@ class AltForm3(Frozen):
             coords[pr] -= k * nums[q]
             coords[pq] += k * nums[r]
         return coords, de * den
+
+    def contract_int(self, nums, den: int = 1) -> AltForm2:
+        """E(w,.,.) for w = nums / den, nums integers: one `contraction_table` product."""
+        de, rows = self.contraction_table
+        return AltForm2.from_coords(self.dim, rows.times(nums), de * den)
 
     @functools.cached_property
     def contraction_table(self) -> tuple[int, PackedRows]:

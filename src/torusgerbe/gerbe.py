@@ -14,9 +14,9 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dot, int_vec
-from .exact import lattice_vector, mat_vec, sized_vector, to_vec, vec_is_zero
-from .torus import AltForm2, AltForm3, TorusData, alternating_matrix
+from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dimension_mismatch, dot
+from .exact import int_vec, lattice_vector, mat_vec, sized_vector, to_vec, vec_is_zero
+from .torus import AltForm2, AltForm3, TorusData, alternating_matrix, contract3
 from .torus import integral_anti_invariant_member, pullback_combination, type_condition_check
 
 
@@ -64,7 +64,7 @@ class ExponentFn(Frozen):
 
     def __add__(self, other: "ExponentFn") -> "ExponentFn":
         if self.dim != other.dim:
-            raise ValueError("exponent dimension mismatch")
+            raise dimension_mismatch("other", other, self.dim)
         return ExponentFn(
             self.const + other.const,
             tuple(a + b for a, b in zip(self.lin_re, other.lin_re)),
@@ -127,7 +127,7 @@ class Character(Frozen):
 
     def __mul__(self, other: "Character") -> "Character":
         if self.dim != other.dim:
-            raise ValueError("character dimension mismatch")
+            raise dimension_mismatch("other", other, self.dim)
         return Character(tuple([a + b for a, b in zip(self.exponents, other.exponents)]))
 
     def inverse(self) -> "Character":
@@ -144,17 +144,17 @@ class Character(Frozen):
 class GerbeData(Frozen):
     """Gerbe presentation (B, E) on a torus; E integral and type-compatible.
 
-    `GerbeData(...)` checks both.  `translate_gerbe` builds its result by
-    `_with_b`, which skips the checks: they read only the torus, E and the
-    dimension of B, and the result keeps all three from a checked gerbe,
-    and with them its `tables`.
+    `GerbeData(...)` checks both.  `translate_gerbe` builds its result
+    unchecked: the checks read only the torus, E and the dimension of B,
+    and the result keeps all three from a checked gerbe.
     """
 
     _fields = ("torus", "b", "e")
 
     def __post_init__(self):
-        if self.b.dim != self.torus.dim or self.e.dim != self.torus.dim:
-            raise ValueError("form/torus dimension mismatch")
+        for what, form in (("b", self.b), ("e", self.e)):
+            if form.dim != self.torus.dim:
+                raise dimension_mismatch(what, form, self.torus.dim)
         if not self.e.is_integral:
             raise ValueError("the 3-form of a gerbe must be integral")
         if not type_condition_check(self.torus, self.e):
@@ -162,29 +162,56 @@ class GerbeData(Frozen):
                 "3-form violates the type condition for this complex structure"
             )
 
-    def _with_b(self, b: AltForm2) -> "GerbeData":
-        """This gerbe with the 2-form b of the same dimension, unchecked,
-        sharing its `tables`."""
-        g = object.__new__(GerbeData)
-        vars(g).update(torus=self.torus, b=b, e=self.e, tables=self.tables)
-        return g
-
     @functools.cached_property
     def tables(self) -> "GerbeTables":
-        """The `GerbeTables` of the torus and E, made on first use and kept
-        by `_with_b`.  Not compared, hashed or shown."""
-        return GerbeTables(self.torus, self.e)
+        """`gerbe_tables` of the torus and E; not compared, hashed or shown."""
+        return gerbe_tables(self.torus, self.e)
+
+
+def gerbe_tables(torus: TorusData, e3: AltForm3) -> "GerbeTables":
+    """The one `GerbeTables` of the torus object and E, shared by every gerbe on it
+    with an equal E; a ValueError naming e3 unless of the torus's dimension.  Kept in
+    the torus's `gerbe_tables`, never evicted: each E asked about lives as long as it."""
+    tables = torus.gerbe_tables.get(e3)
+    if tables is None:
+        if e3.dim != torus.dim:
+            raise dimension_mismatch("e3", e3, torus.dim)
+        tables = torus.gerbe_tables[e3] = GerbeTables(torus, e3)
+    return tables
 
 
 class GerbeTables:
-    """The tables of a torus and a 3-form E that translation, the
-    trivializer and the obstructions read, built on first use and compared
-    by identity.  Translation changes only B, so a checked gerbe and every
-    gerbe translated from it share one.  `bases` maps a case to its
-    `_Basis`, which holds the records of the gerbe that built it."""
+    """The tables of a torus and a 3-form E, built on first use: `built` holds
+    those of each case, `last` (w, (dw, x), E(w,.,.)) of the last contraction."""
 
     def __init__(self, torus: TorusData, e: AltForm3):
-        self.torus, self.e, self.bases = torus, e, {}
+        self.torus, self.e, self.built, self.last = torus, e, {}, None
+
+    def table(self, key, build, *args):
+        """build(*args), made on the first call with key and kept: a case's
+        `_Basis` (key: the case), its obstruction tables (the case, build)."""
+        made = self.built.get(key)
+        if made is None:
+            made = self.built[key] = build(*args)
+        return made
+
+    def contraction(self, w) -> AltForm2:
+        """E(w,.,.) by `AltForm3.contract_int` of w = x/dw, the last kept: one query
+        lifts and contracts w once.  Only the very tuple stored skips validation (it
+        cannot change): a float still raises TypeError, a wrong length ValueError."""
+        last = self.last
+        if last is None or last[0] is not w:
+            v = sized_vector(w, self.torus.dim, "w")
+            if last is None or last[0] != v:
+                dw, x = int_vec(v)
+                last = self.last = (w if type(w) is tuple else v, (dw, x), self.e.contract_int(x, dw))
+        return last[2]
+
+    def lift(self, w) -> tuple[int, list[int]]:
+        """(dw, x) with w = x/dw: kept by `contraction` for the very tuple it
+        stored, else validated and lifted, with no contraction and no memo."""
+        last = self.last
+        return last[1] if last and last[0] is w else int_vec(sized_vector(w, self.torus.dim, "w"))
 
     @functools.cached_property
     def shift_rows(self) -> tuple[int, PackedRows]:
@@ -192,7 +219,7 @@ class GerbeTables:
         `translation_shift_form` at e_k times ds, the lcm of their
         denominators, packed.  The shift is linear in w, so for w = x/dw
         its coordinates are rows.times(x) over ds*dw: `translate_gerbe`
-        neither contracts nor pulls back."""
+        does not pull back."""
         forms = [translation_shift_form(self.torus, self.e, ek) for ek in self.torus.basis()]
         ds = lcm(*[f.den for f in forms])
         return ds, PackedRows([[u * (ds // f.den) for u in f.upper] for f in forms])
@@ -394,14 +421,8 @@ def translation_factor(gerbe: GerbeData, w, l1, l2) -> GaussianRational:
 
 
 def translation_shift_form(torus: TorusData, e3: AltForm3, w) -> AltForm2:
-    """The 2-form (5*E(w,.,.) - 3*E(w,i.,i.)) / 8 added to B by translation.
-
-    It contracts by `AltForm3.contract_pairs`, not `contract3`, so building
-    `GerbeTables.shift_rows` from it leaves a query's stored contraction in
-    place."""
-    dw, x = int_vec(sized_vector(w, e3.dim, "w"))
-    omega = AltForm2.from_coords(e3.dim, *e3.contract_pairs(x, dw))
-    return pullback_combination(torus, omega, *SHIFT_COEFFICIENTS)
+    """The 2-form (5*E(w,.,.) - 3*E(w,i.,i.)) / 8 added to B by translation."""
+    return pullback_combination(torus, contract3(e3, w), *SHIFT_COEFFICIENTS)
 
 
 # (c0, c1) of the translation shift c0*omega + c1*J^T*omega*J
@@ -410,12 +431,13 @@ SHIFT_COEFFICIENTS = (Fraction(5, 8), Fraction(-3, 8))
 
 def translate_gerbe(gerbe: GerbeData, w) -> GerbeData:
     """Canonical presentation of the gerbe pulled back by translation by w:
-    B plus `translation_shift_form` at w.  For w = x/dw the shift is
-    x^T times the gerbe's packed `GerbeTables.shift_rows` over ds*dw, added
-    to B's integers in one reduction; the result shares the tables."""
-    dw, x = int_vec(sized_vector(w, gerbe.torus.dim, "w"))
-    ds, rows = gerbe.tables.shift_rows
-    return gerbe._with_b(gerbe.b.add_over(rows.times(x), ds * dw))
+    B plus `translation_shift_form` at w.  For w = x/dw, by `GerbeTables.lift`,
+    the shift is x^T times the packed `GerbeTables.shift_rows` over ds*dw,
+    added to B's integers in one reduction; E is not contracted by w."""
+    (dw, x), (ds, rows) = gerbe.tables.lift(w), gerbe.tables.shift_rows
+    moved = object.__new__(GerbeData)
+    vars(moved).update(torus=gerbe.torus, b=gerbe.b.add_over(rows.times(x), ds * dw), e=gerbe.e)
+    return moved
 
 
 def gerbes_isomorphic(g1: GerbeData, g2: GerbeData) -> bool:

@@ -13,7 +13,7 @@ and by the per-case closed form.
 Both obstructions are alternating and multilinear in the vectors, so each
 is fixed by its values on the tuples of lattice basis vectors.  Those are
 kept in two `forms.AlternatingTable`s, built once per (torus, E, case) from
-the basis rows and shared by translated gerbes: FIRST's
+the basis rows and kept in `gerbe.gerbe_tables`: FIRST's
 skew-symmetrization beside its closed form on the basis pairs, and
 SECOND's alternation beside its closed form on the basis triples.  A tuple
 of basis vectors reads one signed row and any other tuple its wedge vector
@@ -222,6 +222,12 @@ def _triple_rows(basis) -> AlternatingTable:
     return AlternatingTable(dj * basis.den, rows, 3, d, 3)
 
 
+def _table(ctx: ObstructionContext, build) -> AlternatingTable:
+    """build of the case's `_Basis`, kept once per (torus, E, case)."""
+    g, case = ctx.gerbe, ctx.case
+    return g.tables.table((case, build), build, _basis_records(g, case))
+
+
 def _candidate(data) -> tuple[int, list[int], int]:
     """(dw, x, k) of a record: k is the index of the basis vector w = e_k,
     else -1."""
@@ -252,8 +258,7 @@ def first_obstruction_alternating(ctx: ObstructionContext, w1, w2) -> Character:
     """
     d1 = ctx.require_member(w1, "w1")
     d2 = ctx.require_member(w2, "w2")
-    table = _basis_records(ctx.gerbe, ctx.case).table(_pair_rows)
-    den, skew = _first_alternating(table, _candidate(d1), _candidate(d2))
+    den, skew = _first_alternating(_table(ctx, _pair_rows), _candidate(d1), _candidate(d2))
     return _character(skew, den)
 
 
@@ -312,8 +317,8 @@ def second_obstruction_alternating(
     flags, not raised.
     """
     d1, d2, d3 = ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    table = _basis_records(ctx.gerbe, ctx.case).table(_triple_rows)
-    den, skew_re, skew_im, closed = next(table.on_triples([*map(_candidate, ds)]))
+    values = _table(ctx, _triple_rows).on_triples([*map(_candidate, ds)])
+    den, skew_re, skew_im, closed = next(values)
     x1, x2, x3 = d1.x, d2.x, d3.x
     general = int_dot(int_vec_mat(x1, d3.f), x2) + int_dot(int_vec_mat(x2, d1.f), x3)
     general = 3 * ctx.gerbe.torus.j_columns[0] * (general - int_dot(int_vec_mat(x1, d2.f), x3))
@@ -424,7 +429,7 @@ def obstruction_vanishes(
     checked = 0
 
     if which is ObstructionKind.FIRST:
-        table = basis.table(_pair_rows)
+        table = _table(ctx, _pair_rows)
         for (w1, c1), (w2, c2) in itertools.combinations(zip(ws, cs), 2):
             checked += 1
             den, skew = _first_alternating(table, c1, c2)
@@ -436,7 +441,7 @@ def obstruction_vanishes(
     disagreements = []
     failure = None
     # below three candidates there is no triple, and no table is built
-    values = basis.table(_triple_rows).on_triples(cs) if len(cs) > 2 else ()
+    values = _table(ctx, _triple_rows).on_triples(cs) if len(cs) > 2 else ()
     for (w1, w2, w3), (den, skew_re, skew_im, closed) in zip(
         itertools.combinations(ws, 3), values
     ):
@@ -454,7 +459,7 @@ def gerbal_class(ctx: ObstructionContext, w1, w2, w3) -> UnitValue:
     type (1,1) case.  Defined only when the first obstruction vanishes on
     the three pairs of records, each decided on `_first_alternating`."""
     ds = [ctx.require_member(w, f"w{k}") for k, w in enumerate((w1, w2, w3), 1)]
-    table = _basis_records(ctx.gerbe, ctx.case).table(_pair_rows)
+    table = _table(ctx, _pair_rows)
     for c1, c2 in itertools.combinations(map(_candidate, ds), 2):
         den, skew = _first_alternating(table, c1, c2)
         if any(s % den for s in skew):

@@ -13,15 +13,9 @@ import enum
 from fractions import Fraction
 
 from .exact import Frozen
-from .torus import (
-    AltForm2,
-    AltForm3,
-    TorusData,
-    contract3,
-    integral_anti_invariant_member,
-    pullback_combination,
-)
-from .gerbe import SHIFT_COEFFICIENTS
+from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
+from .torus import pullback_combination
+from .gerbe import SHIFT_COEFFICIENTS, gerbe_tables
 
 
 class NotInSubgroup(ValueError):
@@ -55,23 +49,22 @@ class Decomposition(Frozen):
 
 def invariance_class(torus: TorusData, e3: AltForm3, w) -> InvarianceClass:
     """Class of the translation action of w on the gerbe presentation."""
-    rep = contract3(e3, w)
+    rep = gerbe_tables(torus, e3).contraction(w)
     return InvarianceClass(
         representative=rep, is_zero=integral_anti_invariant_member(torus, rep)
     )
 
 
 def fixes_gerbe(torus: TorusData, e3: AltForm3, w) -> bool:
-    """Whether translation by w preserves the isomorphism class."""
-    return integral_anti_invariant_member(torus, contract3(e3, w))
+    """Whether translation by w preserves the isomorphism class.  It reads
+    `gerbe_tables(torus, e3)`, so each E asked about lives as long as the torus."""
+    return integral_anti_invariant_member(torus, gerbe_tables(torus, e3).contraction(w))
 
 
 def in_case_subgroup(torus: TorusData, e3: AltForm3, w, case: SubgroupCase) -> bool:
     """Membership of w in the chosen decomposition subgroup."""
     case = SubgroupCase(case)
-    omega = contract3(e3, w)
-    if omega.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
+    omega = gerbe_tables(torus, e3).contraction(w)
     return member_over(torus, omega.upper, omega.den, case)
 
 
@@ -88,7 +81,7 @@ def case_decomposition(
     subgroup, which is what the trivialization verifier witnesses.
     """
     case = SubgroupCase(case)
-    omega = contract3(e3, w)
+    omega = gerbe_tables(torus, e3).contraction(w)
     invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
     if check:
         require_case_member(member_over(torus, omega.upper, omega.den, case), case)

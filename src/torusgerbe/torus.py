@@ -41,7 +41,8 @@ class NotAComplexStructure(ValueError):
 
 class TorusData(Frozen):
     """A complex torus of dimension n presented by J acting on R^{2n}; its
-    transpose jt is kept beside J, outside equality, hashing and repr."""
+    transpose jt and `gerbe_tables`, E -> `gerbe.GerbeTables` of this torus
+    object and E, are kept beside J, outside equality, hashing and repr."""
 
     _fields = ("n", "j")
 
@@ -55,8 +56,7 @@ class TorusData(Frozen):
         )
         if mat_mul(j, j) != minus_identity:
             raise NotAComplexStructure("J*J != -I")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "jt", mat_transpose(j))
+        vars(self).update(j=j, jt=mat_transpose(j), gerbe_tables={})
 
     @property
     def dim(self) -> int:
@@ -199,40 +199,16 @@ class HodgeImage(Frozen):
 
 
 def contract3(e3: AltForm3, w) -> AltForm2:
-    """Contraction of a 3-form in its first slot: (x, y) -> E(w, x, y).
-
-    Its pair coordinates are one product with the form's packed
-    `AltForm3.contraction_table`, which `contract_pairs` builds once per
-    form.  The form keeps the last contraction it built, with its vector,
-    in its instance dict (as it keeps `int_entries`), so the calls one
-    query makes with the same w contract once; `translate_gerbe` reads a
-    gerbe's shift table and does not contract.  The memo stays on the
-    form, not in a gerbe's tables: `fixes_gerbe` has no gerbe, and a
-    lookup keyed by E hashes E's entries, 1.9 us at n = 2 and 4-17 us at
-    n = 3, 4 (Xeon, Python 3.11.7), three times per membership query of
-    about 75 us.  w is validated first, so a float still raises TypeError
-    and a length other than E's dimension a ValueError naming w; only the
-    very tuple the last contraction stored returns before that check,
-    since it passed it and a tuple cannot change.  Both objects are
-    immutable, so the result is shared.
-    """
-    last = vars(e3).get("_last_contraction")
-    if last is not None and last[0] is w:
-        return last[1]
-    v = sized_vector(w, e3.dim, "w")
-    if last is not None and last[0] == v:
-        return last[1]
-    dw, x = int_vec(v)
-    de, rows = e3.contraction_table
-    omega = AltForm2.from_coords(e3.dim, rows.times(x), de * dw)
-    vars(e3)["_last_contraction"] = (w if type(w) is tuple else v, omega)
-    return omega
+    """E(w,.,.), the contraction (x, y) -> E(w, x, y), by `AltForm3.contract_int`
+    of w = x/dw; a ValueError naming w unless of E's dimension."""
+    dw, x = int_vec(sized_vector(w, e3.dim, "w"))
+    return e3.contract_int(x, dw)
 
 
 def _pullback_combination(torus: TorusData, omega: AltForm2, c0, c1):
     """`pullback_over` for omega's integer storage."""
     if omega.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
+        raise dimension_mismatch("omega", omega, torus.dim)
     return pullback_over(torus, omega.upper, omega.den, c0, c1)
 
 
@@ -304,7 +280,7 @@ def type_condition_check(torus: TorusData, e3: AltForm3) -> bool:
     entries of two columns of J.
     """
     if e3.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
+        raise dimension_mismatch("e3", e3, torus.dim)
     d = torus.dim
     dj, cols = torus.j_columns
     t = [[[0] * d for _ in range(d)] for _ in range(d)]  # de * E(e_a, e_b, e_c)
@@ -358,7 +334,7 @@ def integral_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
     target, c*G = (upper/den)*G, checked as (y*U - upper)*G = 0.
     """
     if omega.dim != torus.dim:
-        raise ValueError("form/torus dimension mismatch")
+        raise dimension_mismatch("omega", omega, torus.dim)
     v, u, g = torus.anti_invariant_table
     upper, den = omega.upper, omega.den
     y = v.times(upper)

@@ -54,9 +54,9 @@ class TranslationContext(Frozen):
     Each matrix is linear in x, so a record builds its four matrices on
     first read as x^T times the d packed `_Basis.rows` (the matrices of
     e_1..e_d, built from the contractions once per (torus, E, case), in
-    the `GerbeData.tables` that translated gerbes share), and its `member`
-    as one product with the narrow `_Basis.member_rows`.  The obstruction
-    decisions and the trivialization identity read neither.
+    `GerbeData.tables`), and its `member` as one product with the narrow
+    `_Basis.member_rows`.  The obstruction decisions and the trivialization
+    identity read neither.
     """
 
     _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den")
@@ -201,9 +201,8 @@ class _Basis(Frozen):
     """The lattice basis e_1..e_d of a (torus, E, case) as d packed rows:
     row k of `rows` is `_basis_row` of e_k, so rows.times(x) is the four
     matrices of x/dw flattened, over dw*den.  gerbe is the gerbe that built
-    it.  The `records` of e_1..e_d (its lifts), the narrow `member_rows`,
-    the identity's `residual_rows` and the tables that `table` keeps for
-    other modules are built on first use.  Compared by identity."""
+    it.  The `records` of e_1..e_d (its lifts), the narrow `member_rows` and
+    the identity's `residual_rows` are built on first use.  Compared by identity."""
 
     _fields = ("gerbe", "case", "den", "rows")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -219,14 +218,6 @@ class _Basis(Frozen):
         """Packed row k: `_member_coords` of record k, so x^T*member_rows
         decides the membership of x/dw over dw*den."""
         return PackedRows([_member_coords(b.omega, b.f, self.case) for b in self.records])
-
-    def table(self, build):
-        """build(self), made on first call and kept with the basis: the
-        obstruction's alternating tables, so translated gerbes share them."""
-        made = vars(self).setdefault("_made", {})
-        if build not in made:
-            made[build] = build(self)
-        return made[build]
 
     @functools.cached_property
     def residual_rows(self) -> PackedRows:
@@ -250,14 +241,15 @@ class _Basis(Frozen):
 
 
 def _basis_records(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
-    """The `_Basis` of case, built by gerbe once per gerbe `tables`."""
-    basis = gerbe.tables.bases.get(case)
-    if basis is None:
-        t = gerbe.torus
-        den = 16 * t.j_columns[0] ** 3 * gerbe.e.int_entries[0]
-        rows = PackedRows([_basis_row(gerbe, ek, case, den) for ek in t.basis()])
-        basis = gerbe.tables.bases[case] = _Basis(gerbe, case, den, rows)
-    return basis
+    """The `_Basis` of case in the gerbe's tables, built by the gerbe that asks first."""
+    return gerbe.tables.table(case, _build_basis, gerbe, case)
+
+
+def _build_basis(gerbe: GerbeData, case: SubgroupCase) -> _Basis:
+    t = gerbe.torus
+    den = 16 * t.j_columns[0] ** 3 * gerbe.e.int_entries[0]
+    rows = PackedRows([_basis_row(gerbe, ek, case, den) for ek in t.basis()])
+    return _Basis(gerbe, case, den, rows)
 
 
 def unitarize_exponent(ctx: TranslationContext, lam) -> ExponentFn:

@@ -38,6 +38,7 @@ from torusgerbe import (
 )
 from torusgerbe.torus import pullback_combination, pullback_over
 from torusgerbe.forms import AlternatingTable
+from torusgerbe.obstruction import _table
 from torusgerbe.trivialization import _Basis, _basis_records, _basis_row
 from torusgerbe.exact import (
     Mat,
@@ -213,6 +214,15 @@ def gerbe4(e_scale: int = 1, b: AltForm2 | None = None) -> GerbeData:
 def gerbe6() -> GerbeData:
     t = torus6()
     return GerbeData(t, AltForm2.zero(6), oneone_e6())
+
+
+def cold_gerbe(g: GerbeData) -> GerbeData:
+    """A gerbe equal to g on a new torus object with an equal J: the tables
+    of a torus and E are kept by the torus object, so its tables are new,
+    with nothing built, and a change to them reaches no other gerbe."""
+    cold = GerbeData(TorusData(g.torus.n, g.torus.j), g.b, g.e)
+    assert cold == g and cold.tables is not g.tables and not cold.tables.built
+    return cold
 
 
 def vec(*entries) -> Vec:
@@ -688,12 +698,15 @@ def corrupt_record(ctx, w, name: str, p: int, q: int, delta: int = 1):
 def corrupt_basis_record(monkeypatch, g, case, k: int, name: str, p: int, q: int):
     """Add 1/den to entry (p, q) of the matrix `name` (omega, f, m or r) of
     e_k in the basis rows kept in the gerbe's tables, so every record,
-    e_k's included, reads it."""
-    basis, d = _basis_records(g, case), g.torus.dim
+    e_k's included, reads it, and the case's obstruction tables, dropped,
+    are built again from it."""
+    basis, d, built = _basis_records(g, case), g.torus.dim, g.tables.built
     rows = [list(row) for row in basis.rows.rows]
     rows[k][("omega", "f", "m", "r").index(name) * d * d + p * d + q] += 1
     corrupted = _Basis(basis.gerbe, basis.case, basis.den, PackedRows(rows))
-    monkeypatch.setitem(g.tables.bases, case, corrupted)
+    monkeypatch.setitem(built, case, corrupted)
+    for key in [key for key in built if isinstance(key, tuple) and key[0] is case]:
+        monkeypatch.delitem(built, key)
 
 
 def minor3(xs, cols) -> int:
@@ -704,16 +717,14 @@ def minor3(xs, cols) -> int:
 
 def corrupt_table_row(monkeypatch, g, case, build, place: int, column: int, delta: int = 1):
     """Add delta / den to entry column of row place of the obstruction table
-    `build` (`obstruction._pair_rows` or `_triple_rows`) kept with the
-    gerbe's basis records, in its packed rows and in its signed unit rows
-    alike."""
-    basis = _basis_records(g, case)
-    table = basis.table(build)
+    `build` (`obstruction._pair_rows` or `_triple_rows`) kept in the
+    gerbe's tables, in its packed rows and in its signed unit rows alike."""
+    table = _table(ObstructionContext(g, case), build)
     rows = [list(row) for row in table.packed.rows]
     rows[place][column] += delta
     d, rank = g.torus.dim, len(next(iter(table.units)))
-    made = vars(basis)["_made"]
-    monkeypatch.setitem(made, build, AlternatingTable(table.den, rows, rank, d, len(rows[0])))
+    corrupted = AlternatingTable(table.den, rows, rank, d, len(rows[0]))
+    monkeypatch.setitem(g.tables.built, (case, build), corrupted)
 
 
 # The per-vector record and the obstruction values as the package computed

@@ -53,7 +53,8 @@ from torusgerbe import (
     verify_trivialization,
 )
 from torusgerbe.exact import PackedRows
-from torusgerbe.obstruction import _candidate, _first_alternating, _pair_rows, _triple_rows
+from torusgerbe.obstruction import _candidate, _first_alternating, _pair_rows, _table
+from torusgerbe.obstruction import _triple_rows
 
 from helpers import (
     RECORD_LAZY,
@@ -127,7 +128,7 @@ def first_outcome(compute):
 def assert_first_matches(ctx, records):
     """FIRST off the table equals the oracle on every ordered pair of the
     records, repeats included."""
-    table = triv._basis_records(ctx.gerbe, ctx.case).table(_pair_rows)
+    table = _table(ctx, _pair_rows)
     for d1, d2 in itertools.product(records, repeat=2):
         read = first_outcome(lambda: _first_alternating(table, _candidate(d1), _candidate(d2)))
         assert read == first_outcome(lambda: reference_first_alternating(ctx, d1, d2))
@@ -136,7 +137,7 @@ def assert_first_matches(ctx, records):
 def assert_second_matches(ctx, records):
     """SECOND off the table equals the oracle on every triple of the
     records, in lexicographic order of their positions."""
-    table = triv._basis_records(ctx.gerbe, ctx.case).table(_triple_rows)
+    table = _table(ctx, _triple_rows)
     read = list(table.on_triples([_candidate(d) for d in records]))
     assert read == reference_second_triples(ctx, records)
 
@@ -384,9 +385,8 @@ class TestTranslatedGerbe:
         expected = obstruction_vanishes(g, spec, which)
         moved = translate_gerbe(g, vectors[1])
         assert moved.b != g.b and moved.tables is g.tables
-        basis = triv._basis_records(g, case)
-        made = dict(vars(basis)["_made"])
+        built = dict(g.tables.built)
         monkeypatch.setattr(triv, "_basis_row", lambda *args: pytest.fail("a row was built"))
         assert obstruction_vanishes(moved, spec, which) == expected
         assert obstruction_vanishes(translate_gerbe(moved, vectors[2]), spec, which) == expected
-        assert vars(basis)["_made"] == made and moved.tables.bases[case] is basis
+        assert g.tables.built == built

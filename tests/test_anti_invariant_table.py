@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusgerbe.gerbe as gerbe_module
 import torusgerbe.torus as torus_module
 from torusgerbe import (
     AltForm2,
@@ -29,6 +30,7 @@ from torusgerbe import (
     j_pullback2,
 )
 from torusgerbe.exact import PackedRows, ReducedLattice, int_vec, int_vec_mat
+from torusgerbe.gerbe import gerbe_tables
 from torusgerbe.symmetry import member_over
 from torusgerbe.torus import check_complex_structure, integral_anti_invariant_member
 
@@ -102,7 +104,7 @@ class TestTable:
             assert member_over(t, omega.upper, omega.den, SubgroupCase.TYPE_ONE_ONE)
 
     def test_wrong_dimension_is_rejected(self):
-        with pytest.raises(ValueError, match="form/torus dimension mismatch"):
+        with pytest.raises(ValueError, match="^dimension mismatch: omega has dimension 6, not 4$"):
             integral_anti_invariant_member(torus(2, False), pair_forms(6)[0])
 
     def test_a_generator_off_the_hnf_raises_at_build(self, monkeypatch):
@@ -246,44 +248,50 @@ class TestAgainstTheOldRoute:
 
 
 class TestContractionMemoByIdentity:
-    """The very tuple the last contraction stored returns before validation;
-    an equal tuple or any list is validated first."""
+    """The very tuple the last contraction of a (torus, E) stored returns
+    before validation; an equal tuple or any list is validated first."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
         seen = []
-        original = torus_module.sized_vector
+        original = gerbe_module.sized_vector
 
         def counting(v, dim, what):
             seen.append(v)
             return original(v, dim, what)
 
-        monkeypatch.setattr(torus_module, "sized_vector", counting)
+        monkeypatch.setattr(gerbe_module, "sized_vector", counting)
         return seen
+
+    @staticmethod
+    def memo(e3):
+        """The contraction of E kept by the tables of a new n = 2 torus."""
+        tables = gerbe_tables(check_complex_structure(standard_j_rows(2)), e3)
+        return tables.contraction
 
     def test_the_same_tuple_skips_the_check(self, checks):
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
-        w = vec(F(1, 2), 0, F(2, 3), 0)
-        first = contract3(e3, w)
-        assert contract3(e3, w) is first and len(checks) == 1
-        assert contract3(e3, tuple(w)) is first  # a tuple of a tuple is itself
+        w, stored = vec(F(1, 2), 0, F(2, 3), 0), self.memo(e3)
+        first = stored(w)
+        assert stored(w) is first and len(checks) == 1
+        assert stored(tuple(w)) is first  # a tuple of a tuple is itself
         assert len(checks) == 1
-        assert contract3(e3, vec(F(1, 2), 0, F(2, 3), 0)) is first and len(checks) == 2
+        assert stored(vec(F(1, 2), 0, F(2, 3), 0)) is first and len(checks) == 2
 
     def test_a_list_is_checked_on_every_call(self, checks):
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
-        w = [F(1, 2), 0, F(2, 3), 0]
-        first = contract3(e3, w)
-        assert contract3(e3, w) is first and len(checks) == 2
+        w, stored = [F(1, 2), 0, F(2, 3), 0], self.memo(e3)
+        first = stored(w)
+        assert stored(w) is first and len(checks) == 2
         w[0] = F(1, 3)  # a list may change between calls
-        assert contract3(e3, w) == reference_contract(e3, w) != first
+        assert stored(w) == reference_contract(e3, w) != first
         w.append(0)
         with pytest.raises(ValueError, match="w has 5 entries"):
-            contract3(e3, w)
+            stored(w)
 
     def test_an_integer_tuple_is_stored_as_given(self, checks):
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
-        w = (1, 0, 0, 0)
-        first = contract3(e3, w)
-        assert contract3(e3, w) is first and len(checks) == 1
+        w, stored = (1, 0, 0, 0), self.memo(e3)
+        first = stored(w)
+        assert stored(w) is first and len(checks) == 1
         assert first == reference_contract(e3, vec(*w))

@@ -99,7 +99,7 @@ class TestCombinedRecords:
         g, case, _ = instance
         d = g.torus.dim
         basis = basis_records(g, case)
-        assert len(basis) == d and list(g.tables.bases) == [case]
+        assert len(basis) == d and list(g.tables.built) == [case]
         for k, ek in enumerate(g.torus.basis()):
             assert basis[k] is triv._basis_records(g, case).records[k]
             assert triv._lifted_record(g, ek, case) is basis[k]
@@ -111,12 +111,14 @@ class TestCombinedRecords:
             assert TranslationContext.create(g, w, case, check=False) is not basis[0]
 
     def test_cache_is_not_part_of_the_gerbe(self, instance):
+        # the tables are kept by the torus object and E: a twin built on
+        # the same torus reads them, and neither hash nor repr sees them
         g, case, vectors = instance
         twin = GerbeData(g.torus, g.b, g.e)
         before = hash(g), repr(g)
         for other in SubgroupCase:
             TranslationContext.create(g, vectors[0], other, check=False)
-        assert set(g.tables.bases) == set(SubgroupCase) and not twin.tables.bases
+        assert set(g.tables.built) == set(SubgroupCase) and twin.tables is g.tables
         assert g == twin and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 
 
@@ -158,7 +160,7 @@ class TestTranslatedGerbe:
             lift = TranslationContext(moved, ek, case, *g.torus.lift(ek), basis.den)
             assert record.gerbe is moved and record is not basis.records[k]
             assert vars(record) == vars(lift)
-        assert moved.tables.bases[case] is basis
+        assert moved.tables.built[case] is basis
         monkeypatch.setattr(triv, "_basis_row", row)
         for record, ek in zip(records, g.torus.basis()):
             assert_same_record(record, direct_record(moved, ek, case))

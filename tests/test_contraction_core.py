@@ -45,11 +45,12 @@ from torusgerbe import (
 )
 from torusgerbe.exact import vec_add
 from torusgerbe.gerbe import forms_over
-from torusgerbe.obstruction import _first_alternating, _pair_rows, _triple_rows
+from torusgerbe.obstruction import _first_alternating, _pair_rows, _table, _triple_rows
 from torusgerbe.obstruction import defect_correction_fn
-from torusgerbe.trivialization import _basis_records, verify_trivialization
+from torusgerbe.trivialization import verify_trivialization
 
 from helpers import (
+    cold_gerbe,
     conjugated_instance,
     corrupt_basis_record,
     corrupt_table_row,
@@ -382,7 +383,7 @@ class TestCorruptedFormIsCaught:
         g, case, _ = instance
         d = g.torus.dim
         corrupt_table_row(monkeypatch, g, case, _pair_rows, d - 2, 0)  # row (0, d - 1)
-        table = _basis_records(g, case).table(_pair_rows)
+        table = _table(ObstructionContext(g, case), _pair_rows)
         e = [(1, [int(a == k) for a in range(d)], k) for k in range(d)]
         for c1, c2 in ((e[0], e[-1]), (e[-1], e[0])):
             with pytest.raises(ClosedFormMismatch):
@@ -400,7 +401,7 @@ class TestCorruptedBasisRecordIsCaught:
     @staticmethod
     def _fresh(instance):
         g, case, vectors = instance
-        return GerbeData(g.torus, g.b, g.e), case, vectors
+        return cold_gerbe(g), case, vectors
 
     def test_m_caught_by_first_and_the_trivialization(self, instance, monkeypatch):
         g, case, vectors = self._fresh(instance)

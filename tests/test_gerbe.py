@@ -1,6 +1,9 @@
 """Gerbe data, canonical exponents, translation action, isomorphism test."""
 
+import functools
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -21,22 +24,26 @@ from torusgerbe import (
     exponent_re,
     fixes_gerbe,
     gerbes_isomorphic,
+    in_case_subgroup,
     lift_defect_character,
     obstruction_vanishes,
     pair_exponent,
+    second_obstruction_alternating,
     SubgroupCase,
+    TorusData,
     translate_gerbe,
     translation_factor,
 )
 import torusgerbe.gerbe as gerbe_module
 import torusgerbe.trivialization as triv
 from torusgerbe.exact import vec_add
-from torusgerbe.gerbe import translation_shift_form
+from torusgerbe.gerbe import gerbe_tables, translation_shift_form
 from torusgerbe.trivialization import TranslationContext, first_failing_pair
 from torusgerbe.trivialization import verify_trivialization
 
 from helpers import (
     basis_records,
+    cold_gerbe,
     conjugated_instance,
     e,
     gerbe4,
@@ -269,7 +276,7 @@ class TestTranslatedGerbeIsTrusted:
         d, rng = g.torus.dim, random.Random(f"shared:{case.value}")
         for w in vectors:
             assert verify_trivialization(TranslationContext.create(g, w, case))
-        own = g.tables.bases[case].records
+        own = g.tables.built[case].records
         assert all(a is b for a, b in zip(basis_records(g, case), own, strict=True))
         builds = []
         record, rows = triv._basis_row, gerbe_module.basis_factor_rows
@@ -291,12 +298,14 @@ class TestTranslatedGerbeIsTrusted:
             assert all(r.gerbe is moved for r in records)
             assert all(verify_trivialization(r) for r in records[d:])
             handed.append((moved, records))
-        assert builds == [] and list(g.tables.bases) == [case]
+        assert builds == [] and list(g.tables.built) == [case]
         monkeypatch.undo()
         for moved, records in handed:
-            twin = GerbeData(moved.torus, moved.b, moved.e)
+            # a checked twin on the same torus object shares the tables; on
+            # a new torus object with an equal J it builds its own
+            assert GerbeData(moved.torus, moved.b, moved.e).tables is g.tables
+            twin = cold_gerbe(moved)
             expected = handed_records(twin, case, vectors)
-            assert twin.tables is not g.tables
             for got, want in zip(records, expected, strict=True):
                 assert got == want and got.gerbe is moved and want.gerbe is twin
                 for name in ("dw", "x", "ix", "den", "member", "omega", "f", "m", "r"):
@@ -319,23 +328,71 @@ class TestTranslatedGerbeIsTrusted:
 
 class TestGerbeKeepsOneCache:
     """Every table a gerbe's queries read depends on the torus and E alone,
-    so past its three fields a gerbe keeps one cache, `tables`, which its
-    translations share."""
+    so past its three fields a gerbe keeps one cache, `tables`, reached
+    from the torus, and its hash.  The queries the workloads and the CLI
+    run leave each instance dict with what it may hold and nothing else."""
 
     @pytest.mark.parametrize("case", list(SubgroupCase))
     def test_queries_leave_the_fields_and_the_tables(self, case):
         g, vectors = conjugated_instance(2, 1, case, True)
+        t, e3, w = g.torus, g.e, vectors[0]
         moved = translate_gerbe(g, vectors[1])
         spec = SubgroupSpec.create(vectors[:3], case)
         for h in (g, moved):
-            # as `tau-verify`, `xi` and `obstruction1`/`2` run them
-            ctx = TranslationContext.create(h, vectors[0], case, check=False)
-            assert first_failing_pair(ctx, None, 10, 0) is None
-            lift_defect_character(ObstructionContext(h, case), vectors[0], vectors[1])
+            # the membership triple, `tau-verify`, `xi`, `obstruction1`/`2`
+            fixes_gerbe(t, e3, w)
+            in_case_subgroup(t, e3, w, case)
+            gerbes_isomorphic(h, translate_gerbe(h, w))
+            ctx = TranslationContext.create(h, w, case, check=False)
+            assert first_failing_pair(ctx, None, 10, 0) is None and verify_trivialization(ctx)
+            octx = ObstructionContext(h, case)
+            lift_defect_character(octx, vectors[0], vectors[1])
+            second_obstruction_alternating(octx, *vectors[:3])
             for kind in ObstructionKind:
                 obstruction_vanishes(h, spec, kind)
-            assert sorted(vars(h)) == ["b", "e", "tables", "torus"]
-        assert moved.tables is g.tables
+            assert set(vars(h)) <= {"torus", "b", "e", "tables", "_hash"}
+        cached = {n for n, v in vars(TorusData).items() if isinstance(v, functools.cached_property)}
+        assert set(vars(t)) <= {"n", "j", "jt", "gerbe_tables", "_hash"} | cached
+        stored = {"int_entries", "pair_entries", "contraction_table", "_hash"}
+        assert set(vars(e3)) <= {"dim", "entries"} | stored
+        assert moved.tables is g.tables and list(t.gerbe_tables) == [e3]
+
+
+class TestTablesOfTheTorus:
+    """`gerbe_tables`: one `GerbeTables` per torus object and E, reached
+    from the torus and kept as long as it lives."""
+
+    def test_gerbes_with_an_equal_e_on_one_torus_share_the_tables(self):
+        t, b = torus4(), AltForm2.from_pairs(4, {(0, 1): F(1, 3)})
+        g1 = GerbeData(t, AltForm2.zero(4), AltForm3.from_coeffs(4, {(0, 1, 2): 2}))
+        g2 = GerbeData(t, b, AltForm3.from_coeffs(4, {(0, 1, 2): 2}))
+        assert g1.e == g2.e and g1.e is not g2.e and g1.tables is g2.tables
+        assert gerbe_tables(t, g2.e) is g1.tables and list(t.gerbe_tables) == [g1.e]
+        other = GerbeData(t, g1.b, AltForm3.from_coeffs(4, {(0, 1, 2): 4}))
+        assert other.tables is not g1.tables and len(t.gerbe_tables) == 2
+        assert cold_gerbe(g1).tables is not g1.tables
+
+    def test_the_tables_die_with_the_torus(self):
+        g, vectors = conjugated_instance(2, 0, SubgroupCase.INTEGRAL, False)
+        for w in vectors:
+            assert verify_trivialization(TranslationContext.create(g, w, SubgroupCase.INTEGRAL))
+        moved = translate_gerbe(g, vectors[0])
+        tables = weakref.ref(g.tables)
+        assert tables() is moved.tables and tables().built
+        del g, moved
+        gc.collect()
+        assert tables() is None
+
+    def test_a_wrong_dimension_stores_nothing(self):
+        t, e6 = torus4(), AltForm3.from_coeffs(6, {(0, 1, 2): 2})
+        for call in (
+            lambda: gerbe_tables(t, e6),
+            lambda: fixes_gerbe(t, e6, vec(F(1, 2), 0, 0, 0)),
+            lambda: in_case_subgroup(t, e6, vec(F(1, 2), 0, 0, 0), SubgroupCase.INTEGRAL),
+        ):
+            with pytest.raises(ValueError, match="^dimension mismatch: e3 has dimension 6, not 4$"):
+                call()
+        assert t.gerbe_tables == {}
 
 
 class TestGerbesIsomorphic:
@@ -417,9 +474,9 @@ class TestValueObjects:
     def test_character_lengths_must_agree(self):
         one, two = Character.identity(1), Character.identity(2)
         for a, b in ((one, two), (two, one)):
-            with pytest.raises(ValueError, match="character dimension mismatch"):
+            with pytest.raises(ValueError, match="^dimension mismatch: other has dimension"):
                 a * b
-            with pytest.raises(ValueError, match="character dimension mismatch"):
+            with pytest.raises(ValueError, match="^dimension mismatch: other has dimension"):
                 a.equivalent(b)
         assert (two * two).is_trivial and two.equivalent(two)
 
@@ -465,8 +522,8 @@ class TestValueObjects:
         c = GaussianRational.real(0)
         one, two = ExponentFn(c, (1,), (0,)), ExponentFn(c, (1, 0), (0, 1))
         for a, b in ((one, two), (two, one)):
-            with pytest.raises(ValueError, match="exponent dimension mismatch"):
+            with pytest.raises(ValueError, match="^dimension mismatch: other has dimension"):
                 a + b
-            with pytest.raises(ValueError, match="exponent dimension mismatch"):
+            with pytest.raises(ValueError, match="^dimension mismatch: other has dimension"):
                 a - b
         assert (two - two).is_zero and (one + one).lin_re == (F(2),)

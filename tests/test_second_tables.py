@@ -38,6 +38,7 @@ from torusgerbe import (
 )
 
 from helpers import (
+    cold_gerbe,
     decided,
     obstruction_candidates,
     conjugated_instance,
@@ -97,7 +98,7 @@ def skew_agrees_closed(den, skew_re, skew_im, closed):
 def table_values(ctx, records) -> list:
     """(den, skew_re, skew_im, closed) of every triple of the records, in
     lexicographic order, read off SECOND's basis table."""
-    table = _basis_records(ctx.gerbe, ctx.case).table(obstruction._triple_rows)
+    table = obstruction._table(ctx, obstruction._triple_rows)
     return list(table.on_triples([obstruction._candidate(d) for d in records]))
 
 
@@ -142,7 +143,7 @@ def assert_decision_reads_no_f(monkeypatch, g, spec):
     generator or of a basis vector, is replaced by one without F_w, the
     basis records before SECOND's table is built from them."""
     expected = decided(obstruction_vanishes(g, spec, SECOND))
-    g = GerbeData(g.torus, g.b, g.e)  # no table built
+    g = cold_gerbe(g)  # no table built
     basis = _basis_records(g, spec.case)
     basis.member_rows  # membership reads F_w by its definition: built beforehand
     records = tuple(replace_fields(d, f=None) for d in basis.records)
@@ -286,7 +287,7 @@ class TestCorruptedRecords:
 
     def test_disagreements_surface_in_the_decision(self, monkeypatch):
         g = gerbe4(4)
-        g = GerbeData(g.torus, g.b, g.e)
+        g = cold_gerbe(g)
         corrupt_basis_record(monkeypatch, g, INT, 2, "r", 1, 0)
         spec = SubgroupSpec.create(HALVES, INT)
         result = obstruction_vanishes(g, spec, SECOND)
@@ -302,7 +303,7 @@ class TestStructure:
 
     def test_contractions_per_query(self, instance, monkeypatch):
         g, case, vectors = instance
-        g = GerbeData(g.torus, g.b, g.e)  # no table built
+        g = cold_gerbe(g)  # no table built
         spec = SubgroupSpec.create(vectors, case)
         calls = count_contractions(monkeypatch)
         n = len(obstruction_candidates(g, spec)[1])  # builds the basis rows

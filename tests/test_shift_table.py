@@ -174,9 +174,9 @@ class TestShiftTable:
     def test_building_the_table_keeps_the_stored_contraction(self):
         g = make_gerbe(2, False, 0)
         w = (F(1, 2), F(1, 3), 0, 0)
-        omega = contract3(g.e, w)
+        stored = g.tables.contraction(w)
         translate_gerbe(g, w)  # the first translation builds the table
-        assert contract3(g.e, w) is omega
+        assert g.tables.contraction(w) is stored
 
 
 @st.composite
@@ -264,6 +264,7 @@ class TestSub:
 
     def test_a_dimension_mismatch_raises(self):
         a, b = AltForm2.zero(4), AltForm2.from_pairs(6, {(0, 1): F(1, 2)})
+        message = "^dimension mismatch: other has dimension [46], not [46]$"
         for op in (lambda: a - b, lambda: b - a, lambda: a + b):
-            with pytest.raises(ValueError, match="^dimension mismatch$"):
+            with pytest.raises(ValueError, match=message):
                 op()

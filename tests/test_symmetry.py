@@ -25,11 +25,13 @@ from torusgerbe import (
     obstruction_vanishes,
     translate_gerbe,
 )
-from torusgerbe.gerbe import translation_shift_form
+import torusgerbe.gerbe as gerbe_module
+from torusgerbe.gerbe import gerbe_tables, translation_shift_form
 from torusgerbe.exact import vec_add
 
 from helpers import (
     basis_records,
+    cold_gerbe,
     count_contractions,
     e,
     gerbe4,
@@ -273,7 +275,7 @@ class TestVectorLength:
     @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
     def test_wrong_length_is_rejected_after_a_stored_contraction(self, entry):
         t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
-        contract3(e3, vec(F(1, 2), 0, 0, 0))
+        gerbe_tables(t, e3).contraction(vec(F(1, 2), 0, 0, 0))
         for w in (vec(F(1, 2), 0, 0, 0, 0), vec(F(1, 2), 0, 0)):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 entry(t, e3, w)
@@ -311,7 +313,7 @@ class TestCaseValues:
         assert data == TranslationContext.create(g, self.W, INT)
         assert data.case is INT and data.member
         assert basis_records(g, "oneone") == basis_records(g, ONEONE)
-        assert set(g.tables.bases) <= {INT, ONEONE}
+        assert set(g.tables.built) <= {INT, ONEONE}
 
     def test_obstruction_contexts(self):
         g = gerbe4(2)
@@ -343,13 +345,15 @@ class TestCaseValues:
         g = gerbe4(2)
         with pytest.raises(ValueError):
             call(g, self.W, case)
-        assert not g.tables.bases
+        assert not g.tables.built
 
 
 class TestContractionMemo:
-    """`contract3` keeps the last contraction per 3-form instance, so the
-    calls of one query with the same w contract once, and a stored vector
-    never lets an invalid one through."""
+    """The tables of (torus, E) keep the last w's lift (`GerbeTables.lift`)
+    and its contraction once read (`GerbeTables.contraction`), so the calls
+    of one query with the same w lift and contract once, and a stored vector
+    never lets an invalid one through.
+    `contract3` is a plain product and keeps nothing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -358,6 +362,8 @@ class TestContractionMemo:
     def test_one_contraction_across_the_entry_points(self, calls):
         g = gerbe4(2)
         t, e3, w = g.torus, g.e, vec(F(1, 2), F(1, 3), 0, F(-1, 2))
+        assert g.tables.shift_rows and len(calls) == t.dim  # contracts E by each e_k
+        calls.clear()
         fixes_gerbe(t, e3, w)
         in_case_subgroup(t, e3, w, INT)
         in_case_subgroup(t, e3, w, ONEONE)
@@ -366,45 +372,86 @@ class TestContractionMemo:
             case_decomposition(t, e3, w, case, check=False)
         translated = translate_gerbe(g, w)
         assert len(calls) == 1
-        # the translated gerbe shares E, and with it the stored contraction
+        # the translated gerbe shares the torus and E, and with them the
+        # stored contraction
         fixes_gerbe(t, translated.e, list(w))
         assert len(calls) == 1
 
+    def test_translation_reads_the_stored_lift(self, monkeypatch):
+        g = gerbe4(2)
+        w = vec(F(1, 2), F(1, 3), 0, F(-1, 2))
+        fixes_gerbe(g.torus, g.e, w)
+        monkeypatch.setattr(gerbe_module, "int_vec", lambda v: pytest.fail("w lifted again"))
+        monkeypatch.setattr(gerbe_module, "sized_vector", lambda *a: pytest.fail("w checked again"))
+        moved = translate_gerbe(g, w)
+        monkeypatch.undo()
+        assert moved == translate_gerbe(cold_gerbe(g), w)
+
+    def test_translation_of_a_new_vector_lifts_and_does_not_contract(self, calls):
+        g = gerbe4(2)
+        w = vec(F(1, 2), F(1, 3), 0, F(-1, 2))
+        assert g.tables.shift_rows
+        calls.clear()
+        before = g.tables.last
+        moved = translate_gerbe(g, w)
+        assert not calls and g.tables.last is before  # no contraction, nothing kept
+        assert g.tables.lift(w) == (6, [3, 2, 0, -3])
+        # a list is stored as its validated tuple, so the list itself is
+        # lifted again, with the same result
+        ws = list(w)
+        fixes_gerbe(g.torus, g.e, ws)
+        assert len(calls) == 1 and g.tables.last[0] == w and g.tables.last[0] is not ws
+        assert translate_gerbe(g, ws) == moved == translate_gerbe(cold_gerbe(g), w)
+
     def test_equal_vectors_hit(self, calls):
-        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
-        first = contract3(e3, vec(F(1, 2), 0, F(2, 3), 0))
-        assert contract3(e3, (F(1, 2), F(0), F(4, 6), F(0))) is first
-        assert contract3(e3, [F(1, 2), 0, F(2, 3), 0]) is first
+        tables = gerbe_tables(torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3}))
+        first = tables.contraction(vec(F(1, 2), 0, F(2, 3), 0))
+        assert tables.contraction((F(1, 2), F(0), F(4, 6), F(0))) is first
+        assert tables.contraction([F(1, 2), 0, F(2, 3), 0]) is first
         assert len(calls) == 1
 
     def test_a_new_vector_or_another_instance_misses(self, calls):
-        e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
+        t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
         w1, w2 = vec(F(1, 2), 0, 0, 0), vec(0, 0, 0, F(1, 3))
-        contract3(e3, w1)
-        contract3(e3, w2)
+        gerbe_tables(t, e3).contraction(w1)
+        gerbe_tables(t, e3).contraction(w2)
         assert len(calls) == 2
-        contract3(e3, w1)  # one slot: w2 replaced w1
+        first = gerbe_tables(t, e3).contraction(w1)  # one slot: w2 replaced w1
         assert len(calls) == 3
+        # an equal E on the same torus object reads the same tables
         twin = AltForm3.from_coeffs(4, {(0, 1, 2): 2, (1, 2, 3): -3})
         assert twin == e3 and hash(twin) == hash(e3)
-        assert contract3(twin, w1) == contract3(e3, w1)
+        assert gerbe_tables(t, twin).contraction(w1) is first and len(calls) == 3
+        # another torus object with an equal J keeps tables of its own
+        other = torus4()
+        assert other == t and gerbe_tables(other, twin).contraction(w1) == first
         assert len(calls) == 4 and calls[3][0] is twin
 
     def test_results_equal_the_reference(self):
         rng = random.Random(19)
-        for dim in (4, 6):
+        for t in (torus4(), torus6()):
             for _ in range(10):
-                e3 = rand_altform3_int(rng, dim)
-                ws = [rand_rational_vec(rng, dim) for _ in range(3)]
+                e3 = rand_altform3_int(rng, t.dim)
+                ws = [rand_rational_vec(rng, t.dim) for _ in range(3)]
                 for w in (ws[0], ws[0], ws[1], ws[0], ws[2], ws[2], ws[1]):
-                    assert contract3(e3, w) == reference_contract(e3, w)
+                    tables = gerbe_tables(t, e3)
+                    omega, (dw, x) = tables.contraction(w), tables.lift(w)
+                    assert omega == contract3(e3, w) == reference_contract(e3, w)
+                    assert tuple(F(y, dw) for y in x) == w
 
     def test_memo_is_not_part_of_the_form(self):
         e3 = AltForm3.from_coeffs(4, {(0, 1, 2): 2})
         before = (repr(e3), hash(e3))
-        contract3(e3, vec(F(1, 2), 0, 0, 0))
+        gerbe_tables(torus4(), e3).contraction(vec(F(1, 2), 0, 0, 0))
         assert (repr(e3), hash(e3)) == before
         assert e3 == AltForm3.from_coeffs(4, {(0, 1, 2): 2})
+
+    def test_contract3_writes_nothing(self):
+        e3, w = AltForm3.from_coeffs(4, {(0, 1, 2): 2}), vec(F(1, 2), 0, 0, 0)
+        first = contract3(e3, w)  # builds the form's contraction table
+        held = dict(vars(e3))
+        assert contract3(e3, w) == first and contract3(e3, w) is not first
+        assert vars(e3) == held
 
     ENTRY_POINTS = TestVectorLength.ENTRY_POINTS
 
@@ -412,7 +459,7 @@ class TestContractionMemo:
     def test_float_of_the_stored_value_still_raises(self, entry):
         t, e3 = torus4(), AltForm3.from_coeffs(4, {(0, 1, 2): 2})
         w = vec(F(1, 2), 0, 0, 0)
-        contract3(e3, w)
+        gerbe_tables(t, e3).contraction(w)
         floats = (0.5, 0, 0, 0)
         assert floats == w
         with pytest.raises(TypeError):

@@ -542,7 +542,7 @@ class TestPackedProductsPastTheGuard:
             explicit = verify_trivialization(ctx, PINNED_PAIRS)
             default = verify_trivialization(ctx)
             answers += [ctx.member, default, explicit]
-            basis, factors = g.tables.bases[case], g.tables.factors[2]
+            basis, factors = g.tables.built[case], g.tables.factors[2]
             residual = basis.residual_rows
             tables += [residual, factors, residual] + [factors] * default + [basis.member_rows]
         assert "".join("T" if a else "F" for a in answers) == expected

@@ -79,6 +79,7 @@ from torusgerbe.trivialization import first_failing_pair, random_verification_pa
 
 from helpers import (
     basis_records,
+    cold_gerbe,
     conjugated_instance,
     corrupt_basis_record,
     direct_record,
@@ -262,7 +263,7 @@ class TestTrivializerKernel:
 
         for module in (gerbe_module, triv):
             monkeypatch.setattr(module, "forms_over", faulty)
-        ctx = TranslationContext.create(GerbeData(g.torus, g.b, g.e), w, case, check=False)
+        ctx = TranslationContext.create(cold_gerbe(g), w, case, check=False)
         assert trivializing_exponent(ctx, lam) != reference_trivializing_exponent(ctx, lam)
 
     def test_zero_vector_and_zero_form(self, instance):
@@ -295,7 +296,7 @@ class TestTrivializerKernel:
 
     def test_kernel_built_once_per_context(self, instance, monkeypatch):
         g, case, vectors = instance
-        g = GerbeData(g.torus, g.b, g.e)  # fresh: no basis records yet
+        g = cold_gerbe(g)  # fresh: no basis records yet
         builds = {"kernel": [], "residual_rows": []}
         for name, calls in builds.items():
             owner = triv._Basis if name == "residual_rows" else TranslationContext
@@ -307,7 +308,7 @@ class TestTrivializerKernel:
 
             monkeypatch.setattr(prop, "func", counting)
         ctx = TranslationContext.create(g, vectors[0], case)
-        basis = g.tables.bases[case]
+        basis = g.tables.built[case]
         assert verify_trivialization(ctx)
         # the identity reads x^T times the residual rows of the (gerbe,
         # case), and builds no kernel, on the record or the basis
@@ -503,7 +504,7 @@ def patch_basis_kernels(patch, g, case, blocks_of):
     blocks_of(j, blocks) of each basis record e_j in place of its own
     blocks; g's rows must not be built yet."""
     basis = basis_records(g, case)
-    assert "residual_rows" not in vars(g.tables.bases[case])
+    assert "residual_rows" not in vars(g.tables.built[case])
     kernel_blocks = triv._kernel_blocks
 
     def patched(ctx):
@@ -728,7 +729,7 @@ class TestResidualCore:
             assert first_failing_pair(TranslationContext.create(g, w, case)) is None
         failed = 0
         for (a, b), k in itertools.product(((0, 0), (1, d - 1), (d - 1, 2)), range(d)):
-            fresh = GerbeData(g.torus, g.b, g.e)
+            fresh = cold_gerbe(g)
             with monkeypatch.context() as patch:
                 corrupt_basis_kernel(patch, fresh, case, k, block, b, a)
                 for w in vectors:
@@ -941,7 +942,7 @@ class TestFactorRows:
         d = g.torus.dim
         w = data.draw(st.sampled_from(vectors), label="w")
         assert first_failing_pair(TranslationContext.create(g, w, case)) is None
-        fresh = GerbeData(g.torus, g.b, g.e)
+        fresh = cold_gerbe(g)
         dre, dim, rows, h0 = fresh.tables.factors
         ctx = TranslationContext.create(fresh, w, case)
         k = data.draw(st.sampled_from([k for k, y in enumerate(ctx.x) if y]), label="k")
@@ -949,7 +950,7 @@ class TestFactorRows:
         bad = [list(row) for row in rows.rows]
         bad[k][n] += 1
         vars(fresh.tables)["factors"] = dre, dim, PackedRows(bad), h0
-        assert "residual_rows" not in vars(fresh.tables.bases[case])
+        assert "residual_rows" not in vars(fresh.tables.built[case])
         # the factor at the pair moves by x_k/(dw*dre) or i*x_k/(dw*dim): it
         # fails its own basis pair, or, moved by an integer, the basis
         # passes and the check at w catches it
@@ -986,11 +987,11 @@ class TestFactorRows:
 
         monkeypatch.setattr(gerbe_module, "forms_over", forbidden)
         g, _, _ = instance
-        fresh = GerbeData(g.torus, g.b, g.e)
+        fresh = cold_gerbe(g)
         factors, expected = fresh.tables.factors, g.tables.factors
         assert factors[:2] == expected[:2] and factors[3] == expected[3]
         assert factors[2].rows == expected[2].rows
-        assert fresh.tables.bases == {}
+        assert fresh.tables.built == {}
 
     def test_rows_built_once_per_gerbe(self, instance, monkeypatch):
         g, case, vectors = instance
@@ -1002,13 +1003,13 @@ class TestFactorRows:
             return build(torus, e3)
 
         monkeypatch.setattr(gerbe_module, "basis_factor_rows", counting)
-        fresh = GerbeData(g.torus, g.b, g.e)
+        fresh = cold_gerbe(g)
         for w in vectors:
             assert verify_trivialization(TranslationContext.create(fresh, w, case))
         assert builds == [g.e]
         assert "factors" in vars(fresh.tables)
         # explicit pairs and single residuals read the same rows, built once
-        other = GerbeData(g.torus, g.b, g.e)
+        other = cold_gerbe(g)
         e0 = basis_vec(g.torus.dim, 0)
         ctx = TranslationContext.create(other, vectors[0], case)
         assert verify_trivialization(ctx, [(e0, e0)])
@@ -1019,6 +1020,8 @@ class TestFactorRows:
             assert verify_trivialization(ctx, [(e0, e0)]) and verify_trivialization(ctx)
             assert triv.residual_is_trivial(trivialization_residual(ctx, e0, e0))
         assert builds == [g.e, g.e] and other.tables.factors is rows
+        # a twin on other's torus with an equal E reads the same tables
+        assert GerbeData(other.torus, g.b, g.e).tables.factors is rows and len(builds) == 2
 
 
 class TestPackedCheckAtW:
@@ -1042,7 +1045,7 @@ class TestPackedCheckAtW:
         caught = 0
         for k in (k for k, y in enumerate(ctx.x) if y):
             for n in range(d * d):
-                fresh = GerbeData(g.torus, g.b, g.e)
+                fresh = cold_gerbe(g)
                 bad = [list(row) for row in rows.rows]
                 bad[k][n] += ctx.dw * dre
                 vars(fresh.tables)["factors"] = dre, dim, PackedRows(bad), h0
@@ -1150,7 +1153,7 @@ class TestPackedCheckAtW:
         built = gerbe_module.basis_factor_rows(g.torus, g.e)
         assert built[:2] == rows[:2] and built[2].rows == rows[2].rows
         assert built[3] == rows[3] and calls == [g.e]
-        fresh = GerbeData(g.torus, g.b, g.e)
+        fresh = cold_gerbe(g)
         assert fresh.tables.factors[3] == bound(g.torus, g.e)
         assert calls == [g.e, g.e]
         # queries read the cached entry: neither the rows nor the bound again
@@ -1253,7 +1256,7 @@ class TestIntegerDecision:
         d = g.torus.dim
         failed = 0
         for (a, b), k in itertools.product(((0, 0), (1, d - 1)), range(d)):
-            fresh = GerbeData(g.torus, g.b, g.e)
+            fresh = cold_gerbe(g)
             with monkeypatch.context() as patch:
                 corrupt_basis_kernel(patch, fresh, case, k, "qim", a, b)
                 for w in vectors:
@@ -1271,7 +1274,7 @@ class TestIntegerDecision:
         # of w at (0, 1) and (1, 0) by -dj*x_k over 4*dj*den; entry (0, 1)
         # of R_{e_k} moves ai at (0, 1) by -4*dj*x_k
         g, case, vectors = instance
-        g, d = GerbeData(g.torus, g.b, g.e), g.torus.dim
+        g, d = cold_gerbe(g), g.torus.dim
         ctx = TranslationContext.create(g, vectors[0], case)
         assert verify_trivialization(ctx)
         k = next(k for k, y in enumerate(ctx.x) if y % (4 * ctx.den))

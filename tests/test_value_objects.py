@@ -6,7 +6,8 @@ else, so equal objects hash alike, and a field kept outside comparison (a
 record's integer matrices, `TorusData.jt`, an obstruction context's cache)
 moves neither.  Constructors that normalise a sequence argument give the
 same object for a list and a tuple, and a missing argument raises
-TypeError.  `_Basis` alone compares by identity.
+TypeError.  `_Basis` alone compares by identity.  The hash is kept from
+the first call.
 """
 
 import enum
@@ -244,6 +245,26 @@ def test_repr_shows_the_compared_fields_in_order(name):
     obj = build(name)
     shown = ", ".join(f"{f}={getattr(obj, f)!r}" for f in ROWS[name][1])
     assert repr(obj) == f"{type(obj).__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("name", VALUE_ROWS)
+def test_the_hash_is_kept_from_the_first_call(name, monkeypatch):
+    """hash(obj) is hash(obj._key()), kept in the instance dict by the
+    first call, which an object never hashed does not hold; the kept hash
+    takes part in neither repr nor equality."""
+    obj, fresh = build(name), build(name)
+    assert "_hash" not in vars(obj)
+    h = hash(obj)
+    assert h == hash(obj._key()) and vars(obj)["_hash"] == h
+
+    def read(self):
+        raise AssertionError("a second hash read the fields")
+
+    monkeypatch.setattr(type(obj), "_key", read)
+    assert hash(obj) == h
+    monkeypatch.undo()
+    assert "_hash" not in vars(fresh)
+    assert obj == fresh and fresh == obj and repr(obj) == repr(fresh)
 
 
 def test_the_basis_compares_by_identity():
