@@ -327,6 +327,8 @@ class UnitValue(Frozen):
         return self.exponent.re == 0 and self.exponent.im == 0
 
     def __mul__(self, other: "UnitValue") -> "UnitValue":
+        if not isinstance(other, UnitValue):
+            return NotImplemented
         return UnitValue(self.exponent + other.exponent)
 
     def __str__(self) -> str:
@@ -341,7 +343,7 @@ def unit_reduce(z) -> UnitValue:
 
 
 def _check_int_matrix(m) -> list[list[int]]:
-    rows = [[int(x) for x in r] for r in m]
+    rows = [[int(to_fraction(x)) for x in r] for r in m]
     if rows != [list(r) for r in m]:
         raise ValueError("hermite_normal_form needs an integer matrix")
     if rows and any(len(r) != len(rows[0]) for r in rows):

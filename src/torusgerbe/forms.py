@@ -135,11 +135,15 @@ class AltForm2(Frozen):
         return AltForm2.from_coords(self.dim, [p * x + q * y for x, y in zip(self.upper, nums)], g)
 
     def __add__(self, other: "AltForm2") -> "AltForm2":
+        if not isinstance(other, AltForm2):
+            return NotImplemented
         if self.dim != other.dim:
             raise dimension_mismatch("other", other, self.dim)
         return self.add_over(other.upper, other.den)
 
     def __sub__(self, other: "AltForm2") -> "AltForm2":
+        if not isinstance(other, AltForm2):
+            return NotImplemented
         if self.dim != other.dim:
             raise dimension_mismatch("other", other, self.dim)
         return self.add_over(other.upper, -other.den)

@@ -16,7 +16,7 @@ from math import lcm
 
 from .exact import Frozen, GaussianRational, PackedRows, Vec, ZERO_G, dimension_mismatch, dot
 from .exact import int_vec, lattice_vector, mat_vec, sized_vector, to_vec, vec_is_zero
-from .torus import AltForm2, AltForm3, TorusData, alternating_matrix, contract3
+from .torus import AltForm2, AltForm3, TorusData, alternating_matrix, contract3, pullback_over
 from .torus import integral_anti_invariant_member, pullback_combination, type_condition_check
 
 
@@ -63,6 +63,8 @@ class ExponentFn(Frozen):
         return ExponentFn(self.const + c, self.lin_re, self.lin_im)
 
     def __add__(self, other: "ExponentFn") -> "ExponentFn":
+        if not isinstance(other, ExponentFn):
+            return NotImplemented
         if self.dim != other.dim:
             raise dimension_mismatch("other", other, self.dim)
         return ExponentFn(
@@ -72,6 +74,8 @@ class ExponentFn(Frozen):
         )
 
     def __sub__(self, other: "ExponentFn") -> "ExponentFn":
+        if not isinstance(other, ExponentFn):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "ExponentFn":
@@ -126,6 +130,8 @@ class Character(Frozen):
         return sum([e * c for e, c in zip(self.exponents, lam)], ZERO_G)
 
     def __mul__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         if self.dim != other.dim:
             raise dimension_mismatch("other", other, self.dim)
         return Character(tuple([a + b for a, b in zip(self.exponents, other.exponents)]))
@@ -182,7 +188,8 @@ def gerbe_tables(torus: TorusData, e3: AltForm3) -> "GerbeTables":
 
 class GerbeTables:
     """The tables of a torus and a 3-form E, built on first use: `built` holds
-    those of each case, `last` (w, (dw, x), E(w,.,.)) of the last contraction."""
+    those of each case, `last` (w, (dw, x), E(w,.,.)) of the last contraction,
+    `anti_rows` the (1,1) half of `symmetry.case_member`."""
 
     def __init__(self, torus: TorusData, e: AltForm3):
         self.torus, self.e, self.built, self.last = torus, e, {}, None
@@ -223,6 +230,14 @@ class GerbeTables:
         forms = [translation_shift_form(self.torus, self.e, ek) for ek in self.torus.basis()]
         ds = lcm(*[f.den for f in forms])
         return ds, PackedRows([[u * (ds // f.den) for u in f.upper] for f in forms])
+
+    @functools.cached_property
+    def anti_rows(self) -> PackedRows:
+        """Row k: the pair coordinates of dj**2*(omega_k - J^T*omega_k*J) for
+        omega_k row k of E's `contraction_table`, packed: rows.times(x) is zero
+        iff E(x/dw,.,.) is J-invariant.  d `pullback_over` calls, no HNF."""
+        rows = self.e.contraction_table[1].rows
+        return PackedRows([pullback_over(self.torus, row, 1, 1, -1)[0] for row in rows])
 
     @functools.cached_property
     def factors(self) -> tuple[int, int, PackedRows, int]:

@@ -274,9 +274,10 @@ class SecondObstructionValues(Frozen):
 
     skew: alternation of the degree-3 cocycle over all six permutations.
     general_factor: the bilinear closed expression 3*(F3(w1,w2) + F1(w2,w3)
-    - F2(w1,w3)) in the decomposition data.  closed_form: the per-case closed form, exp(-9*E(w1,w2,w3)) in the
-    integral case and exp(36*E(w1,w2,w3)) in the type (1,1) case; this one
-    is the authority for vanishing decisions.  The three are recorded side
+    - F2(w1,w3)) in the decomposition data.  closed_form: the per-case
+    closed form, exp(-9*E(w1,w2,w3)) in the integral case and
+    exp(36*E(w1,w2,w3)) in the type (1,1) case; this one is the authority
+    for vanishing decisions.  The three are recorded side
     by side because they are genuinely different scalar multiples of
     E(w1,w2,w3); agreement flags state equality of the reduced values.
     `second_obstruction_alternating` reads skew and closed_form off

@@ -5,6 +5,8 @@ E(w,.,.) lies in Alt^2(Z) + {type (1,1) forms}.  Two distinguished
 subgroups admit a linear choice of decomposition data and are the ones all
 obstruction computations run over: the integral case (contraction has
 integer coefficients) and the type (1,1) case (contraction is J-invariant).
+Membership in either is decided in one place, `case_member`, which
+`in_case_subgroup`, `case_decomposition` and the translation records read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from .exact import Frozen
 from .torus import AltForm2, AltForm3, TorusData, integral_anti_invariant_member
 from .torus import pullback_combination
-from .gerbe import SHIFT_COEFFICIENTS, gerbe_tables
+from .gerbe import SHIFT_COEFFICIENTS, GerbeTables, gerbe_tables
 
 
 class NotInSubgroup(ValueError):
@@ -62,10 +64,11 @@ def fixes_gerbe(torus: TorusData, e3: AltForm3, w) -> bool:
 
 
 def in_case_subgroup(torus: TorusData, e3: AltForm3, w, case: SubgroupCase) -> bool:
-    """Membership of w in the chosen decomposition subgroup."""
+    """Membership of w in the chosen decomposition subgroup: `case_member`
+    of w's lift, `GerbeTables.lift`; E is not contracted by w."""
     case = SubgroupCase(case)
-    omega = gerbe_tables(torus, e3).contraction(w)
-    return member_over(torus, omega.upper, omega.den, case)
+    tables = gerbe_tables(torus, e3)
+    return case_member(tables, case, *tables.lift(w))
 
 
 def case_decomposition(
@@ -81,10 +84,11 @@ def case_decomposition(
     subgroup, which is what the trivialization verifier witnesses.
     """
     case = SubgroupCase(case)
-    omega = gerbe_tables(torus, e3).contraction(w)
+    tables = gerbe_tables(torus, e3)
+    omega = tables.contraction(w)
     invariant = pullback_combination(torus, omega, *invariant_coefficients(case))
     if check:
-        require_case_member(member_over(torus, omega.upper, omega.den, case), case)
+        require_case_member(case_member(tables, case, *tables.lift(w)), case)
     if case is SubgroupCase.INTEGRAL:
         return Decomposition(invariant_part=invariant, integral_part=omega)
     zero = AltForm2.zero(torus.dim)
@@ -98,16 +102,17 @@ def require_case_member(member: bool, case: SubgroupCase):
         raise NotInSubgroup(f"contraction with the 3-form is not {what}")
 
 
-def member_over(torus: TorusData, nums, den: int, case: SubgroupCase) -> bool:
-    """`in_case_subgroup` for the vector w whose contraction E(w,.,.) has the
-    coordinates nums / den on the pairs a < b, in lexicographic order, for
-    integers nums over the positive integer den.  In the (1,1) case the
-    anti-invariant part, (nums^T*V/den)*H_r in the terms of
-    `TorusData.anti_invariant_table`, is zero iff nums^T*V is: H_r's rows
-    are independent."""
+def case_member(tables: GerbeTables, case: SubgroupCase, dw: int, x) -> bool:
+    """Whether w = x/dw, for integers x over the positive integer dw, is in
+    the case subgroup of the torus and E of tables, by one packed product:
+    in the integral case x^T times E's `contraction_table`, the coordinates
+    of E(w,.,.) over de*dw, must all be divisible by de*dw; in the type
+    (1,1) case x^T times `GerbeTables.anti_rows`, those of dj**2*(omega -
+    J^T*omega*J) for omega = E(w,.,.) times de*dw, must be zero."""
     if case is SubgroupCase.INTEGRAL:
-        return not any(x % den for x in nums)
-    return not any(torus.anti_invariant_table[0].times(nums))
+        de, rows = tables.e.contraction_table
+        return not any([y % (de * dw) for y in rows.times(x)])
+    return not any(tables.anti_rows.times(x))
 
 
 def invariant_coefficients(case: SubgroupCase) -> tuple[Fraction, Fraction]:

@@ -21,8 +21,8 @@ from .exact import Frozen, GaussianRational, InternalMismatch, PackedRows, Vec, 
 from .exact import int_dot, int_vec_mat, lattice_vector, mat_vec, sized_vector, to_vec
 from .gerbe import ExponentFn, GerbeData, balanced_digits, exponent_im, exponent_over
 from .gerbe import forms_over
-from .symmetry import Decomposition, SubgroupCase, case_decomposition, invariant_coefficients
-from .symmetry import require_case_member
+from .symmetry import Decomposition, SubgroupCase, case_decomposition, case_member
+from .symmetry import invariant_coefficients, require_case_member
 from .torus import alternating_matrix, pullback_over
 
 
@@ -54,9 +54,9 @@ class TranslationContext(Frozen):
     Each matrix is linear in x, so a record builds its four matrices on
     first read as x^T times the d packed `_Basis.rows` (the matrices of
     e_1..e_d, built from the contractions once per (torus, E, case), in
-    `GerbeData.tables`), and its `member` as one product with the narrow
-    `_Basis.member_rows`.  The obstruction decisions and the trivialization
-    identity read neither.
+    `GerbeData.tables`).  Its `member` is `symmetry.case_member` of its
+    lift.  The obstruction decisions and the trivialization identity read
+    no record matrix.
     """
 
     _fields = ("gerbe", "w", "case", "dw", "x", "ix", "den")
@@ -67,10 +67,8 @@ class TranslationContext(Frozen):
 
     @functools.cached_property
     def member(self) -> bool:
-        """Whether w is in the case subgroup, by `_member_of` of x^T times
-        the basis's `member_rows`."""
-        coords = _basis_records(self.gerbe, self.case).member_rows.times(self.x)
-        return _member_of(coords, self.den, self.case)
+        """Whether w is in the case subgroup: `case_member` of its lift."""
+        return case_member(self.gerbe.tables, self.case, self.dw, self.x)
 
     @functools.cached_property
     def _flat(self) -> list[int]:
@@ -174,35 +172,12 @@ def _basis_row(gerbe: GerbeData, w: Vec, case: SubgroupCase, den: int) -> list[i
     return [y for mat in (omega, f, m, r) for row in mat for y in row]
 
 
-def _member_coords(omega, f, case: SubgroupCase) -> list[int]:
-    """The pair coordinates that decide the case membership of w from its
-    record's E(w,.,.) and F_w: those of omega in the integral case, and of
-    4*F_w - omega in the type (1,1) case."""
-    if case is SubgroupCase.INTEGRAL:
-        return [y for a, row in enumerate(omega) for y in row[a + 1 :]]
-    return [
-        4 * y - z
-        for a, (fr, row) in enumerate(zip(f, omega))
-        for y, z in zip(fr[a + 1 :], row[a + 1 :])
-    ]
-
-
-def _member_of(coords, den: int, case: SubgroupCase) -> bool:
-    """The case membership of w from `_member_coords` over den: E(w,.,.)
-    integral, or J-invariant, which for the type (1,1) F_w = 5/8*omega -
-    3/8*J^T*omega*J is 4*F_w == omega, as 4*F_w - omega = 3/2*(omega -
-    J^T*omega*J)."""
-    if case is SubgroupCase.INTEGRAL:
-        return not any([y % den for y in coords])
-    return not any(coords)
-
-
 class _Basis(Frozen):
     """The lattice basis e_1..e_d of a (torus, E, case) as d packed rows:
     row k of `rows` is `_basis_row` of e_k, so rows.times(x) is the four
     matrices of x/dw flattened, over dw*den.  gerbe is the gerbe that built
-    it.  The `records` of e_1..e_d (its lifts), the narrow `member_rows` and
-    the identity's `residual_rows` are built on first use.  Compared by identity."""
+    it.  The `records` of e_1..e_d (its lifts) and the identity's
+    `residual_rows` are built on first use.  Compared by identity."""
 
     _fields = ("gerbe", "case", "den", "rows")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -212,12 +187,6 @@ class _Basis(Frozen):
         """The records of e_1..e_d: the gerbe's lifts, as any record."""
         g, t, case, den = self.gerbe, self.gerbe.torus, self.case, self.den
         return tuple([TranslationContext(g, ek, case, *t.lift(ek), den) for ek in t.basis()])
-
-    @functools.cached_property
-    def member_rows(self) -> PackedRows:
-        """Packed row k: `_member_coords` of record k, so x^T*member_rows
-        decides the membership of x/dw over dw*den."""
-        return PackedRows([_member_coords(b.omega, b.f, self.case) for b in self.records])
 
     @functools.cached_property
     def residual_rows(self) -> PackedRows:

@@ -127,19 +127,25 @@ def conjugated_instance(
     """A gerbe on J = P*J0*P^-1 with `count` nonzero vectors of the case
     subgroup.
 
-    J0 is J4_ROWS (n = 2) or J6_ROWS (n = 3).  P is the identity, or, when
+    J0 is J4_ROWS (n = 2), J6_ROWS (n = 3) or J4_ROWS in both diagonal
+    blocks (n = 4).  P is the identity, or, when
     twisted, a seeded product of 2n elementary matrices I + t*e_ab.  The
     3-form is E = c * E0(P^-1 ., P^-1 ., P^-1 .) for a base form E0 on J0
     and an even integer c that makes it integral; the contraction of E by
     P*w0 is the pullback of the contraction of c*E0 by w0, so it keeps its
     type.  Type (1,1) case: E0 is the n = 2 family {(0,2,3), (1,2,3)} with
-    w0 in span(e1, e2), or `oneone_e6` with w0 in span(e1, e2, e4, e5).
+    w0 in span(e1, e2), `oneone_e6` with w0 in span(e1, e2, e4, e5), or at
+    n = 4 one n = 2 family form on each block, pulled back along the block's
+    projection, with w0 in span(e1, e2, e5, e6).
     Integral case: E0 is a random compatible form and the vectors lie in
     (1/2)*Z^2n, whose contractions are integral because c/2 clears E0.
     """
     rng = random.Random(f"conjugated:{n}:{seed}:{case.value}:{twisted}")
     dim = 2 * n
-    j0 = check_complex_structure(J4_ROWS if n == 2 else J6_ROWS)
+    if n == 4:  # J4_ROWS in both diagonal blocks
+        j0 = check_complex_structure([r + [0] * 4 for r in J4_ROWS] + [[0] * 4 + r for r in J4_ROWS])
+    else:
+        j0 = check_complex_structure(J4_ROWS if n == 2 else J6_ROWS)
     p = [list(r) for r in identity_mat(dim)]
     q = [list(r) for r in identity_mat(dim)]  # P^-1
     for _ in range(dim if twisted else 0):
@@ -156,6 +162,16 @@ def conjugated_instance(
                 4, {(0, 2, 3): rng.choice((-2, -1, 1, 2)), (1, 2, 3): rng.randint(-2, 2)}
             )
             support = (0, 1)
+        elif n == 4:
+            e0 = AltForm3.from_coeffs(
+                8,
+                {
+                    (s + a, s + b, s + c): rng.choice((-2, -1, 1, 2))
+                    for s in (0, 4)
+                    for a, b, c in ((0, 2, 3), (1, 2, 3))
+                },
+            )
+            support = (0, 1, 4, 5)
         else:
             e0 = oneone_e6()
             support = (0, 1, 3, 4)
@@ -826,14 +842,14 @@ def reference_j_pullback2(torus: TorusData, omega: AltForm2) -> AltForm2:
 
 class _CountedRows:
     """A form's packed contraction table that records (form, nums) of each
-    product before it multiplies."""
+    product before it multiplies; its `rows` are the table's rows."""
 
-    def __init__(self, e3: AltForm3, rows, calls: list):
-        self.e3, self.rows, self.calls = e3, rows, calls
+    def __init__(self, e3: AltForm3, table, calls: list):
+        self.e3, self.table, self.rows, self.calls = e3, table, table.rows, calls
 
     def times(self, nums):
         self.calls.append((self.e3, tuple(nums)))
-        return self.rows.times(nums)
+        return self.table.times(nums)
 
 
 def count_contractions(monkeypatch) -> list:
@@ -862,12 +878,17 @@ def reference_anti_invariant_member(torus: TorusData, omega: AltForm2) -> bool:
     return torus.anti_invariant_lattice.member_over(nums, 2 * den) is not None
 
 
-def reference_case_member(torus: TorusData, omega: AltForm2, case: SubgroupCase) -> bool:
-    """`symmetry.member_over` for the contraction omega by the route it
-    replaced: integral coordinates, or omega - J^T*omega*J zero."""
+def reference_case_member(torus: TorusData, e3: AltForm3, w: Vec, case: SubgroupCase) -> bool:
+    """Whether w is in the case subgroup by its definition, read off no
+    package table: omega = E(w,.,.), accumulated entry by entry in
+    Fractions, has integer coefficients (integral case) or equals
+    J^T*omega*J, multiplied out from J's entries (type (1,1) case)."""
+    omega = reference_contract_matrix(e3, w)
     if case is SubgroupCase.INTEGRAL:
-        return omega.is_integral
-    return not any(pullback_over(torus, omega.upper, omega.den, 1, -1)[0])
+        return all(x.denominator == 1 for row in omega for x in row)
+    j, r = torus.j, range(torus.dim)
+    pulled = [[sum(j[p][a] * omega[p][q] * j[q][b] for p in r for q in r) for b in r] for a in r]
+    return [list(row) for row in omega] == pulled
 
 
 def reference_contract(e3: AltForm3, w: Vec) -> AltForm2:

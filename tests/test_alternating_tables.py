@@ -320,15 +320,20 @@ class TestLazyRecords:
         assert found[True] >= len(vectors) and found[False] > 0
 
     def test_membership_is_one_narrow_product(self, instance, monkeypatch):
+        # one product with a d x d(d-1)/2 table of (torus, E): E's
+        # contraction table in the integral case, `GerbeTables.anti_rows`
+        # in the (1,1) case; the basis rows are not read
         g, case, vectors = instance
-        basis = triv._basis_records(g, case)
+        d = g.torus.dim
+        triv._basis_records(g, case)
+        table = g.e.contraction_table[1] if case is SubgroupCase.INTEGRAL else g.tables.anti_rows
         products, times = [], PackedRows.times
         monkeypatch.setattr(
             PackedRows, "times", lambda table, x: products.append(table) or times(table, x)
         )
         record = TranslationContext.create(g, vectors[0], case)
-        assert record.member and products == [basis.member_rows]
-        assert len(basis.member_rows.rows[0]) == len(basis.records) * (len(basis.records) - 1) // 2
+        assert record.member and products == [table]
+        assert len(table.rows) == d and len(table.rows[0]) == d * (d - 1) // 2
 
 
 MATRICES = ("omega", "f", "m", "r")

@@ -4,11 +4,11 @@ in pair coordinates.
 `TorusData.anti_invariant_table` holds (V, U, G): G = V*H_r for the
 lattice's scaled generators G and the nonzero rows H_r of its Hermite
 normal form, and U*G = H_r.  `integral_anti_invariant_member` decides on
-y = upper^T*V and checks every positive answer's witness; the (1,1) case
-of `symmetry.member_over` is y = 0.  Both are compared here against the
-route they replaced (`helpers.reference_anti_invariant_member` and
-`reference_case_member`), and each table is corrupted to show the witness
-check or the build catches it.
+y = upper^T*V and checks every positive answer's witness, against the
+route it replaced (`helpers.reference_anti_invariant_member`), and each
+table is corrupted to show the witness check or the build catches it.
+The case membership, `symmetry.case_member`, reads no V: it is compared
+with its definition (`helpers.reference_case_member`).
 """
 
 import functools
@@ -31,7 +31,7 @@ from torusgerbe import (
 )
 from torusgerbe.exact import PackedRows, ReducedLattice, int_vec, int_vec_mat
 from torusgerbe.gerbe import gerbe_tables
-from torusgerbe.symmetry import member_over
+from torusgerbe.symmetry import case_member
 from torusgerbe.torus import check_complex_structure, integral_anti_invariant_member
 
 from helpers import (
@@ -94,14 +94,17 @@ class TestTable:
 
     def test_complex_curve_has_no_anti_invariant_part(self):
         # n = 1: every 2-form is of type (1,1), so r = 0 and every form is
-        # a member, in both routes
+        # a member, in both routes; E is zero, so every w is in either case
         t = check_complex_structure([[0, -1], [1, 0]])
         v, u, g = t.anti_invariant_table
         assert v.rows == [[]] and u.rows == [] and g.rows == [[0]]
         for omega in (AltForm2.from_pairs(2, {(0, 1): F(1, 3)}), AltForm2.zero(2)):
             assert integral_anti_invariant_member(t, omega) is True
             assert reference_anti_invariant_member(t, omega) is True
-            assert member_over(t, omega.upper, omega.den, SubgroupCase.TYPE_ONE_ONE)
+        tables = gerbe_tables(t, AltForm3.zero(2))
+        assert tables.anti_rows.rows == [[0], [0]]
+        for case in SubgroupCase:
+            assert case_member(tables, case, 3, [1, -2])
 
     def test_wrong_dimension_is_rejected(self):
         with pytest.raises(ValueError, match="^dimension mismatch: omega has dimension 6, not 4$"):
@@ -181,14 +184,19 @@ class TestNoOldRoute:
             raise AssertionError("the old route ran")
 
         t = torus(3, True)
-        t.anti_invariant_table  # built before the routes are forbidden
-        monkeypatch.setattr(torus_module, "pullback_over", forbidden)
+        e3 = AltForm3.from_coeffs(t.dim, {(0, 1, 2): 1, (1, 3, 5): F(1, 2)})
+        tables = gerbe_tables(t, e3)
+        t.anti_invariant_table, tables.anti_rows  # built before the routes are forbidden
+        for module in (torus_module, gerbe_module):
+            monkeypatch.setattr(module, "pullback_over", forbidden)
         monkeypatch.setattr(ReducedLattice, "quotients", forbidden)
         monkeypatch.setattr(ReducedLattice, "member_over", forbidden)
         for omega in pair_forms(t.dim):
             for f in (omega, omega.scale(F(1, 2))):
                 integral_anti_invariant_member(t, f)
-                member_over(t, f.upper, f.den, SubgroupCase.TYPE_ONE_ONE)
+        for k in range(t.dim):
+            for dw in (1, 2):
+                case_member(tables, SubgroupCase.TYPE_ONE_ONE, dw, [int(a == k) for a in range(t.dim)])
 
 
 @st.composite
@@ -219,15 +227,6 @@ class TestAgainstTheOldRoute:
         expected = reference_anti_invariant_member(t, omega)
         assert integral_anti_invariant_member(t, omega) is expected
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_case_member_over(self, data):
-        t = torus(*data.draw(st.sampled_from(TORI)))
-        omega = data.draw(forms(t))
-        for case in SubgroupCase:
-            expected = reference_case_member(t, omega, case)
-            assert member_over(t, omega.upper, omega.den, case) is expected
-
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_in_case_subgroup_and_contract3(self, data):
@@ -243,7 +242,7 @@ class TestAgainstTheOldRoute:
         dw, x = int_vec(w)
         assert omega == AltForm2.from_coords(d, *e3.contract_pairs(x, dw)) == reference_contract(e3, w)
         for case in SubgroupCase:
-            assert in_case_subgroup(t, e3, w, case) is reference_case_member(t, omega, case)
+            assert in_case_subgroup(t, e3, w, case) is reference_case_member(t, e3, w, case)
         assert integral_anti_invariant_member(t, omega) is reference_anti_invariant_member(t, omega)
 
 

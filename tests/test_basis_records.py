@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgerbe.gerbe as gerbe_module
-import torusgerbe.symmetry as symmetry_module
 import torusgerbe.trivialization as triv
 from torusgerbe import (
+    AltForm3,
     GerbeData,
     ObstructionKind,
     SubgroupCase,
@@ -126,7 +126,8 @@ class TestWarmGerbe:
     def test_second_query_builds_no_record(self, instance, monkeypatch):
         # a second obstruction_vanishes on the same gerbe and case combines
         # every record from the cached basis: no contraction and no
-        # pullback, the case membership included
+        # pullback, the case membership included, which reads the kept
+        # `anti_rows` or contraction table
         g, case, vectors = instance
         spec = SubgroupSpec.create(vectors[:3], case)
         first = [obstruction_vanishes(g, spec, which) for which in ObstructionKind]
@@ -138,7 +139,8 @@ class TestWarmGerbe:
             (gerbe_module, "forms_over"),
             (triv, "forms_over"),
             (triv, "pullback_over"),
-            (symmetry_module, "member_over"),
+            (gerbe_module, "pullback_over"),
+            (AltForm3, "contract_pairs"),
             (triv, "_basis_row"),
         ):
             monkeypatch.setattr(module, name, forbidden)

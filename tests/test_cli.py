@@ -153,13 +153,15 @@ class TestRunCommand:
         assert report["result"]["integral"] is False
 
     def test_membership_contracts_once_per_run(self, monkeypatch):
-        # fixes_gerbe, both case memberships and the printed contraction
-        # share one contraction of E by w
+        # fixes_gerbe, the (1,1) membership and the printed contraction
+        # share one contraction of E by w; the integral membership reads
+        # w's kept lift and makes one product of its own with E's
+        # contraction table (`symmetry.case_member`)
         calls = count_contractions(monkeypatch)
         for runs in (1, 2):
             report, status = run_command("membership", parse_problem(fixture_text()), {"w": "u"})
             assert status == 0 and report["result"]["integral"] is True
-            assert len(calls) == runs
+            assert len(calls) == 2 * runs and calls[-1] == calls[-2]
 
     def test_translate(self):
         p = parse_problem(fixture_text())

@@ -188,6 +188,12 @@ class TestHermiteNormalForm:
         with pytest.raises(ValueError):
             hermite_normal_form([[F(1, 2), 0], [0, 1]])
 
+    @pytest.mark.parametrize("entry", [1.0, 1.5, -0.0], ids=["integral", "fractional", "zero"])
+    def test_rejects_a_float_as_every_entry_point_does(self, entry):
+        # an integral-valued float used to pass as its int; 1.5 was a ValueError
+        with pytest.raises(TypeError, match="^floats are not allowed in exact computations$"):
+            hermite_normal_form([[entry, 2], [3, 4]])
+
 
 def reconstruct_cases():
     """Seeded (generators, target) pairs whose target is in the lattice."""

@@ -12,7 +12,8 @@ corrupted rows and records.  `second_obstruction_alternating` must return
 the oracle's three values and three flags on every triple, and
 `obstruction_vanishes` what a loop over the oracle returns.  Neither the
 table nor a decision reads a record's F_w, and E is contracted only to
-build the basis rows."""
+build the basis rows and, in the integral case, once per record whose
+case membership is read."""
 
 import itertools
 import random
@@ -139,13 +140,13 @@ def assert_public_values_match(ctx, ws):
 
 
 def assert_decision_reads_no_f(monkeypatch, g, spec):
-    """The SECOND decision is unchanged when every candidate record, of a
-    generator or of a basis vector, is replaced by one without F_w, the
-    basis records before SECOND's table is built from them."""
+    """The SECOND decision, the case membership of every candidate
+    included, is unchanged when every candidate record, of a generator or
+    of a basis vector, is replaced by one without F_w, the basis records
+    before SECOND's table is built from them."""
     expected = decided(obstruction_vanishes(g, spec, SECOND))
     g = cold_gerbe(g)  # no table built
     basis = _basis_records(g, spec.case)
-    basis.member_rows  # membership reads F_w by its definition: built beforehand
     records = tuple(replace_fields(d, f=None) for d in basis.records)
     monkeypatch.setitem(vars(basis), "records", records)
     build = obstruction._lifted_record
@@ -295,34 +296,54 @@ class TestCorruptedRecords:
         assert decided(result) == oracle_vanishes(g, spec)
 
 
+def membership_products(case, records) -> list[tuple]:
+    """The x of each contraction-table product that reading the case
+    membership of records makes (`symmetry.case_member`): one per record
+    whose membership is not read yet in the integral case, none in the
+    (1,1) case, which reads `GerbeTables.anti_rows`."""
+    if case is not INT:
+        return []
+    return [tuple(d.x) for d in records if "member" not in vars(d)]
+
+
 class TestStructure:
     """SECOND's table is built once per (torus, E, case) from the basis
-    rows, whose build contracts E by each e_k and i*e_k: no query, the
-    first included, and no public triple contracts E, and nothing is built
-    below three candidates."""
+    rows, whose build contracts E by each e_k and i*e_k.  Past that no
+    query, the first included, and no public triple contracts E, except
+    the integral case membership of each record read: one product with E's
+    contraction table per distinct generator per query, and per basis
+    vector once, as its record is the basis's.  Nothing is built below
+    three candidates."""
 
     def test_contractions_per_query(self, instance, monkeypatch):
         g, case, vectors = instance
         g = cold_gerbe(g)  # no table built
         spec = SubgroupSpec.create(vectors, case)
         calls = count_contractions(monkeypatch)
-        n = len(obstruction_candidates(g, spec)[1])  # builds the basis rows
-        assert len(calls) == 2 * g.torus.dim and all(e3 is g.e for e3, _ in calls)
-        calls.clear()
-        result = obstruction_vanishes(g, spec, SECOND)
-        assert result.tuples_checked == comb(n, 3) > n
-        assert calls == []
-        assert obstruction_vanishes(g, spec, SECOND) == result
-        assert calls == []
+        ctx, found = obstruction_candidates(g, spec)  # builds the basis rows
+        n, d = len(found), g.torus.dim
+        records = {id(r): r for r in [*ctx._vectors.values(), *_basis_records(g, case).records]}
+        # the membership of each record read, generators' and basis vectors'
+        read = sorted(tuple(r.x) for r in records.values()) if case is INT else []
+        assert sorted(x for _, x in calls[2 * d :]) == read
+        assert len(calls) == 2 * d + len(read) and all(e3 is g.e for e3, _ in calls)
+        for _ in range(2):
+            fresh = ObstructionContext(g, case)  # the records of the query's generators
+            expected = membership_products(case, [fresh.vector(w) for w in vectors])
+            calls.clear()
+            result = obstruction_vanishes(g, spec, SECOND)
+            assert result.tuples_checked == comb(n, 3) > n
+            assert [x for _, x in calls] == expected and len(expected) == (len(vectors) if case is INT else 0)
 
     def test_a_public_triple_contracts_nothing(self, instance, monkeypatch):
         g, case, vectors = instance
         ctx = ObstructionContext(g, case)
         for w in vectors:
             ctx.vector(w)
+        expected = membership_products(case, [ctx.vector(w) for w in vectors[:3]])
         calls = count_contractions(monkeypatch)
         second_obstruction_alternating(ctx, *vectors[:3])
-        assert calls == []
+        assert [x for _, x in calls] == expected and len(expected) == (3 if case is INT else 0)
 
     def test_no_table_below_three_candidates(self, monkeypatch):
         g, vectors = conjugated_instance(2, 0, SubgroupCase.TYPE_ONE_ONE, True)

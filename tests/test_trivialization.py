@@ -533,8 +533,7 @@ class TestPackedProductsPastTheGuard:
 
         g, answers, tables = pinned_gerbe(), [], []
         for case in (INT, ONEONE):  # warm: the basis tables multiply unit vectors only
-            basis = _basis_records(g, case)
-            assert basis.residual_rows and basis.member_rows
+            assert _basis_records(g, case).residual_rows and g.tables.anti_rows
         monkeypatch.setattr(torusgerbe.exact, "int_vec_mat", counting_loop)
         monkeypatch.setattr(PackedRows, "times", counting_times)
         for case in (INT, ONEONE):
@@ -544,13 +543,15 @@ class TestPackedProductsPastTheGuard:
             answers += [ctx.member, default, explicit]
             basis, factors = g.tables.built[case], g.tables.factors[2]
             residual = basis.residual_rows
-            tables += [residual, factors, residual] + [factors] * default + [basis.member_rows]
+            member = g.e.contraction_table[1] if case is INT else g.tables.anti_rows
+            tables += [residual, factors, residual] + [factors] * default + [member]
         assert "".join("T" if a else "F" for a in answers) == expected
         # per case: for the explicit pairs the residual table, then the
         # factors of the check at w; for the default pairs the residual
         # table, and the factors again when the basis passes; then the
-        # record's membership, its one product, as the identity reads no
-        # record matrix
+        # record's membership, its one product (E's contraction table, or
+        # `GerbeTables.anti_rows` in the (1,1) case), as the identity reads
+        # no record matrix
         assert [table for table, _ in paths] == tables
         assert [path for _, path in paths] == [loops] * len(tables)
 

@@ -1080,12 +1080,16 @@ class TestPackedCheckAtW:
             lifts.append(x)
             return mul_i_over(torus, x)
 
+        # the first record of each gerbe builds the basis records for the
+        # residual, lifting e_1..e_d (the membership check lifts none);
+        # then each check at w lifts the two packed vectors
+        units = [[int(a == k) for a in range(d)] for k in range(d)]
         with monkeypatch.context() as patch:
             patch.setattr(TorusData, "mul_i_over", counting_mul_i)
-            for ctx in contexts:
+            for ctx, basis in zip(contexts, (units, units, [])):
                 lifts.clear()
                 assert first_failing_pair(ctx) is None
-                assert lifts == [[1] * d, [1] * d]
+                assert lifts == [*basis, [1] * d, [1] * d]
         factor = triv.exponent_over
         for shift in (1, contexts[0].dw * contexts[0].gerbe.tables.factors[0]):
 

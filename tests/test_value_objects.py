@@ -293,6 +293,26 @@ def test_a_missing_or_extra_argument_raises_type_error(name):
         type(obj)(*args[: required - 1], not_a_field=None)
 
 
+# name -> an operation with an operand of a foreign type
+FOREIGN_OPERANDS = {
+    "ExponentFn + 1": lambda: ExponentFn(0, (1,), (2,)) + 1,
+    "ExponentFn - 1": lambda: ExponentFn(0, (1,), (2,)) - 1,
+    "Character * 2": lambda: Character((1, 2)) * 2,
+    "UnitValue * 3": lambda: UnitValue(F(1, 2)) * 3,
+    "AltForm2 + 1": lambda: AltForm2.zero(4) + 1,
+    "AltForm2 - 1": lambda: AltForm2.zero(4) - 1,
+    "AltForm2 + AltForm3": lambda: AltForm2.zero(4) + AltForm3.zero(4),
+    "AltForm2 - AltForm3": lambda: AltForm2.zero(4) - AltForm3.zero(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_OPERANDS))
+def test_a_foreign_operand_raises_type_error(name):
+    # each used to read a field the operand lacks and raise AttributeError
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        FOREIGN_OPERANDS[name]()
+
+
 def test_defaults_and_derived_fields():
     assert VanishingResult(False, None, 0).cross_check_disagreements == ()
     t = build("TorusData")
